@@ -39,6 +39,7 @@ from typing import Sequence
 from .api import available_decoders, decoder_spec, get_decoder
 from .evaluation import (
     DECODERS_WITH_TIMING_MODELS,
+    DEFAULT_LOAD_CONFIG,
     MonteCarloEngine,
     ServiceLoadEngine,
     StreamEngine,
@@ -862,18 +863,12 @@ def _run_hostile_mix(args: argparse.Namespace) -> tuple[list, list]:
     """
     entries = []
     failed = []
+    # No shedding (digests stay comparable) and a retry budget the pinned
+    # plan's build crashes fit in.
+    config = _serve_config(args, None, HOSTILE_SMOKE_PLAN).replace(
+        max_sessions=8, overload_policy="block", session_build_retries=2
+    )
     for family, spec in HOSTILE_SMOKE_TRACES:
-        config = ServiceConfig(
-            workers=args.workers,
-            max_batch_size=args.max_batch,
-            max_wait_seconds=args.max_wait_us * 1e-6,
-            queue_capacity=args.queue_capacity,
-            max_sessions=8,
-            overload_policy="block",  # no shedding: digests stay comparable
-            fault_plan=HOSTILE_SMOKE_PLAN,
-            session_build_retries=2,
-            session_build_backoff_seconds=0.0005,
-        )
         engine = ServiceLoadEngine(
             spec,
             config=config,
@@ -1017,13 +1012,9 @@ def _command_serve_net(args: argparse.Namespace) -> int:
     # Local import: the net tier (asyncio, multiprocessing.shared_memory)
     # should not tax every other CLI command's startup.
     from .service.net import NetServer
-    from .service.net.bench import NET_CONFIG_DEFAULTS, scaling_bench, wire_comparison
+    from .service.net.bench import scaling_bench, wire_comparison
 
-    config = (
-        ServiceConfig.from_file(args.config)
-        if args.config
-        else ServiceConfig(**NET_CONFIG_DEFAULTS)
-    )
+    config = ServiceConfig.from_file(args.config) if args.config else DEFAULT_LOAD_CONFIG
     if args.serve:
         processes = int(args.processes) if args.processes else 2
         prewarm = [
@@ -1067,10 +1058,13 @@ def _command_serve_net(args: argparse.Namespace) -> int:
         match = row["healthy_digest"] == inproc.healthy_digest
         if not match:
             digest_failures.append(row["processes"])
+        net = net_results[row["processes"]]
         print(
             f"net processes={row['processes']}: {row['throughput_rps']:.0f} req/s "
             f"efficiency={row['efficiency']:.2f} "
-            f"digest {'==' if match else '!='} in-process"
+            f"digest {'==' if match else '!='} in-process, "
+            f"identity {net.identity_checked} checked / "
+            f"{net.identity_mismatches} mismatches"
         )
     print(
         f"scaling measured on {scaling['cpu_count']} CPU core(s); "
@@ -1121,6 +1115,16 @@ def _command_serve_net(args: argparse.Namespace) -> int:
         failed = True
     if not saturation.digest_match:
         print("saturation rungs disagree on healthy_digest", file=sys.stderr)
+        failed = True
+    mismatches = sum(
+        r.identity_mismatches + r.stream_mismatches for r in net_results.values()
+    )
+    if mismatches:
+        print(
+            f"network outcomes diverged from direct decodes "
+            f"({mismatches} identity/stream mismatches)",
+            file=sys.stderr,
+        )
         failed = True
     error_responses = sum(r.error_responses for r in net_results.values())
     if error_responses:

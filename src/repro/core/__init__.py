@@ -1,7 +1,7 @@
 """Micro Blossom core: accelerator model, primal module, decoder front-end."""
 
 from .accelerator import MicroBlossomAccelerator, PreMatch
-from .decoder import DecodeOutcome, MicroBlossomDecoder, MicroBlossomOutcome
+from .decoder import MicroBlossomDecoder, MicroBlossomOutcome
 from .dual import DEFAULT_DUAL_SCALE, DualGraphState
 from .instructions import (
     Instruction,
@@ -25,7 +25,6 @@ from .primal import PrimalModule, PrimalNode
 __all__ = [
     "MicroBlossomAccelerator",
     "PreMatch",
-    "DecodeOutcome",
     "MicroBlossomDecoder",
     "MicroBlossomOutcome",
     "DEFAULT_DUAL_SCALE",

@@ -28,8 +28,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from ..api.outcome import DecodeOutcome as DecodeOutcomeBase
-from ..api.outcome import counter_delta
+from ..api.outcome import DecodeOutcome, counter_delta
 from ..graphs.decoding_graph import DecodingGraph
 from ..graphs.syndrome import (
     BOUNDARY,
@@ -48,7 +47,7 @@ MAX_SCALE_RETRIES = 4
 
 
 @dataclass
-class MicroBlossomOutcome(DecodeOutcomeBase):
+class MicroBlossomOutcome(DecodeOutcome):
     """Full record of one Micro Blossom decoding run."""
 
     post_final_round_counters: Counter = field(default_factory=Counter)
@@ -56,10 +55,6 @@ class MicroBlossomOutcome(DecodeOutcomeBase):
     prematched_pairs: int = 0
     stream: bool = False
     prematching: bool = True
-
-
-#: Backwards-compatible alias (the outcome class used to carry this name).
-DecodeOutcome = MicroBlossomOutcome
 
 
 @dataclass

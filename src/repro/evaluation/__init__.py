@@ -59,6 +59,7 @@ from .stream import (
 #: :mod:`repro.service`, which itself imports :mod:`repro.evaluation.engine`
 #: — importing it eagerly here would create a package-initialisation cycle.
 _SERVICE_EXPORTS = (
+    "DEFAULT_LOAD_CONFIG",
     "SaturationPoint",
     "SaturationResult",
     "ServiceLoadEngine",
@@ -120,6 +121,7 @@ __all__ = [
     "StreamEngineResult",
     "StreamShardResult",
     "stream_latency_fn",
+    "DEFAULT_LOAD_CONFIG",
     "SaturationPoint",
     "SaturationResult",
     "ServiceLoadEngine",

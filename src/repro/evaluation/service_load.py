@@ -2,9 +2,11 @@
 
 :class:`ServiceLoadEngine` is the service-layer sibling of
 :class:`~repro.evaluation.engine.MonteCarloEngine` and
-:class:`~repro.evaluation.stream.StreamEngine`: it drives a
-:class:`repro.service.DecodeService` with the seed-stable request trace of a
-:class:`repro.service.TraceSpec` and reports what a capacity planner needs —
+:class:`~repro.evaluation.stream.StreamEngine`: it drives a decode front end
+— an in-process :class:`repro.service.DecodeService`, or a
+:class:`repro.service.net.NetClient` connected to a network server — with
+the seed-stable request trace of a :class:`repro.service.TraceSpec` and
+reports what a capacity planner needs —
 request throughput, queue-delay and end-to-end latency percentiles, the
 realised micro-batch size histogram, session-cache effectiveness, load-shed
 counts, and (under a :class:`repro.service.faults.FaultPlan`) the fault
@@ -21,7 +23,8 @@ Two determinism layers coexist deliberately:
   in request order, and :attr:`ServiceLoadResult.healthy_digest` hashes only
   the non-poisoned, non-shed ones — the digest the hostile smoke compares
   across worker counts and fault plans.  Equal digests across worker counts
-  are pinned by ``tests/test_service.py``.
+  are pinned by ``tests/test_service.py``, and across front ends (in-process
+  and over TCP at several worker-process counts) by ``tests/test_net.py``.
 * **Timings are measurements.**  Throughput, queue delay, latency and batch
   sizes are wall-clock observations of *this* machine under *this*
   configuration — exactly what ``BENCH_service.json`` tracks across commits
@@ -44,11 +47,10 @@ from dataclasses import dataclass, field, replace
 
 from ..api.hashing import content_hash
 from ..api.registry import get_decoder
+from ..service.config import ServiceConfig
+from ..service.service import DecodeService, service_histogram
+from ..service.trace import TraceSpec, generate_trace
 from .engine import LatencyHistogram
-
-#: Service imports happen lazily at engine construction so that importing
-#: :mod:`repro.evaluation` never has to initialise the service subsystem
-#: (and vice versa — see the lazy re-export in ``repro/evaluation/__init__``).
 
 
 @dataclass
@@ -205,26 +207,33 @@ def find_knee(points: list[SaturationPoint], threshold: float = 0.10) -> Saturat
     return knee
 
 
-#: Engine-specific :class:`repro.service.ServiceConfig` defaults: load
-#: replays favour smaller batches and a tighter flush deadline than the
+#: The :class:`repro.service.ServiceConfig` a load replay runs under unless
+#: given another: smaller batches and a tighter flush deadline than the
 #: service's own defaults (a trace's scenarios rarely fill 32-deep batches).
-_ENGINE_CONFIG_DEFAULTS = {"max_batch_size": 16, "max_wait_seconds": 0.001}
+#: ``repro serve-net`` sizes its servers with it too, so network and
+#: in-process replays compare at identical service sizing.
+DEFAULT_LOAD_CONFIG = ServiceConfig(max_batch_size=16, max_wait_seconds=0.001)
 
 
 class ServiceLoadEngine:
-    """Replay a seed-stable synthetic trace through a decode service.
+    """Replay a seed-stable synthetic trace through a decode front end.
 
-    Service sizing and policy travel as one :class:`repro.service.ServiceConfig`
-    (``config=...``) forwarded to the :class:`repro.service.DecodeService`
-    built per :meth:`run`; the individual sizing keywords (``workers``,
-    ``max_batch_size``, ``fault_plan``, ...) are still accepted and folded
-    into a config for you.  ``drain_timeout_seconds`` bounds the post-replay
-    ``close()``: exceeding it raises :class:`repro.service.ServiceDrainError`
-    instead of hanging — the hostile smoke's hung-close gate.
+    The front end is anything with the surface
+    :class:`repro.service.DecodeService` and
+    :class:`repro.service.net.NetClient` share — ``submit``,
+    ``decode_many``, ``open_stream``, use as a context manager.  ``front`` is
+    a zero-argument factory called once per :meth:`run`; the default builds
+    ``DecodeService(config)``.  A network replay passes
+    ``lambda: NetClient(host, port)`` together with the server's ``config``
+    (the trace's poisoned requests come from its fault plan).
+    ``drain_timeout_seconds`` bounds the post-replay ``close()`` of a front
+    end that takes a timeout (``DecodeService``): exceeding it raises
+    :class:`repro.service.ServiceDrainError` instead of hanging — the hostile
+    smoke's hung-close gate.
 
-    >>> from repro.service import Scenario, TraceSpec
+    >>> from repro.service import Scenario, ServiceConfig, TraceSpec
     >>> spec = TraceSpec("t", (Scenario(3, physical_error_rate=0.02),), requests=6)
-    >>> result = ServiceLoadEngine(spec, workers=2).run()
+    >>> result = ServiceLoadEngine(spec, config=ServiceConfig(workers=2)).run()
     >>> result.completed
     6
     >>> result.shed
@@ -235,40 +244,25 @@ class ServiceLoadEngine:
         self,
         trace,
         *,
-        config=None,
+        config: ServiceConfig = DEFAULT_LOAD_CONFIG,
+        front=None,
         repeats: int = 1,
         drain_timeout_seconds: float | None = None,
-        **sizing,
     ) -> None:
-        from ..service.config import ServiceConfig  # lazy: avoid import cycles
-        from ..service.faults import FaultPlan
-        from ..service.trace import TraceSpec
-
         if not isinstance(trace, TraceSpec):
             raise TypeError(f"trace must be a TraceSpec, got {type(trace).__name__}")
-        if config is not None and sizing:
-            raise TypeError(
-                "pass service sizing either as config=ServiceConfig(...) or as "
-                "individual keywords, not both"
-            )
-        if config is None:
-            fault_plan = sizing.get("fault_plan")
-            if fault_plan is not None and not isinstance(fault_plan, FaultPlan):
-                raise TypeError(
-                    f"fault_plan must be a FaultPlan, got {type(fault_plan).__name__}"
-                )
-            config = ServiceConfig(**{**_ENGINE_CONFIG_DEFAULTS, **sizing})
-        elif not isinstance(config, ServiceConfig):
+        if not isinstance(config, ServiceConfig):
             raise TypeError(f"config must be a ServiceConfig, got {type(config).__name__}")
         if repeats < 1:
             raise ValueError("repeats must be >= 1")
         self.trace = trace
-        #: The full service configuration every :meth:`run` builds from.
+        #: The service configuration: the default front end is built from
+        #: it, and its fault plan poisons the expanded trace.
         self.config = config
-        self.workers = config.workers
         self.fault_plan = config.fault_plan
+        self.front = front if front is not None else lambda: DecodeService(config)
         self.drain_timeout_seconds = drain_timeout_seconds
-        #: Replay the whole trace this many times through ONE service; each
+        #: Replay the whole trace this many times through ONE front end; each
         #: pass fully drains before the next starts.  Pass 2+ re-submits the
         #: same syndromes, which is exactly what exercises the
         #: content-addressed outcome cache — the ``serve-bench`` cache
@@ -279,7 +273,17 @@ class ServiceLoadEngine:
     # ------------------------------------------------------------------
     # replay
     # ------------------------------------------------------------------
-    def _replay_open(self, service, requests) -> list:
+    def _replay(self, front, requests) -> list:
+        """One pass of single-shot traffic; responses in trace order."""
+        if self.trace.arrival == "closed":
+            return self._replay_closed(front, requests)
+        if not any(traced.arrival_offset_seconds for traced in requests):
+            # Back to back: one call, so a network front end can pack the
+            # whole pass into ring-grouped request-batch frames.
+            return front.decode_many([traced.request for traced in requests])
+        return self._replay_open(front, requests)
+
+    def _replay_open(self, front, requests) -> list:
         """Open loop: submit on the trace's schedule, ignore completions."""
         start = time.monotonic()
         futures = []
@@ -287,10 +291,10 @@ class ServiceLoadEngine:
             delay = traced.arrival_offset_seconds - (time.monotonic() - start)
             if delay > 0:
                 time.sleep(delay)
-            futures.append(service.submit(traced.request))
+            futures.append(front.submit(traced.request))
         return [future.result() for future in futures]
 
-    def _replay_closed(self, service, requests) -> list:
+    def _replay_closed(self, front, requests) -> list:
         """Closed loop: ``clients`` callers, each one request in flight."""
         responses: list = [None] * len(requests)
         cursor = iter(range(len(requests)))
@@ -302,7 +306,7 @@ class ServiceLoadEngine:
                     index = next(cursor, None)
                 if index is None:
                     return
-                responses[index] = service.submit(requests[index].request).result()
+                responses[index] = front.submit(requests[index].request).result()
                 if self.trace.think_seconds > 0:
                     time.sleep(self.trace.think_seconds)
 
@@ -316,20 +320,20 @@ class ServiceLoadEngine:
             thread.join()
         return responses
 
-    def _start_streams(self, service, trace, outcomes: list, base: int) -> list:
+    def _start_streams(self, front, trace, outcomes: list, base: int) -> list:
         """Launch one slow-consumer thread per traced stream; return threads.
 
-        Each thread holds a long-lived :class:`~repro.service.ServiceStream`
-        open, pushing rounds with ``stream_push_gap_seconds`` of think time —
-        the connection occupies the shared scheduler while the single-shot
-        replay runs concurrently.  ``outcomes[base + i]`` stays ``None`` if
-        the stream failed, which :meth:`_verify_streams` counts as a mismatch.
+        Each thread holds a long-lived stream open, pushing rounds with
+        ``stream_push_gap_seconds`` of think time — the connection occupies
+        the shared scheduler while the single-shot replay runs concurrently.
+        ``outcomes[base + i]`` stays ``None`` if the stream failed, which
+        :meth:`_verify_streams` counts as a mismatch.
         """
         gap = trace.spec.stream_push_gap_seconds
 
         def consume(slot: int, traced) -> None:
             key = trace.spec.scenarios[traced.scenario_index].session_key()
-            stream = service.open_stream(key)
+            stream = front.open_stream(key)
             pending = [stream.begin()]
             for round_defects in traced.rounds:
                 pending.append(stream.push_round(round_defects))
@@ -354,44 +358,45 @@ class ServiceLoadEngine:
 
     def run(self, verify_identity: bool = False) -> ServiceLoadResult:
         """Expand the trace, replay it, and aggregate the measurements."""
-        from ..service.service import DecodeService
-        from ..service.trace import generate_trace
-
         trace = generate_trace(self.trace, fault_plan=self.fault_plan)
         sequence = list(trace.requests) * self.repeats
-        service = DecodeService(self.config)
         stream_outcomes: list = [None] * (len(trace.streams) * self.repeats)
-        service.start()
-        try:
+        responses: list = []
+        with self.front() as front:
             started = time.perf_counter()
-            responses: list = []
             # Each pass drains fully (the replay helpers block on every
             # future) before the next begins, so pass 2+ submissions see the
             # outcome cache populated by the previous pass.  Slow-consumer
             # streams run concurrently with each pass's single-shot traffic.
             for pass_index in range(self.repeats):
                 stream_threads = self._start_streams(
-                    service, trace, stream_outcomes, pass_index * len(trace.streams)
+                    front, trace, stream_outcomes, pass_index * len(trace.streams)
                 )
-                if self.trace.arrival == "closed":
-                    responses.extend(self._replay_closed(service, trace.requests))
-                else:
-                    responses.extend(self._replay_open(service, trace.requests))
+                responses.extend(self._replay(front, trace.requests))
                 for thread in stream_threads:
                     thread.join()
             elapsed = time.perf_counter() - started
-            # Drain under a timeout: a hung close is a fault-isolation
-            # failure the caller must see, not a wedged benchmark.
-            service.close(timeout=self.drain_timeout_seconds)
-        except BaseException:
-            if not service.closed:
-                try:
-                    service.close(wait=False)
-                except Exception:
-                    pass
-            raise
-        stats = service.stats
-        snapshot = service.stats_snapshot()
+            if self.drain_timeout_seconds is not None:
+                # Drain under a timeout: a hung close is a fault-isolation
+                # failure the caller must see, not a wedged benchmark.
+                front.close(timeout=self.drain_timeout_seconds)
+        # Front-end specific observability: DecodeService reports its session
+        # LRU, outcome cache and retries; NetClient its wire traffic.
+        snapshot = front.stats_snapshot() if hasattr(front, "stats_snapshot") else {}
+        queue_delay = service_histogram()
+        latency = service_histogram()
+        batch_members: Counter = Counter()
+        for response in responses:
+            if response.ok:
+                queue_delay.add(response.queue_delay_seconds)
+                latency.add(response.latency_seconds)
+            if response.batch_size:
+                batch_members[response.batch_size] += 1
+        # Every member of a batch of size s reports s: one batch per s
+        # responses (decoded or failed — both occupy a batch slot).
+        batch_sizes = Counter(
+            {size: -(-members // size) for size, members in batch_members.items()}
+        )
         result = ServiceLoadResult(
             requests=len(sequence),
             completed=sum(1 for r in responses if r.ok),
@@ -399,18 +404,19 @@ class ServiceLoadEngine:
             errors=0,
             evaluated=0,
             elapsed_seconds=elapsed,
-            queue_delay=stats.queue_delay,
-            latency=stats.latency,
-            batch_sizes=Counter(stats.batch_sizes),
-            batches=stats.batches,
-            session_stats=snapshot["sessions"],
-            cache_hits=stats.cache_hits,
-            outcome_cache=snapshot["outcome_cache"],
+            queue_delay=queue_delay,
+            latency=latency,
+            batch_sizes=batch_sizes,
+            batches=sum(batch_sizes.values()),
+            session_stats=snapshot.get("sessions", {}),
+            cache_hits=sum(1 for r in responses if r.cached),
+            outcome_cache=snapshot.get("outcome_cache", {"enabled": False}),
             error_responses=sum(1 for r in responses if r.status == "error"),
-            retries=stats.retries,
+            retries=snapshot.get("retries", 0),
             streams=len(stream_outcomes),
+            wire=front.wire_stats() if hasattr(front, "wire_stats") else None,
         )
-        self._evaluate_outcomes(trace, sequence, responses, result)
+        _evaluate_outcomes(trace, sequence, responses, result)
         if verify_identity:
             self._verify_identity(trace, sequence, responses, result)
             self._verify_streams(trace, stream_outcomes, result)
@@ -431,11 +437,10 @@ class ServiceLoadEngine:
 
         The engine's trace is re-shaped to a **closed loop** (``clients``
         concurrent callers, each with one request in flight) and replayed
-        once per ladder rung through a fresh service built from the same
-        :class:`~repro.service.ServiceConfig`.  Offered load rises with the
-        rung; completed throughput rises until the service saturates, and
-        :func:`find_knee` marks the rung where the marginal gain drops below
-        ``knee_threshold``.
+        once per ladder rung through a fresh front end from the same factory.
+        Offered load rises with the rung; completed throughput rises until
+        the service saturates, and :func:`find_knee` marks the rung where
+        the marginal gain drops below ``knee_threshold``.
 
         Per the determinism contract, every rung reproduces the same
         ``healthy_digest`` (load shapes timing, never outcomes) —
@@ -458,6 +463,7 @@ class ServiceLoadEngine:
             rung = ServiceLoadEngine(
                 spec,
                 config=self.config,
+                front=self.front,
                 repeats=self.repeats,
                 drain_timeout_seconds=self.drain_timeout_seconds,
             ).run()
@@ -482,11 +488,8 @@ class ServiceLoadEngine:
         )
 
     # ------------------------------------------------------------------
-    # outcome evaluation
+    # outcome verification
     # ------------------------------------------------------------------
-    def _evaluate_outcomes(self, trace, sequence, responses, result: ServiceLoadResult) -> None:
-        evaluate_outcomes(trace, sequence, responses, result)
-
     def _verify_identity(self, trace, sequence, responses, result: ServiceLoadResult) -> None:
         """Re-decode every healthy request directly and compare bit for bit."""
         decoders: dict[int, object] = {}
@@ -536,16 +539,9 @@ class ServiceLoadEngine:
                 result.stream_mismatches += 1
 
 
-def evaluate_outcomes(trace, sequence, responses, result: ServiceLoadResult) -> None:
+def _evaluate_outcomes(trace, sequence, responses, result: ServiceLoadResult) -> None:
     """Count logical errors, fold outcomes into the order-stable digests,
-    and build the per-scenario fairness ledger.
-
-    Module-level on purpose: the network replay
-    (:mod:`repro.service.net.bench`) evaluates its responses through this
-    *same* function, so ``healthy_digest`` equality between network and
-    in-process serving compares identical record constructions, not two
-    reimplementations that happen to agree today.
-    """
+    and build the per-scenario fairness ledger."""
     per_scenario = [
         {
             "scenario": index,

@@ -20,7 +20,7 @@ does to a service:
 * **Session-build crashes** — building the session of a selected key raises
   :class:`InjectedFault` for its first ``session_crash_attempts`` attempts.
   The service retries with bounded backoff
-  (``DecodeService(session_build_retries=...)``); a transient crash is
+  (``ServiceConfig(session_build_retries=...)``); a transient crash is
   invisible in outcomes, an exhausted retry budget resolves the batch with
   :data:`~repro.service.request.STATUS_ERROR` responses.
 * **Poisoned requests** — selected trace requests carry a malformed

@@ -21,12 +21,12 @@ decoded bit:
 * :mod:`~repro.service.net.router` — :class:`HashRing`.
 * :mod:`~repro.service.net.shm` — shared-memory graph pack and syndrome
   slab (the zero-copy data plane).
-* :mod:`~repro.service.net.bench` — digest-identical network replay, the
-  process-scaling series, and the v2-vs-v1 wire comparison of
-  ``BENCH_service.json``.
+* :mod:`~repro.service.net.bench` — the process-scaling series and the
+  v2-vs-v1 wire comparison of ``BENCH_service.json``, both load-engine
+  replays through a :class:`NetClient`.
 """
 
-from .bench import replay_network, scaling_bench, wire_comparison
+from .bench import scaling_bench, wire_comparison
 from .client import NetClient, NetStream, ServerDrainingError
 from .protocol import (
     CODEC_BINARY,
@@ -54,7 +54,6 @@ __all__ = [
     "SharedGraphPack",
     "SyndromeSlab",
     "negotiate_codec",
-    "replay_network",
     "scaling_bench",
     "wire_comparison",
 ]

@@ -1,16 +1,13 @@
-"""Network-path benchmarking: digest-identical replay and process scaling.
+"""Network-path benchmarking: process scaling and the wire-codec comparison.
 
-Two measurements live here:
+Every replay here is a :class:`~repro.evaluation.ServiceLoadEngine` run whose
+front end is a :class:`~repro.service.net.client.NetClient` connected to a
+real :class:`~repro.service.net.server.NetServer` over loopback TCP — the
+*same* replay loop, aggregation and digests as in-process serving, so
+``healthy_digest`` equality between the two paths compares identical record
+constructions.  The network layer is required to be a pure transport: any
+digest difference is a bug, not noise.
 
-* :func:`replay_network` replays a seed-stable
-  :class:`~repro.service.TraceSpec` through a real
-  :class:`~repro.service.net.server.NetServer` over loopback TCP and
-  evaluates the responses through the *same*
-  :func:`repro.evaluation.service_load.evaluate_outcomes` the in-process
-  :class:`~repro.evaluation.ServiceLoadEngine` uses — so
-  ``healthy_digest`` equality between the two paths compares identical
-  record constructions.  The network layer is required to be a pure
-  transport: any digest difference is a bug, not noise.
 * :func:`scaling_bench` runs that replay at several worker-process counts
   and reports throughput, per-process scaling efficiency
   (``throughput[p] / (p × throughput[1])``), whether every count produced
@@ -28,31 +25,20 @@ Two measurements live here:
 from __future__ import annotations
 
 import os
-import time
-from collections import Counter
 
-from ...evaluation.engine import LatencyHistogram
-from ...evaluation.service_load import ServiceLoadResult, evaluate_outcomes
+from ...evaluation.service_load import (
+    DEFAULT_LOAD_CONFIG,
+    ServiceLoadEngine,
+    ServiceLoadResult,
+)
 from ..config import ServiceConfig
-from ..trace import TraceSpec, generate_trace
+from ..trace import TraceSpec
 from .client import NetClient
+from .protocol import CODEC_JSON, SUPPORTED_CODECS
 from .server import NetServer
-
-#: Net-replay :class:`~repro.service.ServiceConfig` defaults — mirrors the
-#: in-process engine's (`repro.evaluation.service_load._ENGINE_CONFIG_DEFAULTS`)
-#: so the two paths are compared at identical service sizing.
-NET_CONFIG_DEFAULTS = {"max_batch_size": 16, "max_wait_seconds": 0.001}
 
 #: Worker-process counts the scaling series sweeps by default.
 DEFAULT_PROCESS_COUNTS = (1, 2, 4)
-
-
-def _net_config(config: ServiceConfig | None) -> ServiceConfig:
-    if config is None:
-        return ServiceConfig(**NET_CONFIG_DEFAULTS)
-    if not isinstance(config, ServiceConfig):
-        raise TypeError(f"config must be a ServiceConfig, got {type(config).__name__}")
-    return config
 
 
 def prewarm_specs(spec: TraceSpec):
@@ -65,85 +51,11 @@ def prewarm_specs(spec: TraceSpec):
     return tuple(seen.values())
 
 
-def replay_network(
-    spec: TraceSpec,
-    *,
-    processes: int = 2,
-    config: ServiceConfig | None = None,
-    repeats: int = 1,
-    server: NetServer | None = None,
-) -> ServiceLoadResult:
-    """Replay ``spec`` through a network server; returns a load result.
-
-    Requests are pipelined over one client connection in trace order, one
-    full pass at a time (pass boundaries drain, exactly like the in-process
-    engine, so repeats exercise worker-side outcome caches the same way).
-    Pass ``server=`` to replay against an already-running server (its config
-    then governs); otherwise a fresh server is started and stopped around
-    the replay.
-    """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    config = _net_config(config if server is None else server.config)
-    trace = generate_trace(spec, fault_plan=config.fault_plan)
-    own_server = server is None
-    if own_server:
-        server = NetServer(config, processes=processes, prewarm=prewarm_specs(spec))
-        host, port = server.start()
-    else:
-        host, port = server.host, server.port
-    try:
-        responses = []
-        started = time.perf_counter()
-        with NetClient(host, port) as client:
-            for _ in range(repeats):
-                responses.extend(
-                    client.decode_many([traced.request for traced in trace.requests])
-                )
-            elapsed = time.perf_counter() - started
-            wire = client.wire_stats()
-    finally:
-        if own_server:
-            server.stop()
-    sequence = list(trace.requests) * repeats
-    queue_delay = LatencyHistogram()
-    latency = LatencyHistogram()
-    batch_sizes: Counter = Counter()
-    for response in responses:
-        queue_delay.add(response.queue_delay_seconds)
-        latency.add(response.latency_seconds)
-        if response.ok and not response.cached:
-            batch_sizes[response.batch_size] += 1
-    result = ServiceLoadResult(
-        requests=len(sequence),
-        completed=sum(1 for r in responses if r.ok),
-        shed=sum(1 for r in responses if r.status == "shed"),
-        errors=0,
-        evaluated=0,
-        elapsed_seconds=elapsed,
-        queue_delay=queue_delay,
-        latency=latency,
-        batch_sizes=batch_sizes,
-        error_responses=sum(1 for r in responses if r.status == "error"),
-        cache_hits=sum(1 for r in responses if r.cached),
-        wire=wire,
-    )
-    evaluate_outcomes(trace, sequence, responses, result)
-    return result
-
-
-def _wire_side(result: ServiceLoadResult) -> dict:
-    stats = dict(result.wire or {})
-    stats["throughput_rps"] = result.throughput_rps
-    stats["healthy_digest"] = result.healthy_digest
-    return stats
-
-
 def wire_comparison(
     spec: TraceSpec,
     *,
     processes: int = 2,
-    config: ServiceConfig | None = None,
+    config: ServiceConfig = DEFAULT_LOAD_CONFIG,
     repeats: int = 2,
 ) -> dict:
     """Binary-batched (codec 2) vs per-request JSON (codec 1) wire replay.
@@ -160,52 +72,33 @@ def wire_comparison(
          "speedup": v2.throughput / v1.throughput,
          "digest_match": both passes produced one healthy digest}
     """
-    config = _net_config(config)
     if not config.outcome_cache_bytes:
         config = config.replace(outcome_cache_bytes=8 << 20)
-    trace = generate_trace(spec, fault_plan=config.fault_plan)
-    requests = [traced.request for traced in trace.requests]
     server = NetServer(config, processes=processes, prewarm=prewarm_specs(spec))
     host, port = server.start()
+
+    def replay(codecs: tuple[int, ...], repeats: int) -> ServiceLoadResult:
+        engine = ServiceLoadEngine(
+            spec,
+            config=config,
+            front=lambda: NetClient(host, port, codecs=codecs),
+            repeats=repeats,
+        )
+        return engine.run()
+
     try:
-        with NetClient(host, port) as warm:
-            warm.decode_many(requests)
-        sides: dict[str, ServiceLoadResult] = {}
-        for label, codecs in (("v2", None), ("v1", (1,))):
-            kwargs = {} if codecs is None else {"codecs": codecs}
-            responses = []
-            started = time.perf_counter()
-            with NetClient(host, port, **kwargs) as client:
-                for _ in range(repeats):
-                    responses.extend(client.decode_many(requests))
-                elapsed = time.perf_counter() - started
-                wire = client.wire_stats()
-            sequence = list(trace.requests) * repeats
-            result = ServiceLoadResult(
-                requests=len(sequence),
-                completed=sum(1 for r in responses if r.ok),
-                shed=sum(1 for r in responses if r.status == "shed"),
-                errors=0,
-                evaluated=0,
-                elapsed_seconds=elapsed,
-                queue_delay=LatencyHistogram(),
-                latency=LatencyHistogram(),
-                error_responses=sum(1 for r in responses if r.status == "error"),
-                cache_hits=sum(1 for r in responses if r.cached),
-                wire=wire,
-            )
-            evaluate_outcomes(trace, sequence, responses, result)
-            sides[label] = result
+        replay(SUPPORTED_CODECS, 1)  # untimed: warms the outcome caches
+        v2 = replay(SUPPORTED_CODECS, repeats)
+        v1 = replay((CODEC_JSON,), repeats)
     finally:
         server.stop()
-    v1_rps = sides["v1"].throughput_rps
     return {
         "processes": processes,
-        "requests": len(requests) * repeats,
-        "v2": _wire_side(sides["v2"]),
-        "v1": _wire_side(sides["v1"]),
-        "speedup": sides["v2"].throughput_rps / v1_rps if v1_rps > 0 else 0.0,
-        "digest_match": sides["v2"].healthy_digest == sides["v1"].healthy_digest,
+        "requests": v2.requests,
+        "v2": {**v2.wire, "throughput_rps": v2.throughput_rps, "healthy_digest": v2.healthy_digest},
+        "v1": {**v1.wire, "throughput_rps": v1.throughput_rps, "healthy_digest": v1.healthy_digest},
+        "speedup": v2.throughput_rps / v1.throughput_rps if v1.throughput_rps > 0 else 0.0,
+        "digest_match": v2.healthy_digest == v1.healthy_digest,
     }
 
 
@@ -240,22 +133,31 @@ def scaling_bench(
     spec: TraceSpec,
     *,
     process_counts=DEFAULT_PROCESS_COUNTS,
-    config: ServiceConfig | None = None,
+    config: ServiceConfig = DEFAULT_LOAD_CONFIG,
     repeats: int = 1,
 ) -> tuple[dict, dict[int, ServiceLoadResult]]:
     """Replay ``spec`` at each worker-process count; returns (entry, results).
 
-    ``entry`` is the JSON-shaped ``saturation.scaling`` block
-    (:func:`scaling_entry`); ``results`` maps process count to its full
-    :class:`~repro.evaluation.ServiceLoadResult` for further gating (the CI
-    smoke asserts every ``healthy_digest`` equals the in-process one).
+    Each count gets a fresh server and one identity-verified engine run
+    through a :class:`NetClient` (verification re-decodes after the timed
+    replay, so it never moves the throughput).  ``entry`` is the JSON-shaped
+    ``saturation.scaling`` block (:func:`scaling_entry`); ``results`` maps
+    process count to its full :class:`~repro.evaluation.ServiceLoadResult`
+    for further gating (the CI smoke asserts every ``healthy_digest`` equals
+    the in-process one and every identity check passed).
     """
     counts = [int(count) for count in process_counts]
     if not counts or any(count < 1 for count in counts):
         raise ValueError("process_counts must be a non-empty list of ints >= 1")
     results: dict[int, ServiceLoadResult] = {}
     for count in counts:
-        results[count] = replay_network(
-            spec, processes=count, config=config, repeats=repeats
-        )
+        server = NetServer(config, processes=count, prewarm=prewarm_specs(spec))
+        host, port = server.start()
+        try:
+            engine = ServiceLoadEngine(
+                spec, config=config, front=lambda: NetClient(host, port), repeats=repeats
+            )
+            results[count] = engine.run(verify_identity=True)
+        finally:
+            server.stop()
     return scaling_entry(counts, results), results

@@ -37,6 +37,7 @@ from __future__ import annotations
 import socket
 import threading
 import time
+from collections import Counter
 from concurrent.futures import Future
 
 from ...api.outcome import DecodeOutcome
@@ -590,13 +591,28 @@ class NetClient:
         self.close()
 
 
+def _converted(future: Future, convert) -> Future:
+    """A future resolving to ``convert(future.result())`` (errors pass through)."""
+    converted: Future = Future()
+
+    def relay(done: Future) -> None:
+        try:
+            converted.set_result(convert(done.result()))
+        except BaseException as exc:
+            converted.set_exception(exc)
+
+    future.add_done_callback(relay)
+    return converted
+
+
 class NetStream:
     """Client-side handle of one streaming session.
 
     The future-returning surface matches
     :class:`repro.service.service.ServiceStream`: ``begin`` resolves to
-    ``None``, ``push_round`` to a cost-counter dict, ``finalize`` to the
-    outcome's wire dict.
+    ``None``, ``push_round`` to the round's cost ``Counter``, ``finalize`` to
+    the stream's :class:`~repro.api.DecodeOutcome` (rebuilt from its wire
+    form, like a single-shot response's outcome).
     """
 
     def __init__(self, client: NetClient, sid: int) -> None:
@@ -607,12 +623,18 @@ class NetStream:
         return self._client._stream_op(self._sid, "begin", rounds_hint)
 
     def push_round(self, defects) -> Future:
-        return self._client._stream_op(self._sid, "push", list(defects))
+        return _converted(
+            self._client._stream_op(self._sid, "push", list(defects)),
+            lambda result: Counter(result["counters"]),
+        )
 
     def finalize(self) -> Future:
-        return self._client._stream_op(self._sid, "finalize", None)
+        return _converted(
+            self._client._stream_op(self._sid, "finalize", None),
+            lambda result: DecodeOutcome.from_dict(result["outcome"]),
+        )
 
-    def decode_rounds(self, rounds, timeout: float | None = None):
+    def decode_rounds(self, rounds, timeout: float | None = None) -> DecodeOutcome:
         """Blocking convenience: begin, push every round, finalize."""
         self.begin().result(timeout)
         for defects in rounds:

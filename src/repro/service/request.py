@@ -232,7 +232,9 @@ class DecodeResponse:
     micro-batch slot, so their ``batch_size`` is 0.
 
     ``error`` carries the failure summary of a :data:`STATUS_ERROR`
-    response (``"<ExceptionType>: <message>"``); ``None`` otherwise.
+    response (``"<ExceptionType>: <message>"``); ``None`` otherwise.  A
+    request that failed inside a micro-batch still reports that batch's
+    ``batch_size``; shed requests never reach one and report 0.
     """
 
     request: DecodeRequest

@@ -36,11 +36,9 @@ from __future__ import annotations
 import queue as queue_module
 import threading
 import time
-import warnings
 from collections import Counter, deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from dataclasses import fields as dataclass_fields
 from typing import Callable, Iterable
 
 from ..api.outcome import DecodeOutcome
@@ -69,10 +67,6 @@ __all__ = [
     "ServiceStream",
     "service_histogram",
 ]
-
-#: The DecodeService keyword arguments absorbed by :class:`ServiceConfig`
-#: (accepted individually only through the deprecation shim).
-_CONFIG_KWARGS = frozenset(spec.name for spec in dataclass_fields(ServiceConfig))
 
 #: Service histograms span 100 ns .. 10 s (queue delays under load dwarf the
 #: decode latencies the evaluation histograms are tuned for).
@@ -234,8 +228,7 @@ class DecodeService:
 
     Sizing and policy live in a :class:`~repro.service.ServiceConfig`; the
     remaining keyword arguments (``clock``, ``session_factory``, ``sleep``)
-    are runtime injection points, not configuration.  Passing the old sizing
-    kwargs directly still works through a deprecation shim.
+    are runtime injection points, not configuration.
 
     >>> from repro.graphs import SyndromeSampler
     >>> from repro.service import CodeSpec, DecodeRequest, SessionKey
@@ -254,25 +247,8 @@ class DecodeService:
         clock: Callable[[], float] = time.monotonic,
         session_factory: SessionFactory = build_session,
         sleep: Callable[[float], None] = time.sleep,
-        **legacy,
     ) -> None:
-        if legacy:
-            unknown = sorted(set(legacy) - _CONFIG_KWARGS)
-            if unknown:
-                raise TypeError(f"DecodeService got unexpected keyword arguments: {unknown}")
-            if config is not None:
-                raise TypeError(
-                    "pass sizing either as DecodeService(config=ServiceConfig(...)) "
-                    "or as legacy keyword arguments, not both"
-                )
-            warnings.warn(
-                "passing DecodeService sizing keywords directly is deprecated; "
-                "use DecodeService(config=ServiceConfig(...))",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = ServiceConfig(**legacy)
-        elif config is None:
+        if config is None:
             config = ServiceConfig()
         elif not isinstance(config, ServiceConfig):
             raise TypeError(f"config must be a ServiceConfig, got {type(config).__name__}")
@@ -566,8 +542,12 @@ class DecodeService:
                 if self.session_build_backoff_seconds > 0:
                     self._sleep(self.session_build_backoff_seconds * attempt)
 
-    def _fail_job(self, job: _DecodeJob, exc: BaseException, started: float) -> None:
-        """Resolve one job with a STATUS_ERROR response (isolated failure)."""
+    def _fail_job(self, job: _DecodeJob, exc: BaseException, started: float, batch: Batch) -> None:
+        """Resolve one job with a STATUS_ERROR response (isolated failure).
+
+        The response still reports its ``batch_size``: a failed request
+        occupied a batch slot like any other.
+        """
         done = self._clock()
         with self._stats_lock:
             self.stats.errors += 1
@@ -577,6 +557,7 @@ class DecodeService:
                 status=STATUS_ERROR,
                 queue_delay_seconds=max(0.0, started - job.arrival_seconds),
                 latency_seconds=max(0.0, done - job.arrival_seconds),
+                batch_size=batch.size,
                 error=f"{type(exc).__name__}: {exc}",
             )
         )
@@ -595,7 +576,7 @@ class DecodeService:
             # surface whether one request or a whole batch was affected.
             for job in batch.items:
                 if job.future.set_running_or_notify_cancel():
-                    self._fail_job(job, entry, started)
+                    self._fail_job(job, entry, started, batch)
             return
         with entry.lock:
             for job in batch.items:
@@ -613,7 +594,7 @@ class DecodeService:
                         entry.session.reset()
                     except BaseException as reset_exc:  # pragma: no cover
                         exc = reset_exc
-                    self._fail_job(job, exc, started)
+                    self._fail_job(job, exc, started, batch)
                     continue
                 if self.outcome_cache is not None and job.cache_key is not None:
                     self.outcome_cache.put(job.cache_key, outcome)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.evaluation.service_load import ServiceLoadEngine
+from repro.evaluation.service_load import DEFAULT_LOAD_CONFIG, ServiceLoadEngine
 from repro.service.net.protocol import (
     _LENGTH,
     CODEC_BINARY,
@@ -92,7 +92,8 @@ def test_service_digest_is_worker_count_independent():
     """Full in-process service replay, identity-verified, digest pinned."""
     digests = {}
     for workers in (1, 2):
-        result = ServiceLoadEngine(NOISE_FAMILY_SMOKE_TRACE, workers=workers).run(
+        config = DEFAULT_LOAD_CONFIG.replace(workers=workers)
+        result = ServiceLoadEngine(NOISE_FAMILY_SMOKE_TRACE, config=config).run(
             verify_identity=True
         )
         assert result.completed == NOISE_FAMILY_SMOKE_TRACE.requests

@@ -27,7 +27,7 @@ import pytest
 
 from repro.api import LUTConfig, available_decoders, decoder_spec, get_decoder
 from repro.api.outcome import DecodeOutcome
-from repro.evaluation import MonteCarloEngine, ServiceLoadEngine
+from repro.evaluation import DEFAULT_LOAD_CONFIG, MonteCarloEngine, ServiceLoadEngine
 from repro.graphs import (
     Syndrome,
     SyndromeSampler,
@@ -51,6 +51,7 @@ from repro.service import (
     DecodeService,
     Scenario,
     ServiceBenchSchemaError,
+    ServiceConfig,
     SessionKey,
     TraceSpec,
     cache_comparison_entry,
@@ -332,7 +333,7 @@ def test_service_serves_repeat_syndromes_from_the_outcome_cache():
     unique = {s.defects: s for s in _sample_syndromes(graph, 40, seed=3)}
     syndromes = list(unique.values())[:6]
     assert len(syndromes) == 6
-    with DecodeService(workers=1, outcome_cache_bytes=1 << 20) as service:
+    with DecodeService(ServiceConfig(workers=1, outcome_cache_bytes=1 << 20)) as service:
         first = [service.submit(DecodeRequest(key, s)).result() for s in syndromes]
         second = [service.submit(DecodeRequest(key, s)).result() for s in syndromes]
     assert all(r.ok and not r.cached for r in first)
@@ -347,7 +348,7 @@ def test_service_serves_repeat_syndromes_from_the_outcome_cache():
 
 
 def test_service_outcome_cache_is_off_by_default():
-    with DecodeService(workers=1) as service:
+    with DecodeService(ServiceConfig(workers=1)) as service:
         snapshot = service.stats_snapshot()
     assert snapshot["outcome_cache"] == {"enabled": False}
     assert snapshot["cache_hits"] == 0
@@ -357,9 +358,8 @@ def test_load_engine_repeats_replay_through_one_cache():
     trace = TraceSpec(
         "lut-cache", (Scenario(3, physical_error_rate=0.02),), requests=12, seed=9
     )
-    engine = ServiceLoadEngine(
-        trace, workers=1, outcome_cache_bytes=1 << 20, repeats=2
-    )
+    config = DEFAULT_LOAD_CONFIG.replace(workers=1, outcome_cache_bytes=1 << 20)
+    engine = ServiceLoadEngine(trace, config=config, repeats=2)
     result = engine.run(verify_identity=True)
     assert result.requests == 24
     assert result.cache_hits == 12  # the whole second pass
@@ -373,9 +373,10 @@ def test_service_bench_document_carries_cache_fields():
     trace = TraceSpec(
         "lut-bench", (Scenario(3, physical_error_rate=0.02),), requests=8, seed=4
     )
-    off = ServiceLoadEngine(trace, workers=1, repeats=2).run()
+    config = DEFAULT_LOAD_CONFIG.replace(workers=1)
+    off = ServiceLoadEngine(trace, config=config, repeats=2).run()
     on = ServiceLoadEngine(
-        trace, workers=1, outcome_cache_bytes=1 << 20, repeats=2
+        trace, config=config.replace(outcome_cache_bytes=1 << 20), repeats=2
     ).run()
     comparison = cache_comparison_entry(off, on)
     document = service_bench_document(trace, on, cache_comparison=comparison)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import DecodeOutcome, MicroBlossomDecoder
+from repro.core import MicroBlossomDecoder, MicroBlossomOutcome
 from repro.graphs import (
     SyndromeSampler,
     circuit_level_noise,
@@ -74,7 +74,7 @@ class TestOutcome:
         decoder = MicroBlossomDecoder(graph, stream=True)
         syndrome = sampler.sample()
         outcome = decoder.decode_detailed(syndrome)
-        assert isinstance(outcome, DecodeOutcome)
+        assert isinstance(outcome, MicroBlossomOutcome)
         assert outcome.defect_count == syndrome.defect_count
         assert outcome.stream is True
         assert outcome.prematching is True

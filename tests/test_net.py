@@ -15,8 +15,17 @@ import time
 
 import pytest
 
+from repro.api.outcome import DecodeOutcome
 from repro.evaluation.service_load import ServiceLoadEngine
-from repro.service import CodeSpec, Scenario, ServiceConfig, TraceSpec
+from repro.service import (
+    HOSTILE_SMOKE_PLAN,
+    HOSTILE_SMOKE_TRACES,
+    CodeSpec,
+    DecodeService,
+    Scenario,
+    ServiceConfig,
+    TraceSpec,
+)
 from repro.service.net import (
     HashRing,
     NetClient,
@@ -24,7 +33,6 @@ from repro.service.net import (
     SharedGraphPack,
     SyndromeSlab,
     protocol,
-    replay_network,
 )
 from repro.service.net.protocol import (
     CODEC_BINARY,
@@ -35,7 +43,7 @@ from repro.service.net.protocol import (
     write_frame_sync,
 )
 from repro.service.net.bench import prewarm_specs, scaling_bench
-from repro.service.trace import generate_trace
+from repro.service.trace import NOISE_FAMILY_SMOKE_TRACE, SMOKE_TRACE, generate_trace
 
 #: Small two-scenario trace: fast to replay, still exercises mixed routing.
 NET_TRACE = TraceSpec(
@@ -49,6 +57,14 @@ NET_TRACE = TraceSpec(
 )
 
 NET_CONFIG = ServiceConfig(max_batch_size=8, max_wait_seconds=0.001)
+
+
+def net_engine(spec, server, **kwargs) -> ServiceLoadEngine:
+    """A load engine replaying ``spec`` through NetClients to ``server``."""
+    host, port = server.host, server.port
+    return ServiceLoadEngine(
+        spec, config=server.config, front=lambda: NetClient(host, port), **kwargs
+    )
 
 
 class TestHashRing:
@@ -116,16 +132,20 @@ class TestSharedMemory:
 
 
 class TestDigestIdentity:
-    def test_digest_identical_across_process_counts(self):
-        inproc = ServiceLoadEngine(NET_TRACE, config=NET_CONFIG).run()
-        entry, results = scaling_bench(
-            NET_TRACE, process_counts=(1, 2, 4), config=NET_CONFIG
-        )
+    @pytest.mark.parametrize(
+        "trace",
+        [NET_TRACE, SMOKE_TRACE, NOISE_FAMILY_SMOKE_TRACE],
+        ids=lambda trace: trace.name,
+    )
+    def test_digest_identical_across_process_counts(self, trace):
+        inproc = ServiceLoadEngine(trace, config=NET_CONFIG).run()
+        entry, results = scaling_bench(trace, process_counts=(1, 2, 4), config=NET_CONFIG)
         assert entry["digest_match"] is True
         for count, result in results.items():
             assert result.healthy_digest == inproc.healthy_digest, count
             assert result.completed == inproc.completed
             assert result.error_responses == 0
+            assert result.identity_mismatches == 0
         efficiencies = [row["efficiency"] for row in entry["series"]]
         assert entry["series"][0]["efficiency"] == pytest.approx(1.0)
         assert all(e > 0 for e in efficiencies)
@@ -144,9 +164,8 @@ class TestDigestIdentity:
             server.stop()
 
     def test_stream_over_network_matches_direct(self):
-        from repro.stream import get_streaming_decoder
-
         from repro.graphs import SyndromeSampler
+        from repro.stream import get_streaming_decoder
 
         trace = generate_trace(NET_TRACE)
         key = NET_TRACE.scenarios[0].session_key()
@@ -157,7 +176,7 @@ class TestDigestIdentity:
         try:
             with NetClient(host, port) as client:
                 stream = client.open_stream(key)
-                wire = stream.decode_rounds(rounds)
+                rebuilt = stream.decode_rounds(rounds)
         finally:
             server.stop()
         direct = get_streaming_decoder(key.decoder, graph, key.config)
@@ -165,11 +184,40 @@ class TestDigestIdentity:
         for defects in rounds:
             direct.push_round(defects)
         outcome = direct.finalize()
-        from repro.api.outcome import DecodeOutcome
-
-        rebuilt = DecodeOutcome.from_dict(wire["outcome"])
         assert rebuilt.correction_edges(graph) == outcome.correction_edges(graph)
         assert rebuilt.weight == outcome.weight
+
+    def test_stream_results_have_in_process_types(self):
+        """NetStream resolves like ServiceStream: ``push_round`` to a cost
+        ``Counter``, ``finalize`` to a ``DecodeOutcome`` equal to the
+        in-process stream's (rebuilt from the same wire form)."""
+        from collections import Counter
+
+        from repro.graphs import SyndromeSampler
+
+        key = NET_TRACE.scenarios[0].session_key()
+        graph = key.code.build_graph()
+        _, rounds = SyndromeSampler(graph, seed=7).sample_rounds()
+
+        def drive(front):
+            stream = front.open_stream(key)
+            stream.begin().result(30.0)
+            costs = [stream.push_round(defects).result(30.0) for defects in rounds]
+            return costs, stream.finalize().result(30.0)
+
+        with DecodeService(NET_CONFIG) as service:
+            local_costs, local = drive(service)
+        server = NetServer(NET_CONFIG, processes=1, prewarm=prewarm_specs(NET_TRACE))
+        host, port = server.start()
+        try:
+            with NetClient(host, port) as client:
+                net_costs, remote = drive(client)
+        finally:
+            server.stop()
+        assert all(isinstance(cost, Counter) for cost in net_costs)
+        assert net_costs == local_costs
+        assert type(remote) is DecodeOutcome
+        assert remote == DecodeOutcome.from_dict(local.to_dict())
 
 
 class TestWorkerDeath:
@@ -325,16 +373,59 @@ class TestSigtermDrain:
 
 
 class TestNetworkReplay:
+    """The load engine drives a NetClient exactly like an in-process service."""
+
     def test_replay_against_running_server(self):
         server = NetServer(NET_CONFIG, processes=2, prewarm=prewarm_specs(NET_TRACE))
         server.start()
         try:
-            result = replay_network(NET_TRACE, server=server)
+            result = net_engine(NET_TRACE, server).run(verify_identity=True)
         finally:
             server.stop()
         inproc = ServiceLoadEngine(NET_TRACE, config=NET_CONFIG).run()
         assert result.healthy_digest == inproc.healthy_digest
         assert result.completed == inproc.completed
+        assert result.identity_checked == inproc.completed
+        assert result.identity_mismatches == 0
+        assert result.wire is not None and result.wire["codec"] == CODEC_BINARY
+
+    def test_batch_ledger_counts_each_batch_once(self):
+        """Every member of a batch of size s reports s: both front ends
+        count one batch per s decoded responses (the network replay used to
+        count one batch per response)."""
+        inproc = ServiceLoadEngine(NET_TRACE, config=NET_CONFIG).run()
+        server = NetServer(NET_CONFIG, processes=1, prewarm=prewarm_specs(NET_TRACE))
+        server.start()
+        try:
+            net = net_engine(NET_TRACE, server).run()
+        finally:
+            server.stop()
+        for result in (inproc, net):
+            assert result.batches == sum(result.batch_sizes.values())
+            decoded = sum(size * count for size, count in result.batch_sizes.items())
+            assert decoded == result.completed - result.cache_hits
+
+    def test_hostile_mix_is_isolated_over_the_network(self):
+        """The pinned hostile families under the pinned fault plan: every
+        poisoned request errors, healthy ones stay bit-identical, and both
+        slow-consumer streams finalize to their direct outcomes."""
+        config = NET_CONFIG.replace(fault_plan=HOSTILE_SMOKE_PLAN, session_build_retries=2)
+        specs = dict(HOSTILE_SMOKE_TRACES)
+        server = NetServer(config, processes=1, prewarm=prewarm_specs(specs["zipf"]))
+        server.start()
+        try:
+            results = {
+                family: net_engine(spec, server).run(verify_identity=True)
+                for family, spec in specs.items()
+            }
+        finally:
+            server.stop()
+        for family, result in results.items():
+            assert result.poisoned_errored == result.poisoned, family
+            assert result.identity_mismatches == 0, family
+            assert result.stream_mismatches == 0, family
+        assert sum(result.poisoned for result in results.values()) > 0
+        assert results["slow-consumer"].streams == 2
 
 
 class TestErasuresOverNetwork:
@@ -344,21 +435,6 @@ class TestErasuresOverNetwork:
     reconstruction must re-attach ``erasures`` from the wire form —
     regression: dropping them decoded on the unerased graph, same pairs but
     wrong weights)."""
-
-    def test_noise_family_trace_digest_matches_in_process(self):
-        from repro.service.trace import NOISE_FAMILY_SMOKE_TRACE
-
-        server = NetServer(
-            NET_CONFIG, processes=2, prewarm=prewarm_specs(NOISE_FAMILY_SMOKE_TRACE)
-        )
-        server.start()
-        try:
-            result = replay_network(NOISE_FAMILY_SMOKE_TRACE, server=server)
-        finally:
-            server.stop()
-        inproc = ServiceLoadEngine(NOISE_FAMILY_SMOKE_TRACE, config=NET_CONFIG).run()
-        assert result.error_responses == 0
-        assert result.healthy_digest == inproc.healthy_digest
 
     def test_erased_syndrome_weight_matches_direct_decode(self):
         from repro.api import DecoderSession

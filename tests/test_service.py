@@ -28,7 +28,7 @@ from repro.api import (
     get_decoder,
     stable_seed,
 )
-from repro.evaluation import ServiceLoadEngine
+from repro.evaluation import DEFAULT_LOAD_CONFIG, ServiceLoadEngine
 from repro.graphs import SyndromeSampler
 from repro.service import (
     SMOKE_TRACE,
@@ -41,6 +41,7 @@ from repro.service import (
     Scenario,
     ServiceBenchSchemaError,
     ServiceClosedError,
+    ServiceConfig,
     ServiceOverloadedError,
     SessionCache,
     SessionKey,
@@ -209,7 +210,8 @@ class TestDecodeService:
             DecodeRequest(D3_KEY if i % 2 else UF_KEY, syndrome, request_id=i)
             for i, syndrome in enumerate(syndromes)
         ]
-        with DecodeService(workers=3, max_batch_size=5, max_wait_seconds=0.001) as svc:
+        config = ServiceConfig(workers=3, max_batch_size=5, max_wait_seconds=0.001)
+        with DecodeService(config) as svc:
             responses = svc.decode_many(requests)
         direct = {
             "micro-blossom": get_decoder("micro-blossom", graph),
@@ -227,7 +229,8 @@ class TestDecodeService:
     def test_deadline_flush_serves_partial_batches(self):
         """3 requests with a size bound of 64 can only complete via deadline."""
         _, syndromes = sample_syndromes(D3_CODE, 3)
-        with DecodeService(workers=1, max_batch_size=64, max_wait_seconds=0.005) as service:
+        config = ServiceConfig(workers=1, max_batch_size=64, max_wait_seconds=0.005)
+        with DecodeService(config) as service:
             responses = service.decode_many(
                 [DecodeRequest(UF_KEY, s) for s in syndromes], timeout=30
             )
@@ -237,7 +240,8 @@ class TestDecodeService:
 
     def test_size_flush_caps_batches(self):
         _, syndromes = sample_syndromes(D3_CODE, 8)
-        with DecodeService(workers=2, max_batch_size=2, max_wait_seconds=5.0) as service:
+        config = ServiceConfig(workers=2, max_batch_size=2, max_wait_seconds=5.0)
+        with DecodeService(config) as service:
             responses = service.decode_many(
                 [DecodeRequest(UF_KEY, s) for s in syndromes], timeout=30
             )
@@ -247,7 +251,7 @@ class TestDecodeService:
 
     def test_shed_policy_answers_immediately_when_full(self):
         _, syndromes = sample_syndromes(D3_CODE, 3)
-        service = DecodeService(workers=1, queue_capacity=2, overload_policy="shed")
+        service = DecodeService(ServiceConfig(workers=1, queue_capacity=2, overload_policy="shed"))
         futures = [service.submit(DecodeRequest(UF_KEY, s)) for s in syndromes]
         # Not started: the first two fill the queue, the third is shed now.
         shed = futures[2].result(timeout=1)
@@ -260,7 +264,7 @@ class TestDecodeService:
 
     def test_block_policy_raises_on_timeout(self):
         _, syndromes = sample_syndromes(D3_CODE, 3)
-        service = DecodeService(workers=1, queue_capacity=2, overload_policy="block")
+        service = DecodeService(ServiceConfig(workers=1, queue_capacity=2, overload_policy="block"))
         service.submit(DecodeRequest(UF_KEY, syndromes[0]))
         service.submit(DecodeRequest(UF_KEY, syndromes[1]))
         with pytest.raises(ServiceOverloadedError):
@@ -270,7 +274,7 @@ class TestDecodeService:
 
     def test_submit_after_close_raises(self):
         _, syndromes = sample_syndromes(D3_CODE, 1)
-        service = DecodeService(workers=1)
+        service = DecodeService(ServiceConfig(workers=1))
         service.start()
         service.close()
         with pytest.raises(ServiceClosedError):
@@ -278,7 +282,7 @@ class TestDecodeService:
 
     def test_close_without_start_fails_queued_futures(self):
         _, syndromes = sample_syndromes(D3_CODE, 1)
-        service = DecodeService(workers=1)
+        service = DecodeService(ServiceConfig(workers=1))
         future = service.submit(DecodeRequest(UF_KEY, syndromes[0]))
         service.close()
         with pytest.raises(ServiceClosedError):
@@ -286,7 +290,7 @@ class TestDecodeService:
 
     def test_close_drains_admitted_work(self):
         _, syndromes = sample_syndromes(D3_CODE, 6)
-        service = DecodeService(workers=2, max_batch_size=3, max_wait_seconds=10.0)
+        service = DecodeService(ServiceConfig(workers=2, max_batch_size=3, max_wait_seconds=10.0))
         service.start()
         futures = [service.submit(DecodeRequest(UF_KEY, s)) for s in syndromes]
         service.close()  # deadline far away: close must flush the pending batch
@@ -294,7 +298,8 @@ class TestDecodeService:
 
     def test_sessions_reused_across_batches(self):
         _, syndromes = sample_syndromes(D3_CODE, 9)
-        with DecodeService(workers=1, max_batch_size=3, max_wait_seconds=0.001) as service:
+        config = ServiceConfig(workers=1, max_batch_size=3, max_wait_seconds=0.001)
+        with DecodeService(config) as service:
             service.decode_many([DecodeRequest(UF_KEY, s) for s in syndromes])
         stats = service.sessions.stats
         assert stats.misses == 1
@@ -302,15 +307,15 @@ class TestDecodeService:
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
-            DecodeService(workers=0)
+            DecodeService(ServiceConfig(workers=0))
         with pytest.raises(ValueError):
-            DecodeService(queue_capacity=0)
+            DecodeService(ServiceConfig(queue_capacity=0))
         with pytest.raises(ValueError):
-            DecodeService(overload_policy="drop")
+            DecodeService(ServiceConfig(overload_policy="drop"))
 
     def test_decode_is_submit_plus_wait(self):
         graph, syndromes = sample_syndromes(D3_CODE, 1)
-        with DecodeService(workers=1, max_wait_seconds=0.001) as service:
+        with DecodeService(ServiceConfig(workers=1, max_wait_seconds=0.001)) as service:
             response = service.decode(DecodeRequest(UF_KEY, syndromes[0]), timeout=30)
         expected = get_decoder("union-find", graph).decode_detailed(syndromes[0])
         assert response.outcome.correction_edges(graph) == expected.correction_edges(
@@ -318,7 +323,7 @@ class TestDecodeService:
         )
 
     def test_lifecycle_is_idempotent(self):
-        service = DecodeService(workers=1)
+        service = DecodeService(ServiceConfig(workers=1))
         assert not service.started and not service.closed
         service.start()
         service.start()  # no-op
@@ -338,7 +343,7 @@ class TestDecodeService:
 
         _, syndromes = sample_syndromes(D3_CODE, 2)
         with DecodeService(
-            workers=1, max_wait_seconds=0.001, session_factory=broken_factory
+            ServiceConfig(workers=1, max_wait_seconds=0.001), session_factory=broken_factory
         ) as service:
             futures = [service.submit(DecodeRequest(UF_KEY, s)) for s in syndromes]
             for future in futures:
@@ -365,10 +370,8 @@ class TestDecodeService:
 
         _, syndromes = sample_syndromes(D3_CODE, 3)
         with DecodeService(
-            workers=1,
-            max_wait_seconds=0.001,
+            ServiceConfig(workers=1, max_wait_seconds=0.001, session_build_retries=2),
             session_factory=flaky_factory,
-            session_build_retries=2,
         ) as service:
             responses = service.decode_many([DecodeRequest(UF_KEY, s) for s in syndromes])
         assert all(r.ok for r in responses)
@@ -377,7 +380,7 @@ class TestDecodeService:
 
     def test_stats_snapshot_shape(self):
         _, syndromes = sample_syndromes(D3_CODE, 4)
-        with DecodeService(workers=2, max_wait_seconds=0.001) as service:
+        with DecodeService(ServiceConfig(workers=2, max_wait_seconds=0.001)) as service:
             service.decode_many([DecodeRequest(UF_KEY, s) for s in syndromes])
         snapshot = service.stats_snapshot()
         assert snapshot["submitted"] == snapshot["completed"] == 4
@@ -404,7 +407,7 @@ class TestDecodeService:
     def test_shed_requests_count_as_submitted(self):
         """Regression: a shed request is still offered load — `submitted`
         must include it or `submitted == completed + shed + errors` breaks."""
-        service = DecodeService(workers=1, queue_capacity=1, overload_policy="shed")
+        service = DecodeService(ServiceConfig(workers=1, queue_capacity=1, overload_policy="shed"))
         _, syndromes = sample_syndromes(D3_CODE, 3)
         # White-box: no dispatcher running, so the full-queue condition is
         # deterministic — the first request is admitted, the rest shed.
@@ -422,7 +425,7 @@ class TestDecodeService:
         _, syndromes = sample_syndromes(D3_CODE, 2)
         request = DecodeRequest(UF_KEY, syndromes[0])
         with DecodeService(
-            workers=1, max_wait_seconds=0.001, outcome_cache_bytes=1 << 20
+            ServiceConfig(workers=1, max_wait_seconds=0.001, outcome_cache_bytes=1 << 20)
         ) as service:
             service.decode(request)
             cached = service.decode(request)
@@ -440,13 +443,14 @@ class TestDecodeService:
         _, syndromes = sample_syndromes(D3_CODE, 6)
         requests = [DecodeRequest(UF_KEY, s) for s in syndromes]
         requests.append(DecodeRequest(UF_KEY, syndromes[0]))  # repeat: cacheable
-        with DecodeService(
+        config = ServiceConfig(
             workers=2,
             max_wait_seconds=0.0005,
             queue_capacity=4,
             overload_policy=policy,
             outcome_cache_bytes=cache_bytes,
-        ) as service:
+        )
+        with DecodeService(config) as service:
             responses = [f.result(timeout=30) for f in map(service.submit, requests)]
         stats = service.stats
         assert stats.submitted == len(requests)
@@ -466,7 +470,7 @@ class TestServiceStream:
         graph = key.code.build_graph()
         sampler = SyndromeSampler(graph, seed=13)
         shots = [sampler.sample_rounds() for _ in range(5)]
-        with DecodeService(workers=2) as service:
+        with DecodeService(ServiceConfig(workers=2)) as service:
             stream = service.open_stream(key)
             served = [stream.decode_rounds(rounds) for _, rounds in shots]
         direct = get_streaming_decoder(decoder, graph)
@@ -482,7 +486,7 @@ class TestServiceStream:
         key = SessionKey(D3_CODE, "union-find")
         graph = key.code.build_graph()
         _, rounds = SyndromeSampler(graph, seed=3).sample_rounds()
-        with DecodeService(workers=2) as service:
+        with DecodeService(ServiceConfig(workers=2)) as service:
             stream = service.open_stream(key)
             assert stream.begin().result(timeout=30) is None
             costs = [stream.push_round(r).result(timeout=30) for r in rounds]
@@ -499,13 +503,13 @@ class TestServiceStream:
         wrong_layer = next(
             v.index for v in graph.vertices if not v.is_virtual and v.layer == 1
         )
-        with DecodeService(workers=2) as service:
+        with DecodeService(ServiceConfig(workers=2)) as service:
             stream = service.open_stream(key)
             with pytest.raises(ValueError, match="belongs to round"):
                 stream.decode_rounds([[wrong_layer], []], timeout=30)
 
     def test_open_stream_requires_started_service(self):
-        service = DecodeService(workers=1)
+        service = DecodeService(ServiceConfig(workers=1))
         with pytest.raises(ServiceClosedError):
             service.open_stream(D3_KEY)
 
@@ -517,7 +521,7 @@ class TestServiceStream:
         """
         from repro.service.service import ServiceStream
 
-        service = DecodeService(workers=1, queue_capacity=1, overload_policy="shed")
+        service = DecodeService(ServiceConfig(workers=1, queue_capacity=1, overload_policy="shed"))
         stream = ServiceStream(service, UF_KEY)
         service._queue.put_nowait(object())  # fill the bounded queue
         with pytest.raises(ServiceOverloadedError):
@@ -591,13 +595,15 @@ class TestServiceLoadEngine:
     def test_outcome_digest_independent_of_workers(self):
         digests = set()
         for workers in (1, 3):
-            result = ServiceLoadEngine(self.TRACE, workers=workers, max_wait_seconds=0.0005).run()
+            config = DEFAULT_LOAD_CONFIG.replace(workers=workers, max_wait_seconds=0.0005)
+            result = ServiceLoadEngine(self.TRACE, config=config).run()
             assert result.completed == 32 and result.shed == 0
             digests.add((result.outcome_digest, result.errors))
         assert len(digests) == 1, "worker count changed service outcomes"
 
     def test_verify_identity_passes(self):
-        result = ServiceLoadEngine(self.TRACE, workers=2).run(verify_identity=True)
+        config = DEFAULT_LOAD_CONFIG.replace(workers=2)
+        result = ServiceLoadEngine(self.TRACE, config=config).run(verify_identity=True)
         assert result.identity_checked == 32
         assert result.identity_mismatches == 0
 
@@ -610,7 +616,7 @@ class TestServiceLoadEngine:
             arrival="closed",
             clients=3,
         )
-        result = ServiceLoadEngine(spec, workers=2).run()
+        result = ServiceLoadEngine(spec, config=DEFAULT_LOAD_CONFIG.replace(workers=2)).run()
         assert result.completed == 12
         assert result.latency.count == 12
         assert result.throughput_rps > 0
@@ -618,6 +624,12 @@ class TestServiceLoadEngine:
     def test_rejects_non_trace_input(self):
         with pytest.raises(TypeError):
             ServiceLoadEngine({"requests": 4})
+
+    def test_sizing_travels_only_as_a_config(self):
+        with pytest.raises(TypeError):
+            ServiceLoadEngine(self.TRACE, workers=2)
+        with pytest.raises(TypeError, match="ServiceConfig"):
+            ServiceLoadEngine(self.TRACE, config={"workers": 2})
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +644,8 @@ class TestServiceBench:
             requests=16,
             seed=4,
         )
-        result = ServiceLoadEngine(spec, workers=2).run(verify_identity=True)
+        config = DEFAULT_LOAD_CONFIG.replace(workers=2)
+        result = ServiceLoadEngine(spec, config=config).run(verify_identity=True)
         return spec, result
 
     def test_document_validates_and_writes(self, run, tmp_path):

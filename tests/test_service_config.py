@@ -90,19 +90,14 @@ class TestCodec:
 
 
 class TestLegacyShim:
-    def test_legacy_kwargs_warn_and_work(self):
-        with pytest.warns(DeprecationWarning):
-            service = DecodeService(workers=3, max_batch_size=4)
-        assert service.config.workers == 3
-        assert service.config.max_batch_size == 4
+    """Sizing travels only as a ServiceConfig; the keyword shim is gone."""
 
-    def test_config_object_does_not_warn(self, recwarn):
-        service = DecodeService(ServiceConfig(workers=3))
-        assert service.config.workers == 3
-        assert not [w for w in recwarn.list if w.category is DeprecationWarning]
+    def test_sizing_keyword_is_an_error(self):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            DecodeService(workers=3, max_batch_size=4)
 
-    def test_config_plus_legacy_kwargs_is_an_error(self):
-        with pytest.raises(TypeError, match="not both"):
+    def test_config_plus_sizing_keyword_is_an_error(self):
+        with pytest.raises(TypeError, match="unexpected keyword"):
             DecodeService(ServiceConfig(), workers=3)
 
     def test_unknown_kwarg_is_an_error(self):

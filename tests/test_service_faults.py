@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.evaluation import ServiceLoadEngine
+from repro.evaluation import DEFAULT_LOAD_CONFIG, ServiceLoadEngine
 from repro.service import (
     HOSTILE_FAMILIES,
     HOSTILE_SMOKE_PLAN,
@@ -32,6 +32,7 @@ from repro.service import (
     FaultPlan,
     InjectedFault,
     Scenario,
+    ServiceConfig,
     SessionKey,
     TraceSpec,
     generate_trace,
@@ -204,7 +205,8 @@ class TestFaultIsolation:
 
         syndromes = SyndromeSampler(graph, seed=3).sample_batch(4)
         bad = poisoned_syndrome(len(graph.vertices), 0)
-        with DecodeService(workers=1, max_batch_size=8, max_wait_seconds=0.05) as service:
+        config = ServiceConfig(workers=1, max_batch_size=8, max_wait_seconds=0.05)
+        with DecodeService(config) as service:
             futures = [service.submit(DecodeRequest(UF_KEY, s)) for s in syndromes]
             futures.insert(2, service.submit(DecodeRequest(UF_KEY, bad)))
             responses = [f.result(timeout=30) for f in futures]
@@ -224,8 +226,9 @@ class TestFaultIsolation:
         spec = TraceSpec(
             "s", (Scenario(3, physical_error_rate=0.02, decoder="union-find"),), requests=8
         )
-        baseline = ServiceLoadEngine(spec, workers=2).run()
-        delayed = ServiceLoadEngine(spec, workers=2, fault_plan=plan).run()
+        config = DEFAULT_LOAD_CONFIG.replace(workers=2)
+        baseline = ServiceLoadEngine(spec, config=config).run()
+        delayed = ServiceLoadEngine(spec, config=config.replace(fault_plan=plan)).run()
         assert delayed.outcome_digest == baseline.outcome_digest
         assert delayed.error_responses == 0
 
@@ -236,13 +239,14 @@ class TestFaultIsolation:
         spec = dict(HOSTILE_SMOKE_TRACES)[family]
         digests = set()
         for workers in (1, 3):
-            result = ServiceLoadEngine(
-                spec,
+            config = DEFAULT_LOAD_CONFIG.replace(
                 workers=workers,
                 overload_policy="block",
                 fault_plan=HOSTILE_SMOKE_PLAN,
                 session_build_retries=2,
-                drain_timeout_seconds=60.0,
+            )
+            result = ServiceLoadEngine(
+                spec, config=config, drain_timeout_seconds=60.0
             ).run(verify_identity=True)
             assert result.poisoned > 0
             assert result.poisoned_errored == result.poisoned
@@ -259,23 +263,15 @@ class TestFaultIsolation:
         over non-poisoned requests equals the fault-free outcome digest
         restricted to the same set — here the poison-free pareto family."""
         spec = dict(HOSTILE_SMOKE_TRACES)["zipf"]
-        clean = ServiceLoadEngine(spec, workers=2).run()
-        faulted = ServiceLoadEngine(
-            spec,
-            workers=2,
-            fault_plan=HOSTILE_SMOKE_PLAN,
-            session_build_retries=2,
-        ).run()
+        config = DEFAULT_LOAD_CONFIG.replace(workers=2)
+        faulty = config.replace(fault_plan=HOSTILE_SMOKE_PLAN, session_build_retries=2)
+        clean = ServiceLoadEngine(spec, config=config).run()
+        faulted = ServiceLoadEngine(spec, config=faulty).run()
         assert faulted.retries > 0  # the plan's crashes actually fired
         # every record present in both digests' inputs is identical, so if no
         # request were poisoned the digests would agree; with poisoning the
         # healthy digest is the invariant to compare across plans
-        again = ServiceLoadEngine(
-            spec,
-            workers=1,
-            fault_plan=HOSTILE_SMOKE_PLAN,
-            session_build_retries=2,
-        ).run()
+        again = ServiceLoadEngine(spec, config=faulty.replace(workers=1)).run()
         assert faulted.healthy_digest == again.healthy_digest
         assert clean.outcome_digest != faulted.outcome_digest
 
@@ -287,7 +283,8 @@ class TestFaultIsolation:
             requests=6,
             seed=9,
         )
-        result = ServiceLoadEngine(spec, workers=1, fault_plan=plan, session_build_retries=1).run()
+        config = DEFAULT_LOAD_CONFIG.replace(workers=1, fault_plan=plan, session_build_retries=1)
+        result = ServiceLoadEngine(spec, config=config).run()
         # crash_attempts(3) > retries(1): the first batch fails, later batches
         # succeed once the attempt counter passes the crash window
         assert result.error_responses > 0
@@ -303,7 +300,7 @@ class TestFaultIsolation:
 
         from repro.service import ServiceDrainError
 
-        service = DecodeService(workers=1)
+        service = DecodeService(ServiceConfig(workers=1))
         service.start()
         stuck = threading.Thread(target=time.sleep, args=(5,), daemon=True)
         stuck.start()
@@ -319,12 +316,10 @@ class TestFaultIsolation:
         from repro.service import service_bench_document
 
         family, spec = HOSTILE_SMOKE_TRACES[0]
-        result = ServiceLoadEngine(
-            spec,
-            workers=2,
-            fault_plan=HOSTILE_SMOKE_PLAN,
-            session_build_retries=2,
-        ).run(verify_identity=True)
+        config = DEFAULT_LOAD_CONFIG.replace(
+            workers=2, fault_plan=HOSTILE_SMOKE_PLAN, session_build_retries=2
+        )
+        result = ServiceLoadEngine(spec, config=config).run(verify_identity=True)
         entry = hostile_mix_entry(family, spec, HOSTILE_SMOKE_PLAN, result)
         assert entry["isolated"]
         document = service_bench_document(
