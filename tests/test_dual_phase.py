@@ -210,3 +210,57 @@ class TestCounters:
     def test_weight_units_conversion(self, path_graph):
         dual = DualGraphState(path_graph, scale=2)
         assert dual.weight_units(4) == 2.0
+
+
+# ----------------------------------------------------------------------
+# counter contract of the dual engine
+# ----------------------------------------------------------------------
+def _engine_pin(name, distance, error_rate, seed, shots, skip=0):
+    """Content hash of every non-trivial shot's matching and counters."""
+    from repro.api import get_decoder
+    from repro.api.hashing import content_hash
+    from repro.graphs import (
+        SyndromeSampler,
+        circuit_level_noise,
+        surface_code_decoding_graph,
+    )
+
+    graph = surface_code_decoding_graph(distance, circuit_level_noise(error_rate))
+    decoder = get_decoder(name, graph)
+    batch = SyndromeSampler(graph, seed=seed).sample_batch(skip + shots)[skip:]
+    records = []
+    for syndrome in batch:
+        if not syndrome.defects:
+            continue
+        outcome = decoder.decode_detailed(syndrome)
+        records.append(
+            {
+                "defects": list(syndrome.defects),
+                "pairs": outcome.result.to_dict(),
+                "weight": outcome.weight,
+                "counters": dict(outcome.counters),
+                "post_final": dict(getattr(outcome, "post_final_round_counters", {})),
+            }
+        )
+    assert records
+    return content_hash(records)
+
+
+#: ``(decoder, distance, p, seed, shots, skip)`` -> pinned content hash.
+#: Every operation counter is part of the hash: the counters are the
+#: accelerator and CPU cost models, so any engine change must keep them
+#: bit-identical (or re-pin them here deliberately, with a reason).
+_ENGINE_PINS = {
+    ("micro-blossom", 5, 0.001, 41, 1200, 0): "8135b60d0cacee47",
+    ("micro-blossom", 5, 0.005, 42, 240, 0): "cc9d036a74590e98",
+    ("micro-blossom-batch", 5, 0.001, 41, 1200, 0): "90b3aa1c40c1a320",
+    ("micro-blossom-batch", 5, 0.005, 42, 240, 0): "a3056dc3500c691b",
+    ("parity-blossom", 5, 0.001, 41, 1200, 0): "82525c71b5c38e9d",
+    ("parity-blossom", 5, 0.005, 42, 240, 0): "4653535dd3c040f8",
+    ("micro-blossom-batch", 9, 0.001, 3, 120, 320): "b1e3c727031d259e",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ENGINE_PINS), ids=lambda case: "-".join(map(str, case)))
+def test_engine_counters_are_pinned(case):
+    assert _engine_pin(*case) == _ENGINE_PINS[case]

@@ -7,6 +7,7 @@ import pytest
 from repro.core import MicroBlossomDecoder, PrimalModule
 from repro.core.accelerator import MicroBlossomAccelerator
 from repro.graphs import (
+    Syndrome,
     SyndromeSampler,
     circuit_level_noise,
     phenomenological_noise,
@@ -120,3 +121,48 @@ class TestRoundWiseFusion:
             multi_round_checked += 1
             assert stream.decode(syndrome).weight == batch.decode(syndrome).weight
         assert multi_round_checked > 0
+
+
+#: d=9, p=0.001 circuit-level shots on which stream mode with pre-matching
+#: goes wrong: ``(defects, reference weight, stream-mode failure)``.
+_STREAM_PREMATCH_FAULTS = [
+    ((77, 80, 119, 314, 361), 80, "weight 106"),
+    ((84, 88, 126, 202, 207, 337), 104, "weight 130"),
+    ((210, 214, 252), 52, "weight 78"),
+    ((1, 4, 17, 18, 48), 80, "DualPhaseError"),
+    ((168, 171, 218, 232, 237), 80, "DualPhaseError"),
+]
+
+
+@pytest.fixture(scope="module")
+def surface_d9_circuit():
+    return surface_code_decoding_graph(9, circuit_level_noise(0.001))
+
+
+class TestKnownStreamPrematchFault:
+    """Pre-matching under round-wise fusion is wrong on these shots.
+
+    Batch mode and stream mode without pre-matching decode them at the
+    reference weight, so the fault lies in pre-matching across rounds.
+    """
+
+    @pytest.mark.parametrize("stream, prematching", [(False, True), (True, False)])
+    @pytest.mark.parametrize("defects, weight, _failure", _STREAM_PREMATCH_FAULTS)
+    def test_decodes_at_reference_weight(
+        self, surface_d9_circuit, defects, weight, _failure, stream, prematching
+    ):
+        decoder = MicroBlossomDecoder(
+            surface_d9_circuit, stream=stream, enable_prematching=prematching
+        )
+        assert ReferenceDecoder(surface_d9_circuit).decode(Syndrome(defects)).weight == weight
+        assert decoder.decode(Syndrome(defects)).weight == weight
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="stream-mode pre-matching under round-wise fusion returns a "
+        "too-heavy matching or raises DualPhaseError on these shots",
+    )
+    @pytest.mark.parametrize("defects, weight, _failure", _STREAM_PREMATCH_FAULTS)
+    def test_stream_with_prematching(self, surface_d9_circuit, defects, weight, _failure):
+        decoder = MicroBlossomDecoder(surface_d9_circuit, stream=True)
+        assert decoder.decode(Syndrome(defects)).weight == weight
