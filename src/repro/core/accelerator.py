@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from ..graphs.decoding_graph import DecodingGraph
 from .dual import DEFAULT_DUAL_SCALE, DualGraphState
 from .interface import GROW, HOLD, Obstacle
@@ -58,6 +60,7 @@ class MicroBlossomAccelerator(DualGraphState):
     ) -> None:
         self.enable_prematching = enable_prematching
         self._prematches: dict[int, PreMatch] = {}
+        self._prematches_dirty = True
         self._instruction_words: int = 0
         self._response_reads: int = 0
         self._prematched_floor: int = 0
@@ -69,6 +72,7 @@ class MicroBlossomAccelerator(DualGraphState):
     def reset(self) -> None:
         super().reset()
         self._prematches = {}
+        self._prematches_dirty = True
         # ``prematched_defects`` is a per-shot high-water mark; remember the
         # cumulative value at reset so reused engines report per-shot deltas
         # identical to a freshly-built accelerator.
@@ -128,15 +132,21 @@ class MicroBlossomAccelerator(DualGraphState):
     # ------------------------------------------------------------------
     def _effective_directions(self) -> dict[int, int]:
         directions = dict(self.node_direction)
-        if not self.enable_prematching:
-            self._prematches = {}
-            return directions
-        self._prematches = self._compute_prematches()
-        for prematch in self._prematches.values():
+        for prematch in self._current_prematches().values():
             directions[prematch.defect] = HOLD
             if not prematch.peer_is_boundary:
                 directions[prematch.peer] = HOLD
         return directions
+
+    def _current_prematches(self) -> dict[int, PreMatch]:
+        """The pre-matches of the current state, recomputed only after a
+        change (every instruction that can change them marks them dirty)."""
+        if not self.enable_prematching:
+            self._prematches = {}
+        elif self._prematches_dirty:
+            self._prematches = self._compute_prematches()
+            self._prematches_dirty = False
+        return self._prematches
 
     def _direction_for_growth(self, node: int) -> int:
         if self.enable_prematching and node in self._prematches:
@@ -157,17 +167,16 @@ class MicroBlossomAccelerator(DualGraphState):
     def _compute_prematches(self) -> dict[int, PreMatch]:
         covers = self._ensure_covers()
         graph = self.graph
-        residue = [
-            max((value for value, _touch in cover.values()), default=0)
-            for cover in covers
-        ]
-        tight = [False] * graph.num_edges
-        tight_count = [0] * graph.num_vertices
-        for edge in graph.edges:
-            if residue[edge.u] + residue[edge.v] >= self._edge_weight[edge.index]:
-                tight[edge.index] = True
-                tight_count[edge.u] += 1
-                tight_count[edge.v] += 1
+        # Residue of every vertex is its largest Cover residual (0 when only
+        # a boundary or nothing covers it); an edge is tight when the
+        # residues of its two ends span it.
+        residue = np.maximum(covers.residual.max(axis=0), 0)
+        edge_u, edge_v = self._edge_u, self._edge_v
+        tight = residue[edge_u] + residue[edge_v] >= self._edge_weight
+        tight_count = np.bincount(
+            np.concatenate([edge_u[tight], edge_v[tight]]), minlength=graph.num_vertices
+        ).tolist()
+        tight = tight.tolist()
 
         prematches: dict[int, PreMatch] = {}
         claimed: set[int] = set()
@@ -211,9 +220,8 @@ class MicroBlossomAccelerator(DualGraphState):
                 return True
             return False
 
-        for edge in graph.edges:
-            if not tight[edge.index]:
-                continue
+        for index in np.flatnonzero(tight).tolist():
+            edge = graph.edges[index]
             if edge.u in claimed or edge.v in claimed:
                 continue
             if try_regular(edge):
@@ -228,11 +236,8 @@ class MicroBlossomAccelerator(DualGraphState):
 
     def prematched_pairs(self) -> list[PreMatch]:
         """Pairs still handled in hardware when decoding finishes (§5.2)."""
-        if not self.enable_prematching:
-            return []
-        self._prematches = self._compute_prematches()
         unique: dict[int, PreMatch] = {}
-        for prematch in self._prematches.values():
+        for prematch in self._current_prematches().values():
             unique[prematch.edge] = prematch
         return sorted(unique.values(), key=lambda p: p.edge)
 

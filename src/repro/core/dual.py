@@ -10,10 +10,36 @@ which two nodes collided?*
 The paper distributes the Covers over per-vertex state (Residue ``r_v``,
 Touches ``T_v``, Nodes ``N_v``, Table 2) so that one processing unit per vertex
 and per edge can maintain them with local rules (Table 1).  This class keeps
-the same per-vertex state and produces the same responses; for simulation
-efficiency the fix-point of the local update rules is computed with a
-multi-source Dijkstra sweep, which yields the identical state the hardware
-reaches after its Update pipeline stage settles.
+the same state and produces the same responses, computed the way the hardware
+computes them: as a fixed number of data-parallel phases over all vertices
+and edges at once, here numpy array operations.
+
+* **Covers.**  Every defect ``u`` keeps its shortest-distance row ``d(u, ·)``
+  (scaled, memoized per vertex).  The residual of a node at vertex ``v`` is
+  ``max(R(u) - d(u, v))`` over the node's defects; the vertex lies in the
+  Cover iff the residual is ``>= 0``.  All nodes together form one
+  ``nodes × vertices`` residual matrix.  Virtual and not-yet-loaded vertices
+  are boundary pseudo-nodes whose Cover is their own vertex at residual 0;
+  one extra row (a boolean mask of boundary sources) holds them all.  The
+  Cover order at a vertex is residual descending, then node id ascending,
+  and a node's Touch there is its lowest-index defect that reaches the
+  residual.
+* **Queries.**  Conflict detection and the safe growth length (the
+  Theorems of §4.2) reduce to per-vertex top-two residuals over growing and
+  over non-shrinking nodes, gathered at both ends of every edge next to a
+  vertex covered by a defect node.  The first conflict in edge order (then in
+  vertex order) is found with ``argmax``; only that one edge or vertex is
+  then replayed pair by pair in Cover order to name the two nodes.
+
+Operation counters (the inputs of the accelerator and CPU cost models):
+
+* ``cover_cells_updated`` grows, each time the Covers are rebuilt after a
+  change, by the number of covered ``(node, vertex)`` cells plus the number
+  of boundary sources;
+* ``edges_scanned`` grows, per conflict scan, by the number of edges whose
+  two endpoints are both covered, counting up to and including the
+  conflicting edge (all of them when there is no edge-level conflict), and
+  by ``num_edges`` per growth-length query.
 
 Dual variables are tracked per *defect vertex* as the accumulated cover radius
 ``R(u) = sum of y over the nodes containing u`` — precisely the quantity each
@@ -30,9 +56,11 @@ scale (see :class:`repro.core.decoder.MicroBlossomDecoder`).
 
 from __future__ import annotations
 
-import heapq
 from collections import Counter
+from dataclasses import dataclass
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from ..graphs.decoding_graph import DecodingGraph
 from .interface import (
@@ -50,6 +78,32 @@ from .interface import (
 #: half-integral dual updates of the blossom algorithm on integer weights.
 DEFAULT_DUAL_SCALE = 2
 
+#: Residual of a node at a vertex outside its Cover.  Far below any real
+#: residual, so a sum involving it never reaches an edge weight and a
+#: growth candidate derived from it is far above any real one.
+ABSENT = -(1 << 40)
+
+
+@dataclass
+class Covers:
+    """Per-vertex Cover state of every node (paper §4.2, Table 2).
+
+    ``residual[i, v]`` is how far node ``nodes[i]``'s Cover extends beyond
+    vertex ``v`` (``ABSENT`` outside the Cover); the last row holds the
+    boundary pseudo-nodes, each at residual 0 on its own vertex.
+    ``members[i]`` lists the node's defects in ascending order.
+    """
+
+    nodes: list[int]
+    members: list[list[int]]
+    residual: np.ndarray
+    #: Vertices covered by any node, boundary included.
+    covered: np.ndarray
+    #: Edges whose two endpoints are both covered.
+    both_covered: np.ndarray
+    #: Edges next to a vertex covered by a defect node, ascending.
+    near: np.ndarray
+
 
 class DualGraphState:
     """Cover-based dual phase of the blossom algorithm on a decoding graph.
@@ -64,7 +118,12 @@ class DualGraphState:
             raise ValueError("dual scale must be >= 1")
         self.graph = graph
         self.scale = scale
-        self._edge_weight = [edge.weight * scale for edge in graph.edges]
+        self._edge_u = np.array([edge.u for edge in graph.edges], dtype=np.intp)
+        self._edge_v = np.array([edge.v for edge in graph.edges], dtype=np.intp)
+        self._edge_weight = np.array([edge.weight * scale for edge in graph.edges], dtype=np.int64)
+        self._virtual = np.array([v.is_virtual for v in graph.vertices], dtype=bool)
+        self._zero_groups = _zero_distance_groups(graph)
+        self._distance_rows: dict[int, np.ndarray] = {}
         self.counters: Counter = Counter()
         self.reset()
 
@@ -74,17 +133,16 @@ class DualGraphState:
     def reset(self) -> None:
         """Clear all PU state (the ``reset`` instruction)."""
         graph = self.graph
-        self.loaded = [False] * graph.num_vertices
-        self.is_defect = [False] * graph.num_vertices
+        self.loaded = np.zeros(graph.num_vertices, dtype=bool)
+        self.is_defect = np.zeros(graph.num_vertices, dtype=bool)
+        self._boundary = np.ones(graph.num_vertices, dtype=bool)
         self.defect_radius: dict[int, int] = {}
         self.defect_root: dict[int, int] = {}
         self.node_direction: dict[int, int] = {}
-        self._covers: list[dict[int, tuple[int, int]]] | None = None
+        self._covers: Covers | None = None
         self.counters["instr_reset"] += 1
 
-    def load(
-        self, defects: Iterable[int], layers: Iterable[int] | None = None
-    ) -> None:
+    def load(self, defects: Iterable[int], layers: Iterable[int] | None = None) -> None:
         """Load syndrome data into the vPUs (the ``load defects`` instruction).
 
         When ``layers`` is None the whole graph is loaded at once (batch
@@ -93,33 +151,32 @@ class DualGraphState:
         (round-wise fusion, paper §6.2).
         """
         defects = set(defects)
-        layer_filter = None if layers is None else set(layers)
-        for vertex in range(self.graph.num_vertices):
-            layer = self.graph.vertices[vertex].layer
-            if layer_filter is not None and layer not in layer_filter:
+        loaded = self.loaded
+        fresh_defects = sorted(d for d in defects if not loaded[d])
+        if layers is None:
+            loaded[:] = True
+        else:
+            for layer in set(layers):
+                loaded[self.graph.vertices_in_layer(layer)] = True
+        self._boundary = self._virtual | ~loaded
+        for vertex in fresh_defects:
+            if not loaded[vertex]:
                 continue
-            if self.loaded[vertex]:
-                continue
-            self.loaded[vertex] = True
-            if vertex in defects:
-                if self.graph.is_virtual(vertex):
-                    raise DualPhaseError(
-                        f"virtual vertex {vertex} cannot be a defect"
-                    )
-                self.is_defect[vertex] = True
-                self.defect_radius[vertex] = 0
-                self.defect_root[vertex] = vertex
-                # A freshly loaded defect is an unmatched singleton node and
-                # starts growing without any CPU involvement.
-                self.node_direction.setdefault(vertex, GROW)
-        loaded_defects = [d for d in defects if self.loaded[d]]
-        uncovered = [d for d in defects if not self.loaded[d]]
+            if self._virtual[vertex]:
+                raise DualPhaseError(f"virtual vertex {vertex} cannot be a defect")
+            self.is_defect[vertex] = True
+            self.defect_radius[vertex] = 0
+            self.defect_root[vertex] = vertex
+            # A freshly loaded defect is an unmatched singleton node and
+            # starts growing without any CPU involvement.
+            self.node_direction.setdefault(vertex, GROW)
+        uncovered = [d for d in defects if not loaded[d]]
         if uncovered:
             raise DualPhaseError(
                 f"defects {uncovered} lie outside the loaded measurement rounds"
             )
         self.counters["instr_load"] += 1
-        self.counters["defects_loaded"] += len(loaded_defects)
+        self.counters["defects_loaded"] += len(defects)
         self._covers = None
 
     def set_direction(self, node: int, direction: int) -> None:
@@ -187,13 +244,17 @@ class DualGraphState:
         self.counters["instr_find_obstacle"] += 1
         covers = self._ensure_covers()
         directions = self._effective_directions()
-        conflict = self._scan_conflicts(covers, directions)
+        rates = np.array([directions.get(node, HOLD) for node in covers.nodes])
+        rates = np.pad(rates, (0, len(covers.residual) - len(rates)))
+        if not (rates > 0).any():
+            self.counters["edges_scanned"] += int(np.count_nonzero(covers.both_covered))
+            return Finished()
+        tops = _TopTwo(covers.residual, rates)
+        conflict = self._scan_conflicts(covers, directions, tops)
         if conflict is not None:
             self.counters["conflicts_reported"] += 1
             return conflict
-        if not self._any_growing(directions):
-            return Finished()
-        length = self._max_grow_length(covers, directions)
+        length = self._max_grow_length(covers, rates, tops)
         if length is None:
             raise DualPhaseError("growing nodes exist but growth is unbounded")
         if length <= 0:
@@ -209,7 +270,7 @@ class DualGraphState:
         """True if ``node`` is a boundary pseudo-node (virtual or unloaded)."""
         if node >= self.graph.num_vertices:
             return False
-        return self.graph.is_virtual(node) or not self.loaded[node]
+        return bool(self._boundary[node])
 
     def direction_of(self, node: int) -> int:
         return self.node_direction.get(node, HOLD)
@@ -242,113 +303,141 @@ class DualGraphState:
     # ------------------------------------------------------------------
     # cover maintenance
     # ------------------------------------------------------------------
-    def _sources(self) -> list[tuple[int, int, int]]:
-        """Return ``(vertex, root_node, radius)`` for every Cover source.
+    def _distance_row(self, vertex: int) -> np.ndarray:
+        """Scaled shortest distances from ``vertex`` (unreachable: far away)."""
+        row = self._distance_rows.get(vertex)
+        if row is None:
+            distances = np.array(self.graph.shortest_distances(vertex)[0], dtype=np.int64)
+            row = np.where(distances < 0, -2 * ABSENT, distances * self.scale)
+            self._distance_rows[vertex] = row
+        return row
 
-        Sources are loaded defects, virtual vertices, and all not-yet-loaded
-        vertices (which act as the fusion boundary, paper §6.2).
-        """
-        sources: list[tuple[int, int, int]] = []
-        for vertex in range(self.graph.num_vertices):
-            if not self.loaded[vertex] or self.graph.is_virtual(vertex):
-                sources.append((vertex, vertex, 0))
-            elif self.is_defect[vertex]:
-                sources.append(
-                    (vertex, self.defect_root[vertex], self.defect_radius[vertex])
-                )
-        return sources
-
-    def _ensure_covers(self) -> list[dict[int, tuple[int, int]]]:
+    def _ensure_covers(self) -> Covers:
         if self._covers is None:
-            self._covers = self._recompute_covers()
+            self._covers = self._build_covers()
         return self._covers
 
-    def _recompute_covers(self) -> list[dict[int, tuple[int, int]]]:
-        """Per-vertex cover membership: ``{node: (residual, touch_vertex)}``.
-
-        ``residual`` is how far the node's Cover extends beyond the vertex
-        (``>= 0`` iff the vertex lies inside the Cover); ``touch_vertex`` is a
-        defect (or boundary vertex) of the node realising that residual.  This
-        is the full per-vertex state of paper §4.2 (Residue, Touches, Nodes).
-        """
-        graph = self.graph
-        covers: list[dict[int, tuple[int, int]]] = [
-            {} for _ in range(graph.num_vertices)
-        ]
-        heap: list[tuple[int, int, int, int]] = []
-        for vertex, root, radius in self._sources():
-            if radius < 0:
+    def _build_covers(self) -> Covers:
+        """Residual matrix of every node's Cover plus the boundary row."""
+        members: dict[int, list[int]] = {}
+        for defect in sorted(self.defect_radius):
+            if self.defect_radius[defect] < 0:
                 raise DualPhaseError("negative cover radius")
-            heap.append((-radius, vertex, root, vertex))
-        heapq.heapify(heap)
-        while heap:
-            negative_value, vertex, root, touch = heapq.heappop(heap)
-            value = -negative_value
-            existing = covers[vertex].get(root)
-            if existing is not None and existing[0] >= value:
-                continue
-            covers[vertex][root] = (value, touch)
-            self.counters["cover_cells_updated"] += 1
-            for edge_index, neighbor in graph.adjacency[vertex]:
-                next_value = value - self._edge_weight[edge_index]
-                if next_value < 0:
-                    continue
-                current = covers[neighbor].get(root)
-                if current is not None and current[0] >= next_value:
-                    continue
-                heapq.heappush(heap, (-next_value, neighbor, root, touch))
-        return covers
+            members.setdefault(self.defect_root[defect], []).append(defect)
+        nodes = sorted(members)
+        groups = [members[node] for node in nodes]
+        boundary, boundary_cells = self._boundary_rows()
+        if nodes:
+            order = [defect for group in groups for defect in group]
+            radii = np.array([self.defect_radius[d] for d in order], dtype=np.int64)
+            reach = radii[:, None] - np.stack([self._distance_row(d) for d in order])
+            if len(order) > len(nodes):
+                starts = np.cumsum([0] + [len(group) for group in groups[:-1]])
+                reach = np.maximum.reduceat(reach, starts, axis=0)
+            residual = np.vstack([np.where(reach >= 0, reach, ABSENT), boundary])
+        else:
+            residual = boundary
+        inside = residual > ABSENT
+        by_defect = inside[: len(nodes)]
+        self.counters["cover_cells_updated"] += int(np.count_nonzero(by_defect)) + boundary_cells
+        covered = inside.any(axis=0)
+        by_defect = by_defect.any(axis=0)
+        u, v = self._edge_u, self._edge_v
+        return Covers(
+            nodes=nodes,
+            members=groups,
+            residual=residual,
+            covered=covered,
+            both_covered=covered[u] & covered[v],
+            near=np.flatnonzero(by_defect[u] | by_defect[v]),
+        )
+
+    def _boundary_rows(self) -> tuple[np.ndarray, int]:
+        """Boundary rows of the residual matrix and the boundary cell count.
+
+        A boundary pseudo-node covers, at residual 0, every vertex at distance
+        0 from it: its own vertex, plus those that zero-weight (erased) edges
+        join to it.  Only the first two boundary nodes at a vertex matter to
+        the queries, so at most two rows hold them.
+        """
+        if self._zero_groups is None:
+            return np.where(self._boundary, 0, ABSENT)[None, :], int(self._boundary.sum())
+        group = self._zero_groups[1]
+        count = np.bincount(group[self._boundary], minlength=len(group))[group]
+        return np.where(count >= np.array([[1], [2]]), 0, ABSENT), int(count.sum())
+
+    def _cover_at(self, covers: Covers, vertex: int) -> list[tuple[int, int, int]]:
+        """``(node, residual, touch)`` of every Cover at ``vertex`` in Cover order."""
+        column = covers.residual[: len(covers.nodes), vertex].tolist()
+        cells = [
+            (value, node, row)
+            for row, (value, node) in enumerate(zip(column, covers.nodes))
+            if value > ABSENT
+        ]
+        same = [vertex] if self._zero_groups is None else self._zero_groups[0][vertex]
+        cells += [(0, node, -1) for node in same if self._boundary[node]]
+        cells.sort(key=lambda cell: (-cell[0], cell[1]))
+        return [
+            (node, value, self._touch(covers, row, vertex, node)) for value, node, row in cells
+        ]
+
+    def _touch(self, covers: Covers, row: int, vertex: int, node: int) -> int:
+        """Lowest-index defect of the node that realises its residual."""
+        if row < 0:
+            return node
+        target = covers.residual[row, vertex]
+        for defect in covers.members[row]:
+            if self.defect_radius[defect] - self._distance_row(defect)[vertex] == target:
+                return defect
+        raise DualPhaseError(f"no defect realises the cover at vertex {vertex}")
 
     # ------------------------------------------------------------------
     # conflict detection and growth length (Theorems of §4.2)
     # ------------------------------------------------------------------
-    def _any_growing(self, directions: dict[int, int]) -> bool:
-        for defect, root in self.defect_root.items():
-            if directions.get(root, HOLD) > 0:
-                return True
-        return False
-
     def _scan_conflicts(
-        self,
-        covers: list[dict[int, tuple[int, int]]],
-        directions: dict[int, int],
+        self, covers: Covers, directions: dict[int, int], tops: "_TopTwo"
     ) -> Conflict | None:
         """Theorem: Conflict Detection — evaluated on every ePU and vPU."""
-        graph = self.graph
-        # Edge-level detection (ePUs).
-        for edge in graph.edges:
-            cover_u = covers[edge.u]
-            cover_v = covers[edge.v]
-            if not cover_u or not cover_v:
-                continue
-            weight = self._edge_weight[edge.index]
-            self.counters["edges_scanned"] += 1
-            for node_u, (residual_u, touch_u) in cover_u.items():
+        # Edge-level detection (ePUs): a growing node on one end and another
+        # non-shrinking node on the other end whose residuals span the edge.
+        near = covers.near
+        u, v = self._edge_u[near], self._edge_v[near]
+        weight = self._edge_weight[near]
+        grow, keep = tops.grow, tops.keep
+        hits = (_pair_sum(grow[:, u], keep[:, v]) >= weight) | (
+            _pair_sum(grow[:, v], keep[:, u]) >= weight
+        )
+        if hits.any():
+            edge = int(near[np.argmax(hits)])
+            self.counters["edges_scanned"] += int(
+                np.count_nonzero(covers.both_covered[: edge + 1])
+            )
+            end_u, end_v = self.graph.edges[edge].u, self.graph.edges[edge].v
+            limit = int(self._edge_weight[edge])
+            for node_u, residual_u, touch_u in self._cover_at(covers, end_u):
                 direction_u = directions.get(node_u, HOLD)
-                for node_v, (residual_v, touch_v) in cover_v.items():
+                for node_v, residual_v, touch_v in self._cover_at(covers, end_v):
                     if node_u == node_v:
                         continue
                     if direction_u + directions.get(node_v, HOLD) <= 0:
                         continue
-                    if residual_u + residual_v >= weight:
-                        return self._make_conflict(
-                            node_u, node_v, touch_u, touch_v, edge.u, edge.v
-                        )
+                    if residual_u + residual_v >= limit:
+                        return self._make_conflict(node_u, node_v, touch_u, touch_v, end_u, end_v)
+            raise DualPhaseError(f"edge {edge} conflict vanished on replay")
+        self.counters["edges_scanned"] += int(np.count_nonzero(covers.both_covered))
         # Vertex-level detection (vPUs): two Covers overlapping on a vertex.
-        for vertex in range(graph.num_vertices):
-            cover = covers[vertex]
-            if len(cover) < 2:
-                continue
-            items = list(cover.items())
-            for i, (node_a, (residual_a, touch_a)) in enumerate(items):
-                direction_a = directions.get(node_a, HOLD)
-                for node_b, (residual_b, touch_b) in items[i + 1 :]:
-                    if direction_a + directions.get(node_b, HOLD) <= 0:
-                        continue
-                    return self._make_conflict(
-                        node_a, node_b, touch_a, touch_b, vertex, vertex
-                    )
-        return None
+        overlaps = (tops.grow[0] > ABSENT) & (tops.keep[2] > ABSENT)
+        if not overlaps.any():
+            return None
+        vertex = int(np.argmax(overlaps))
+        items = self._cover_at(covers, vertex)
+        for i, (node_a, _residual_a, touch_a) in enumerate(items):
+            direction_a = directions.get(node_a, HOLD)
+            for node_b, _residual_b, touch_b in items[i + 1 :]:
+                if direction_a + directions.get(node_b, HOLD) <= 0:
+                    continue
+                return self._make_conflict(node_a, node_b, touch_a, touch_b, vertex, vertex)
+        raise DualPhaseError(f"vertex {vertex} conflict vanished on replay")
 
     def _make_conflict(
         self,
@@ -366,56 +455,91 @@ class DualGraphState:
             vertex_1, vertex_2 = vertex_2, vertex_1
         return Conflict(node_1, node_2, touch_1, touch_2, vertex_1, vertex_2)
 
-    def _max_grow_length(
-        self,
-        covers: list[dict[int, tuple[int, int]]],
-        directions: dict[int, int],
-    ) -> int | None:
+    def _max_grow_length(self, covers: Covers, rates: np.ndarray, tops: "_TopTwo") -> int | None:
         """Theorem: Local Length to Grow — evaluated on every vPU and ePU."""
-        graph = self.graph
-        best: int | None = None
-
-        def consider(candidate: int) -> None:
-            nonlocal best
-            if best is None or candidate < best:
-                best = candidate
-
-        for edge in graph.edges:
-            weight = self._edge_weight[edge.index]
-            cover_u = covers[edge.u]
-            cover_v = covers[edge.v]
-            self.counters["edges_scanned"] += 1
-            # Pairs of distinct nodes approaching each other across this edge.
-            for node_u, (residual_u, _touch_u) in cover_u.items():
-                direction_u = directions.get(node_u, HOLD)
-                for node_v, (residual_v, _touch_v) in cover_v.items():
-                    if node_u == node_v:
-                        continue
-                    rate = direction_u + directions.get(node_v, HOLD)
-                    if rate <= 0:
-                        continue
-                    slack = weight - residual_u - residual_v
-                    consider(slack // rate)
-            # A growing Cover must not overshoot a vertex it has not reached
-            # yet: stop exactly when the Cover boundary arrives there, so that
-            # the Update stage can register the new vertex before continuing.
-            for this_end, other_end, cover_here, cover_there in (
-                (edge.u, edge.v, cover_u, cover_v),
-                (edge.v, edge.u, cover_v, cover_u),
-            ):
-                for node, (residual, _touch) in cover_here.items():
-                    direction = directions.get(node, HOLD)
-                    if direction <= 0:
-                        continue
-                    if node in cover_there:
-                        continue
-                    consider((weight - residual) // direction)
+        self.counters["edges_scanned"] += self.graph.num_edges
+        near = covers.near
+        u, v = self._edge_u[near], self._edge_v[near]
+        weight = self._edge_weight[near]
+        # Pairs of distinct nodes approaching each other across an edge: two
+        # growing nodes close the slack at rate 2, a growing and a holding
+        # node at rate 1.
+        grow, hold = tops.grow, tops.hold
+        candidates = [
+            (weight - _pair_sum(grow[:, u], grow[:, v])) // 2,
+            weight - (grow[0, u] + hold[v]),
+            weight - (grow[0, v] + hold[u]),
+        ]
+        # A growing Cover must not overshoot a vertex it has not reached
+        # yet: stop exactly when the Cover boundary arrives there, so that
+        # the Update stage can register the new vertex before continuing.
+        residual = covers.residual
+        growing = residual[rates > 0]
+        for here, there in ((u, v), (v, u)):
+            reach = np.where(growing[:, there] > ABSENT, ABSENT, growing[:, here]).max(axis=0)
+            candidates.append(weight - reach)
+        best = min((int(candidate.min()) for candidate in candidates), default=-ABSENT)
         # Shrinking Covers must not recede past a vertex in one step, so that
         # Touches/Nodes can be updated consistently (vPU-side term of the
-        # theorem).  Residuals are recomputed from defect radii here, so this
-        # is only needed to keep single steps aligned with the hardware.
-        for vertex in range(graph.num_vertices):
-            for node, (residual, _touch) in covers[vertex].items():
-                if directions.get(node, HOLD) < 0 and residual > 0:
-                    consider(residual)
-        return best
+        # theorem).
+        shrinking = residual[rates < 0]
+        shrinking = shrinking[shrinking > 0]
+        if shrinking.size:
+            best = min(best, int(shrinking.min()))
+        return best if best < -ABSENT // 2 else None
+
+
+class _TopTwo:
+    """Per-vertex top-two residuals over growing and non-shrinking nodes.
+
+    ``grow`` and ``keep`` stack, per vertex, the largest residual, the row
+    of the node holding it and the second largest residual; rows tell a
+    pair of distinct nodes apart from a node paired with itself.
+    """
+
+    def __init__(self, residual: np.ndarray, rates: np.ndarray) -> None:
+        self.grow = _top_two(residual, rates > 0)
+        self.keep = _top_two(residual, rates >= 0)
+        self.hold = np.where(rates[:, None] == 0, residual, ABSENT).max(axis=0)
+
+
+def _top_two(residual: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Largest value, its row and the second largest value per column."""
+    values = np.where(rows[:, None], residual, ABSENT)
+    first_row = values.argmax(axis=0)
+    columns = np.arange(values.shape[1])
+    first = values[first_row, columns]
+    values[first_row, columns] = ABSENT
+    return np.stack([first, first_row, values.max(axis=0)])
+
+
+def _pair_sum(here: np.ndarray, there: np.ndarray) -> np.ndarray:
+    """Best sum of one value from each side, taken from distinct rows."""
+    first, row, second = here
+    other_first, other_row, other_second = there
+    return np.where(
+        row != other_row,
+        first + other_first,
+        np.maximum(first + other_second, second + other_first),
+    )
+
+
+def _zero_distance_groups(graph: DecodingGraph) -> tuple[list[list[int]], np.ndarray] | None:
+    """Vertices at distance 0 from each vertex, and a group id per vertex.
+
+    ``None`` when no edge has zero weight (every group is a single vertex).
+    """
+    if all(edge.weight for edge in graph.edges):
+        return None
+    groups: list[list[int] | None] = [None] * graph.num_vertices
+    for start in range(graph.num_vertices):
+        if groups[start] is not None:
+            continue
+        group = groups[start] = [start]
+        for vertex in group:
+            for edge_index, neighbor in graph.adjacency[vertex]:
+                if graph.edges[edge_index].weight == 0 and groups[neighbor] is None:
+                    groups[neighbor] = group
+                    group.append(neighbor)
+        group.sort()
+    return groups, np.array([group[0] for group in groups], dtype=np.intp)

@@ -121,6 +121,11 @@ class DecodingGraph:
         self.virtual_vertices: list[int] = [
             v.index for v in self.vertices if v.is_virtual
         ]
+        self._layers: list[list[int]] = []
+        for vertex in self.vertices:
+            while len(self._layers) <= vertex.layer:
+                self._layers.append([])
+            self._layers[vertex.layer].append(vertex.index)
         self._distance_cache: dict[int, tuple[list[int], list[int | None]]] = {}
 
     # ------------------------------------------------------------------
@@ -280,11 +285,13 @@ class DecodingGraph:
         return crossings % 2 == 1
 
     def vertices_in_layer(self, layer: int) -> list[int]:
-        return [v.index for v in self.vertices if v.layer == layer]
+        if not 0 <= layer < len(self._layers):
+            return []
+        return list(self._layers[layer])
 
     @property
     def num_layers(self) -> int:
-        return 1 + max((v.layer for v in self.vertices), default=0)
+        return max(1, len(self._layers))
 
     @property
     def noise_model(self):
