@@ -173,6 +173,7 @@ class MicroBlossomAccelerator(DualGraphState):
         residue = np.maximum(covers.residual.max(axis=0), 0)
         edge_u, edge_v = self._edge_u, self._edge_v
         tight = residue[edge_u] + residue[edge_v] >= self._edge_weight
+        tight_edges = np.flatnonzero(tight).tolist()
         tight_count = np.bincount(
             np.concatenate([edge_u[tight], edge_v[tight]]), minlength=graph.num_vertices
         ).tolist()
@@ -220,7 +221,7 @@ class MicroBlossomAccelerator(DualGraphState):
                 return True
             return False
 
-        for index in np.flatnonzero(tight).tolist():
+        for index in tight_edges:
             edge = graph.edges[index]
             if edge.u in claimed or edge.v in claimed:
                 continue

@@ -83,26 +83,34 @@ DEFAULT_DUAL_SCALE = 2
 #: growth candidate derived from it is far above any real one.
 ABSENT = -(1 << 40)
 
+#: Growth candidates at or above this bound come from absent Covers.
+_UNBOUNDED = 1 << 38
+
 
 @dataclass
 class Covers:
     """Per-vertex Cover state of every node (paper §4.2, Table 2).
 
     ``residual[i, v]`` is how far node ``nodes[i]``'s Cover extends beyond
-    vertex ``v`` (``ABSENT`` outside the Cover); the last row holds the
-    boundary pseudo-nodes, each at residual 0 on its own vertex.
-    ``members[i]`` lists the node's defects in ascending order.
+    vertex ``v`` (``ABSENT`` outside the Cover); the rows after the last node
+    hold the boundary pseudo-nodes at residual 0.  ``members[i]`` lists the
+    node's defects in ascending order.
     """
 
     nodes: list[int]
     members: list[list[int]]
     residual: np.ndarray
-    #: Vertices covered by any node, boundary included.
-    covered: np.ndarray
-    #: Edges whose two endpoints are both covered.
+    #: Edges whose two endpoints are both covered, and how many there are.
     both_covered: np.ndarray
+    both_count: int
     #: Edges next to a vertex covered by a defect node, ascending.
     near: np.ndarray
+    #: Ends of the ``near`` edges seen from each side: entry ``i`` of the
+    #: first half reads edge ``near[i]`` from ``u`` to ``v``, the second
+    #: half from ``v`` to ``u``; ``weight`` is the edge weight of each entry.
+    here: np.ndarray
+    there: np.ndarray
+    weight: np.ndarray
 
 
 class DualGraphState:
@@ -123,6 +131,8 @@ class DualGraphState:
         self._edge_weight = np.array([edge.weight * scale for edge in graph.edges], dtype=np.int64)
         self._virtual = np.array([v.is_virtual for v in graph.vertices], dtype=bool)
         self._zero_groups = _zero_distance_groups(graph)
+        self._ends = np.concatenate((self._edge_u, self._edge_v))
+        self._other_ends = np.concatenate((self._edge_v, self._edge_u))
         self._distance_rows: dict[int, np.ndarray] = {}
         self.counters: Counter = Counter()
         self.reset()
@@ -136,6 +146,7 @@ class DualGraphState:
         self.loaded = np.zeros(graph.num_vertices, dtype=bool)
         self.is_defect = np.zeros(graph.num_vertices, dtype=bool)
         self._boundary = np.ones(graph.num_vertices, dtype=bool)
+        self._boundary_block: tuple[np.ndarray, int, np.ndarray] | None = None
         self.defect_radius: dict[int, int] = {}
         self.defect_root: dict[int, int] = {}
         self.node_direction: dict[int, int] = {}
@@ -159,6 +170,7 @@ class DualGraphState:
             for layer in set(layers):
                 loaded[self.graph.vertices_in_layer(layer)] = True
         self._boundary = self._virtual | ~loaded
+        self._boundary_block = None
         for vertex in fresh_defects:
             if not loaded[vertex]:
                 continue
@@ -244,17 +256,18 @@ class DualGraphState:
         self.counters["instr_find_obstacle"] += 1
         covers = self._ensure_covers()
         directions = self._effective_directions()
-        rates = np.array([directions.get(node, HOLD) for node in covers.nodes])
-        rates = np.pad(rates, (0, len(covers.residual) - len(rates)))
-        if not (rates > 0).any():
-            self.counters["edges_scanned"] += int(np.count_nonzero(covers.both_covered))
+        rates = [directions.get(node, HOLD) for node in covers.nodes]
+        if max(rates, default=HOLD) <= 0:
+            # Nothing grows: no conflict can exist, and nothing can move.
+            self.counters["edges_scanned"] += covers.both_count
             return Finished()
-        tops = _TopTwo(covers.residual, rates)
-        conflict = self._scan_conflicts(covers, directions, tops)
+        rates = np.array(rates + [HOLD] * (len(covers.residual) - len(rates)))
+        grow = _top_two(covers.residual, rates > 0)
+        conflict = self._scan_conflicts(covers, directions, rates, grow)
         if conflict is not None:
             self.counters["conflicts_reported"] += 1
             return conflict
-        length = self._max_grow_length(covers, rates, tops)
+        length = self._max_grow_length(covers, rates, grow)
         if length is None:
             raise DualPhaseError("growing nodes exist but growth is unbounded")
         if length <= 0:
@@ -318,7 +331,7 @@ class DualGraphState:
         return self._covers
 
     def _build_covers(self) -> Covers:
-        """Residual matrix of every node's Cover plus the boundary row."""
+        """Residual matrix of every node's Cover plus the boundary rows."""
         members: dict[int, list[int]] = {}
         for defect in sorted(self.defect_radius):
             if self.defect_radius[defect] < 0:
@@ -326,34 +339,44 @@ class DualGraphState:
             members.setdefault(self.defect_root[defect], []).append(defect)
         nodes = sorted(members)
         groups = [members[node] for node in nodes]
-        boundary, boundary_cells = self._boundary_rows()
+        if self._boundary_block is None:
+            self._boundary_block = self._boundary_rows()
+        boundary, cells, covered = self._boundary_block
         if nodes:
             order = [defect for group in groups for defect in group]
             radii = np.array([self.defect_radius[d] for d in order], dtype=np.int64)
-            reach = radii[:, None] - np.stack([self._distance_row(d) for d in order])
+            reach = radii[:, None] - np.array([self._distance_row(d) for d in order])
             if len(order) > len(nodes):
                 starts = np.cumsum([0] + [len(group) for group in groups[:-1]])
                 reach = np.maximum.reduceat(reach, starts, axis=0)
-            residual = np.vstack([np.where(reach >= 0, reach, ABSENT), boundary])
+            inside = reach >= 0
+            cells += int(np.count_nonzero(inside))
+            by_defect = reach.max(axis=0) >= 0
+            covered = covered | by_defect
+            residual = np.concatenate((np.where(inside, reach, ABSENT), boundary))
         else:
+            by_defect = np.zeros_like(covered)
             residual = boundary
-        inside = residual > ABSENT
-        by_defect = inside[: len(nodes)]
-        self.counters["cover_cells_updated"] += int(np.count_nonzero(by_defect)) + boundary_cells
-        covered = inside.any(axis=0)
-        by_defect = by_defect.any(axis=0)
+        self.counters["cover_cells_updated"] += cells
         u, v = self._edge_u, self._edge_v
+        both_covered = covered[u] & covered[v]
+        near = np.flatnonzero(by_defect[u] | by_defect[v])
+        sides = np.concatenate((near, near + len(u)))
         return Covers(
             nodes=nodes,
             members=groups,
             residual=residual,
-            covered=covered,
-            both_covered=covered[u] & covered[v],
-            near=np.flatnonzero(by_defect[u] | by_defect[v]),
+            both_covered=both_covered,
+            both_count=int(np.count_nonzero(both_covered)),
+            near=near,
+            here=self._ends[sides],
+            there=self._other_ends[sides],
+            weight=self._edge_weight[sides % len(u)],
         )
 
-    def _boundary_rows(self) -> tuple[np.ndarray, int]:
-        """Boundary rows of the residual matrix and the boundary cell count.
+    def _boundary_rows(self) -> tuple[np.ndarray, int, np.ndarray]:
+        """Boundary rows of the residual matrix, the boundary cell count and
+        the vertices a boundary pseudo-node covers.
 
         A boundary pseudo-node covers, at residual 0, every vertex at distance
         0 from it: its own vertex, plus those that zero-weight (erased) edges
@@ -361,10 +384,12 @@ class DualGraphState:
         the queries, so at most two rows hold them.
         """
         if self._zero_groups is None:
-            return np.where(self._boundary, 0, ABSENT)[None, :], int(self._boundary.sum())
+            rows = np.where(self._boundary, 0, ABSENT)[None, :]
+            return rows, int(np.count_nonzero(self._boundary)), self._boundary
         group = self._zero_groups[1]
         count = np.bincount(group[self._boundary], minlength=len(group))[group]
-        return np.where(count >= np.array([[1], [2]]), 0, ABSENT), int(count.sum())
+        rows = np.where(count >= np.array([[1], [2]]), 0, ABSENT)
+        return rows, int(count.sum()), count > 0
 
     def _cover_at(self, covers: Covers, vertex: int) -> list[tuple[int, int, int]]:
         """``(node, residual, touch)`` of every Cover at ``vertex`` in Cover order."""
@@ -395,20 +420,18 @@ class DualGraphState:
     # conflict detection and growth length (Theorems of §4.2)
     # ------------------------------------------------------------------
     def _scan_conflicts(
-        self, covers: Covers, directions: dict[int, int], tops: "_TopTwo"
+        self, covers: Covers, directions: dict[int, int], rates: np.ndarray, grow: np.ndarray
     ) -> Conflict | None:
         """Theorem: Conflict Detection — evaluated on every ePU and vPU."""
         # Edge-level detection (ePUs): a growing node on one end and another
         # non-shrinking node on the other end whose residuals span the edge.
-        near = covers.near
-        u, v = self._edge_u[near], self._edge_v[near]
-        weight = self._edge_weight[near]
-        grow, keep = tops.grow, tops.keep
-        hits = (_pair_sum(grow[:, u], keep[:, v]) >= weight) | (
-            _pair_sum(grow[:, v], keep[:, u]) >= weight
-        )
-        if hits.any():
-            edge = int(near[np.argmax(hits)])
+        keep = _top_two(covers.residual, rates >= 0)
+        spans = _pair_sum(grow[:, covers.here], keep[:, covers.there]) >= covers.weight
+        count = len(covers.near)
+        hits = spans[:count] | spans[count:]
+        first = int(hits.argmax()) if count else 0
+        if count and hits[first]:
+            edge = int(covers.near[first])
             self.counters["edges_scanned"] += int(
                 np.count_nonzero(covers.both_covered[: edge + 1])
             )
@@ -424,12 +447,12 @@ class DualGraphState:
                     if residual_u + residual_v >= limit:
                         return self._make_conflict(node_u, node_v, touch_u, touch_v, end_u, end_v)
             raise DualPhaseError(f"edge {edge} conflict vanished on replay")
-        self.counters["edges_scanned"] += int(np.count_nonzero(covers.both_covered))
+        self.counters["edges_scanned"] += covers.both_count
         # Vertex-level detection (vPUs): two Covers overlapping on a vertex.
-        overlaps = (tops.grow[0] > ABSENT) & (tops.keep[2] > ABSENT)
-        if not overlaps.any():
+        overlaps = (grow[0] > ABSENT) & (keep[2] > ABSENT)
+        vertex = int(overlaps.argmax())
+        if not overlaps[vertex]:
             return None
-        vertex = int(np.argmax(overlaps))
         items = self._cover_at(covers, vertex)
         for i, (node_a, _residual_a, touch_a) in enumerate(items):
             direction_a = directions.get(node_a, HOLD)
@@ -455,62 +478,52 @@ class DualGraphState:
             vertex_1, vertex_2 = vertex_2, vertex_1
         return Conflict(node_1, node_2, touch_1, touch_2, vertex_1, vertex_2)
 
-    def _max_grow_length(self, covers: Covers, rates: np.ndarray, tops: "_TopTwo") -> int | None:
+    def _max_grow_length(self, covers: Covers, rates: np.ndarray, grow: np.ndarray) -> int | None:
         """Theorem: Local Length to Grow — evaluated on every vPU and ePU."""
         self.counters["edges_scanned"] += self.graph.num_edges
-        near = covers.near
-        u, v = self._edge_u[near], self._edge_v[near]
-        weight = self._edge_weight[near]
-        # Pairs of distinct nodes approaching each other across an edge: two
-        # growing nodes close the slack at rate 2, a growing and a holding
-        # node at rate 1.
-        grow, hold = tops.grow, tops.hold
-        candidates = [
-            (weight - _pair_sum(grow[:, u], grow[:, v])) // 2,
-            weight - (grow[0, u] + hold[v]),
-            weight - (grow[0, v] + hold[u]),
-        ]
-        # A growing Cover must not overshoot a vertex it has not reached
-        # yet: stop exactly when the Cover boundary arrives there, so that
-        # the Update stage can register the new vertex before continuing.
         residual = covers.residual
-        growing = residual[rates > 0]
-        for here, there in ((u, v), (v, u)):
-            reach = np.where(growing[:, there] > ABSENT, ABSENT, growing[:, here]).max(axis=0)
-            candidates.append(weight - reach)
-        best = min((int(candidate.min()) for candidate in candidates), default=-ABSENT)
+        here, there, weight = covers.here, covers.there, covers.weight
+        count = len(covers.near)
+        best = _UNBOUNDED
+        if count:
+            # Two distinct growing nodes approaching each other across an
+            # edge close its slack at rate 2 ...
+            paired = weight[:count] - _pair_sum(grow[:, here[:count]], grow[:, there[:count]])
+            # ... a growing and a holding node at rate 1.
+            hold = np.where(rates[:, None] == 0, residual, ABSENT).max(axis=0)
+            reach = grow[0, here] + hold[there]
+            # A growing Cover must not overshoot a vertex it has not reached
+            # yet: stop exactly when the Cover boundary arrives there, so
+            # that the Update stage can register the new vertex before
+            # continuing.
+            growing = residual[rates > 0]
+            alone = np.where(growing[:, there] > ABSENT, ABSENT, growing[:, here]).max(axis=0)
+            slack = weight - np.maximum(reach, alone)
+            best = min(int(paired.min()) // 2, int(slack.min()))
         # Shrinking Covers must not recede past a vertex in one step, so that
         # Touches/Nodes can be updated consistently (vPU-side term of the
         # theorem).
-        shrinking = residual[rates < 0]
-        shrinking = shrinking[shrinking > 0]
-        if shrinking.size:
-            best = min(best, int(shrinking.min()))
-        return best if best < -ABSENT // 2 else None
-
-
-class _TopTwo:
-    """Per-vertex top-two residuals over growing and non-shrinking nodes.
-
-    ``grow`` and ``keep`` stack, per vertex, the largest residual, the row
-    of the node holding it and the second largest residual; rows tell a
-    pair of distinct nodes apart from a node paired with itself.
-    """
-
-    def __init__(self, residual: np.ndarray, rates: np.ndarray) -> None:
-        self.grow = _top_two(residual, rates > 0)
-        self.keep = _top_two(residual, rates >= 0)
-        self.hold = np.where(rates[:, None] == 0, residual, ABSENT).max(axis=0)
+        if rates.min() < 0:
+            shrinking = residual[rates < 0]
+            shrinking = shrinking[shrinking > 0]
+            if shrinking.size:
+                best = min(best, int(shrinking.min()))
+        return best if best < _UNBOUNDED else None
 
 
 def _top_two(residual: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Largest value, its row and the second largest value per column."""
+    """Per column, over the selected rows: the largest value, its row and the
+    second largest value (rows tell two distinct nodes apart from one node
+    paired with itself)."""
     values = np.where(rows[:, None], residual, ABSENT)
+    top = np.empty((3, values.shape[1]), dtype=np.int64)
     first_row = values.argmax(axis=0)
     columns = np.arange(values.shape[1])
-    first = values[first_row, columns]
+    top[0] = values[first_row, columns]
+    top[1] = first_row
     values[first_row, columns] = ABSENT
-    return np.stack([first, first_row, values.max(axis=0)])
+    values.max(axis=0, out=top[2])
+    return top
 
 
 def _pair_sum(here: np.ndarray, there: np.ndarray) -> np.ndarray:
