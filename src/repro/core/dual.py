@@ -107,9 +107,10 @@ class Covers:
     near: np.ndarray
     #: Ends of the ``near`` edges seen from each side: entry ``i`` of the
     #: first half reads edge ``near[i]`` from ``u`` to ``v``, the second
-    #: half from ``v`` to ``u``; ``weight`` is the edge weight of each entry.
+    #: half from ``v`` to ``u``.
     here: np.ndarray
     there: np.ndarray
+    #: Weights of the ``near`` edges.
     weight: np.ndarray
 
 
@@ -262,12 +263,21 @@ class DualGraphState:
             self.counters["edges_scanned"] += covers.both_count
             return Finished()
         rates = np.array(rates + [HOLD] * (len(covers.residual) - len(rates)))
-        grow = _top_two(covers.residual, rates > 0)
-        conflict = self._scan_conflicts(covers, directions, rates, grow)
+        residual = covers.residual
+        grow = _top_two(residual, rates > 0)
+        hold = np.where(rates[:, None] == 0, residual, ABSENT).max(axis=0)
+        # Largest residual sums across every near edge: two distinct growing
+        # nodes, one on each end, close its slack at rate 2; a growing node
+        # and a holding one at rate 1.
+        here, there = covers.here, covers.there
+        count = len(covers.near)
+        both = _pair_sum(grow[:, here[:count]], grow[:, there[:count]])
+        mixed = (grow[0, here] + hold[there]).reshape(2, count).max(axis=0)
+        conflict = self._scan_conflicts(covers, directions, both, mixed, grow, hold)
         if conflict is not None:
             self.counters["conflicts_reported"] += 1
             return conflict
-        length = self._max_grow_length(covers, rates, grow)
+        length = self._max_grow_length(covers, rates, both, mixed)
         if length is None:
             raise DualPhaseError("growing nodes exist but growth is unbounded")
         if length <= 0:
@@ -371,7 +381,7 @@ class DualGraphState:
             near=near,
             here=self._ends[sides],
             there=self._other_ends[sides],
-            weight=self._edge_weight[sides % len(u)],
+            weight=self._edge_weight[near],
         )
 
     def _boundary_rows(self) -> tuple[np.ndarray, int, np.ndarray]:
@@ -420,17 +430,20 @@ class DualGraphState:
     # conflict detection and growth length (Theorems of §4.2)
     # ------------------------------------------------------------------
     def _scan_conflicts(
-        self, covers: Covers, directions: dict[int, int], rates: np.ndarray, grow: np.ndarray
+        self,
+        covers: Covers,
+        directions: dict[int, int],
+        both: np.ndarray,
+        mixed: np.ndarray,
+        grow: np.ndarray,
+        hold: np.ndarray,
     ) -> Conflict | None:
         """Theorem: Conflict Detection — evaluated on every ePU and vPU."""
         # Edge-level detection (ePUs): a growing node on one end and another
         # non-shrinking node on the other end whose residuals span the edge.
-        keep = _top_two(covers.residual, rates >= 0)
-        spans = _pair_sum(grow[:, covers.here], keep[:, covers.there]) >= covers.weight
-        count = len(covers.near)
-        hits = spans[:count] | spans[count:]
-        first = int(hits.argmax()) if count else 0
-        if count and hits[first]:
+        hits = np.maximum(both, mixed) >= covers.weight
+        first = int(hits.argmax()) if len(hits) else 0
+        if len(hits) and hits[first]:
             edge = int(covers.near[first])
             self.counters["edges_scanned"] += int(
                 np.count_nonzero(covers.both_covered[: edge + 1])
@@ -449,7 +462,7 @@ class DualGraphState:
             raise DualPhaseError(f"edge {edge} conflict vanished on replay")
         self.counters["edges_scanned"] += covers.both_count
         # Vertex-level detection (vPUs): two Covers overlapping on a vertex.
-        overlaps = (grow[0] > ABSENT) & (keep[2] > ABSENT)
+        overlaps = (grow[2] > ABSENT) | ((grow[0] > ABSENT) & (hold > ABSENT))
         vertex = int(overlaps.argmax())
         if not overlaps[vertex]:
             return None
@@ -478,28 +491,28 @@ class DualGraphState:
             vertex_1, vertex_2 = vertex_2, vertex_1
         return Conflict(node_1, node_2, touch_1, touch_2, vertex_1, vertex_2)
 
-    def _max_grow_length(self, covers: Covers, rates: np.ndarray, grow: np.ndarray) -> int | None:
+    def _max_grow_length(
+        self, covers: Covers, rates: np.ndarray, both: np.ndarray, mixed: np.ndarray
+    ) -> int | None:
         """Theorem: Local Length to Grow — evaluated on every vPU and ePU."""
         self.counters["edges_scanned"] += self.graph.num_edges
         residual = covers.residual
-        here, there, weight = covers.here, covers.there, covers.weight
-        count = len(covers.near)
         best = _UNBOUNDED
+        count = len(covers.near)
         if count:
-            # Two distinct growing nodes approaching each other across an
-            # edge close its slack at rate 2 ...
-            paired = weight[:count] - _pair_sum(grow[:, here[:count]], grow[:, there[:count]])
-            # ... a growing and a holding node at rate 1.
-            hold = np.where(rates[:, None] == 0, residual, ABSENT).max(axis=0)
-            reach = grow[0, here] + hold[there]
             # A growing Cover must not overshoot a vertex it has not reached
             # yet: stop exactly when the Cover boundary arrives there, so
             # that the Update stage can register the new vertex before
             # continuing.
             growing = residual[rates > 0]
+            here, there = covers.here, covers.there
             alone = np.where(growing[:, there] > ABSENT, ABSENT, growing[:, here]).max(axis=0)
-            slack = weight - np.maximum(reach, alone)
-            best = min(int(paired.min()) // 2, int(slack.min()))
+            alone = alone.reshape(2, count).max(axis=0)
+            weight = covers.weight
+            best = min(
+                int((weight - both).min()) // 2,
+                int((weight - np.maximum(mixed, alone)).min()),
+            )
         # Shrinking Covers must not recede past a vertex in one step, so that
         # Touches/Nodes can be updated consistently (vPU-side term of the
         # theorem).
