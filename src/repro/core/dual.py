@@ -412,9 +412,7 @@ class DualGraphState:
         same = [vertex] if self._zero_groups is None else self._zero_groups[0][vertex]
         cells += [(0, node, -1) for node in same if self._boundary[node]]
         cells.sort(key=lambda cell: (-cell[0], cell[1]))
-        return [
-            (node, value, self._touch(covers, row, vertex, node)) for value, node, row in cells
-        ]
+        return [(node, value, self._touch(covers, row, vertex, node)) for value, node, row in cells]
 
     def _touch(self, covers: Covers, row: int, vertex: int, node: int) -> int:
         """Lowest-index defect of the node that realises its residual."""
@@ -441,13 +439,10 @@ class DualGraphState:
         """Theorem: Conflict Detection — evaluated on every ePU and vPU."""
         # Edge-level detection (ePUs): a growing node on one end and another
         # non-shrinking node on the other end whose residuals span the edge.
-        hits = np.maximum(both, mixed) >= covers.weight
-        first = int(hits.argmax()) if len(hits) else 0
-        if len(hits) and hits[first]:
-            edge = int(covers.near[first])
-            self.counters["edges_scanned"] += int(
-                np.count_nonzero(covers.both_covered[: edge + 1])
-            )
+        hits = np.flatnonzero(np.maximum(both, mixed) >= covers.weight)
+        if hits.size:
+            edge = int(covers.near[hits[0]])
+            self.counters["edges_scanned"] += int(np.count_nonzero(covers.both_covered[: edge + 1]))
             end_u, end_v = self.graph.edges[edge].u, self.graph.edges[edge].v
             limit = int(self._edge_weight[edge])
             for node_u, residual_u, touch_u in self._cover_at(covers, end_u):
@@ -462,10 +457,10 @@ class DualGraphState:
             raise DualPhaseError(f"edge {edge} conflict vanished on replay")
         self.counters["edges_scanned"] += covers.both_count
         # Vertex-level detection (vPUs): two Covers overlapping on a vertex.
-        overlaps = (grow[2] > ABSENT) | ((grow[0] > ABSENT) & (hold > ABSENT))
-        vertex = int(overlaps.argmax())
-        if not overlaps[vertex]:
+        overlaps = np.flatnonzero((grow[2] > ABSENT) | ((grow[0] > ABSENT) & (hold > ABSENT)))
+        if not overlaps.size:
             return None
+        vertex = int(overlaps[0])
         items = self._cover_at(covers, vertex)
         for i, (node_a, _residual_a, touch_a) in enumerate(items):
             direction_a = directions.get(node_a, HOLD)
