@@ -173,11 +173,9 @@ class MicroBlossomAccelerator(DualGraphState):
         residue = np.maximum(covers.residual.max(axis=0), 0)
         edge_u, edge_v = self._edge_u, self._edge_v
         tight = residue[edge_u] + residue[edge_v] >= self._edge_weight
-        tight_edges = np.flatnonzero(tight).tolist()
         tight_count = np.bincount(
             np.concatenate([edge_u[tight], edge_v[tight]]), minlength=graph.num_vertices
-        ).tolist()
-        tight = tight.tolist()
+        )
 
         prematches: dict[int, PreMatch] = {}
         claimed: set[int] = set()
@@ -221,7 +219,7 @@ class MicroBlossomAccelerator(DualGraphState):
                 return True
             return False
 
-        for index in tight_edges:
+        for index in tight.nonzero()[0].tolist():
             edge = graph.edges[index]
             if edge.u in claimed or edge.v in claimed:
                 continue

@@ -370,7 +370,7 @@ class DualGraphState:
         self.counters["cover_cells_updated"] += cells
         u, v = self._edge_u, self._edge_v
         both_covered = covered[u] & covered[v]
-        near = np.flatnonzero(by_defect[u] | by_defect[v])
+        near = (by_defect[u] | by_defect[v]).nonzero()[0]
         sides = np.concatenate((near, near + len(u)))
         return Covers(
             nodes=nodes,
@@ -439,7 +439,7 @@ class DualGraphState:
         """Theorem: Conflict Detection — evaluated on every ePU and vPU."""
         # Edge-level detection (ePUs): a growing node on one end and another
         # non-shrinking node on the other end whose residuals span the edge.
-        hits = np.flatnonzero(np.maximum(both, mixed) >= covers.weight)
+        hits = (np.maximum(both, mixed) >= covers.weight).nonzero()[0]
         if hits.size:
             edge = int(covers.near[hits[0]])
             self.counters["edges_scanned"] += int(np.count_nonzero(covers.both_covered[: edge + 1]))
@@ -457,7 +457,7 @@ class DualGraphState:
             raise DualPhaseError(f"edge {edge} conflict vanished on replay")
         self.counters["edges_scanned"] += covers.both_count
         # Vertex-level detection (vPUs): two Covers overlapping on a vertex.
-        overlaps = np.flatnonzero((grow[2] > ABSENT) | ((grow[0] > ABSENT) & (hold > ABSENT)))
+        overlaps = ((grow[2] > ABSENT) | ((grow[0] > ABSENT) & (hold > ABSENT))).nonzero()[0]
         if not overlaps.size:
             return None
         vertex = int(overlaps[0])
