@@ -21,7 +21,9 @@ from repro.graphs import (
     NOISE_FAMILY_NAMES,
     Syndrome,
     SyndromeSampler,
+    circuit_level_noise,
     residual_defects,
+    surface_code_decoding_graph,
 )
 from repro.graphs.syndrome import matching_weight
 
@@ -134,3 +136,21 @@ def test_lut_counts_erased_shots_as_misses():
     outcome = lut.decode_detailed(erased)
     assert lut.stats()["misses"] == before + 1
     assert outcome.counters["lut_miss"] == 1
+
+
+def test_micro_blossom_batch_is_exact_at_benchmark_distance():
+    """The array dual engine at the repo benchmark's size: d=9 circuit-level
+    noise at p=0.001, 200 non-trivial shots, every one at the reference
+    optimum with a correction that annihilates its defects."""
+    graph = surface_code_decoding_graph(9, circuit_level_noise(0.001))
+    shots = [s for s in SyndromeSampler(graph, seed=20261017).sample_batch(400) if s.defects]
+    shots = shots[:200]
+    assert len(shots) == 200
+    decoder = get_decoder("micro-blossom-batch", graph)
+    reference = get_decoder("reference", graph)
+    for syndrome in shots:
+        result = decoder.decode(syndrome)
+        result.validate_perfect(syndrome.defects)
+        assert result.weight == reference.decode(syndrome).weight, syndrome.defects
+        correction = decoder.decode_to_correction(syndrome)
+        assert residual_defects(graph, syndrome, correction) == (), syndrome.defects
