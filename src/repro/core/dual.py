@@ -19,23 +19,27 @@ and edges at once, here numpy array operations.
   ``max(R(u) - d(u, v))`` over the node's defects; the vertex lies in the
   Cover iff the residual is ``>= 0``.  All nodes together form one
   ``nodes × vertices`` residual matrix.  Virtual and not-yet-loaded vertices
-  are boundary pseudo-nodes whose Cover is their own vertex at residual 0;
-  one extra row (a boolean mask of boundary sources) holds them all.  The
-  Cover order at a vertex is residual descending, then node id ascending,
-  and a node's Touch there is its lowest-index defect that reaches the
-  residual.
+  are boundary pseudo-nodes whose Cover is the ball of radius 0 around them:
+  their own vertex, plus any vertex a zero-weight (erased) edge joins to it.
+  One extra row (a mask of boundary sources) holds them all; a second one
+  marks vertices that two boundary nodes reach.  The Cover order at a vertex
+  is residual descending, then node id ascending, and a node's Touch there
+  is its lowest-index defect that reaches the residual.
 * **Queries.**  Conflict detection and the safe growth length (the
-  Theorems of §4.2) reduce to per-vertex top-two residuals over growing and
-  over non-shrinking nodes, gathered at both ends of every edge next to a
-  vertex covered by a defect node.  The first conflict in edge order (then in
-  vertex order) is found with ``argmax``; only that one edge or vertex is
-  then replayed pair by pair in Cover order to name the two nodes.
+  Theorems of §4.2) reduce to two per-vertex reductions, the top-two
+  residuals over growing nodes (with the row of the first, so that a node
+  is never paired with itself) and the top residual over holding nodes,
+  gathered at both ends of every edge next to a vertex covered by a defect
+  node.  The first conflict in edge order (then in vertex order) is found
+  with one ``nonzero``; only that one edge or vertex is then replayed pair
+  by pair in Cover order to name the two nodes and their Touches.
 
 Operation counters (the inputs of the accelerator and CPU cost models):
 
 * ``cover_cells_updated`` grows, each time the Covers are rebuilt after a
   change, by the number of covered ``(node, vertex)`` cells plus the number
-  of boundary sources;
+  of boundary sources (plus the vertices zero-weight edges add to their
+  Covers);
 * ``edges_scanned`` grows, per conflict scan, by the number of edges whose
   two endpoints are both covered, counting up to and including the
   conflicting edge (all of them when there is no edge-level conflict), and

@@ -264,3 +264,120 @@ _ENGINE_PINS = {
 @pytest.mark.parametrize("case", sorted(_ENGINE_PINS), ids=lambda case: "-".join(map(str, case)))
 def test_engine_counters_are_pinned(case):
     assert _engine_pin(*case) == _ENGINE_PINS[case]
+
+
+# ----------------------------------------------------------------------
+# the array engine against a scalar loop reference
+# ----------------------------------------------------------------------
+def _reference_covers(dual):
+    """Per-vertex ``[(node, residual, touch)]`` in Cover order, by loops."""
+    graph = dual.graph
+    members = {}
+    for defect in sorted(dual.defect_radius):
+        members.setdefault(dual.defect_root[defect], []).append(defect)
+    covers = [[] for _ in range(graph.num_vertices)]
+    for vertex in range(graph.num_vertices):
+        for node, defects in members.items():
+            best = None
+            for defect in defects:
+                distance = graph.distance(defect, vertex)
+                residual = dual.defect_radius[defect] - distance * dual.scale
+                if distance >= 0 and residual >= 0 and (best is None or residual > best[0]):
+                    best = (residual, defect)
+            if best is not None:
+                covers[vertex].append((node, best[0], best[1]))
+        for source in range(graph.num_vertices):
+            if dual.is_boundary_node(source) and graph.distance(source, vertex) == 0:
+                covers[vertex].append((source, 0, source))
+        covers[vertex].sort(key=lambda cell: (-cell[1], cell[0]))
+    return covers
+
+
+def _reference_obstacle(dual, directions):
+    """``(obstacle, edges scanned, cover cells)`` from the loop definitions."""
+    graph = dual.graph
+    covers = _reference_covers(dual)
+    cells = sum(len(cover) for cover in covers)
+
+    def rate(node):
+        return directions.get(node, HOLD)
+
+    def conflict(node_1, node_2, touch_1, touch_2, vertex_1, vertex_2):
+        if dual.is_boundary_node(node_1) and not dual.is_boundary_node(node_2):
+            return Conflict(node_2, node_1, touch_2, touch_1, vertex_2, vertex_1)
+        return Conflict(node_1, node_2, touch_1, touch_2, vertex_1, vertex_2)
+
+    scanned = 0
+    for edge in graph.edges:
+        if not covers[edge.u] or not covers[edge.v]:
+            continue
+        scanned += 1
+        for node_u, residual_u, touch_u in covers[edge.u]:
+            for node_v, residual_v, touch_v in covers[edge.v]:
+                if node_u != node_v and rate(node_u) + rate(node_v) > 0:
+                    if residual_u + residual_v >= edge.weight * dual.scale:
+                        found = conflict(node_u, node_v, touch_u, touch_v, edge.u, edge.v)
+                        return found, scanned, cells
+    for vertex, cover in enumerate(covers):
+        for i, (node_a, _residual_a, touch_a) in enumerate(cover):
+            for node_b, _residual_b, touch_b in cover[i + 1 :]:
+                if rate(node_a) + rate(node_b) > 0:
+                    found = conflict(node_a, node_b, touch_a, touch_b, vertex, vertex)
+                    return found, scanned, cells
+    if not any(rate(root) > 0 for root in dual.defect_root.values()):
+        return Finished(), scanned, cells
+    candidates = []
+    for edge in graph.edges:
+        weight = edge.weight * dual.scale
+        for here, there in ((edge.u, edge.v), (edge.v, edge.u)):
+            inside = {node for node, _residual, _touch in covers[there]}
+            for node_a, residual_a, _touch_a in covers[here]:
+                if rate(node_a) > 0 and node_a not in inside:
+                    candidates.append(weight - residual_a)
+                for node_b, residual_b, _touch_b in covers[there]:
+                    if node_a != node_b and rate(node_a) + rate(node_b) > 0:
+                        slack = weight - residual_a - residual_b
+                        candidates.append(slack // (rate(node_a) + rate(node_b)))
+    for cover in covers:
+        candidates += [residual for node, residual, _ in cover if rate(node) < 0 and residual > 0]
+    return GrowLength(min(candidates)), scanned + graph.num_edges, cells
+
+
+@pytest.mark.parametrize(
+    "family, name",
+    [
+        (family, name)
+        for family in ("circuit_level", "code_capacity", "erasure", "phenomenological")
+        for name in ("micro-blossom", "micro-blossom-batch", "parity-blossom")
+    ],
+)
+def test_every_obstacle_matches_the_loop_reference(monkeypatch, family, name):
+    """Each answer and counter increment of ``find_obstacle`` equals what the
+    per-pair loop definitions give, on every call of real decodes."""
+    from repro.api import get_decoder
+    from repro.graphs import SyndromeSampler, noise_model_by_name, surface_code_decoding_graph
+
+    rates = {"circuit_level": 0.03, "code_capacity": 0.08, "erasure": 0.03}
+    graph = surface_code_decoding_graph(3, noise_model_by_name(family, rates.get(family, 0.05)))
+    engine_find_obstacle = DualGraphState.find_obstacle
+    checked = []
+
+    def checked_find_obstacle(dual):
+        rebuild = dual._covers is None
+        before = dict(dual.counters)
+        expected, scanned, cells = _reference_obstacle(dual, dual._effective_directions())
+        obstacle = engine_find_obstacle(dual)
+        assert obstacle == expected
+        assert dual.counters["edges_scanned"] - before.get("edges_scanned", 0) == scanned
+        grown = dual.counters["cover_cells_updated"] - before.get("cover_cells_updated", 0)
+        assert grown == (cells if rebuild else 0)
+        checked.append(obstacle)
+        return obstacle
+
+    monkeypatch.setattr(DualGraphState, "find_obstacle", checked_find_obstacle)
+    decoder = get_decoder(name, graph)
+    for syndrome in SyndromeSampler(graph, seed=5).sample_batch(60):
+        if syndrome.defects:
+            decoder.decode_detailed(syndrome)
+    assert any(isinstance(obstacle, Conflict) for obstacle in checked)
+    assert any(isinstance(obstacle, GrowLength) for obstacle in checked)
