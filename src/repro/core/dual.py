@@ -151,7 +151,6 @@ class DualGraphState:
         self.loaded = np.zeros(graph.num_vertices, dtype=bool)
         self.is_defect = np.zeros(graph.num_vertices, dtype=bool)
         self._boundary = np.ones(graph.num_vertices, dtype=bool)
-        self._boundary_block: tuple[np.ndarray, int, np.ndarray] | None = None
         self.defect_radius: dict[int, int] = {}
         self.defect_root: dict[int, int] = {}
         self.node_direction: dict[int, int] = {}
@@ -175,7 +174,6 @@ class DualGraphState:
             for layer in set(layers):
                 loaded[self.graph.vertices_in_layer(layer)] = True
         self._boundary = self._virtual | ~loaded
-        self._boundary_block = None
         for vertex in fresh_defects:
             if not loaded[vertex]:
                 continue
@@ -353,9 +351,7 @@ class DualGraphState:
             members.setdefault(self.defect_root[defect], []).append(defect)
         nodes = sorted(members)
         groups = [members[node] for node in nodes]
-        if self._boundary_block is None:
-            self._boundary_block = self._boundary_rows()
-        boundary, cells, covered = self._boundary_block
+        boundary, cells, covered = self._boundary_rows()
         if nodes:
             order = [defect for group in groups for defect in group]
             radii = np.array([self.defect_radius[d] for d in order], dtype=np.int64)
