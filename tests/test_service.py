@@ -17,6 +17,7 @@ Covers the layers the service spans:
 
 from __future__ import annotations
 
+import copy
 import json
 from collections import Counter
 
@@ -31,6 +32,8 @@ from repro.api import (
 from repro.evaluation import DEFAULT_LOAD_CONFIG, ServiceLoadEngine
 from repro.graphs import SyndromeSampler
 from repro.service import (
+    HOSTILE_FAMILIES,
+    HOSTILE_SMOKE_PLAN,
     SMOKE_TRACE,
     STATUS_ERROR,
     STATUS_SHED,
@@ -46,10 +49,14 @@ from repro.service import (
     SessionCache,
     SessionKey,
     TraceSpec,
+    cache_comparison_entry,
     generate_trace,
+    hostile_mix_entry,
     make_trace,
+    saturation_entry,
     service_bench_document,
     validate_service_bench,
+    wire_entry,
     write_service_bench,
 )
 from repro.stream import get_streaming_decoder
@@ -685,6 +692,42 @@ class TestServiceBench:
         document = service_bench_document(spec, result, commit="abc", timestamp="t")
         mutate(document)
         with pytest.raises(ServiceBenchSchemaError):
+            validate_service_bench(document)
+
+    def test_filled_document_validates_and_writes(self, filled_service_document, tmp_path):
+        filled = filled_service_document
+        assert filled["outcome_cache"]["enabled"]
+        blocks = ("cache_comparison", "fault_plan", "hostile_mix", "saturation", "wire")
+        assert all(filled[block] is not None for block in blocks)
+        assert filled["saturation"]["scaling"] is not None
+        assert validate_service_bench(filled) is None
+        path = write_service_bench(filled, tmp_path / "BENCH_service.json")
+        assert validate_service_bench(json.loads(path.read_text())) is None
+
+    @pytest.mark.parametrize(
+        "mutate, match",
+        [
+            (
+                lambda d: [d["saturation"][key].reverse() for key in ("client_ladder", "points")],
+                "increasing",
+            ),
+            (lambda d: d["saturation"]["knee"].update(clients=3), "ladder rung"),
+            (lambda d: d["saturation"]["points"].reverse(), "clients"),
+            (lambda d: d["saturation"]["scaling"]["series"].reverse(), "processes"),
+            (lambda d: d["saturation"]["scaling"]["series"].pop(), "process_counts"),
+            (lambda d: d["wire"]["stats"].update(codec=3), "codec"),
+            (lambda d: d["wire"]["comparison"]["v1"].update(codec=2), r"v1.*codec"),
+            (lambda d: d["wire"]["stats"]["batch_histogram"].update({"0": 1}), "batch_histogram"),
+            (lambda d: d["saturation"].update(digest_match=1), "digest_match"),
+            (lambda d: d["saturation"]["scaling"].update(digest_match="yes"), "digest_match"),
+            (lambda d: d["wire"]["comparison"].update(digest_match=None), "digest_match"),
+            (lambda d: d["cache_comparison"]["off"].update(cache_hits=1), "cache_hits"),
+        ],
+    )
+    def test_filled_block_violations_raise(self, filled_service_document, mutate, match):
+        document = copy.deepcopy(filled_service_document)
+        mutate(document)
+        with pytest.raises(ServiceBenchSchemaError, match=match):
             validate_service_bench(document)
 
     def test_smoke_trace_is_pinned(self):
