@@ -4,64 +4,48 @@ CI's ``perf-trajectory`` job replays the pinned smoke trace
 (:data:`repro.service.SMOKE_TRACE`) through the decode service on every push
 and publishes one JSON document per commit: request throughput, queue-delay
 and end-to-end latency percentiles, the realised micro-batch size histogram,
-session-cache and outcome-cache effectiveness (:mod:`repro.lut`) and the
-bit-identity verdict against direct decodes.  Schema v2 adds the
-``outcome_cache`` counters plus an optional ``cache_comparison`` pair — the
-same trace replayed with the content-addressed outcome cache off and on —
-so the cache's throughput effect is tracked per commit.  Schema v3 adds the
-fault/overload ledger: ``error_responses`` and ``retries`` counters, the
-``shed_rate``, a per-scenario ``fairness`` block (min/max healthy completion
-ratios), the ``healthy_digest`` over non-poisoned outcomes, the (nullable)
-``fault_plan`` in force, and a (nullable) ``hostile_mix`` series — the
-pinned hostile trace families of :data:`repro.service.HOSTILE_SMOKE_TRACES`
-replayed under :data:`repro.service.HOSTILE_SMOKE_PLAN`.  Schema v4 adds the
-(nullable) ``saturation`` block: a closed-loop offered-load ladder with its
-throughput knee (:meth:`repro.evaluation.ServiceLoadEngine.saturate`) and,
-nested under ``saturation.scaling``, the network path's worker-process
-scaling series (:mod:`repro.service.net.bench`) — throughput and efficiency
-per process count with the host's CPU count attached, plus the
-``digest_match`` verdicts that pin "load and process count shape timing,
-never outcomes".  Schema v5 adds the (nullable) ``wire`` block: the network
-replay's wire statistics (negotiated codec, byte/frame counts both
-directions, the coalesced-batch-size histogram) and the (nullable)
-``wire.comparison`` — the same trace replayed over the binary-batched v2
-wire and the per-request JSON v1 wire against one server, with the
-end-to-end ``speedup`` and the cross-codec ``digest_match``.  Consecutive
-artifacts form the service trajectory, the
-front-end counterpart of ``BENCH_sweep.json`` (:mod:`repro.sweeps.bench`):
-a scheduling or batching regression shows up as a latency/throughput shift
-at identical, seed-pinned work.
+session-cache and outcome-cache effectiveness (:mod:`repro.lut`), the fault
+and overload ledger, the optional saturation, scaling and wire blocks, and
+the bit-identity verdict against direct decodes.  ``docs/service.md`` holds
+the field-by-field layout and the schema history.  Consecutive artifacts
+form the service trajectory, the front-end counterpart of
+``BENCH_sweep.json`` (:mod:`repro.sweeps.bench`): a scheduling or batching
+regression shows up as a latency/throughput shift at identical, seed-pinned
+work.
 
-:func:`validate_service_bench` is the schema gate; the CLI's ``serve-bench``
-validates before writing and CI fails on any violation (or on a non-zero
-identity mismatch count).
+:data:`SERVICE_BENCH_SCHEMA` is the schema gate, walked by
+:func:`validate_service_bench`; the CLI's ``serve-bench`` validates before
+writing and CI fails on any violation (or on a non-zero identity mismatch
+count).
 """
 
 from __future__ import annotations
 
-import json
 from datetime import datetime, timezone
 from pathlib import Path
 
+from ..api.bench_schema import (
+    ANY,
+    BOOL,
+    LATENCY_SUMMARY,
+    NON_NEGATIVE,
+    RATIO,
+    TEXT,
+    Arr,
+    Const,
+    Map,
+    Nullable,
+    Num,
+    Obj,
+    current_commit,
+    fields,
+    validate_document,
+    write_document,
+)
 from ..evaluation.engine import LatencyHistogram
 
-#: Version of the BENCH_service document layout; bump on breaking changes.
-#: v2: ``cache_hits`` / ``outcome_cache`` counters and the (nullable)
-#: ``cache_comparison`` off/on pair; batch accounting becomes
-#: ``batched + cache_hits == completed``.
-#: v3: fault/overload accounting — ``error_responses``, ``retries``,
-#: ``shed_rate``, ``fairness``, ``healthy_digest``, the (nullable)
-#: ``fault_plan``, and the (nullable) ``hostile_mix`` series; the request
-#: ledger becomes ``completed + shed + error_responses == requests`` and
-#: batch accounting ``batched + cache_hits == completed + error_responses``
-#: (failed requests occupy batch slots too).
-#: v4: the (nullable) ``saturation`` block — closed-loop offered-load ladder
-#: with knee detection, and the nested (nullable) ``saturation.scaling``
-#: series of the network path's per-process throughput and efficiency.
-#: v5: the (nullable) ``wire`` block — network wire statistics (negotiated
-#: codec, bytes/frames each direction, coalesced-batch histogram) and the
-#: (nullable) ``wire.comparison`` of the binary-batched v2 wire against the
-#: per-request JSON v1 wire (throughput speedup + cross-codec digest match).
+#: Version of the BENCH_service document layout; bump on breaking changes
+#: (history in ``docs/service.md``).
 SERVICE_BENCH_SCHEMA_VERSION = 5
 
 
@@ -219,10 +203,6 @@ def service_bench_document(
     :func:`wire_entry` block — all ``None`` when not run (the keys are
     always present).
     """
-    # Lazy import: repro.sweeps pulls the evaluation experiment stack, which
-    # a service-only consumer should not pay for at import time.
-    from ..sweeps.bench import current_commit
-
     return {
         "schema_version": SERVICE_BENCH_SCHEMA_VERSION,
         "commit": commit if commit is not None else current_commit(),
@@ -269,310 +249,159 @@ def service_bench_document(
 # ---------------------------------------------------------------------------
 # schema validation
 # ---------------------------------------------------------------------------
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ServiceBenchSchemaError(message)
-
-
-def _check_number(value, path: str, low: float | None = None, high: float | None = None) -> None:
-    _require(
-        isinstance(value, (int, float)) and not isinstance(value, bool),
-        f"{path}: expected a number, got {type(value).__name__}",
-    )
-    if low is not None:
-        _require(value >= low, f"{path}: {value} < {low}")
-    if high is not None:
-        _require(value <= high, f"{path}: {value} > {high}")
-
-
-_HISTOGRAM_KEYS = ("count", "mean_us", "p50_us", "p99_us", "min_us", "max_us")
-_TOP_REQUIRED = (
-    "schema_version",
-    "commit",
-    "timestamp",
-    "trace",
-    "requests",
-    "completed",
-    "shed",
-    "evaluated",
-    "errors",
-    "logical_error_rate",
-    "elapsed_seconds",
-    "throughput_rps",
-    "queue_delay",
-    "latency",
-    "batches",
-    "mean_batch_size",
-    "batch_size_histogram",
-    "sessions",
-    "cache_hits",
-    "outcome_cache",
-    "cache_comparison",
-    "error_responses",
-    "retries",
-    "shed_rate",
-    "fairness",
-    "fault_plan",
-    "hostile_mix",
-    "saturation",
-    "wire",
-    "identity",
-    "outcome_digest",
-    "healthy_digest",
+_COUNT_HISTOGRAM = Map(Num(1), count_keys=True)
+_REQUEST_LEDGER = (
+    "completed + shed + error_responses must equal requests",
+    lambda d: d["completed"] + d["shed"] + d["error_responses"] == d["requests"],
 )
 
 
-def _check_histogram(entry, path: str) -> None:
-    _require(isinstance(entry, dict), f"{path}: expected an object")
-    for key in _HISTOGRAM_KEYS:
-        _require(key in entry, f"{path}: missing key {key!r}")
-        _check_number(entry[key], f"{path}.{key}", low=0.0)
+def _batch_ledger(document: dict) -> bool:
+    """Failed requests occupy batch slots too, so they count as batched."""
+    batched = sum(int(size) * count for size, count in document["batch_size_histogram"].items())
+    return batched + document["cache_hits"] == document["completed"] + document["error_responses"]
 
 
-def _check_outcome_cache(entry, path: str) -> None:
-    _require(isinstance(entry, dict), f"{path}: expected an object")
-    _require("enabled" in entry, f"{path}: missing key 'enabled'")
-    _require(isinstance(entry["enabled"], bool), f"{path}.enabled must be a bool")
-    if not entry["enabled"]:
-        return
-    for key in ("hits", "misses", "evictions", "entries", "bytes_resident", "max_bytes"):
-        _require(key in entry, f"{path}: missing key {key!r}")
-        _check_number(entry[key], f"{path}.{key}", low=0)
-    _check_number(entry["hit_rate"], f"{path}.hit_rate", 0.0, 1.0)
+_CACHE_SIDE = fields("completed cache_hits throughput_rps latency_p99_us", NON_NEGATIVE)
+_CACHE_COMPARISON = Obj(
+    {"off": _CACHE_SIDE, "on": _CACHE_SIDE, "throughput_ratio": NON_NEGATIVE},
+    ("off ran with the cache (cache_hits > 0)", lambda c: c["off"]["cache_hits"] == 0),
+)
+_FAIRNESS_ROW = Obj(
+    {
+        **fields("scenario offered poisoned completed shed errors", NON_NEGATIVE),
+        "completion_ratio": RATIO,
+    },
+    # Poisoned, completed and shed are disjoint request sets; errors may
+    # overlap poisoned (a poisoned request resolving as an error).
+    (
+        "ledger exceeds offered requests",
+        lambda r: r["poisoned"] + r["completed"] + r["shed"] <= r["offered"],
+    ),
+)
+_FAIRNESS = Obj(
+    {
+        "per_scenario": Arr(_FAIRNESS_ROW, nonempty=True),
+        **fields("min_completion_ratio max_completion_ratio", RATIO),
+    },
+    (
+        "min_completion_ratio exceeds max_completion_ratio",
+        lambda f: f["min_completion_ratio"] <= f["max_completion_ratio"],
+    ),
+)
+_HOSTILE_RUN = Obj(
+    {
+        **fields("family trace_hash plan_hash healthy_digest", TEXT),
+        **fields("requests completed shed error_responses poisoned poisoned_errored", NON_NEGATIVE),
+        **fields("retries streams stream_mismatches throughput_rps latency_p99_us", NON_NEGATIVE),
+        **fields("identity_checked identity_mismatches", NON_NEGATIVE),
+        **fields("shed_rate min_completion_ratio max_completion_ratio", RATIO),
+        "isolated": BOOL,
+    },
+    _REQUEST_LEDGER,
+    ("poisoned_errored exceeds poisoned", lambda e: e["poisoned_errored"] <= e["poisoned"]),
+)
+_SCALING_ROW = {
+    **fields("processes completed throughput_rps latency_p99_us efficiency", NON_NEGATIVE),
+    "healthy_digest": TEXT,
+}
+_SCALING = Obj(
+    {
+        "cpu_count": Num(1),
+        # Items are held to the numeric series processes by the rule below.
+        "process_counts": Arr(ANY, nonempty=True),
+        "series": Arr(_SCALING_ROW),
+        "digest_match": BOOL,
+    },
+    (
+        "series processes must match process_counts",
+        lambda s: [row["processes"] for row in s["series"]] == s["process_counts"],
+    ),
+)
+_LADDER_POINT = {
+    **fields("clients requests completed elapsed_seconds", NON_NEGATIVE),
+    **fields("throughput_rps latency_p50_us latency_p99_us", NON_NEGATIVE),
+    "healthy_digest": TEXT,
+}
+_SATURATION = Obj(
+    {
+        "mode": Const("closed-loop"),
+        # Items are held to the numeric points' clients by the first rule.
+        "client_ladder": Arr(ANY, nonempty=True),
+        "points": Arr(_LADDER_POINT),
+        "knee": fields("clients throughput_rps", NON_NEGATIVE),
+        "peak_throughput_rps": NON_NEGATIVE,
+        "digest_match": BOOL,
+        "scaling": Nullable(_SCALING),
+    },
+    (
+        "points clients must match client_ladder",
+        lambda s: [point["clients"] for point in s["points"]] == s["client_ladder"],
+    ),
+    (
+        "client_ladder must be strictly increasing",
+        lambda s: s["client_ladder"] == sorted(set(s["client_ladder"])),
+    ),
+    ("knee is not a ladder rung", lambda s: s["knee"]["clients"] in s["client_ladder"]),
+)
+_WIRE_STATS = {
+    "codec": Const(1, 2),
+    **fields("frames_sent bytes_sent frames_received bytes_received", NON_NEGATIVE),
+    "batch_histogram": _COUNT_HISTOGRAM,
+}
+_WIRE_RUN = {**_WIRE_STATS, "throughput_rps": NON_NEGATIVE, "healthy_digest": TEXT}
+_WIRE_COMPARISON = {
+    **fields("processes requests", Num(1)),
+    "v2": _WIRE_RUN,
+    "v1": {**_WIRE_RUN, "codec": Const(1)},
+    "speedup": NON_NEGATIVE,
+    "digest_match": BOOL,
+}
+_WIRE = {"stats": Nullable(_WIRE_STATS), "comparison": Nullable(_WIRE_COMPARISON)}
+_TRACE = {**fields("hash name requests seed arrival", ANY), "scenarios": Arr(ANY, nonempty=True)}
+_FAULT_PLAN = {
+    **fields("name seed straggler_workers straggler_delay_seconds session_crash_attempts", ANY),
+    **fields("session_crash_rate poison_rate", RATIO),
+}
 
-
-def _check_cache_comparison(comparison) -> None:
-    _require(isinstance(comparison, dict), "cache_comparison must be an object or null")
-    for side in ("off", "on"):
-        _require(side in comparison, f"cache_comparison: missing key {side!r}")
-        entry = comparison[side]
-        _require(isinstance(entry, dict), f"cache_comparison.{side}: expected an object")
-        for key in ("completed", "cache_hits", "throughput_rps", "latency_p99_us"):
-            _require(key in entry, f"cache_comparison.{side}: missing key {key!r}")
-            _check_number(entry[key], f"cache_comparison.{side}.{key}", low=0)
-    _require(
-        comparison["off"]["cache_hits"] == 0,
-        "cache_comparison.off must have run without the cache (cache_hits == 0)",
-    )
-    _check_number(comparison["throughput_ratio"], "cache_comparison.throughput_ratio", low=0.0)
-
-
-def _check_fairness(entry, path: str) -> None:
-    _require(isinstance(entry, dict), f"{path}: expected an object")
-    for key in ("per_scenario", "min_completion_ratio", "max_completion_ratio"):
-        _require(key in entry, f"{path}: missing key {key!r}")
-    _check_number(entry["min_completion_ratio"], f"{path}.min_completion_ratio", 0.0, 1.0)
-    _check_number(entry["max_completion_ratio"], f"{path}.max_completion_ratio", 0.0, 1.0)
-    _require(
-        entry["min_completion_ratio"] <= entry["max_completion_ratio"],
-        f"{path}: min_completion_ratio exceeds max_completion_ratio",
-    )
-    rows = entry["per_scenario"]
-    _require(isinstance(rows, list) and rows, f"{path}.per_scenario must be a non-empty array")
-    for index, row in enumerate(rows):
-        row_path = f"{path}.per_scenario[{index}]"
-        _require(isinstance(row, dict), f"{row_path}: expected an object")
-        for key in ("scenario", "offered", "poisoned", "completed", "shed", "errors"):
-            _require(key in row, f"{row_path}: missing key {key!r}")
-            _check_number(row[key], f"{row_path}.{key}", low=0)
-        _check_number(row["completion_ratio"], f"{row_path}.completion_ratio", 0.0, 1.0)
-        # Poisoned, completed and shed are disjoint request sets; errors may
-        # overlap poisoned (a poisoned request resolving as an error).
-        _require(
-            row["poisoned"] + row["completed"] + row["shed"] <= row["offered"],
-            f"{row_path}: ledger exceeds offered requests",
-        )
-
-
-def _check_fault_plan(entry, path: str) -> None:
-    _require(isinstance(entry, dict), f"{path} must be an object or null")
-    for key in (
-        "name",
-        "seed",
-        "straggler_workers",
-        "straggler_delay_seconds",
-        "session_crash_rate",
-        "session_crash_attempts",
-        "poison_rate",
-    ):
-        _require(key in entry, f"{path}: missing key {key!r}")
-    _check_number(entry["poison_rate"], f"{path}.poison_rate", 0.0, 1.0)
-    _check_number(entry["session_crash_rate"], f"{path}.session_crash_rate", 0.0, 1.0)
-
-
-def _check_hostile_mix(entries) -> None:
-    _require(isinstance(entries, list) and entries, "hostile_mix must be a non-empty array or null")
-    for index, entry in enumerate(entries):
-        path = f"hostile_mix[{index}]"
-        _require(isinstance(entry, dict), f"{path}: expected an object")
-        for key in ("family", "trace_hash", "plan_hash", "healthy_digest"):
-            _require(
-                key in entry and isinstance(entry[key], str) and entry[key],
-                f"{path}: {key} must be a non-empty string",
-            )
-        for key in (
-            "requests",
-            "completed",
-            "shed",
-            "error_responses",
-            "poisoned",
-            "poisoned_errored",
-            "retries",
-            "streams",
-            "stream_mismatches",
-            "throughput_rps",
-            "latency_p99_us",
-            "identity_checked",
-            "identity_mismatches",
-        ):
-            _require(key in entry, f"{path}: missing key {key!r}")
-            _check_number(entry[key], f"{path}.{key}", low=0)
-        _check_number(entry["shed_rate"], f"{path}.shed_rate", 0.0, 1.0)
-        _check_number(entry["min_completion_ratio"], f"{path}.min_completion_ratio", 0.0, 1.0)
-        _check_number(entry["max_completion_ratio"], f"{path}.max_completion_ratio", 0.0, 1.0)
-        _require(
-            entry["completed"] + entry["shed"] + entry["error_responses"]
-            == entry["requests"],
-            f"{path}: completed + shed + error_responses must equal requests",
-        )
-        _require(
-            entry["poisoned_errored"] <= entry["poisoned"],
-            f"{path}: poisoned_errored cannot exceed poisoned",
-        )
-        _require(isinstance(entry["isolated"], bool), f"{path}.isolated must be a bool")
-
-
-def _check_scaling(entry) -> None:
-    _require(isinstance(entry, dict), "saturation.scaling must be an object or null")
-    for key in ("cpu_count", "process_counts", "series", "digest_match"):
-        _require(key in entry, f"saturation.scaling: missing key {key!r}")
-    _check_number(entry["cpu_count"], "saturation.scaling.cpu_count", low=1)
-    counts = entry["process_counts"]
-    _require(
-        isinstance(counts, list) and counts,
-        "saturation.scaling.process_counts must be a non-empty array",
-    )
-    series = entry["series"]
-    _require(
-        isinstance(series, list) and len(series) == len(counts),
-        "saturation.scaling.series must match process_counts",
-    )
-    for index, row in enumerate(series):
-        path = f"saturation.scaling.series[{index}]"
-        _require(isinstance(row, dict), f"{path}: expected an object")
-        for key in ("processes", "completed", "throughput_rps", "latency_p99_us", "efficiency"):
-            _require(key in row, f"{path}: missing key {key!r}")
-            _check_number(row[key], f"{path}.{key}", low=0)
-        _require(
-            isinstance(row["healthy_digest"], str) and row["healthy_digest"],
-            f"{path}.healthy_digest must be a non-empty string",
-        )
-        _require(row["processes"] == counts[index], f"{path}: processes out of order")
-    _require(
-        isinstance(entry["digest_match"], bool), "saturation.scaling.digest_match must be a bool"
-    )
-
-
-def _check_saturation(entry) -> None:
-    _require(isinstance(entry, dict), "saturation must be an object or null")
-    for key in ("mode", "client_ladder", "points", "knee", "peak_throughput_rps",
-                "digest_match", "scaling"):
-        _require(key in entry, f"saturation: missing key {key!r}")
-    _require(entry["mode"] == "closed-loop", "saturation.mode must be 'closed-loop'")
-    ladder = entry["client_ladder"]
-    _require(
-        isinstance(ladder, list) and ladder and ladder == sorted(set(ladder)),
-        "saturation.client_ladder must be a strictly increasing non-empty array",
-    )
-    points = entry["points"]
-    _require(
-        isinstance(points, list) and len(points) == len(ladder),
-        "saturation.points must match client_ladder",
-    )
-    for index, point in enumerate(points):
-        path = f"saturation.points[{index}]"
-        _require(isinstance(point, dict), f"{path}: expected an object")
-        for key in (
-            "clients",
-            "requests",
-            "completed",
-            "elapsed_seconds",
-            "throughput_rps",
-            "latency_p50_us",
-            "latency_p99_us",
-        ):
-            _require(key in point, f"{path}: missing key {key!r}")
-            _check_number(point[key], f"{path}.{key}", low=0)
-        _require(point["clients"] == ladder[index], f"{path}: clients out of order")
-        _require(
-            isinstance(point["healthy_digest"], str) and point["healthy_digest"],
-            f"{path}.healthy_digest must be a non-empty string",
-        )
-    knee = entry["knee"]
-    _require(isinstance(knee, dict), "saturation.knee must be an object")
-    for key in ("clients", "throughput_rps"):
-        _require(key in knee, f"saturation.knee: missing key {key!r}")
-        _check_number(knee[key], f"saturation.knee.{key}", low=0)
-    _require(knee["clients"] in ladder, "saturation.knee.clients must be a ladder rung")
-    _check_number(entry["peak_throughput_rps"], "saturation.peak_throughput_rps", low=0.0)
-    _require(isinstance(entry["digest_match"], bool), "saturation.digest_match must be a bool")
-    if entry["scaling"] is not None:
-        _check_scaling(entry["scaling"])
-
-
-def _check_wire_stats(stats, path: str) -> None:
-    _require(isinstance(stats, dict), f"{path}: expected an object")
-    _require("codec" in stats, f"{path}: missing key 'codec'")
-    _require(stats["codec"] in (1, 2), f"{path}.codec must be 1 (JSON) or 2 (binary)")
-    for key in ("frames_sent", "bytes_sent", "frames_received", "bytes_received"):
-        _require(key in stats, f"{path}: missing key {key!r}")
-        _check_number(stats[key], f"{path}.{key}", low=0)
-    histogram = stats.get("batch_histogram")
-    _require(isinstance(histogram, dict), f"{path}.batch_histogram must be an object")
-    for size, count in histogram.items():
-        _require(
-            isinstance(size, str) and size.isdigit() and int(size) >= 1,
-            f"{path}.batch_histogram: key {size!r} must be a positive-integer string",
-        )
-        _check_number(count, f"{path}.batch_histogram[{size!r}]", low=1)
-
-
-def _check_wire_comparison(comparison) -> None:
-    _require(isinstance(comparison, dict), "wire.comparison must be an object or null")
-    for key in ("processes", "requests", "v2", "v1", "speedup", "digest_match"):
-        _require(key in comparison, f"wire.comparison: missing key {key!r}")
-    _check_number(comparison["processes"], "wire.comparison.processes", low=1)
-    _check_number(comparison["requests"], "wire.comparison.requests", low=1)
-    for side in ("v2", "v1"):
-        path = f"wire.comparison.{side}"
-        entry = comparison[side]
-        _check_wire_stats(entry, path)
-        for key in ("throughput_rps",):
-            _require(key in entry, f"{path}: missing key {key!r}")
-            _check_number(entry[key], f"{path}.{key}", low=0.0)
-        _require(
-            isinstance(entry.get("healthy_digest"), str) and entry["healthy_digest"],
-            f"{path}.healthy_digest must be a non-empty string",
-        )
-    _require(
-        comparison["v1"]["codec"] == 1,
-        "wire.comparison.v1 must have run on codec 1",
-    )
-    _check_number(comparison["speedup"], "wire.comparison.speedup", low=0.0)
-    _require(
-        isinstance(comparison["digest_match"], bool),
-        "wire.comparison.digest_match must be a bool",
-    )
-
-
-def _check_wire(entry) -> None:
-    _require(isinstance(entry, dict), "wire must be an object or null")
-    for key in ("stats", "comparison"):
-        _require(key in entry, f"wire: missing key {key!r}")
-    if entry["stats"] is not None:
-        _check_wire_stats(entry["stats"], "wire.stats")
-    if entry["comparison"] is not None:
-        _check_wire_comparison(entry["comparison"])
+#: The BENCH_service document schema, walked by :func:`validate_service_bench`.
+SERVICE_BENCH_SCHEMA = Obj(
+    {
+        "schema_version": Const(SERVICE_BENCH_SCHEMA_VERSION),
+        **fields("commit timestamp outcome_digest healthy_digest", TEXT),
+        "trace": _TRACE,
+        "requests": Num(1),
+        **fields("completed shed error_responses retries evaluated errors", NON_NEGATIVE),
+        **fields("elapsed_seconds throughput_rps batches mean_batch_size cache_hits", NON_NEGATIVE),
+        **fields("logical_error_rate shed_rate", RATIO),
+        **fields("queue_delay latency", LATENCY_SUMMARY),
+        "batch_size_histogram": _COUNT_HISTOGRAM,
+        "sessions": fields("hits misses evictions", NON_NEGATIVE),
+        "outcome_cache": Obj(
+            {
+                "enabled": BOOL,
+                **fields("hits misses evictions entries bytes_resident max_bytes", NON_NEGATIVE),
+                "hit_rate": RATIO,
+            },
+            switch="enabled",
+        ),
+        "cache_comparison": Nullable(_CACHE_COMPARISON),
+        "fairness": _FAIRNESS,
+        "fault_plan": Nullable(_FAULT_PLAN),
+        "hostile_mix": Nullable(Arr(_HOSTILE_RUN, nonempty=True)),
+        "saturation": Nullable(_SATURATION),
+        "wire": Nullable(_WIRE),
+        "identity": Obj(
+            fields("checked mismatches", NON_NEGATIVE),
+            ("mismatches exceed checked", lambda i: i["mismatches"] <= i["checked"]),
+        ),
+    },
+    _REQUEST_LEDGER,
+    ("evaluated exceeds completed", lambda d: d["evaluated"] <= d["completed"]),
+    ("errors exceed evaluated", lambda d: d["errors"] <= d["evaluated"]),
+    ("cache_hits exceed completed", lambda d: d["cache_hits"] <= d["completed"]),
+    ("batched requests + cache_hits must equal completed + error_responses", _batch_ledger),
+)
 
 
 def validate_service_bench(document: dict) -> None:
@@ -583,101 +412,10 @@ def validate_service_bench(document: dict) -> None:
         ...
     repro.service.bench.ServiceBenchSchemaError: missing top-level key 'schema_version'
     """
-    _require(isinstance(document, dict), "document must be a JSON object")
-    for key in _TOP_REQUIRED:
-        _require(key in document, f"missing top-level key {key!r}")
-    _require(
-        document["schema_version"] == SERVICE_BENCH_SCHEMA_VERSION,
-        f"schema_version {document['schema_version']!r} != "
-        f"{SERVICE_BENCH_SCHEMA_VERSION}",
-    )
-    for key in ("commit", "timestamp", "outcome_digest", "healthy_digest"):
-        _require(
-            isinstance(document[key], str) and document[key],
-            f"{key} must be a non-empty string",
-        )
-    trace = document["trace"]
-    _require(isinstance(trace, dict), "trace must be an object")
-    for key in ("hash", "name", "scenarios", "requests", "seed", "arrival"):
-        _require(key in trace, f"trace: missing key {key!r}")
-    _require(
-        isinstance(trace["scenarios"], list) and trace["scenarios"],
-        "trace.scenarios must be a non-empty array",
-    )
-    _check_number(document["requests"], "requests", low=1)
-    _check_number(document["completed"], "completed", 0, document["requests"])
-    _check_number(document["shed"], "shed", 0, document["requests"])
-    _check_number(document["error_responses"], "error_responses", 0, document["requests"])
-    _check_number(document["retries"], "retries", low=0)
-    _check_number(document["shed_rate"], "shed_rate", 0.0, 1.0)
-    _require(
-        document["completed"] + document["shed"] + document["error_responses"]
-        == document["requests"],
-        "completed + shed + error_responses must equal requests",
-    )
-    _check_number(document["evaluated"], "evaluated", 0, document["completed"])
-    _check_number(document["errors"], "errors", 0, max(document["evaluated"], 0))
-    _check_number(document["logical_error_rate"], "logical_error_rate", 0.0, 1.0)
-    _check_number(document["elapsed_seconds"], "elapsed_seconds", low=0.0)
-    _check_number(document["throughput_rps"], "throughput_rps", low=0.0)
-    _check_histogram(document["queue_delay"], "queue_delay")
-    _check_histogram(document["latency"], "latency")
-    _check_number(document["batches"], "batches", low=0)
-    _check_number(document["mean_batch_size"], "mean_batch_size", low=0.0)
-    histogram = document["batch_size_histogram"]
-    _require(isinstance(histogram, dict), "batch_size_histogram must be an object")
-    batched_requests = 0
-    for size, count in histogram.items():
-        _require(
-            isinstance(size, str) and size.isdigit() and int(size) >= 1,
-            f"batch_size_histogram: key {size!r} must be a positive-integer string",
-        )
-        _check_number(count, f"batch_size_histogram[{size!r}]", low=1)
-        batched_requests += int(size) * count
-    _check_number(document["cache_hits"], "cache_hits", 0, document["completed"])
-    _require(
-        batched_requests + document["cache_hits"]
-        == document["completed"] + document["error_responses"],
-        "batched requests + cache_hits must account for every completed or "
-        "errored request (failed requests occupy batch slots too)",
-    )
-    sessions = document["sessions"]
-    _require(isinstance(sessions, dict), "sessions must be an object")
-    for key in ("hits", "misses", "evictions"):
-        _require(key in sessions, f"sessions: missing key {key!r}")
-        _check_number(sessions[key], f"sessions.{key}", low=0)
-    _check_outcome_cache(document["outcome_cache"], "outcome_cache")
-    comparison = document["cache_comparison"]
-    if comparison is not None:
-        _check_cache_comparison(comparison)
-    _check_fairness(document["fairness"], "fairness")
-    if document["fault_plan"] is not None:
-        _check_fault_plan(document["fault_plan"], "fault_plan")
-    if document["hostile_mix"] is not None:
-        _check_hostile_mix(document["hostile_mix"])
-    if document["saturation"] is not None:
-        _check_saturation(document["saturation"])
-    if document["wire"] is not None:
-        _check_wire(document["wire"])
-    identity = document["identity"]
-    _require(isinstance(identity, dict), "identity must be an object")
-    for key in ("checked", "mismatches"):
-        _require(key in identity, f"identity: missing key {key!r}")
-        _check_number(identity[key], f"identity.{key}", low=0)
-    _require(
-        identity["mismatches"] <= identity["checked"],
-        "identity.mismatches cannot exceed identity.checked",
-    )
+    validate_document(document, SERVICE_BENCH_SCHEMA, ServiceBenchSchemaError)
 
 
 def write_service_bench(document: dict, path: str | Path) -> Path:
     """Validate and write the document (atomic via temp + rename)."""
     validate_service_bench(document)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp_path = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp_path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    tmp_path.replace(path)
-    return path
+    return write_document(document, path)

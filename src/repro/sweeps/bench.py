@@ -8,54 +8,47 @@ repo's performance trajectory — a regression on a hot path shows up as a
 drop in ``shots_per_second`` (or a shift in ``latency.p99_us``) between two
 commits at identical, seed-pinned work.
 
-:func:`validate_bench` is the schema gate; the CLI's ``sweep export-bench``
-validates before writing and CI fails on any violation.
+:data:`BENCH_SCHEMA` is the schema gate, walked by :func:`validate_bench`;
+the CLI's ``sweep export-bench`` validates before writing and CI fails on any
+violation.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import subprocess
 from datetime import datetime, timezone
 from pathlib import Path
 
+from ..api.bench_schema import (
+    ANY,
+    BOOL,
+    LATENCY_SUMMARY,
+    NON_NEGATIVE,
+    RATIO,
+    TEXT,
+    Arr,
+    Const,
+    Map,
+    Nullable,
+    Num,
+    Obj,
+    Str,
+    current_commit,
+    fields,
+    validate_document,
+    write_document,
+)
 from ..evaluation.scaling import fit_logical_error_scaling
 from .fits import scaling_points
 from .runner import SweepRunResult
 from .store import PointResult
 
-#: Version of the BENCH document layout; bump on breaking changes.
-#: v2: points gained a required ``streaming`` flag (stream reaction-latency
-#: points live next to batch decode-latency points).
-#: v3: points gained a required ``lut`` block (null for base decoders):
-#: table hit/miss/zero-defect counts, the hit rate, and the measured
-#: speedup of ``lut+X`` over the matching ``X`` point of the same sweep
-#: (null when the sweep ran no matching fallback point).
+#: Version of the BENCH document layout; bump on breaking changes
+#: (history in ``docs/sweeps.md``).
 BENCH_SCHEMA_VERSION = 3
 
 
 class BenchSchemaError(ValueError):
     """Raised when a BENCH document violates the published schema."""
-
-
-def current_commit() -> str:
-    """The commit the benchmark ran at: ``$GITHUB_SHA``, git, or ``unknown``."""
-    sha = os.environ.get("GITHUB_SHA")
-    if sha:
-        return sha
-    try:
-        completed = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True,
-            text=True,
-            timeout=10,
-            check=False,
-        )
-    except OSError:
-        return "unknown"
-    sha = completed.stdout.strip()
-    return sha if completed.returncode == 0 and sha else "unknown"
 
 
 def _fallback_throughputs(results: list[PointResult]) -> dict[tuple, float]:
@@ -182,42 +175,44 @@ def bench_document(
 # ---------------------------------------------------------------------------
 # schema validation
 # ---------------------------------------------------------------------------
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise BenchSchemaError(message)
-
-
-def _check_number(value, path: str, low: float | None = None, high: float | None = None):
-    _require(
-        isinstance(value, (int, float)) and not isinstance(value, bool),
-        f"{path}: expected a number, got {type(value).__name__}",
-    )
-    if low is not None:
-        _require(value >= low, f"{path}: {value} < {low}")
-    if high is not None:
-        _require(value <= high, f"{path}: {value} > {high}")
-
-
-_LATENCY_KEYS = ("count", "mean_us", "p50_us", "p99_us", "min_us", "max_us")
-_POINT_REQUIRED = (
-    "distance",
-    "noise",
-    "physical_error_rate",
-    "decoder",
-    "streaming",
-    "seed",
-    "shots",
-    "errors",
-    "logical_error_rate",
-    "standard_error",
-    "error_rate_upper_bound",
-    "zero_failures",
-    "stopped_early",
-    "shots_per_second",
-    "elapsed_seconds",
-    "latency",
-    "lut",
+_LUT_BLOCK = {
+    **fields("hits misses zero_defect_hits", NON_NEGATIVE),
+    "hit_rate": RATIO,
+    "speedup_vs_fallback": Nullable(NON_NEGATIVE),
+}
+_POINT = Obj(
+    {
+        "distance": Num(3),
+        **fields("noise decoder", Str(empty=True)),
+        **fields("physical_error_rate logical_error_rate error_rate_upper_bound", RATIO),
+        **fields("streaming zero_failures stopped_early", BOOL),
+        "shots": Num(1),
+        **fields("seed errors standard_error shots_per_second elapsed_seconds", NON_NEGATIVE),
+        "latency": Nullable(LATENCY_SUMMARY),
+        "lut": Nullable(_LUT_BLOCK),
+    },
+    ("errors exceed shots", lambda p: p["errors"] <= p["shots"]),
+    ("zero_failures inconsistent with errors", lambda p: p["zero_failures"] == (p["errors"] == 0)),
+    (
+        "zero-failure point must carry a positive upper bound",
+        lambda p: not p["zero_failures"] or p["error_rate_upper_bound"] > 0,
+    ),
+    (
+        "batch lut+ point must carry a lut block",
+        lambda p: p["lut"] is not None or p["streaming"] or not p["decoder"].startswith("lut+"),
+    ),
+    ("lut block on non-lut decoder", lambda p: p["lut"] is None or p["decoder"].startswith("lut+")),
 )
+
+#: The BENCH document schema, walked by :func:`validate_bench`.
+BENCH_SCHEMA = {
+    "schema_version": Const(BENCH_SCHEMA_VERSION),
+    "commit": TEXT,
+    "timestamp": TEXT,
+    "spec": fields("hash name distances physical_error_rates decoders shots", ANY),
+    "points": Arr(_POINT, nonempty=True),
+    "fits": Map(Nullable({"amplitude": NON_NEGATIVE, "threshold": RATIO, "points_used": Num(2)})),
+}
 
 
 def validate_bench(document: dict) -> None:
@@ -228,123 +223,10 @@ def validate_bench(document: dict) -> None:
         ...
     repro.sweeps.bench.BenchSchemaError: missing top-level key 'commit'
     """
-    _require(isinstance(document, dict), "document must be a JSON object")
-    for key in ("schema_version", "commit", "timestamp", "spec", "points", "fits"):
-        _require(key in document, f"missing top-level key {key!r}")
-    _require(
-        document["schema_version"] == BENCH_SCHEMA_VERSION,
-        f"schema_version {document['schema_version']!r} != {BENCH_SCHEMA_VERSION}",
-    )
-    _require(
-        isinstance(document["commit"], str) and document["commit"],
-        "commit must be a non-empty string",
-    )
-    _require(
-        isinstance(document["timestamp"], str) and document["timestamp"],
-        "timestamp must be a non-empty string",
-    )
-    spec = document["spec"]
-    _require(isinstance(spec, dict), "spec must be an object")
-    for key in ("hash", "name", "distances", "physical_error_rates", "decoders", "shots"):
-        _require(key in spec, f"spec: missing key {key!r}")
-    points = document["points"]
-    _require(isinstance(points, list) and points, "points must be a non-empty array")
-    for index, point in enumerate(points):
-        path = f"points[{index}]"
-        _require(isinstance(point, dict), f"{path}: expected an object")
-        for key in _POINT_REQUIRED:
-            _require(key in point, f"{path}: missing key {key!r}")
-        _check_number(point["distance"], f"{path}.distance", low=3)
-        _require(isinstance(point["noise"], str), f"{path}.noise must be a string")
-        _require(isinstance(point["decoder"], str), f"{path}.decoder must be a string")
-        _require(
-            isinstance(point["streaming"], bool),
-            f"{path}.streaming must be a boolean",
-        )
-        _check_number(
-            point["physical_error_rate"], f"{path}.physical_error_rate", 0.0, 1.0
-        )
-        _check_number(point["seed"], f"{path}.seed", low=0)
-        _check_number(point["shots"], f"{path}.shots", low=1)
-        _check_number(point["errors"], f"{path}.errors", 0, point["shots"])
-        _check_number(point["logical_error_rate"], f"{path}.logical_error_rate", 0.0, 1.0)
-        _check_number(point["standard_error"], f"{path}.standard_error", low=0.0)
-        _check_number(
-            point["error_rate_upper_bound"], f"{path}.error_rate_upper_bound", 0.0, 1.0
-        )
-        _require(
-            isinstance(point["zero_failures"], bool),
-            f"{path}.zero_failures must be a boolean",
-        )
-        _require(
-            point["zero_failures"] == (point["errors"] == 0),
-            f"{path}.zero_failures inconsistent with errors",
-        )
-        _require(
-            not point["zero_failures"] or point["error_rate_upper_bound"] > 0,
-            f"{path}: zero-failure point must carry a positive upper bound",
-        )
-        _require(
-            isinstance(point["stopped_early"], bool),
-            f"{path}.stopped_early must be a boolean",
-        )
-        _check_number(point["shots_per_second"], f"{path}.shots_per_second", low=0.0)
-        _check_number(point["elapsed_seconds"], f"{path}.elapsed_seconds", low=0.0)
-        latency = point["latency"]
-        if latency is not None:
-            _require(isinstance(latency, dict), f"{path}.latency must be object|null")
-            for key in _LATENCY_KEYS:
-                _require(key in latency, f"{path}.latency: missing key {key!r}")
-                _check_number(latency[key], f"{path}.latency.{key}", low=0.0)
-        lut = point["lut"]
-        if lut is None:
-            _require(
-                not (point["decoder"].startswith("lut+") and not point["streaming"]),
-                f"{path}: batch lut+ point must carry a lut block",
-            )
-        else:
-            _require(isinstance(lut, dict), f"{path}.lut must be object|null")
-            _require(
-                point["decoder"].startswith("lut+"),
-                f"{path}: lut block on a non-lut decoder",
-            )
-            for key in ("hits", "misses", "zero_defect_hits"):
-                _require(key in lut, f"{path}.lut: missing key {key!r}")
-                _check_number(lut[key], f"{path}.lut.{key}", low=0)
-            _require("hit_rate" in lut, f"{path}.lut: missing key 'hit_rate'")
-            _check_number(lut["hit_rate"], f"{path}.lut.hit_rate", 0.0, 1.0)
-            _require(
-                "speedup_vs_fallback" in lut,
-                f"{path}.lut: missing key 'speedup_vs_fallback'",
-            )
-            if lut["speedup_vs_fallback"] is not None:
-                _check_number(
-                    lut["speedup_vs_fallback"],
-                    f"{path}.lut.speedup_vs_fallback",
-                    low=0.0,
-                )
-    fits = document["fits"]
-    _require(isinstance(fits, dict), "fits must be an object")
-    for slice_key, fit in fits.items():
-        if fit is None:
-            continue
-        path = f"fits[{slice_key!r}]"
-        _require(isinstance(fit, dict), f"{path}: expected object|null")
-        for key in ("amplitude", "threshold", "points_used"):
-            _require(key in fit, f"{path}: missing key {key!r}")
-        _check_number(fit["amplitude"], f"{path}.amplitude", low=0.0)
-        _check_number(fit["threshold"], f"{path}.threshold", 0.0, 1.0)
-        _check_number(fit["points_used"], f"{path}.points_used", low=2)
+    validate_document(document, BENCH_SCHEMA, BenchSchemaError)
 
 
 def write_bench(document: dict, path: str | Path) -> Path:
     """Validate and write the BENCH document (atomic via temp + rename)."""
     validate_bench(document)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp_path = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp_path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    tmp_path.replace(path)
-    return path
+    return write_document(document, path)

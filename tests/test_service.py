@@ -32,8 +32,6 @@ from repro.api import (
 from repro.evaluation import DEFAULT_LOAD_CONFIG, ServiceLoadEngine
 from repro.graphs import SyndromeSampler
 from repro.service import (
-    HOSTILE_FAMILIES,
-    HOSTILE_SMOKE_PLAN,
     SMOKE_TRACE,
     STATUS_ERROR,
     STATUS_SHED,
@@ -49,14 +47,10 @@ from repro.service import (
     SessionCache,
     SessionKey,
     TraceSpec,
-    cache_comparison_entry,
     generate_trace,
-    hostile_mix_entry,
     make_trace,
-    saturation_entry,
     service_bench_document,
     validate_service_bench,
-    wire_entry,
     write_service_bench,
 )
 from repro.stream import get_streaming_decoder

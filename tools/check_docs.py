@@ -61,6 +61,7 @@ DOCTEST_MODULES = (
     "repro.api.protocol",
     "repro.api.session",
     "repro.api.batch",
+    "repro.api.bench_schema",
     "repro.stream",
     "repro.stream.adapter",
     "repro.sweeps.spec",
