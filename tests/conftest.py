@@ -25,7 +25,6 @@ from repro.service import (
     service_bench_document,
     wire_entry,
 )
-from repro.sweeps import SweepSpec, bench_document, run_sweep
 
 
 @pytest.fixture(scope="session")
@@ -150,30 +149,3 @@ def filled_service_document():
         wire=wire_entry(stats, comparison),
     )
 
-
-@pytest.fixture(scope="session")
-def mixed_sweep_document():
-    """A ``BENCH_sweep.json`` document with plain, ``lut+``, zero-failure
-    and streaming points, latency summaries and threshold fits.
-
-    ``lut+`` decoders have no timing model, so the latency points come from
-    a second sweep and are appended.  Tests must copy it before mutating it.
-    """
-    lut_run = run_sweep(
-        SweepSpec("mixed", (3, 5), (0.03,), ("union-find", "lut+union-find"), shots=32, seed=2)
-    )
-    latency_run = run_sweep(
-        SweepSpec(
-            "mixed-latency",
-            (3,),
-            (0.03,),
-            ("union-find",),
-            shots=16,
-            seed=2,
-            collect_latency=True,
-            streaming=(False, True),
-        )
-    )
-    document = bench_document(lut_run, commit="abc", timestamp="t")
-    document["points"] += bench_document(latency_run, commit="abc", timestamp="t")["points"]
-    return document

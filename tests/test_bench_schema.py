@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.service import ServiceBenchSchemaError, validate_service_bench
-from repro.sweeps import BenchSchemaError, validate_bench
+from repro.sweeps import BenchSchemaError, SweepSpec, bench_document, run_sweep, validate_bench
 
 _DELETE = object()
 _REPLACEMENTS = (None, -1, "", [], {}, True)
@@ -51,6 +51,34 @@ def _single_mutations(document):
     for path in _paths(document):
         for value in (_DELETE, *_REPLACEMENTS):
             yield path, value, _mutated(document, path, value)
+
+
+@pytest.fixture(scope="module")
+def mixed_sweep_document():
+    """A ``BENCH_sweep.json`` document with plain, ``lut+``, zero-failure
+    and streaming points, latency summaries and threshold fits.
+
+    ``lut+`` decoders have no timing model, so the latency points come from
+    a second sweep and are appended.  Tests must copy it before mutating it.
+    """
+    lut_run = run_sweep(
+        SweepSpec("mixed", (3, 5), (0.03,), ("union-find", "lut+union-find"), shots=32, seed=2)
+    )
+    latency_run = run_sweep(
+        SweepSpec(
+            "mixed-latency",
+            (3,),
+            (0.03,),
+            ("union-find",),
+            shots=16,
+            seed=2,
+            collect_latency=True,
+            streaming=(False, True),
+        )
+    )
+    document = bench_document(lut_run, commit="abc", timestamp="t")
+    document["points"] += bench_document(latency_run, commit="abc", timestamp="t")["points"]
+    return document
 
 
 @pytest.mark.parametrize(
