@@ -69,9 +69,8 @@ def _estimate_member_bytes(member: dict) -> int:
     a halving split.
     """
     syndrome = member["request"].get("syndrome") or {}
-    defects = syndrome.get("defects") or ()
-    edges = syndrome.get("error_edges") or ()
-    return 64 + 4 * (len(defects) + len(edges))
+    arrays = ("defects", "error_edges", "erasures")
+    return 64 + 4 * sum(len(syndrome.get(name) or ()) for name in arrays)
 
 
 class NetClient:

@@ -64,8 +64,8 @@ Binary layouts (all little-endian; ``blob`` = u32 length + UTF-8 bytes,
 
 * ``request``: ``0xB2 0x01`` · i64 frame id · session blob (canonical JSON)
   · syndrome · i64 request_id.
-* ``syndrome``: u8 flip (0 = null, 1 = false, 2 = true) · u32[] defects ·
-  u32[] error_edges.
+* ``syndrome``: u8 tag (bits 0-1: flip 0 = null, 1 = false, 2 = true; bit
+  2: has erasures) · u32[] defects · u32[] error_edges · [u32[] erasures].
 * ``response``: ``0xB2 0x02`` · i64 frame id · body.
 * body: status blob · u8 flags (1 cached, 2 has-outcome, 4 has-error) ·
   f64 queue_delay · f64 latency · u32 batch_size · [error blob] ·
@@ -175,15 +175,13 @@ def _put_u32_array(out: bytearray, values) -> None:
 
 
 def _put_syndrome(out: bytearray, syndrome: dict) -> None:
-    if syndrome.get("erasures"):
-        # The compact layout has no erasure slot; raising here makes
-        # _encode_binary return None, so the frame ships as a codec-1
-        # canonical-JSON frame instead — which carries every Syndrome field.
-        raise ValueError("binary codec does not encode heralded erasures")
     flip = syndrome.get("logical_flip")
-    out += _U8.pack(0 if flip is None else (2 if flip else 1))
+    erasures = syndrome.get("erasures")
+    out += _U8.pack((0 if flip is None else (2 if flip else 1)) | (4 if erasures else 0))
     _put_u32_array(out, syndrome.get("defects", ()))
     _put_u32_array(out, syndrome.get("error_edges", ()))
+    if erasures:
+        _put_u32_array(out, erasures)
 
 
 def _put_outcome(out: bytearray, outcome: dict) -> None:
@@ -357,14 +355,18 @@ class _Reader:
 
 
 def _read_syndrome(reader: _Reader) -> dict:
-    (flip,) = reader.unpack(_U8)
-    if flip > 2:
-        raise ProtocolError(f"bad logical_flip tag {flip}")
-    return {
+    (tag,) = reader.unpack(_U8)
+    flip = tag & 3
+    if tag > 7 or flip == 3:
+        raise ProtocolError(f"bad syndrome tag {tag}")
+    syndrome = {
         "defects": reader.u32_array(),
         "error_edges": reader.u32_array(),
         "logical_flip": None if flip == 0 else flip == 2,
     }
+    if tag & 4:
+        syndrome["erasures"] = reader.u32_array()
+    return syndrome
 
 
 def _read_outcome(reader: _Reader) -> dict:

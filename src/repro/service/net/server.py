@@ -38,7 +38,7 @@ import threading
 import time
 
 from ..config import ServiceConfig
-from ..request import STATUS_ERROR, SessionKey
+from ..request import SessionKey
 from .protocol import (
     CODEC_BINARY,
     PROTOCOL_VERSION,
@@ -50,7 +50,7 @@ from .protocol import (
 )
 from .router import HashRing
 from .shm import SharedGraphPack, SyndromeSlab
-from .worker import worker_main
+from .worker import error_payload, worker_main
 
 #: Default bound on drain (stop/SIGTERM): in-flight wait + per-worker acks.
 DEFAULT_DRAIN_TIMEOUT_SECONDS = 60.0
@@ -383,15 +383,7 @@ class NetServer:
 
     def _on_worker_message(self, worker: _Worker, message: tuple) -> None:
         kind = message[0]
-        if kind == "response":
-            _, seq, payload = message
-            pending = self._pending.pop(seq, None)
-            if pending is None:
-                return
-            if pending.slot is not None:
-                self._slab.free(pending.slot)
-            self._answer(pending, payload)
-        elif kind == "response-batch":
+        if kind == "response-batch":
             _, entries = message
             answers = []
             for seq, payload in entries:
@@ -432,17 +424,18 @@ class NetServer:
             client.open = False
 
     def _answer_batch(self, answers) -> None:
-        """Answer a worker's response batch: one frame per batching client.
+        """Answer a worker's response batch: one frame per binary client.
 
-        Non-batching (codec-1) clients — possible only for a hostile JSON
-        ``request-batch`` — get individual response frames instead.
+        A lone answer rides a ``response`` frame, several a
+        ``response-batch``.  Codec-1 clients get one ``response`` frame per
+        answer, with the request echo.
         """
         by_client: dict[int, tuple[_Client, list]] = {}
         for pending, payload in answers:
             client = pending.client
             if not client.open:
                 continue
-            if pending.kind != "request" or client.codec < CODEC_BINARY:
+            if client.codec < CODEC_BINARY:
                 self._answer(pending, payload)
                 continue
             entry = by_client.setdefault(id(client), (client, []))
@@ -451,23 +444,18 @@ class NetServer:
             chunks = [members]
             while chunks:
                 chunk = chunks.pop(0)
-                frame = {"kind": "response-batch", "responses": chunk}
+                if len(chunk) == 1:
+                    frame = {"kind": "response", **chunk[0]}
+                else:
+                    frame = {"kind": "response-batch", "responses": chunk}
                 try:
                     write_frame(client.writer, frame, client.codec)
                 except ProtocolError:
                     # The combined frame exceeds MAX_FRAME_BYTES: split it.
-                    # A single response can always ride its own frame (the
-                    # worker pipe already carried it).
                     if len(chunk) == 1:
-                        write_frame(
-                            client.writer,
-                            {"kind": "response", **chunk[0]},
-                            client.codec,
-                        )
-                        continue
+                        raise
                     mid = len(chunk) // 2
-                    chunks.insert(0, chunk[mid:])
-                    chunks.insert(0, chunk[:mid])
+                    chunks[:0] = [chunk[:mid], chunk[mid:]]
                 except (ConnectionError, OSError):  # pragma: no cover - racing close
                     client.open = False
                     break
@@ -491,15 +479,7 @@ class NetServer:
             if pending.kind == "request":
                 self._answer(
                     pending,
-                    {
-                        "status": STATUS_ERROR,
-                        "outcome": None,
-                        "queue_delay_seconds": 0.0,
-                        "latency_seconds": 0.0,
-                        "batch_size": 0,
-                        "cached": False,
-                        "error": f"WorkerDied: worker {worker.worker_id} exited mid-request",
-                    },
+                    error_payload(f"WorkerDied: worker {worker.worker_id} exited mid-request"),
                 )
             else:
                 self._answer(
@@ -613,84 +593,35 @@ class NetServer:
 
     def _handle_frame(self, client_id: int, client: _Client, frame: dict) -> None:
         kind = frame.get("kind")
-        frame_id = frame.get("id")
-        if self._refusing:
-            if kind == "request-batch":
-                # Refuse member by member: a connection-level (null-id)
-                # error would fail the client's unrelated in-flight work.
-                for member in frame.get("requests") or ():
-                    if isinstance(member, dict):
-                        self._refuse(client, member.get("id"), "server is draining")
-            else:
-                self._refuse(client, frame_id, "server is draining")
-            return
-        if kind == "request":
-            self._handle_request(client, frame)
-        elif kind == "request-batch":
-            self._handle_request_batch(client, frame)
+        # A request-batch frame lists its members; any other frame is its
+        # own single member (a request frame carries ``id`` and ``request``
+        # just like a batch member does).
+        members = frame.get("requests") if kind == "request-batch" else [frame]
+        if not isinstance(members, list):
+            self._refuse(client, frame.get("id"), "bad request-batch: requests must be an array")
+        elif self._refusing:
+            # Refuse member by member: a connection-level (null-id)
+            # error would fail the client's unrelated in-flight work.
+            for member in members:
+                if isinstance(member, dict):
+                    self._refuse(client, member.get("id"), "server is draining")
+        elif kind in ("request", "request-batch"):
+            self._admit(client, members)
         elif kind == "stream-open":
             self._handle_stream_open(client_id, client, frame)
         elif kind == "stream-op":
             self._handle_stream_op(client_id, client, frame)
         else:
-            self._refuse(client, frame_id, f"unknown frame kind {kind!r}")
+            self._refuse(client, frame.get("id"), f"unknown frame kind {kind!r}")
 
     def _next_seq(self) -> int:
         self._seq += 1
         return self._seq
 
-    def _handle_request(self, client: _Client, frame: dict) -> None:
-        frame_id = frame.get("id")
-        wire = frame.get("request")
-        try:
-            key_hash = SessionKey.from_dict(wire["session"]).key_hash()
-            # DecodeRequest.from_dict requires a syndrome object; refusing a
-            # null/absent one here keeps the worker pipe for decodable work.
-            syndrome_wire = wire["syndrome"]
-            if not isinstance(syndrome_wire, dict):
-                raise TypeError(
-                    f"syndrome must be an object, got {type(syndrome_wire).__name__}"
-                )
-            defects = syndrome_wire.get("defects") or []
-        except Exception as exc:
-            self._refuse(client, frame_id, f"bad request: {type(exc).__name__}: {exc}")
-            return
-        worker = self._route(key_hash)
-        if worker is None:
-            self._answer_no_worker(client, frame_id, wire)
-            return
-        # Zero-copy defect handoff: defects ride the shared slab, the pipe
-        # carries (slot, count) and a defect-less wire form.  Non-integer
-        # defects make the pack raise — that is a bad request, not a reason
-        # to kill the connection (the slab keeps its slot either way).
-        try:
-            slot = self._slab.write(defects) if defects else None
-        except Exception as exc:
-            self._refuse(client, frame_id, f"bad request: {type(exc).__name__}: {exc}")
-            return
-        if slot is not None:
-            wire = {**wire, "syndrome": {**syndrome_wire, "defects": []}}
-            count = len(defects)
-        else:
-            count = 0
-        seq = self._next_seq()
-        original_wire = frame["request"]
-        self._pending[seq] = _Pending(
-            "request", client, frame_id, original_wire, slot, worker.worker_id
-        )
-        self._idle.clear()
-        if not self._send_to_worker(worker, ("request", seq, wire, slot, count)):
-            # _on_worker_death already answered and cleaned up this pending.
-            return
-
-    def _handle_request_batch(self, client: _Client, frame: dict) -> None:
-        """One ``request-batch`` frame: validate, group per worker arc, and
+    def _admit(self, client: _Client, members: list) -> None:
+        """Admit decode requests: validate, group per worker arc, and
         forward each group as a single pipe message over contiguous slab
         slots.  Bad members are refused individually; the rest proceed."""
-        members = frame.get("requests")
-        if not isinstance(members, list):
-            self._refuse(client, frame.get("id"), "bad request-batch: requests must be an array")
-            return
         # Binary batch decoding shares one session dict object per table
         # entry, so hashing each distinct session once makes routing cost
         # per *session*, not per member.
@@ -707,6 +638,9 @@ class NetServer:
                 if key_hash is None:
                     key_hash = SessionKey.from_dict(session_wire).key_hash()
                     hash_memo[id(session_wire)] = key_hash
+                # DecodeRequest.from_dict requires a syndrome object; refusing
+                # a null/absent one here keeps the worker pipe for decodable
+                # work.
                 syndrome_wire = wire["syndrome"]
                 if not isinstance(syndrome_wire, dict):
                     raise TypeError(
@@ -718,13 +652,15 @@ class NetServer:
                 continue
             worker = self._route(key_hash)
             if worker is None:
-                self._answer_no_worker(client, member_id, wire)
+                self._answer(
+                    _Pending("request", client, member_id, wire, None, -1),
+                    error_payload("NoWorkers: every worker process has exited"),
+                )
                 continue
             groups.setdefault(worker.worker_id, []).append(
                 (member_id, wire, syndrome_wire, defects)
             )
         for worker_id, entries in groups.items():
-            worker = self._workers[worker_id]
             try:
                 slots = self._slab.write_batch([entry[3] for entry in entries])
             except Exception:
@@ -740,6 +676,8 @@ class NetServer:
                             client, entry[0], f"bad request: {type(exc).__name__}: {exc}"
                         )
                 entries = kept
+            # Zero-copy defect handoff: defects ride the shared slab, the
+            # pipe carries (slot, count) and a defect-less wire form.
             pipe_entries = []
             for (member_id, wire, syndrome_wire, defects), slot in zip(entries, slots):
                 if slot is not None:
@@ -754,24 +692,8 @@ class NetServer:
                 pipe_entries.append((seq, send_wire, slot, count))
             if pipe_entries:
                 self._idle.clear()
-                if not self._send_to_worker(worker, ("request-batch", pipe_entries)):
-                    # _on_worker_death already answered and cleaned these up.
-                    continue
-
-    def _answer_no_worker(self, client: _Client, frame_id, wire: dict) -> None:
-        pending = _Pending("request", client, frame_id, wire, None, -1)
-        self._answer(
-            pending,
-            {
-                "status": STATUS_ERROR,
-                "outcome": None,
-                "queue_delay_seconds": 0.0,
-                "latency_seconds": 0.0,
-                "batch_size": 0,
-                "cached": False,
-                "error": "NoWorkers: every worker process has exited",
-            },
-        )
+                # On a dead pipe _on_worker_death answers these pendings.
+                self._send_to_worker(self._workers[worker_id], ("request-batch", pipe_entries))
 
     def _handle_stream_open(self, client_id: int, client: _Client, frame: dict) -> None:
         frame_id = frame.get("id")

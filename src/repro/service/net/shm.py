@@ -286,10 +286,10 @@ class SyndromeSlab:
 
         The batch path allocates one *contiguous* run of slots and lands
         every list with a single vectorized pack into the mapping — one
-        numpy assignment instead of N ``struct.pack_into`` calls.  When no
-        contiguous run is free (fragmentation) or any list exceeds the slot
-        capacity, each list falls back to :meth:`write` individually; the
-        fallback changes bytes moved, never outcomes.
+        numpy assignment instead of N ``struct.pack_into`` calls.  A lone
+        list, or a batch with no contiguous run free (fragmentation) or a
+        list over the slot capacity, goes through :meth:`write` list by
+        list; the fallback changes bytes moved, never outcomes.
         """
         lists = [list(defects) for defects in defect_lists]
         slots: list[int | None] = [None] * len(lists)
@@ -298,12 +298,20 @@ class SyndromeSlab:
         if count == 0:
             return slots
         start = None
-        if all(len(lists[index]) <= self.slot_capacity for index in occupied):
+        if count > 1 and all(len(lists[index]) <= self.slot_capacity for index in occupied):
             with self._lock:
                 start = self._take_run(count)
         if start is None:
-            for index in occupied:
-                slots[index] = self.write(lists[index])
+            try:
+                for index in occupied:
+                    slots[index] = self.write(lists[index])
+            except Exception:
+                # Same contract as the run path: a bad list frees every
+                # slot the earlier lists of this batch already took.
+                for slot in slots:
+                    if slot is not None:
+                        self.free(slot)
+                raise
             return slots
         padded = np.zeros((count, self.slot_capacity), dtype=np.int64)
         try:

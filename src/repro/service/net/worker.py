@@ -9,7 +9,6 @@ over its :class:`multiprocessing.Pipe` with the front end:
 =================================================  ===================================
 server → worker                                    worker → server
 =================================================  ===================================
-``("request", seq, wire, slot, count)``            ``("response", seq, payload)``
 ``("request-batch", [(seq, wire, slot, count)])``  ``("response-batch", [(seq, payload)])``
 ``("stream-open", seq, sid, session, w, c)``       ``("stream-reply", seq, result)``
 ``("stream-op", seq, sid, op, payload)``           ``("stream-reply", seq, result)``
@@ -18,8 +17,9 @@ server → worker                                    worker → server
 ``("drain",)``                                     ``("drained",)``
 =================================================  ===================================
 
-A ``request-batch`` message is the batched hop end to end: the whole batch
-is submitted to the in-process service *before* any member is awaited — the
+Every decode request rides a ``request-batch`` message (a lone client
+request is a batch of one), and the batch is the unit end to end: it is
+submitted to the in-process service *before* any member is awaited — the
 micro-batcher sees the full batch instead of trickled singles — and the one
 ``response-batch`` reply is sent only when every member resolved.
 
@@ -62,8 +62,9 @@ def response_payload(response) -> dict:
     }
 
 
-def error_payload(exc: BaseException) -> dict:
-    """A STATUS_ERROR payload for a request that failed outside a decoder."""
+def error_payload(message: str) -> dict:
+    """The STATUS_ERROR payload of a request that failed outside a decoder
+    (worker or front end), with ``message`` as its error."""
     return {
         "status": STATUS_ERROR,
         "outcome": None,
@@ -71,7 +72,7 @@ def error_payload(exc: BaseException) -> dict:
         "latency_seconds": 0.0,
         "batch_size": 0,
         "cached": False,
-        "error": f"{type(exc).__name__}: {exc}",
+        "error": message,
     }
 
 
@@ -147,7 +148,7 @@ class _BatchAccumulator:
             try:
                 payload = response_payload(future.result())
             except BaseException as exc:
-                payload = error_payload(exc)
+                payload = error_payload(f"{type(exc).__name__}: {exc}")
             self.resolve(index, payload)
 
         return on_done
@@ -200,16 +201,6 @@ def worker_main(
             except (BrokenPipeError, OSError):  # front end is gone
                 pass
 
-    def on_response(seq: int):
-        def callback(future) -> None:
-            try:
-                payload = response_payload(future.result())
-            except BaseException as exc:
-                payload = error_payload(exc)
-            send(("response", seq, payload))
-
-        return callback
-
     def on_stream_reply(seq: int):
         def callback(future) -> None:
             try:
@@ -227,16 +218,7 @@ def worker_main(
         except (EOFError, OSError):
             break
         command = message[0]
-        if command == "request":
-            _, seq, wire, slot, count = message
-            try:
-                request = _request_from_wire(wire, slab, slot, count)
-                future = service.submit(request)
-            except BaseException as exc:
-                send(("response", seq, error_payload(exc)))
-                continue
-            future.add_done_callback(on_response(seq))
-        elif command == "request-batch":
+        if command == "request-batch":
             _, entries = message
             batch = _BatchAccumulator([entry[0] for entry in entries], send)
             # Submit the whole batch before awaiting anything: the service's
@@ -247,7 +229,7 @@ def worker_main(
                     request = _request_from_wire(wire, slab, slot, count)
                     future = service.submit(request)
                 except BaseException as exc:
-                    batch.resolve(index, error_payload(exc))
+                    batch.resolve(index, error_payload(f"{type(exc).__name__}: {exc}"))
                     continue
                 future.add_done_callback(batch.callback(index))
         elif command == "stream-open":

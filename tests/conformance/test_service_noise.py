@@ -3,8 +3,8 @@
 ``NOISE_FAMILY_SMOKE_TRACE`` mixes every non-i.i.d. family through the full
 service path.  Its hash is pinned (as is ``SMOKE_TRACE``'s, which must never
 move — the new trace fields serialize only at non-default values), its
-expansion is replay-stable, erasure-carrying requests must ship as codec-1
-JSON frames (the binary layout has no erasure slot), and the service-load
+expansion is replay-stable, erasure-carrying requests keep the codec-2
+binary layout (its syndrome carries an erasure array), and the service-load
 healthy digest is worker-count independent.
 """
 
@@ -61,31 +61,31 @@ def _round_trip(request: DecodeRequest) -> tuple[bool, DecodeRequest]:
     return payload[:1] == b"\xb2", DecodeRequest.from_dict(decoded["request"])
 
 
-def test_erasure_requests_fall_back_to_json_frames(noise_trace):
+def test_erasure_requests_take_the_binary_layout(noise_trace):
     erased = next(
         tr.request for tr in noise_trace.requests if tr.request.syndrome.erasures
     )
     plain = next(
         tr.request for tr in noise_trace.requests if not tr.request.syndrome.erasures
     )
-    was_binary, round_tripped = _round_trip(erased)
-    assert not was_binary, "binary layout cannot carry heralded erasures"
-    assert round_tripped == erased  # erasures survive the JSON fallback
+    for request in (erased, plain):
+        was_binary, round_tripped = _round_trip(request)
+        assert was_binary, "codec 2 carries heralded erasures in its own array"
+        assert round_tripped == request
 
-    was_binary, round_tripped = _round_trip(plain)
-    assert was_binary, "erasure-free requests must keep the compact layout"
-    assert round_tripped == plain
-
-    # a mixed batch frame degrades to JSON as a whole and still round-trips
+    # a mixed batch frame keeps the binary layout and round-trips member-wise
     batch = {
         "kind": "request-batch",
-        "id": 1,
-        "requests": [plain.to_dict(), erased.to_dict()],
+        "requests": [
+            {"id": index, "request": request.to_dict()}
+            for index, request in enumerate((plain, erased))
+        ],
     }
     payload = encode_frame(batch, codec=CODEC_BINARY)[_LENGTH.size :]
-    assert payload[:1] != b"\xb2"
-    decoded = [DecodeRequest.from_dict(r) for r in decode_payload(payload)["requests"]]
-    assert decoded == [plain, erased]
+    assert payload[:1] == b"\xb2"
+    members = decode_payload(payload)["requests"]
+    assert [member["id"] for member in members] == [0, 1]
+    assert [DecodeRequest.from_dict(member["request"]) for member in members] == [plain, erased]
 
 
 def test_service_digest_is_worker_count_independent():

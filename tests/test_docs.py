@@ -37,9 +37,13 @@ class TestDocumentation:
             assert f"({page.name})" in index, f"docs/index.md misses {page.name}"
 
     def test_checker_covers_service_modules(self):
-        """The doctest surface must include the whole service package."""
+        """The doctest surface must include the whole service package,
+        the network tier included."""
         covered = set(check_docs.DOCTEST_MODULES)
-        for module in (REPO_ROOT / "src" / "repro" / "service").glob("*.py"):
+        src = REPO_ROOT / "src"
+        service = src / "repro" / "service"
+        for module in [*service.glob("*.py"), *(service / "net").glob("*.py")]:
             if module.stem == "__init__":
                 continue
-            assert f"repro.service.{module.stem}" in covered
+            name = ".".join(module.relative_to(src).with_suffix("").parts)
+            assert name in covered, name

@@ -9,6 +9,7 @@ never a hang — and SIGTERM drains in-flight work before exit.
 import os
 import signal
 import socket
+import struct
 import subprocess
 import sys
 import time
@@ -127,6 +128,22 @@ class TestSharedMemory:
             assert slab.write(list(range(5))) is None  # over slot capacity
             with pytest.raises(ValueError):
                 slab.read(99, 1)
+        finally:
+            slab.close()
+
+    def test_write_batch_frees_taken_slots_when_a_list_is_unpackable(self):
+        """An over-capacity list sends write_batch down its per-list
+        fallback; a later unpackable list must hand back the slots the
+        earlier lists already took."""
+        slab = SyndromeSlab.create(slots=8, slot_capacity=4)
+        try:
+            with pytest.raises((TypeError, struct.error)):
+                slab.write_batch([[1, 2], [1, 2, 3, 4, 5], [3], ["x"]])
+            assert len(slab._free) == 8
+            # The contiguous-run path keeps the same contract.
+            with pytest.raises((TypeError, ValueError)):
+                slab.write_batch([[1, 2], [3], ["x"]])
+            assert len(slab._free) == 8
         finally:
             slab.close()
 
@@ -430,7 +447,7 @@ class TestNetworkReplay:
 
 class TestErasuresOverNetwork:
     """Heralded erasures must survive both wire hops: client → server
-    (binary codec falls back to canonical JSON per frame) and server →
+    (the binary syndrome layout carries an erasure array) and server →
     worker (the syndrome-slab handoff carries defects only, so the worker's
     reconstruction must re-attach ``erasures`` from the wire form —
     regression: dropping them decoded on the unerased graph, same pairs but
@@ -579,6 +596,57 @@ class TestConnectionRobustness:
         finally:
             server.stop()
 
+    def test_hostile_json_batch_returns_every_slab_slot(self):
+        """A JSON request-batch mixing a valid member, an over-capacity one
+        (inline fallback) and an unpackable one: the bad member is refused,
+        the others are answered, and no slab slot leaks."""
+        trace = generate_trace(NET_TRACE)
+        server = NetServer(NET_CONFIG, processes=1, prewarm=prewarm_specs(NET_TRACE), slab_slots=8)
+        host, port = server.start()
+        try:
+            valid = trace.requests[0].request.to_dict()
+            session_wire = valid["session"]
+            sock = socket.create_connection((host, port), timeout=30.0)
+            try:
+                write_frame_sync(
+                    sock,
+                    {"kind": "hello", "version": PROTOCOL_VERSION, "client": "hostile"},
+                )
+                assert read_frame_sync(sock)["kind"] == "welcome"
+                members = [
+                    {"id": 1, "request": valid},
+                    {
+                        "id": 2,
+                        "request": {
+                            "session": session_wire,
+                            "syndrome": {"defects": list(range(513))},
+                        },
+                    },
+                    {
+                        "id": 3,
+                        "request": {"session": session_wire, "syndrome": {"defects": ["x"]}},
+                    },
+                ]
+                write_frame_sync(sock, {"kind": "request-batch", "requests": members})
+                replies = {}
+                for _ in members:
+                    frame = read_frame_sync(sock)
+                    replies[frame["id"]] = frame
+                assert replies[1]["kind"] == "response"
+                assert replies[1]["response"]["status"] == "ok"
+                assert replies[2]["kind"] == "response"
+                assert replies[3]["kind"] == "error"
+                assert "bad request" in replies[3]["error"]
+                write_frame_sync(sock, {"kind": "bye"})
+            finally:
+                sock.close()
+            deadline = time.monotonic() + 5.0
+            while len(server._slab._free) != 8 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert len(server._slab._free) == 8
+        finally:
+            server.stop()
+
     def test_client_disconnect_mid_stream_cleans_up_server_state(self):
         key = NET_TRACE.scenarios[0].session_key()
         server = NetServer(NET_CONFIG, processes=2, prewarm=prewarm_specs(NET_TRACE))
@@ -708,6 +776,45 @@ class TestWireV2:
                     client.decode_many([huge, normal], timeout=30.0)
                 # The connection survived the refusal.
                 assert client.decode(normal, timeout=30.0).ok
+        finally:
+            server.stop()
+
+    def test_reply_frame_kinds_on_a_binary_connection(self):
+        """One answer rides a ``response`` frame, several from one worker a
+        ``response-batch`` — whatever frame kind carried the request."""
+        trace = generate_trace(NET_TRACE)
+        wires = [traced.request.to_dict() for traced in trace.requests[:2]]
+        server = NetServer(NET_CONFIG, processes=1, prewarm=prewarm_specs(NET_TRACE))
+        host, port = server.start()
+        try:
+            sock = socket.create_connection((host, port), timeout=30.0)
+            try:
+                write_frame_sync(
+                    sock,
+                    {
+                        "kind": "hello",
+                        "version": PROTOCOL_VERSION,
+                        "client": "raw",
+                        "codecs": [CODEC_BINARY, CODEC_JSON],
+                    },
+                )
+                assert read_frame_sync(sock)["codec"] == CODEC_BINARY
+
+                def exchange(frame) -> dict:
+                    write_frame_sync(sock, frame, CODEC_BINARY)
+                    return read_frame_sync(sock)
+
+                reply = exchange({"kind": "request", "id": 1, "request": wires[0]})
+                assert reply["kind"] == "response" and reply["id"] == 1
+                members = [{"id": 2, "request": wires[0]}, {"id": 3, "request": wires[1]}]
+                reply = exchange({"kind": "request-batch", "requests": members})
+                assert reply["kind"] == "response-batch"
+                assert [member["id"] for member in reply["responses"]] == [2, 3]
+                reply = exchange({"kind": "request-batch", "requests": members[:1]})
+                assert reply["kind"] == "response" and reply["id"] == 2
+                write_frame_sync(sock, {"kind": "bye"})
+            finally:
+                sock.close()
         finally:
             server.stop()
 

@@ -40,6 +40,14 @@ def _request() -> DecodeRequest:
     )
 
 
+def _erased_request() -> DecodeRequest:
+    return DecodeRequest(
+        session=_key(),
+        syndrome=Syndrome(defects=(1, 4), logical_flip=False, erasures=(0, 9)),
+        request_id=7,
+    )
+
+
 class TestGoldenPins:
     """Frozen canonical-JSON wire forms.  A failing pin = a wire break."""
 
@@ -215,6 +223,17 @@ _BINARY_BATCH_PIN = (
     "080000000000000000010000000900000000000000"
 )
 
+#: Syndrome tag 0x05 = logical_flip false | has-erasures; the erasure array
+#: follows error_edges.
+_BINARY_ERASED_REQUEST_PIN = (
+    "b20103000000000000009f0000007b22636f6465223a7b2264697374616e6365223a332c"
+    "226e6f697365223a22636972637569745f6c6576656c222c22706879736963616c5f6572"
+    "726f725f72617465223a302e30322c22726f756e6473223a6e756c6c7d2c22636f6e6669"
+    "67223a7b226669656c6473223a7b7d2c2274797065223a22556e696f6e46696e64436f6e"
+    "666967227d2c226465636f646572223a22756e696f6e2d66696e64227d05020000000100"
+    "000004000000000000000200000000000000090000000700000000000000"
+)
+
 
 class TestBinaryCodec:
     """Codec-2 byte pins, codec sniffing, negotiation, and fallbacks."""
@@ -226,6 +245,10 @@ class TestBinaryCodec:
     def test_response_bytes_pin(self):
         frame = {"kind": "response", "id": 3, "response": _response_payload()}
         assert encode_frame(frame, CODEC_BINARY)[4:].hex() == _BINARY_RESPONSE_PIN
+
+    def test_erased_request_bytes_pin(self):
+        frame = {"kind": "request", "id": 3, "request": _erased_request().to_dict()}
+        assert encode_frame(frame, CODEC_BINARY)[4:].hex() == _BINARY_ERASED_REQUEST_PIN
 
     def test_request_batch_bytes_pin(self):
         session = _request().to_dict()["session"]
@@ -250,7 +273,12 @@ class TestBinaryCodec:
         assert encode_frame(frame, CODEC_BINARY)[4:].hex() == _BINARY_BATCH_PIN
 
     def test_binary_payloads_decode_to_the_logical_frame(self):
-        for pin in (_BINARY_REQUEST_PIN, _BINARY_RESPONSE_PIN, _BINARY_BATCH_PIN):
+        for pin in (
+            _BINARY_REQUEST_PIN,
+            _BINARY_ERASED_REQUEST_PIN,
+            _BINARY_RESPONSE_PIN,
+            _BINARY_BATCH_PIN,
+        ):
             payload = bytes.fromhex(pin)
             frame = decode_payload(payload)
             # Re-encoding the decoded frame reproduces the pinned bytes:
@@ -286,6 +314,18 @@ class TestBinaryCodec:
             with pytest.raises(ProtocolError):
                 decode_payload(payload[:cut])
 
+    def test_bad_syndrome_tag_raises(self):
+        # Tag 3 is a flip value outside null/false/true; tag 8 sets a bit
+        # the layout does not define.
+        payload = bytearray.fromhex(_BINARY_REQUEST_PIN)
+        # The pin ends: tag · u32[] defects (2) · u32[] error_edges (0) · i64.
+        tag_offset = len(payload) - (1 + 4 + 2 * 4 + 4 + 8)
+        assert payload[tag_offset] == 1
+        for tag in (3, 8):
+            payload[tag_offset] = tag
+            with pytest.raises(ProtocolError, match=f"bad syndrome tag {tag}"):
+                decode_payload(bytes(payload))
+
     def test_unknown_binary_kind_raises(self):
         with pytest.raises(ProtocolError, match="unknown binary frame kind"):
             decode_payload(b"\xb2\x7f" + b"\x00" * 16)
@@ -314,7 +354,9 @@ _SYNDROME = st.fixed_dictionaries(
         "defects": st.lists(st.integers(0, 2**32 - 1), max_size=8),
         "error_edges": st.lists(st.integers(0, 2**32 - 1), max_size=4),
         "logical_flip": st.sampled_from([None, True, False]),
-    }
+    },
+    # Syndrome.to_dict emits erasures only when non-empty.
+    optional={"erasures": st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4)},
 )
 _REQUEST = st.fixed_dictionaries(
     {

@@ -11,8 +11,8 @@ Three checks, all enforced by the ``docs`` CI job (and by
    Illustrative, deliberately non-runnable snippets are fenced as
    ```` ```python notest ```` (rendered identically by GitHub).
 2. **Doctests pass.**  The docstring examples of the public API surface
-   (``repro.api``, ``repro.stream``, ``repro.sweeps``, ``repro.service``,
-   ``repro.evaluation.service_load``) run under
+   (``repro.api``, ``repro.stream``, ``repro.sweeps``, ``repro.service``
+   including ``repro.service.net``, ``repro.evaluation.service_load``) run under
    ``ELLIPSIS | NORMALIZE_WHITESPACE``.
 3. **Intra-repo links resolve.**  Every relative markdown link target in the
    checked files must exist (``http(s)``/``mailto`` links and pure anchors
@@ -76,6 +76,13 @@ DOCTEST_MODULES = (
     "repro.service.service",
     "repro.service.trace",
     "repro.service.bench",
+    "repro.service.net.bench",
+    "repro.service.net.client",
+    "repro.service.net.protocol",
+    "repro.service.net.router",
+    "repro.service.net.server",
+    "repro.service.net.shm",
+    "repro.service.net.worker",
     "repro.evaluation.service_load",
 )
 
