@@ -1062,6 +1062,8 @@ def _command_serve_net(args: argparse.Namespace) -> int:
         print(
             f"net processes={row['processes']}: {row['throughput_rps']:.0f} req/s "
             f"efficiency={row['efficiency']:.2f} "
+            f"queue_delay_us p50={net.queue_delay.percentile(50) * 1e6:.1f} "
+            f"mean_batch_size={net.mean_batch_size:.2f} "
             f"digest {'==' if match else '!='} in-process, "
             f"identity {net.identity_checked} checked / "
             f"{net.identity_mismatches} mismatches"

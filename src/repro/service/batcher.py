@@ -1,4 +1,4 @@
-"""Dynamic micro-batching core: coalesce requests, flush on size or deadline.
+"""Dynamic micro-batching core: coalesce requests, flush on size, close or deadline.
 
 The batcher is the pLUTo-style amortisation point of the service (see
 PAPERS.md): many small independent requests are coalesced into one batch per
@@ -6,10 +6,13 @@ session key so the per-batch costs — session lookup, lock acquisition,
 worker dispatch — are paid once per batch instead of once per request, and
 the cached session decodes the whole batch back to back.
 
-A batch flushes when **either** bound is hit, whichever comes first:
+A batch flushes on whichever of three events comes first:
 
 * *size* — the batch reached ``max_batch_size`` requests (returned to the
   caller straight from :meth:`add`);
+* *close* — :meth:`add` was called with ``close=True``: the caller already
+  coalesced a group and this item is the group's last for the key, so the
+  key's open batch (with the item in it) is returned at once;
 * *deadline* — ``max_wait_seconds`` elapsed since the batch's first request
   arrived (collected via :meth:`due`).  The deadline is set by the *first*
   request of a batch and never extended, so under light load no request ever
@@ -31,6 +34,10 @@ True
 10.7
 >>> [batch.items for batch in batcher.due(now=10.8)]
 [['r3']]
+>>> batcher.add("k", "r4", now=11.0) is None
+True
+>>> batcher.add("k", "r5", now=11.1, close=True).items   # close -> flushed
+['r4', 'r5']
 """
 
 from __future__ import annotations
@@ -53,7 +60,7 @@ class Batch:
 
 
 class MicroBatcher:
-    """Clock-agnostic dynamic micro-batcher (flush on size or deadline)."""
+    """Clock-agnostic dynamic micro-batcher (flush on size, close or deadline)."""
 
     def __init__(self, max_batch_size: int = 32, max_wait_seconds: float = 0.002):
         if max_batch_size < 1:
@@ -64,12 +71,13 @@ class MicroBatcher:
         self.max_wait_seconds = max_wait_seconds
         self._pending: dict[object, Batch] = {}
 
-    def add(self, key, item, now: float) -> Batch | None:
-        """Append ``item`` to the batch of ``key``; return it if now full.
+    def add(self, key, item, now: float, close: bool = False) -> Batch | None:
+        """Append ``item`` to the batch of ``key``; return it if now full or
+        ``close`` is set.
 
         A returned batch has been removed from the batcher (the caller owns
         dispatching it); ``None`` means the item is waiting for either more
-        requests or its deadline.
+        requests or its deadline.  Other keys' batches are never touched.
         """
         batch = self._pending.get(key)
         if batch is None:
@@ -80,7 +88,7 @@ class MicroBatcher:
             )
             self._pending[key] = batch
         batch.items.append(item)
-        if batch.size >= self.max_batch_size:
+        if close or batch.size >= self.max_batch_size:
             del self._pending[key]
             return batch
         return None

@@ -19,9 +19,11 @@ server → worker                                    worker → server
 
 Every decode request rides a ``request-batch`` message (a lone client
 request is a batch of one), and the batch is the unit end to end: it is
-submitted to the in-process service *before* any member is awaited — the
-micro-batcher sees the full batch instead of trickled singles — and the one
-``response-batch`` reply is sent only when every member resolved.
+submitted to the in-process service in one
+:meth:`~repro.service.DecodeService.submit_many` call, so each session's
+share of it closes that session's micro-batch at once instead of waiting out
+``max_wait_seconds`` — and the one ``response-batch`` reply is sent only
+when every member resolved.
 
 ``payload`` is :meth:`repro.service.DecodeResponse.to_dict` *minus* the
 request echo (the front end holds the request wire form and re-attaches it
@@ -221,16 +223,23 @@ def worker_main(
         if command == "request-batch":
             _, entries = message
             batch = _BatchAccumulator([entry[0] for entry in entries], send)
-            # Submit the whole batch before awaiting anything: the service's
-            # micro-batcher coalesces what is in its queue, so the batch
-            # arrives as one wave, not a trickle of singles.
+            # The client already coalesced this batch: submit it as one group
+            # so each session's share closes its micro-batch right away.
+            indices, requests = [], []
             for index, (seq, wire, slot, count) in enumerate(entries):
                 try:
-                    request = _request_from_wire(wire, slab, slot, count)
-                    future = service.submit(request)
+                    requests.append(_request_from_wire(wire, slab, slot, count))
                 except BaseException as exc:
                     batch.resolve(index, error_payload(f"{type(exc).__name__}: {exc}"))
                     continue
+                indices.append(index)
+            try:
+                futures = service.submit_many(requests)
+            except Exception as exc:
+                for index in indices:
+                    batch.resolve(index, error_payload(f"{type(exc).__name__}: {exc}"))
+                continue
+            for index, future in zip(indices, futures):
                 future.add_done_callback(batch.callback(index))
         elif command == "stream-open":
             _, seq, sid, session_wire, window, commit_depth = message

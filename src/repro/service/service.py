@@ -13,6 +13,10 @@ requests onto the batched machinery the repository already has:
    :class:`~repro.service.batcher.MicroBatcher`: requests sharing a
    :class:`~repro.service.request.SessionKey` accumulate into one batch that
    flushes on ``max_batch_size`` or ``max_wait_seconds`` — whichever first.
+   A group the caller already coalesced (:meth:`~DecodeService.submit_many`)
+   does not wait out the deadline: each session's last queued member closes
+   that session's batch, so ``max_wait_seconds`` bounds only requests
+   admitted one at a time.
 3. **Dispatch.**  Flushed batches fan out across a thread pool of
    ``workers``.  Each worker fetches the batch's reusable
    :class:`repro.api.DecoderSession` from the service's LRU
@@ -136,10 +140,12 @@ class _DecodeJob:
 
     ``cache_key`` is the request's outcome-cache key, carried through the
     micro-batcher so the worker can publish the decode into the cache —
-    ``None`` when the service runs without an outcome cache.
+    ``None`` when the service runs without an outcome cache.  ``close`` marks
+    the last queued member of a session within a ``submit_many`` group: the
+    dispatcher flushes the session's batch on it.
     """
 
-    __slots__ = ("request", "future", "arrival_seconds", "cache_key")
+    __slots__ = ("request", "future", "arrival_seconds", "cache_key", "close")
 
     def __init__(
         self,
@@ -152,6 +158,7 @@ class _DecodeJob:
         self.future = future
         self.arrival_seconds = arrival
         self.cache_key = cache_key
+        self.close = False
 
 
 class _StreamJob:
@@ -222,7 +229,8 @@ class DecodeService:
     """Asynchronous decode front end with dynamic micro-batching.
 
     Lifecycle: construct → :meth:`start` (or use as a context manager) →
-    :meth:`submit`/:meth:`decode`/:meth:`open_stream` → :meth:`close`.
+    :meth:`submit`/:meth:`submit_many`/:meth:`decode`/:meth:`open_stream` →
+    :meth:`close`.
     Submissions are accepted before :meth:`start` (they wait on the queue),
     which is also how tests exercise backpressure deterministically.
 
@@ -392,6 +400,51 @@ class DecodeService:
         """
         if self._closed:
             raise ServiceClosedError("service is closed")
+        future, job = self._probe(request)
+        if job is not None:
+            self._enqueue(job, timeout)
+        return future
+
+    def submit_many(
+        self, requests: Iterable[DecodeRequest], timeout: float | None = None
+    ) -> list[Future]:
+        """Queue an already-coalesced group; returns one future per request.
+
+        Each member is admitted as by :meth:`submit` — outcome cache,
+        overload policy, stats ledger — but the group does not wait out
+        ``max_wait_seconds``: the last queued member of each session closes
+        that session's batch, which also takes in that session's requests
+        already waiting in the batcher.  Under ``"shed"`` the group is
+        admitted against the queue's free room when it arrives: the members
+        past it are shed, and the closing flag goes to a member inside it.
+        A ``"block"`` timeout fails only that member's future with
+        :class:`ServiceOverloadedError`.  When a flagged member does not
+        queue (that timeout, or another submitter taking the room first),
+        its session's earlier members flush on their deadline, as after
+        :meth:`submit`.
+        """
+        if self._closed:
+            raise ServiceClosedError("service is closed")
+        admitted = [self._probe(request) for request in requests]
+        queued = [job for _future, job in admitted if job is not None]
+        if self.overload_policy == "shed":
+            room = self._queue.maxsize - self._queue.qsize()
+            for job in queued[room:]:
+                self._shed(job)
+            queued = queued[:room]
+        last = {job.request.session: job for job in queued}
+        for job in last.values():
+            job.close = True
+        for job in queued:
+            try:
+                self._enqueue(job, timeout)
+            except ServiceOverloadedError as exc:
+                job.future.set_exception(exc)
+        return [future for future, _job in admitted]
+
+    def _probe(self, request: DecodeRequest) -> tuple[Future, _DecodeJob | None]:
+        """First admission step: answer ``request`` from the outcome cache
+        (no job), or wrap it in the job that still has to be queued."""
         future: Future = Future()
         arrival = self._clock()
         cache_key: str | None = None
@@ -417,8 +470,11 @@ class DecodeService:
                         cached=True,
                     )
                 )
-                return future
-        job = _DecodeJob(request, future, arrival, cache_key)
+                return future, None
+        return future, _DecodeJob(request, future, arrival, cache_key)
+
+    def _enqueue(self, job: _DecodeJob, timeout: float | None) -> None:
+        """Second admission step: queue ``job`` under the overload policy."""
         try:
             if self.overload_policy == "shed":
                 self._queue.put_nowait(job)
@@ -426,14 +482,8 @@ class DecodeService:
                 self._queue.put(job, timeout=timeout)
         except queue_module.Full:
             if self.overload_policy == "shed":
-                # A shed request was still *offered* — count it in submitted
-                # too, so `submitted == completed + shed + errors + in-flight`
-                # holds and the bench artifacts report true offered load.
-                with self._stats_lock:
-                    self.stats.submitted += 1
-                    self.stats.shed += 1
-                future.set_result(DecodeResponse(request=request, status=STATUS_SHED))
-                return future
+                self._shed(job)
+                return
             raise ServiceOverloadedError(
                 f"queue stayed full for {timeout}s (capacity "
                 f"{self._queue.maxsize}); raise queue_capacity, add workers, "
@@ -441,7 +491,15 @@ class DecodeService:
             ) from None
         with self._stats_lock:
             self.stats.submitted += 1
-        return future
+
+    def _shed(self, job: _DecodeJob) -> None:
+        # A shed request was still *offered* — count it in submitted too, so
+        # `submitted == completed + shed + errors + in-flight` holds and the
+        # bench artifacts report true offered load.
+        with self._stats_lock:
+            self.stats.submitted += 1
+            self.stats.shed += 1
+        job.future.set_result(DecodeResponse(request=job.request, status=STATUS_SHED))
 
     def decode(self, request: DecodeRequest, timeout: float | None = None) -> DecodeResponse:
         """Synchronous convenience wrapper: :meth:`submit` + wait."""
@@ -508,7 +566,7 @@ class DecodeService:
             if isinstance(job, _StreamJob):
                 job.stream._serial.submit(job)
             elif job is not None:
-                full = batcher.add(job.request.session, job, self._clock())
+                full = batcher.add(job.request.session, job, self._clock(), job.close)
                 if full is not None:
                     self._dispatch_batch(full)
             for batch in batcher.due(self._clock()):

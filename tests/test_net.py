@@ -666,6 +666,40 @@ class TestConnectionRobustness:
             server.stop()
 
 
+class TestPipeBatchesClose:
+    """A pipe batch closes its session batches in the worker's service: with
+    a deadline that cannot fire inside the test, coalesced and lone requests
+    must still be answered promptly."""
+
+    def test_answers_arrive_without_waiting_out_the_deadline(self):
+        from repro.api import get_decoder
+
+        trace = generate_trace(NET_TRACE)
+        traced = list(trace.requests[:12])
+        assert len({t.request.session for t in traced}) == 2
+        server = NetServer(
+            ServiceConfig(max_wait_seconds=30.0), processes=1, prewarm=prewarm_specs(NET_TRACE)
+        )
+        host, port = server.start()
+        try:
+            with NetClient(host, port) as client:
+                responses = client.decode_many([t.request for t in traced], timeout=5.0)
+                # An idle connection sends a lone submit as a `request` frame.
+                lone = client.submit(traced[0].request).result(timeout=5.0)
+                frames = client.wire_stats()["batch_histogram"]
+        finally:
+            server.stop()
+        assert frames.get("1", 0) == 1 and sum(frames.values()) == 2
+        for t, response in zip(traced + [traced[0]], responses + [lone]):
+            assert response.ok, response.error
+            key = t.request.session
+            graph = trace.graphs[t.scenario_index]
+            direct = get_decoder(key.decoder, graph, key.config).decode_detailed(t.request.syndrome)
+            assert response.outcome.correction_edges(graph) == direct.correction_edges(graph)
+            assert response.outcome.weight == direct.weight
+            assert response.outcome.counters == direct.counters
+
+
 class TestWireV2:
     """Codec negotiation, batching, coalescing, and v1 interop end to end."""
 
