@@ -61,8 +61,6 @@ class MicroBlossomAccelerator(DualGraphState):
         self.enable_prematching = enable_prematching
         self._prematches: dict[int, PreMatch] = {}
         self._prematches_dirty = True
-        self._instruction_words: int = 0
-        self._response_reads: int = 0
         self._prematched_floor: int = 0
         super().__init__(graph, scale=scale)
 
@@ -79,7 +77,6 @@ class MicroBlossomAccelerator(DualGraphState):
         self._prematched_floor = self.counters.get(
             "prematched_defects", getattr(self, "_prematched_floor", 0)
         )
-        self._instruction_words = getattr(self, "_instruction_words", 0) + 1
         self.counters["bus_words"] = self.counters.get("bus_words", 0) + 1
         _ = reset_word()
 

@@ -15,6 +15,11 @@ CPU, and — for stream decoding — the share of the work that happens after th
 final measurement round arrived (which is what determines the decoding
 latency).
 
+In stream mode each round is fused by one internal push step that records no
+counter delta of its own: :meth:`MicroBlossomDecoder.push_round` computes the
+round's delta at the public boundary, from the snapshot the step took, while
+``decode_detailed`` drives the same step and only reads the outcome's totals.
+
 The decoder keeps its accelerator model and primal module alive across
 decodes (``reuse_engines=True``, the default): each shot snapshots the
 counters, ``reset()``s both engines and reports per-shot counter deltas, so
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 from ..api.outcome import DecodeOutcome, counter_delta
@@ -70,9 +76,14 @@ class _StreamState:
     #: Absolute counter snapshot taken at the start of the latest round —
     #: the work recorded after it is what remains once the final round
     #: arrived (paper §8.2).
-    last_snapshot: Counter = field(default_factory=Counter)
+    last_snapshot: dict = field(default_factory=dict)
     retries: int = 0
     any_defects: bool = False
+
+
+def _snapshot(accelerator: MicroBlossomAccelerator, primal: PrimalModule) -> dict:
+    """Absolute counters of both engines as one dict (their keys are disjoint)."""
+    return {**accelerator.counters, **primal.counters}
 
 
 class MicroBlossomDecoder:
@@ -129,7 +140,7 @@ class MicroBlossomDecoder:
         if self.stream:
             self.begin(rounds_hint=self.graph.num_layers)
             for round_defects in syndrome.defects_by_layer(self.graph):
-                self.push_round(round_defects)
+                self._push(round_defects)
             return self.finalize()
         scale = self.scale
         last_error: IntegralityError | None = None
@@ -174,14 +185,12 @@ class MicroBlossomDecoder:
                 f"{self.graph.num_layers} measurement rounds"
             )
         accelerator, primal, baseline = self._acquire(self.scale)
-        snapshot = Counter(accelerator.counters)
-        snapshot.update(primal.counters)
         self._stream_state = _StreamState(
             accelerator=accelerator,
             primal=primal,
             baseline=baseline,
             scale=self.scale,
-            last_snapshot=snapshot,
+            last_snapshot=_snapshot(accelerator, primal),
         )
 
     def push_round(self, defects: Iterable[int]) -> Counter:
@@ -190,11 +199,22 @@ class MicroBlossomDecoder:
         The round is decoded *now*: its defects are loaded, matchings to the
         receding fusion boundary are broken, and the primal module runs to
         quiescence.  The returned counter delta is the complete cost of the
-        round.  An :class:`IntegralityError` is resolved by replaying every
-        pushed round at a doubled internal scale, exactly like the batch
-        path's retry — so streamed outcomes match batch outcomes even on
-        retry-triggering instances.
+        round, computed here from the snapshot the push step took at the
+        round's start (``decode_detailed`` drives the same step without it).
+        An :class:`IntegralityError` is resolved by replaying every pushed
+        round at a doubled internal scale, exactly like the batch path's
+        retry — so streamed outcomes match batch outcomes even on
+        retry-triggering instances; that push returns the replay's whole
+        accumulated delta.
         """
+        since = self._push(defects)
+        state = self._stream_state
+        return counter_delta(since, state.accelerator.counters, state.primal.counters)
+
+    def _push(self, defects: Iterable[int]) -> dict:
+        """Fuse the next round, retrying at doubled scales on
+        :class:`IntegralityError`; return the counter snapshot the round's
+        work is measured from (the replay's start after a retry)."""
         state = self._stream_state
         if state is None:
             raise RuntimeError("push_round before begin(); open a stream first")
@@ -212,7 +232,8 @@ class MicroBlossomDecoder:
                 )
         state.rounds.append(defects)
         try:
-            return self._stream_step(state, layer, defects)
+            self._stream_step(state, layer, defects)
+            return state.last_snapshot
         except IntegralityError as error:
             last_error = error
         while state.retries < MAX_SCALE_RETRIES:
@@ -234,6 +255,13 @@ class MicroBlossomDecoder:
         ``post_final_round_counters`` cover everything recorded since the
         final pushed round arrived — the quantity that determines decoding
         latency (paper §8.2).
+
+        Otherwise ``counters`` is exactly ``begin``'s reset plus the pushes'
+        deltas (``prematched_defects``, a high-water mark, aside).  The one
+        exception is a stream that never loaded a defect: collecting its
+        result scans for pre-matches, which builds the Covers once here,
+        outside every push, so ``cover_cells_updated`` gains the boundary
+        rows' cells (10 at d=5).
         """
         state = self._stream_state
         if state is None:
@@ -263,43 +291,49 @@ class MicroBlossomDecoder:
 
     def _stream_step(
         self, state: _StreamState, layer: int, defects: tuple[int, ...]
-    ) -> Counter:
-        """Fuse one round into the running solution and return its cost."""
+    ) -> None:
+        """Fuse one round into the running solution.
+
+        ``state.last_snapshot`` is set to the counters at the round's start;
+        the round's cost is whatever accrues after it.
+        """
         accelerator, primal = state.accelerator, state.primal
-        snapshot = Counter(accelerator.counters)
-        snapshot.update(primal.counters)
-        state.last_snapshot = snapshot
-        graph = self.graph
+        state.last_snapshot = _snapshot(accelerator, primal)
         accelerator.load(defects, layers={layer})
         if defects or state.any_defects:
             # Zero-defect fast path: with no defect loaded so far there is no
             # node to re-examine, so an empty round is just a layer load.
             state.any_defects = state.any_defects or bool(defects)
-            newly_real = {
-                v for v in graph.vertices_in_layer(layer) if not graph.is_virtual(v)
-            }
-            primal.break_boundary_matches(newly_real)
+            primal.break_boundary_matches(self._real_by_layer[layer])
             primal.run()
-        return counter_delta(snapshot, accelerator.counters, primal.counters)
 
-    def _stream_replay(self, state: _StreamState) -> Counter:
+    @cached_property
+    def _real_by_layer(self) -> list[frozenset[int]]:
+        """Real (non-virtual) vertices of each layer: loading layer ``i``
+        makes exactly these real, so they end the fusion boundary there."""
+        graph = self.graph
+        return [
+            frozenset(v for v in graph.vertices_in_layer(i) if not graph.is_virtual(v))
+            for i in range(graph.num_layers)
+        ]
+
+    def _stream_replay(self, state: _StreamState) -> dict:
         """Re-run every pushed round at ``state.scale`` on fresh engines.
 
-        The accumulated delta of the whole replay is returned: the push that
-        triggered the retry is charged for all the re-done work, since the
-        deltas earlier pushes reported belong to the abandoned engine.
+        Returns the counter snapshot taken before the first replayed round:
+        the push that triggered the retry is charged for all the re-done
+        work, since the deltas earlier pushes reported belong to the
+        abandoned engine.
         """
         accelerator, primal, baseline = self._acquire(state.scale)
         state.accelerator = accelerator
         state.primal = primal
         state.baseline = baseline
         state.any_defects = False
-        state.last_snapshot = Counter(accelerator.counters)
-        state.last_snapshot.update(primal.counters)
-        delta: Counter = Counter()
+        since = _snapshot(accelerator, primal)
         for layer, defects in enumerate(state.rounds):
-            delta.update(self._stream_step(state, layer, defects))
-        return delta
+            self._stream_step(state, layer, defects)
+        return since
 
     # ------------------------------------------------------------------
     # internals

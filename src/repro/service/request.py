@@ -120,6 +120,13 @@ class SessionKey:
     True
     >>> key.key().startswith("d=3/noise=circuit_level")
     True
+
+    The canonical string is computed on the first :meth:`key` call and kept
+    on the instance (outside the dataclass fields, so equality, hashing,
+    :meth:`to_dict` and pickles are unchanged): a shared key costs one
+    config hash, however many requests probe the outcome cache with it.  It
+    is deliberately lazy — the network worker builds a key per request and
+    never asks for the string while the outcome cache is off.
     """
 
     code: CodeSpec
@@ -145,7 +152,18 @@ class SessionKey:
 
     def key(self) -> str:
         """Canonical ``(code, noise, decoder, config-hash)`` string."""
-        return f"{self.code.key()}/decoder={self.decoder}/config={self.config_hash}"
+        try:
+            return self.__dict__["_key"]
+        except KeyError:
+            key = f"{self.code.key()}/decoder={self.decoder}/config={self.config_hash}"
+            object.__setattr__(self, "_key", key)
+            return key
+
+    def __getstate__(self) -> dict:
+        # Pickle the fields only: the memoised string is recomputed on demand.
+        state = dict(self.__dict__)
+        state.pop("_key", None)
+        return state
 
     def key_hash(self) -> str:
         """16-hex-digit content hash of :meth:`key` (fits in filenames/logs)."""

@@ -19,7 +19,9 @@ Covers the layers the service spans:
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
+import pickle
 from collections import Counter
 
 import pytest
@@ -31,7 +33,8 @@ from repro.api import (
     stable_seed,
 )
 from repro.evaluation import DEFAULT_LOAD_CONFIG, ServiceLoadEngine
-from repro.graphs import SyndromeSampler
+from repro.graphs import Syndrome, SyndromeSampler
+from repro.lut import outcome_cache_key
 from repro.service import (
     SMOKE_TRACE,
     STATUS_ERROR,
@@ -99,6 +102,54 @@ class TestHashing:
         assert explicit == D3_KEY
         assert explicit.key() == D3_KEY.key()
         assert "config=" in explicit.key()
+
+    def test_memoised_session_key_is_invisible(self):
+        """The key string is computed once per instance, yet every key,
+        cache key, equality, hash and pickle matches a recomputation
+        (golden values from before the memo)."""
+        golden = (
+            "d=5/noise=circuit_level/p=0.001/rounds=default"
+            "/decoder=micro-blossom/config=1f6d334ecac76ef1"
+        )
+        fresh = SessionKey(CodeSpec(5, "circuit_level", 0.001), "micro-blossom")
+        fresh_pickle = pickle.dumps(fresh)
+        used = SessionKey(CodeSpec(5, "circuit_level", 0.001), "micro-blossom")
+        assert used.key() == used.key() == golden
+        for twin in (
+            fresh,
+            used,
+            SessionKey.from_dict(used.to_dict()),
+            dataclasses.replace(used),
+            pickle.loads(pickle.dumps(used)),
+            copy.deepcopy(used),
+        ):
+            assert twin == used and hash(twin) == hash(used)
+            assert twin.to_dict() == fresh.to_dict()
+            assert twin.key() == golden
+        assert pickle.dumps(used) == fresh_pickle
+        assert outcome_cache_key(used.key(), Syndrome(defects=(3, 17))) == "2e9c2a2e62448dba"
+        erased = Syndrome(defects=(3, 17), erasures=(5,))
+        assert outcome_cache_key(used.key(), erased) == "f196322b3207225d"
+        # a replaced field gets its own key, not the memo of its source
+        other = dataclasses.replace(used, code=CodeSpec(3, "circuit_level", 0.001))
+        assert other.key().startswith("d=3/")
+
+    def test_session_key_string_is_lazy_and_computed_once(self, monkeypatch):
+        from repro.api.config import DecoderConfig
+
+        calls = {"count": 0}
+        original = DecoderConfig.config_hash
+
+        def counting(self):
+            calls["count"] += 1
+            return original(self)
+
+        monkeypatch.setattr(DecoderConfig, "config_hash", counting)
+        key = SessionKey.from_dict(D3_KEY.to_dict())
+        assert calls["count"] == 0
+        key.key()
+        key.key()
+        assert calls["count"] == 1
 
     def test_session_key_rejects_wrong_config_class(self):
         with pytest.raises(TypeError):

@@ -187,16 +187,35 @@ class TestNativeStreaming:
                 outcome.post_final_round_counters == batch.post_final_round_counters
             )
 
-    def test_push_counters_partition_total_work(self, graph):
+    def test_push_counters_partition_total_work(self):
+        """begin's reset plus every push's delta is the outcome's total work,
+        exactly, on every non-trivial shot (``prematched_defects`` is a
+        high-water mark, not a sum)."""
+        graph = build_graph(5, 0.005)
         session = get_streaming_decoder("micro-blossom", graph)
-        sampler = SyndromeSampler(graph, seed=4)
-        syndrome = next(s for s in sampler.sample_batch(64) if s.defect_count >= 2)
-        outcome, pushes = stream_once(session, graph, syndrome)
-        summed: Counter = Counter()
+        shots = [s for s in SyndromeSampler(graph, seed=42).sample_batch(600) if s.defects]
+        assert len(shots) == 354
+        for syndrome in shots:
+            outcome, pushes = stream_once(session, graph, syndrome)
+            summed = Counter({"instr_reset": 1, "bus_words": 1})
+            for push in pushes:
+                summed.update(push)
+            summed.pop("prematched_defects", None)
+            total = Counter(outcome.counters)
+            total.pop("prematched_defects", None)
+            assert summed == total, syndrome.defects
+
+    def test_zero_defect_stream_builds_covers_in_finalize(self):
+        """The one exception to the partition: with no defect ever loaded,
+        finalize's pre-match scan builds the Covers outside every push."""
+        graph = build_graph(5, 0.005)
+        session = get_streaming_decoder("micro-blossom", graph)
+        outcome, pushes = stream_once(session, graph, Syndrome(defects=()))
+        summed = Counter({"instr_reset": 1, "bus_words": 1})
         for push in pushes:
             summed.update(push)
-        for key, value in summed.items():
-            assert outcome.counters[key] >= value or key == "prematched_defects"
+        assert outcome.counters - summed == Counter(cover_cells_updated=10)
+        assert summed - outcome.counters == Counter()
 
     def test_post_final_counters_cover_last_push(self, graph):
         session = get_streaming_decoder("micro-blossom", graph)
