@@ -21,6 +21,7 @@ import pytest
 from repro.api import (
     DecoderCapabilities,
     StreamingDecoder,
+    available_decoders,
     decoder_capabilities,
     get_decoder,
 )
@@ -74,8 +75,9 @@ class TestCapabilities:
             assert not decoder_capabilities(name).native_streaming
 
     def test_timing_model_flags_match_evaluation_registry(self):
-        for name in ("micro-blossom", "micro-blossom-batch", "parity-blossom",
-                     "union-find", "reference"):
+        names = available_decoders()
+        assert any(name.startswith("lut+") for name in names)
+        for name in names:
             assert decoder_capabilities(name).timing_model == (
                 name in DECODERS_WITH_TIMING_MODELS
             )
