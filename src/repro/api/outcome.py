@@ -48,6 +48,21 @@ def counter_delta(before: Counter, *sources) -> Counter:
     return delta
 
 
+def latency_counters(outcome: "DecodeOutcome") -> Counter:
+    """The counters a timing model prices for one decoded shot.
+
+    Stream-mode Micro Blossom outcomes contribute their post-final-round
+    counters (the work that determines decoding latency, paper §6); every
+    other outcome contributes its full counters.
+
+    >>> latency_counters(DecodeOutcome(counters=Counter(a=2)))
+    Counter({'a': 2})
+    """
+    if getattr(outcome, "stream", False):
+        return outcome.post_final_round_counters
+    return outcome.counters
+
+
 @dataclass
 class DecodeOutcome:
     """Common record of one decoding run, shared by all backends."""

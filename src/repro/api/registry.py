@@ -157,6 +157,31 @@ def decoder_capabilities(name: str) -> DecoderCapabilities:
     return decoder_spec(name).capabilities
 
 
+def resolve_config(name: str, config: DecoderConfig | None) -> tuple[DecoderSpec, DecoderConfig]:
+    """The registry entry of ``name`` and the configuration to build it with.
+
+    ``None`` selects the entry's default configuration; any other ``config``
+    must be an instance of the entry's config class.  Every entry point that
+    takes a ``(name, config)`` pair checks it here.
+
+    >>> resolve_config("union-find", None)[1] == UnionFindConfig()
+    True
+    >>> resolve_config("union-find", MicroBlossomConfig())
+    Traceback (most recent call last):
+        ...
+    TypeError: decoder 'union-find' expects a UnionFindConfig, got MicroBlossomConfig
+    """
+    spec = decoder_spec(name)
+    if config is None:
+        return spec, spec.make_config()
+    if not isinstance(config, spec.config_cls):
+        raise TypeError(
+            f"decoder {name!r} expects a {spec.config_cls.__name__}, "
+            f"got {type(config).__name__}"
+        )
+    return spec, config
+
+
 def get_decoder(
     name: str,
     graph: DecodingGraph,
@@ -172,14 +197,7 @@ def get_decoder(
     >>> get_decoder("union-find", graph).name
     'union-find'
     """
-    spec = decoder_spec(name)
-    if config is None:
-        config = spec.make_config()
-    elif not isinstance(config, spec.config_cls):
-        raise TypeError(
-            f"decoder {name!r} expects a {spec.config_cls.__name__}, "
-            f"got {type(config).__name__}"
-        )
+    spec, config = resolve_config(name, config)
     return spec.factory(graph, config)
 
 

@@ -19,7 +19,7 @@ from ..graphs.syndrome import MatchingResult, Syndrome
 from .batch import BatchOutcome, decode_batch
 from .config import DecoderConfig
 from .outcome import DecodeOutcome
-from .registry import decoder_spec, get_decoder
+from .registry import resolve_config
 
 
 class DecoderSession:
@@ -49,11 +49,10 @@ class DecoderSession:
         name: str = "micro-blossom",
         config: DecoderConfig | None = None,
     ) -> None:
-        spec = decoder_spec(name)
+        spec, self.config = resolve_config(name, config)
         self.graph = graph
         self.name = name
-        self.config = config if config is not None else spec.make_config()
-        self.decoder = get_decoder(name, graph, self.config)
+        self.decoder = spec.factory(graph, self.config)
         self.shots = 0
         self.total_counters: Counter = Counter()
 
@@ -96,8 +95,9 @@ class DecoderSession:
         """Decode a batch of syndromes (see :func:`repro.api.batch.decode_batch`).
 
         With ``workers == 1`` the session's own decoder is reused; with more
-        workers the batch is fanned out to processes that rebuild the decoder
-        from this session's ``(name, config)``.
+        workers the batch goes through :func:`~repro.api.batch.decode_batch`,
+        whose worker processes rebuild the decoder from this session's
+        ``(name, config)``.
         """
         if workers == 1:
             outcomes = [self.decode_detailed(syndrome) for syndrome in syndromes]

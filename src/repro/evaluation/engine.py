@@ -14,12 +14,11 @@ decode it, tally logical errors — into a batched, shardable pipeline:
 * **Batch decoding.**  Each wave of shards is sampled vectorized
   (:meth:`~repro.graphs.syndrome.SyndromeSampler.sample_batch`) and its
   non-trivial syndromes are fanned out in contiguous chunks over ``workers``
-  processes — the same order-preserving, bit-identical scheme as
-  :func:`repro.api.decode_batch`, except that the process pool and each
-  worker's decoder are built once and held for the whole run instead of once
-  per call.  Trivial shots (no defects) are tallied without decoding: they
-  are a logical error exactly when the undetected error chain flips the
-  observable.
+  processes by the same :class:`repro.api.batch.WorkerPool` as
+  :func:`repro.api.decode_batch`, held for the whole run so each worker
+  builds its decoder once.  Trivial shots (no defects) are tallied without
+  decoding: they are a logical error exactly when the undetected error chain
+  flips the observable.
 
 * **Early stopping.**  With a ``target_standard_error``, the engine stops
   dispatching once the merged estimate's binomial standard error reaches the
@@ -34,22 +33,32 @@ decode it, tally logical errors — into a batched, shardable pipeline:
   published timing models); the per-shot values accumulate into a mergeable
   fixed-bin log-spaced :class:`LatencyHistogram`.  Trivial shots never reach
   the decoder, so they contribute no latency samples.
+
+* **Timing models.**  One table maps each decoder name to its published
+  timing model; :func:`modelled_latency_fn`,
+  :func:`modelled_trivial_latency_seconds`, :func:`stream_latency_fn` and
+  :data:`DECODERS_WITH_TIMING_MODELS` are all read from it.
+
+>>> from repro.graphs import circuit_level_noise, surface_code_decoding_graph
+>>> graph = surface_code_decoding_graph(3, circuit_level_noise(0.02))
+>>> result = MonteCarloEngine(graph, "union-find", shard_size=16).run(40, seed=1)
+>>> [(shard.index, shard.shots) for shard in result.shards]
+[(0, 16), (1, 16), (2, 8)]
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ..api.batch import chunk_evenly
+from ..api.batch import WorkerPool, decoder_pool
 from ..api.config import DecoderConfig
-from ..api.outcome import DecodeOutcome
-from ..api.registry import decoder_spec
+from ..api.outcome import DecodeOutcome, latency_counters
+from ..api.registry import resolve_config
 from ..graphs.decoding_graph import DecodingGraph
 from ..graphs.syndrome import Syndrome, SyndromeSampler
 from ..latency.model import (
@@ -57,6 +66,7 @@ from ..latency.model import (
     MicroBlossomLatencyModel,
     ParityBlossomLatencyModel,
 )
+from ..stream import DEFECTS_DECODED
 
 #: Default number of shots per shard (the granularity of seeding, worker
 #: dispatch and early-stopping checks).
@@ -65,19 +75,8 @@ DEFAULT_SHARD_SIZE = 256
 #: Maps a decoded outcome to its modelled (or measured) latency in seconds.
 LatencyFn = Callable[[DecodeOutcome], float]
 
-#: Per-process decoder of an engine worker, built once by the pool
-#: initializer and reused for every chunk the worker receives (PR 1
-#: established that engine reuse is bit-identical to fresh construction).
-_WORKER_DECODER = None
-
-
-def _engine_worker_init(graph, factory, config) -> None:
-    global _WORKER_DECODER
-    _WORKER_DECODER = factory(graph, config)
-
-
-def _engine_worker_decode(syndromes: Sequence[Syndrome]) -> list[DecodeOutcome]:
-    return [_WORKER_DECODER.decode_detailed(syndrome) for syndrome in syndromes]
+#: Maps one round's operation counters to modelled seconds of work.
+StreamLatencyFn = Callable[[Counter], float]
 
 
 @dataclass
@@ -173,17 +172,6 @@ class LatencyHistogram:
         return self.max_seconds
 
 
-#: Registry names whose published timing models :func:`modelled_latency_fn`
-#: and :func:`modelled_trivial_latency_seconds` implement (the single source
-#: of truth for "decoders with a latency model").
-DECODERS_WITH_TIMING_MODELS = (
-    "micro-blossom",
-    "micro-blossom-batch",
-    "parity-blossom",
-    "union-find",
-)
-
-
 def binomial_standard_error(errors: int, samples: int) -> float:
     """Standard error of a binomial rate estimate (0 for an empty sample)."""
     if samples <= 0:
@@ -210,6 +198,30 @@ def rule_of_three_upper_bound(errors: int, samples: int) -> float:
     return min(1.0, rate + 1.645 * binomial_standard_error(errors, samples))
 
 
+class RateEstimate:
+    """Binomial estimate of ``errors`` logical errors in ``shots`` shots.
+
+    Mixed into every result type that reports a logical error rate.
+    """
+
+    @property
+    def rate(self) -> float:
+        return self.errors / self.shots if self.shots else 0.0
+
+    @property
+    def standard_error(self) -> float:
+        return binomial_standard_error(self.errors, self.shots)
+
+    @property
+    def upper_bound(self) -> float:
+        """One-sided 95% upper bound on the rate (rule of three when 0 errors)."""
+        return rule_of_three_upper_bound(self.errors, self.shots)
+
+    @property
+    def zero_failures(self) -> bool:
+        return self.errors == 0
+
+
 @dataclass(frozen=True)
 class ShardResult:
     """Merged statistics of one decoded shard."""
@@ -227,7 +239,7 @@ class ShardResult:
 
 
 @dataclass
-class EngineResult:
+class EngineResult(RateEstimate):
     """Merged outcome of a :class:`MonteCarloEngine` run."""
 
     shots: int
@@ -275,57 +287,64 @@ class EngineResult:
         )
 
     @property
-    def rate(self) -> float:
-        return self.errors / self.shots if self.shots else 0.0
-
-    @property
-    def standard_error(self) -> float:
-        return binomial_standard_error(self.errors, self.shots)
-
-    @property
-    def upper_bound(self) -> float:
-        """One-sided 95% upper bound on the rate (rule of three when 0 errors)."""
-        return rule_of_three_upper_bound(self.errors, self.shots)
-
-    @property
     def decoded_shots(self) -> int:
         return sum(shard.decoded_shots for shard in self.shards)
 
 
-def modelled_latency_fn(name: str, graph: DecodingGraph) -> LatencyFn:
-    """The published timing model of a registered decoder as a `LatencyFn`.
+def _micro_blossom_model(distance: int, graph: DecodingGraph):
+    model = MicroBlossomLatencyModel(distance, graph.num_edges)
+    return lambda counters, defects: model.latency_seconds(counters)
 
-    Micro Blossom outcomes in stream mode contribute their post-final-round
-    counters (the work that determines decoding latency, paper §6); the
-    Union-Find decoder uses the Helios hardware model.  The graph must carry
-    its code ``distance`` in ``metadata`` (every built-in code family does).
-    """
+
+def _parity_blossom_model(distance: int, graph: DecodingGraph):
+    return ParityBlossomLatencyModel().latency_seconds
+
+
+def _helios_model(distance: int, graph: DecodingGraph):
+    model = HeliosLatencyModel()
+    return lambda counters, defects: model.latency_seconds(distance, defects)
+
+
+#: Decoder name -> its published timing model, built for one code distance and
+#: graph as a ``(counters, defect count) -> seconds`` function.  The one place
+#: that decides which decoder is priced by which model.
+_TIMING_MODELS = {
+    "micro-blossom": _micro_blossom_model,
+    "micro-blossom-batch": _micro_blossom_model,
+    "parity-blossom": _parity_blossom_model,
+    # The Union-Find decoder is priced by the Helios hardware model.
+    "union-find": _helios_model,
+}
+
+#: Registry names with a published timing model (the keys of the table above).
+DECODERS_WITH_TIMING_MODELS = tuple(_TIMING_MODELS)
+
+
+def _timing_model(name: str, graph: DecodingGraph) -> Callable[[Counter, int], float]:
     distance = graph.metadata.get("distance")
     if distance is None:
         raise ValueError(
             "graph metadata lacks 'distance'; modelled latency needs the code "
             "distance to pick the accelerator clock"
         )
-    if name in ("micro-blossom", "micro-blossom-batch"):
-        micro_model = MicroBlossomLatencyModel(distance, graph.num_edges)
+    if name not in _TIMING_MODELS:
+        raise ValueError(f"no latency model is defined for decoder {name!r}")
+    return _TIMING_MODELS[name](distance, graph)
 
-        def micro_latency(outcome: DecodeOutcome) -> float:
-            if getattr(outcome, "stream", False):
-                return micro_model.latency_seconds(outcome.post_final_round_counters)
-            return micro_model.latency_seconds(outcome.counters)
 
-        return micro_latency
-    if name == "parity-blossom":
-        parity_model = ParityBlossomLatencyModel()
-        return lambda outcome: parity_model.latency_seconds(
-            outcome.counters, outcome.defect_count
-        )
-    if name == "union-find":
-        helios_model = HeliosLatencyModel()
-        return lambda outcome: helios_model.latency_seconds(
-            distance, outcome.defect_count
-        )
-    raise ValueError(f"no latency model is defined for decoder {name!r}")
+def modelled_latency_fn(name: str, graph: DecodingGraph) -> LatencyFn:
+    """The published timing model of a registered decoder as a `LatencyFn`.
+
+    Each outcome is priced by its :func:`~repro.api.outcome.latency_counters`
+    (post-final-round work for stream-mode Micro Blossom, paper §6).  The
+    graph must carry its code ``distance`` in ``metadata`` (every built-in
+    code family does).
+
+    >>> DECODERS_WITH_TIMING_MODELS
+    ('micro-blossom', 'micro-blossom-batch', 'parity-blossom', 'union-find')
+    """
+    price = _timing_model(name, graph)
+    return lambda outcome: price(latency_counters(outcome), outcome.defect_count)
 
 
 def modelled_trivial_latency_seconds(name: str, graph: DecodingGraph) -> float:
@@ -336,19 +355,37 @@ def modelled_trivial_latency_seconds(name: str, graph: DecodingGraph) -> float:
     each timing model assigns to an empty workload.  Used by the sweep runner
     so latency statistics cover *every* shot, not just the decoded ones.
     """
-    distance = graph.metadata.get("distance")
-    if distance is None:
-        raise ValueError(
-            "graph metadata lacks 'distance'; modelled latency needs the code "
-            "distance to pick the accelerator clock"
-        )
-    if name in ("micro-blossom", "micro-blossom-batch"):
-        return MicroBlossomLatencyModel(distance, graph.num_edges).latency_seconds({})
-    if name == "parity-blossom":
-        return ParityBlossomLatencyModel().latency_seconds({}, 0)
-    if name == "union-find":
-        return HeliosLatencyModel().latency_seconds(distance, 0)
-    raise ValueError(f"no latency model is defined for decoder {name!r}")
+    return _timing_model(name, graph)({}, 0)
+
+
+def stream_latency_fn(name: str, graph: DecodingGraph) -> StreamLatencyFn:
+    """Per-round timing model of a registered decoder, as counters → seconds.
+
+    The counter-only signature lets one function price both a single pushed
+    round and the post-final-round residue.  Defect-count-driven models
+    (Parity Blossom, Helios) read the synthetic
+    :data:`repro.stream.DEFECTS_DECODED` counter that the sliding-window
+    adapter records on every decode.
+    """
+    price = _timing_model(name, graph)
+    return lambda counters: price(counters, int(counters.get(DEFECTS_DECODED, 0)))
+
+
+def plan_run(max_shots: int, shard_size: int, seed: int | None) -> tuple[list[int], int]:
+    """The shard sizes and the base seed of a run of ``max_shots`` shots.
+
+    ``seed = None`` draws a fresh base seed from OS entropy.  Shared by both
+    engines, so a shard means the same shots in each.
+
+    >>> plan_run(600, 256, 7)
+    ([256, 256, 88], 7)
+    """
+    if max_shots <= 0:
+        raise ValueError("max_shots must be positive")
+    if seed is None:
+        seed = int(np.random.SeedSequence().generate_state(1)[0])
+    full, remainder = divmod(max_shots, shard_size)
+    return [shard_size] * full + ([remainder] if remainder else []), seed
 
 
 class MonteCarloEngine:
@@ -356,7 +393,8 @@ class MonteCarloEngine:
 
     ``decoder`` is normally a registry name so worker processes can rebuild
     it; an already-built decoder instance is also accepted but restricts the
-    engine to ``workers=1`` (instances cannot be shipped to a process pool).
+    engine to ``workers=1`` (instances cannot be shipped to a process pool)
+    and takes no ``config`` (configure the instance itself).
     """
 
     def __init__(
@@ -388,15 +426,15 @@ class MonteCarloEngine:
         self.trivial_latency_seconds = trivial_latency_seconds
         self.config = config
         if isinstance(decoder, str):
-            spec = decoder_spec(decoder)  # fail fast on unknown names
+            resolve_config(decoder, config)  # fail fast on bad names/configs
             self.decoder_name: str | None = decoder
             self.decoder_instance = None
-            if config is not None and not isinstance(config, spec.config_cls):
-                raise TypeError(
-                    f"decoder {decoder!r} expects a {spec.config_cls.__name__}, "
-                    f"got {type(config).__name__}"
-                )
         else:
+            if config is not None:
+                raise TypeError(
+                    "config applies to a decoder given by registry name; "
+                    "a decoder instance is already configured"
+                )
             if workers > 1:
                 raise ValueError(
                     "workers > 1 requires the decoder as a registry name so "
@@ -417,58 +455,25 @@ class MonteCarloEngine:
         """The sampler that generates shard ``shard_index`` of a seeded run."""
         return SyndromeSampler(self.graph, seed=self.shard_seed(seed, shard_index))
 
-    def _plan_shards(self, max_shots: int) -> list[int]:
-        full, remainder = divmod(max_shots, self.shard_size)
-        return [self.shard_size] * full + ([remainder] if remainder else [])
-
     # ------------------------------------------------------------------
     # decoding
     # ------------------------------------------------------------------
-    def _make_decode_fn(
-        self,
-    ) -> tuple[Callable[[Sequence[Syndrome]], list[DecodeOutcome]], Callable[[], None]]:
-        """Build the per-run decode pipeline: ``(decode, shutdown)``.
+    def _decoder_pool(self) -> WorkerPool:
+        """The decoder(s) of one run, built once and reused for every wave."""
+        if self.decoder_instance is not None:
+            return WorkerPool(1, lambda: self.decoder_instance.decode_detailed)
+        return decoder_pool(self.graph, self.decoder_name, self.config, self.workers)
 
-        The decoder (and, with ``workers > 1``, the process pool plus one
-        decoder per worker) is constructed once and reused across every wave
-        of the run; outcomes always come back in input order and are
-        bit-identical for any worker count.
+    def decode_shard(self, syndromes: Sequence[Syndrome]) -> ShardResult:
+        """Decode and tally caller-sampled ``syndromes`` as one shard.
+
+        The non-trivial syndromes go through the same worker pool and the
+        same per-shard tally as :meth:`run`; use this when the caller
+        controls the RNG stream.
         """
-        if self.decoder_name is None:
-            instance = self.decoder_instance
-
-            def decode_inline(syndromes: Sequence[Syndrome]) -> list[DecodeOutcome]:
-                return [instance.decode_detailed(s) for s in syndromes]
-
-            return decode_inline, lambda: None
-        spec = decoder_spec(self.decoder_name)
-        config = self.config if self.config is not None else spec.make_config()
-        if self.workers == 1:
-            decoder = spec.factory(self.graph, config)
-
-            def decode_sequential(syndromes: Sequence[Syndrome]) -> list[DecodeOutcome]:
-                return [decoder.decode_detailed(s) for s in syndromes]
-
-            return decode_sequential, lambda: None
-        pool = ProcessPoolExecutor(
-            max_workers=self.workers,
-            initializer=_engine_worker_init,
-            initargs=(self.graph, spec.factory, config),
-        )
-
-        def decode_parallel(syndromes: Sequence[Syndrome]) -> list[DecodeOutcome]:
-            if not syndromes:
-                return []
-            futures = [
-                pool.submit(_engine_worker_decode, chunk)
-                for chunk in chunk_evenly(syndromes, self.workers)
-            ]
-            outcomes: list[DecodeOutcome] = []
-            for future in futures:
-                outcomes.extend(future.result())
-            return outcomes
-
-        return decode_parallel, pool.shutdown
+        with self._decoder_pool() as pool:
+            outcomes = pool.map([s for s in syndromes if s.defects])
+        return self._shard_result(0, syndromes, outcomes)
 
     def _shard_result(
         self,
@@ -527,47 +532,30 @@ class MonteCarloEngine:
         then not reproducible).  ``target_standard_error`` enables early
         stopping as described in the module docstring.
         """
-        if max_shots <= 0:
-            raise ValueError("max_shots must be positive")
+        plan, seed = plan_run(max_shots, self.shard_size, seed)
         if target_standard_error is not None and target_standard_error <= 0:
             raise ValueError("target_standard_error must be positive")
-        if seed is None:
-            seed = int(np.random.SeedSequence().generate_state(1)[0])
-        plan = self._plan_shards(max_shots)
         result = EngineResult(shots=0, errors=0)
-        merged_histogram = (
-            LatencyHistogram() if self.latency_fn is not None else None
-        )
-        wave_size = max(1, self.workers)
-        decode, shutdown = self._make_decode_fn()
-        try:
-            position = 0
-            while position < len(plan):
-                wave = plan[position : position + wave_size]
-                wave_syndromes = [
-                    self.shard_sampler(seed, position + offset).sample_batch(shots)
-                    for offset, shots in enumerate(wave)
+        if self.latency_fn is not None:
+            result.histogram = LatencyHistogram()
+        with self._decoder_pool() as pool:
+            for start in range(0, len(plan), self.workers):
+                wave = [
+                    self.shard_sampler(seed, index).sample_batch(plan[index])
+                    for index in range(start, min(start + self.workers, len(plan)))
                 ]
-                nontrivial = [
-                    [s for s in shard if s.defects] for shard in wave_syndromes
-                ]
-                outcomes = decode([s for shard in nontrivial for s in shard])
-                cursor = 0
-                stop = False
-                for offset, shard_syndromes in enumerate(wave_syndromes):
-                    decoded = outcomes[cursor : cursor + len(nontrivial[offset])]
-                    cursor += len(nontrivial[offset])
-                    shard = self._shard_result(
-                        position + offset, shard_syndromes, decoded
-                    )
+                decoded = iter(pool.map([s for shard in wave for s in shard if s.defects]))
+                for index, syndromes in enumerate(wave, start):
+                    outcomes = [next(decoded) for s in syndromes if s.defects]
+                    shard = self._shard_result(index, syndromes, outcomes)
                     result.shards.append(shard)
                     result.shots += shard.shots
                     result.errors += shard.errors
                     result.defects += shard.defects
                     result.erased += shard.erased
                     result.counters.update(shard.counters)
-                    if merged_histogram is not None and shard.histogram is not None:
-                        merged_histogram.merge(shard.histogram)
+                    if result.histogram is not None:
+                        result.histogram.merge(shard.histogram)
                     if (
                         target_standard_error is not None
                         and result.errors > 0
@@ -577,12 +565,5 @@ class MonteCarloEngine:
                         # discarded so the outcome is identical for any
                         # ``workers`` count.
                         result.stopped_early = True
-                        stop = True
-                        break
-                if stop:
-                    break
-                position += len(wave)
-        finally:
-            shutdown()
-        result.histogram = merged_histogram
+                        return result
         return result

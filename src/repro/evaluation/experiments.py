@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from ..api.config import MicroBlossomConfig, ParityBlossomConfig
+from ..api.outcome import latency_counters
 from ..api.protocol import Decoder
 from ..api.session import DecoderSession
 from ..graphs.decoding_graph import DecodingGraph
@@ -78,10 +79,7 @@ def decode_micro_sample(
     syndrome: Syndrome,
 ) -> DecodedSample:
     outcome = decoder.decode_detailed(syndrome)
-    counters = (
-        outcome.post_final_round_counters if outcome.stream else outcome.counters
-    )
-    latency = model.latency_seconds(counters)
+    latency = model.latency_seconds(latency_counters(outcome))
     logical_error = is_logical_error(graph, syndrome, outcome.result)
     return DecodedSample(latency, syndrome.defect_count, logical_error)
 

@@ -6,51 +6,31 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ..api.batch import decode_batch
 from ..api.config import DecoderConfig
 from ..api.protocol import Decoder
-from ..api.registry import get_decoder
 from ..graphs.decoding_graph import DecodingGraph
 from ..graphs.syndrome import (
     Syndrome,
     SyndromeSampler,
 )
-from .engine import (
-    DEFAULT_SHARD_SIZE,
-    MonteCarloEngine,
-    binomial_standard_error,
-    rule_of_three_upper_bound,
-)
+from .engine import DEFAULT_SHARD_SIZE, MonteCarloEngine, RateEstimate
 
 
 @dataclass(frozen=True)
-class LogicalErrorRateResult:
-    """Estimate of a decoder's logical error rate."""
+class LogicalErrorRateResult(RateEstimate):
+    """Estimate of a decoder's logical error rate.
+
+    ``upper_bound`` bounds zero-failure estimates (``0 ± 0``) at
+    ``3 / samples`` by the rule of three, so reports and threshold fits never
+    mistake "no errors observed" for "no errors possible".
+    """
 
     samples: int
     errors: int
 
     @property
-    def rate(self) -> float:
-        return self.errors / self.samples if self.samples else 0.0
-
-    @property
-    def standard_error(self) -> float:
-        return binomial_standard_error(self.errors, self.samples)
-
-    @property
-    def zero_failures(self) -> bool:
-        return self.errors == 0
-
-    @property
-    def upper_bound(self) -> float:
-        """One-sided 95% upper bound on the rate.
-
-        Zero-failure estimates are degenerate (``0 ± 0``); the rule of three
-        bounds them at ``3 / samples`` so reports and threshold fits never
-        mistake "no errors observed" for "no errors possible".
-        """
-        return rule_of_three_upper_bound(self.errors, self.samples)
+    def shots(self) -> int:
+        return self.samples
 
 
 @dataclass
@@ -150,39 +130,17 @@ def estimate_logical_error_rate(
     """
     if num_samples <= 0:
         raise ValueError("num_samples must be positive")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if sampler is not None:
-        if target_standard_error is not None:
-            raise ValueError(
-                "target_standard_error requires engine-managed sampling and "
-                "cannot be combined with an explicit sampler"
-            )
-        syndromes = sampler.sample_batch(num_samples)
-        errors = sum(1 for s in syndromes if not s.defects and s.logical_flip)
-        nontrivial = [s for s in syndromes if s.defects]
-        if workers > 1:
-            if not isinstance(decoder, str):
-                raise ValueError(
-                    "workers > 1 requires the decoder as a registry name so "
-                    "the worker processes can rebuild it"
-                )
-            outcomes = decode_batch(
-                graph, decoder, nontrivial, config=config, workers=workers
-            ).outcomes
-        else:
-            if isinstance(decoder, str):
-                decoder = get_decoder(decoder, graph, config)
-            outcomes = [decoder.decode_detailed(s) for s in nontrivial]
-        for syndrome, outcome in zip(nontrivial, outcomes):
-            if _is_correction_logical_error(
-                graph, syndrome, outcome.correction_edges(graph)
-            ):
-                errors += 1
-        return LogicalErrorRateResult(samples=num_samples, errors=errors)
+    if sampler is not None and target_standard_error is not None:
+        raise ValueError(
+            "target_standard_error requires engine-managed sampling and "
+            "cannot be combined with an explicit sampler"
+        )
     engine = MonteCarloEngine(
         graph, decoder, config=config, shard_size=shard_size, workers=workers
     )
+    if sampler is not None:
+        shard = engine.decode_shard(sampler.sample_batch(num_samples))
+        return LogicalErrorRateResult(samples=shard.shots, errors=shard.errors)
     result = engine.run(
         num_samples, seed=seed, target_standard_error=target_standard_error
     )

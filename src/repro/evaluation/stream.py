@@ -35,63 +35,25 @@ to batch sampling.
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable
 
-import numpy as np
-
+from ..api.batch import WorkerPool
 from ..api.config import DecoderConfig
-from ..api.registry import decoder_spec
+from ..api.registry import resolve_config
 from ..graphs.decoding_graph import DecodingGraph
 from ..graphs.syndrome import SyndromeSampler
-from ..latency.model import (
-    MEASUREMENT_ROUND_SECONDS,
-    HeliosLatencyModel,
-    MicroBlossomLatencyModel,
-    ParityBlossomLatencyModel,
-)
-from ..stream import DEFECTS_DECODED, get_streaming_decoder
+from ..latency.model import MEASUREMENT_ROUND_SECONDS
+from ..stream import get_streaming_decoder
+from ..stream.adapter import check_window
 from .engine import (
     DEFAULT_SHARD_SIZE,
     LatencyHistogram,
-    binomial_standard_error,
-    rule_of_three_upper_bound,
+    MonteCarloEngine,
+    RateEstimate,
+    StreamLatencyFn,
+    plan_run,
+    stream_latency_fn,
 )
-
-#: Maps one round's operation counters to modelled seconds of work.
-StreamLatencyFn = Callable[[Counter], float]
-
-
-def stream_latency_fn(name: str, graph: DecodingGraph) -> StreamLatencyFn:
-    """Per-round timing model of a registered decoder, as counters → seconds.
-
-    The counter-only signature lets one function price both a single pushed
-    round and the post-final-round residue.  Defect-count-driven models
-    (Parity Blossom, Helios) read the synthetic
-    :data:`repro.stream.DEFECTS_DECODED` counter that the sliding-window
-    adapter records on every decode.
-    """
-    distance = graph.metadata.get("distance")
-    if distance is None:
-        raise ValueError(
-            "graph metadata lacks 'distance'; modelled latency needs the code "
-            "distance to pick the accelerator clock"
-        )
-    if name in ("micro-blossom", "micro-blossom-batch"):
-        micro_model = MicroBlossomLatencyModel(distance, graph.num_edges)
-        return micro_model.latency_seconds
-    if name == "parity-blossom":
-        parity_model = ParityBlossomLatencyModel()
-        return lambda counters: parity_model.latency_seconds(
-            counters, int(counters.get(DEFECTS_DECODED, 0))
-        )
-    if name == "union-find":
-        helios_model = HeliosLatencyModel()
-        return lambda counters: helios_model.latency_seconds(
-            distance, int(counters.get(DEFECTS_DECODED, 0))
-        )
-    raise ValueError(f"no latency model is defined for decoder {name!r}")
 
 
 @dataclass(frozen=True)
@@ -109,7 +71,7 @@ class StreamShardResult:
 
 
 @dataclass
-class StreamEngineResult:
+class StreamEngineResult(RateEstimate):
     """Merged outcome of a :class:`StreamEngine` run."""
 
     shots: int
@@ -120,19 +82,6 @@ class StreamEngineResult:
     defects: int = 0
     rounds: int = 0
     counters: Counter = field(default_factory=Counter)
-
-    @property
-    def rate(self) -> float:
-        return self.errors / self.shots if self.shots else 0.0
-
-    @property
-    def standard_error(self) -> float:
-        return binomial_standard_error(self.errors, self.shots)
-
-    @property
-    def upper_bound(self) -> float:
-        """One-sided 95% upper bound on the rate (rule of three when 0 errors)."""
-        return rule_of_three_upper_bound(self.errors, self.shots)
 
     @property
     def streams(self) -> int:
@@ -157,7 +106,7 @@ def reaction_counters(earlier: Counter, total: Counter) -> Counter:
 
 
 # ---------------------------------------------------------------------------
-# the per-stream decode loop (shared by inline and worker execution)
+# the per-stream decode loop (run by the worker pool, inline or per process)
 # ---------------------------------------------------------------------------
 def _run_stream_shard(
     graph: DecodingGraph,
@@ -168,7 +117,7 @@ def _run_stream_shard(
     seed: int,
     round_interval: float,
 ) -> StreamShardResult:
-    sampler = SyndromeSampler(graph, seed=np.random.SeedSequence([int(seed), int(index)]))
+    sampler = SyndromeSampler(graph, seed=MonteCarloEngine.shard_seed(seed, index))
     reaction = LatencyHistogram()
     errors = 0
     defects = 0
@@ -215,25 +164,17 @@ def _run_stream_shard(
     )
 
 
-#: Per-process streaming session of an engine worker (built once by the pool
-#: initializer, reused for every stream the worker decodes).
-_STREAM_WORKER = None
+def _stream_runner(graph, name, config, window, commit_depth, round_interval):
+    """Pool builder: one streaming session per process, reused for every
+    ``(index, shots, seed)`` stream the process decodes."""
+    session = get_streaming_decoder(name, graph, config, window=window, commit_depth=commit_depth)
+    latency_fn = stream_latency_fn(name, graph)
 
+    def run(task: tuple) -> StreamShardResult:
+        index, shots, seed = task
+        return _run_stream_shard(graph, session, latency_fn, index, shots, seed, round_interval)
 
-def _stream_worker_init(graph, name, config, window, commit_depth) -> None:
-    global _STREAM_WORKER
-    session = get_streaming_decoder(
-        name, graph, config, window=window, commit_depth=commit_depth
-    )
-    _STREAM_WORKER = (graph, session, stream_latency_fn(name, graph))
-
-
-def _stream_worker_run(payload: tuple) -> StreamShardResult:
-    graph, session, latency_fn = _STREAM_WORKER
-    index, shots, seed, round_interval = payload
-    return _run_stream_shard(
-        graph, session, latency_fn, index, shots, seed, round_interval
-    )
+    return run
 
 
 class StreamEngine:
@@ -244,7 +185,14 @@ class StreamEngine:
     configure the :class:`repro.stream.SlidingWindowAdapter` for backends
     without native streaming; a finite window also forces the adapter for
     native backends, enabling window-vs-fusion comparisons on Micro Blossom
-    itself.
+    itself.  Window settings, the config type and the timing model are all
+    checked here, so a bad argument fails the same way at any ``workers``.
+
+    >>> from repro.graphs import circuit_level_noise, surface_code_decoding_graph
+    >>> graph = surface_code_decoding_graph(3, circuit_level_noise(0.02))
+    >>> result = StreamEngine(graph, "micro-blossom", shard_size=8).run(20, seed=1)
+    >>> [(shard.index, shard.shots) for shard in result.shards], result.reaction.count
+    ([(0, 8), (1, 8), (2, 4)], 20)
     """
 
     def __init__(
@@ -265,12 +213,10 @@ class StreamEngine:
             raise ValueError("workers must be >= 1")
         if round_interval_seconds <= 0:
             raise ValueError("round_interval_seconds must be positive")
-        spec = decoder_spec(decoder)  # fail fast on unknown names
-        if config is not None and not isinstance(config, spec.config_cls):
-            raise TypeError(
-                f"decoder {decoder!r} expects a {spec.config_cls.__name__}, "
-                f"got {type(config).__name__}"
-            )
+        resolve_config(decoder, config)  # fail fast on bad names/configs
+        check_window(window, commit_depth)
+        # A missing timing model fails here too, not in a worker.
+        stream_latency_fn(decoder, graph)
         self.graph = graph
         self.decoder_name = decoder
         self.config = config
@@ -279,12 +225,6 @@ class StreamEngine:
         self.shard_size = shard_size
         self.workers = workers
         self.round_interval_seconds = round_interval_seconds
-        # Build the latency fn eagerly so a missing timing model fails here.
-        self._latency_fn = stream_latency_fn(decoder, graph)
-
-    def _plan_shards(self, max_shots: int) -> list[int]:
-        full, remainder = divmod(max_shots, self.shard_size)
-        return [self.shard_size] * full + ([remainder] if remainder else [])
 
     def run(self, max_shots: int, seed: int | None = 0) -> StreamEngineResult:
         """Stream-decode ``max_shots`` shots across seed-stable shards.
@@ -292,49 +232,19 @@ class StreamEngine:
         Every shard is one independent logical-qubit stream; ``seed = None``
         draws a fresh base seed from OS entropy (not reproducible).
         """
-        if max_shots <= 0:
-            raise ValueError("max_shots must be positive")
-        if seed is None:
-            seed = int(np.random.SeedSequence().generate_state(1)[0])
-        plan = self._plan_shards(max_shots)
+        plan, seed = plan_run(max_shots, self.shard_size, seed)
         result = StreamEngineResult(shots=0, errors=0)
-        if self.workers == 1 or len(plan) == 1:
-            session = get_streaming_decoder(
-                self.decoder_name,
-                self.graph,
-                self.config,
-                window=self.window,
-                commit_depth=self.commit_depth,
-            )
-            shards = [
-                _run_stream_shard(
-                    self.graph,
-                    session,
-                    self._latency_fn,
-                    index,
-                    shots,
-                    seed,
-                    self.round_interval_seconds,
-                )
-                for index, shots in enumerate(plan)
-            ]
-        else:
-            with ProcessPoolExecutor(
-                max_workers=min(self.workers, len(plan)),
-                initializer=_stream_worker_init,
-                initargs=(
-                    self.graph,
-                    self.decoder_name,
-                    self.config,
-                    self.window,
-                    self.commit_depth,
-                ),
-            ) as pool:
-                payloads = [
-                    (index, shots, seed, self.round_interval_seconds)
-                    for index, shots in enumerate(plan)
-                ]
-                shards = list(pool.map(_stream_worker_run, payloads))
+        with WorkerPool(
+            min(self.workers, len(plan)),
+            _stream_runner,
+            self.graph,
+            self.decoder_name,
+            self.config,
+            self.window,
+            self.commit_depth,
+            self.round_interval_seconds,
+        ) as pool:
+            shards = pool.map([(index, shots, seed) for index, shots in enumerate(plan)])
         for shard in shards:  # merged strictly in shard order
             result.shards.append(shard)
             result.shots += shard.shots

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from ..api.config import DecoderConfig
 from ..api.hashing import content_hash
 from ..api.outcome import DecodeOutcome
-from ..api.registry import decoder_spec
+from ..api.registry import resolve_config
 from ..graphs.decoding_graph import DecodingGraph
 from ..graphs.noise import noise_model_by_name
 from ..graphs.surface_code import surface_code_decoding_graph
@@ -134,15 +134,7 @@ class SessionKey:
     config: DecoderConfig | None = None
 
     def __post_init__(self) -> None:
-        spec = decoder_spec(self.decoder)  # fail fast on unknown names
-        config = self.config
-        if config is None:
-            config = spec.make_config()
-        elif not isinstance(config, spec.config_cls):
-            raise TypeError(
-                f"decoder {self.decoder!r} expects a {spec.config_cls.__name__}, "
-                f"got {type(config).__name__}"
-            )
+        _spec, config = resolve_config(self.decoder, self.config)
         object.__setattr__(self, "config", config)
 
     @property

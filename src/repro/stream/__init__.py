@@ -25,7 +25,7 @@ from ..api.config import DecoderConfig
 from ..api.protocol import StreamingDecoder
 from ..api.registry import decoder_spec, get_decoder
 from ..graphs.decoding_graph import DecodingGraph
-from .adapter import DEFECTS_DECODED, SlidingWindowAdapter, StreamOutcome
+from .adapter import DEFECTS_DECODED, SlidingWindowAdapter, StreamOutcome, check_window
 
 
 def get_streaming_decoder(
@@ -51,11 +51,9 @@ def get_streaming_decoder(
     >>> type(get_streaming_decoder("union-find", graph)).__name__     # adapted
     'SlidingWindowAdapter'
     """
-    if window is None and commit_depth is not None:
-        raise ValueError("commit_depth requires a finite window")
-    spec = decoder_spec(name)
+    check_window(window, commit_depth)
     decoder = get_decoder(name, graph, config)
-    if spec.capabilities.native_streaming and window is None:
+    if decoder_spec(name).capabilities.native_streaming and window is None:
         return decoder
     return SlidingWindowAdapter(decoder, window=window, commit_depth=commit_depth)
 

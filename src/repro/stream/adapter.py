@@ -85,6 +85,32 @@ class _AdapterState:
     counters: Counter = field(default_factory=Counter)
 
 
+def check_window(window: int | None, commit_depth: int | None) -> int | None:
+    """Validate a sliding-window setting; return its commit depth.
+
+    ``window=None`` is unbounded and takes no commit depth; a finite window
+    commits ``max(1, window // 2)`` rounds per slide unless told otherwise.
+
+    >>> check_window(4, None)
+    2
+    >>> check_window(None, 2)
+    Traceback (most recent call last):
+        ...
+    ValueError: commit_depth requires a finite window
+    """
+    if window is None:
+        if commit_depth is not None:
+            raise ValueError("commit_depth requires a finite window")
+        return None
+    if window < 1:
+        raise ValueError("window must be >= 1 (or None for unbounded)")
+    if commit_depth is None:
+        commit_depth = max(1, window // 2)
+    if not 1 <= commit_depth <= window:
+        raise ValueError("commit_depth must satisfy 1 <= commit_depth <= window")
+    return commit_depth
+
+
 class SlidingWindowAdapter:
     """Make a batch :class:`~repro.api.protocol.Decoder` streamable.
 
@@ -105,19 +131,10 @@ class SlidingWindowAdapter:
         window: int | None = None,
         commit_depth: int | None = None,
     ) -> None:
-        if window is not None:
-            if window < 1:
-                raise ValueError("window must be >= 1 (or None for unbounded)")
-            if commit_depth is None:
-                commit_depth = max(1, window // 2)
-            if not 1 <= commit_depth <= window:
-                raise ValueError("commit_depth must satisfy 1 <= commit_depth <= window")
-        elif commit_depth is not None:
-            raise ValueError("commit_depth requires a finite window")
+        self.commit_depth = check_window(window, commit_depth)
         self.decoder = decoder
         self.graph: DecodingGraph = decoder.graph
         self.window = window
-        self.commit_depth = commit_depth
         self._state: _AdapterState | None = None
 
     @property

@@ -8,6 +8,7 @@ served from a JSON-lines :class:`ResultStore`, and
 ``BENCH_sweep.json`` performance trajectory consumed by CI.
 """
 
+from ..evaluation.engine import rule_of_three_upper_bound
 from .bench import (
     BENCH_SCHEMA_VERSION,
     BenchSchemaError,
@@ -31,7 +32,6 @@ from .store import (
     PointResult,
     ResultStore,
     StoreError,
-    rule_of_three_upper_bound,
 )
 
 __all__ = [

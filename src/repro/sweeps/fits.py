@@ -3,7 +3,7 @@
 Thin adapters from :class:`~repro.sweeps.store.PointResult` lists onto the
 fitting machinery of :mod:`repro.evaluation.scaling`.  Zero-failure points
 are **never** fed into a fit: their maximum-likelihood rate is the degenerate
-``0 ± 0`` (see :func:`repro.sweeps.store.rule_of_three_upper_bound`), which
+``0 ± 0`` (see :func:`repro.evaluation.engine.rule_of_three_upper_bound`), which
 in log-space would pull the fit to ``-inf``.  Reports surface them as
 one-sided upper bounds instead.
 """

@@ -28,11 +28,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..evaluation.engine import (
-    LatencyHistogram,
-    binomial_standard_error,
-    rule_of_three_upper_bound,
-)
+from ..evaluation.engine import LatencyHistogram, RateEstimate
 from .spec import SweepPoint, SweepSpec
 
 #: Version of the on-disk record layout.
@@ -125,7 +121,7 @@ class LUTStats:
 
 
 @dataclass(frozen=True)
-class PointResult:
+class PointResult(RateEstimate):
     """Completed Monte-Carlo result of one sweep point."""
 
     point: SweepPoint
@@ -149,23 +145,6 @@ class PointResult:
     elapsed_seconds: float = 0.0
     #: True when this result came out of the store instead of being re-run.
     cached: bool = False
-
-    @property
-    def rate(self) -> float:
-        return self.errors / self.shots if self.shots else 0.0
-
-    @property
-    def standard_error(self) -> float:
-        return binomial_standard_error(self.errors, self.shots)
-
-    @property
-    def upper_bound(self) -> float:
-        """One-sided 95% upper bound on the logical error rate (rule of three)."""
-        return rule_of_three_upper_bound(self.errors, self.shots)
-
-    @property
-    def zero_failures(self) -> bool:
-        return self.errors == 0
 
     @property
     def mean_defects(self) -> float:

@@ -12,7 +12,8 @@ Three checks, all enforced by the ``docs`` CI job (and by
    ```` ```python notest ```` (rendered identically by GitHub).
 2. **Doctests pass.**  The docstring examples of the public API surface
    (``repro.api``, ``repro.stream``, ``repro.sweeps``, ``repro.service``
-   including ``repro.service.net``, ``repro.evaluation.service_load``) run under
+   including ``repro.service.net``, the ``repro.evaluation`` engines and
+   ``repro.evaluation.service_load``) run under
    ``ELLIPSIS | NORMALIZE_WHITESPACE``.
 3. **Intra-repo links resolve.**  Every relative markdown link target in the
    checked files must exist (``http(s)``/``mailto`` links and pure anchors
@@ -83,6 +84,8 @@ DOCTEST_MODULES = (
     "repro.service.net.server",
     "repro.service.net.shm",
     "repro.service.net.worker",
+    "repro.evaluation.engine",
+    "repro.evaluation.stream",
     "repro.evaluation.service_load",
 )
 
