@@ -101,9 +101,12 @@ class LUTDecoder:
             return outcome
         self._count_hit(syndrome)
         outcome = clone_outcome(entry.outcome)
-        outcome.counters["lut_hit"] += 1
+        # ``dict.get`` rather than ``+= 1``: a missing Counter key goes
+        # through the pure-Python ``Counter.__missing__`` on every hit.
+        counters = outcome.counters
+        counters["lut_hit"] = counters.get("lut_hit", 0) + 1
         if not syndrome.defects:
-            outcome.counters["lut_zero_defect_hit"] += 1
+            counters["lut_zero_defect_hit"] = counters.get("lut_zero_defect_hit", 0) + 1
         return outcome
 
     def decode_to_correction(self, syndrome: Syndrome) -> set[int]:

@@ -12,6 +12,16 @@ Helios-class decoders, and ~5x for plain weighted-growth Union-Find at d = 21).
 This implementation is the standard weighted-growth variant (Delfosse &
 Nickerson) operating directly on the decoding graph, so it shares the graph
 substrate and evaluation harness with the MWPM decoders.
+
+Growth is frontier-based.  Each round walks only the adjacency of the active
+clusters' vertices — the edges whose support is still below their weight,
+each growing at a rate equal to its number of active endpoints — and grows
+them in ascending edge index, so a round costs the size of the active
+clusters' boundaries rather than the whole edge list, with the same support
+updates, union order and counters as a full rescan.  A vertex whose edges are
+all grown leaves its cluster's frontier for good (support only grows).  The
+peel then walks the grown edges — saturated plus zero-weight (erased) ones —
+in index order.
 """
 
 from __future__ import annotations
@@ -38,26 +48,28 @@ class UnionFindOutcome(DecodeOutcome):
 class _Clusters:
     """Union-find over decoding-graph vertices with parity/boundary tracking."""
 
-    def __init__(self, graph: DecodingGraph, defects: set[int]) -> None:
-        self.graph = graph
-        self.parent = list(range(graph.num_vertices))
-        self.rank = [0] * graph.num_vertices
-        self.parity = [1 if v in defects else 0 for v in range(graph.num_vertices)]
-        self.touches_boundary = [graph.is_virtual(v) for v in range(graph.num_vertices)]
-        self.in_cluster = [v in defects for v in range(graph.num_vertices)]
+    def __init__(self, is_virtual: list[bool], defects: set[int]) -> None:
+        num_vertices = len(is_virtual)
+        self.parent = list(range(num_vertices))
+        self.rank = [0] * num_vertices
+        self.parity = [0] * num_vertices
+        self.touches_boundary = list(is_virtual)
+        self.in_cluster = [False] * num_vertices
+        for defect in defects:
+            self.parity[defect] = 1
+            self.in_cluster[defect] = True
 
     def find(self, vertex: int) -> int:
+        parent = self.parent
         root = vertex
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[vertex] != root:
-            self.parent[vertex], vertex = root, self.parent[vertex]
+        while parent[root] != root:
+            root = parent[root]
+        while parent[vertex] != root:
+            parent[vertex], vertex = root, parent[vertex]
         return root
 
-    def union(self, u: int, v: int) -> bool:
-        root_u, root_v = self.find(u), self.find(v)
-        if root_u == root_v:
-            return False
+    def union(self, root_u: int, root_v: int) -> int:
+        """Merge two distinct roots; returns the surviving root."""
         if self.rank[root_u] < self.rank[root_v]:
             root_u, root_v = root_v, root_u
         self.parent[root_v] = root_u
@@ -67,7 +79,7 @@ class _Clusters:
         self.touches_boundary[root_u] = (
             self.touches_boundary[root_u] or self.touches_boundary[root_v]
         )
-        return True
+        return root_u
 
     def is_active(self, root: int) -> bool:
         """A cluster keeps growing while it has odd parity and no boundary."""
@@ -75,12 +87,32 @@ class _Clusters:
 
 
 class UnionFindDecoder:
-    """Weighted-growth Union-Find decoder with peeling."""
+    """Weighted-growth Union-Find decoder with peeling.
+
+    >>> from repro.graphs import code_capacity_noise, surface_code_decoding_graph
+    >>> graph = surface_code_decoding_graph(3, code_capacity_noise(0.05))
+    >>> decoder = UnionFindDecoder(graph)
+    >>> outcome = decoder.decode_detailed(Syndrome(defects=(0, 1)))
+    >>> sorted(outcome.correction), outcome.growth_rounds, outcome.merges
+    ([0], 1, 1)
+    >>> outcome.counters["edges_grown"]  # three edges at each defect, edge 0 shared
+    5
+    >>> decoder.decode(Syndrome(defects=(0, 1))).pairs
+    [(0, 1)]
+    """
 
     name = "union-find"
 
     def __init__(self, graph: DecodingGraph) -> None:
         self.graph = graph
+        self._weights = [edge.weight for edge in graph.edges]
+        self._endpoints = [(edge.u, edge.v) for edge in graph.edges]
+        self._is_virtual = [graph.is_virtual(v) for v in range(graph.num_vertices)]
+        #: Zero-weight (erased) edges count as grown from the start: they never
+        #: enter a frontier, but the peel uses them.
+        self._zero_weight_edges = [
+            index for index, weight in enumerate(self._weights) if weight == 0
+        ]
 
     # ------------------------------------------------------------------
     # public API
@@ -102,147 +134,135 @@ class UnionFindDecoder:
         return self.decode_detailed(syndrome).correction
 
     def decode_detailed(self, syndrome: Syndrome) -> UnionFindOutcome:
-        graph = self.graph
         defects = set(syndrome.defects)
-        outcome = UnionFindOutcome(
-            correction=set(), defect_count=syndrome.defect_count
-        )
+        outcome = UnionFindOutcome(correction=set(), defect_count=syndrome.defect_count)
         if not defects:
             return outcome
-        clusters = _Clusters(graph, defects)
-        support = [0] * graph.num_edges
-        cluster_vertices: dict[int, set[int]] = {
-            clusters.find(d): {d} for d in defects
-        }
+        adjacency = self.graph.adjacency
+        weights = self._weights
+        endpoints = self._endpoints
+        clusters = _Clusters(self._is_virtual, defects)
+        find = clusters.find
+        in_cluster = clusters.in_cluster
+        support = [0] * len(weights)
+        saturated: list[int] = []
+        # root -> the cluster's vertices that may still touch an unsaturated
+        # edge (fully saturated vertices are dropped the first time a scan
+        # sees them: support only grows, so they never rejoin a frontier).
+        boundary: dict[int, list[int]] = {d: [d] for d in defects}
+        edges_grown = 0
 
-        max_rounds = _MAX_GROWTH_ROUNDS_FACTOR * graph.num_edges
-        for _ in range(max_rounds):
-            active_roots = {
-                root for root in cluster_vertices if clusters.is_active(clusters.find(root))
-            }
-            active_roots = {clusters.find(r) for r in active_roots}
-            active_roots = {r for r in active_roots if clusters.is_active(r)}
+        for _ in range(_MAX_GROWTH_ROUNDS_FACTOR * len(weights)):
+            active_roots = [root for root in boundary if clusters.is_active(root)]
             if not active_roots:
                 break
             outcome.growth_rounds += 1
-            frontier: list[tuple[int, int]] = []  # (edge, growth rate)
-            for edge in graph.edges:
-                if support[edge.index] >= edge.weight:
-                    continue
-                rate = 0
-                for endpoint in (edge.u, edge.v):
-                    if (
-                        clusters.in_cluster[endpoint]
-                        and clusters.find(endpoint) in active_roots
-                    ):
-                        rate += 1
-                if rate:
-                    frontier.append((edge.index, rate))
-            if not frontier:
+            # Growth rate of an edge = number of its endpoints in active clusters.
+            rates: dict[int, int] = {}
+            for root in active_roots:
+                kept = []
+                for vertex in boundary[root]:
+                    open_edge = False
+                    for index, _neighbor in adjacency[vertex]:
+                        if support[index] < weights[index]:
+                            rates[index] = rates.get(index, 0) + 1
+                            open_edge = True
+                    if open_edge:
+                        kept.append(vertex)
+                boundary[root] = kept
+            if not rates:
                 break
+            frontier = sorted(rates.items())
+            # Grow until the first edge saturates (at least one unit).
             step = min(
-                (self.graph.edges[index].weight - support[index] + rate - 1) // rate
-                for index, rate in frontier
+                (weights[index] - support[index] + rate - 1) // rate for index, rate in frontier
             )
-            step = max(1, step)
             newly_saturated: list[int] = []
             for index, rate in frontier:
-                support[index] = min(
-                    self.graph.edges[index].weight, support[index] + rate * step
-                )
-                if support[index] >= self.graph.edges[index].weight:
+                grown = support[index] + rate * step
+                if grown >= weights[index]:
+                    support[index] = weights[index]
                     newly_saturated.append(index)
-            outcome.counters["edges_grown"] += len(frontier)
+                else:
+                    support[index] = grown
+            edges_grown += len(frontier)
+            saturated.extend(newly_saturated)
             for index in newly_saturated:
-                edge = graph.edges[index]
-                for endpoint in (edge.u, edge.v):
-                    if not clusters.in_cluster[endpoint]:
-                        clusters.in_cluster[endpoint] = True
-                        root = clusters.find(endpoint)
-                        cluster_vertices.setdefault(root, set()).add(endpoint)
-                root_u, root_v = clusters.find(edge.u), clusters.find(edge.v)
-                vertices_u = cluster_vertices.pop(root_u, {edge.u})
-                vertices_v = cluster_vertices.pop(root_v, {edge.v})
-                if clusters.union(edge.u, edge.v):
-                    outcome.merges += 1
-                new_root = clusters.find(edge.u)
-                cluster_vertices[new_root] = vertices_u | vertices_v
+                u, v = endpoints[index]
+                for endpoint in (u, v):
+                    if not in_cluster[endpoint]:
+                        in_cluster[endpoint] = True
+                        boundary[endpoint] = [endpoint]
+                root_u, root_v = find(u), find(v)
+                if root_u == root_v:
+                    continue
+                outcome.merges += 1
+                vertices_u = boundary.pop(root_u)
+                vertices_v = boundary.pop(root_v)
+                if len(vertices_u) < len(vertices_v):
+                    vertices_u, vertices_v = vertices_v, vertices_u
+                vertices_u.extend(vertices_v)
+                boundary[clusters.union(root_u, root_v)] = vertices_u
 
-        outcome.correction = self._peel(clusters, support, defects)
+        if edges_grown:
+            outcome.counters["edges_grown"] += edges_grown
+        grown_edges = sorted(saturated + self._zero_weight_edges)
+        outcome.correction = self._peel(grown_edges, defects)
         return outcome
 
     # ------------------------------------------------------------------
     # peeling (correction extraction inside each grown cluster)
     # ------------------------------------------------------------------
-    def _peel(
-        self, clusters: _Clusters, support: list[int], defects: set[int]
-    ) -> set[int]:
-        graph = self.graph
+    def _peel(self, grown_edges: list[int], defects: set[int]) -> set[int]:
+        """Peel a correction from the grown edges (ascending edge index)."""
+        endpoints = self._endpoints
+        is_virtual = self._is_virtual
         grown_adjacency: dict[int, list[tuple[int, int]]] = {}
-        for edge in graph.edges:
-            if support[edge.index] < edge.weight:
-                continue
-            grown_adjacency.setdefault(edge.u, []).append((edge.index, edge.v))
-            grown_adjacency.setdefault(edge.v, []).append((edge.index, edge.u))
+        for index in grown_edges:
+            u, v = endpoints[index]
+            grown_adjacency.setdefault(u, []).append((index, v))
+            grown_adjacency.setdefault(v, []).append((index, u))
 
         correction: set[int] = set()
-        remaining_defects = set(defects)
         visited: set[int] = set()
         for start in sorted(defects):
             if start in visited:
                 continue
-            # Build a spanning tree of the grown component, rooted at a virtual
-            # vertex when one is reachable so the boundary can absorb parity.
-            component: list[int] = []
-            parent_edge: dict[int, tuple[int, int]] = {}
-            queue = deque([start])
-            seen = {start}
-            virtual_root: int | None = None
-            while queue:
-                vertex = queue.popleft()
-                component.append(vertex)
-                if graph.is_virtual(vertex) and virtual_root is None:
-                    virtual_root = vertex
-                for edge_index, neighbor in grown_adjacency.get(vertex, []):
-                    if neighbor in seen:
-                        continue
-                    seen.add(neighbor)
-                    parent_edge[neighbor] = (edge_index, vertex)
-                    queue.append(neighbor)
-            visited |= seen
-            root = virtual_root if virtual_root is not None else start
-            # Re-root the BFS tree at the chosen root.
-            order, parents = self._bfs_tree(grown_adjacency, root, seen)
-            defect_flag = {v: (v in remaining_defects) for v in seen}
-            for vertex in reversed(order):
-                if vertex == root:
-                    continue
-                if defect_flag.get(vertex):
+            # Spanning tree of the grown component, re-rooted at its first
+            # virtual vertex (BFS order) so the boundary can absorb parity.
+            order, parents = _bfs_tree(grown_adjacency, start)
+            visited.update(order)
+            root = next((v for v in order if is_virtual[v]), start)
+            if root != start:
+                order, parents = _bfs_tree(grown_adjacency, root)
+            defect_flag = {v: v in defects for v in order}
+            for vertex in reversed(order[1:]):
+                if defect_flag[vertex]:
                     edge_index, parent = parents[vertex]
-                    correction.symmetric_difference_update({edge_index})
-                    defect_flag[parent] = not defect_flag.get(parent, False)
-                    defect_flag[vertex] = False
-            if defect_flag.get(root) and not graph.is_virtual(root):
+                    correction.add(edge_index)
+                    defect_flag[parent] = not defect_flag[parent]
+            if defect_flag[root] and not is_virtual[root]:
                 # Parity left on a non-boundary root: the cluster had odd
                 # parity without boundary access, which growth should prevent.
                 raise RuntimeError("union-find peeling left an unmatched defect")
         return correction
 
-    @staticmethod
-    def _bfs_tree(
-        adjacency: dict[int, list[tuple[int, int]]], root: int, allowed: set[int]
-    ) -> tuple[list[int], dict[int, tuple[int, int]]]:
-        order = [root]
-        parents: dict[int, tuple[int, int]] = {}
-        seen = {root}
-        queue = deque([root])
-        while queue:
-            vertex = queue.popleft()
-            for edge_index, neighbor in adjacency.get(vertex, []):
-                if neighbor in seen or neighbor not in allowed:
-                    continue
-                seen.add(neighbor)
-                parents[neighbor] = (edge_index, vertex)
-                order.append(neighbor)
-                queue.append(neighbor)
-        return order, parents
+
+def _bfs_tree(
+    adjacency: dict[int, list[tuple[int, int]]], root: int
+) -> tuple[list[int], dict[int, tuple[int, int]]]:
+    """BFS order and ``vertex -> (edge, parent)`` tree of ``root``'s component."""
+    order = [root]
+    parents: dict[int, tuple[int, int]] = {}
+    seen = {root}
+    queue = deque([root])
+    while queue:
+        vertex = queue.popleft()
+        for edge_index, neighbor in adjacency.get(vertex, ()):
+            if neighbor in seen:
+                continue
+            seen.add(neighbor)
+            parents[neighbor] = (edge_index, vertex)
+            order.append(neighbor)
+            queue.append(neighbor)
+    return order, parents

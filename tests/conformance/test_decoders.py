@@ -8,6 +8,8 @@ Checks the structural contract every decoder must satisfy on every shot:
 * the matching weight realised on the shot's (erased-variant) decoding graph
   never beats the reference MWPM optimum — and equals it for the exact
   decoders;
+* ``decode`` returns exactly the matching one ``decode_detailed`` implies
+  (what the lookup table stores from its single decode per candidate);
 * ``lut+X`` is bit-identical to ``X``, hit or miss, and bypasses the table
   on erasure-carrying shots.
 """
@@ -25,7 +27,7 @@ from repro.graphs import (
     residual_defects,
     surface_code_decoding_graph,
 )
-from repro.graphs.syndrome import matching_weight
+from repro.graphs.syndrome import matching_from_correction, matching_weight
 
 from .harness import EXACT_DECODERS, LUT_BASES, NOISE_FAMILIES, erased_variant
 
@@ -79,6 +81,30 @@ def test_decode_detailed_correction_matches_decode(conformance_case, name):
             f"{name} on {family}"
         )
         assert outcome.defect_count == syndrome.defect_count
+
+
+@pytest.mark.parametrize("name", sorted(available_decoders()))
+def test_decode_is_the_matching_of_one_decode_detailed(conformance_case, name):
+    """``decode`` returns exactly the matching one ``decode_detailed`` implies.
+
+    That is the outcome's own matching, or — for correction-only backends —
+    the pairing ``matching_from_correction`` derives from its correction.
+    The lookup table relies on it: it decodes each candidate once and stores
+    both answers from that single outcome.  Erased shots are skipped; the
+    table never stores them.
+    """
+    family, graph, syndromes, _ = conformance_case
+    decoder = get_decoder(name, graph)
+    erasure_free = [syndrome for syndrome in syndromes if not syndrome.erasures]
+    assert erasure_free, family
+    for syndrome in erasure_free:
+        outcome = decoder.decode_detailed(syndrome)
+        derived = outcome.result
+        if derived is None:
+            derived = matching_from_correction(graph, syndrome.defects, outcome.correction)
+        assert decoder.decode(syndrome).to_dict() == derived.to_dict(), (
+            f"{name} on {family} defects={syndrome.defects}"
+        )
 
 
 @pytest.mark.parametrize("base", LUT_BASES)

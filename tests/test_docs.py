@@ -37,12 +37,17 @@ class TestDocumentation:
             assert f"({page.name})" in index, f"docs/index.md misses {page.name}"
 
     def test_checker_covers_service_modules(self):
-        """The doctest surface must include the whole service package,
-        the network tier included."""
+        """The doctest surface must include the whole service package (the
+        network tier included), the LUT pre-decoder and union-find."""
         covered = set(check_docs.DOCTEST_MODULES)
         src = REPO_ROOT / "src"
-        service = src / "repro" / "service"
-        for module in [*service.glob("*.py"), *(service / "net").glob("*.py")]:
+        package = src / "repro"
+        for module in [
+            *(package / "service").glob("*.py"),
+            *(package / "service" / "net").glob("*.py"),
+            *(package / "lut").glob("*.py"),
+            *(package / "unionfind").glob("*.py"),
+        ]:
             if module.stem == "__init__":
                 continue
             name = ".".join(module.relative_to(src).with_suffix("").parts)

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import pytest
+
+from repro.api import get_decoder
 from repro.graphs import (
     Syndrome,
     SyndromeSampler,
     circuit_level_noise,
     code_capacity_noise,
+    erasure_noise,
     residual_defects,
     surface_code_decoding_graph,
 )
@@ -107,3 +111,24 @@ class TestAccuracyRelativeToMWPM:
             assert (
                 graph.crosses_observable(correction) == syndrome.logical_flip
             ), f"single error on edge {edge.index} misdecoded"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="union-find never grows or merges across zero-weight (erased) edges: "
+    "they start saturated, so they never enter a growth frontier, and the "
+    "clusters at their two ends keep growing separately",
+)
+def test_erased_edge_between_two_defects_is_the_correction():
+    """Two defects joined by a heralded (weight-0) edge: that edge alone is
+    the cheapest correction, and union-find should return it."""
+    graph = surface_code_decoding_graph(5, erasure_noise(0.01))
+    decoder = get_decoder("union-find", graph)
+    wrong = []
+    for edge in graph.edges:
+        if graph.is_virtual(edge.u) or graph.is_virtual(edge.v):
+            continue
+        syndrome = Syndrome(defects=tuple(sorted((edge.u, edge.v))), erasures=(edge.index,))
+        if decoder.decode_to_correction(syndrome) != {edge.index}:
+            wrong.append(edge.index)
+    assert wrong == []
