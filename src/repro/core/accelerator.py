@@ -62,6 +62,7 @@ class MicroBlossomAccelerator(DualGraphState):
         self._prematches: dict[int, PreMatch] = {}
         self._prematches_dirty = True
         self._prematched_floor: int = 0
+        self._directed: set[int] = set()
         super().__init__(graph, scale=scale)
 
     # ------------------------------------------------------------------
@@ -71,6 +72,7 @@ class MicroBlossomAccelerator(DualGraphState):
         super().reset()
         self._prematches = {}
         self._prematches_dirty = True
+        self._directed.clear()
         # ``prematched_defects`` is a per-shot high-water mark; remember the
         # cumulative value at reset so reused engines report per-shot deltas
         # identical to a freshly-built accelerator.
@@ -93,6 +95,7 @@ class MicroBlossomAccelerator(DualGraphState):
 
     def set_direction(self, node: int, direction: int) -> None:
         super().set_direction(node, direction)
+        self._directed.add(node)
         _ = set_direction_word(min(node, 2**15 - 1), direction)
         self.counters["bus_words"] += 1
         self._prematches_dirty = True
@@ -152,11 +155,13 @@ class MicroBlossomAccelerator(DualGraphState):
 
     def _prematch_eligible(self, vertex: int) -> bool:
         """A defect may be pre-matched only while it is still an autonomous
-        singleton node growing with its default direction (never touched by
-        the CPU and not absorbed into any blossom)."""
+        singleton node: never sent a direction by the CPU (a node set back to
+        GROW is still one the primal module tracks) and not absorbed into any
+        blossom."""
         return (
             self.loaded[vertex]
             and self.is_defect[vertex]
+            and vertex not in self._directed
             and self.defect_root.get(vertex) == vertex
             and self.node_direction.get(vertex, HOLD) == GROW
         )

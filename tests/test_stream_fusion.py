@@ -124,7 +124,8 @@ class TestRoundWiseFusion:
 
 
 #: d=9, p=0.001 circuit-level shots on which stream mode with pre-matching
-#: goes wrong: ``(defects, reference weight, stream-mode failure)``.
+#: went wrong while the accelerator pre-matched nodes the CPU had set back to
+#: GROW: ``(defects, reference weight, former stream-mode failure)``.
 _STREAM_PREMATCH_FAULTS = [
     ((77, 80, 119, 314, 361), 80, "weight 106"),
     ((84, 88, 126, 202, 207, 337), 104, "weight 130"),
@@ -133,17 +134,32 @@ _STREAM_PREMATCH_FAULTS = [
     ((168, 171, 218, 232, 237), 80, "DualPhaseError"),
 ]
 
+#: d=9, p=0.005 circuit-level shots on which batch mode went wrong the same
+#: way: ``(defects, reference weight, former batch-mode weight)``.
+_BATCH_PREMATCH_FAULTS = [
+    ((0, 65, 66, 67, 109, 211, 214, 259, 276, 301, 303, 323, 372), 224, 244),
+    (
+        (106, 107, 156, 157, 168, 173, 174, 175, 177, 182, 189, 241, 242, 245, 246, 248,
+         260, 278, 283, 288, 308),
+        320,
+        344,
+    ),
+]
+
 
 @pytest.fixture(scope="module")
 def surface_d9_circuit():
     return surface_code_decoding_graph(9, circuit_level_noise(0.001))
 
 
-class TestKnownStreamPrematchFault:
-    """Pre-matching under round-wise fusion is wrong on these shots.
+class TestPrematchEligibility:
+    """A node the CPU has sent a direction to is never pre-matched again.
 
-    Batch mode and stream mode without pre-matching decode them at the
-    reference weight, so the fault lies in pre-matching across rounds.
+    The primal module sets a node back to GROW when it becomes a "+" node
+    again (``_attach`` on the mate, ``break_boundary_matches`` on a freed
+    node).  Pre-matching such a node stalls it in the accelerator while the
+    primal module still grows its ``y``, so the matching came out too heavy,
+    or the primal module raised on an unmatched node.
     """
 
     @pytest.mark.parametrize("stream, prematching", [(False, True), (True, False)])
@@ -157,12 +173,13 @@ class TestKnownStreamPrematchFault:
         assert ReferenceDecoder(surface_d9_circuit).decode(Syndrome(defects)).weight == weight
         assert decoder.decode(Syndrome(defects)).weight == weight
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="stream-mode pre-matching under round-wise fusion returns a "
-        "too-heavy matching or raises DualPhaseError on these shots",
-    )
     @pytest.mark.parametrize("defects, weight, _failure", _STREAM_PREMATCH_FAULTS)
     def test_stream_with_prematching(self, surface_d9_circuit, defects, weight, _failure):
         decoder = MicroBlossomDecoder(surface_d9_circuit, stream=True)
         assert decoder.decode(Syndrome(defects)).weight == weight
+
+    @pytest.mark.parametrize("defects, weight, _former", _BATCH_PREMATCH_FAULTS)
+    def test_batch_with_prematching(self, defects, weight, _former):
+        graph = surface_code_decoding_graph(9, circuit_level_noise(0.005))
+        assert ReferenceDecoder(graph).decode(Syndrome(defects)).weight == weight
+        assert MicroBlossomDecoder(graph).decode(Syndrome(defects)).weight == weight
