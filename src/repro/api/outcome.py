@@ -37,15 +37,17 @@ def counter_delta(before: Counter, *sources) -> Counter:
     >>> counter_delta(Counter(a=1), Counter(a=1))
     Counter()
     """
-    after: Counter = Counter()
-    for source in sources:
-        after.update(source)
-    delta: Counter = Counter()
-    for key, value in after.items():
-        difference = value - before.get(key, 0)
-        if difference:
-            delta[key] = difference
-    return delta
+    if len(sources) == 1:
+        after = sources[0]
+    else:
+        after = dict(sources[0])
+        for source in sources[1:]:
+            for key, value in source.items():
+                after[key] = after.get(key, 0) + value
+    get = before.get
+    return Counter(
+        {key: difference for key, value in after.items() if (difference := value - get(key, 0))}
+    )
 
 
 def latency_counters(outcome: "DecodeOutcome") -> Counter:

@@ -22,6 +22,7 @@ behaviour:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -37,6 +38,15 @@ from .instructions import (
     set_cover_word,
     set_direction_word,
 )
+
+
+#: Instruction words are encoded once per distinct operand: issuing a word
+#: again is a bus-word count, not a new encoding.
+_RESET_WORD = reset_word()
+_FIND_CONFLICT_WORD = find_conflict_word()
+_load_word = lru_cache(maxsize=None)(load_defects_word)
+_grow_word = lru_cache(maxsize=1024)(grow_word)
+_set_direction_word = lru_cache(maxsize=4096)(set_direction_word)
 
 
 @dataclass(frozen=True)
@@ -61,9 +71,23 @@ class MicroBlossomAccelerator(DualGraphState):
         self.enable_prematching = enable_prematching
         self._prematches: dict[int, PreMatch] = {}
         self._prematches_dirty = True
+        #: Vertices whose pre-match may have changed while tightness did not
+        #: (see :meth:`_recheck_prematches`).
+        self._recheck: set[int] = set()
         self._prematched_floor: int = 0
         self._directed: set[int] = set()
         super().__init__(graph, scale=scale)
+        #: Per layer: the vertices next to (or in) the layer's real vertices,
+        #: the only ones whose pre-match a load of that layer can change.
+        self._layer_neighbourhood: list[frozenset[int]] = [
+            frozenset(
+                near
+                for vertex in graph.vertices_in_layer(layer)
+                if not graph.is_virtual(vertex)
+                for near in [vertex] + [n for _, n in graph.adjacency[vertex]]
+            )
+            for layer in range(graph.num_layers)
+        ]
 
     # ------------------------------------------------------------------
     # instruction accounting wrappers
@@ -72,6 +96,7 @@ class MicroBlossomAccelerator(DualGraphState):
         super().reset()
         self._prematches = {}
         self._prematches_dirty = True
+        self._recheck.clear()
         self._directed.clear()
         # ``prematched_defects`` is a per-shot high-water mark; remember the
         # cumulative value at reset so reused engines report per-shot deltas
@@ -80,25 +105,37 @@ class MicroBlossomAccelerator(DualGraphState):
             "prematched_defects", getattr(self, "_prematched_floor", 0)
         )
         self.counters["bus_words"] = self.counters.get("bus_words", 0) + 1
-        _ = reset_word()
+        _ = _RESET_WORD
 
     def load(self, defects: Iterable[int], layers: Iterable[int] | None = None) -> None:
+        known = len(self.defect_root)
+        if layers is not None:
+            layers = set(layers)
         super().load(defects, layers)
         # One load instruction per layer loaded; syndrome bits stream in
         # directly from the quantum control stack (paper Figure 5), so they do
         # not cross the CPU bus.
-        layer_count = 1 if layers is None else len(set(layers))
+        layer_count = 1 if layers is None else len(layers)
         for layer in range(layer_count):
-            _ = load_defects_word(layer)
+            _ = _load_word(layer)
         self.counters["bus_words"] += layer_count
-        self._prematches_dirty = True
+        if layers is None or len(self.defect_root) != known:
+            # New defects (or the whole graph at once): rescan everything.
+            self._prematches_dirty = True
+        else:
+            # Only boundary status moved, next to the loaded layers.
+            for layer in layers:
+                if 0 <= layer < len(self._layer_neighbourhood):
+                    near = self._layer_neighbourhood[layer]
+                    self._recheck.update(d for d in self.defect_root if d in near)
 
     def set_direction(self, node: int, direction: int) -> None:
         super().set_direction(node, direction)
         self._directed.add(node)
-        _ = set_direction_word(min(node, 2**15 - 1), direction)
+        _ = _set_direction_word(min(node, 2**15 - 1), direction)
         self.counters["bus_words"] += 1
-        self._prematches_dirty = True
+        if node < self._num_vertices:
+            self._recheck.add(node)
 
     def create_blossom(self, children: Iterable[int], blossom_id: int) -> None:
         children = list(children)
@@ -117,12 +154,12 @@ class MicroBlossomAccelerator(DualGraphState):
 
     def grow(self, length: int) -> None:
         super().grow(length)
-        _ = grow_word(length)
+        _ = _grow_word(length)
         self.counters["bus_words"] += 1
         self._prematches_dirty = True
 
     def find_obstacle(self) -> Obstacle:
-        _ = find_conflict_word()
+        _ = _FIND_CONFLICT_WORD
         self.counters["bus_words"] += 1
         self.counters["response_reads"] += 1
         return super().find_obstacle()
@@ -138,14 +175,31 @@ class MicroBlossomAccelerator(DualGraphState):
                 directions[prematch.peer] = HOLD
         return directions
 
+    def _node_rates(self, nodes: list[int]) -> list[int]:
+        held = self._current_prematches()
+        direction = self.node_direction.get
+        return [HOLD if node in held else direction(node, HOLD) for node in nodes]
+
     def _current_prematches(self) -> dict[int, PreMatch]:
         """The pre-matches of the current state, recomputed only after a
-        change (every instruction that can change them marks them dirty)."""
+        change: in full after one that can move tightness (a grow, a load of
+        new defects, a blossom change), and only around the vertices whose
+        eligibility or boundary status moved otherwise."""
         if not self.enable_prematching:
             self._prematches = {}
-        elif self._prematches_dirty:
-            self._prematches = self._compute_prematches()
-            self._prematches_dirty = False
+        elif self._prematches_dirty or self._recheck:
+            self._ensure_covers()
+            if self._prematches_dirty:
+                self._prematches = self._compute_prematches()
+                self._prematches_dirty = False
+            else:
+                self._recheck_prematches()
+            self._recheck.clear()
+            if self._prematches:
+                self.counters["prematched_defects"] = max(
+                    self.counters.get("prematched_defects", 0),
+                    self._prematched_floor + len(self._prematches),
+                )
         return self._prematches
 
     def _direction_for_growth(self, node: int) -> int:
@@ -158,82 +212,96 @@ class MicroBlossomAccelerator(DualGraphState):
         singleton node: never sent a direction by the CPU (a node set back to
         GROW is still one the primal module tracks) and not absorbed into any
         blossom."""
+        # Only loaded defects have a root.
         return (
-            self.loaded[vertex]
-            and self.is_defect[vertex]
-            and vertex not in self._directed
+            vertex not in self._directed
             and self.defect_root.get(vertex) == vertex
             and self.node_direction.get(vertex, HOLD) == GROW
         )
 
-    def _compute_prematches(self) -> dict[int, PreMatch]:
-        covers = self._ensure_covers()
-        graph = self.graph
-        # Residue of every vertex is its largest Cover residual (0 when only
-        # a boundary or nothing covers it); an edge is tight when the
-        # residues of its two ends span it.
-        residue = np.maximum(covers.residual.max(axis=0), 0)
-        edge_u, edge_v = self._edge_u, self._edge_v
-        tight = residue[edge_u] + residue[edge_v] >= self._edge_weight
-        tight_count = np.bincount(
-            np.concatenate([edge_u[tight], edge_v[tight]]), minlength=graph.num_vertices
-        )
+    def _tightness(self) -> tuple[np.ndarray, np.ndarray]:
+        """Tight edges and the number of tight edges at each vertex.
 
-        prematches: dict[int, PreMatch] = {}
-        claimed: set[int] = set()
-
-        def try_regular(edge) -> bool:
-            """Equation 1: an isolated error away from any boundary."""
-            u, v = edge.u, edge.v
-            if not (self._prematch_eligible(u) and self._prematch_eligible(v)):
-                return False
-            if tight_count[u] != 1 or tight_count[v] != 1:
-                return False
-            prematch = PreMatch(defect=u, peer=v, edge=edge.index, peer_is_boundary=False)
-            prematches[u] = prematch
-            prematches[v] = prematch
-            claimed.update((u, v))
-            return True
-
-        def try_boundary(edge) -> bool:
-            """Equations 2/3: an isolated error on the (possibly fusion) boundary."""
-            for defect, boundary in ((edge.u, edge.v), (edge.v, edge.u)):
-                if not self.is_boundary_node(boundary):
-                    continue
-                if not self._prematch_eligible(defect):
-                    continue
-                safe = True
-                for other_index, neighbor in graph.adjacency[defect]:
-                    if other_index == edge.index or not tight[other_index]:
-                        continue
-                    if self.is_boundary_node(neighbor):
-                        continue
-                    if self.is_defect[neighbor] or tight_count[neighbor] > 1:
-                        safe = False
-                        break
-                if not safe:
-                    continue
-                prematch = PreMatch(
-                    defect=defect, peer=boundary, edge=edge.index, peer_is_boundary=True
-                )
-                prematches[defect] = prematch
-                claimed.add(defect)
-                return True
-            return False
-
-        for index in tight.nonzero()[0].tolist():
-            edge = graph.edges[index]
-            if edge.u in claimed or edge.v in claimed:
-                continue
-            if try_regular(edge):
-                continue
-            try_boundary(edge)
-        if prematches:
-            self.counters["prematched_defects"] = max(
-                self.counters.get("prematched_defects", 0),
-                self._prematched_floor + len(claimed),
+        The residue of a vertex is its largest Cover residual (0 when only a
+        boundary or nothing covers it); an edge is tight when the residues
+        of its two ends span it.  Kept with the node rows until they change.
+        """
+        rows = self._node_rows()
+        if rows.tightness is None:
+            residue = np.maximum(rows.top, 0)
+            edge_u, edge_v = self._edge_u, self._edge_v
+            tight = residue[edge_u] + residue[edge_v] >= self._edge_weight
+            tight_count = np.bincount(
+                np.concatenate([edge_u[tight], edge_v[tight]]), minlength=self._num_vertices
             )
+            rows.tightness = tight, tight_count
+        return rows.tightness
+
+    def _prematch_of(self, defect: int, tight: np.ndarray, tight_count: np.ndarray) -> PreMatch | None:
+        """The pre-match of one eligible defect (paper §5.2).
+
+        Equation 1 pairs two defects joined by a tight edge that is the only
+        one at either end.  Otherwise Equations 2/3 match the defect to a
+        boundary vertex (virtual, or of a round not loaded yet) over its
+        lowest-index tight boundary edge, provided no other tight edge leads
+        to a defect or to a vertex that a third Cover reaches.
+        """
+        edges = [(index, near) for index, near in self.graph.adjacency[defect] if tight[index]]
+        if len(edges) == 1:
+            index, peer = edges[0]
+            if tight_count[peer] == 1 and self._prematch_eligible(peer):
+                edge = self.graph.edges[index]
+                return PreMatch(defect=edge.u, peer=edge.v, edge=index, peer_is_boundary=False)
+        boundary = None
+        for index, near in edges:
+            if self._boundary[near]:
+                if boundary is None or index < boundary[0]:
+                    boundary = (index, near)
+            elif self.is_defect[near] or tight_count[near] > 1:
+                return None
+        if boundary is None:
+            return None
+        return PreMatch(defect=defect, peer=boundary[1], edge=boundary[0], peer_is_boundary=True)
+
+    def _add_prematch(self, prematches: dict[int, PreMatch], defect: int, tightness) -> None:
+        prematch = self._prematch_of(defect, *tightness)
+        if prematch is not None:
+            prematches[prematch.defect] = prematch
+            if not prematch.peer_is_boundary:
+                prematches[prematch.peer] = prematch
+
+    def _compute_prematches(self) -> dict[int, PreMatch]:
+        """Every eligible defect's pre-match, tightness recomputed if stale."""
+        prematches: dict[int, PreMatch] = {}
+        eligible = [defect for defect in self.defect_root if self._prematch_eligible(defect)]
+        if eligible:
+            tightness = self._tightness()
+            for defect in eligible:
+                if defect not in prematches:
+                    self._add_prematch(prematches, defect, tightness)
         return prematches
+
+    def _recheck_prematches(self) -> None:
+        """Redo the pre-matches of the vertices in ``_recheck`` only.
+
+        Tightness is unchanged since the last scan, so a defect's pre-match
+        can only move if the defect, or the peer of its pre-match, lost its
+        eligibility (a ``set direction``) or if a vertex next to it stopped
+        being a boundary vertex (a load without new defects, which the
+        loaded layer's neighbourhood covers).
+        """
+        prematches = self._prematches
+        todo = set(self._recheck)
+        for vertex in self._recheck:
+            prematch = prematches.get(vertex)
+            if prematch is not None and not prematch.peer_is_boundary:
+                todo.update((prematch.defect, prematch.peer))
+        for vertex in todo:
+            prematches.pop(vertex, None)
+        tightness = self._tightness()
+        for vertex in todo:
+            if vertex not in prematches and self._prematch_eligible(vertex):
+                self._add_prematch(prematches, vertex, tightness)
 
     def prematched_pairs(self) -> list[PreMatch]:
         """Pairs still handled in hardware when decoding finishes (§5.2)."""

@@ -18,7 +18,13 @@ latency).
 In stream mode each round is fused by one internal push step that records no
 counter delta of its own: :meth:`MicroBlossomDecoder.push_round` computes the
 round's delta at the public boundary, from the snapshot the step took, while
-``decode_detailed`` drives the same step and only reads the outcome's totals.
+``decode_detailed`` drives the same step, snapshots only the final round (the
+one its ``post_final_round_counters`` are measured from) and reads the
+outcome's totals.  A round costs the host only what it adds: an empty round
+after the first defect keeps the node Covers and the pre-matches it finds, so
+its one ``find obstacle`` (answered ``Finished`` unless the new round freed a
+node) rebuilds neither; the counters are still charged as a full rebuild
+would charge them (see :mod:`repro.core.dual`).
 
 The decoder keeps its accelerator model and primal module alive across
 decodes (``reuse_engines=True``, the default): each shot snapshots the
@@ -43,7 +49,7 @@ from ..graphs.syndrome import (
     correction_edges,
     matching_weight,
 )
-from .accelerator import MicroBlossomAccelerator
+from .accelerator import MicroBlossomAccelerator, PreMatch
 from .dual import DEFAULT_DUAL_SCALE
 from .interface import IntegralityError
 from .primal import PrimalModule
@@ -69,7 +75,7 @@ class _StreamState:
 
     accelerator: MicroBlossomAccelerator
     primal: PrimalModule
-    baseline: Counter
+    baseline: dict
     scale: int
     #: Defects of every round pushed so far (replayed on a scale retry).
     rounds: list[tuple[int, ...]] = field(default_factory=list)
@@ -77,6 +83,9 @@ class _StreamState:
     #: the work recorded after it is what remains once the final round
     #: arrived (paper §8.2).
     last_snapshot: dict = field(default_factory=dict)
+    #: Snapshot every round's start (``push_round`` reports each round's
+    #: delta); otherwise only the final round's, the one ``finalize`` reads.
+    every_round: bool = True
     retries: int = 0
     any_defects: bool = False
 
@@ -113,6 +122,7 @@ class MicroBlossomDecoder:
         self.stream = stream
         self.scale = scale
         self.reuse_engines = reuse_engines
+        self._rounds = graph.num_layers
         self._engines: dict[int, tuple[MicroBlossomAccelerator, PrimalModule]] = {}
         self._stream_state: _StreamState | None = None
 
@@ -139,6 +149,7 @@ class MicroBlossomDecoder:
         """
         if self.stream:
             self.begin(rounds_hint=self.graph.num_layers)
+            self._stream_state.every_round = False
             for round_defects in syndrome.defects_by_layer(self.graph):
                 self._push(round_defects)
             return self.finalize()
@@ -209,7 +220,7 @@ class MicroBlossomDecoder:
         """
         since = self._push(defects)
         state = self._stream_state
-        return counter_delta(since, state.accelerator.counters, state.primal.counters)
+        return counter_delta(since, _snapshot(state.accelerator, state.primal))
 
     def _push(self, defects: Iterable[int]) -> dict:
         """Fuse the next round, retrying at doubled scales on
@@ -219,10 +230,8 @@ class MicroBlossomDecoder:
         if state is None:
             raise RuntimeError("push_round before begin(); open a stream first")
         layer = len(state.rounds)
-        if layer >= self.graph.num_layers:
-            raise ValueError(
-                f"stream already received all {self.graph.num_layers} rounds"
-            )
+        if layer >= self._rounds:
+            raise ValueError(f"stream already received all {self._rounds} rounds")
         defects = tuple(defects)
         for defect in defects:
             if self.graph.vertices[defect].layer != layer:
@@ -267,21 +276,18 @@ class MicroBlossomDecoder:
         if state is None:
             raise RuntimeError("finalize before begin(); open a stream first")
         accelerator, primal = state.accelerator, state.primal
-        post_final = counter_delta(
-            state.last_snapshot, accelerator.counters, primal.counters
-        )
+        post_final = counter_delta(state.last_snapshot, _snapshot(accelerator, primal))
         defects = tuple(sorted(d for round_defects in state.rounds for d in round_defects))
-        syndrome = Syndrome(defects=defects)
-        result = self._collect_result(syndrome, accelerator, primal)
-        counters = counter_delta(state.baseline, accelerator.counters, primal.counters)
-        prematched = len(accelerator.prematched_pairs())
+        prematched = accelerator.prematched_pairs()
+        result = self._collect_result(defects, prematched, primal)
+        counters = counter_delta(state.baseline, _snapshot(accelerator, primal))
         outcome = MicroBlossomOutcome(
             result=result,
             defect_count=len(defects),
             counters=counters,
             post_final_round_counters=post_final,
             hardware_report=MicroBlossomAccelerator.hardware_report_from(counters),
-            prematched_pairs=prematched,
+            prematched_pairs=len(prematched),
             stream=True,
             prematching=self.enable_prematching,
         )
@@ -294,11 +300,13 @@ class MicroBlossomDecoder:
     ) -> None:
         """Fuse one round into the running solution.
 
-        ``state.last_snapshot`` is set to the counters at the round's start;
-        the round's cost is whatever accrues after it.
+        ``state.last_snapshot`` is set to the counters at the round's start
+        (the final round's only, unless ``state.every_round``); the round's
+        cost is whatever accrues after it.
         """
         accelerator, primal = state.accelerator, state.primal
-        state.last_snapshot = _snapshot(accelerator, primal)
+        if state.every_round or layer == self._rounds - 1:
+            state.last_snapshot = _snapshot(accelerator, primal)
         accelerator.load(defects, layers={layer})
         if defects or state.any_defects:
             # Zero-defect fast path: with no defect loaded so far there is no
@@ -340,7 +348,7 @@ class MicroBlossomDecoder:
     # ------------------------------------------------------------------
     def _acquire(
         self, scale: int
-    ) -> tuple[MicroBlossomAccelerator, PrimalModule, Counter]:
+    ) -> tuple[MicroBlossomAccelerator, PrimalModule, dict]:
         """Return an accelerator/primal pair ready for one decode.
 
         Engines are cached per dual scale.  For a reused pair the returned
@@ -352,8 +360,7 @@ class MicroBlossomDecoder:
             cached = self._engines.get(scale)
             if cached is not None:
                 accelerator, primal = cached
-                baseline = Counter(accelerator.counters)
-                baseline.update(primal.counters)
+                baseline = _snapshot(accelerator, primal)
                 accelerator.reset()
                 primal.reset()
                 return accelerator, primal, baseline
@@ -363,40 +370,37 @@ class MicroBlossomDecoder:
         primal = PrimalModule(self.graph, accelerator)
         if self.reuse_engines:
             self._engines[scale] = (accelerator, primal)
-        return accelerator, primal, Counter()
+        return accelerator, primal, {}
 
     def _decode_once(self, syndrome: Syndrome, scale: int) -> MicroBlossomOutcome:
         accelerator, primal, baseline = self._acquire(scale)
         accelerator.load(syndrome.defects)
         primal.run()
-        post_final = counter_delta(baseline, accelerator.counters, primal.counters)
-        result = self._collect_result(syndrome, accelerator, primal)
-        counters = counter_delta(baseline, accelerator.counters, primal.counters)
-        prematched = len(accelerator.prematched_pairs())
+        post_final = counter_delta(baseline, _snapshot(accelerator, primal))
+        prematched = accelerator.prematched_pairs()
+        result = self._collect_result(syndrome.defects, prematched, primal)
+        counters = counter_delta(baseline, _snapshot(accelerator, primal))
         return MicroBlossomOutcome(
             result=result,
             defect_count=syndrome.defect_count,
             counters=counters,
             post_final_round_counters=post_final,
             hardware_report=MicroBlossomAccelerator.hardware_report_from(counters),
-            prematched_pairs=prematched,
+            prematched_pairs=len(prematched),
             stream=False,
             prematching=self.enable_prematching,
         )
 
     def _collect_result(
-        self,
-        syndrome: Syndrome,
-        accelerator: MicroBlossomAccelerator,
-        primal: PrimalModule,
+        self, defects: tuple[int, ...], prematched: list[PreMatch], primal: PrimalModule
     ) -> MatchingResult:
         result = primal.collect_matching()
-        for prematch in accelerator.prematched_pairs():
+        for prematch in prematched:
             if prematch.peer_is_boundary:
                 result.pairs.append((prematch.defect, BOUNDARY))
                 result.boundary_vertices[prematch.defect] = prematch.peer
             else:
                 result.pairs.append((prematch.defect, prematch.peer))
         result.weight = matching_weight(self.graph, result)
-        result.validate_perfect(syndrome.defects)
+        result.validate_perfect(defects)
         return result

@@ -45,6 +45,18 @@ Operation counters (the inputs of the accelerator and CPU cost models):
   conflicting edge (all of them when there is no edge-level conflict), and
   by ``num_edges`` per growth-length query.
 
+The host keeps the node rows of the Covers across changes instead of
+rebuilding them from the distance rows after every instruction.  A
+``grow l`` shifts each non-HOLD node's row by ``±l``, a load appends one row
+per new defect, and a load without new defects (an empty measurement round
+in stream mode) changes only the boundary, which the queries read from the
+boundary mask; the rows are rebuilt only after a reset or a blossom change.
+The arrays only a Conflict or growth-length answer reads are derived on
+first use, so a query that answers ``Finished`` (every idle stream round
+ends with one) needs none of them.  The counters are still charged as if
+the hardware rebuilt everything: every query after a change charges the
+full cell count, whatever the host reused to get it.
+
 Dual variables are tracked per *defect vertex* as the accumulated cover radius
 ``R(u) = sum of y over the nodes containing u`` — precisely the quantity each
 vPU can maintain locally because every ``grow`` instruction changes it by
@@ -90,32 +102,64 @@ ABSENT = -(1 << 40)
 #: Growth candidates at or above this bound come from absent Covers.
 _UNBOUNDED = 1 << 38
 
+_FINISHED = Finished()
 
-@dataclass
+
+@dataclass(slots=True)
+class _NodeRows:
+    """The defect-node part of the Covers, kept across grows and loads.
+
+    ``reach[i, v]`` is ``max(R(u) - d(u, v))`` over the defects ``u`` of
+    node ``nodes[i]``, before any masking: a grow shifts it.
+    ``top`` is its column maximum (``ABSENT`` without nodes), ``by_defect``
+    marks where it is ``>= 0`` and ``cells`` counts the covered ``(node,
+    vertex)`` cells; all three are stale (``top`` is ``None``) after a
+    shift until :meth:`DualGraphState._node_rows` refreshes them.
+    """
+
+    nodes: list[int]
+    members: list[list[int]]
+    reach: np.ndarray
+    top: np.ndarray | None = None
+    by_defect: np.ndarray | None = None
+    cells: int = 0
+    #: Tight edges and tight-edge count per vertex, kept by subclasses that
+    #: need them (the accelerator's pre-matching) until the residues move.
+    tightness: tuple[np.ndarray, np.ndarray] | None = None
+
+
+@dataclass(slots=True)
 class Covers:
     """Per-vertex Cover state of every node (paper §4.2, Table 2).
 
     ``residual[i, v]`` is how far node ``nodes[i]``'s Cover extends beyond
     vertex ``v`` (``ABSENT`` outside the Cover); the rows after the last node
     hold the boundary pseudo-nodes at residual 0.  ``members[i]`` lists the
-    node's defects in ascending order.
+    node's defects in ascending order.  ``residual`` and the ``near`` edge
+    arrays are only needed for a Conflict or growth-length answer, so they
+    stay ``None`` until :meth:`DualGraphState._query_arrays` derives them.
     """
 
     nodes: list[int]
     members: list[list[int]]
-    residual: np.ndarray
+    reach: np.ndarray
+    #: Vertices covered by a defect node.
+    by_defect: np.ndarray
     #: Edges whose two endpoints are both covered, and how many there are.
     both_covered: np.ndarray
     both_count: int
+    residual: np.ndarray | None = None
+    #: Column maximum of the boundary rows.
+    boundary_top: np.ndarray | None = None
     #: Edges next to a vertex covered by a defect node, ascending.
-    near: np.ndarray
+    near: np.ndarray | None = None
     #: Ends of the ``near`` edges seen from each side: entry ``i`` of the
     #: first half reads edge ``near[i]`` from ``u`` to ``v``, the second
     #: half from ``v`` to ``u``.
-    here: np.ndarray
-    there: np.ndarray
+    here: np.ndarray | None = None
+    there: np.ndarray | None = None
     #: Weights of the ``near`` edges.
-    weight: np.ndarray
+    weight: np.ndarray | None = None
 
 
 class DualGraphState:
@@ -138,6 +182,11 @@ class DualGraphState:
         self._zero_groups = _zero_distance_groups(graph)
         self._ends = np.concatenate((self._edge_u, self._edge_v))
         self._other_ends = np.concatenate((self._edge_v, self._edge_u))
+        self._num_vertices = graph.num_vertices
+        layers = [graph.vertices_in_layer(layer) for layer in range(graph.num_layers)]
+        #: Per layer: its vertices, and those of them that are not virtual.
+        self._layer_vertices = [np.array(group, dtype=np.intp) for group in layers]
+        self._layer_real = [group[~self._virtual[group]] for group in self._layer_vertices]
         self._distance_rows: dict[int, np.ndarray] = {}
         self.counters: Counter = Counter()
         self.reset()
@@ -154,7 +203,12 @@ class DualGraphState:
         self.defect_radius: dict[int, int] = {}
         self.defect_root: dict[int, int] = {}
         self.node_direction: dict[int, int] = {}
+        #: ``None`` after every change: the next query charges a rebuild.
         self._covers: Covers | None = None
+        #: ``None`` when the node rows must be rebuilt from the distance rows.
+        self._rows: _NodeRows | None = None
+        #: Boundary pseudo-nodes covering each vertex, on erased-edge graphs.
+        self._boundary_counts: np.ndarray | None = None
         self.counters["instr_reset"] += 1
 
     def load(self, defects: Iterable[int], layers: Iterable[int] | None = None) -> None:
@@ -170,16 +224,22 @@ class DualGraphState:
         fresh_defects = sorted(d for d in defects if not loaded[d])
         if layers is None:
             loaded[:] = True
+            self._boundary = self._virtual.copy()
         else:
             for layer in set(layers):
-                loaded[self.graph.vertices_in_layer(layer)] = True
-        self._boundary = self._virtual | ~loaded
+                if 0 <= layer < len(self._layer_vertices):
+                    loaded[self._layer_vertices[layer]] = True
+                    # A loaded vertex stays a boundary vertex only if virtual.
+                    self._boundary[self._layer_real[layer]] = False
+        self._boundary_counts = None
+        added = []
         for vertex in fresh_defects:
             if not loaded[vertex]:
                 continue
             if self._virtual[vertex]:
                 raise DualPhaseError(f"virtual vertex {vertex} cannot be a defect")
             self.is_defect[vertex] = True
+            added.append(vertex)
             self.defect_radius[vertex] = 0
             self.defect_root[vertex] = vertex
             # A freshly loaded defect is an unmatched singleton node and
@@ -190,6 +250,8 @@ class DualGraphState:
             raise DualPhaseError(
                 f"defects {uncovered} lie outside the loaded measurement rounds"
             )
+        if added and self._rows is not None:
+            self._add_rows(self._rows, added)
         self.counters["instr_load"] += 1
         self.counters["defects_loaded"] += len(defects)
         self._covers = None
@@ -213,6 +275,7 @@ class DualGraphState:
         self.node_direction[blossom_id] = GROW
         self.counters["instr_set_cover"] += len(children)
         self._covers = None
+        self._rows = None
 
     def expand_blossom(self, blossom_id: int, new_roots: Mapping[int, int]) -> None:
         """Split a blossom Cover back into its children's Covers.
@@ -235,13 +298,17 @@ class DualGraphState:
         self.node_direction.pop(blossom_id, None)
         self.counters["instr_set_cover"] += len(new_roots)
         self._covers = None
+        self._rows = None
 
     def grow(self, length: int) -> None:
         """Grow/shrink every Cover according to its direction (``grow l``)."""
         if length <= 0:
             raise ValueError("grow length must be positive")
-        for defect in self.defect_radius:
-            direction = self._direction_for_growth(self.defect_root[defect])
+        rates: dict[int, int] = {}
+        for defect, root in self.defect_root.items():
+            direction = rates.get(root)
+            if direction is None:
+                direction = rates[root] = self._direction_for_growth(root)
             if direction == HOLD:
                 continue
             radius = self.defect_radius[defect] + length * direction
@@ -250,6 +317,14 @@ class DualGraphState:
                     f"cover radius of defect {defect} would become negative"
                 )
             self.defect_radius[defect] = radius
+        rows = self._rows
+        if rows is not None:
+            # Every defect of a node moves by the same step, so the node's
+            # row (a maximum over them) moves by it too.
+            shift = np.array([rates[node] for node in rows.nodes], dtype=np.int64)
+            if shift.any():
+                rows.reach = rows.reach + (length * shift)[:, None]
+                rows.top = None
         self.counters["instr_grow"] += 1
         self.counters["total_growth"] += length
         self._covers = None
@@ -258,28 +333,34 @@ class DualGraphState:
         """Report a Conflict, a safe growth length, or completion."""
         self.counters["instr_find_obstacle"] += 1
         covers = self._ensure_covers()
-        directions = self._effective_directions()
-        rates = [directions.get(node, HOLD) for node in covers.nodes]
+        rates = self._node_rates(covers.nodes)
         if max(rates, default=HOLD) <= 0:
             # Nothing grows: no conflict can exist, and nothing can move.
             self.counters["edges_scanned"] += covers.both_count
-            return Finished()
-        rates = np.array(rates + [HOLD] * (len(covers.residual) - len(rates)))
+            return _FINISHED
+        self._query_arrays(covers)
         residual = covers.residual
-        grow = _top_two(residual, rates > 0)
-        hold = np.where(rates[:, None] == 0, residual, ABSENT).max(axis=0)
+        growing = residual[[row for row, rate in enumerate(rates) if rate > 0]]
+        held = [row for row, rate in enumerate(rates) if rate == 0]
+        hold = covers.boundary_top
+        if held:
+            hold = np.maximum(residual[held].max(axis=0), hold)
+        grow = _top_two(growing)
         # Largest residual sums across every near edge: two distinct growing
-        # nodes, one on each end, close its slack at rate 2; a growing node
-        # and a holding one at rate 1.
+        # nodes, one on each end, close its slack at rate 2 (``both``, which
+        # needs two growing nodes); a growing node and a holding one at rate 1.
         here, there = covers.here, covers.there
         count = len(covers.near)
-        both = _pair_sum(grow[:, here[:count]], grow[:, there[:count]])
-        mixed = (grow[0, here] + hold[there]).reshape(2, count).max(axis=0)
-        conflict = self._scan_conflicts(covers, directions, both, mixed, grow, hold)
+        grow_here = grow[:, here]
+        both = None
+        if len(growing) > 1:
+            both = _pair_sum(grow_here[:, :count], grow[:, there[:count]])
+        mixed = (grow_here[0] + hold[there]).reshape(2, count).max(axis=0)
+        conflict = self._scan_conflicts(covers, both, mixed, grow, hold)
         if conflict is not None:
             self.counters["conflicts_reported"] += 1
             return conflict
-        length = self._max_grow_length(covers, rates, both, mixed)
+        length = self._max_grow_length(covers, rates, growing, grow_here[0], both, mixed)
         if length is None:
             raise DualPhaseError("growing nodes exist but growth is unbounded")
         if length <= 0:
@@ -293,7 +374,7 @@ class DualGraphState:
     # ------------------------------------------------------------------
     def is_boundary_node(self, node: int) -> bool:
         """True if ``node`` is a boundary pseudo-node (virtual or unloaded)."""
-        if node >= self.graph.num_vertices:
+        if node >= self._num_vertices:
             return False
         return bool(self._boundary[node])
 
@@ -322,6 +403,12 @@ class DualGraphState:
         """
         return dict(self.node_direction)
 
+    def _node_rates(self, nodes: list[int]) -> list[int]:
+        """Effective direction of each of ``nodes``, as in
+        :meth:`_effective_directions` but without building the whole map."""
+        direction = self.node_direction.get
+        return [direction(node, HOLD) for node in nodes]
+
     def _direction_for_growth(self, node: int) -> int:
         return self.node_direction.get(node, HOLD)
 
@@ -338,12 +425,63 @@ class DualGraphState:
         return row
 
     def _ensure_covers(self) -> Covers:
-        if self._covers is None:
-            self._covers = self._build_covers()
-        return self._covers
+        """The Covers of the current state.  The first query after a change
+        charges ``cover_cells_updated`` with every cell, as a full rebuild
+        would, even where the host reuses rows it already has."""
+        covers = self._covers
+        if covers is None:
+            rows = self._node_rows()
+            cells, covered = self._boundary_cover()
+            self.counters["cover_cells_updated"] += rows.cells + cells
+            covered = covered | rows.by_defect
+            both_covered = covered[self._edge_u] & covered[self._edge_v]
+            covers = self._covers = Covers(
+                rows.nodes,
+                rows.members,
+                rows.reach,
+                rows.by_defect,
+                both_covered,
+                int(np.count_nonzero(both_covered)),
+            )
+        return covers
 
-    def _build_covers(self) -> Covers:
-        """Residual matrix of every node's Cover plus the boundary rows."""
+    def _node_rows(self) -> _NodeRows:
+        """The node rows, rebuilt only after a load of new defects or a
+        blossom change, with their cell count and column maxima current."""
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = self._build_covers()
+        if rows.top is None:
+            reach = rows.reach
+            if len(reach):
+                rows.cells = int(np.count_nonzero(reach >= 0))
+                rows.top = reach.max(axis=0)
+            else:
+                rows.cells = 0
+                rows.top = np.full(self._num_vertices, ABSENT, dtype=np.int64)
+            rows.by_defect = rows.top >= 0
+            rows.tightness = None
+        return rows
+
+    def _add_rows(self, rows: _NodeRows, defects: list[int]) -> None:
+        """Append the rows of freshly loaded singleton defects (radius 0).
+
+        Row order carries no meaning (Cover order is residual, then node
+        id), so the new rows go last.  Their reach is at most 0, so the
+        column maxima clipped at 0 (the residues) stay as they are.
+        """
+        new = -np.array([self._distance_row(defect) for defect in defects])
+        rows.nodes = rows.nodes + defects
+        rows.members = rows.members + [[defect] for defect in defects]
+        rows.reach = np.concatenate((rows.reach, new))
+        if rows.top is not None:
+            inside = new >= 0
+            rows.cells += int(np.count_nonzero(inside))
+            rows.top = np.maximum(rows.top, new.max(axis=0))
+            rows.by_defect = rows.by_defect | inside.any(axis=0)
+
+    def _build_covers(self) -> _NodeRows:
+        """Node rows of every node's Cover, from the memoized distance rows."""
         members: dict[int, list[int]] = {}
         for defect in sorted(self.defect_radius):
             if self.defect_radius[defect] < 0:
@@ -351,7 +489,6 @@ class DualGraphState:
             members.setdefault(self.defect_root[defect], []).append(defect)
         nodes = sorted(members)
         groups = [members[node] for node in nodes]
-        boundary, cells, covered = self._boundary_rows()
         if nodes:
             order = [defect for group in groups for defect in group]
             radii = np.array([self.defect_radius[d] for d in order], dtype=np.int64)
@@ -359,47 +496,57 @@ class DualGraphState:
             if len(order) > len(nodes):
                 starts = np.cumsum([0] + [len(group) for group in groups[:-1]])
                 reach = np.maximum.reduceat(reach, starts, axis=0)
-            inside = reach >= 0
-            cells += int(np.count_nonzero(inside))
-            by_defect = reach.max(axis=0) >= 0
-            covered = covered | by_defect
-            residual = np.concatenate((np.where(inside, reach, ABSENT), boundary))
         else:
-            by_defect = np.zeros_like(covered)
-            residual = boundary
-        self.counters["cover_cells_updated"] += cells
-        u, v = self._edge_u, self._edge_v
-        both_covered = covered[u] & covered[v]
-        near = (by_defect[u] | by_defect[v]).nonzero()[0]
-        sides = np.concatenate((near, near + len(u)))
-        return Covers(
-            nodes=nodes,
-            members=groups,
-            residual=residual,
-            both_covered=both_covered,
-            both_count=int(np.count_nonzero(both_covered)),
-            near=near,
-            here=self._ends[sides],
-            there=self._other_ends[sides],
-            weight=self._edge_weight[near],
-        )
+            reach = np.empty((0, self._num_vertices), dtype=np.int64)
+        return _NodeRows(nodes=nodes, members=groups, reach=reach)
 
-    def _boundary_rows(self) -> tuple[np.ndarray, int, np.ndarray]:
-        """Boundary rows of the residual matrix, the boundary cell count and
-        the vertices a boundary pseudo-node covers.
+    def _query_arrays(self, covers: Covers) -> None:
+        """Derive the residual matrix and the ``near`` edge arrays, which
+        only Conflict and growth-length answers read."""
+        if covers.residual is not None:
+            return
+        reach = covers.reach
+        boundary = self._boundary_rows()
+        covers.residual = np.concatenate((np.where(reach >= 0, reach, ABSENT), boundary))
+        covers.boundary_top = boundary[0]
+        by_defect = covers.by_defect
+        near = (by_defect[self._edge_u] | by_defect[self._edge_v]).nonzero()[0]
+        sides = np.concatenate((near, near + len(self._edge_u)))
+        covers.near = near
+        covers.here = self._ends[sides]
+        covers.there = self._other_ends[sides]
+        covers.weight = self._edge_weight[near]
+
+    def _boundary_cover(self) -> tuple[int, np.ndarray]:
+        """The boundary cell count and the vertices a boundary pseudo-node
+        covers.
 
         A boundary pseudo-node covers, at residual 0, every vertex at distance
         0 from it: its own vertex, plus those that zero-weight (erased) edges
-        join to it.  Only the first two boundary nodes at a vertex matter to
-        the queries, so at most two rows hold them.
+        join to it.
         """
         if self._zero_groups is None:
-            rows = np.where(self._boundary, 0, ABSENT)[None, :]
-            return rows, int(np.count_nonzero(self._boundary)), self._boundary
-        group = self._zero_groups[1]
-        count = np.bincount(group[self._boundary], minlength=len(group))[group]
-        rows = np.where(count >= np.array([[1], [2]]), 0, ABSENT)
-        return rows, int(count.sum()), count > 0
+            return int(np.count_nonzero(self._boundary)), self._boundary
+        counts = self._zero_group_counts()
+        return int(counts.sum()), counts > 0
+
+    def _boundary_rows(self) -> np.ndarray:
+        """Boundary rows of the residual matrix.  Only the first two boundary
+        nodes at a vertex matter to the queries, so at most two rows hold
+        them."""
+        if self._zero_groups is None:
+            return np.where(self._boundary, 0, ABSENT)[None, :]
+        return np.where(self._zero_group_counts() >= np.array([[1], [2]]), 0, ABSENT)
+
+    def _zero_group_counts(self) -> np.ndarray:
+        """How many boundary pseudo-nodes cover each vertex of an erased-edge
+        graph: those of its zero-distance group."""
+        counts = self._boundary_counts
+        if counts is None:
+            group = self._zero_groups[1]
+            counts = np.bincount(group[self._boundary], minlength=len(group))[group]
+            self._boundary_counts = counts
+        return counts
 
     def _cover_at(self, covers: Covers, vertex: int) -> list[tuple[int, int, int]]:
         """``(node, residual, touch)`` of every Cover at ``vertex`` in Cover order."""
@@ -430,19 +577,23 @@ class DualGraphState:
     def _scan_conflicts(
         self,
         covers: Covers,
-        directions: dict[int, int],
-        both: np.ndarray,
+        both: np.ndarray | None,
         mixed: np.ndarray,
         grow: np.ndarray,
         hold: np.ndarray,
     ) -> Conflict | None:
-        """Theorem: Conflict Detection — evaluated on every ePU and vPU."""
+        """Theorem: Conflict Detection — evaluated on every ePU and vPU.
+
+        ``both`` is ``None`` with a single growing node, which cannot pair
+        with itself."""
         # Edge-level detection (ePUs): a growing node on one end and another
         # non-shrinking node on the other end whose residuals span the edge.
-        hits = (np.maximum(both, mixed) >= covers.weight).nonzero()[0]
+        reach = mixed if both is None else np.maximum(both, mixed)
+        hits = (reach >= covers.weight).nonzero()[0]
         if hits.size:
             edge = int(covers.near[hits[0]])
             self.counters["edges_scanned"] += int(np.count_nonzero(covers.both_covered[: edge + 1]))
+            directions = self._effective_directions()
             end_u, end_v = self.graph.edges[edge].u, self.graph.edges[edge].v
             limit = int(self._edge_weight[edge])
             for node_u, residual_u, touch_u in self._cover_at(covers, end_u):
@@ -457,10 +608,14 @@ class DualGraphState:
             raise DualPhaseError(f"edge {edge} conflict vanished on replay")
         self.counters["edges_scanned"] += covers.both_count
         # Vertex-level detection (vPUs): two Covers overlapping on a vertex.
-        overlaps = ((grow[2] > ABSENT) | ((grow[0] > ABSENT) & (hold > ABSENT))).nonzero()[0]
+        overlaps = (grow[0] > ABSENT) & (hold > ABSENT)
+        if len(grow) > 2:
+            overlaps |= grow[2] > ABSENT
+        overlaps = overlaps.nonzero()[0]
         if not overlaps.size:
             return None
         vertex = int(overlaps[0])
+        directions = self._effective_directions()
         items = self._cover_at(covers, vertex)
         for i, (node_a, _residual_a, touch_a) in enumerate(items):
             direction_a = directions.get(node_a, HOLD)
@@ -487,11 +642,16 @@ class DualGraphState:
         return Conflict(node_1, node_2, touch_1, touch_2, vertex_1, vertex_2)
 
     def _max_grow_length(
-        self, covers: Covers, rates: np.ndarray, both: np.ndarray, mixed: np.ndarray
+        self,
+        covers: Covers,
+        rates: list[int],
+        growing: np.ndarray,
+        top_here: np.ndarray,
+        both: np.ndarray | None,
+        mixed: np.ndarray,
     ) -> int | None:
         """Theorem: Local Length to Grow — evaluated on every vPU and ePU."""
         self.counters["edges_scanned"] += self.graph.num_edges
-        residual = covers.residual
         best = _UNBOUNDED
         count = len(covers.near)
         if count:
@@ -499,34 +659,37 @@ class DualGraphState:
             # yet: stop exactly when the Cover boundary arrives there, so
             # that the Update stage can register the new vertex before
             # continuing.
-            growing = residual[rates > 0]
             here, there = covers.here, covers.there
-            alone = np.where(growing[:, there] > ABSENT, ABSENT, growing[:, here]).max(axis=0)
+            if len(growing) == 1:
+                alone = np.where(growing[0, there] > ABSENT, ABSENT, top_here)
+            else:
+                alone = np.where(growing[:, there] > ABSENT, ABSENT, growing[:, here]).max(axis=0)
             alone = alone.reshape(2, count).max(axis=0)
             weight = covers.weight
-            best = min(
-                int((weight - both).min()) // 2,
-                int((weight - np.maximum(mixed, alone)).min()),
-            )
+            best = int((weight - np.maximum(mixed, alone)).min())
+            if both is not None:
+                best = min(best, int((weight - both).min()) // 2)
         # Shrinking Covers must not recede past a vertex in one step, so that
         # Touches/Nodes can be updated consistently (vPU-side term of the
         # theorem).
-        if rates.min() < 0:
-            shrinking = residual[rates < 0]
+        if min(rates) < 0:
+            shrinking = covers.residual[[row for row, rate in enumerate(rates) if rate < 0]]
             shrinking = shrinking[shrinking > 0]
             if shrinking.size:
                 best = min(best, int(shrinking.min()))
         return best if best < _UNBOUNDED else None
 
 
-def _top_two(residual: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Per column, over the selected rows: the largest value, its row and the
-    second largest value (rows tell two distinct nodes apart from one node
-    paired with itself)."""
-    values = np.where(rows[:, None], residual, ABSENT)
+def _top_two(values: np.ndarray) -> np.ndarray:
+    """Per column: the largest value, its row and the second largest value
+    (rows tell two distinct nodes apart from one node paired with itself).
+    A single row has no second value; only its value and row come back."""
+    if len(values) == 1:
+        return np.concatenate((values, np.zeros_like(values)))
+    values = values.copy()
+    columns = np.arange(values.shape[1])
     top = np.empty((3, values.shape[1]), dtype=np.int64)
     first_row = values.argmax(axis=0)
-    columns = np.arange(values.shape[1])
     top[0] = values[first_row, columns]
     top[1] = first_row
     values[first_row, columns] = ABSENT

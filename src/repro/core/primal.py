@@ -86,6 +86,7 @@ class PrimalModule:
         self.dual = dual
         self.nodes: dict[int, PrimalNode] = {}
         self._next_blossom_id = graph.num_vertices
+        self._max_iterations = MAX_ITERATION_FACTOR * (graph.num_vertices + 10)
         self.counters: Counter = Counter()
 
     def reset(self) -> None:
@@ -159,8 +160,7 @@ class PrimalModule:
     # ------------------------------------------------------------------
     def run(self) -> None:
         """Drive the dual phase until no node can grow any further."""
-        max_iterations = MAX_ITERATION_FACTOR * (self.graph.num_vertices + 10)
-        for _ in range(max_iterations):
+        for _ in range(self._max_iterations):
             obstacle = self.dual.find_obstacle()
             self.counters["obstacle_queries"] += 1
             if isinstance(obstacle, Finished):
