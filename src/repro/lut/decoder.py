@@ -76,6 +76,13 @@ class LUTDecoder:
         self.hits = 0
         self.misses = 0
         self.zero_defect_hits = 0
+        # The zero-defect answer with its hit markers already counted: the
+        # commonest hit at low p copies it without probing the table.
+        zero = self.table.lookup(())
+        self._zero_outcome = None
+        if zero is not None:
+            self._zero_outcome = clone_outcome(zero.outcome)
+            self._zero_outcome.counters.update(lut_hit=1, lut_zero_defect_hit=1)
 
     # ------------------------------------------------------------------
     # batch decode protocol
@@ -93,11 +100,16 @@ class LUTDecoder:
         return clone_matching(entry.matching)
 
     def decode_detailed(self, syndrome: Syndrome) -> DecodeOutcome:
+        if not syndrome.defects and self._zero_outcome is not None and not syndrome.erasures:
+            self.hits += 1
+            self.zero_defect_hits += 1
+            return clone_outcome(self._zero_outcome)
         entry = None if syndrome.erasures else self.table.lookup(syndrome.defects)
         if entry is None:
             self.misses += 1
             outcome = self.fallback.decode_detailed(syndrome)
-            outcome.counters["lut_miss"] += 1
+            counters = outcome.counters
+            counters["lut_miss"] = counters.get("lut_miss", 0) + 1
             return outcome
         self._count_hit(syndrome)
         outcome = clone_outcome(entry.outcome)
