@@ -21,6 +21,7 @@ from repro.graphs import (
     surface_code_decoding_graph,
     time_varying_noise,
 )
+from repro.core.interface import HOLD
 from repro.matching import ReferenceDecoder
 
 #: Decoders guaranteed to realise the exact minimum-weight perfect matching.
@@ -88,3 +89,28 @@ def stream_decode(session, graph, syndrome):
         for round_defects in syndrome.defects_by_layer(graph)
     ]
     return session.finalize(), pushes
+
+
+def primal_dual_drift(primal) -> list[str]:
+    """Where the primal module and its dual engine disagree, if anywhere.
+
+    Every outer node the primal module tracks must move in the dual phase
+    the way the primal module believes it does: its effective dual direction
+    (pre-matched nodes hold) equals its primal direction, and a singleton's
+    dual variable ``y`` equals its defect's cover radius.  A node the
+    accelerator pre-matches behind the primal module's back breaks both.
+    """
+    dual = primal.dual
+    directions = dual._effective_directions()
+    drift = []
+    for node in primal.outer_nodes():
+        effective = directions.get(node.node_id, HOLD)
+        if effective != node.direction:
+            drift.append(
+                f"node {node.node_id}: primal direction {node.direction}, dual {effective}"
+            )
+        if not node.is_blossom and node.y != dual.radius_of(node.node_id):
+            drift.append(
+                f"node {node.node_id}: y {node.y}, dual radius {dual.radius_of(node.node_id)}"
+            )
+    return drift

@@ -343,6 +343,86 @@ def _reference_obstacle(dual, directions):
     return GrowLength(min(candidates)), scanned + graph.num_edges, cells
 
 
+def _reference_prematches(dual):
+    """Pre-matches by the edge-order scan of paper §5.2, from loop-built
+    residues: the first tight edge (by index) whose ends qualify claims
+    them, Equation 1 (two isolated defects) before Equations 2/3 (a defect
+    and a boundary vertex, no other tight edge to a defect or to a vertex
+    with another tight edge)."""
+    graph = dual.graph
+    residue = [max([0] + [residual for _node, residual, _touch in cover]) for cover in _reference_covers(dual)]
+    tight = [residue[edge.u] + residue[edge.v] >= edge.weight * dual.scale for edge in graph.edges]
+    count = [0] * graph.num_vertices
+    for edge in graph.edges:
+        if tight[edge.index]:
+            count[edge.u] += 1
+            count[edge.v] += 1
+    prematches = {}
+    for edge in graph.edges:
+        u, v = edge.u, edge.v
+        if not tight[edge.index] or u in prematches or v in prematches:
+            continue
+        if dual._prematch_eligible(u) and dual._prematch_eligible(v) and count[u] == count[v] == 1:
+            prematches[u] = prematches[v] = (u, v, edge.index, False)
+            continue
+        for defect, boundary in ((u, v), (v, u)):
+            if not dual.is_boundary_node(boundary) or not dual._prematch_eligible(defect):
+                continue
+            if all(
+                index == edge.index
+                or not tight[index]
+                or dual.is_boundary_node(near)
+                or not (dual.is_defect[near] or count[near] > 1)
+                for index, near in graph.adjacency[defect]
+            ):
+                prematches[defect] = (defect, boundary, edge.index, True)
+                break
+    return prematches
+
+
+def _check_every_obstacle(monkeypatch, name, graph, syndromes):
+    """Decode ``syndromes`` with ``name`` and check each ``find_obstacle``
+    call against the loop reference; return one record per call.
+
+    A call charges ``cover_cells_updated`` when it is the first after a
+    change (``_covers is None``); the host may still reuse the node rows
+    (``_rows`` kept) or the pre-matches (not marked dirty) to answer it.
+    The accelerator's pre-matches, however kept, must equal a scan from
+    scratch.
+    """
+    from repro.api import get_decoder
+
+    engine_find_obstacle = DualGraphState.find_obstacle
+    records = []
+
+    def checked_find_obstacle(dual):
+        rebuild = dual._covers is None
+        rows_kept = dual._rows is not None
+        prematches_kept = not getattr(dual, "_prematches_dirty", True)
+        before = dict(dual.counters)
+        expected, scanned, cells = _reference_obstacle(dual, dual._effective_directions())
+        if getattr(dual, "enable_prematching", False):
+            kept = {
+                key: (p.defect, p.peer, p.edge, p.peer_is_boundary)
+                for key, p in dual._prematches.items()
+            }
+            assert kept == _reference_prematches(dual)
+        obstacle = engine_find_obstacle(dual)
+        assert obstacle == expected
+        assert dual.counters["edges_scanned"] - before.get("edges_scanned", 0) == scanned
+        grown = dual.counters["cover_cells_updated"] - before.get("cover_cells_updated", 0)
+        assert grown == (cells if rebuild else 0)
+        records.append((obstacle, rebuild, rows_kept, prematches_kept))
+        return obstacle
+
+    monkeypatch.setattr(DualGraphState, "find_obstacle", checked_find_obstacle)
+    decoder = get_decoder(name, graph)
+    for syndrome in syndromes:
+        if syndrome.defects:
+            decoder.decode_detailed(syndrome)
+    return records
+
+
 @pytest.mark.parametrize(
     "family, name",
     [
@@ -354,30 +434,28 @@ def _reference_obstacle(dual, directions):
 def test_every_obstacle_matches_the_loop_reference(monkeypatch, family, name):
     """Each answer and counter increment of ``find_obstacle`` equals what the
     per-pair loop definitions give, on every call of real decodes."""
-    from repro.api import get_decoder
     from repro.graphs import SyndromeSampler, noise_model_by_name, surface_code_decoding_graph
 
     rates = {"circuit_level": 0.03, "code_capacity": 0.08, "erasure": 0.03}
     graph = surface_code_decoding_graph(3, noise_model_by_name(family, rates.get(family, 0.05)))
-    engine_find_obstacle = DualGraphState.find_obstacle
-    checked = []
-
-    def checked_find_obstacle(dual):
-        rebuild = dual._covers is None
-        before = dict(dual.counters)
-        expected, scanned, cells = _reference_obstacle(dual, dual._effective_directions())
-        obstacle = engine_find_obstacle(dual)
-        assert obstacle == expected
-        assert dual.counters["edges_scanned"] - before.get("edges_scanned", 0) == scanned
-        grown = dual.counters["cover_cells_updated"] - before.get("cover_cells_updated", 0)
-        assert grown == (cells if rebuild else 0)
-        checked.append(obstacle)
-        return obstacle
-
-    monkeypatch.setattr(DualGraphState, "find_obstacle", checked_find_obstacle)
-    decoder = get_decoder(name, graph)
-    for syndrome in SyndromeSampler(graph, seed=5).sample_batch(60):
-        if syndrome.defects:
-            decoder.decode_detailed(syndrome)
+    syndromes = SyndromeSampler(graph, seed=5).sample_batch(60)
+    checked = [record[0] for record in _check_every_obstacle(monkeypatch, name, graph, syndromes)]
     assert any(isinstance(obstacle, Conflict) for obstacle in checked)
     assert any(isinstance(obstacle, GrowLength) for obstacle in checked)
+
+
+def test_stream_queries_on_kept_covers_match_the_loop_reference(monkeypatch):
+    """Stream rounds answered from kept Covers are checked too: the answer,
+    ``edges_scanned`` and the full rebuild's ``cover_cells_updated`` of every
+    query whose node rows survived a grow, a load, or an empty round."""
+    from repro.graphs import SyndromeSampler, circuit_level_noise, surface_code_decoding_graph
+
+    graph = surface_code_decoding_graph(5, circuit_level_noise(0.005))
+    syndromes = SyndromeSampler(graph, seed=42).sample_batch(240)
+    records = _check_every_obstacle(monkeypatch, "micro-blossom", graph, syndromes)
+    kept = [record for record in records if record[1] and record[2]]
+    # Idle rounds: the charged query after an empty round, on kept rows and
+    # kept pre-matches, answers Finished.
+    assert any(isinstance(obstacle, Finished) and prematches for obstacle, *_, prematches in kept)
+    assert any(isinstance(record[0], GrowLength) for record in kept)
+    assert any(isinstance(record[0], Conflict) for record in kept)

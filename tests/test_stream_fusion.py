@@ -123,6 +123,41 @@ class TestRoundWiseFusion:
         assert multi_round_checked > 0
 
 
+def test_idle_round_rebuilds_neither_covers_nor_prematches(monkeypatch):
+    """An empty round after the first defect that frees nothing is answered
+    on the kept Covers and pre-matches: one ``find obstacle``, answered
+    Finished, no ``_build_covers`` and no ``_compute_prematches`` call, yet
+    ``cover_cells_updated`` is still charged."""
+    graph = surface_code_decoding_graph(5, circuit_level_noise(0.005))
+    calls = []
+    for name in ("_build_covers", "_compute_prematches"):
+        original = getattr(MicroBlossomAccelerator, name)
+
+        def counted(self, _original=original, _name=name):
+            calls.append(_name)
+            return _original(self)
+
+        monkeypatch.setattr(MicroBlossomAccelerator, name, counted)
+    decoder = MicroBlossomDecoder(graph, stream=True)
+    idle = 0
+    for syndrome in SyndromeSampler(graph, seed=7).sample_batch(200):
+        if not syndrome.defects:
+            continue
+        decoder.begin()
+        loaded_any = False
+        for round_defects in syndrome.defects_by_layer(graph):
+            calls.clear()
+            delta = decoder.push_round(round_defects)
+            if loaded_any and not round_defects and delta["instr_find_obstacle"] == 1:
+                if not delta.get("fusion_breaks"):
+                    idle += 1
+                    assert calls == []
+                    assert delta["cover_cells_updated"] > 0
+            loaded_any = loaded_any or bool(round_defects)
+        decoder.finalize()
+    assert idle > 20
+
+
 #: d=9, p=0.001 circuit-level shots on which stream mode with pre-matching
 #: went wrong while the accelerator pre-matched nodes the CPU had set back to
 #: GROW: ``(defects, reference weight, former stream-mode failure)``.
