@@ -22,7 +22,6 @@ behaviour:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -31,22 +30,11 @@ from ..graphs.decoding_graph import DecodingGraph
 from .dual import DEFAULT_DUAL_SCALE, DualGraphState
 from .interface import GROW, HOLD, Obstacle
 from .instructions import (
-    find_conflict_word,
     grow_word,
     load_defects_word,
-    reset_word,
     set_cover_word,
     set_direction_word,
 )
-
-
-#: Instruction words are encoded once per distinct operand: issuing a word
-#: again is a bus-word count, not a new encoding.
-_RESET_WORD = reset_word()
-_FIND_CONFLICT_WORD = find_conflict_word()
-_load_word = lru_cache(maxsize=None)(load_defects_word)
-_grow_word = lru_cache(maxsize=1024)(grow_word)
-_set_direction_word = lru_cache(maxsize=4096)(set_direction_word)
 
 
 @dataclass(frozen=True)
@@ -82,11 +70,10 @@ class MicroBlossomAccelerator(DualGraphState):
         self._layer_neighbourhood: list[frozenset[int]] = [
             frozenset(
                 near
-                for vertex in graph.vertices_in_layer(layer)
-                if not graph.is_virtual(vertex)
+                for vertex in real
                 for near in [vertex] + [n for _, n in graph.adjacency[vertex]]
             )
-            for layer in range(graph.num_layers)
+            for real in self.real_by_layer
         ]
 
     # ------------------------------------------------------------------
@@ -105,7 +92,6 @@ class MicroBlossomAccelerator(DualGraphState):
             "prematched_defects", getattr(self, "_prematched_floor", 0)
         )
         self.counters["bus_words"] = self.counters.get("bus_words", 0) + 1
-        _ = _RESET_WORD
 
     def load(self, defects: Iterable[int], layers: Iterable[int] | None = None) -> None:
         known = len(self.defect_root)
@@ -117,7 +103,7 @@ class MicroBlossomAccelerator(DualGraphState):
         # not cross the CPU bus.
         layer_count = 1 if layers is None else len(layers)
         for layer in range(layer_count):
-            _ = _load_word(layer)
+            _ = load_defects_word(layer)
         self.counters["bus_words"] += layer_count
         if layers is None or len(self.defect_root) != known:
             # New defects (or the whole graph at once): rescan everything.
@@ -132,7 +118,7 @@ class MicroBlossomAccelerator(DualGraphState):
     def set_direction(self, node: int, direction: int) -> None:
         super().set_direction(node, direction)
         self._directed.add(node)
-        _ = _set_direction_word(min(node, 2**15 - 1), direction)
+        _ = set_direction_word(min(node, 2**15 - 1), direction)
         self.counters["bus_words"] += 1
         if node < self._num_vertices:
             self._recheck.add(node)
@@ -154,12 +140,11 @@ class MicroBlossomAccelerator(DualGraphState):
 
     def grow(self, length: int) -> None:
         super().grow(length)
-        _ = _grow_word(length)
+        _ = grow_word(length)
         self.counters["bus_words"] += 1
         self._prematches_dirty = True
 
     def find_obstacle(self) -> Obstacle:
-        _ = _FIND_CONFLICT_WORD
         self.counters["bus_words"] += 1
         self.counters["response_reads"] += 1
         return super().find_obstacle()
@@ -167,18 +152,18 @@ class MicroBlossomAccelerator(DualGraphState):
     # ------------------------------------------------------------------
     # pre-matching (paper §5.2)
     # ------------------------------------------------------------------
-    def _effective_directions(self) -> dict[int, int]:
-        directions = dict(self.node_direction)
-        for prematch in self._current_prematches().values():
-            directions[prematch.defect] = HOLD
-            if not prematch.peer_is_boundary:
-                directions[prematch.peer] = HOLD
-        return directions
-
     def _node_rates(self, nodes: list[int]) -> list[int]:
-        held = self._current_prematches()
+        return self._rates(nodes, self._current_prematches())
+
+    def _direction_for_growth(self, node: int) -> int:
+        # The pre-matches the last query answered with.
+        return self._rates([node], self._prematches)[0]
+
+    def _rates(self, nodes: list[int], prematches: dict[int, PreMatch]) -> list[int]:
+        """A pre-matched node holds without any CPU interaction (§5.2);
+        every other node moves in the direction the CPU set."""
         direction = self.node_direction.get
-        return [HOLD if node in held else direction(node, HOLD) for node in nodes]
+        return [HOLD if node in prematches else direction(node, HOLD) for node in nodes]
 
     def _current_prematches(self) -> dict[int, PreMatch]:
         """The pre-matches of the current state, recomputed only after a
@@ -201,11 +186,6 @@ class MicroBlossomAccelerator(DualGraphState):
                     self._prematched_floor + len(self._prematches),
                 )
         return self._prematches
-
-    def _direction_for_growth(self, node: int) -> int:
-        if self.enable_prematching and node in self._prematches:
-            return HOLD
-        return self.node_direction.get(node, HOLD)
 
     def _prematch_eligible(self, vertex: int) -> bool:
         """A defect may be pre-matched only while it is still an autonomous

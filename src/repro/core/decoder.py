@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable
 
 from ..api.outcome import DecodeOutcome, counter_delta
@@ -312,18 +311,8 @@ class MicroBlossomDecoder:
             # Zero-defect fast path: with no defect loaded so far there is no
             # node to re-examine, so an empty round is just a layer load.
             state.any_defects = state.any_defects or bool(defects)
-            primal.break_boundary_matches(self._real_by_layer[layer])
+            primal.break_boundary_matches(accelerator.real_by_layer[layer])
             primal.run()
-
-    @cached_property
-    def _real_by_layer(self) -> list[frozenset[int]]:
-        """Real (non-virtual) vertices of each layer: loading layer ``i``
-        makes exactly these real, so they end the fusion boundary there."""
-        graph = self.graph
-        return [
-            frozenset(v for v in graph.vertices_in_layer(i) if not graph.is_virtual(v))
-            for i in range(graph.num_layers)
-        ]
 
     def _stream_replay(self, state: _StreamState) -> dict:
         """Re-run every pushed round at ``state.scale`` on fresh engines.

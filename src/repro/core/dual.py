@@ -184,9 +184,12 @@ class DualGraphState:
         self._other_ends = np.concatenate((self._edge_v, self._edge_u))
         self._num_vertices = graph.num_vertices
         layers = [graph.vertices_in_layer(layer) for layer in range(graph.num_layers)]
-        #: Per layer: its vertices, and those of them that are not virtual.
         self._layer_vertices = [np.array(group, dtype=np.intp) for group in layers]
-        self._layer_real = [group[~self._virtual[group]] for group in self._layer_vertices]
+        #: Per layer: its real (non-virtual) vertices.  Loading the layer
+        #: makes exactly these real, so they leave the fusion boundary.
+        self.real_by_layer: list[frozenset[int]] = [
+            frozenset(v for v in group if not graph.is_virtual(v)) for group in layers
+        ]
         self._distance_rows: dict[int, np.ndarray] = {}
         self.counters: Counter = Counter()
         self.reset()
@@ -228,9 +231,10 @@ class DualGraphState:
         else:
             for layer in set(layers):
                 if 0 <= layer < len(self._layer_vertices):
-                    loaded[self._layer_vertices[layer]] = True
+                    group = self._layer_vertices[layer]
+                    loaded[group] = True
                     # A loaded vertex stays a boundary vertex only if virtual.
-                    self._boundary[self._layer_real[layer]] = False
+                    self._boundary[group] = self._virtual[group]
         self._boundary_counts = None
         added = []
         for vertex in fresh_defects:
@@ -347,20 +351,17 @@ class DualGraphState:
             hold = np.maximum(residual[held].max(axis=0), hold)
         grow = _top_two(growing)
         # Largest residual sums across every near edge: two distinct growing
-        # nodes, one on each end, close its slack at rate 2 (``both``, which
-        # needs two growing nodes); a growing node and a holding one at rate 1.
+        # nodes, one on each end, close its slack at rate 2; a growing node
+        # and a holding one at rate 1.
         here, there = covers.here, covers.there
         count = len(covers.near)
-        grow_here = grow[:, here]
-        both = None
-        if len(growing) > 1:
-            both = _pair_sum(grow_here[:, :count], grow[:, there[:count]])
-        mixed = (grow_here[0] + hold[there]).reshape(2, count).max(axis=0)
+        both = _pair_sum(grow[:, here[:count]], grow[:, there[:count]])
+        mixed = (grow[0, here] + hold[there]).reshape(2, count).max(axis=0)
         conflict = self._scan_conflicts(covers, both, mixed, grow, hold)
         if conflict is not None:
             self.counters["conflicts_reported"] += 1
             return conflict
-        length = self._max_grow_length(covers, rates, growing, grow_here[0], both, mixed)
+        length = self._max_grow_length(covers, rates, growing, both, mixed)
         if length is None:
             raise DualPhaseError("growing nodes exist but growth is unbounded")
         if length <= 0:
@@ -396,16 +397,16 @@ class DualGraphState:
     # hooks overridden by subclasses
     # ------------------------------------------------------------------
     def _effective_directions(self) -> dict[int, int]:
-        """Direction of every known node as seen by the PUs.
+        """Direction of every known node as seen by the PUs."""
+        nodes = list(self.node_direction)
+        return dict(zip(nodes, self._node_rates(nodes)))
+
+    def _node_rates(self, nodes: list[int]) -> list[int]:
+        """Direction of each of ``nodes`` as seen by the PUs.
 
         The Micro Blossom accelerator overrides this to stall pre-matched
         nodes (paper §5.2) without any CPU interaction.
         """
-        return dict(self.node_direction)
-
-    def _node_rates(self, nodes: list[int]) -> list[int]:
-        """Effective direction of each of ``nodes``, as in
-        :meth:`_effective_directions` but without building the whole map."""
         direction = self.node_direction.get
         return [direction(node, HOLD) for node in nodes]
 
@@ -577,19 +578,15 @@ class DualGraphState:
     def _scan_conflicts(
         self,
         covers: Covers,
-        both: np.ndarray | None,
+        both: np.ndarray,
         mixed: np.ndarray,
         grow: np.ndarray,
         hold: np.ndarray,
     ) -> Conflict | None:
-        """Theorem: Conflict Detection — evaluated on every ePU and vPU.
-
-        ``both`` is ``None`` with a single growing node, which cannot pair
-        with itself."""
+        """Theorem: Conflict Detection — evaluated on every ePU and vPU."""
         # Edge-level detection (ePUs): a growing node on one end and another
         # non-shrinking node on the other end whose residuals span the edge.
-        reach = mixed if both is None else np.maximum(both, mixed)
-        hits = (reach >= covers.weight).nonzero()[0]
+        hits = (np.maximum(both, mixed) >= covers.weight).nonzero()[0]
         if hits.size:
             edge = int(covers.near[hits[0]])
             self.counters["edges_scanned"] += int(np.count_nonzero(covers.both_covered[: edge + 1]))
@@ -608,10 +605,7 @@ class DualGraphState:
             raise DualPhaseError(f"edge {edge} conflict vanished on replay")
         self.counters["edges_scanned"] += covers.both_count
         # Vertex-level detection (vPUs): two Covers overlapping on a vertex.
-        overlaps = (grow[0] > ABSENT) & (hold > ABSENT)
-        if len(grow) > 2:
-            overlaps |= grow[2] > ABSENT
-        overlaps = overlaps.nonzero()[0]
+        overlaps = ((grow[2] > ABSENT) | ((grow[0] > ABSENT) & (hold > ABSENT))).nonzero()[0]
         if not overlaps.size:
             return None
         vertex = int(overlaps[0])
@@ -646,8 +640,7 @@ class DualGraphState:
         covers: Covers,
         rates: list[int],
         growing: np.ndarray,
-        top_here: np.ndarray,
-        both: np.ndarray | None,
+        both: np.ndarray,
         mixed: np.ndarray,
     ) -> int | None:
         """Theorem: Local Length to Grow — evaluated on every vPU and ePU."""
@@ -660,15 +653,13 @@ class DualGraphState:
             # that the Update stage can register the new vertex before
             # continuing.
             here, there = covers.here, covers.there
-            if len(growing) == 1:
-                alone = np.where(growing[0, there] > ABSENT, ABSENT, top_here)
-            else:
-                alone = np.where(growing[:, there] > ABSENT, ABSENT, growing[:, here]).max(axis=0)
+            alone = np.where(growing[:, there] > ABSENT, ABSENT, growing[:, here]).max(axis=0)
             alone = alone.reshape(2, count).max(axis=0)
             weight = covers.weight
-            best = int((weight - np.maximum(mixed, alone)).min())
-            if both is not None:
-                best = min(best, int((weight - both).min()) // 2)
+            best = min(
+                int((weight - both).min()) // 2,
+                int((weight - np.maximum(mixed, alone)).min()),
+            )
         # Shrinking Covers must not recede past a vertex in one step, so that
         # Touches/Nodes can be updated consistently (vPU-side term of the
         # theorem).
@@ -682,10 +673,7 @@ class DualGraphState:
 
 def _top_two(values: np.ndarray) -> np.ndarray:
     """Per column: the largest value, its row and the second largest value
-    (rows tell two distinct nodes apart from one node paired with itself).
-    A single row has no second value; only its value and row come back."""
-    if len(values) == 1:
-        return np.concatenate((values, np.zeros_like(values)))
+    (rows tell two distinct nodes apart from one node paired with itself)."""
     values = values.copy()
     columns = np.arange(values.shape[1])
     top = np.empty((3, values.shape[1]), dtype=np.int64)

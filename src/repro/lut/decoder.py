@@ -117,8 +117,6 @@ class LUTDecoder:
         # through the pure-Python ``Counter.__missing__`` on every hit.
         counters = outcome.counters
         counters["lut_hit"] = counters.get("lut_hit", 0) + 1
-        if not syndrome.defects:
-            counters["lut_zero_defect_hit"] = counters.get("lut_zero_defect_hit", 0) + 1
         return outcome
 
     def decode_to_correction(self, syndrome: Syndrome) -> set[int]:
