@@ -32,6 +32,7 @@ from ..graphs.decoding_graph import DecodingGraph
 from ..graphs.syndrome import MatchingResult, Syndrome
 from .config import DecoderConfig
 from .outcome import DecodeOutcome
+from .protocol import check_stream_begin, check_stream_round
 
 #: Variant decoders kept alive per wrapped decoder (LRU).  Erasure patterns
 #: at realistic rates are heavily repeated (mostly empty or single-edge), so
@@ -126,36 +127,19 @@ class ErasureAwareDecoder:
         erasures: Iterable[int] = (),
     ) -> None:
         """Open a stream; erased streams buffer for a deferred batch decode."""
-        if graph is not None and graph is not self.graph:
-            raise ValueError("streaming decoder was built for a different graph")
+        check_stream_begin(self.graph, graph, rounds_hint)
         erasures = tuple(sorted(set(int(e) for e in erasures)))
         if not erasures:
             self._buffered = None
             self._base.begin(graph, rounds_hint)
             return
-        if rounds_hint is not None and rounds_hint > self.graph.num_layers:
-            raise ValueError(
-                f"rounds_hint {rounds_hint} exceeds the graph's "
-                f"{self.graph.num_layers} measurement rounds"
-            )
         self._buffered = _BufferedStream(erasures=erasures)
 
     def push_round(self, defects: Iterable[int]) -> Counter:
         stream = self._buffered
         if stream is None:
             return self._base.push_round(defects)
-        layer = len(stream.rounds)
-        if layer >= self.graph.num_layers:
-            raise ValueError(
-                f"stream already received all {self.graph.num_layers} rounds"
-            )
-        defects = tuple(defects)
-        for defect in defects:
-            if self.graph.vertices[defect].layer != layer:
-                raise ValueError(
-                    f"defect {defect} belongs to round "
-                    f"{self.graph.vertices[defect].layer}, not round {layer}"
-                )
+        defects = check_stream_round(self.graph, len(stream.rounds), defects)
         stream.rounds.append(defects)
         # All decoding work is deferred to finalize (the variant graph is
         # only worth building once the full instance is visible), so pushes

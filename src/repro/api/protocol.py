@@ -109,3 +109,52 @@ class StreamingDecoder(Protocol):
     def finalize(self) -> DecodeOutcome:
         """Close the stream and return the outcome of the whole instance."""
         ...
+
+
+def check_stream_begin(
+    graph: DecodingGraph, requested: DecodingGraph | None, rounds_hint: int | None
+) -> None:
+    """Validate :meth:`StreamingDecoder.begin` arguments for a stream on ``graph``.
+
+    >>> from repro.graphs import circuit_level_noise, surface_code_decoding_graph
+    >>> graph = surface_code_decoding_graph(3, circuit_level_noise(0.01))
+    >>> check_stream_begin(graph, graph, graph.num_layers + 1)
+    Traceback (most recent call last):
+    ...
+    ValueError: rounds_hint 4 exceeds the graph's 3 measurement rounds
+    """
+    if requested is not None and requested is not graph:
+        raise ValueError("streaming decoder was built for a different graph")
+    if rounds_hint is not None and rounds_hint > graph.num_layers:
+        raise ValueError(
+            f"rounds_hint {rounds_hint} exceeds the graph's "
+            f"{graph.num_layers} measurement rounds"
+        )
+
+
+def check_stream_round(graph: DecodingGraph, layer: int, defects: Iterable[int]) -> tuple[int, ...]:
+    """Validate the defects pushed as round ``layer``; return them as a tuple.
+
+    Raises ``ValueError`` when the stream already holds every round, or a
+    defect is a virtual vertex or belongs to another round.  Call it before
+    the round is recorded anywhere, so a rejected push leaves the stream
+    as it was.
+
+    >>> from repro.graphs import circuit_level_noise, surface_code_decoding_graph
+    >>> graph = surface_code_decoding_graph(3, circuit_level_noise(0.01))
+    >>> virtual = next(v for v in graph.vertices_in_layer(0) if graph.is_virtual(v))
+    >>> check_stream_round(graph, 0, [virtual])
+    Traceback (most recent call last):
+    ...
+    ValueError: virtual vertex ... cannot be a defect
+    """
+    if layer >= graph.num_layers:
+        raise ValueError(f"stream already received all {graph.num_layers} rounds")
+    defects = tuple(defects)
+    for defect in defects:
+        vertex = graph.vertices[defect]
+        if vertex.is_virtual:
+            raise ValueError(f"virtual vertex {defect} cannot be a defect")
+        if vertex.layer != layer:
+            raise ValueError(f"defect {defect} belongs to round {vertex.layer}, not round {layer}")
+    return defects

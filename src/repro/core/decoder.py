@@ -26,11 +26,8 @@ its one ``find obstacle`` (answered ``Finished`` unless the new round freed a
 node) rebuilds neither; the counters are still charged as a full rebuild
 would charge them (see :mod:`repro.core.dual`).
 
-The decoder keeps its accelerator model and primal module alive across
-decodes (``reuse_engines=True``, the default): each shot snapshots the
-counters, ``reset()``s both engines and reports per-shot counter deltas, so
-the results and statistics are identical to a freshly-built decoder while the
-per-shot construction cost disappears from the Monte-Carlo hot path.
+What Micro Blossom shares with Parity Blossom (:mod:`repro.parity`), the
+engine cache and the dual-scale retry loop, lives in :class:`BlossomDriver`.
 """
 
 from __future__ import annotations
@@ -40,6 +37,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from ..api.outcome import DecodeOutcome, counter_delta
+from ..api.protocol import check_stream_begin, check_stream_round
 from ..graphs.decoding_graph import DecodingGraph
 from ..graphs.syndrome import (
     BOUNDARY,
@@ -49,7 +47,7 @@ from ..graphs.syndrome import (
     matching_weight,
 )
 from .accelerator import MicroBlossomAccelerator, PreMatch
-from .dual import DEFAULT_DUAL_SCALE
+from .dual import DEFAULT_DUAL_SCALE, DualGraphState
 from .interface import IntegralityError
 from .primal import PrimalModule
 
@@ -89,12 +87,107 @@ class _StreamState:
     any_defects: bool = False
 
 
-def _snapshot(accelerator: MicroBlossomAccelerator, primal: PrimalModule) -> dict:
+def _snapshot(dual: DualGraphState, primal: PrimalModule) -> dict:
     """Absolute counters of both engines as one dict (their keys are disjoint)."""
-    return {**accelerator.counters, **primal.counters}
+    return {**dual.counters, **primal.counters}
 
 
-class MicroBlossomDecoder:
+class BlossomDriver:
+    """The decoder scaffolding Micro and Parity Blossom share (paper §8.1).
+
+    Both run the same primal module against the same dual engine, so the
+    driver owns what surrounds them: one dual engine and primal module per
+    dual scale, kept alive across decodes, and the retry that doubles the
+    scale when an :class:`IntegralityError` shows it was too coarse.
+    Subclasses supply ``_build_engines(scale)`` and
+    ``_decode_once(syndrome, scale)``.
+
+    Each decode snapshots the cached engines' counters and ``reset()``s
+    them, and reports per-shot counter deltas, so its results and statistics
+    equal those of a freshly built decoder:
+
+    >>> from repro.graphs import SyndromeSampler, circuit_level_noise, surface_code_decoding_graph
+    >>> graph = surface_code_decoding_graph(3, circuit_level_noise(0.02))
+    >>> syndrome = next(s for s in SyndromeSampler(graph, seed=1).sample_batch(20) if s.defects)
+    >>> decoder = MicroBlossomDecoder(graph)
+    >>> _ = decoder.decode_detailed(syndrome)
+    >>> decoder.reset()
+    >>> again = decoder.decode_detailed(syndrome)
+    >>> fresh = MicroBlossomDecoder(graph).decode_detailed(syndrome)
+    >>> (again.counters, again.result, again.scale_retries) == (fresh.counters, fresh.result, 0)
+    True
+    """
+
+    def __init__(self, graph: DecodingGraph, scale: int = DEFAULT_DUAL_SCALE) -> None:
+        self.graph = graph
+        self.scale = scale
+        self._engines: dict[int, tuple[DualGraphState, PrimalModule]] = {}
+
+    def decode(self, syndrome: Syndrome) -> MatchingResult:
+        """Decode a syndrome and return the defect-level matching."""
+        return self.decode_detailed(syndrome).result
+
+    def decode_to_correction(self, syndrome: Syndrome) -> set[int]:
+        """Decode a syndrome and return the correction edge set."""
+        return correction_edges(self.graph, self.decode(syndrome))
+
+    def decode_detailed(self, syndrome: Syndrome) -> DecodeOutcome:
+        """Decode a syndrome and return the matching plus all statistics.
+
+        Every decode starts from ``self.scale``; a retry's doubled scale is
+        confined to that decode (and its cached engines) and never leaks
+        into later decodes of the same decoder or session.
+        """
+        outcome, retries = self._with_scale_retries(
+            lambda scale: self._decode_once(syndrome, scale), self.scale
+        )
+        outcome.scale_retries = retries
+        return outcome
+
+    def reset(self) -> None:
+        """Drop all cached engines; the next decode rebuilds them."""
+        self._engines = {}
+
+    def _acquire(self, scale: int) -> tuple[DualGraphState, PrimalModule, dict]:
+        """Return a dual/primal pair ready for one decode.
+
+        For a reused pair the returned baseline holds the counters
+        accumulated by previous shots (snapshotted *before* the reset, so the
+        reset instruction is accounted to the new shot exactly as
+        construction-time reset is for a fresh pair).
+        """
+        cached = self._engines.get(scale)
+        if cached is None:
+            dual, primal = self._engines[scale] = self._build_engines(scale)
+            return dual, primal, {}
+        dual, primal = cached
+        baseline = _snapshot(dual, primal)
+        dual.reset()
+        primal.reset()
+        return dual, primal, baseline
+
+    @staticmethod
+    def _with_scale_retries(attempt, scale: int, retries: int = 0):
+        """Run ``attempt(scale)``, doubling the scale on :class:`IntegralityError`.
+
+        ``retries`` counts doublings already spent; at most
+        ``MAX_SCALE_RETRIES`` are allowed in total.  Returns the attempt's
+        result and the retry count it succeeded at; the error raised when
+        every retry failed names the last scale tried.
+        """
+        while True:
+            try:
+                return attempt(scale), retries
+            except IntegralityError as error:
+                if retries >= MAX_SCALE_RETRIES:
+                    raise IntegralityError(
+                        f"decoding failed even at dual scale {scale}: {error}"
+                    ) from error
+                retries += 1
+                scale *= 2
+
+
+class MicroBlossomDecoder(BlossomDriver):
     """Exact MWPM decoder with the Micro Blossom heterogeneous architecture.
 
     Besides the batch :class:`~repro.api.protocol.Decoder` surface, the class
@@ -114,61 +207,33 @@ class MicroBlossomDecoder:
         enable_prematching: bool = True,
         stream: bool = False,
         scale: int = DEFAULT_DUAL_SCALE,
-        reuse_engines: bool = True,
     ) -> None:
-        self.graph = graph
+        super().__init__(graph, scale)
         self.enable_prematching = enable_prematching
         self.stream = stream
-        self.scale = scale
-        self.reuse_engines = reuse_engines
         self._rounds = graph.num_layers
-        self._engines: dict[int, tuple[MicroBlossomAccelerator, PrimalModule]] = {}
         self._stream_state: _StreamState | None = None
 
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
-    def decode(self, syndrome: Syndrome) -> MatchingResult:
-        """Decode a syndrome and return the defect-level matching."""
-        return self.decode_detailed(syndrome).result
-
-    def decode_to_correction(self, syndrome: Syndrome) -> set[int]:
-        """Decode a syndrome and return the correction edge set."""
-        return correction_edges(self.graph, self.decode(syndrome))
-
     def decode_detailed(self, syndrome: Syndrome) -> MicroBlossomOutcome:
         """Decode a syndrome and return the matching plus all statistics.
 
-        Every decode starts from ``self.scale``; when an
-        :class:`IntegralityError` forces a retry at a doubled scale, the
-        doubled scale is confined to that retry (and its cached engine) and
-        never leaks into subsequent decodes of the same decoder or session.
         In stream mode the syndrome is replayed through the incremental
         round-push protocol, one measurement round at a time.
         """
-        if self.stream:
-            self.begin(rounds_hint=self.graph.num_layers)
-            self._stream_state.every_round = False
-            for round_defects in syndrome.defects_by_layer(self.graph):
-                self._push(round_defects)
-            return self.finalize()
-        scale = self.scale
-        last_error: IntegralityError | None = None
-        for retry in range(MAX_SCALE_RETRIES + 1):
-            try:
-                outcome = self._decode_once(syndrome, scale)
-                outcome.scale_retries = retry
-                return outcome
-            except IntegralityError as error:
-                last_error = error
-                scale *= 2
-        raise IntegralityError(
-            f"decoding failed even at dual scale {scale}: {last_error}"
-        )
+        if not self.stream:
+            return super().decode_detailed(syndrome)
+        self.begin(rounds_hint=self.graph.num_layers)
+        self._stream_state.every_round = False
+        for round_defects in syndrome.defects_by_layer(self.graph):
+            self._push(round_defects)
+        return self.finalize()
 
     def reset(self) -> None:
-        """Drop all cached engines; the next decode rebuilds them."""
-        self._engines = {}
+        """Drop all cached engines and any stream in flight."""
+        super().reset()
         self._stream_state = None
 
     # ------------------------------------------------------------------
@@ -181,18 +246,12 @@ class MicroBlossomDecoder:
         erasures: Iterable[int] = (),
     ) -> None:
         """Open a new stream; any stream still in flight is discarded."""
-        if graph is not None and graph is not self.graph:
-            raise ValueError("streaming decoder was built for a different graph")
+        check_stream_begin(self.graph, graph, rounds_hint)
         if tuple(erasures):
             raise ValueError(
                 "micro-blossom streams on fixed edge weights; heralded "
                 "erasures need the erasure-aware registry wrapper "
                 "(repro.api.erasure)"
-            )
-        if rounds_hint is not None and rounds_hint > self.graph.num_layers:
-            raise ValueError(
-                f"rounds_hint {rounds_hint} exceeds the graph's "
-                f"{self.graph.num_layers} measurement rounds"
             )
         accelerator, primal, baseline = self._acquire(self.scale)
         self._stream_state = _StreamState(
@@ -229,31 +288,20 @@ class MicroBlossomDecoder:
         if state is None:
             raise RuntimeError("push_round before begin(); open a stream first")
         layer = len(state.rounds)
-        if layer >= self._rounds:
-            raise ValueError(f"stream already received all {self._rounds} rounds")
-        defects = tuple(defects)
-        for defect in defects:
-            if self.graph.vertices[defect].layer != layer:
-                raise ValueError(
-                    f"defect {defect} belongs to round "
-                    f"{self.graph.vertices[defect].layer}, not round {layer}"
-                )
+        defects = check_stream_round(self.graph, layer, defects)
         state.rounds.append(defects)
-        try:
-            self._stream_step(state, layer, defects)
-            return state.last_snapshot
-        except IntegralityError as error:
-            last_error = error
-        while state.retries < MAX_SCALE_RETRIES:
-            state.retries += 1
-            state.scale *= 2
-            try:
-                return self._stream_replay(state)
-            except IntegralityError as error:
-                last_error = error
-        raise IntegralityError(
-            f"stream decoding failed even at dual scale {state.scale}: {last_error}"
-        )
+
+        def attempt(scale: int) -> dict:
+            # The first attempt fuses the round into the running engines; a
+            # doubled scale replays every round on fresh ones.
+            if scale == state.scale:
+                self._stream_step(state, layer, defects)
+                return state.last_snapshot
+            state.scale = scale
+            return self._stream_replay(state)
+
+        since, state.retries = self._with_scale_retries(attempt, state.scale, state.retries)
+        return since
 
     def finalize(self) -> MicroBlossomOutcome:
         """Close the stream and return the outcome of the whole instance.
@@ -335,31 +383,11 @@ class MicroBlossomDecoder:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _acquire(
-        self, scale: int
-    ) -> tuple[MicroBlossomAccelerator, PrimalModule, dict]:
-        """Return an accelerator/primal pair ready for one decode.
-
-        Engines are cached per dual scale.  For a reused pair the returned
-        baseline holds the counters accumulated by previous shots (snapshotted
-        *before* the reset, so the reset instruction is accounted to the new
-        shot exactly as construction-time reset is for a fresh pair).
-        """
-        if self.reuse_engines:
-            cached = self._engines.get(scale)
-            if cached is not None:
-                accelerator, primal = cached
-                baseline = _snapshot(accelerator, primal)
-                accelerator.reset()
-                primal.reset()
-                return accelerator, primal, baseline
+    def _build_engines(self, scale: int) -> tuple[MicroBlossomAccelerator, PrimalModule]:
         accelerator = MicroBlossomAccelerator(
             self.graph, scale=scale, enable_prematching=self.enable_prematching
         )
-        primal = PrimalModule(self.graph, accelerator)
-        if self.reuse_engines:
-            self._engines[scale] = (accelerator, primal)
-        return accelerator, primal, {}
+        return accelerator, PrimalModule(self.graph, accelerator)
 
     def _decode_once(self, syndrome: Syndrome, scale: int) -> MicroBlossomOutcome:
         accelerator, primal, baseline = self._acquire(scale)

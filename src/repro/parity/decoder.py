@@ -17,23 +17,13 @@ cover-based dual engine, but:
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from ..api.outcome import DecodeOutcome, counter_delta
-from ..core.dual import DEFAULT_DUAL_SCALE, DualGraphState
-from ..core.interface import IntegralityError
+from ..core.decoder import BlossomDriver
+from ..core.dual import DualGraphState
 from ..core.primal import PrimalModule
-from ..graphs.decoding_graph import DecodingGraph
-from ..graphs.syndrome import (
-    MatchingResult,
-    Syndrome,
-    correction_edges,
-    matching_weight,
-)
-
-#: Maximum internal dual-scale doublings attempted before giving up.
-MAX_SCALE_RETRIES = 4
+from ..graphs.syndrome import Syndrome, matching_weight
 
 
 class SerialDualPhase(DualGraphState):
@@ -65,64 +55,14 @@ class ParityDecodeOutcome(DecodeOutcome):
     primal_work: int = 0
 
 
-class ParityBlossomDecoder:
+class ParityBlossomDecoder(BlossomDriver):
     """Software (CPU-only) exact MWPM decoder on the decoding graph."""
 
     name = "parity-blossom"
 
-    def __init__(
-        self,
-        graph: DecodingGraph,
-        scale: int = DEFAULT_DUAL_SCALE,
-        reuse_engines: bool = True,
-    ) -> None:
-        self.graph = graph
-        self.scale = scale
-        self.reuse_engines = reuse_engines
-        self._engines: dict[int, tuple[SerialDualPhase, PrimalModule]] = {}
-
-    def decode(self, syndrome: Syndrome) -> MatchingResult:
-        return self.decode_detailed(syndrome).result
-
-    def decode_to_correction(self, syndrome: Syndrome) -> set[int]:
-        return correction_edges(self.graph, self.decode(syndrome))
-
-    def decode_detailed(self, syndrome: Syndrome) -> ParityDecodeOutcome:
-        scale = self.scale
-        last_error: IntegralityError | None = None
-        for retry in range(MAX_SCALE_RETRIES + 1):
-            try:
-                outcome = self._decode_once(syndrome, scale)
-                outcome.scale_retries = retry
-                return outcome
-            except IntegralityError as error:
-                last_error = error
-                scale *= 2
-        raise IntegralityError(
-            f"decoding failed even at dual scale {scale}: {last_error}"
-        )
-
-    def reset(self) -> None:
-        """Drop all cached engines; the next decode rebuilds them."""
-        self._engines = {}
-
-    def _acquire(self, scale: int) -> tuple[SerialDualPhase, PrimalModule, Counter]:
-        """Return a dual/primal pair ready for one decode plus the counter
-        baseline of previous shots (see ``MicroBlossomDecoder._acquire``)."""
-        if self.reuse_engines:
-            cached = self._engines.get(scale)
-            if cached is not None:
-                dual, primal = cached
-                baseline = Counter(dual.counters)
-                baseline.update(primal.counters)
-                dual.reset()
-                primal.reset()
-                return dual, primal, baseline
+    def _build_engines(self, scale: int) -> tuple[SerialDualPhase, PrimalModule]:
         dual = SerialDualPhase(self.graph, scale=scale)
-        primal = PrimalModule(self.graph, dual)
-        if self.reuse_engines:
-            self._engines[scale] = (dual, primal)
-        return dual, primal, Counter()
+        return dual, PrimalModule(self.graph, dual)
 
     def _decode_once(self, syndrome: Syndrome, scale: int) -> ParityDecodeOutcome:
         dual, primal, baseline = self._acquire(scale)

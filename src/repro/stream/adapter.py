@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from ..api.outcome import DecodeOutcome
-from ..api.protocol import Decoder
+from ..api.protocol import Decoder, check_stream_begin, check_stream_round
 from ..graphs.decoding_graph import DecodingGraph
 from ..graphs.syndrome import (
     BOUNDARY,
@@ -157,13 +157,7 @@ class SlidingWindowAdapter:
         be erasure-aware to honor it (the registry's built-in factories are;
         see :mod:`repro.api.erasure`).
         """
-        if graph is not None and graph is not self.graph:
-            raise ValueError("streaming adapter was built for a different graph")
-        if rounds_hint is not None and rounds_hint > self.graph.num_layers:
-            raise ValueError(
-                f"rounds_hint {rounds_hint} exceeds the graph's "
-                f"{self.graph.num_layers} measurement rounds"
-            )
+        check_stream_begin(self.graph, graph, rounds_hint)
         self._state = _AdapterState(
             erasures=tuple(sorted(set(int(e) for e in erasures)))
         )
@@ -174,19 +168,7 @@ class SlidingWindowAdapter:
         if state is None:
             raise RuntimeError("push_round before begin(); open a stream first")
         layer = len(state.rounds)
-        graph = self.graph
-        if layer >= graph.num_layers:
-            raise ValueError(f"stream already received all {graph.num_layers} rounds")
-        defects = tuple(defects)
-        for defect in defects:
-            vertex = graph.vertices[defect]
-            if vertex.is_virtual:
-                raise ValueError(f"virtual vertex {defect} cannot be a defect")
-            if vertex.layer != layer:
-                raise ValueError(
-                    f"defect {defect} belongs to round {vertex.layer}, "
-                    f"not round {layer}"
-                )
+        defects = check_stream_round(self.graph, layer, defects)
         state.rounds.append(defects)
         state.pending.update(defects)
         work: Counter = Counter()

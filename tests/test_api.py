@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from repro.api import (
@@ -201,16 +203,17 @@ class TestDecoderSession:
 
 
 class TestScaleRetries:
+    @pytest.mark.parametrize("decoder_cls", [MicroBlossomDecoder, ParityBlossomDecoder])
     def test_retry_scale_does_not_leak_into_next_decode(
-        self, surface_d3_circuit, monkeypatch
+        self, surface_d3_circuit, monkeypatch, decoder_cls
     ):
         graph = surface_d3_circuit
         syndrome = next(
             s for s in _sample_syndromes(graph, 20, seed=4) if s.defects
         )
-        decoder = MicroBlossomDecoder(graph, stream=False)
+        decoder = decoder_cls(graph)
         base_scale = decoder.scale
-        original = MicroBlossomDecoder._decode_once
+        original = decoder_cls._decode_once
         seen_scales = []
         state = {"fail_next": True}
 
@@ -221,7 +224,7 @@ class TestScaleRetries:
                 raise IntegralityError("forced for the test")
             return original(self, syn, scale)
 
-        monkeypatch.setattr(MicroBlossomDecoder, "_decode_once", wrapped)
+        monkeypatch.setattr(decoder_cls, "_decode_once", wrapped)
         outcome = decoder.decode_detailed(syndrome)
         assert outcome.scale_retries == 1
         assert seen_scales == [base_scale, base_scale * 2]
@@ -229,6 +232,36 @@ class TestScaleRetries:
         assert again.scale_retries == 0
         assert seen_scales[-1] == base_scale
         assert decoder.scale == base_scale
+
+    @pytest.mark.parametrize(
+        "make, seam, scale_of",
+        [
+            (MicroBlossomDecoder, "_decode_once", lambda syndrome, scale: scale),
+            (ParityBlossomDecoder, "_decode_once", lambda syndrome, scale: scale),
+            (
+                partial(MicroBlossomDecoder, stream=True),
+                "_stream_step",
+                lambda state, layer, defects: state.scale,
+            ),
+        ],
+        ids=["micro-blossom", "parity-blossom", "micro-blossom-stream"],
+    )
+    def test_exhausted_retries_name_the_last_scale_tried(
+        self, surface_d3_circuit, monkeypatch, make, seam, scale_of
+    ):
+        graph = surface_d3_circuit
+        syndrome = next(s for s in _sample_syndromes(graph, 20, seed=4) if s.defects)
+        decoder = make(graph, scale=2)
+        tried = []
+
+        def failing(self, *args):
+            tried.append(scale_of(*args))
+            raise IntegralityError("forced for the test")
+
+        monkeypatch.setattr(type(decoder), seam, failing)
+        with pytest.raises(IntegralityError, match="even at dual scale 32: forced"):
+            decoder.decode_detailed(syndrome)
+        assert tried == [2, 4, 8, 16, 32]
 
 
 class TestBatchDecoding:

@@ -35,6 +35,7 @@ from repro.evaluation.experiments import build_graph, stream_vs_batch
 from repro.graphs import (
     Syndrome,
     SyndromeSampler,
+    erasure_noise,
     phenomenological_noise,
     residual_defects,
     surface_code_decoding_graph,
@@ -157,6 +158,30 @@ class TestProtocolErrors:
         session = get_streaming_decoder(name, graph)
         with pytest.raises(ValueError, match="rounds_hint"):
             session.begin(graph, rounds_hint=graph.num_layers + 1)
+
+    @pytest.mark.parametrize(
+        "name, erasures",
+        [("union-find", ()), ("micro-blossom", ()), ("micro-blossom", (0,))],
+        ids=["adapter", "native", "erasure-buffered"],
+    )
+    def test_virtual_vertex_defect_rejected_before_the_round_is_kept(self, graph, name, erasures):
+        if erasures:
+            graph = surface_code_decoding_graph(3, erasure_noise(0.02))
+        syndrome = next(
+            s for s in SyndromeSampler(graph, seed=6).sample_batch(64) if s.defect_count >= 2
+        )
+        syndrome = Syndrome(defects=syndrome.defects, erasures=erasures)
+        virtual = next(v for v in graph.vertices_in_layer(0) if graph.is_virtual(v))
+        session = get_streaming_decoder(name, graph)
+        session.begin(graph, erasures=erasures)
+        with pytest.raises(ValueError, match="virtual"):
+            session.push_round((virtual,))
+        for round_defects in syndrome.defects_by_layer(graph):
+            session.push_round(round_defects)
+        outcome = session.finalize()
+        batch = get_decoder(name, graph).decode_detailed(syndrome)
+        assert outcome.correction_edges(graph) == batch.correction_edges(graph)
+        assert outcome.weight == batch.weight
 
     def test_begin_discards_in_flight_stream(self, graph):
         sampler = SyndromeSampler(graph, seed=3)

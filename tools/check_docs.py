@@ -61,6 +61,8 @@ DOCTEST_MODULES = (
     "repro.lut.table",
     "repro.lut.decoder",
     "repro.unionfind.decoder",
+    "repro.core.decoder",
+    "repro.parity.decoder",
     "repro.api.outcome",
     "repro.api.protocol",
     "repro.api.session",
