@@ -5,7 +5,9 @@
 Figure 9, Figure 10b and every sweep's latency summary.  The literals below
 pin their exact float output (as ``float.hex`` strings, hashed) on fixed
 d=3 and d=5 outcomes, batch and stream, so a refactor of how a decoder name
-selects its timing model cannot move a single bit unnoticed.
+selects its timing model cannot move a single bit unnoticed.  The figure
+runners built on those models (``latency_distribution``,
+``improvement_breakdown`` and ``amdahl_profile``) are pinned the same way.
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ from repro.api import DecoderSession, available_decoders, decoder_capabilities
 from repro.api.hashing import content_hash
 from repro.evaluation import (
     DECODERS_WITH_TIMING_MODELS,
+    amdahl_profile,
+    improvement_breakdown,
+    latency_distribution,
     modelled_latency_fn,
     modelled_trivial_latency_seconds,
     stream_latency_fn,
@@ -88,3 +93,39 @@ def test_every_timing_model_decoder_is_pinned():
     assert DECODERS_WITH_TIMING_MODELS == tuple(
         name for name in available_decoders() if decoder_capabilities(name).timing_model
     )
+
+
+# ---------------------------------------------------------------------------
+# figure runners (Figures 2, 9 bottom and 10a) at p=0.01
+# ---------------------------------------------------------------------------
+def _hex_tree(value):
+    """``value`` with every float (dictionary keys too) as ``float.hex``."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {_hex_tree(key): _hex_tree(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_hex_tree(item) for item in value]
+    return value
+
+
+@pytest.mark.parametrize(
+    "distance, pin", ((3, "8b2c41dfb5bfa496"), (5, "aff0dd507e8b423b"))
+)
+def test_latency_distribution_is_pinned(distance, pin):
+    result = latency_distribution(distance, 0.01, samples=40, seed=2)
+    payload = {
+        name: {key: result[name][key] for key in ("latencies_us", "cutoffs_us")}
+        for name in ("parity-blossom", "micro-blossom")
+    }
+    assert content_hash(_hex_tree(payload)) == pin
+
+
+def test_improvement_breakdown_is_pinned():
+    rows = improvement_breakdown((3, 5), 0.01, samples=20, seed=3)
+    assert content_hash(_hex_tree(rows)) == "902c46faec41e465"
+
+
+def test_amdahl_profile_is_pinned():
+    rows = amdahl_profile((3, 5), 0.01, samples=20, seed=0)
+    assert content_hash(_hex_tree(rows)) == "d58c10077b91f6b0"
