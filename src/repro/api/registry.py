@@ -39,18 +39,16 @@ class DecoderCapabilities:
     The flags drive feature dispatch instead of ``hasattr`` probing:
     ``native_streaming`` selects the incremental round-push implementation in
     :func:`repro.stream.get_streaming_decoder` (non-native backends are
-    wrapped in a :class:`repro.stream.SlidingWindowAdapter`), ``timing_model``
-    gates the latency/stream engines and sweeps that need
-    :func:`repro.evaluation.modelled_latency_fn`, and ``exact`` marks
-    backends guaranteed to realise the minimum-weight perfect matching.
+    wrapped in a :class:`repro.stream.SlidingWindowAdapter`) and ``exact``
+    marks backends guaranteed to realise the minimum-weight perfect matching.
+    Whether a backend has a published timing model is not a flag: the
+    latency/stream engines and sweeps read
+    :data:`repro.evaluation.DECODERS_WITH_TIMING_MODELS`, the keys of the one
+    decoder-to-timing-model table.
     """
 
     #: Implements :class:`~repro.api.protocol.StreamingDecoder` itself.
     native_streaming: bool = False
-    #: Has a published timing model (``repro.latency``).
-    timing_model: bool = False
-    #: Supports aggregate batch decoding (``repro.api.decode_batch``).
-    batch_decode: bool = True
     #: Guaranteed to produce a minimum-weight perfect matching.
     exact: bool = False
     #: Resolves small defect sets through a precomputed lookup table
@@ -151,8 +149,8 @@ def decoder_capabilities(name: str) -> DecoderCapabilities:
 
     >>> decoder_capabilities("micro-blossom").native_streaming
     True
-    >>> decoder_capabilities("reference").timing_model
-    False
+    >>> decoder_capabilities("reference").exact
+    True
     """
     return decoder_spec(name).capabilities
 
@@ -233,9 +231,7 @@ register_decoder(
     functools.partial(erasure_aware, _build_micro_blossom),
     MicroBlossomConfig,
     "Micro Blossom heterogeneous decoder with round-wise fusion (stream mode)",
-    capabilities=DecoderCapabilities(
-        native_streaming=True, timing_model=True, exact=True
-    ),
+    capabilities=DecoderCapabilities(native_streaming=True, exact=True),
 )
 register_decoder(
     "micro-blossom-batch",
@@ -246,21 +242,20 @@ register_decoder(
     # Deliberately not marked native_streaming: this entry exists to measure
     # the batch baseline, so the stream factory replays it through the
     # SlidingWindowAdapter instead of fusing rounds.
-    capabilities=DecoderCapabilities(timing_model=True, exact=True),
+    capabilities=DecoderCapabilities(exact=True),
 )
 register_decoder(
     "parity-blossom",
     functools.partial(erasure_aware, _build_parity_blossom),
     ParityBlossomConfig,
     "Parity Blossom software MWPM baseline (sequential CPU phases)",
-    capabilities=DecoderCapabilities(timing_model=True, exact=True),
+    capabilities=DecoderCapabilities(exact=True),
 )
 register_decoder(
     "union-find",
     functools.partial(erasure_aware, _build_union_find),
     UnionFindConfig,
     "Weighted-growth Union-Find decoder (Helios-class approximation)",
-    capabilities=DecoderCapabilities(timing_model=True),
 )
 register_decoder(
     "reference",
@@ -281,10 +276,10 @@ def _register_lut_family() -> None:
     """Register ``lut+<fallback>`` for every base backend (see :mod:`repro.lut`).
 
     The wrapper mirrors the fallback's capability flags — a LUT miss is the
-    fallback path unchanged, so ``lut+X`` streams natively, batch-decodes and
-    is exact exactly when ``X`` is — except ``timing_model``: the published
-    latency models are keyed by base decoder name (paper hardware), not by
-    the software lookup layer.
+    fallback path unchanged, so ``lut+X`` streams natively and is exact
+    exactly when ``X`` is.  It has no timing model: the published latency
+    models are keyed by base decoder name (paper hardware), not by the
+    software lookup layer.
     """
     for base in tuple(_REGISTRY):
         caps = _REGISTRY[base].capabilities
@@ -298,8 +293,6 @@ def _register_lut_family() -> None:
             "(exact LUT hits, bit-identical fallback on misses)",
             capabilities=DecoderCapabilities(
                 native_streaming=caps.native_streaming,
-                timing_model=False,
-                batch_decode=caps.batch_decode,
                 exact=caps.exact,
                 lut_predecode=True,
             ),

@@ -508,8 +508,7 @@ def _command_decoders(_args: argparse.Namespace) -> int:
             {
                 "name": name,
                 "streaming": "native" if caps.native_streaming else "adapter",
-                "timing_model": "yes" if caps.timing_model else "no",
-                "batch_decode": "yes" if caps.batch_decode else "no",
+                "timing_model": "yes" if name in DECODERS_WITH_TIMING_MODELS else "no",
                 "exact": "yes" if caps.exact else "no",
                 "lut": "yes" if caps.lut_predecode else "no",
                 "description": spec.description,
@@ -518,7 +517,7 @@ def _command_decoders(_args: argparse.Namespace) -> int:
     print(
         format_rows(
             rows,
-            ["name", "streaming", "timing_model", "batch_decode", "exact", "lut"],
+            ["name", "streaming", "timing_model", "exact", "lut"],
         )
     )
     for row in rows:

@@ -18,8 +18,6 @@ from .experiments import (
     amdahl_profile,
     build_graph,
     calibrate_scalings,
-    decode_micro_sample,
-    decode_parity_sample,
     effective_error_grid,
     format_rows,
     improvement_breakdown,
@@ -29,15 +27,10 @@ from .experiments import (
     stream_vs_batch,
 )
 from .monte_carlo import (
-    LatencyDistributionResult,
-    LatencySample,
     LogicalErrorRateResult,
-    collect_latency_samples,
-    decoder_correction,
     estimate_logical_error_rate,
     expected_defect_count,
     expected_error_count,
-    is_decoder_logical_error,
     wilson_interval,
 )
 from .scaling import (
@@ -92,8 +85,6 @@ __all__ = [
     "amdahl_profile",
     "build_graph",
     "calibrate_scalings",
-    "decode_micro_sample",
-    "decode_parity_sample",
     "effective_error_grid",
     "format_rows",
     "improvement_breakdown",
@@ -101,15 +92,10 @@ __all__ = [
     "latency_sweep",
     "resource_usage_table",
     "stream_vs_batch",
-    "LatencyDistributionResult",
-    "LatencySample",
     "LogicalErrorRateResult",
-    "collect_latency_samples",
-    "decoder_correction",
     "estimate_logical_error_rate",
     "expected_defect_count",
     "expected_error_count",
-    "is_decoder_logical_error",
     "wilson_interval",
     "DEFAULT_MWPM_SCALING",
     "DEFAULT_UNION_FIND_TREND",

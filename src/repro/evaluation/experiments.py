@@ -1,11 +1,11 @@
 """Experiment runners regenerating every table and figure of the evaluation.
 
 Each function returns plain rows (lists of dictionaries) so the benchmarks,
-the examples, and EXPERIMENTS.md can all share them.  Default parameters are
+the examples and the CLI can all share them.  Default parameters are
 deliberately small so that the pytest-benchmark targets finish quickly; the
 examples show how to launch paper-scale sweeps.
 
-Figure/table mapping (see DESIGN.md §4):
+Figure/table mapping (see docs/paper_map.md):
 
 * :func:`amdahl_profile` — Figure 2
 * :func:`latency_sweep` — Figure 9 (top row)
@@ -14,21 +14,26 @@ Figure/table mapping (see DESIGN.md §4):
 * :func:`stream_vs_batch` — Figure 10b
 * :func:`effective_error_grid` — Figure 11
 * :func:`resource_usage_table` — Table 4
+
+>>> rows = improvement_breakdown(distances=(3,), physical_error_rate=0.01, samples=4)
+>>> [row["configuration"] for row in rows]  # doctest: +NORMALIZE_WHITESPACE
+['parity-blossom (CPU)', '+ parallel dual phase', '+ parallel primal phase',
+ '+ round-wise fusion']
+>>> rows[-1]["speedup_vs_cpu"] > 1.0
+True
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from ..api.config import MicroBlossomConfig, ParityBlossomConfig
-from ..api.outcome import latency_counters
-from ..api.protocol import Decoder
+from ..api.config import DecoderConfig, MicroBlossomConfig, ParityBlossomConfig
+from ..api.outcome import DecodeOutcome
 from ..api.session import DecoderSession
 from ..graphs.decoding_graph import DecodingGraph
 from ..graphs.noise import noise_model_by_name
 from ..graphs.surface_code import surface_code_decoding_graph
-from ..graphs.syndrome import Syndrome, SyndromeSampler, is_logical_error
+from ..graphs.syndrome import SyndromeSampler
 from ..latency.cutoff import LatencyStatistics, cutoff_latency, exponential_tail_fit
 from ..latency.effective import EffectiveErrorRate
 from ..latency.model import (
@@ -37,6 +42,7 @@ from ..latency.model import (
     ParityBlossomLatencyModel,
 )
 from ..resources.estimate import paper_row, resource_table
+from .engine import modelled_latency_fn
 from .monte_carlo import expected_defect_count
 from .scaling import (
     DEFAULT_MWPM_SCALING,
@@ -60,73 +66,17 @@ def build_graph(
     return surface_code_decoding_graph(distance, model, rounds=rounds)
 
 
-# ---------------------------------------------------------------------------
-# per-sample decoding with latency attached
-# ---------------------------------------------------------------------------
-@dataclass
-class DecodedSample:
-    """One decoded syndrome with its modelled latency."""
-
-    latency_seconds: float
-    defect_count: int
-    logical_error: bool
-
-
-def decode_micro_sample(
+def _decode_shots(
     graph: DecodingGraph,
-    decoder: Decoder,
-    model: MicroBlossomLatencyModel,
-    syndrome: Syndrome,
-) -> DecodedSample:
-    outcome = decoder.decode_detailed(syndrome)
-    latency = model.latency_seconds(latency_counters(outcome))
-    logical_error = is_logical_error(graph, syndrome, outcome.result)
-    return DecodedSample(latency, syndrome.defect_count, logical_error)
-
-
-def decode_parity_sample(
-    graph: DecodingGraph,
-    decoder: Decoder,
-    model: ParityBlossomLatencyModel,
-    syndrome: Syndrome,
-) -> DecodedSample:
-    outcome = decoder.decode_detailed(syndrome)
-    latency = model.latency_seconds(outcome.counters, outcome.defect_count)
-    logical_error = is_logical_error(graph, syndrome, outcome.result)
-    return DecodedSample(latency, syndrome.defect_count, logical_error)
-
-
-def _sample_micro(
-    graph: DecodingGraph,
-    distance: int,
+    decoder: str,
     samples: int,
     seed: int,
-    enable_prematching: bool = True,
-    stream: bool = True,
-) -> list[DecodedSample]:
-    session = DecoderSession(
-        graph,
-        "micro-blossom",
-        MicroBlossomConfig(enable_prematching=enable_prematching, stream=stream),
-    )
-    model = MicroBlossomLatencyModel(distance, graph.num_edges)
-    sampler = SyndromeSampler(graph, seed=seed)
-    return [
-        decode_micro_sample(graph, session, model, syndrome)
-        for syndrome in sampler.sample_batch(samples)
-    ]
-
-
-def _sample_parity(
-    graph: DecodingGraph, samples: int, seed: int
-) -> list[DecodedSample]:
-    session = DecoderSession(graph, "parity-blossom", ParityBlossomConfig())
-    model = ParityBlossomLatencyModel()
-    sampler = SyndromeSampler(graph, seed=seed)
-    return [
-        decode_parity_sample(graph, session, model, syndrome)
-        for syndrome in sampler.sample_batch(samples)
-    ]
+    config: DecoderConfig | None = None,
+) -> list[DecodeOutcome]:
+    """Decode every seeded shot, trivial ones included, through one session."""
+    session = DecoderSession(graph, decoder, config)
+    shots = SyndromeSampler(graph, seed=seed).sample_batch(samples)
+    return [session.decode_detailed(shot) for shot in shots]
 
 
 def _mean(values: Iterable[float]) -> float:
@@ -148,12 +98,9 @@ def amdahl_profile(
     model = ParityBlossomLatencyModel()
     for distance in distances:
         graph = build_graph(distance, physical_error_rate)
-        decoder = DecoderSession(graph, "parity-blossom")
-        sampler = SyndromeSampler(graph, seed=seed + distance)
         dual_total = 0.0
         primal_total = 0.0
-        for syndrome in sampler.sample_batch(samples):
-            outcome = decoder.decode_detailed(syndrome)
+        for outcome in _decode_shots(graph, "parity-blossom", samples, seed + distance):
             dual, primal = model.phase_seconds(outcome.counters, outcome.defect_count)
             dual_total += dual + model.base_seconds * 0.5
             primal_total += primal + model.base_seconds * 0.5
@@ -230,8 +177,6 @@ def latency_distribution(
 ) -> dict:
     """Latency distribution, k-cutoff latencies and exponential tail fits."""
     graph = build_graph(distance, physical_error_rate)
-    parity_samples = _sample_parity(graph, samples, seed)
-    micro_samples = _sample_micro(graph, distance, samples, seed)
     logical_error_rate = logical_error_rate_hint or DEFAULT_MWPM_SCALING.predict(
         distance, physical_error_rate
     )
@@ -240,8 +185,9 @@ def latency_distribution(
         "physical_error_rate": physical_error_rate,
         "logical_error_rate": logical_error_rate,
     }
-    for name, decoded in (("parity-blossom", parity_samples), ("micro-blossom", micro_samples)):
-        latencies = [s.latency_seconds for s in decoded]
+    for name in ("parity-blossom", "micro-blossom"):
+        latency_of = modelled_latency_fn(name, graph)
+        latencies = [latency_of(o) for o in _decode_shots(graph, name, samples, seed)]
         stats = LatencyStatistics.from_samples(latencies)
         entry = {
             "average_latency_us": stats.mean * 1e6,
@@ -265,11 +211,15 @@ def latency_distribution(
 # ---------------------------------------------------------------------------
 # Figure 10a — contribution of each key idea
 # ---------------------------------------------------------------------------
-IMPROVEMENT_CONFIGS: tuple[tuple[str, dict], ...] = (
-    ("parity-blossom (CPU)", {}),
-    ("+ parallel dual phase", {"enable_prematching": False, "stream": False}),
-    ("+ parallel primal phase", {"enable_prematching": True, "stream": False}),
-    ("+ round-wise fusion", {"enable_prematching": True, "stream": True}),
+IMPROVEMENT_CONFIGS: tuple[tuple[str, str, DecoderConfig], ...] = (
+    ("parity-blossom (CPU)", "parity-blossom", ParityBlossomConfig()),
+    (
+        "+ parallel dual phase",
+        "micro-blossom",
+        MicroBlossomConfig(enable_prematching=False, stream=False),
+    ),
+    ("+ parallel primal phase", "micro-blossom", MicroBlossomConfig(stream=False)),
+    ("+ round-wise fusion", "micro-blossom", MicroBlossomConfig()),
 )
 
 
@@ -284,12 +234,10 @@ def improvement_breakdown(
     for distance in distances:
         graph = build_graph(distance, physical_error_rate)
         baseline_us = None
-        for label, options in IMPROVEMENT_CONFIGS:
-            if not options:
-                decoded = _sample_parity(graph, samples, seed)
-            else:
-                decoded = _sample_micro(graph, distance, samples, seed, **options)
-            mean_us = _mean(s.latency_seconds for s in decoded) * 1e6
+        for label, decoder, config in IMPROVEMENT_CONFIGS:
+            latency_of = modelled_latency_fn(decoder, graph)
+            outcomes = _decode_shots(graph, decoder, samples, seed, config)
+            mean_us = _mean(latency_of(o) for o in outcomes) * 1e6
             if baseline_us is None:
                 baseline_us = mean_us
             rows.append(

@@ -1,18 +1,14 @@
-"""Monte-Carlo estimation of logical error rates and latency distributions."""
+"""Monte-Carlo estimation of logical error rates."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 from ..api.config import DecoderConfig
 from ..api.protocol import Decoder
 from ..graphs.decoding_graph import DecodingGraph
-from ..graphs.syndrome import (
-    Syndrome,
-    SyndromeSampler,
-)
+from ..graphs.syndrome import SyndromeSampler
 from .engine import DEFAULT_SHARD_SIZE, MonteCarloEngine, RateEstimate
 
 
@@ -31,71 +27,6 @@ class LogicalErrorRateResult(RateEstimate):
     @property
     def shots(self) -> int:
         return self.samples
-
-
-@dataclass
-class LatencySample:
-    """Latency and outcome of a single decoded syndrome."""
-
-    latency_seconds: float
-    defect_count: int
-    logical_error: bool
-
-
-@dataclass
-class LatencyDistributionResult:
-    """Collection of latency samples for one decoder configuration."""
-
-    samples: list[LatencySample] = field(default_factory=list)
-
-    @property
-    def latencies(self) -> list[float]:
-        return [sample.latency_seconds for sample in self.samples]
-
-    @property
-    def average_latency(self) -> float:
-        if not self.samples:
-            return 0.0
-        return sum(self.latencies) / len(self.samples)
-
-    @property
-    def logical_error_rate(self) -> float:
-        if not self.samples:
-            return 0.0
-        return sum(1 for s in self.samples if s.logical_error) / len(self.samples)
-
-    @property
-    def average_defects(self) -> float:
-        if not self.samples:
-            return 0.0
-        return sum(s.defect_count for s in self.samples) / len(self.samples)
-
-
-def decoder_correction(graph: DecodingGraph, decoder: Decoder, syndrome: Syndrome) -> set[int]:
-    """Run any decoder of this package and return its correction edge set.
-
-    Every backend implements ``decode_to_correction`` (part of the
-    :class:`repro.api.Decoder` protocol), so no per-decoder branching is
-    needed.
-    """
-    return set(decoder.decode_to_correction(syndrome))
-
-
-def _is_correction_logical_error(
-    graph: DecodingGraph, syndrome: Syndrome, correction: set[int]
-) -> bool:
-    if syndrome.logical_flip is None:
-        raise ValueError("syndrome does not carry ground-truth information")
-    return graph.crosses_observable(correction) != syndrome.logical_flip
-
-
-def is_decoder_logical_error(
-    graph: DecodingGraph, decoder: Decoder, syndrome: Syndrome
-) -> bool:
-    """True when the decoder's correction flips the logical observable wrongly."""
-    return _is_correction_logical_error(
-        graph, syndrome, decoder_correction(graph, decoder, syndrome)
-    )
 
 
 def estimate_logical_error_rate(
@@ -147,36 +78,6 @@ def estimate_logical_error_rate(
     return LogicalErrorRateResult(samples=result.shots, errors=result.errors)
 
 
-def collect_latency_samples(
-    graph: DecodingGraph,
-    decode_with_latency: Callable[[Syndrome], tuple[float, bool]],
-    num_samples: int,
-    seed: int | None = None,
-    sampler: SyndromeSampler | None = None,
-) -> LatencyDistributionResult:
-    """Sample syndromes and record ``(latency, logical_error)`` per decode.
-
-    ``decode_with_latency`` maps a syndrome to its decoding latency (seconds)
-    and whether the decode produced a logical error.  Syndromes are drawn with
-    the vectorized batch sampler; for sharded multi-process latency
-    collection with a registered decoder, use
-    :class:`~repro.evaluation.engine.MonteCarloEngine` with a ``latency_fn``
-    instead (an arbitrary callable cannot be shipped to worker processes).
-    """
-    sampler = sampler or SyndromeSampler(graph, seed=seed)
-    result = LatencyDistributionResult()
-    for syndrome in sampler.sample_batch(num_samples):
-        latency, logical_error = decode_with_latency(syndrome)
-        result.samples.append(
-            LatencySample(
-                latency_seconds=latency,
-                defect_count=syndrome.defect_count,
-                logical_error=logical_error,
-            )
-        )
-    return result
-
-
 def expected_defect_count(graph: DecodingGraph) -> float:
     """Expected number of defects per syndrome under the graph's error model.
 
@@ -203,7 +104,12 @@ def expected_error_count(graph: DecodingGraph) -> float:
 def wilson_interval(
     errors: int, samples: int, z: float = 1.96
 ) -> tuple[float, float]:
-    """Wilson score interval for a binomial logical error rate estimate."""
+    """Wilson score interval for a binomial logical error rate estimate.
+
+    >>> low, high = wilson_interval(5, 100)
+    >>> round(low, 4), round(high, 4)
+    (0.0215, 0.1118)
+    """
     if samples <= 0:
         raise ValueError("samples must be positive")
     p_hat = errors / samples

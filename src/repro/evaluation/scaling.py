@@ -24,7 +24,16 @@ import numpy as np
 
 @dataclass(frozen=True)
 class LogicalErrorScaling:
-    """Fitted parameters of ``p_L = A (p / p_th)^((d+1)/2)``."""
+    """Fitted parameters of ``p_L = A (p / p_th)^((d+1)/2)``.
+
+    >>> law = LogicalErrorScaling(amplitude=0.1, threshold=0.01)
+    >>> points = [(d, p, law.predict(d, p)) for d in (3, 5) for p in (0.001, 0.002)]
+    >>> fitted = fit_logical_error_scaling(points)
+    >>> round(fitted.amplitude, 6), round(fitted.threshold, 6)
+    (0.1, 0.01)
+    >>> law.predict(3, 0.05)  # clamped at probability one
+    1.0
+    """
 
     amplitude: float
     threshold: float

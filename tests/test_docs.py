@@ -38,7 +38,8 @@ class TestDocumentation:
 
     def test_checker_covers_service_modules(self):
         """The doctest surface must include the whole service package (the
-        network tier included), the LUT pre-decoder and union-find."""
+        network tier included), the LUT pre-decoder, union-find and the
+        evaluation package."""
         covered = set(check_docs.DOCTEST_MODULES)
         src = REPO_ROOT / "src"
         package = src / "repro"
@@ -47,6 +48,7 @@ class TestDocumentation:
             *(package / "service" / "net").glob("*.py"),
             *(package / "lut").glob("*.py"),
             *(package / "unionfind").glob("*.py"),
+            *(package / "evaluation").glob("*.py"),
         ]:
             if module.stem == "__init__":
                 continue

@@ -9,7 +9,6 @@ import pytest
 from repro.evaluation import (
     DEFAULT_MWPM_SCALING,
     amdahl_profile,
-    collect_latency_samples,
     effective_error_grid,
     estimate_logical_error_rate,
     expected_defect_count,
@@ -105,35 +104,6 @@ class TestMonteCarlo:
                 sampler=SyndromeSampler(graph, seed=1),
                 target_standard_error=0.01,
             )
-
-    def test_collect_latency_samples(self):
-        graph = build_graph(3, 0.02)
-        reference = ReferenceDecoder(graph)
-
-        def decode_with_latency(syndrome):
-            if not syndrome.defects:
-                return 0.1e-6, bool(syndrome.logical_flip)
-            correction = reference.decode_to_correction(syndrome)
-            wrong = graph.crosses_observable(correction) != syndrome.logical_flip
-            return 1e-6 + 0.1e-6 * syndrome.defect_count, wrong
-
-        result = collect_latency_samples(graph, decode_with_latency, 40, seed=5)
-        assert len(result.samples) == 40
-        assert result.average_latency > 0.0
-        assert 0.0 <= result.logical_error_rate <= 1.0
-        assert result.average_defects > 0.0
-        assert len(result.latencies) == 40
-
-    def test_collect_latency_samples_accepts_explicit_sampler(self):
-        graph = build_graph(3, 0.02)
-        sampler = SyndromeSampler(graph, seed=5)
-        result = collect_latency_samples(
-            graph, lambda syndrome: (1e-6, False), 10, sampler=sampler
-        )
-        follow_up = SyndromeSampler(graph, seed=5)
-        follow_up.sample_batch(10)
-        # the provided sampler's stream was consumed, not a fresh seeded one
-        assert sampler.sample() == follow_up.sample()
 
 
 class TestScalingFits:

@@ -27,7 +27,12 @@ import pytest
 
 from repro.api import LUTConfig, available_decoders, decoder_spec, get_decoder
 from repro.api.outcome import DecodeOutcome
-from repro.evaluation import DEFAULT_LOAD_CONFIG, MonteCarloEngine, ServiceLoadEngine
+from repro.evaluation import (
+    DECODERS_WITH_TIMING_MODELS,
+    DEFAULT_LOAD_CONFIG,
+    MonteCarloEngine,
+    ServiceLoadEngine,
+)
 from repro.graphs import (
     Syndrome,
     SyndromeSampler,
@@ -182,7 +187,7 @@ def test_registry_exposes_the_lut_family():
         assert f"lut+{base}" in names, base
     spec = decoder_spec("lut+union-find")
     assert spec.capabilities.lut_predecode
-    assert not spec.capabilities.timing_model  # no modelled latency for the wrapper
+    assert "lut+union-find" not in DECODERS_WITH_TIMING_MODELS  # no modelled latency
     assert spec.config_cls is LUTConfig
     base_caps = decoder_spec("micro-blossom").capabilities
     lut_caps = decoder_spec("lut+micro-blossom").capabilities

@@ -21,7 +21,6 @@ import pytest
 from repro.api import (
     DecoderCapabilities,
     StreamingDecoder,
-    available_decoders,
     decoder_capabilities,
     get_decoder,
 )
@@ -75,27 +74,13 @@ class TestCapabilities:
         for name in ("micro-blossom-batch", "parity-blossom", "union-find", "reference"):
             assert not decoder_capabilities(name).native_streaming
 
-    def test_timing_model_flags_match_evaluation_registry(self):
-        names = available_decoders()
-        assert any(name.startswith("lut+") for name in names)
-        for name in names:
-            assert decoder_capabilities(name).timing_model == (
-                name in DECODERS_WITH_TIMING_MODELS
-            )
-
-    def test_exact_and_batch_flags(self):
+    def test_exact_flags(self):
         assert decoder_capabilities("reference").exact
         assert not decoder_capabilities("union-find").exact
-        assert all(
-            decoder_capabilities(n).batch_decode
-            for n in ("micro-blossom", "union-find", "reference")
-        )
 
     def test_default_capabilities_for_user_registrations(self):
         caps = DecoderCapabilities()
         assert not caps.native_streaming
-        assert not caps.timing_model
-        assert caps.batch_decode
 
     def test_factory_follows_the_flags(self, graph):
         native = get_streaming_decoder("micro-blossom", graph)

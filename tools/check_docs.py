@@ -12,8 +12,8 @@ Three checks, all enforced by the ``docs`` CI job (and by
    ```` ```python notest ```` (rendered identically by GitHub).
 2. **Doctests pass.**  The docstring examples of the public API surface
    (``repro.api``, ``repro.stream``, ``repro.sweeps``, ``repro.service``
-   including ``repro.service.net``, ``repro.lut``, ``repro.unionfind``, the
-   ``repro.evaluation`` engines and ``repro.evaluation.service_load``) run under
+   including ``repro.service.net``, ``repro.lut``, ``repro.unionfind`` and
+   every ``repro.evaluation`` module) run under
    ``ELLIPSIS | NORMALIZE_WHITESPACE``.
 3. **Intra-repo links resolve.**  Every relative markdown link target in the
    checked files must exist (``http(s)``/``mailto`` links and pure anchors
@@ -90,6 +90,9 @@ DOCTEST_MODULES = (
     "repro.service.net.shm",
     "repro.service.net.worker",
     "repro.evaluation.engine",
+    "repro.evaluation.experiments",
+    "repro.evaluation.monte_carlo",
+    "repro.evaluation.scaling",
     "repro.evaluation.stream",
     "repro.evaluation.service_load",
 )
