@@ -1008,8 +1008,8 @@ def _command_serve_bench(args: argparse.Namespace) -> int:
 
 
 def _command_serve_net(args: argparse.Namespace) -> int:
-    # Local import: the net tier (asyncio, multiprocessing.shared_memory)
-    # should not tax every other CLI command's startup.
+    # Local import: the net tier (asyncio, multiprocessing) should not
+    # tax every other CLI command's startup.
     from .service.net import NetServer
     from .service.net.bench import scaling_bench, wire_comparison
 

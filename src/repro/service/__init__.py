@@ -40,9 +40,9 @@ per-request cost (the pLUTo argument from PAPERS.md, applied to decoding):
 * :mod:`repro.service.net` — the network tier (imported on demand, not
   re-exported here): an asyncio TCP front end
   (:class:`~repro.service.net.NetServer`) speaking a length-prefixed
-  canonical-JSON protocol, multi-process workers sharing decoding graphs
-  through ``multiprocessing.shared_memory``, consistent-hash session
-  routing, and a pipelined synchronous
+  protocol (canonical JSON or the negotiated binary codec), multi-process
+  workers that inherit the prewarmed decoding graphs at fork,
+  consistent-hash session routing, and a pipelined synchronous
   :class:`~repro.service.net.NetClient`.
 
 Quickstart (see ``docs/service.md`` for the full tour)::

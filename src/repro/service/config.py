@@ -64,9 +64,6 @@ class ServiceConfig:
     session_build_retries: int = 0
     #: Linear backoff between session-build retries (seconds × attempt).
     session_build_backoff_seconds: float = 0.0
-    #: Highest wire codec the network tier negotiates (``2`` = binary with
-    #: per-frame JSON fallback, ``1`` = canonical JSON only).
-    wire_codec: int = 2
     #: Client-side request coalescer: flush a pending batch at this many
     #: buffered frame bytes...
     coalesce_max_bytes: int = 65536
@@ -94,8 +91,6 @@ class ServiceConfig:
             raise ValueError("session_build_retries must be >= 0")
         if self.session_build_backoff_seconds < 0:
             raise ValueError("session_build_backoff_seconds must be non-negative")
-        if self.wire_codec not in (1, 2):
-            raise ValueError("wire_codec must be 1 (JSON) or 2 (binary)")
         if self.coalesce_max_bytes < 1:
             raise ValueError("coalesce_max_bytes must be >= 1")
         if self.coalesce_max_delay_seconds < 0:

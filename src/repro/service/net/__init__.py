@@ -11,16 +11,15 @@ decoded bit:
   (codec 2) with batch frames and per-frame JSON fallback.
 * :mod:`~repro.service.net.server` — :class:`NetServer`, the asyncio front
   end: consistent-hash routing of session keys to worker processes,
-  whole-batch forwarding of ``request-batch`` frames, graceful drain on
-  stop/SIGTERM, isolated errors on worker death.
+  whole-batch forwarding of ``request-batch`` frames down the worker pipes,
+  graceful drain on stop/SIGTERM, isolated errors on worker death.
 * :mod:`~repro.service.net.worker` — the worker-process entry point; each
-  worker hosts an ordinary in-process service.
+  worker hosts an ordinary in-process service on the prewarm graphs it
+  inherited at fork.
 * :mod:`~repro.service.net.client` — :class:`NetClient`, the synchronous
   pipelined client mirroring the ``DecodeService`` surface, with
   Nagle-style request coalescing and per-worker batch packing.
 * :mod:`~repro.service.net.router` — :class:`HashRing`.
-* :mod:`~repro.service.net.shm` — shared-memory graph pack and syndrome
-  slab (the zero-copy data plane).
 * :mod:`~repro.service.net.bench` — the process-scaling series and the
   v2-vs-v1 wire comparison of ``BENCH_service.json``, both load-engine
   replays through a :class:`NetClient`.
@@ -38,7 +37,6 @@ from .protocol import (
 )
 from .router import HashRing
 from .server import NetServer
-from .shm import SharedGraphPack, SyndromeSlab
 
 __all__ = [
     "CODEC_BINARY",
@@ -51,8 +49,6 @@ __all__ = [
     "NetStream",
     "ProtocolError",
     "ServerDrainingError",
-    "SharedGraphPack",
-    "SyndromeSlab",
     "negotiate_codec",
     "scaling_bench",
     "wire_comparison",

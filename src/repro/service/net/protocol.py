@@ -136,8 +136,8 @@ class ProtocolError(RuntimeError):
     """A malformed, oversized, or version-incompatible frame."""
 
 
-def negotiate_codec(offered, limit: int = CODEC_BINARY) -> int:
-    """The best codec of ``offered`` both sides speak (≤ ``limit``).
+def negotiate_codec(offered) -> int:
+    """The best codec of ``offered`` both sides speak.
 
     ``offered`` is the ``codecs`` list of a ``hello`` frame; ``None`` or
     empty means a legacy JSON-only peer.  Codec 1 is the implicit floor —
@@ -147,14 +147,12 @@ def negotiate_codec(offered, limit: int = CODEC_BINARY) -> int:
     2
     >>> negotiate_codec(None)
     1
-    >>> negotiate_codec([2, 1], limit=1)
-    1
     """
     best = CODEC_JSON
     if not offered:
         return best
     for codec in offered:
-        if isinstance(codec, int) and codec in SUPPORTED_CODECS and codec <= limit:
+        if isinstance(codec, int) and codec in SUPPORTED_CODECS:
             best = max(best, codec)
     return best
 
@@ -422,7 +420,7 @@ def _read_response_body(reader: _Reader) -> dict:
 def _parse_session_blob(blob: str) -> dict:
     try:
         session = json.loads(blob)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ProtocolError(f"undecodable session blob: {exc}") from None
     if not isinstance(session, dict):
         raise ProtocolError("session blob is not an object")
@@ -512,7 +510,7 @@ def decode_payload(payload: bytes) -> dict:
         return _decode_binary(payload)
     try:
         frame = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
+    except (UnicodeDecodeError, ValueError, RecursionError) as exc:
         raise ProtocolError(f"undecodable frame: {exc}") from None
     if not isinstance(frame, dict) or "kind" not in frame:
         raise ProtocolError("frame is not an object with a 'kind'")

@@ -1,12 +1,13 @@
 """The asyncio front end of the network decode service.
 
-:class:`NetServer` is the process that owns the listening socket, the worker
-pool, and the shared-memory data plane:
+:class:`NetServer` is the process that owns the listening socket and the
+worker pool:
 
 * **Accept path.**  An asyncio TCP server speaks the length-prefixed
-  canonical-JSON protocol of :mod:`repro.service.net.protocol`.  All
-  connection state lives on the event loop; there is exactly one loop
-  thread, so per-connection bookkeeping needs no locks.
+  protocol of :mod:`repro.service.net.protocol` (canonical JSON or the
+  negotiated binary codec).  All connection state lives on the event loop;
+  there is exactly one loop thread, so per-connection bookkeeping needs no
+  locks.
 * **Worker pool.**  ``processes`` worker processes are forked at
   :meth:`start` (before the loop thread exists — fork-safety), each hosting
   an in-process :class:`~repro.service.DecodeService` built from the same
@@ -16,9 +17,9 @@ pool, and the shared-memory data plane:
 * **Routing.**  A consistent-hash :class:`~repro.service.net.router.HashRing`
   maps each request's :meth:`~repro.service.SessionKey.key_hash` to a
   worker, so a session's decoder stays cached in one process.
-* **Data plane.**  Immutable decoding graphs are packed once into a
-  :class:`~repro.service.net.shm.SharedGraphPack`; per-request defect lists
-  ride the :class:`~repro.service.net.shm.SyndromeSlab` instead of the pipe.
+* **Data plane.**  The ``prewarm`` decoding graphs are built once before
+  the fork and inherited by every worker; requests, defects inline, ride
+  the worker pipe as one ``request-batch`` message per worker.
 * **Drain.**  :meth:`stop` (or SIGTERM under :meth:`run_forever`) closes the
   listener, tells clients via ``drain`` frames, waits for in-flight work,
   drains every worker's service, and joins the processes.  A worker that
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import asyncio
 import multiprocessing
+import operator
 import os
 import signal
 import socket
@@ -39,6 +41,7 @@ import time
 
 from ..config import ServiceConfig
 from ..request import SessionKey
+from . import protocol
 from .protocol import (
     CODEC_BINARY,
     PROTOCOL_VERSION,
@@ -49,7 +52,6 @@ from .protocol import (
     write_frame,
 )
 from .router import HashRing
-from .shm import SharedGraphPack, SyndromeSlab
 from .worker import error_payload, worker_main
 
 #: Default bound on drain (stop/SIGTERM): in-flight wait + per-worker acks.
@@ -72,14 +74,13 @@ class _Worker:
 class _Pending:
     """One request/stream-op in flight between front end and a worker."""
 
-    __slots__ = ("kind", "client", "frame_id", "request_wire", "slot", "worker_id")
+    __slots__ = ("kind", "client", "frame_id", "request_wire", "worker_id")
 
-    def __init__(self, kind, client, frame_id, request_wire, slot, worker_id):
+    def __init__(self, kind, client, frame_id, request_wire, worker_id):
         self.kind = kind  # "request" | "stream"
         self.client = client
         self.frame_id = frame_id
         self.request_wire = request_wire
-        self.slot = slot
         self.worker_id = worker_id
 
 
@@ -98,8 +99,8 @@ class NetServer:
     """Horizontally scaled decode service over TCP.
 
     ``prewarm`` is an iterable of :class:`~repro.service.CodeSpec` whose
-    graphs are packed into shared memory before the workers fork; any other
-    code spec still decodes (the worker builds its graph locally).
+    graphs are built once before the workers fork (and inherited by them);
+    any other code spec still decodes (the worker builds its graph locally).
 
     Usage (embedded)::
 
@@ -120,8 +121,6 @@ class NetServer:
         host: str = "127.0.0.1",
         port: int = 0,
         prewarm=(),
-        slab_slots: int = 256,
-        slab_slot_capacity: int = 512,
         drain_timeout_seconds: float = DEFAULT_DRAIN_TIMEOUT_SECONDS,
     ) -> None:
         if processes < 1:
@@ -134,10 +133,6 @@ class NetServer:
         self.port = port
         self.prewarm = tuple(prewarm)
         self.drain_timeout_seconds = drain_timeout_seconds
-        self._slab_slots = slab_slots
-        self._slab_slot_capacity = slab_slot_capacity
-        self._pack: SharedGraphPack | None = None
-        self._slab: SyndromeSlab | None = None
         self._workers: dict[int, _Worker] = {}
         self._ring: HashRing | None = None
         self._pending: dict[int, _Pending] = {}
@@ -160,20 +155,18 @@ class NetServer:
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> tuple[str, int]:
-        """Pack graphs, fork workers, start the loop thread; returns (host, port)."""
+        """Build prewarm graphs, fork workers, start the loop thread; returns (host, port)."""
         if self._started:
             raise RuntimeError("server already started")
         self._started = True
         graphs = {}
         for spec in self.prewarm:
-            graphs.setdefault(spec.key(), spec.build_graph())
-        if graphs:
-            self._pack = SharedGraphPack.create(graphs)
-        self._slab = SyndromeSlab.create(self._slab_slots, self._slab_slot_capacity)
+            if spec.key() not in graphs:
+                graphs[spec.key()] = spec.build_graph()
         # Fork BEFORE any thread exists: fork() of a multithreaded process
-        # can deadlock the child.  "fork" shares the shared-memory mappings
-        # and module state cheaply; the workers re-attach by name anyway, so
-        # a "spawn"-only platform would also work (slower start).
+        # can deadlock the child.  "fork" hands every worker the prewarm
+        # graphs and module state for free; a "spawn"-only platform pickles
+        # the graphs instead (slower start, same decodes).
         context = multiprocessing.get_context(
             "fork" if "fork" in multiprocessing.get_all_start_methods() else None
         )
@@ -185,10 +178,7 @@ class NetServer:
                 args=(
                     worker_id,
                     child_conn,
-                    self._pack.name if self._pack is not None else None,
-                    self._slab.name,
-                    self._slab_slots,
-                    self._slab_slot_capacity,
+                    graphs,
                     self.config.to_dict(),
                     self.drain_timeout_seconds,
                 ),
@@ -291,10 +281,6 @@ class NetServer:
         self._loop_thread.join(5.0)
         for thread in self._reader_threads:
             thread.join(1.0)
-        if self._slab is not None:
-            self._slab.close()
-        if self._pack is not None:
-            self._pack.close()
 
     async def _drain_async(self, done: threading.Event) -> None:
         """Loop-side half of stop(): notify clients, wait for in-flight.
@@ -390,8 +376,6 @@ class NetServer:
                 pending = self._pending.pop(seq, None)
                 if pending is None:
                     continue
-                if pending.slot is not None:
-                    self._slab.free(pending.slot)
                 answers.append((pending, payload))
             self._answer_batch(answers)
         elif kind == "stream-reply":
@@ -418,10 +402,27 @@ class NetServer:
             frame = {"kind": "response", "id": pending.frame_id, "response": body}
         else:
             frame = {"kind": "stream-reply", "id": pending.frame_id, "result": payload}
+        if not self._write(client, frame):
+            self._refuse_too_large(client, pending.frame_id)
+
+    def _write(self, client: _Client, frame: dict) -> bool:
+        """Queue ``frame`` to ``client``; ``False`` if it exceeds MAX_FRAME_BYTES."""
         try:
             write_frame(client.writer, frame, client.codec)
+        except ProtocolError:
+            return False
         except (ConnectionError, OSError):  # pragma: no cover - racing close
             client.open = False
+        return True
+
+    def _refuse_too_large(self, client: _Client, frame_id) -> None:
+        # A v1 response embeds its request echo, so it can outgrow a frame
+        # its request fit in: fail that one id, keep the connection.
+        self._refuse(
+            client,
+            frame_id,
+            f"response too large for one frame (MAX_FRAME_BYTES={protocol.MAX_FRAME_BYTES})",
+        )
 
     def _answer_batch(self, answers) -> None:
         """Answer a worker's response batch: one frame per binary client.
@@ -442,23 +443,20 @@ class NetServer:
             entry[1].append({"id": pending.frame_id, "response": payload})
         for client, members in by_client.values():
             chunks = [members]
-            while chunks:
+            while chunks and client.open:
                 chunk = chunks.pop(0)
                 if len(chunk) == 1:
                     frame = {"kind": "response", **chunk[0]}
                 else:
                     frame = {"kind": "response-batch", "responses": chunk}
-                try:
-                    write_frame(client.writer, frame, client.codec)
-                except ProtocolError:
+                if self._write(client, frame):
+                    continue
+                if len(chunk) == 1:
+                    self._refuse_too_large(client, chunk[0]["id"])
+                else:
                     # The combined frame exceeds MAX_FRAME_BYTES: split it.
-                    if len(chunk) == 1:
-                        raise
                     mid = len(chunk) // 2
                     chunks[:0] = [chunk[:mid], chunk[mid:]]
-                except (ConnectionError, OSError):  # pragma: no cover - racing close
-                    client.open = False
-                    break
 
     def _on_worker_death(self, worker: _Worker) -> None:
         """A worker died: isolate the blast radius, re-route its keys."""
@@ -474,8 +472,6 @@ class NetServer:
         ]
         for seq, pending in dead:
             del self._pending[seq]
-            if pending.slot is not None:
-                self._slab.free(pending.slot)
             if pending.kind == "request":
                 self._answer(
                     pending,
@@ -533,9 +529,7 @@ class NetServer:
             if hello.get("kind") != "hello":
                 raise ProtocolError(f"expected hello, got {hello.get('kind')!r}")
             check_version(hello)
-            client.codec = negotiate_codec(
-                hello.get("codecs"), limit=self.config.wire_codec
-            )
+            client.codec = negotiate_codec(hello.get("codecs"))
             write_frame(
                 writer,
                 {
@@ -620,8 +614,8 @@ class NetServer:
 
     def _admit(self, client: _Client, members: list) -> None:
         """Admit decode requests: validate, group per worker arc, and
-        forward each group as a single pipe message over contiguous slab
-        slots.  Bad members are refused individually; the rest proceed."""
+        forward each group as a single pipe message.  Bad members are
+        refused individually; the rest proceed."""
         # Binary batch decoding shares one session dict object per table
         # entry, so hashing each distinct session once makes routing cost
         # per *session*, not per member.
@@ -646,54 +640,27 @@ class NetServer:
                     raise TypeError(
                         f"syndrome must be an object, got {type(syndrome_wire).__name__}"
                     )
-                defects = syndrome_wire.get("defects") or []
+                # Defects must be integers: the worker's Syndrome.from_dict
+                # would truncate a float (1.5 -> 1) into another syndrome.
+                for defect in syndrome_wire.get("defects") or ():
+                    operator.index(defect)
             except Exception as exc:
                 self._refuse(client, member_id, f"bad request: {type(exc).__name__}: {exc}")
                 continue
             worker = self._route(key_hash)
             if worker is None:
                 self._answer(
-                    _Pending("request", client, member_id, wire, None, -1),
+                    _Pending("request", client, member_id, wire, -1),
                     error_payload("NoWorkers: every worker process has exited"),
                 )
                 continue
-            groups.setdefault(worker.worker_id, []).append(
-                (member_id, wire, syndrome_wire, defects)
-            )
+            seq = self._next_seq()
+            self._pending[seq] = _Pending("request", client, member_id, wire, worker.worker_id)
+            groups.setdefault(worker.worker_id, []).append((seq, wire))
         for worker_id, entries in groups.items():
-            try:
-                slots = self._slab.write_batch([entry[3] for entry in entries])
-            except Exception:
-                # Some member's defects were unpackable; find it (and keep
-                # the rest) by falling back to per-member writes.
-                slots, kept = [], []
-                for entry in entries:
-                    try:
-                        slots.append(self._slab.write(entry[3]) if entry[3] else None)
-                        kept.append(entry)
-                    except Exception as exc:
-                        self._refuse(
-                            client, entry[0], f"bad request: {type(exc).__name__}: {exc}"
-                        )
-                entries = kept
-            # Zero-copy defect handoff: defects ride the shared slab, the
-            # pipe carries (slot, count) and a defect-less wire form.
-            pipe_entries = []
-            for (member_id, wire, syndrome_wire, defects), slot in zip(entries, slots):
-                if slot is not None:
-                    send_wire = {**wire, "syndrome": {**syndrome_wire, "defects": []}}
-                    count = len(defects)
-                else:
-                    send_wire, count = wire, 0
-                seq = self._next_seq()
-                self._pending[seq] = _Pending(
-                    "request", client, member_id, wire, slot, worker_id
-                )
-                pipe_entries.append((seq, send_wire, slot, count))
-            if pipe_entries:
-                self._idle.clear()
-                # On a dead pipe _on_worker_death answers these pendings.
-                self._send_to_worker(self._workers[worker_id], ("request-batch", pipe_entries))
+            self._idle.clear()
+            # On a dead pipe _on_worker_death answers these pendings.
+            self._send_to_worker(self._workers[worker_id], ("request-batch", entries))
 
     def _handle_stream_open(self, client_id: int, client: _Client, frame: dict) -> None:
         frame_id = frame.get("id")
@@ -709,7 +676,7 @@ class NetServer:
             return
         self._streams[(client_id, sid)] = worker.worker_id
         seq = self._next_seq()
-        self._pending[seq] = _Pending("stream", client, frame_id, None, None, worker.worker_id)
+        self._pending[seq] = _Pending("stream", client, frame_id, None, worker.worker_id)
         self._idle.clear()
         self._send_to_worker(
             worker,
@@ -738,7 +705,7 @@ class NetServer:
         if op == "finalize":
             self._streams.pop((client_id, sid), None)
         seq = self._next_seq()
-        self._pending[seq] = _Pending("stream", client, frame_id, None, None, worker.worker_id)
+        self._pending[seq] = _Pending("stream", client, frame_id, None, worker.worker_id)
         self._idle.clear()
         self._send_to_worker(
             worker, ("stream-op", seq, f"{client_id}:{sid}", op, frame.get("payload"))

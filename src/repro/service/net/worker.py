@@ -1,21 +1,20 @@
 """The worker-process side of the network decode service.
 
-Each worker process runs :func:`worker_main`: it attaches the server's
-shared-memory segments (graph pack + syndrome slab), hosts one ordinary
+Each worker process runs :func:`worker_main`: it hosts one ordinary
 in-process :class:`~repro.service.DecodeService` built from the server's
-:class:`~repro.service.ServiceConfig`, and speaks a small tuple protocol
-over its :class:`multiprocessing.Pipe` with the front end:
+:class:`~repro.service.ServiceConfig` (decoding on the prewarmed graphs the
+server built before forking), and speaks a small tuple protocol over its
+:class:`multiprocessing.Pipe` with the front end:
 
-=================================================  ===================================
-server → worker                                    worker → server
-=================================================  ===================================
-``("request-batch", [(seq, wire, slot, count)])``  ``("response-batch", [(seq, payload)])``
-``("stream-open", seq, sid, session, w, c)``       ``("stream-reply", seq, result)``
-``("stream-op", seq, sid, op, payload)``           ``("stream-reply", seq, result)``
-``("stream-close", sid)``                          *(no reply)*
-``("ping", seq)``                                  ``("pong", seq)``
-``("drain",)``                                     ``("drained",)``
-=================================================  ===================================
+============================================  ========================================
+server → worker                               worker → server
+============================================  ========================================
+``("request-batch", [(seq, wire), ...])``     ``("response-batch", [(seq, payload)])``
+``("stream-open", seq, sid, session, w, c)``  ``("stream-reply", seq, result)``
+``("stream-op", seq, sid, op, payload)``      ``("stream-reply", seq, result)``
+``("stream-close", sid)``                     *(no reply)*
+``("drain",)``                                ``("drained",)``
+============================================  ========================================
 
 Every decode request rides a ``request-batch`` message (a lone client
 request is a batch of one), and the batch is the unit end to end: it is
@@ -25,12 +24,11 @@ share of it closes that session's micro-batch at once instead of waiting out
 ``max_wait_seconds`` — and the one ``response-batch`` reply is sent only
 when every member resolved.
 
+``wire`` is :meth:`repro.service.DecodeRequest.to_dict`, defects inline.
 ``payload`` is :meth:`repro.service.DecodeResponse.to_dict` *minus* the
 request echo (the front end holds the request wire form and re-attaches it
 when it builds the client's ``response`` frame — same codec, fewer bytes on
-the pipe).  When ``slot`` is not ``None`` the request's defect indices live
-in the syndrome slab at ``(slot, count)`` and the wire form's defect list is
-empty — the zero-copy handoff path.
+the pipe).
 
 Decode results are bit-identical to in-process serving by construction: the
 worker *is* an in-process service; the network layer around it only moves
@@ -47,8 +45,6 @@ from ..cache import build_session
 from ..request import STATUS_ERROR, DecodeRequest, SessionKey
 from ..service import DecodeService
 from ...api.session import DecoderSession
-from ...graphs.syndrome import Syndrome
-from .shm import SharedGraphPack, SyndromeSlab
 
 
 def response_payload(response) -> dict:
@@ -78,44 +74,21 @@ def error_payload(message: str) -> dict:
     }
 
 
-def _shared_graph_factory(pack: SharedGraphPack | None):
-    """A session factory that prefers graphs mapped from shared memory.
+def _prewarmed_session_factory(graphs: dict):
+    """A session factory that decodes on the server's prewarmed graphs.
 
-    Keys whose code was packed by the server reuse the shared arrays; any
-    other key falls back to building its graph locally — correctness never
-    depends on what the server chose to pre-pack.
+    ``graphs`` maps :meth:`~repro.service.CodeSpec.key` to a graph the
+    server built before forking; any other key builds its graph locally —
+    correctness never depends on what the server chose to prewarm.
     """
-    if pack is None:
-        return build_session
-    packed = set(pack.keys())
 
     def factory(key: SessionKey) -> DecoderSession:
-        code_key = key.code.key()
-        if code_key in packed:
-            return DecoderSession(pack.graph(code_key), key.decoder, key.config)
-        return build_session(key)
+        graph = graphs.get(key.code.key())
+        if graph is None:
+            return build_session(key)
+        return DecoderSession(graph, key.decoder, key.config)
 
     return factory
-
-
-def _request_from_wire(wire: dict, slab: SyndromeSlab | None, slot, count) -> DecodeRequest:
-    request = DecodeRequest.from_dict(wire)
-    if slot is None:
-        return request
-    if slab is None:
-        raise ValueError("slab slot referenced but no slab attached")
-    defects = slab.read(slot, count)
-    syndrome = request.syndrome
-    return DecodeRequest(
-        session=request.session,
-        syndrome=Syndrome(
-            defects=defects,
-            error_edges=syndrome.error_edges,
-            logical_flip=syndrome.logical_flip,
-            erasures=syndrome.erasures,
-        ),
-        request_id=request.request_id,
-    )
 
 
 class _BatchAccumulator:
@@ -168,29 +141,25 @@ def _stream_result_wire(result):
 def worker_main(
     worker_id: int,
     conn,
-    pack_name: str | None,
-    slab_name: str | None,
-    slab_slots: int,
-    slab_capacity: int,
+    graphs: dict,
     config_wire: dict,
     drain_timeout_seconds: float | None = 60.0,
 ) -> None:
     """Entry point of one worker process (target of ``multiprocessing.Process``).
 
-    Runs until the pipe closes (front end died — exit quietly; the front end
-    owns client-facing error handling) or a ``("drain",)`` command arrives
-    (drain the in-flight work through ``DecodeService.close`` and ack with
-    ``("drained",)``).
+    ``graphs`` is the server's ``{CodeSpec.key(): DecodingGraph}`` prewarm
+    dict: inherited under fork, pickled under spawn.  Runs until the pipe
+    closes (front end died — exit quietly; the front end owns client-facing
+    error handling) or a ``("drain",)`` command arrives (drain the in-flight
+    work through ``DecodeService.close`` and ack with ``("drained",)``).
     """
     # The front end owns shutdown: a stray SIGTERM/SIGINT to the process
     # group must not kill workers mid-batch — drain arrives over the pipe.
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
-    pack = SharedGraphPack.attach(pack_name) if pack_name else None
-    slab = SyndromeSlab.attach(slab_name, slab_slots, slab_capacity) if slab_name else None
     config = ServiceConfig.from_dict(config_wire)
-    service = DecodeService(config, session_factory=_shared_graph_factory(pack))
+    service = DecodeService(config, session_factory=_prewarmed_session_factory(graphs))
     service.start()
 
     send_lock = threading.Lock()
@@ -226,9 +195,9 @@ def worker_main(
             # The client already coalesced this batch: submit it as one group
             # so each session's share closes its micro-batch right away.
             indices, requests = [], []
-            for index, (seq, wire, slot, count) in enumerate(entries):
+            for index, (seq, wire) in enumerate(entries):
                 try:
-                    requests.append(_request_from_wire(wire, slab, slot, count))
+                    requests.append(DecodeRequest.from_dict(wire))
                 except BaseException as exc:
                     batch.resolve(index, error_payload(f"{type(exc).__name__}: {exc}"))
                     continue
@@ -276,8 +245,6 @@ def worker_main(
             # ServiceStream so a long-running worker does not accumulate one
             # per disconnected client.  No reply — nobody is waiting.
             streams.pop(message[1], None)
-        elif command == "ping":
-            send(("pong", message[1]))
         elif command == "drain":
             draining = True
             break
@@ -293,7 +260,3 @@ def worker_main(
         conn.close()
     except OSError:  # pragma: no cover
         pass
-    if slab is not None:
-        slab.close()
-    if pack is not None:
-        pack.close()

@@ -1,4 +1,4 @@
-"""Network serving: routing, shared memory, digest identity, drain, faults.
+"""Network serving: routing, digest identity, drain, faults, hostile frames.
 
 The contract under test is the one ``docs/service.md`` states: the network
 tier is a *pure transport*.  Any worker/process count serves bit-identical
@@ -9,7 +9,6 @@ never a hang — and SIGTERM drains in-flight work before exit.
 import os
 import signal
 import socket
-import struct
 import subprocess
 import sys
 import time
@@ -31,8 +30,6 @@ from repro.service.net import (
     HashRing,
     NetClient,
     NetServer,
-    SharedGraphPack,
-    SyndromeSlab,
     protocol,
 )
 from repro.service.net.protocol import (
@@ -98,54 +95,21 @@ class TestHashRing:
         assert all(assignment[worker] for worker in (0, 1, 2, 3))
 
 
-class TestSharedMemory:
-    def test_graph_pack_roundtrip(self):
+class TestPrewarm:
+    def test_worker_sessions_bind_the_prewarmed_graph(self):
+        """A prewarmed code decodes on the graph the server built before
+        forking; any other code still gets a locally built graph."""
+        from repro.service import SessionKey
+        from repro.service.net.worker import _prewarmed_session_factory
+
         spec = CodeSpec(3, physical_error_rate=0.02)
         graph = spec.build_graph()
-        pack = SharedGraphPack.create({spec.key(): graph})
-        try:
-            attached = SharedGraphPack.attach(pack.name)
-            rebuilt = attached.graph(spec.key())
-            assert rebuilt.vertices == graph.vertices
-            assert rebuilt.edges == graph.edges
-            assert rebuilt.metadata == graph.metadata
-            assert attached.keys() == [spec.key()]
-            attached.close()
-        finally:
-            pack.close()
-
-    def test_syndrome_slab_roundtrip_and_exhaustion(self):
-        slab = SyndromeSlab.create(slots=2, slot_capacity=4)
-        try:
-            a = slab.write([1, 2, 3])
-            b = slab.write([])
-            assert slab.read(a, 3) == (1, 2, 3)
-            assert slab.read(b, 0) == ()
-            assert slab.write([7]) is None  # exhausted -> inline fallback
-            slab.free(a)
-            c = slab.write([9, 9])
-            assert slab.read(c, 2) == (9, 9)
-            assert slab.write(list(range(5))) is None  # over slot capacity
-            with pytest.raises(ValueError):
-                slab.read(99, 1)
-        finally:
-            slab.close()
-
-    def test_write_batch_frees_taken_slots_when_a_list_is_unpackable(self):
-        """An over-capacity list sends write_batch down its per-list
-        fallback; a later unpackable list must hand back the slots the
-        earlier lists already took."""
-        slab = SyndromeSlab.create(slots=8, slot_capacity=4)
-        try:
-            with pytest.raises((TypeError, struct.error)):
-                slab.write_batch([[1, 2], [1, 2, 3, 4, 5], [3], ["x"]])
-            assert len(slab._free) == 8
-            # The contiguous-run path keeps the same contract.
-            with pytest.raises((TypeError, ValueError)):
-                slab.write_batch([[1, 2], [3], ["x"]])
-            assert len(slab._free) == 8
-        finally:
-            slab.close()
+        factory = _prewarmed_session_factory({spec.key(): graph})
+        assert factory(SessionKey(spec, "union-find")).graph is graph
+        other = CodeSpec(3, physical_error_rate=0.03)
+        session = factory(SessionKey(other, "union-find"))
+        assert session.graph is not graph
+        assert session.graph.edges == other.build_graph().edges
 
 
 class TestDigestIdentity:
@@ -448,10 +412,9 @@ class TestNetworkReplay:
 class TestErasuresOverNetwork:
     """Heralded erasures must survive both wire hops: client → server
     (the binary syndrome layout carries an erasure array) and server →
-    worker (the syndrome-slab handoff carries defects only, so the worker's
-    reconstruction must re-attach ``erasures`` from the wire form —
-    regression: dropping them decoded on the unerased graph, same pairs but
-    wrong weights)."""
+    worker (the pipe carries the request's wire form — regression: dropping
+    ``erasures`` decoded on the unerased graph, same pairs but wrong
+    weights)."""
 
     def test_erased_syndrome_weight_matches_direct_decode(self):
         from repro.api import DecoderSession
@@ -477,7 +440,7 @@ class TestErasuresOverNetwork:
             client = NetClient(host, port)
             requests = [DecodeRequest(key, shot) for shot in erased]
             # decode_many packs request-batch frames; the extra single
-            # submit covers the per-request slab path too.
+            # submit covers the lone-request path too.
             responses = client.decode_many(requests) + [
                 client.decode(DecodeRequest(key, erased[0]))
             ]
@@ -527,17 +490,13 @@ class TestConnectionRobustness:
         finally:
             client.close()
 
-    def test_malformed_requests_refused_without_killing_connection_or_slab(self):
+    def test_malformed_requests_refused_without_killing_connection(self):
         """A null syndrome or non-integer defects is a per-frame refusal:
-        the connection stays up and every slab slot goes back to the free
-        list (a leak here would exhaust the slab for the server's life)."""
+        the connection stays up and serves the next valid request."""
         trace = generate_trace(NET_TRACE)
-        server = NetServer(
-            NET_CONFIG, processes=1, prewarm=prewarm_specs(NET_TRACE), slab_slots=4
-        )
+        server = NetServer(NET_CONFIG, processes=1, prewarm=prewarm_specs(NET_TRACE))
         host, port = server.start()
         try:
-            free_before = len(server._slab._free)
             session_wire = trace.requests[0].request.session.to_dict()
             sock = socket.create_connection((host, port), timeout=30.0)
             try:
@@ -554,8 +513,6 @@ class TestConnectionRobustness:
                         "request": {"session": session_wire, "syndrome": None},
                     },
                 )
-                # More bad-defect frames than the slab has slots: each must
-                # hand its slot back or the last ones would falsely exhaust.
                 bad = 8
                 for offset in range(bad):
                     write_frame_sync(
@@ -573,7 +530,6 @@ class TestConnectionRobustness:
                     frame = read_frame_sync(sock)
                     assert frame["kind"] == "error"
                     assert "bad request" in frame["error"]
-                assert len(server._slab._free) == free_before
                 # The connection is still perfectly serviceable.
                 write_frame_sync(
                     sock,
@@ -589,19 +545,15 @@ class TestConnectionRobustness:
                 write_frame_sync(sock, {"kind": "bye"})
             finally:
                 sock.close()
-            deadline = time.monotonic() + 5.0
-            while len(server._slab._free) != free_before and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert len(server._slab._free) == free_before
         finally:
             server.stop()
 
-    def test_hostile_json_batch_returns_every_slab_slot(self):
-        """A JSON request-batch mixing a valid member, an over-capacity one
-        (inline fallback) and an unpackable one: the bad member is refused,
-        the others are answered, and no slab slot leaks."""
+    def test_hostile_json_batch_refuses_only_the_bad_member(self):
+        """A JSON request-batch mixing a valid member, a 513-defect one and
+        an unpackable one: the bad member is refused, the others are
+        answered."""
         trace = generate_trace(NET_TRACE)
-        server = NetServer(NET_CONFIG, processes=1, prewarm=prewarm_specs(NET_TRACE), slab_slots=8)
+        server = NetServer(NET_CONFIG, processes=1, prewarm=prewarm_specs(NET_TRACE))
         host, port = server.start()
         try:
             valid = trace.requests[0].request.to_dict()
@@ -640,10 +592,69 @@ class TestConnectionRobustness:
                 write_frame_sync(sock, {"kind": "bye"})
             finally:
                 sock.close()
-            deadline = time.monotonic() + 5.0
-            while len(server._slab._free) != 8 and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert len(server._slab._free) == 8
+        finally:
+            server.stop()
+
+    def test_float_defect_in_json_batch_is_refused_not_truncated(self):
+        """A batch member with ``"defects": [1.5]`` gets the same refusal as
+        that request sent alone; it must not be decoded as defect 1."""
+        trace = generate_trace(NET_TRACE)
+        server = NetServer(NET_CONFIG, processes=1, prewarm=prewarm_specs(NET_TRACE))
+        host, port = server.start()
+        try:
+            valid = trace.requests[0].request.to_dict()
+            sock = socket.create_connection((host, port), timeout=30.0)
+            try:
+                write_frame_sync(
+                    sock,
+                    {"kind": "hello", "version": PROTOCOL_VERSION, "client": "hostile"},
+                )
+                assert read_frame_sync(sock)["kind"] == "welcome"
+                members = [
+                    {"id": 1, "request": valid},
+                    {
+                        "id": 2,
+                        "request": {
+                            "session": valid["session"],
+                            "syndrome": {"defects": [1.5]},
+                        },
+                    },
+                ]
+                write_frame_sync(sock, {"kind": "request-batch", "requests": members})
+                replies = {}
+                for _ in members:
+                    frame = read_frame_sync(sock)
+                    replies[frame["id"]] = frame
+                assert replies[1]["kind"] == "response"
+                assert replies[1]["response"]["status"] == "ok"
+                assert replies[2]["kind"] == "error"
+                assert "bad request" in replies[2]["error"]
+                write_frame_sync(sock, {"kind": "bye"})
+            finally:
+                sock.close()
+        finally:
+            server.stop()
+
+    def test_response_too_large_for_a_frame_fails_only_its_request(self, monkeypatch):
+        """A v1 response embeds its request echo, so it can outgrow the
+        frame its request fit in: that one request fails with a clear error
+        and the connection keeps serving."""
+        from repro.service.net.protocol import encode_frame
+
+        trace = generate_trace(NET_TRACE)
+        request = trace.requests[0].request
+        frame = {"kind": "request", "id": 1, "request": request.to_dict()}
+        request_bytes = len(encode_frame(frame))
+        server = NetServer(NET_CONFIG, processes=1, prewarm=prewarm_specs(NET_TRACE))
+        host, port = server.start()
+        try:
+            with NetClient(host, port, codecs=(1,)) as client:
+                monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", request_bytes + 16)
+                future = client.submit(request)
+                with pytest.raises(RuntimeError, match="response too large for one frame"):
+                    future.result(timeout=30.0)
+                monkeypatch.undo()
+                assert client.decode(request, timeout=30.0).ok
         finally:
             server.stop()
 

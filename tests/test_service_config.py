@@ -25,8 +25,6 @@ class TestValidation:
             ({"session_build_retries": -1}, "session_build_retries"),
             ({"session_build_backoff_seconds": -0.1}, "session_build_backoff_seconds"),
             ({"max_wait_seconds": -1.0}, "max_wait_seconds"),
-            ({"wire_codec": 3}, "wire_codec must be 1"),
-            ({"wire_codec": 0}, "wire_codec must be 1"),
             ({"coalesce_max_bytes": 0}, "coalesce_max_bytes must be >= 1"),
             ({"coalesce_max_delay_seconds": -1.0}, "coalesce_max_delay_seconds"),
         ],
@@ -57,7 +55,6 @@ class TestCodec:
             outcome_cache_bytes=1 << 20,
             session_build_retries=2,
             session_build_backoff_seconds=0.001,
-            wire_codec=1,
             coalesce_max_bytes=4096,
             coalesce_max_delay_seconds=0.001,
         )

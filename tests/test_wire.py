@@ -5,11 +5,15 @@ and framed as canonical JSON — so these dict forms ARE the wire format.  The
 golden pins below freeze them: any change to a pinned string is a protocol
 break that needs a :data:`repro.service.net.PROTOCOL_VERSION` bump, not a
 silent reshuffle.  The binary codec (codec 2) has its own byte-level pins
-plus hypothesis round-trip properties over both codecs.
+plus hypothesis round-trip properties over both codecs, and hostile bytes
+(raw, mutated encodings, deep nesting) must decode to a frame or raise
+:class:`~repro.service.net.ProtocolError`, nothing else.
 """
 
+import struct
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.api.config import UnionFindConfig
@@ -335,7 +339,6 @@ class TestBinaryCodec:
         assert negotiate_codec([1]) == CODEC_JSON
         assert negotiate_codec(None) == CODEC_JSON  # legacy hello, no codecs
         assert negotiate_codec([]) == CODEC_JSON
-        assert negotiate_codec([2, 1], limit=CODEC_JSON) == CODEC_JSON
         assert negotiate_codec([99, "2", 2]) == CODEC_BINARY  # junk ignored
         assert negotiate_codec([99, None]) == CODEC_JSON
         assert SUPPORTED_CODECS == (CODEC_BINARY, CODEC_JSON)
@@ -466,3 +469,66 @@ class TestCodecProperties:
     def test_response_batch_roundtrip(self, members, codec):
         frame = {"kind": "response-batch", "responses": members}
         assert decode_payload(encode_frame(frame, codec)[4:]) == frame
+
+
+_I64 = st.integers(-(2**63), 2**63 - 1)
+_HOT_FRAMES = st.one_of(
+    st.builds(lambda i, r: {"kind": "request", "id": i, "request": r}, _I64, _REQUEST),
+    st.builds(lambda i, r: {"kind": "response", "id": i, "response": r}, _I64, _RESPONSE),
+    st.builds(
+        lambda members: {"kind": "request-batch", "requests": members},
+        st.lists(st.fixed_dictionaries({"id": _I64, "request": _REQUEST}), max_size=3),
+    ),
+    st.builds(
+        lambda members: {"kind": "response-batch", "responses": members},
+        st.lists(st.fixed_dictionaries({"id": _I64, "response": _RESPONSE}), max_size=3),
+    ),
+)
+
+
+@st.composite
+def _mutated_encodings(draw) -> bytes:
+    """A hot frame in either codec, then 1-4 byte flips, cuts or inserts."""
+    payload = bytearray(
+        encode_frame(draw(_HOT_FRAMES), draw(st.sampled_from(SUPPORTED_CODECS)))[4:]
+    )
+    for _ in range(draw(st.integers(1, 4))):
+        position = draw(st.integers(0, len(payload)))
+        mutation = draw(st.sampled_from(("flip", "cut", "insert")))
+        if mutation == "flip" and position < len(payload):
+            payload[position] ^= draw(st.integers(1, 255))
+        elif mutation == "cut":
+            del payload[position:]
+        else:
+            payload[position:position] = draw(st.binary(min_size=1, max_size=8))
+    return bytes(payload)
+
+
+_NESTED = b"[" * 100_000
+#: A binary ``request`` whose session blob is deeply nested JSON.
+_NESTED_SESSION_REQUEST = struct.pack("<BBqI", 0xB2, 0x01, 1, len(_NESTED)) + _NESTED
+
+
+class TestHostileBytes:
+    """Whatever bytes arrive, ``decode_payload`` returns a dict with a
+    ``kind`` or raises ``ProtocolError`` — any other exception would escape
+    the server's connection handler and kill the client's reader thread."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        payload=st.one_of(
+            st.binary(max_size=200),
+            st.tuples(st.integers(0, 5), st.binary(max_size=200)).map(
+                lambda t: bytes((0xB2, t[0])) + t[1]
+            ),
+            _mutated_encodings(),
+        )
+    )
+    @example(payload=_NESTED)
+    @example(payload=_NESTED_SESSION_REQUEST)
+    def test_decodes_to_a_frame_or_protocol_error(self, payload):
+        try:
+            frame = decode_payload(payload)
+        except ProtocolError:
+            return
+        assert isinstance(frame, dict) and "kind" in frame

@@ -87,7 +87,6 @@ DOCTEST_MODULES = (
     "repro.service.net.protocol",
     "repro.service.net.router",
     "repro.service.net.server",
-    "repro.service.net.shm",
     "repro.service.net.worker",
     "repro.evaluation.engine",
     "repro.evaluation.experiments",
