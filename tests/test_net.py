@@ -9,6 +9,7 @@ never a hang — and SIGTERM drains in-flight work before exit.
 import os
 import signal
 import socket
+import struct
 import subprocess
 import sys
 import time
@@ -655,6 +656,41 @@ class TestConnectionRobustness:
                     future.result(timeout=30.0)
                 monkeypatch.undo()
                 assert client.decode(request, timeout=30.0).ok
+        finally:
+            server.stop()
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"[" * 100_000,
+            # A binary ``request`` whose session blob is deeply nested JSON.
+            struct.pack("<BBqI", 0xB2, 0x01, 1, 100_000) + b"[" * 100_000,
+        ],
+        ids=["json-frame", "binary-session-blob"],
+    )
+    def test_deeply_nested_frame_is_refused_and_server_keeps_serving(self, payload):
+        """Nesting deep enough to overflow the JSON parser is a protocol
+        error: the connection gets an error frame (not a dead handler and a
+        silent close), and the server goes on serving new connections."""
+        trace = generate_trace(NET_TRACE)
+        server = NetServer(NET_CONFIG, processes=1, prewarm=prewarm_specs(NET_TRACE))
+        host, port = server.start()
+        try:
+            sock = socket.create_connection((host, port), timeout=30.0)
+            try:
+                write_frame_sync(
+                    sock,
+                    {"kind": "hello", "version": PROTOCOL_VERSION, "client": "hostile"},
+                )
+                assert read_frame_sync(sock)["kind"] == "welcome"
+                sock.sendall(struct.pack(">I", len(payload)) + payload)
+                frame = read_frame_sync(sock)
+                assert frame["kind"] == "error"
+                assert frame["id"] is None
+            finally:
+                sock.close()
+            with NetClient(host, port) as client:
+                assert client.decode(trace.requests[0].request, timeout=30.0).ok
         finally:
             server.stop()
 

@@ -70,6 +70,12 @@ class TestCodec:
         with pytest.raises(ValueError, match="unknown"):
             ServiceConfig.from_dict({"workerz": 3})
 
+    def test_removed_wire_codec_field_is_rejected(self):
+        """``wire_codec`` was dropped: a config file still naming it fails
+        loudly rather than being silently ignored."""
+        with pytest.raises(ValueError, match=r"unknown ServiceConfig fields: \['wire_codec'\]"):
+            ServiceConfig.from_dict({**ServiceConfig().to_dict(), "wire_codec": 2})
+
     def test_from_file(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"workers": 5, "overload_policy": "shed"}))
