@@ -30,7 +30,13 @@ from repro.evaluation import format_rows
 from repro.graphs import SyndromeSampler
 from repro.service import CodeSpec, DecodeRequest, SessionKey
 from repro.service.cache import build_session
-from repro.service.net.protocol import CODEC_BINARY, CODEC_JSON, decode_payload, encode_frame
+from repro.service.net.protocol import (
+    CODEC_BINARY,
+    CODEC_JSON,
+    SessionWire,
+    decode_payload,
+    encode_frame,
+)
 from repro.service.net.worker import response_payload
 from repro.service.request import DecodeResponse
 
@@ -44,7 +50,6 @@ def build_mix(distance: int, error_rate: float, samples: int, seed: int):
     key = SessionKey(CodeSpec(distance, physical_error_rate=error_rate), "union-find")
     session = build_session(key)
     sampler = SyndromeSampler(session.graph, seed=seed)
-    session_wire = key.to_dict()
     requests, responses = [], []
     for index, syndrome in enumerate(sampler.sample_batch(samples)):
         request = DecodeRequest(key, syndrome, request_id=index)
@@ -57,7 +62,9 @@ def build_mix(distance: int, error_rate: float, samples: int, seed: int):
             batch_size=8,
         )
         wire = request.to_dict()
-        wire["session"] = session_wire  # one shared dict, as the client sends
+        # As the client sends it: a fresh session dict per request, carrying
+        # the key's memoised canonical blob for the binary encoder.
+        wire["session"] = SessionWire(key.to_dict(), key.wire_blob())
         requests.append(wire)
         responses.append(response_payload(response))
     return requests, responses

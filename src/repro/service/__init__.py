@@ -81,6 +81,7 @@ from .faults import (
     poisoned_syndrome,
 )
 from .request import (
+    INTERNED_SESSIONS,
     STATUS_ERROR,
     STATUS_OK,
     STATUS_SHED,
@@ -88,6 +89,7 @@ from .request import (
     DecodeRequest,
     DecodeResponse,
     SessionKey,
+    intern_session,
 )
 from .service import (
     DecodeService,
@@ -146,6 +148,8 @@ __all__ = [
     "DecodeRequest",
     "DecodeResponse",
     "SessionKey",
+    "INTERNED_SESSIONS",
+    "intern_session",
     "OVERLOAD_POLICIES",
     "ServiceConfig",
     "DecodeService",

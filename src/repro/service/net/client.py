@@ -48,6 +48,7 @@ from .protocol import (
     PROTOCOL_VERSION,
     SUPPORTED_CODECS,
     ProtocolError,
+    SessionWire,
     check_version,
     decode_payload,
     read_frame_sync,
@@ -59,6 +60,19 @@ from .router import HashRing
 
 class ServerDrainingError(ConnectionError):
     """The server announced a drain; it will not accept new work."""
+
+
+def _request_wire(request: DecodeRequest) -> dict:
+    """:meth:`DecodeRequest.to_dict` with the session as a
+    :class:`~repro.service.net.protocol.SessionWire`: the binary encoder
+    then writes the key's memoised :meth:`~repro.service.SessionKey.wire_blob`
+    instead of serialising the session again for every request."""
+    key = request.session
+    return {
+        "session": SessionWire(key.to_dict(), key.wire_blob()),
+        "syndrome": request.syndrome.to_dict(),
+        "request_id": request.request_id,
+    }
 
 
 def _estimate_member_bytes(member: dict) -> int:
@@ -325,7 +339,7 @@ class NetClient:
             return self._send("request", "request", request, {"request": request.to_dict()})
         self._check_sendable()
         frame_id, future = self._register("request", request)
-        member = {"id": frame_id, "request": request.to_dict()}
+        member = {"id": frame_id, "request": _request_wire(request)}
         flush: list[dict] | None = None
         send_now = False
         with self._co_cond:
@@ -470,32 +484,15 @@ class NetClient:
         # died since the handshake merely makes this grouping non-optimal —
         # the server re-routes authoritatively.
         ring = HashRing(range(self.server_workers)) if self.server_workers else None
-        # One wire dict and one key hash per distinct SessionKey *object*:
-        # members sharing the dict lets every downstream dedupe (batch
-        # encoder, server key-hash memo) key on object identity.
-        wire_memo: dict[int, tuple[dict, int]] = {}
         futures: list[Future] = []
         groups: dict[int, list[dict]] = {}
         for request in requests:
-            key = request.session
-            memo = wire_memo.get(id(key))
-            if memo is None:
-                session_wire = key.to_dict()
-                target = ring.route(key.key_hash()) if ring is not None else 0
-                memo = (session_wire, target)
-                wire_memo[id(key)] = memo
-            session_wire, target = memo
+            # key_hash() is memoised on the key: one hash per session.
+            target = ring.route(request.session.key_hash()) if ring is not None else 0
             frame_id, future = self._register("request", request)
             futures.append(future)
             groups.setdefault(target, []).append(
-                {
-                    "id": frame_id,
-                    "request": {
-                        "session": session_wire,
-                        "syndrome": request.syndrome.to_dict(),
-                        "request_id": request.request_id,
-                    },
-                }
+                {"id": frame_id, "request": _request_wire(request)}
             )
         for members in groups.values():
             self._send_batch(members)

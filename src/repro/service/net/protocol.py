@@ -136,6 +136,38 @@ class ProtocolError(RuntimeError):
     """A malformed, oversized, or version-incompatible frame."""
 
 
+class SessionWire(dict):
+    """A request's session dict that also carries the JSON ``blob`` it
+    travels as in the binary codec.
+
+    The binary decoder hands out one per session-table entry (``blob`` is
+    the text the peer sent), and the client builds one per request from
+    :meth:`repro.service.SessionKey.wire_blob`.  The binary encoder writes
+    ``blob`` as is instead of re-serialising the dict, and the server
+    interns sessions by it.  It compares, and JSON-encodes, as the plain
+    dict it is; ``blob`` must stay the JSON of that dict, so treat it as
+    read-only.
+
+    >>> session = SessionWire({"decoder": "union-find"}, '{"decoder":"union-find"}')
+    >>> session == {"decoder": "union-find"}, session.blob
+    (True, '{"decoder":"union-find"}')
+    """
+
+    __slots__ = ("blob",)
+
+    def __init__(self, data: dict, blob: str) -> None:
+        super().__init__(data)
+        self.blob = blob
+
+
+def session_blob(session) -> str:
+    """The JSON text of a request's session: its own ``blob`` when it is a
+    :class:`SessionWire`, else its canonical JSON."""
+    if isinstance(session, SessionWire):
+        return session.blob
+    return canonical_json(session)
+
+
 def negotiate_codec(offered) -> int:
     """The best codec of ``offered`` both sides speak.
 
@@ -228,7 +260,7 @@ def _put_response_body(out: bytearray, payload: dict) -> None:
 def _encode_request(frame: dict) -> bytes:
     request = frame["request"]
     out = bytearray(_SINGLE_HEAD.pack(_MAGIC, _KIND_REQUEST, int(frame["id"])))
-    _put_blob(out, canonical_json(request["session"]))
+    _put_blob(out, session_blob(request["session"]))
     _put_syndrome(out, request["syndrome"])
     out += _I64.pack(int(request.get("request_id", 0)))
     return bytes(out)
@@ -244,25 +276,19 @@ def _encode_request_batch(frame: dict) -> bytes:
     members = frame["requests"]
     sessions: list[str] = []
     index_of: dict[str, int] = {}
-    # Two-level dedupe: object identity first (free — a batch built from one
-    # client's requests shares session dict objects), canonical content
-    # second, so the per-member cost is struct packs, not JSON encodes.
-    index_by_identity: dict[int, int] = {}
     encoded_members = bytearray()
     for member in members:
         request = member["request"]
-        session = request["session"]
-        index = index_by_identity.get(id(session))
+        # A SessionWire brings its blob, so the per-member cost is a dict
+        # probe and struct packs, not a JSON encode.
+        blob = session_blob(request["session"])
+        index = index_of.get(blob)
         if index is None:
-            blob = canonical_json(session)
-            index = index_of.get(blob)
-            if index is None:
-                index = len(sessions)
-                if index > 0xFFFF:
-                    raise ValueError("too many distinct sessions for one batch frame")
-                index_of[blob] = index
-                sessions.append(blob)
-            index_by_identity[id(session)] = index
+            index = len(sessions)
+            if index > 0xFFFF:
+                raise ValueError("too many distinct sessions for one batch frame")
+            index_of[blob] = index
+            sessions.append(blob)
         encoded_members += _I64.pack(int(member["id"]))
         encoded_members += _U16.pack(index)
         encoded_members += _I64.pack(int(request.get("request_id", 0)))
@@ -417,14 +443,14 @@ def _read_response_body(reader: _Reader) -> dict:
     }
 
 
-def _parse_session_blob(blob: str) -> dict:
+def _parse_session_blob(blob: str) -> SessionWire:
     try:
         session = json.loads(blob)
     except (ValueError, RecursionError) as exc:
         raise ProtocolError(f"undecodable session blob: {exc}") from None
     if not isinstance(session, dict):
         raise ProtocolError("session blob is not an object")
-    return session
+    return SessionWire(session, blob)
 
 
 def _decode_binary(payload: bytes) -> dict:
@@ -451,9 +477,7 @@ def _decode_binary(payload: bytes) -> dict:
     if kind == _KIND_REQUEST_BATCH:
         reader.offset = 2
         (n_sessions,) = reader.unpack(_U16)
-        # One parsed dict per table entry, shared by reference across the
-        # members that cite it — downstream per-session memoisation (the
-        # server's key-hash cache) keys on object identity.
+        # One SessionWire per table entry, shared by the members citing it.
         sessions = [_parse_session_blob(reader.blob()) for _ in range(n_sessions)]
         (n_members,) = reader.unpack(_U32)
         members = []

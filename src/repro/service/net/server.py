@@ -16,7 +16,9 @@ worker pool:
   ``call_soon_threadsafe``.
 * **Routing.**  A consistent-hash :class:`~repro.service.net.router.HashRing`
   maps each request's :meth:`~repro.service.SessionKey.key_hash` to a
-  worker, so a session's decoder stays cached in one process.
+  worker, so a session's decoder stays cached in one process.  Sessions are
+  interned by their wire blob (:func:`~repro.service.intern_session`), so
+  the front end parses, checks and hashes each one once, not per request.
 * **Data plane.**  The ``prewarm`` decoding graphs are built once before
   the fork and inherited by every worker; requests, defects inline, ride
   the worker pipe as one ``request-batch`` message per worker.
@@ -40,7 +42,7 @@ import threading
 import time
 
 from ..config import ServiceConfig
-from ..request import SessionKey
+from ..request import intern_session
 from . import protocol
 from .protocol import (
     CODEC_BINARY,
@@ -49,6 +51,7 @@ from .protocol import (
     check_version,
     negotiate_codec,
     read_frame,
+    session_blob,
     write_frame,
 )
 from .router import HashRing
@@ -615,11 +618,12 @@ class NetServer:
     def _admit(self, client: _Client, members: list) -> None:
         """Admit decode requests: validate, group per worker arc, and
         forward each group as a single pipe message.  Bad members are
-        refused individually; the rest proceed."""
-        # Binary batch decoding shares one session dict object per table
-        # entry, so hashing each distinct session once makes routing cost
-        # per *session*, not per member.
-        hash_memo: dict[int, str] = {}
+        refused individually; the rest proceed.
+
+        Sessions go through :func:`~repro.service.intern_session` by their
+        blob, so each distinct session is parsed, checked and hashed once
+        in this process, not once per request.
+        """
         groups: dict[int, list] = {}
         for member in members:
             if not isinstance(member, dict):
@@ -627,13 +631,10 @@ class NetServer:
             member_id = member.get("id")
             wire = member.get("request")
             try:
-                session_wire = wire["session"]
-                key_hash = hash_memo.get(id(session_wire))
-                if key_hash is None:
-                    key_hash = SessionKey.from_dict(session_wire).key_hash()
-                    hash_memo[id(session_wire)] = key_hash
-                # DecodeRequest.from_dict requires a syndrome object; refusing
-                # a null/absent one here keeps the worker pipe for decodable
+                blob = session_blob(wire["session"])
+                key_hash = intern_session(blob).key_hash()
+                # The worker builds a Syndrome from this object; refusing a
+                # null/absent one here keeps the worker pipe for decodable
                 # work.
                 syndrome_wire = wire["syndrome"]
                 if not isinstance(syndrome_wire, dict):
@@ -656,7 +657,9 @@ class NetServer:
                 continue
             seq = self._next_seq()
             self._pending[seq] = _Pending("request", client, member_id, wire, worker.worker_id)
-            groups.setdefault(worker.worker_id, []).append((seq, wire))
+            groups.setdefault(worker.worker_id, []).append(
+                (seq, blob, syndrome_wire, wire.get("request_id", 0))
+            )
         for worker_id, entries in groups.items():
             self._idle.clear()
             # On a dead pipe _on_worker_death answers these pendings.
@@ -666,7 +669,8 @@ class NetServer:
         frame_id = frame.get("id")
         sid = frame.get("stream")
         try:
-            key_hash = SessionKey.from_dict(frame["session"]).key_hash()
+            blob = session_blob(frame["session"])
+            key_hash = intern_session(blob).key_hash()
         except Exception as exc:
             self._refuse(client, frame_id, f"bad session: {type(exc).__name__}: {exc}")
             return
@@ -684,7 +688,7 @@ class NetServer:
                 "stream-open",
                 seq,
                 f"{client_id}:{sid}",
-                frame["session"],
+                blob,
                 frame.get("window"),
                 frame.get("commit_depth"),
             ),

@@ -6,15 +6,15 @@ in-process :class:`~repro.service.DecodeService` built from the server's
 server built before forking), and speaks a small tuple protocol over its
 :class:`multiprocessing.Pipe` with the front end:
 
-============================================  ========================================
-server → worker                               worker → server
-============================================  ========================================
-``("request-batch", [(seq, wire), ...])``     ``("response-batch", [(seq, payload)])``
-``("stream-open", seq, sid, session, w, c)``  ``("stream-reply", seq, result)``
-``("stream-op", seq, sid, op, payload)``      ``("stream-reply", seq, result)``
-``("stream-close", sid)``                     *(no reply)*
-``("drain",)``                                ``("drained",)``
-============================================  ========================================
+==================================================  ========================================
+server → worker                                     worker → server
+==================================================  ========================================
+``("request-batch", [(seq, blob, syndrome, id)])``  ``("response-batch", [(seq, payload)])``
+``("stream-open", seq, sid, blob, w, c)``           ``("stream-reply", seq, result)``
+``("stream-op", seq, sid, op, payload)``            ``("stream-reply", seq, result)``
+``("stream-close", sid)``                           *(no reply)*
+``("drain",)``                                      ``("drained",)``
+==================================================  ========================================
 
 Every decode request rides a ``request-batch`` message (a lone client
 request is a batch of one), and the batch is the unit end to end: it is
@@ -24,7 +24,11 @@ share of it closes that session's micro-batch at once instead of waiting out
 ``max_wait_seconds`` — and the one ``response-batch`` reply is sent only
 when every member resolved.
 
-``wire`` is :meth:`repro.service.DecodeRequest.to_dict`, defects inline.
+A request travels as its session's JSON ``blob``, its
+:meth:`~repro.graphs.Syndrome.to_dict` form (defects inline) and its
+``request_id``.  The worker turns the blob into a key through
+:func:`~repro.service.intern_session`, so a session is parsed and checked
+once per worker process, and every request of it shares one key object.
 ``payload`` is :meth:`repro.service.DecodeResponse.to_dict` *minus* the
 request echo (the front end holds the request wire form and re-attaches it
 when it builds the client's ``response`` frame — same codec, fewer bytes on
@@ -42,9 +46,10 @@ import threading
 
 from ..config import ServiceConfig
 from ..cache import build_session
-from ..request import STATUS_ERROR, DecodeRequest, SessionKey
+from ..request import STATUS_ERROR, DecodeRequest, SessionKey, intern_session
 from ..service import DecodeService
 from ...api.session import DecoderSession
+from ...graphs.syndrome import Syndrome
 
 
 def response_payload(response) -> dict:
@@ -195,9 +200,13 @@ def worker_main(
             # The client already coalesced this batch: submit it as one group
             # so each session's share closes its micro-batch right away.
             indices, requests = [], []
-            for index, (seq, wire) in enumerate(entries):
+            for index, (_seq, blob, syndrome, request_id) in enumerate(entries):
                 try:
-                    requests.append(DecodeRequest.from_dict(wire))
+                    requests.append(
+                        DecodeRequest(
+                            intern_session(blob), Syndrome.from_dict(syndrome), int(request_id)
+                        )
+                    )
                 except BaseException as exc:
                     batch.resolve(index, error_payload(f"{type(exc).__name__}: {exc}"))
                     continue
@@ -211,11 +220,10 @@ def worker_main(
             for index, future in zip(indices, futures):
                 future.add_done_callback(batch.callback(index))
         elif command == "stream-open":
-            _, seq, sid, session_wire, window, commit_depth = message
+            _, seq, sid, blob, window, commit_depth = message
             try:
-                key = SessionKey.from_dict(session_wire)
                 streams[sid] = service.open_stream(
-                    key, window=window, commit_depth=commit_depth
+                    intern_session(blob), window=window, commit_depth=commit_depth
                 )
                 send(("stream-reply", seq, None))
             except BaseException as exc:

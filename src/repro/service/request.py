@@ -11,10 +11,14 @@ batchable together.
 
 from __future__ import annotations
 
+import functools
+import json
+import numbers
+import operator
 from dataclasses import dataclass
 
 from ..api.config import DecoderConfig
-from ..api.hashing import content_hash
+from ..api.hashing import canonical_json, content_hash
 from ..api.outcome import DecodeOutcome
 from ..api.registry import resolve_config
 from ..graphs.decoding_graph import DecodingGraph
@@ -32,6 +36,22 @@ STATUS_SHED = "shed"
 #: crashing past the retry budget.  The failure is isolated: every other
 #: request in the same micro-batch completes normally.
 STATUS_ERROR = "error"
+
+#: Bound on the sessions :func:`intern_session` keeps per process.  A
+#: deployment serves a handful of sessions; the bound only caps what a
+#: client cycling through distinct session blobs can pin in memory.
+INTERNED_SESSIONS = 128
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an ``int``, refusing floats, strings and bools (which
+    ``int()`` would truncate, parse or coerce into some other session)."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got bool")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}") from None
 
 
 @dataclass(frozen=True)
@@ -93,15 +113,24 @@ class CodeSpec:
     def from_dict(cls, data: dict) -> "CodeSpec":
         """Inverse of :meth:`to_dict`.
 
+        ``distance`` and ``rounds`` must be integers and
+        ``physical_error_rate`` a real number: a ``5.7`` or a ``"0.002"`` is
+        refused rather than truncated or parsed into another code.
+
         >>> CodeSpec.from_dict(CodeSpec(5, rounds=2).to_dict())
         CodeSpec(distance=5, noise='circuit_level', physical_error_rate=0.001, rounds=2)
         """
         rounds = data.get("rounds")
+        rate = data.get("physical_error_rate", 0.001)
+        if isinstance(rate, bool) or not isinstance(rate, numbers.Real):
+            raise TypeError(
+                f"physical_error_rate must be a real number, got {type(rate).__name__}"
+            )
         return cls(
-            distance=int(data["distance"]),
+            distance=_integer(data["distance"], "distance"),
             noise=str(data.get("noise", "circuit_level")),
-            physical_error_rate=float(data.get("physical_error_rate", 0.001)),
-            rounds=None if rounds is None else int(rounds),
+            physical_error_rate=float(rate),
+            rounds=None if rounds is None else _integer(rounds, "rounds"),
         )
 
 
@@ -121,12 +150,13 @@ class SessionKey:
     >>> key.key().startswith("d=3/noise=circuit_level")
     True
 
-    The canonical string is computed on the first :meth:`key` call and kept
-    on the instance (outside the dataclass fields, so equality, hashing,
-    :meth:`to_dict` and pickles are unchanged): a shared key costs one
-    config hash, however many requests probe the outcome cache with it.  It
-    is deliberately lazy — the network worker builds a key per request and
-    never asks for the string while the outcome cache is off.
+    The canonical string (:meth:`key`), the wire blob (:meth:`wire_blob`)
+    and the routing hash (:meth:`key_hash`) are each computed on first use
+    and kept on the instance, outside the dataclass fields, so equality,
+    hashing, :meth:`to_dict` and pickles are unchanged: a shared key costs
+    one config hash and one JSON encode, however many requests carry it.
+    :func:`intern_session` hands out one shared key per session blob, so
+    the network tier pays that once per session in each process.
     """
 
     code: CodeSpec
@@ -142,24 +172,41 @@ class SessionKey:
         """Stable content hash of the (normalised) decoder configuration."""
         return self.config.config_hash()
 
+    def _remember(self, name: str, value: str) -> str:
+        object.__setattr__(self, name, value)
+        return value
+
     def key(self) -> str:
         """Canonical ``(code, noise, decoder, config-hash)`` string."""
         try:
             return self.__dict__["_key"]
         except KeyError:
-            key = f"{self.code.key()}/decoder={self.decoder}/config={self.config_hash}"
-            object.__setattr__(self, "_key", key)
-            return key
+            return self._remember(
+                "_key", f"{self.code.key()}/decoder={self.decoder}/config={self.config_hash}"
+            )
+
+    def wire_blob(self) -> str:
+        """Canonical JSON of :meth:`to_dict`: the session as the binary
+        codec carries it.
+
+        >>> SessionKey(CodeSpec(3), "union-find").wire_blob()[:25]
+        '{"code":{"distance":3,"no'
+        """
+        try:
+            return self.__dict__["_blob"]
+        except KeyError:
+            return self._remember("_blob", canonical_json(self.to_dict()))
 
     def __getstate__(self) -> dict:
-        # Pickle the fields only: the memoised string is recomputed on demand.
-        state = dict(self.__dict__)
-        state.pop("_key", None)
-        return state
+        # Pickle the fields only: memoised values are recomputed on demand.
+        return {name: self.__dict__[name] for name in ("code", "decoder", "config")}
 
     def key_hash(self) -> str:
         """16-hex-digit content hash of :meth:`key` (fits in filenames/logs)."""
-        return content_hash({"session": self.key()})
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            return self._remember("_hash", content_hash({"session": self.key()}))
 
     def to_dict(self) -> dict:
         """JSON-shaped wire form.  ``config`` is always the normalised
@@ -185,6 +232,51 @@ class SessionKey:
             decoder=str(data.get("decoder", "micro-blossom")),
             config=None if config is None else DecoderConfig.from_dict(config),
         )
+
+
+def _parse_session(blob: str) -> SessionKey:
+    try:
+        data = json.loads(blob)
+    except RecursionError:
+        raise ValueError("session blob nests too deeply") from None
+    if not isinstance(data, dict):
+        raise TypeError(f"session must be an object, got {type(data).__name__}")
+    return SessionKey.from_dict(data)
+
+
+_interned = functools.lru_cache(maxsize=INTERNED_SESSIONS)(_parse_session)
+
+#: Longest blob :func:`intern_session` keeps; a canonical blob is a few
+#: hundred characters, and a padded one must not pin megabytes.
+_MAX_INTERNED_BLOB = 4096
+
+
+def intern_session(blob: str) -> SessionKey:
+    """The checked :class:`SessionKey` a session's JSON text describes,
+    parsed once per process.
+
+    The first call with a given ``blob`` parses and validates it; later
+    calls return the *same* key object, whose key string, wire blob and
+    routing hash are memoised on it.  This is the network tier's one
+    interning point: the front end routes through it, and the worker
+    decodes through it, so each process parses, checks and hashes a session
+    once instead of once per request.  At most :data:`INTERNED_SESSIONS`
+    blobs are kept (least recently used first out).  A blob that does not
+    parse into a valid key raises on every call: failures are never kept.
+
+    >>> key = SessionKey(CodeSpec(3), "union-find")
+    >>> intern_session(key.wire_blob()) == key
+    True
+    >>> intern_session(key.wire_blob()) is intern_session(key.wire_blob())
+    True
+    >>> intern_session('{"code": {"distance": 5.7}, "decoder": "union-find"}')
+    Traceback (most recent call last):
+    ...
+    TypeError: distance must be an integer, got float
+    """
+    if len(blob) > _MAX_INTERNED_BLOB:
+        return _parse_session(blob)
+    return _interned(blob)
 
 
 @dataclass(frozen=True)

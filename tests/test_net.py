@@ -22,9 +22,11 @@ from repro.service import (
     HOSTILE_SMOKE_PLAN,
     HOSTILE_SMOKE_TRACES,
     CodeSpec,
+    DecodeRequest,
     DecodeService,
     Scenario,
     ServiceConfig,
+    SessionKey,
     TraceSpec,
 )
 from repro.service.net import (
@@ -636,6 +638,51 @@ class TestConnectionRobustness:
         finally:
             server.stop()
 
+    def test_lossy_session_fields_are_refused_not_coerced(self):
+        """A session with a non-integral ``distance`` or ``rounds`` or a
+        string error rate gets a ``bad request`` error in either codec; it
+        must not be truncated or parsed into another code and answered."""
+        trace = generate_trace(NET_TRACE)
+        server = NetServer(NET_CONFIG, processes=1, prewarm=prewarm_specs(NET_TRACE))
+        host, port = server.start()
+        try:
+            valid = trace.requests[0].request.to_dict()
+            code = valid["session"]["code"]
+            lossy = [
+                {**code, "distance": code["distance"] + 0.7},
+                {**code, "rounds": 2.9},
+                {**code, "physical_error_rate": str(code["physical_error_rate"])},
+            ]
+            sock = socket.create_connection((host, port), timeout=30.0)
+            try:
+                write_frame_sync(
+                    sock,
+                    {"kind": "hello", "version": PROTOCOL_VERSION, "client": "hostile"},
+                )
+                assert read_frame_sync(sock)["kind"] == "welcome"
+                frame_id = 0
+                for codec in (CODEC_JSON, CODEC_BINARY):
+                    for bad_code in lossy:
+                        frame_id += 1
+                        session = {**valid["session"], "code": bad_code}
+                        request = {**valid, "session": session}
+                        write_frame_sync(
+                            sock, {"kind": "request", "id": frame_id, "request": request}, codec
+                        )
+                        frame = read_frame_sync(sock)
+                        assert frame["kind"] == "error"
+                        assert frame["id"] == frame_id
+                        assert "bad request" in frame["error"]
+                write_frame_sync(sock, {"kind": "request", "id": 99, "request": valid})
+                frame = read_frame_sync(sock)
+                assert frame["kind"] == "response"
+                assert frame["response"]["status"] == "ok"
+                write_frame_sync(sock, {"kind": "bye"})
+            finally:
+                sock.close()
+        finally:
+            server.stop()
+
     def test_response_too_large_for_a_frame_fails_only_its_request(self, monkeypatch):
         """A v1 response embeds its request echo, so it can outgrow the
         frame its request fit in: that one request fails with a clear error
@@ -711,6 +758,126 @@ class TestConnectionRobustness:
             assert not server._streams
         finally:
             server.stop()
+
+
+class TestSessionInterning:
+    """Each process parses, checks and hashes a session once, through one
+    bounded memo keyed by the session's wire blob; these pin that the memo
+    never changes an answer."""
+
+    CODE = CodeSpec(3, physical_error_rate=0.02)
+
+    def _syndromes(self, count: int):
+        from repro.graphs import SyndromeSampler
+
+        sampler = SyndromeSampler(self.CODE.build_graph(), seed=7)
+        return [s for s in sampler.sample_batch(4 * count) if s.defects][:count]
+
+    def test_more_sessions_than_the_bound_each_decode_on_their_own(self):
+        from repro.api.config import LUTConfig
+        from repro.api.session import DecoderSession
+        from repro.service import INTERNED_SESSIONS
+        from repro.service.request import _interned
+
+        graph = self.CODE.build_graph()
+        syndromes = self._syndromes(8)
+        # Budgets small enough to cut the LUT table at different points, so
+        # the sessions really decode differently (hit vs fallback).
+        keys = [
+            SessionKey(self.CODE, "lut+union-find", LUTConfig(memory_budget_bytes=256 * (i + 1)))
+            for i in range(2 * INTERNED_SESSIONS)
+        ]
+        requests = [
+            DecodeRequest(key, syndromes[i % len(syndromes)], request_id=i)
+            for i, key in enumerate(keys)
+        ]
+        server = NetServer(NET_CONFIG, processes=1, prewarm=[self.CODE])
+        host, port = server.start()
+        try:
+            with NetClient(host, port) as client:
+                # Twice over: the second pass re-parses sessions the first
+                # one evicted from the memo.
+                responses = client.decode_many(requests * 2, timeout=60.0)
+                assert _interned.cache_info().currsize <= INTERNED_SESSIONS
+        finally:
+            server.stop()
+        assert _interned.cache_info().maxsize == INTERNED_SESSIONS
+        expected = {}
+        for request, response in zip(requests * 2, responses):
+            assert response.ok, response.error
+            if request.request_id not in expected:
+                session = DecoderSession(graph, "lut+union-find", request.session.config)
+                expected[request.request_id] = session.decode_detailed(request.syndrome)
+            assert response.outcome.to_dict() == expected[request.request_id].to_dict()
+        hits = {outcome.counters.get("lut_hit", 0) for outcome in expected.values()}
+        assert hits == {0, 1}  # both table hits and fallbacks were served
+
+    def test_refused_session_blob_is_refused_every_time(self):
+        from repro.service.net.protocol import encode_frame
+
+        trace = generate_trace(NET_TRACE)
+        valid = trace.requests[0].request.to_dict()
+        bad_session = {**valid["session"], "decoder": "no-such-decoder"}
+        bad = {"kind": "request", "id": 1, "request": {**valid, "session": bad_session}}
+        payload = encode_frame(bad, CODEC_BINARY)
+        server = NetServer(NET_CONFIG, processes=1, prewarm=prewarm_specs(NET_TRACE))
+        host, port = server.start()
+        try:
+            sock = socket.create_connection((host, port), timeout=30.0)
+            try:
+                write_frame_sync(
+                    sock,
+                    {"kind": "hello", "version": PROTOCOL_VERSION, "client": "hostile"},
+                )
+                assert read_frame_sync(sock)["kind"] == "welcome"
+                for _ in range(2):
+                    # The very same bytes, so the same blob hits the memo.
+                    sock.sendall(payload)
+                    frame = read_frame_sync(sock)
+                    assert frame["kind"] == "error"
+                    assert "bad request" in frame["error"]
+                write_frame_sync(sock, {"kind": "request", "id": 2, "request": valid})
+                frame = read_frame_sync(sock)
+                assert frame["kind"] == "response"
+                assert frame["response"]["status"] == "ok"
+                write_frame_sync(sock, {"kind": "bye"})
+            finally:
+                sock.close()
+        finally:
+            server.stop()
+
+    def test_sessions_differing_only_in_config_keep_their_own_session(self):
+        from repro.api.config import LUTConfig
+        from repro.api.session import DecoderSession
+
+        graph = self.CODE.build_graph()
+        syndrome = next(s for s in self._syndromes(8) if len(s.defects) == 2)
+        keys = [
+            SessionKey(self.CODE, "lut+union-find", LUTConfig(max_defects=2)),
+            SessionKey(self.CODE, "lut+union-find", LUTConfig(max_defects=0)),
+        ]
+        blobs = [key.wire_blob() for key in keys]
+        assert blobs[0] != blobs[1]
+        assert blobs[0].replace('"max_defects":2', '"max_defects":0') == blobs[1]
+        server = NetServer(NET_CONFIG, processes=1, prewarm=[self.CODE])
+        host, port = server.start()
+        try:
+            with NetClient(host, port) as client:
+                # Alternate, one frame each, so a stale memo would show.
+                responses = [
+                    client.decode(DecodeRequest(key, syndrome), timeout=30.0)
+                    for key in keys + keys
+                ]
+        finally:
+            server.stop()
+        expected = [
+            DecoderSession(graph, "lut+union-find", key.config).decode_detailed(syndrome)
+            for key in keys
+        ]
+        assert expected[0].counters.get("lut_hit") != expected[1].counters.get("lut_hit")
+        for response, direct in zip(responses, expected + expected):
+            assert response.ok
+            assert response.outcome.to_dict() == direct.to_dict()
 
 
 class TestPipeBatchesClose:

@@ -10,6 +10,8 @@ plus hypothesis round-trip properties over both codecs, and hostile bytes
 :class:`~repro.service.net.ProtocolError`, nothing else.
 """
 
+import asyncio
+import pickle
 import struct
 
 import pytest
@@ -19,7 +21,15 @@ from hypothesis import strategies as st
 from repro.api.config import UnionFindConfig
 from repro.api.hashing import canonical_json
 from repro.graphs.syndrome import Syndrome
-from repro.service import CodeSpec, DecodeRequest, DecodeResponse, SessionKey
+from repro.service import (
+    INTERNED_SESSIONS,
+    CodeSpec,
+    DecodeRequest,
+    DecodeResponse,
+    SessionKey,
+    intern_session,
+)
+from repro.service.net import protocol
 from repro.service.net.protocol import (
     CODEC_BINARY,
     CODEC_JSON,
@@ -29,7 +39,9 @@ from repro.service.net.protocol import (
     decode_payload,
     encode_frame,
     negotiate_codec,
+    read_frame,
 )
+from repro.service.request import _interned
 
 
 def _key() -> SessionKey:
@@ -157,6 +169,82 @@ class TestRoundTrips:
         assert rebuilt.status == "error"
         assert rebuilt.outcome is None
         assert rebuilt.error == "PoisonedSyndromeError: boom"
+
+
+class TestSessionParsing:
+    """Session parsing is exact, and the per-key memos are invisible."""
+
+    @pytest.mark.parametrize(
+        "code",
+        [
+            {"distance": 5.7, "rounds": 2.9, "physical_error_rate": "0.002"},
+            {"distance": 5.0},
+            {"distance": "5"},
+            {"distance": True},
+            {"distance": 5, "rounds": 2.9},
+            {"distance": 5, "rounds": True},
+            {"distance": 5, "physical_error_rate": "0.002"},
+            {"distance": 5, "physical_error_rate": None},
+            {"distance": 5, "physical_error_rate": True},
+        ],
+    )
+    def test_code_spec_from_dict_refuses_lossy_values(self, code):
+        with pytest.raises(TypeError):
+            CodeSpec.from_dict(code)
+        with pytest.raises(TypeError):
+            SessionKey.from_dict({"code": code, "decoder": "union-find"})
+
+    def test_code_spec_from_dict_keeps_exact_values(self):
+        import numpy as np
+
+        spec = CodeSpec.from_dict({"distance": 5, "rounds": 2, "physical_error_rate": 1e-3})
+        assert spec == CodeSpec(5, physical_error_rate=0.001, rounds=2)
+        # Integer-like and real-like numbers are exact, so they pass.
+        spec = CodeSpec.from_dict(
+            {"distance": np.int64(5), "rounds": None, "physical_error_rate": np.float32(0.5)}
+        )
+        assert spec == CodeSpec(5, physical_error_rate=0.5)
+        assert type(spec.distance) is int and type(spec.physical_error_rate) is float
+
+    def test_memoised_fields_leave_equality_hash_and_pickle_alone(self):
+        fresh, used = _key(), _key()
+        used.key(), used.wire_blob(), used.key_hash()
+        assert {"_key", "_blob", "_hash"} <= set(used.__dict__)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert pickle.dumps(used) == pickle.dumps(fresh)
+        restored = pickle.loads(pickle.dumps(used))
+        assert set(restored.__dict__) == {"code", "decoder", "config"}
+        assert restored == used and restored.key_hash() == used.key_hash()
+
+    def test_to_dict_is_fresh_and_cannot_corrupt_the_key(self):
+        key = _key()
+        blob, key_hash = key.wire_blob(), key.key_hash()
+        wire = key.to_dict()
+        wire["decoder"] = "reference"
+        wire["code"]["distance"] = 99
+        assert key.to_dict() != wire
+        assert key.wire_blob() == blob == canonical_json(key.to_dict())
+        assert key.key_hash() == key_hash
+
+    def test_intern_session_shares_one_key_and_never_keeps_failures(self):
+        key = _key()
+        assert intern_session(key.wire_blob()) is intern_session(key.wire_blob())
+        assert intern_session(key.wire_blob()) == key
+        assert _interned.cache_info().maxsize == INTERNED_SESSIONS
+        bad = key.wire_blob().replace('"distance":3', '"distance":3.5')
+        for _ in range(2):
+            with pytest.raises(TypeError, match="distance must be an integer"):
+                intern_session(bad)
+        for blob in ("[1]", "{", "[" * 100_000):
+            with pytest.raises((TypeError, ValueError)):
+                intern_session(blob)
+        # A valid blob padded past the size cap parses, but is never kept.
+        padded = key.wire_blob()[:-1] + ',"pad":"' + "x" * 8192 + '"}'
+        before = _interned.cache_info()
+        assert intern_session(padded) == key
+        assert intern_session(padded) is not intern_session(padded)
+        after = _interned.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 class TestFraming:
@@ -532,3 +620,75 @@ class TestHostileBytes:
         except ProtocolError:
             return
         assert isinstance(frame, dict) and "kind" in frame
+
+
+def _read_stream(data: bytes) -> list:
+    """Every outcome of reading ``data`` then EOF frame by frame: frames,
+    then one of ``None`` (clean EOF), ``"protocol"`` or ``"mid-frame"``."""
+
+    async def read_all() -> list:
+        reader = asyncio.StreamReader()
+        reader.feed_data(data)
+        reader.feed_eof()
+        outcomes = []
+        while True:
+            try:
+                frame = await read_frame(reader)
+            except ProtocolError:
+                return outcomes + ["protocol"]
+            except ConnectionError as exc:
+                assert str(exc) == "connection closed mid-frame"
+                return outcomes + ["mid-frame"]
+            if frame is None:
+                return outcomes + [None]
+            outcomes.append(frame)
+
+    return asyncio.run(read_all())
+
+
+_STREAM_PIECES = st.one_of(
+    st.builds(lambda frame, codec: encode_frame(frame, codec), _HOT_FRAMES,
+              st.sampled_from(SUPPORTED_CODECS)),
+    st.binary(max_size=40),
+    st.integers(0, 2**32 - 1).map(lambda n: struct.pack(">I", n)),
+)
+
+
+class TestReadFrame:
+    """``read_frame`` over arbitrary byte streams ending in EOF yields
+    frames, then a clean ``None``, a ``ProtocolError`` or the mid-frame
+    ``ConnectionError`` — never another exception, never a hang."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(pieces=st.lists(_STREAM_PIECES, max_size=5), cut=st.integers(0, 64))
+    @example(pieces=[encode_frame({"kind": "bye"})] * 2, cut=0)
+    @example(pieces=[struct.pack(">I", protocol.MAX_FRAME_BYTES + 1)], cut=0)
+    @example(pieces=[_NESTED_SESSION_REQUEST], cut=0)
+    def test_stream_reads_to_frames_then_one_clean_ending(self, pieces, cut):
+        data = b"".join(pieces)
+        data = data[: max(0, len(data) - cut)]
+        outcomes = _read_stream(data)
+        *frames, ending = outcomes
+        assert ending in (None, "protocol", "mid-frame")
+        for frame in frames:
+            assert isinstance(frame, dict) and "kind" in frame
+
+    def test_whole_frames_then_eof_end_cleanly(self):
+        frames = [{"kind": "bye"}, {"kind": "request", "id": 3, "request": _request().to_dict()}]
+        data = b"".join(encode_frame(frame, CODEC_BINARY) for frame in frames)
+        assert _read_stream(data) == frames + [None]
+        assert _read_stream(data[:-1]) == frames[:1] + ["mid-frame"]
+        assert _read_stream(data[:2]) == ["mid-frame"]
+
+    def test_oversized_length_prefix_is_refused_before_the_body(self):
+        async def read_oversized():
+            reader = asyncio.StreamReader()
+            # No body and no EOF: reading the body would wait forever.
+            reader.feed_data(struct.pack(">I", protocol.MAX_FRAME_BYTES + 1) + b"tail")
+            with pytest.raises(ProtocolError, match="exceeds"):
+                await asyncio.wait_for(read_frame(reader), timeout=5.0)
+            reader.feed_eof()
+            return await reader.read()
+
+        # Only the 4-byte header was consumed.
+        assert asyncio.run(read_oversized()) == b"tail"
