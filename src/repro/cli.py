@@ -33,6 +33,7 @@ Decoders are resolved through the :mod:`repro.api` registry, so every backend
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 from typing import Sequence
 
@@ -1029,6 +1030,8 @@ def _command_serve_net(args: argparse.Namespace) -> int:
             prewarm=prewarm,
             drain_timeout_seconds=_SERVE_DRAIN_TIMEOUT_SECONDS,
         )
+        # The server logs its drain and any worker death at INFO/WARNING.
+        logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
         server.run_forever()
         return 0
 

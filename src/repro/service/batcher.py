@@ -1,4 +1,4 @@
-"""Dynamic micro-batching core: coalesce requests, flush on size, close or deadline.
+"""Dynamic micro-batching core: coalesce requests, flush on size or deadline.
 
 The batcher is the pLUTo-style amortisation point of the service (see
 PAPERS.md): many small independent requests are coalesced into one batch per
@@ -6,17 +6,19 @@ session key so the per-batch costs — session lookup, lock acquisition,
 worker dispatch — are paid once per batch instead of once per request, and
 the cached session decodes the whole batch back to back.
 
-A batch flushes on whichever of three events comes first:
+A batch flushes on whichever of two events comes first:
 
 * *size* — the batch reached ``max_batch_size`` requests (returned to the
   caller straight from :meth:`add`);
-* *close* — :meth:`add` was called with ``close=True``: the caller already
-  coalesced a group and this item is the group's last for the key, so the
-  key's open batch (with the item in it) is returned at once;
 * *deadline* — ``max_wait_seconds`` elapsed since the batch's first request
   arrived (collected via :meth:`due`).  The deadline is set by the *first*
   request of a batch and never extended, so under light load no request ever
   waits more than ``max_wait_seconds`` in the batcher.
+
+It coalesces requests admitted one at a time
+(:meth:`~repro.service.DecodeService.submit`).  A group its caller already
+coalesced (:meth:`~repro.service.DecodeService.decode_group`, every network
+pipe batch) never enters it: the service cuts that group into batches itself.
 
 The class is deliberately **pure**: every method takes ``now`` explicitly and
 nothing ever sleeps or spawns threads, so deadline semantics are unit-testable
@@ -34,10 +36,6 @@ True
 10.7
 >>> [batch.items for batch in batcher.due(now=10.8)]
 [['r3']]
->>> batcher.add("k", "r4", now=11.0) is None
-True
->>> batcher.add("k", "r5", now=11.1, close=True).items   # close -> flushed
-['r4', 'r5']
 """
 
 from __future__ import annotations
@@ -60,7 +58,7 @@ class Batch:
 
 
 class MicroBatcher:
-    """Clock-agnostic dynamic micro-batcher (flush on size, close or deadline)."""
+    """Clock-agnostic dynamic micro-batcher (flush on size or deadline)."""
 
     def __init__(self, max_batch_size: int = 32, max_wait_seconds: float = 0.002):
         if max_batch_size < 1:
@@ -71,9 +69,8 @@ class MicroBatcher:
         self.max_wait_seconds = max_wait_seconds
         self._pending: dict[object, Batch] = {}
 
-    def add(self, key, item, now: float, close: bool = False) -> Batch | None:
-        """Append ``item`` to the batch of ``key``; return it if now full or
-        ``close`` is set.
+    def add(self, key, item, now: float) -> Batch | None:
+        """Append ``item`` to the batch of ``key``; return it if now full.
 
         A returned batch has been removed from the batcher (the caller owns
         dispatching it); ``None`` means the item is waiting for either more
@@ -88,7 +85,7 @@ class MicroBatcher:
             )
             self._pending[key] = batch
         batch.items.append(item)
-        if close or batch.size >= self.max_batch_size:
+        if batch.size >= self.max_batch_size:
             del self._pending[key]
             return batch
         return None

@@ -45,8 +45,8 @@ class ServiceConfig:
     #: Flush a session's batch at this many coalesced requests.
     max_batch_size: int = 32
     #: ... or once its oldest request waited this long, whichever first.
-    #: Bounds only requests admitted one at a time: a ``submit_many`` group
-    #: (every network pipe batch) closes its session batches at once.
+    #: Bounds only requests admitted one at a time: a ``decode_group``
+    #: (every network pipe batch) never waits for it.
     max_wait_seconds: float = 0.002
     #: Bound of the admission queue (backpressure domain).
     queue_capacity: int = 1024

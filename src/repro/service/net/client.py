@@ -62,14 +62,25 @@ class ServerDrainingError(ConnectionError):
     """The server announced a drain; it will not accept new work."""
 
 
+def _session_wire(key: SessionKey) -> SessionWire:
+    """``key``'s :class:`~repro.service.net.protocol.SessionWire`, built once
+    and kept on the key next to its memoised
+    :meth:`~repro.service.SessionKey.wire_blob` (outside the dataclass
+    fields, so equality, hashing and pickles are unchanged).  Every request
+    of the key shares it, so treat it as read-only."""
+    try:
+        return key.__dict__["_wire"]
+    except KeyError:
+        return key._remember("_wire", SessionWire(key.to_dict(), key.wire_blob()))
+
+
 def _request_wire(request: DecodeRequest) -> dict:
-    """:meth:`DecodeRequest.to_dict` with the session as a
+    """:meth:`DecodeRequest.to_dict` with the session as its key's shared
     :class:`~repro.service.net.protocol.SessionWire`: the binary encoder
-    then writes the key's memoised :meth:`~repro.service.SessionKey.wire_blob`
-    instead of serialising the session again for every request."""
-    key = request.session
+    then writes the memoised blob instead of serialising the session again
+    for every request."""
     return {
-        "session": SessionWire(key.to_dict(), key.wire_blob()),
+        "session": _session_wire(request.session),
         "syndrome": request.syndrome.to_dict(),
         "request_id": request.request_id,
     }

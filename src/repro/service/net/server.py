@@ -33,6 +33,7 @@ worker pool:
 from __future__ import annotations
 
 import asyncio
+import logging
 import multiprocessing
 import operator
 import os
@@ -59,6 +60,8 @@ from .worker import error_payload, worker_main
 
 #: Default bound on drain (stop/SIGTERM): in-flight wait + per-worker acks.
 DEFAULT_DRAIN_TIMEOUT_SECONDS = 60.0
+
+logger = logging.getLogger(__name__)
 
 
 class _Worker:
@@ -237,7 +240,13 @@ class NetServer:
         if not self._started or self._stopped:
             return
         self._stopped = True
-        deadline = time.monotonic() + self.drain_timeout_seconds
+        logger.info(
+            "draining %d client(s) and %d in-flight request(s)",
+            len(self._clients),
+            len(self._pending),
+        )
+        began = time.monotonic()
+        deadline = began + self.drain_timeout_seconds
         done = threading.Event()
         asyncio.run_coroutine_threadsafe(
             self._drain_async(done), self._loop
@@ -284,6 +293,7 @@ class NetServer:
         self._loop_thread.join(5.0)
         for thread in self._reader_threads:
             thread.join(1.0)
+        logger.info("drained in %.3f s", time.monotonic() - began)
 
     async def _drain_async(self, done: threading.Event) -> None:
         """Loop-side half of stop(): notify clients, wait for in-flight.
@@ -347,9 +357,7 @@ class NetServer:
                 flush=True,
             )
             stop_signal.wait()
-            print("draining...", flush=True)
             self.stop()
-            print("drained, bye", flush=True)
         finally:
             signal.signal(signal.SIGTERM, previous_term)
             signal.signal(signal.SIGINT, previous_int)
@@ -473,6 +481,12 @@ class NetServer:
             for seq, pending in self._pending.items()
             if pending.worker_id == worker.worker_id
         ]
+        logger.warning(
+            "worker %d (pid %s) died; failing its %d pending request(s)",
+            worker.worker_id,
+            worker.process.pid,
+            sum(pending.kind == "request" for _seq, pending in dead),
+        )
         for seq, pending in dead:
             del self._pending[seq]
             if pending.kind == "request":

@@ -17,12 +17,15 @@ server → worker                                     worker → server
 ==================================================  ========================================
 
 Every decode request rides a ``request-batch`` message (a lone client
-request is a batch of one), and the batch is the unit end to end: it is
-submitted to the in-process service in one
-:meth:`~repro.service.DecodeService.submit_many` call, so each session's
-share of it closes that session's micro-batch at once instead of waiting out
-``max_wait_seconds`` — and the one ``response-batch`` reply is sent only
-when every member resolved.
+request is a batch of one), and the batch is the unit end to end: the
+worker's main thread decodes it in one
+:meth:`~repro.service.DecodeService.decode_group` call — each session's
+members in batches of at most ``max_batch_size``, with no queue, dispatcher
+or pool thread in between — and sends the one ``response-batch`` reply
+itself.  It reads the next pipe message only after that reply, so the pipe,
+not the service's admission queue, bounds a worker's backlog of requests;
+the queue, the overload policy, ``max_wait_seconds`` and the ``workers``
+pool serve stream operations only.
 
 A request travels as its session's JSON ``blob``, its
 :meth:`~repro.graphs.Syndrome.to_dict` form (defects inline) and its
@@ -96,44 +99,6 @@ def _prewarmed_session_factory(graphs: dict):
     return factory
 
 
-class _BatchAccumulator:
-    """Collects one pipe batch's member payloads; sends one reply when full.
-
-    Futures resolve on the service's worker threads in any order; the
-    accumulator keeps the members in submission order and fires exactly one
-    ``("response-batch", ...)`` message once the last one lands.
-    """
-
-    __slots__ = ("_seqs", "_payloads", "_remaining", "_lock", "_send")
-
-    def __init__(self, seqs: list[int], send) -> None:
-        self._seqs = seqs
-        self._payloads: list = [None] * len(seqs)
-        self._remaining = len(seqs)
-        self._lock = threading.Lock()
-        self._send = send
-
-    def resolve(self, index: int, payload: dict) -> None:
-        with self._lock:
-            self._payloads[index] = payload
-            self._remaining -= 1
-            done = self._remaining == 0
-        if done:
-            self._send(
-                ("response-batch", list(zip(self._seqs, self._payloads)))
-            )
-
-    def callback(self, index: int):
-        def on_done(future) -> None:
-            try:
-                payload = response_payload(future.result())
-            except BaseException as exc:
-                payload = error_payload(f"{type(exc).__name__}: {exc}")
-            self.resolve(index, payload)
-
-        return on_done
-
-
 def _stream_result_wire(result):
     """Serialise a stream-op result (None, a Counter, or a DecodeOutcome)."""
     if result is None:
@@ -170,7 +135,7 @@ def worker_main(
     send_lock = threading.Lock()
 
     def send(message: tuple) -> None:
-        # Futures resolve on worker threads; one pipe, one writer at a time.
+        # Stream replies go out from pool threads; one pipe, one writer at a time.
         with send_lock:
             try:
                 conn.send(message)
@@ -196,9 +161,7 @@ def worker_main(
         command = message[0]
         if command == "request-batch":
             _, entries = message
-            batch = _BatchAccumulator([entry[0] for entry in entries], send)
-            # The client already coalesced this batch: submit it as one group
-            # so each session's share closes its micro-batch right away.
+            payloads: list = [None] * len(entries)
             indices, requests = [], []
             for index, (_seq, blob, syndrome, request_id) in enumerate(entries):
                 try:
@@ -207,18 +170,17 @@ def worker_main(
                             intern_session(blob), Syndrome.from_dict(syndrome), int(request_id)
                         )
                     )
-                except BaseException as exc:
-                    batch.resolve(index, error_payload(f"{type(exc).__name__}: {exc}"))
+                except Exception as exc:
+                    payloads[index] = error_payload(f"{type(exc).__name__}: {exc}")
                     continue
                 indices.append(index)
             try:
-                futures = service.submit_many(requests)
+                answers = [response_payload(r) for r in service.decode_group(requests)]
             except Exception as exc:
-                for index in indices:
-                    batch.resolve(index, error_payload(f"{type(exc).__name__}: {exc}"))
-                continue
-            for index, future in zip(indices, futures):
-                future.add_done_callback(batch.callback(index))
+                answers = [error_payload(f"{type(exc).__name__}: {exc}")] * len(indices)
+            for index, payload in zip(indices, answers):
+                payloads[index] = payload
+            send(("response-batch", [(entry[0], p) for entry, p in zip(entries, payloads)]))
         elif command == "stream-open":
             _, seq, sid, blob, window, commit_depth = message
             try:
@@ -256,8 +218,8 @@ def worker_main(
         elif command == "drain":
             draining = True
             break
-    # Drain everything already admitted; every pending future resolves (and
-    # its callback sends the response) before close() returns.
+    # Drain the stream operations already admitted; every pending future
+    # resolves (and its callback sends the reply) before close() returns.
     try:
         service.close(timeout=drain_timeout_seconds)
     except Exception:

@@ -14,10 +14,9 @@ from __future__ import annotations
 import functools
 import json
 import numbers
-import operator
 from dataclasses import dataclass
 
-from ..api.config import DecoderConfig
+from ..api.config import DecoderConfig, strict_integer
 from ..api.hashing import canonical_json, content_hash
 from ..api.outcome import DecodeOutcome
 from ..api.registry import resolve_config
@@ -41,17 +40,6 @@ STATUS_ERROR = "error"
 #: deployment serves a handful of sessions; the bound only caps what a
 #: client cycling through distinct session blobs can pin in memory.
 INTERNED_SESSIONS = 128
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as an ``int``, refusing floats, strings and bools (which
-    ``int()`` would truncate, parse or coerce into some other session)."""
-    if isinstance(value, bool):
-        raise TypeError(f"{name} must be an integer, got bool")
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {type(value).__name__}") from None
 
 
 @dataclass(frozen=True)
@@ -127,10 +115,10 @@ class CodeSpec:
                 f"physical_error_rate must be a real number, got {type(rate).__name__}"
             )
         return cls(
-            distance=_integer(data["distance"], "distance"),
+            distance=strict_integer(data["distance"], "distance"),
             noise=str(data.get("noise", "circuit_level")),
             physical_error_rate=float(rate),
-            rounds=None if rounds is None else _integer(rounds, "rounds"),
+            rounds=None if rounds is None else strict_integer(rounds, "rounds"),
         )
 
 

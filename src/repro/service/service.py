@@ -13,10 +13,9 @@ requests onto the batched machinery the repository already has:
    :class:`~repro.service.batcher.MicroBatcher`: requests sharing a
    :class:`~repro.service.request.SessionKey` accumulate into one batch that
    flushes on ``max_batch_size`` or ``max_wait_seconds`` — whichever first.
-   A group the caller already coalesced (:meth:`~DecodeService.submit_many`)
-   does not wait out the deadline: each session's last queued member closes
-   that session's batch, so ``max_wait_seconds`` bounds only requests
-   admitted one at a time.
+   A group the caller already coalesced skips the queue, the dispatcher and
+   the pool: :meth:`~DecodeService.decode_group` runs its session batches on
+   the calling thread and returns the responses.
 3. **Dispatch.**  Flushed batches fan out across a thread pool of
    ``workers``.  Each worker fetches the batch's reusable
    :class:`repro.api.DecoderSession` from the service's LRU
@@ -136,21 +135,22 @@ class ServiceStats:
 
 
 class _DecodeJob:
-    """One queued single-shot request plus its response future.
+    """One admitted single-shot request and, once answered, its response.
 
-    ``cache_key`` is the request's outcome-cache key, carried through the
-    micro-batcher so the worker can publish the decode into the cache —
-    ``None`` when the service runs without an outcome cache.  ``close`` marks
-    the last queued member of a session within a ``submit_many`` group: the
-    dispatcher flushes the session's batch on it.
+    ``future`` is the caller's future for a :meth:`DecodeService.submit`
+    request and ``None`` for a :meth:`DecodeService.decode_group` member,
+    whose caller reads ``response`` instead.  ``cache_key`` is the request's
+    outcome-cache key, carried through the micro-batcher so the worker can
+    publish the decode into the cache — ``None`` when the service runs
+    without an outcome cache.
     """
 
-    __slots__ = ("request", "future", "arrival_seconds", "cache_key", "close")
+    __slots__ = ("request", "future", "arrival_seconds", "cache_key", "response")
 
     def __init__(
         self,
         request: DecodeRequest,
-        future: Future,
+        future: Future | None,
         arrival: float,
         cache_key: str | None = None,
     ):
@@ -158,7 +158,16 @@ class _DecodeJob:
         self.future = future
         self.arrival_seconds = arrival
         self.cache_key = cache_key
-        self.close = False
+        self.response: DecodeResponse | None = None
+
+    def claim(self) -> bool:
+        """``False`` when the caller cancelled the future: skip the decode."""
+        return self.future is None or self.future.set_running_or_notify_cancel()
+
+    def finish(self, response: DecodeResponse) -> None:
+        self.response = response
+        if self.future is not None:
+            self.future.set_result(response)
 
 
 class _StreamJob:
@@ -229,7 +238,7 @@ class DecodeService:
     """Asynchronous decode front end with dynamic micro-batching.
 
     Lifecycle: construct → :meth:`start` (or use as a context manager) →
-    :meth:`submit`/:meth:`submit_many`/:meth:`decode`/:meth:`open_stream` →
+    :meth:`submit`/:meth:`decode_group`/:meth:`decode`/:meth:`open_stream` →
     :meth:`close`.
     Submissions are accepted before :meth:`start` (they wait on the queue),
     which is also how tests exercise backpressure deterministically.
@@ -400,52 +409,47 @@ class DecodeService:
         """
         if self._closed:
             raise ServiceClosedError("service is closed")
-        future, job = self._probe(request)
-        if job is not None:
+        job = self._probe(request, Future())
+        if job.response is None:
             self._enqueue(job, timeout)
-        return future
+        return job.future
 
-    def submit_many(
-        self, requests: Iterable[DecodeRequest], timeout: float | None = None
-    ) -> list[Future]:
-        """Queue an already-coalesced group; returns one future per request.
+    def decode_group(self, requests: Iterable[DecodeRequest]) -> list[DecodeResponse]:
+        """Decode an already-coalesced group on the calling thread; returns
+        the responses in input order.
 
-        Each member is admitted as by :meth:`submit` — outcome cache,
-        overload policy, stats ledger — but the group does not wait out
-        ``max_wait_seconds``: the last queued member of each session closes
-        that session's batch, which also takes in that session's requests
-        already waiting in the batcher.  Under ``"shed"`` the group is
-        admitted against the queue's free room when it arrives: the members
-        past it are shed, and the closing flag goes to a member inside it.
-        A ``"block"`` timeout fails only that member's future with
-        :class:`ServiceOverloadedError`.  When a flagged member does not
-        queue (that timeout, or another submitter taking the room first),
-        its session's earlier members flush on their deadline, as after
-        :meth:`submit`.
+        Each member is admitted through the outcome cache and counted in the
+        stats ledger as by :meth:`submit`, but the group skips the queue,
+        the dispatcher and the pool, so the overload policy, the queue bound
+        and ``max_wait_seconds`` do not apply to it.  Each session's queued
+        members decode in batches of at most ``max_batch_size``, sessions in
+        order of first appearance, so a member's ``queue_delay_seconds`` is
+        the time it waited behind the group's earlier batches.  Groups may
+        run from several threads at once; a session decodes one batch at a
+        time.
         """
         if self._closed:
             raise ServiceClosedError("service is closed")
-        admitted = [self._probe(request) for request in requests]
-        queued = [job for _future, job in admitted if job is not None]
-        if self.overload_policy == "shed":
-            room = self._queue.maxsize - self._queue.qsize()
-            for job in queued[room:]:
-                self._shed(job)
-            queued = queued[:room]
-        last = {job.request.session: job for job in queued}
-        for job in last.values():
-            job.close = True
-        for job in queued:
-            try:
-                self._enqueue(job, timeout)
-            except ServiceOverloadedError as exc:
-                job.future.set_exception(exc)
-        return [future for future, _job in admitted]
+        jobs = [self._probe(request) for request in requests]
+        sessions: dict[SessionKey, list[_DecodeJob]] = {}
+        for job in jobs:
+            if job.response is None:
+                sessions.setdefault(job.request.session, []).append(job)
+        with self._stats_lock:
+            self.stats.submitted += sum(len(queued) for queued in sessions.values())
+        size = self.config.max_batch_size
+        for key, queued in sessions.items():
+            for start in range(0, len(queued), size):
+                now = self._clock()
+                batch = Batch(key, now, now, queued[start : start + size])
+                self._count_batch(batch)
+                self._run_batch(batch)
+        return [job.response for job in jobs]
 
-    def _probe(self, request: DecodeRequest) -> tuple[Future, _DecodeJob | None]:
-        """First admission step: answer ``request`` from the outcome cache
-        (no job), or wrap it in the job that still has to be queued."""
-        future: Future = Future()
+    def _probe(self, request: DecodeRequest, future: Future | None = None) -> _DecodeJob:
+        """First admission step: wrap ``request`` in a job, answered on the
+        spot from the outcome cache (``job.response`` set) or still to be
+        decoded."""
         arrival = self._clock()
         cache_key: str | None = None
         if self.outcome_cache is not None:
@@ -462,7 +466,8 @@ class DecodeService:
                     # lock-step with `completed` (queue delay is exactly 0).
                     self.stats.queue_delay.add(0.0)
                     self.stats.latency.add(latency)
-                future.set_result(
+                job = _DecodeJob(request, future, arrival)
+                job.finish(
                     DecodeResponse(
                         request=request,
                         outcome=outcome,
@@ -470,8 +475,8 @@ class DecodeService:
                         cached=True,
                     )
                 )
-                return future, None
-        return future, _DecodeJob(request, future, arrival, cache_key)
+                return job
+        return _DecodeJob(request, future, arrival, cache_key)
 
     def _enqueue(self, job: _DecodeJob, timeout: float | None) -> None:
         """Second admission step: queue ``job`` under the overload policy."""
@@ -499,7 +504,7 @@ class DecodeService:
         with self._stats_lock:
             self.stats.submitted += 1
             self.stats.shed += 1
-        job.future.set_result(DecodeResponse(request=job.request, status=STATUS_SHED))
+        job.finish(DecodeResponse(request=job.request, status=STATUS_SHED))
 
     def decode(self, request: DecodeRequest, timeout: float | None = None) -> DecodeResponse:
         """Synchronous convenience wrapper: :meth:`submit` + wait."""
@@ -566,17 +571,20 @@ class DecodeService:
             if isinstance(job, _StreamJob):
                 job.stream._serial.submit(job)
             elif job is not None:
-                full = batcher.add(job.request.session, job, self._clock(), job.close)
+                full = batcher.add(job.request.session, job, self._clock())
                 if full is not None:
                     self._dispatch_batch(full)
             for batch in batcher.due(self._clock()):
                 self._dispatch_batch(batch)
 
     def _dispatch_batch(self, batch: Batch) -> None:
+        self._count_batch(batch)
+        self._pool.submit(self._run_batch, batch)
+
+    def _count_batch(self, batch: Batch) -> None:
         with self._stats_lock:
             self.stats.batches += 1
             self.stats.batch_sizes[batch.size] += 1
-        self._pool.submit(self._run_batch, batch)
 
     def _acquire_with_retry(self, batch: Batch):
         """Build/fetch the batch's session, retrying crashes with backoff.
@@ -609,7 +617,7 @@ class DecodeService:
         done = self._clock()
         with self._stats_lock:
             self.stats.errors += 1
-        job.future.set_result(
+        job.finish(
             DecodeResponse(
                 request=job.request,
                 status=STATUS_ERROR,
@@ -633,12 +641,12 @@ class DecodeService:
             # service-side fault, and callers see a uniform STATUS_ERROR
             # surface whether one request or a whole batch was affected.
             for job in batch.items:
-                if job.future.set_running_or_notify_cancel():
+                if job.claim():
                     self._fail_job(job, entry, started, batch)
             return
         with entry.lock:
             for job in batch.items:
-                if not job.future.set_running_or_notify_cancel():
+                if not job.claim():
                     continue
                 try:
                     outcome = entry.session.decode_detailed(job.request.syndrome)
@@ -663,7 +671,7 @@ class DecodeService:
                     self.stats.completed += 1
                     self.stats.queue_delay.add(queue_delay)
                     self.stats.latency.add(latency)
-                job.future.set_result(
+                job.finish(
                     DecodeResponse(
                         request=job.request,
                         outcome=outcome,

@@ -12,6 +12,7 @@ from repro.api import (
     Decoder,
     DecoderConfig,
     DecoderSession,
+    LUTConfig,
     MicroBlossomConfig,
     ParityBlossomConfig,
     ReferenceConfig,
@@ -128,6 +129,52 @@ class TestRegistry:
     def test_spec_descriptions(self):
         for name in ALL_NAMES:
             assert decoder_spec(name).description
+
+
+class TestConfigWireForm:
+    """``DecoderConfig.from_dict`` takes each field only in its annotated
+    type: a lossy value would name another configuration (another config
+    hash, another session) or fail only later, at session build."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            MicroBlossomConfig(enable_prematching=False, stream=False, scale=4),
+            ParityBlossomConfig(scale=8),
+            UnionFindConfig(),
+            ReferenceConfig(),
+            LUTConfig(max_defects=1, fallback_config=MicroBlossomConfig(scale=4)),
+        ],
+    )
+    def test_valid_wire_forms_round_trip(self, config):
+        rebuilt = DecoderConfig.from_dict(config.to_dict())
+        assert rebuilt == config
+        assert rebuilt.config_hash() == config.config_hash()
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"max_defects": 1.5}, "LUTConfig.max_defects must be an integer, got float"),
+            ({"memory_budget_bytes": "9"}, "memory_budget_bytes must be an integer, got str"),
+            ({"max_defects": True}, "LUTConfig.max_defects must be an integer, got bool"),
+            ({"fallback_config": {"scale": 4}}, "fallback_config must be a decoder config"),
+            ({"fallback_config": 3}, "fallback_config must be a decoder config"),
+        ],
+    )
+    def test_mistyped_lut_fields_are_refused(self, fields, message):
+        with pytest.raises(TypeError, match=message):
+            DecoderConfig.from_dict({"type": "LUTConfig", "fields": fields})
+
+    @pytest.mark.parametrize("value", [1, 0, "true", None])
+    def test_bool_fields_take_only_bools(self, value):
+        with pytest.raises(TypeError, match="stream must be a bool"):
+            DecoderConfig.from_dict({"type": "MicroBlossomConfig", "fields": {"stream": value}})
+
+    def test_nested_config_is_checked_too(self):
+        wire = LUTConfig(fallback_config=MicroBlossomConfig()).to_dict()
+        wire["fields"]["fallback_config"]["fields"]["scale"] = 2.0
+        with pytest.raises(TypeError, match="MicroBlossomConfig.scale must be an integer"):
+            DecoderConfig.from_dict(wire)
 
 
 class TestProtocol:

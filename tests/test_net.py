@@ -6,6 +6,7 @@ outcomes (equal ``healthy_digest``), a dead worker yields isolated errors —
 never a hang — and SIGTERM drains in-flight work before exit.
 """
 
+import logging
 import os
 import signal
 import socket
@@ -13,6 +14,7 @@ import struct
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -175,8 +177,6 @@ class TestDigestIdentity:
         """NetStream resolves like ServiceStream: ``push_round`` to a cost
         ``Counter``, ``finalize`` to a ``DecodeOutcome`` equal to the
         in-process stream's (rebuilt from the same wire form)."""
-        from collections import Counter
-
         from repro.graphs import SyndromeSampler
 
         key = NET_TRACE.scenarios[0].session_key()
@@ -247,6 +247,27 @@ class TestWorkerDeath:
                 assert all(response.ok for response in final)
         finally:
             server.stop()
+
+    def test_worker_death_and_drain_are_logged(self, caplog):
+        """A SIGKILLed worker yields one warning that names it; stop() logs
+        the drain's start and end at INFO."""
+        server = NetServer(NET_CONFIG, processes=2, prewarm=prewarm_specs(NET_TRACE))
+        server.start()
+        with caplog.at_level(logging.INFO, logger="repro.service.net.server"):
+            try:
+                os.kill(server._workers[1].process.pid, signal.SIGKILL)
+                deadline = time.monotonic() + 10.0
+                while time.monotonic() < deadline and not any(
+                    record.levelno == logging.WARNING for record in caplog.records
+                ):
+                    time.sleep(0.01)
+            finally:
+                server.stop()
+        records = [r for r in caplog.records if r.name == "repro.service.net.server"]
+        warnings = [r.getMessage() for r in records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1 and "worker 1 " in warnings[0], warnings
+        infos = [r.getMessage() for r in records if r.levelno == logging.INFO]
+        assert [message.split()[0] for message in infos] == ["draining", "drained"]
 
     def test_kill_mid_burst_never_hangs(self):
         trace = generate_trace(NET_TRACE)
@@ -683,6 +704,49 @@ class TestConnectionRobustness:
         finally:
             server.stop()
 
+    def test_mistyped_config_fields_are_refused_not_coerced(self):
+        """A LUT session whose config has a float, string or bool where an
+        integer belongs gets a ``bad request`` error in either codec, and
+        the connection keeps serving."""
+        trace = generate_trace(NET_TRACE)
+        server = NetServer(NET_CONFIG, processes=1, prewarm=prewarm_specs(NET_TRACE))
+        host, port = server.start()
+        try:
+            valid = trace.requests[0].request.to_dict()
+            session = {**valid["session"], "decoder": "lut+union-find"}
+            mistyped = [{"max_defects": 1.5}, {"memory_budget_bytes": "9"}, {"max_defects": True}]
+            sock = socket.create_connection((host, port), timeout=30.0)
+            try:
+                write_frame_sync(
+                    sock,
+                    {"kind": "hello", "version": PROTOCOL_VERSION, "client": "hostile"},
+                )
+                assert read_frame_sync(sock)["kind"] == "welcome"
+                frame_id = 0
+                for codec in (CODEC_JSON, CODEC_BINARY):
+                    for fields in mistyped:
+                        frame_id += 1
+                        config = {"type": "LUTConfig", "fields": fields}
+                        request = {**valid, "session": {**session, "config": config}}
+                        write_frame_sync(
+                            sock, {"kind": "request", "id": frame_id, "request": request}, codec
+                        )
+                        frame = read_frame_sync(sock)
+                        assert frame["kind"] == "error"
+                        assert frame["id"] == frame_id
+                        assert "bad request" in frame["error"]
+                        assert "must be an integer" in frame["error"]
+                for codec in (CODEC_JSON, CODEC_BINARY):
+                    write_frame_sync(sock, {"kind": "request", "id": 99, "request": valid}, codec)
+                    frame = read_frame_sync(sock)
+                    assert frame["kind"] == "response"
+                    assert frame["response"]["status"] == "ok"
+                write_frame_sync(sock, {"kind": "bye"})
+            finally:
+                sock.close()
+        finally:
+            server.stop()
+
     def test_response_too_large_for_a_frame_fails_only_its_request(self, monkeypatch):
         """A v1 response embeds its request echo, so it can outgrow the
         frame its request fit in: that one request fails with a clear error
@@ -881,9 +945,9 @@ class TestSessionInterning:
 
 
 class TestPipeBatchesClose:
-    """A pipe batch closes its session batches in the worker's service: with
-    a deadline that cannot fire inside the test, coalesced and lone requests
-    must still be answered promptly."""
+    """The worker decodes each pipe batch as one group, with no micro-batcher
+    deadline in between: with a deadline that cannot fire inside the test,
+    coalesced and lone requests must still be answered promptly."""
 
     def test_answers_arrive_without_waiting_out_the_deadline(self):
         from repro.api import get_decoder
@@ -912,6 +976,46 @@ class TestPipeBatchesClose:
             assert response.outcome.correction_edges(graph) == direct.correction_edges(graph)
             assert response.outcome.weight == direct.weight
             assert response.outcome.counters == direct.counters
+
+
+    def test_one_session_frame_is_cut_at_the_batch_size(self):
+        """20 requests of one session in one frame, under max_batch_size=8,
+        decode as batches of 8, 8 and 4 in the worker."""
+        trace = generate_trace(NET_TRACE)
+        key = trace.requests[0].request.session
+        requests = [t.request for t in trace.requests if t.request.session == key]
+        requests = (requests * 20)[:20]
+        config = ServiceConfig(max_batch_size=8, max_wait_seconds=30.0)
+        server = NetServer(config, processes=1, prewarm=prewarm_specs(NET_TRACE))
+        host, port = server.start()
+        try:
+            with NetClient(host, port) as client:
+                responses = client.decode_many(requests, timeout=10.0)
+                frames = client.wire_stats()["batch_histogram"]
+        finally:
+            server.stop()
+        assert frames == {"20": 1}
+        assert all(response.ok for response in responses)
+        assert [response.batch_size for response in responses] == [8] * 16 + [4] * 4
+        assert [response.request for response in responses] == requests
+
+    def test_worker_keeps_up_under_an_open_loop_flood(self):
+        """2,000 submits with no waiting are all answered, and a second
+        connection opened mid-flood is served."""
+        trace = generate_trace(NET_TRACE)
+        requests = [t.request for t in trace.requests]
+        server = NetServer(NET_CONFIG, processes=1, prewarm=prewarm_specs(NET_TRACE))
+        host, port = server.start()
+        try:
+            with NetClient(host, port) as client:
+                futures = [client.submit(requests[i % len(requests)]) for i in range(1000)]
+                with NetClient(host, port) as second:
+                    assert second.decode(requests[0], timeout=30.0).ok
+                futures += [client.submit(requests[i % len(requests)]) for i in range(1000)]
+                statuses = Counter(future.result(timeout=60.0).status for future in futures)
+        finally:
+            server.stop()
+        assert statuses == {"ok": 2000}, statuses
 
 
 class TestWireV2:

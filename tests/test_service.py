@@ -4,12 +4,12 @@ Covers the layers the service spans:
 
 * session keys and the shared config/content hashing
   (:mod:`repro.api.hashing`);
-* the pure :class:`repro.service.MicroBatcher` (size flush, close flush,
-  deadline flush, drain — all with a fake clock, no sleeps);
+* the pure :class:`repro.service.MicroBatcher` (size flush, deadline
+  flush, drain — all with a fake clock, no sleeps);
 * the LRU :class:`repro.service.SessionCache` (reuse, eviction, counters);
 * :class:`repro.service.DecodeService` end to end — bit-identity of served
   outcomes against direct decodes, deadline-driven flushes, backpressure and
-  load-shed at a full admission queue, closing groups (``submit_many``),
+  load-shed at a full admission queue, coalesced groups (``decode_group``),
   stream multiplexing;
 * :class:`repro.evaluation.ServiceLoadEngine` — open/closed-loop replay,
   worker-count independence of the outcome digest, and the schema-validated
@@ -209,46 +209,6 @@ class TestMicroBatcher:
         assert sorted(b.key for b in batcher.drain()) == ["a", "b"]
         assert batcher.drain() == []
 
-    def test_close_flushes_only_its_key(self):
-        batcher = MicroBatcher(max_batch_size=10, max_wait_seconds=1.0)
-        batcher.add("a", 1, now=0.0)
-        batcher.add("b", 2, now=0.2)
-        closed = batcher.add("a", 3, now=0.5, close=True)
-        assert closed.key == "a" and closed.items == [1, 3]
-        assert closed.deadline_seconds == pytest.approx(1.0)
-        # "b" stays pending with the deadline its first request set.
-        assert batcher.pending_batches == 1 and batcher.pending_requests == 1
-        assert batcher.next_deadline() == pytest.approx(1.2)
-        assert batcher.due(now=1.19) == []
-        [late] = batcher.due(now=1.2)
-        assert late.key == "b" and late.items == [2]
-
-    def test_close_opens_and_flushes_a_batch_of_one(self):
-        batcher = MicroBatcher(max_batch_size=10, max_wait_seconds=1.0)
-        assert batcher.add("k", 1, now=0.0, close=True).items == [1]
-        assert batcher.pending_batches == 0 and batcher.next_deadline() is None
-
-    def test_size_flush_wins_when_close_hits_too(self):
-        batcher = MicroBatcher(max_batch_size=2, max_wait_seconds=1.0)
-        batcher.add("k", 1, now=0.0)
-        batch = batcher.add("k", 2, now=0.1, close=True)
-        assert batch.items == [1, 2]
-        assert batcher.pending_batches == 0
-        # The flush left nothing behind: the next item opens a fresh batch.
-        assert batcher.add("k", 3, now=0.2) is None
-        assert batcher.next_deadline() == pytest.approx(1.2)
-
-    def test_closing_group_larger_than_the_size_bound(self):
-        batcher = MicroBatcher(max_batch_size=32, max_wait_seconds=1.0)
-        flushed = [
-            batch
-            for i in range(40)
-            if (batch := batcher.add("k", i, now=0.0, close=i == 39)) is not None
-        ]
-        assert [batch.size for batch in flushed] == [32, 8]
-        assert [item for batch in flushed for item in batch.items] == list(range(40))
-        assert batcher.pending_batches == 0
-
     def test_validation(self):
         with pytest.raises(ValueError):
             MicroBatcher(max_batch_size=0)
@@ -341,136 +301,6 @@ class TestDecodeService:
         # A 5 s deadline can never fire in this test; only size flushes can.
         assert all(r.batch_size == 2 for r in responses)
         assert service.stats.batches == 4
-
-
-# A deadline that cannot fire inside a test: anything that resolves within
-# the 5 s result timeout below was flushed by a size bound or by a close.
-CLOSE_CONFIG = ServiceConfig(workers=2, max_wait_seconds=30.0, max_batch_size=64)
-
-
-class TestSubmitMany:
-    def test_single_session_group_closes_its_batch(self):
-        _, syndromes = sample_syndromes(D3_CODE, 3)
-        with DecodeService(CLOSE_CONFIG) as service:
-            futures = service.submit_many([DecodeRequest(UF_KEY, s) for s in syndromes])
-            responses = [future.result(timeout=5) for future in futures]
-        assert [r.batch_size for r in responses] == [3, 3, 3]
-        assert service.stats.batch_sizes == Counter({3: 1})
-
-    def test_two_session_group_makes_two_batches(self):
-        graph, syndromes = sample_syndromes(D3_CODE, 5)
-        requests = [
-            DecodeRequest(UF_KEY if i % 2 else D3_KEY, syndrome, request_id=i)
-            for i, syndrome in enumerate(syndromes)
-        ]
-        with DecodeService(CLOSE_CONFIG) as service:
-            futures = service.submit_many(requests)
-            responses = [future.result(timeout=5) for future in futures]
-        assert service.stats.batch_sizes == Counter({3: 1, 2: 1})
-        assert [r.batch_size for r in responses] == [3, 2, 3, 2, 3]
-        direct = {
-            "micro-blossom": get_decoder("micro-blossom", graph),
-            "union-find": get_decoder("union-find", graph),
-        }
-        for request, response in zip(requests, responses):
-            assert response.request is request
-            expected = direct[request.session.decoder].decode_detailed(request.syndrome)
-            assert response.outcome.weight == expected.weight
-            assert response.outcome.counters == expected.counters
-
-    def test_waiting_requests_join_the_closing_batch(self):
-        """A request admitted one at a time waits in the batcher; a later
-        group of the same session closes the batch with it inside."""
-        _, syndromes = sample_syndromes(D3_CODE, 3)
-        with DecodeService(CLOSE_CONFIG) as service:
-            single = service.submit(DecodeRequest(UF_KEY, syndromes[0]))
-            group = service.submit_many([DecodeRequest(UF_KEY, s) for s in syndromes[1:]])
-            responses = [f.result(timeout=5) for f in [single, *group]]
-        assert [r.batch_size for r in responses] == [3, 3, 3]
-        assert service.stats.batches == 1
-
-    def test_cache_hit_last_member_still_closes_the_batch(self):
-        _, syndromes = sample_syndromes(D3_CODE, 3)
-        config = CLOSE_CONFIG.replace(outcome_cache_bytes=1 << 20)
-        with DecodeService(config) as service:
-            [warm] = service.submit_many([DecodeRequest(UF_KEY, syndromes[0])])
-            assert warm.result(timeout=5).batch_size == 1
-            futures = service.submit_many(
-                [DecodeRequest(UF_KEY, s) for s in (syndromes[1], syndromes[2], syndromes[0])]
-            )
-            responses = [future.result(timeout=5) for future in futures]
-        assert [r.cached for r in responses] == [False, False, True]
-        assert [r.batch_size for r in responses[:2]] == [2, 2]
-        assert service.stats.cache_hits == 1
-        assert service.stats.batch_sizes == Counter({1: 1, 2: 1})
-
-    def test_shed_members_never_strand_the_queued_ones(self):
-        """With two free queue slots, a 4-member group queues two (the
-        second closes the batch) and sheds two; the ledger adds up."""
-        _, syndromes = sample_syndromes(D3_CODE, 4)
-        service = DecodeService(CLOSE_CONFIG.replace(queue_capacity=2, overload_policy="shed"))
-        futures = service.submit_many([DecodeRequest(UF_KEY, s) for s in syndromes])
-        assert [f.result(timeout=1).status for f in futures[2:]] == [STATUS_SHED] * 2
-        assert not futures[0].done() and not futures[1].done()
-        service.start()
-        responses = [f.result(timeout=5) for f in futures[:2]]
-        assert all(r.ok and r.batch_size == 2 for r in responses)
-        service.close()
-        stats = service.stats
-        assert (stats.submitted, stats.completed, stats.shed) == (4, 2, 2)
-        assert stats.submitted == stats.completed + stats.shed + stats.errors
-
-    def test_block_timeout_fails_only_that_member(self):
-        _, syndromes = sample_syndromes(D3_CODE, 3)
-        service = DecodeService(CLOSE_CONFIG.replace(queue_capacity=2))
-        futures = service.submit_many([DecodeRequest(UF_KEY, s) for s in syndromes], timeout=0.01)
-        with pytest.raises(ServiceOverloadedError):
-            futures[2].result(timeout=1)
-        service.close()  # never started: fails the two queued futures
-        for future in futures[:2]:
-            with pytest.raises(ServiceClosedError):
-                future.result(timeout=1)
-
-    def test_concurrent_groups_all_close(self):
-        """Groups submitted from more threads than cores, with fast thread
-        switching, must all resolve without any deadline flush."""
-        import sys
-        import threading
-
-        _, syndromes = sample_syndromes(D3_CODE, 6)
-        requests = [DecodeRequest(UF_KEY if i % 3 else D3_KEY, s) for i, s in enumerate(syndromes)]
-        futures: list = []
-
-        def submitter(service):
-            for _ in range(10):
-                futures.extend(service.submit_many(requests))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with DecodeService(CLOSE_CONFIG) as service:
-                threads = [threading.Thread(target=submitter, args=(service,)) for _ in range(8)]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=10)
-                assert not any(thread.is_alive() for thread in threads)
-                responses = [future.result(timeout=10) for future in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(responses) == 8 * 10 * len(requests)
-        assert all(response.ok for response in responses)
-        stats = service.stats
-        assert stats.submitted == stats.completed == len(responses)
-        assert sum(size * count for size, count in stats.batch_sizes.items()) == len(responses)
-
-    def test_submit_many_after_close_raises(self):
-        _, syndromes = sample_syndromes(D3_CODE, 1)
-        service = DecodeService(ServiceConfig(workers=1))
-        service.start()
-        service.close()
-        with pytest.raises(ServiceClosedError):
-            service.submit_many([DecodeRequest(UF_KEY, syndromes[0])])
 
     def test_shed_policy_answers_immediately_when_full(self):
         _, syndromes = sample_syndromes(D3_CODE, 3)
@@ -686,6 +516,109 @@ class TestSubmitMany:
 # ---------------------------------------------------------------------------
 # streams through the service scheduler
 # ---------------------------------------------------------------------------
+# A deadline that cannot fire inside a test: a group never waits for it.
+GROUP_CONFIG = ServiceConfig(workers=2, max_wait_seconds=30.0, max_batch_size=64)
+
+
+class TestDecodeGroup:
+    def test_single_session_group_is_one_batch(self):
+        _, syndromes = sample_syndromes(D3_CODE, 3)
+        with DecodeService(GROUP_CONFIG) as service:
+            responses = service.decode_group([DecodeRequest(UF_KEY, s) for s in syndromes])
+        assert [r.batch_size for r in responses] == [3, 3, 3]
+        assert service.stats.batch_sizes == Counter({3: 1})
+
+    def test_two_session_group_makes_two_batches(self):
+        graph, syndromes = sample_syndromes(D3_CODE, 5)
+        requests = [
+            DecodeRequest(UF_KEY if i % 2 else D3_KEY, syndrome, request_id=i)
+            for i, syndrome in enumerate(syndromes)
+        ]
+        with DecodeService(GROUP_CONFIG) as service:
+            responses = service.decode_group(requests)
+        assert service.stats.batch_sizes == Counter({3: 1, 2: 1})
+        assert [r.batch_size for r in responses] == [3, 2, 3, 2, 3]
+        direct = {
+            "micro-blossom": get_decoder("micro-blossom", graph),
+            "union-find": get_decoder("union-find", graph),
+        }
+        for request, response in zip(requests, responses):
+            assert response.request is request
+            expected = direct[request.session.decoder].decode_detailed(request.syndrome)
+            assert response.outcome.weight == expected.weight
+            assert response.outcome.counters == expected.counters
+
+    def test_size_bound_cuts_a_session_into_batches(self):
+        _, syndromes = sample_syndromes(D3_CODE, 20)
+        with DecodeService(GROUP_CONFIG.replace(max_batch_size=8)) as service:
+            responses = service.decode_group([DecodeRequest(UF_KEY, s) for s in syndromes])
+        assert [r.batch_size for r in responses] == [8] * 16 + [4] * 4
+        assert all(r.ok for r in responses)
+        stats = service.stats
+        assert stats.batch_sizes == Counter({8: 2, 4: 1}) and stats.batches == 3
+        assert stats.submitted == stats.completed + stats.shed + stats.errors == 20
+        # A batch waits behind the group's earlier batches, never the reverse.
+        delays = [r.queue_delay_seconds for r in responses]
+        assert delays[0] <= delays[8] <= delays[16]
+
+    def test_cache_hit_member_skips_the_batch(self):
+        _, syndromes = sample_syndromes(D3_CODE, 3)
+        config = GROUP_CONFIG.replace(outcome_cache_bytes=1 << 20)
+        with DecodeService(config) as service:
+            [warm] = service.decode_group([DecodeRequest(UF_KEY, syndromes[0])])
+            assert warm.batch_size == 1
+            responses = service.decode_group(
+                [DecodeRequest(UF_KEY, s) for s in (syndromes[1], syndromes[2], syndromes[0])]
+            )
+        assert [r.cached for r in responses] == [False, False, True]
+        assert [r.batch_size for r in responses[:2]] == [2, 2]
+        assert responses[2].outcome.correction == warm.outcome.correction
+        stats = service.stats
+        assert stats.cache_hits == 1
+        assert stats.batch_sizes == Counter({1: 1, 2: 1})
+        assert stats.submitted == stats.completed == 4
+
+    def test_concurrent_groups_all_complete(self):
+        """Groups decoded from more threads than cores, with fast thread
+        switching, all complete and the ledger balances."""
+        import sys
+        import threading
+
+        _, syndromes = sample_syndromes(D3_CODE, 6)
+        requests = [DecodeRequest(UF_KEY if i % 3 else D3_KEY, s) for i, s in enumerate(syndromes)]
+        responses: list = []
+
+        def decoder(service):
+            for _ in range(10):
+                responses.extend(service.decode_group(requests))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with DecodeService(GROUP_CONFIG) as service:
+                threads = [threading.Thread(target=decoder, args=(service,)) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(responses) == 8 * 10 * len(requests)
+        assert all(response.ok for response in responses)
+        stats = service.stats
+        assert stats.submitted == stats.completed == len(responses)
+        assert sum(size * count for size, count in stats.batch_sizes.items()) == len(responses)
+
+    def test_decode_group_after_close_raises(self):
+        _, syndromes = sample_syndromes(D3_CODE, 1)
+        service = DecodeService(ServiceConfig(workers=1))
+        service.start()
+        service.close()
+        with pytest.raises(ServiceClosedError):
+            service.decode_group([DecodeRequest(UF_KEY, syndromes[0])])
+
+
 class TestServiceStream:
     @pytest.mark.parametrize("decoder", ["micro-blossom", "union-find"])
     def test_stream_outcome_identical_to_direct_streaming(self, decoder):
