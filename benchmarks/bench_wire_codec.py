@@ -37,7 +37,6 @@ from repro.service.net.protocol import (
     decode_payload,
     encode_frame,
 )
-from repro.service.net.worker import response_payload
 from repro.service.request import DecodeResponse
 
 #: Codec-level speedup floor: the binary codec must halve the cost of the
@@ -66,7 +65,9 @@ def build_mix(distance: int, error_rate: float, samples: int, seed: int):
         # the key's memoised canonical blob for the binary encoder.
         wire["session"] = SessionWire(key.to_dict(), key.wire_blob())
         requests.append(wire)
-        responses.append(response_payload(response))
+        payload = response.to_dict()
+        del payload["request"]  # the echo a v1 server adds back per frame
+        responses.append(payload)
     return requests, responses
 
 

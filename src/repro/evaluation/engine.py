@@ -107,19 +107,25 @@ class LatencyHistogram:
             self.counts = [0] * self.num_bins
         elif len(self.counts) != self.num_bins:
             raise ValueError("counts length does not match num_bins")
-
-    def _bin_index(self, seconds: float) -> int:
-        if seconds <= self.low:
-            return 0
-        position = math.log(seconds / self.low) / math.log(self.high / self.low)
-        return min(self.num_bins - 1, int(position * self.num_bins))
+        # The span's log is the same float on every call, so caching it
+        # leaves every bin index bit-identical; not a dataclass field.
+        self._log_span = math.log(self.high / self.low)
 
     def add(self, seconds: float) -> None:
-        self.counts[self._bin_index(seconds)] += 1
+        # Hot path (two samples per served request): one log, plain compares.
+        if seconds <= self.low:
+            index = 0
+        else:
+            index = int(math.log(seconds / self.low) / self._log_span * self.num_bins)
+            if index >= self.num_bins:
+                index = self.num_bins - 1
+        self.counts[index] += 1
         self.count += 1
         self.sum_seconds += seconds
-        self.min_seconds = min(self.min_seconds, seconds)
-        self.max_seconds = max(self.max_seconds, seconds)
+        if seconds < self.min_seconds:
+            self.min_seconds = seconds
+        if seconds > self.max_seconds:
+            self.max_seconds = seconds
 
     def extend(self, values: Sequence[float]) -> None:
         for value in values:

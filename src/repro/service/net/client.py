@@ -23,9 +23,12 @@ On top of pipelining the client batches at two levels (binary codec only):
   by the server's ``welcome`` frame).
 
 The codec is negotiated at the handshake (``codecs=(1,)`` forces canonical
-JSON — the legacy v1 wire format).  Binary ``response`` frames carry no
-request echo; either way the client swaps in its *local*
-:class:`~repro.service.DecodeRequest` object so identity comparisons
+JSON — the legacy v1 wire format).  On a binary connection each request is
+encoded once, from the :class:`~repro.service.DecodeRequest` object (its
+key's memoised blob plus its packed syndrome), and each response body is
+read straight into a :class:`~repro.service.DecodeResponse`.  Binary
+``response`` frames carry no request echo; either way the client swaps in
+its *local* request object so identity comparisons
 (``response.request is request``) behave exactly as they do against an
 in-process service.  :meth:`wire_stats` reports the negotiated codec,
 byte/frame counts in both directions, and the coalesced-batch-size
@@ -48,11 +51,13 @@ from .protocol import (
     PROTOCOL_VERSION,
     SUPPORTED_CODECS,
     ProtocolError,
-    SessionWire,
+    binary_kind,
     check_version,
     decode_payload,
     read_frame_sync,
     read_payload_sync,
+    read_responses,
+    request_member,
     write_frame_sync,
 )
 from .router import HashRing
@@ -62,40 +67,21 @@ class ServerDrainingError(ConnectionError):
     """The server announced a drain; it will not accept new work."""
 
 
-def _session_wire(key: SessionKey) -> SessionWire:
-    """``key``'s :class:`~repro.service.net.protocol.SessionWire`, built once
-    and kept on the key next to its memoised
-    :meth:`~repro.service.SessionKey.wire_blob` (outside the dataclass
-    fields, so equality, hashing and pickles are unchanged).  Every request
-    of the key shares it, so treat it as read-only."""
-    try:
-        return key.__dict__["_wire"]
-    except KeyError:
-        return key._remember("_wire", SessionWire(key.to_dict(), key.wire_blob()))
+def _member_entry(frame_id: int, request: DecodeRequest) -> tuple[tuple, int] | None:
+    """``(member, size estimate)`` of one request, or ``None`` when a field
+    does not fit the binary layout (the request then rides codec 1 alone).
 
-
-def _request_wire(request: DecodeRequest) -> dict:
-    """:meth:`DecodeRequest.to_dict` with the session as its key's shared
-    :class:`~repro.service.net.protocol.SessionWire`: the binary encoder
-    then writes the memoised blob instead of serialising the session again
-    for every request."""
-    return {
-        "session": _session_wire(request.session),
-        "syndrome": request.syndrome.to_dict(),
-        "request_id": request.request_id,
-    }
-
-
-def _estimate_member_bytes(member: dict) -> int:
-    """Cheap size estimate of one batch member (binary codec, pre-encode).
-
-    Used only to pre-chunk batches near the frame bound; the authoritative
-    check is ``encode_frame`` raising :class:`ProtocolError`, which triggers
-    a halving split.
+    The estimate only pre-chunks batches near the frame bound; the
+    authoritative check is ``encode_requests`` raising
+    :class:`ProtocolError`, which triggers a halving split.
     """
-    syndrome = member["request"].get("syndrome") or {}
-    arrays = ("defects", "error_edges", "erasures")
-    return 64 + 4 * sum(len(syndrome.get(name) or ()) for name in arrays)
+    try:
+        member = request_member(frame_id, request)
+    except ValueError:
+        return None
+    syndrome = request.syndrome
+    arrays = len(syndrome.defects) + len(syndrome.error_edges) + len(syndrome.erasures)
+    return member, 64 + 4 * arrays
 
 
 class NetClient:
@@ -172,7 +158,7 @@ class NetClient:
         # Nagle-style coalescer state: buffered (member, estimate) pairs and
         # the monotonic time the oldest one arrived.
         self._co_cond = threading.Condition()
-        self._co_buffer: list[dict] = []
+        self._co_buffer: list[tuple[tuple, int]] = []
         self._co_bytes = 0
         self._co_oldest = 0.0
         self._reader = threading.Thread(
@@ -196,6 +182,12 @@ class NetClient:
                 with self._stats_lock:
                     self._frames_received += 1
                     self._bytes_received += len(payload) + 4
+                if binary_kind(payload) in ("response", "response-batch"):
+                    for frame_id, fields in read_responses(payload):
+                        entry = self._take(frame_id)
+                        if entry is not None:
+                            entry[1].set_result(DecodeResponse(entry[2], *fields))
+                    continue
                 frame = decode_payload(payload)
                 kind = frame.get("kind")
                 if kind == "response":
@@ -221,6 +213,8 @@ class NetClient:
             return self._pending.pop(frame_id, None)
 
     def _resolve_response(self, frame_id, payload) -> None:
+        """Resolve a codec-1 ``response`` member (binary ones are read
+        straight into ``DecodeResponse`` fields by the read loop)."""
         entry = self._take(frame_id)
         if entry is None:
             return
@@ -231,10 +225,9 @@ class NetClient:
             if request is None and payload.get("request") is not None:
                 request = DecodeRequest.from_dict(payload["request"])
             outcome_wire = payload.get("outcome")
-            # Built field by field rather than via ``from_dict`` because the
-            # binary codec's response bodies carry no request echo — the
-            # local request object stands in (and preserves identity:
-            # ``response.request is request``).
+            # Built field by field rather than via ``from_dict`` so the local
+            # request object stands in for the echo (and preserves
+            # identity: ``response.request is request``).
             response = DecodeResponse(
                 request=request,
                 status=str(payload["status"]),
@@ -316,8 +309,11 @@ class NetClient:
         return frame_id, future
 
     def _send_frame(self, frame: dict, batch_size: int | None = None) -> None:
-        """Encode + send one frame under the write lock, recording stats."""
-        data = protocol.encode_frame(frame, self.codec)
+        """Encode + send one frame dict (see :meth:`_send_bytes`)."""
+        self._send_bytes(protocol.encode_frame(frame, self.codec), batch_size)
+
+    def _send_bytes(self, data: bytes, batch_size: int | None = None) -> None:
+        """Send one encoded frame under the write lock, recording stats."""
         with self._write_lock:
             self._sock.sendall(data)
         with self._stats_lock:
@@ -350,16 +346,17 @@ class NetClient:
             return self._send("request", "request", request, {"request": request.to_dict()})
         self._check_sendable()
         frame_id, future = self._register("request", request)
-        member = {"id": frame_id, "request": _request_wire(request)}
-        flush: list[dict] | None = None
+        entry = _member_entry(frame_id, request)
+        flush: list[tuple[tuple, int]] | None = None
         send_now = False
         with self._co_cond:
-            if not self._co_buffer and len(self._pending) <= 1:
-                # Idle connection: latency wins, write it straight out.
+            if entry is None or (not self._co_buffer and len(self._pending) <= 1):
+                # Idle connection: latency wins, write it straight out (so
+                # does a request the binary layout cannot carry).
                 send_now = True
             else:
-                self._co_buffer.append(member)
-                self._co_bytes += _estimate_member_bytes(member)
+                self._co_buffer.append(entry)
+                self._co_bytes += entry[1]
                 if len(self._co_buffer) == 1:
                     self._co_oldest = time.monotonic()
                     self._co_cond.notify()
@@ -368,11 +365,11 @@ class NetClient:
                     self._co_buffer = []
                     self._co_bytes = 0
         try:
-            if send_now:
-                self._send_frame(
-                    {"kind": "request", "id": frame_id, "request": member["request"]},
-                    batch_size=1,
-                )
+            if entry is None:
+                frame = {"kind": "request", "id": frame_id, "request": request.to_dict()}
+                self._send_frame(frame, batch_size=1)
+            elif send_now:
+                self._send_bytes(protocol.encode_requests([entry[0]]), batch_size=1)
             elif flush is not None:
                 self._send_batch(flush)
         except ProtocolError as exc:
@@ -414,8 +411,9 @@ class NetClient:
                 # so close() can join it.
                 continue
 
-    def _send_batch(self, members: list[dict]) -> None:
-        """Send buffered members as ``request-batch`` frames, splitting to fit.
+    def _send_batch(self, entries: list[tuple[tuple, int]]) -> None:
+        """Send buffered ``(member, estimate)`` entries as ``request-batch``
+        frames, splitting to fit.
 
         Estimates pre-chunk near half the frame bound; an encode that still
         exceeds ``MAX_FRAME_BYTES`` splits by halving.  A *single* member
@@ -423,11 +421,10 @@ class NetClient:
         error — one request, one answer, never a torn connection.
         """
         limit = max(1, protocol.MAX_FRAME_BYTES // 2)
-        chunks: list[list[dict]] = []
-        current: list[dict] = []
+        chunks: list[list[tuple]] = []
+        current: list[tuple] = []
         current_bytes = 0
-        for member in members:
-            estimate = _estimate_member_bytes(member)
+        for member, estimate in entries:
             if current and current_bytes + estimate > limit:
                 chunks.append(current)
                 current, current_bytes = [], 0
@@ -437,18 +434,13 @@ class NetClient:
             chunks.append(current)
         while chunks:
             chunk = chunks.pop(0)
-            if len(chunk) == 1:
-                frame = {"kind": "request", "id": chunk[0]["id"], "request": chunk[0]["request"]}
-            else:
-                frame = {"kind": "request-batch", "requests": chunk}
             try:
-                self._send_frame(frame, batch_size=len(chunk))
+                self._send_bytes(protocol.encode_requests(chunk), batch_size=len(chunk))
             except ProtocolError:
                 if len(chunk) == 1:
-                    entry = self._take(chunk[0]["id"])
+                    entry = self._take(chunk[0][0])
                     if entry is not None:
-                        syndrome = chunk[0]["request"].get("syndrome") or {}
-                        defects = syndrome.get("defects") or ()
+                        defects = entry[2].syndrome.defects
                         entry[1].set_exception(
                             ProtocolError(
                                 f"request too large for one frame: a syndrome of "
@@ -464,7 +456,7 @@ class NetClient:
             except (ConnectionError, OSError) as exc:
                 failure = ConnectionError(f"send failed: {exc}")
                 for member in chunk:
-                    entry = self._take(member["id"])
+                    entry = self._take(member[0])
                     if entry is not None and not entry[1].done():
                         entry[1].set_exception(failure)
                 raise failure from None
@@ -496,17 +488,20 @@ class NetClient:
         # the server re-routes authoritatively.
         ring = HashRing(range(self.server_workers)) if self.server_workers else None
         futures: list[Future] = []
-        groups: dict[int, list[dict]] = {}
+        groups: dict[int, list[tuple[tuple, int]]] = {}
         for request in requests:
             # key_hash() is memoised on the key: one hash per session.
             target = ring.route(request.session.key_hash()) if ring is not None else 0
             frame_id, future = self._register("request", request)
             futures.append(future)
-            groups.setdefault(target, []).append(
-                {"id": frame_id, "request": _request_wire(request)}
-            )
-        for members in groups.values():
-            self._send_batch(members)
+            entry = _member_entry(frame_id, request)
+            if entry is None:
+                frame = {"kind": "request", "id": frame_id, "request": request.to_dict()}
+                self._send_frame(frame, batch_size=1)
+            else:
+                groups.setdefault(target, []).append(entry)
+        for entries in groups.values():
+            self._send_batch(entries)
         return [future.result(timeout) for future in futures]
 
     # ------------------------------------------------------------------

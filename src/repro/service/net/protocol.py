@@ -26,38 +26,22 @@ canonical JSON, which the sniffing receiver handles identically.
 :data:`PROTOCOL_VERSION` stays 1: codec 2 is a negotiated capability, not an
 incompatible envelope change.
 
-Frame kinds (client → server unless noted; * = binary-capable):
+Frame kinds (* = binary-capable; ← = server to client):
 
-========================  ====================================================
-``hello``                 Opens a connection: ``{kind, version, client,
-                          codecs}`` (``codecs`` absent = JSON-only peer).
-``welcome``               (server) Handshake reply: ``{kind, version,
-                          workers, config_hash, codec, coalesce}`` — the
-                          hash of the server's
-                          :class:`repro.service.ServiceConfig`, the
-                          negotiated codec, and the server's suggested
-                          client-side coalescing knobs.
-``request`` *             One decode request: ``{kind, id, request}`` where
-                          ``request`` is
-                          :meth:`repro.service.DecodeRequest.to_dict`.
-``response`` *            (server) The answer: ``{kind, id, response}``.
-                          Codec-1 responses embed the request echo; binary
-                          responses never do.
-``request-batch`` *       N requests in one frame: ``{kind, requests:
-                          [{id, request}, ...]}``.
-``response-batch`` *      (server) N answers in one frame: ``{kind,
-                          responses: [{id, response}, ...]}``.
-``stream-open``           Open a streaming session: ``{kind, id, stream,
-                          session, window, commit_depth}``.
-``stream-op``             One stream operation: ``{kind, id, stream, op,
-                          payload}`` with ``op`` ∈ begin/push/finalize.
-``stream-reply``          (server) Stream result: ``{kind, id, result}``.
-``error``                 (server) Protocol-level failure: ``{kind, id,
-                          error}`` (``id`` null for connection-level errors).
-``drain``                 (server) The server is draining: already-admitted
-                          work will still be answered, new work will not.
-``bye``                   Client is closing the connection.
-========================  ====================================================
+* ``hello`` ``{version, client, codecs}`` (no ``codecs`` = JSON-only peer);
+  ← ``welcome`` ``{version, workers, config_hash, codec, coalesce}``: the
+  server's :class:`repro.service.ServiceConfig` hash, the negotiated codec
+  and the suggested client-side coalescing knobs.
+* ``request`` * ``{id, request}`` (:meth:`repro.service.DecodeRequest.to_dict`);
+  ← ``response`` * ``{id, response}`` (codec-1 responses embed the request
+  echo, binary ones never do).  ``request-batch`` * ``{requests: [{id,
+  request}, ...]}``; ← ``response-batch`` * ``{responses: [{id, response},
+  ...]}``.
+* ``stream-open`` ``{id, stream, session, window, commit_depth}`` and
+  ``stream-op`` ``{id, stream, op, payload}`` (``op`` ∈ begin/push/finalize);
+  ← ``stream-reply`` ``{id, result}``.
+* ← ``error`` ``{id, error}`` (``id`` null for connection-level errors);
+  ← ``drain`` (admitted work is still answered, new work is not); ``bye``.
 
 Binary layouts (all little-endian; ``blob`` = u32 length + UTF-8 bytes,
 ``u32[]`` = u32 count + packed u32 values):
@@ -80,6 +64,21 @@ Binary layouts (all little-endian; ``blob`` = u32 length + UTF-8 bytes,
 * ``response-batch``: ``0xB2 0x04`` · u32 n_members · n×(i64 frame id ·
   body).
 
+Each layout has one field-level writer and one reader, and the decode path
+uses them without a dict in between.  A request member is the tuple
+``(frame id, session blob, request id, syndrome bytes)``:
+:func:`request_member` builds it from a
+:class:`~repro.service.DecodeRequest`, :func:`encode_requests` frames
+members, and :func:`scan_requests` checks a binary request frame and hands
+its members back with each syndrome as its raw byte span, which the front
+end forwards to a worker unparsed.  The worker writes each answer's body
+once (:func:`response_body`); the front end splices ``(frame id, body)``
+pairs into frames (:func:`encode_responses`), and the client reads them
+straight into :class:`~repro.service.DecodeResponse` fields
+(:func:`read_responses`).  The logical-dict forms of
+:func:`encode_frame`/:func:`decode_payload` are thin adapters over the same
+writers and readers.
+
 The module offers both blocking-socket helpers (the synchronous client) and
 ``asyncio`` stream helpers (the server) over the identical byte format.
 """
@@ -90,8 +89,12 @@ import asyncio
 import json
 import socket
 import struct
+from collections import Counter
 
 from ...api.hashing import canonical_json
+from ...api.outcome import DecodeOutcome
+from ...graphs.syndrome import MatchingResult, Syndrome
+from ..request import STATUS_ERROR
 
 #: Version tag of this wire protocol; bumped on any incompatible change.
 #: The binary codec is *not* a version bump — it is negotiated per
@@ -122,14 +125,35 @@ _KIND_REQUEST = 0x01
 _KIND_RESPONSE = 0x02
 _KIND_REQUEST_BATCH = 0x03
 _KIND_RESPONSE_BATCH = 0x04
+_BINARY_KINDS = {
+    _KIND_REQUEST: "request",
+    _KIND_RESPONSE: "response",
+    _KIND_REQUEST_BATCH: "request-batch",
+    _KIND_RESPONSE_BATCH: "response-batch",
+}
 
-_U8 = struct.Struct("<B")
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _I64 = struct.Struct("<q")
-_F64 = struct.Struct("<d")
-_I32_PAIR = struct.Struct("<ii")
 _SINGLE_HEAD = struct.Struct("<BBq")  # magic, kind tag, frame id
+_BATCH_HEAD = struct.Struct("<BBI")  # magic, kind tag, member count
+_MEMBER_HEAD = struct.Struct("<qHq")  # frame id, session index, request id
+_TAG_COUNT = struct.Struct("<BI")  # syndrome tag, defect count
+_BODY_HEAD = struct.Struct("<BddI")  # flags, queue delay, latency, batch size
+_OUTCOME_HEAD = struct.Struct("<BII")  # flags, defect count, scale retries
+_FLIPS = (None, False, True)
+
+#: :class:`~repro.service.DecodeResponse` fields after ``request``, in the
+#: order :func:`read_responses` yields them.
+_RESPONSE_FIELDS = (
+    "status",
+    "outcome",
+    "queue_delay_seconds",
+    "latency_seconds",
+    "batch_size",
+    "cached",
+    "error",
+)
 
 
 class ProtocolError(RuntimeError):
@@ -141,12 +165,10 @@ class SessionWire(dict):
     travels as in the binary codec.
 
     The binary decoder hands out one per session-table entry (``blob`` is
-    the text the peer sent), and the client builds one per request from
-    :meth:`repro.service.SessionKey.wire_blob`.  The binary encoder writes
-    ``blob`` as is instead of re-serialising the dict, and the server
-    interns sessions by it.  It compares, and JSON-encodes, as the plain
-    dict it is; ``blob`` must stay the JSON of that dict, so treat it as
-    read-only.
+    the text the peer sent), and the binary encoder writes ``blob`` as is
+    instead of re-serialising the dict.  It compares, and JSON-encodes, as
+    the plain dict it is; ``blob`` must stay the JSON of that dict, so treat
+    it as read-only.
 
     >>> session = SessionWire({"decoder": "union-find"}, '{"decoder":"union-find"}')
     >>> session == {"decoder": "union-find"}, session.blob
@@ -189,258 +211,452 @@ def negotiate_codec(offered) -> int:
     return best
 
 
+def binary_kind(payload: bytes) -> str | None:
+    """The frame kind of a binary payload; ``None`` for a JSON payload."""
+    if payload[:1] != b"\xb2":
+        return None
+    if len(payload) < 2:
+        raise ProtocolError("truncated binary frame")
+    kind = _BINARY_KINDS.get(payload[1])
+    if kind is None:
+        raise ProtocolError(f"unknown binary frame kind 0x{payload[1]:02x}")
+    return kind
+
+
+def _framed(parts: list) -> bytes:
+    """``parts[1:]`` behind their length prefix (``parts[0]`` is the
+    prefix's slot); :class:`ProtocolError` past :data:`MAX_FRAME_BYTES`."""
+    size = sum(map(len, parts))
+    if size > MAX_FRAME_BYTES:
+        raise ProtocolError(f"frame of {size} bytes exceeds {MAX_FRAME_BYTES}")
+    parts[0] = _LENGTH.pack(size)
+    return b"".join(parts)
+
+
 # ---------------------------------------------------------------------------
-# binary codec: encoders
+# binary codec: writers (one per layout)
 # ---------------------------------------------------------------------------
-def _put_blob(out: bytearray, text: str) -> None:
+def _blob(text: str) -> bytes:
     data = text.encode("utf-8")
-    out += _U32.pack(len(data))
-    out += data
+    return _U32.pack(len(data)) + data
 
 
-def _put_u32_array(out: bytearray, values) -> None:
-    values = [int(v) for v in values]
-    out += _U32.pack(len(values))
-    out += struct.pack(f"<{len(values)}I", *values)
+def _u32s(values) -> bytes:
+    return struct.pack(f"<I{len(values)}I", len(values), *values)
 
 
-def _put_syndrome(out: bytearray, syndrome: dict) -> None:
-    flip = syndrome.get("logical_flip")
-    erasures = syndrome.get("erasures")
-    out += _U8.pack((0 if flip is None else (2 if flip else 1)) | (4 if erasures else 0))
-    _put_u32_array(out, syndrome.get("defects", ()))
-    _put_u32_array(out, syndrome.get("error_edges", ()))
-    if erasures:
-        _put_u32_array(out, erasures)
+def _i32_pairs(flat) -> bytes:
+    return struct.pack(f"<I{len(flat)}i", len(flat) // 2, *flat)
 
 
-def _put_outcome(out: bytearray, outcome: dict) -> None:
-    result = outcome.get("result")
-    correction = outcome.get("correction")
-    out += _U8.pack((1 if result is not None else 0) | (2 if correction is not None else 0))
-    out += _U32.pack(int(outcome.get("defect_count", 0)))
-    out += _U32.pack(int(outcome.get("scale_retries", 0)))
-    if result is not None:
-        pairs = result.get("pairs", ())
-        out += _U32.pack(len(pairs))
-        for u, v in pairs:
-            out += _I32_PAIR.pack(int(u), int(v))
-        boundary = result.get("boundary_vertices", {})
-        out += _U32.pack(len(boundary))
-        for defect in sorted(boundary, key=int):
-            out += _I32_PAIR.pack(int(defect), int(boundary[defect]))
-        out += _I64.pack(int(result.get("weight", 0)))
-    if correction is not None:
-        _put_u32_array(out, correction)
-    counters = outcome.get("counters", {})
-    out += _U32.pack(len(counters))
-    for key in sorted(counters):
-        _put_blob(out, key)
-        out += _I64.pack(int(counters[key]))
+def syndrome_bytes(defects, error_edges, logical_flip, erasures) -> bytes:
+    """The binary syndrome layout of these :class:`~repro.graphs.Syndrome`
+    fields.  Indices must be integers in ``[0, 2**32)``; anything else
+    (a float, a negative or oversized index) raises ``ValueError``."""
+    tag = 0 if logical_flip is None else (2 if logical_flip else 1)
+    try:
+        if erasures:
+            return bytes((tag | 4,)) + _u32s(defects) + _u32s(error_edges) + _u32s(erasures)
+        return bytes((tag,)) + _u32s(defects) + _u32s(error_edges)
+    except struct.error as exc:
+        raise ValueError(f"syndrome indices must be integers in [0, 2**32): {exc}") from None
 
 
-def _put_response_body(out: bytearray, payload: dict) -> None:
-    _put_blob(out, str(payload.get("status", "ok")))
-    outcome = payload.get("outcome")
-    error = payload.get("error")
-    out += _U8.pack(
-        (1 if payload.get("cached") else 0)
-        | (2 if outcome is not None else 0)
-        | (4 if error is not None else 0)
+def pack_syndrome(syndrome) -> bytes:
+    """:func:`syndrome_bytes` of a :meth:`~repro.graphs.Syndrome.to_dict`
+    form (``TypeError``/``KeyError``/``ValueError`` when it is not one)."""
+    if not isinstance(syndrome, dict):
+        raise TypeError(f"syndrome must be an object, got {type(syndrome).__name__}")
+    return syndrome_bytes(
+        syndrome["defects"],
+        syndrome.get("error_edges", ()),
+        syndrome.get("logical_flip"),
+        syndrome.get("erasures"),
     )
-    out += _F64.pack(float(payload.get("queue_delay_seconds", 0.0)))
-    out += _F64.pack(float(payload.get("latency_seconds", 0.0)))
-    out += _U32.pack(int(payload.get("batch_size", 0)))
-    if error is not None:
-        _put_blob(out, str(error))
-    if outcome is not None:
-        _put_outcome(out, outcome)
 
 
-def _encode_request(frame: dict) -> bytes:
-    request = frame["request"]
-    out = bytearray(_SINGLE_HEAD.pack(_MAGIC, _KIND_REQUEST, int(frame["id"])))
-    _put_blob(out, session_blob(request["session"]))
-    _put_syndrome(out, request["syndrome"])
-    out += _I64.pack(int(request.get("request_id", 0)))
-    return bytes(out)
+def request_member(frame_id: int, request) -> tuple:
+    """The ``(frame id, session blob, request id, syndrome bytes)`` member a
+    :class:`~repro.service.DecodeRequest` travels as: its key's memoised
+    ``wire_blob()`` and its syndrome packed once.  ``ValueError`` when a
+    field does not fit the binary layout."""
+    syndrome = request.syndrome
+    try:
+        _I64.pack(request.request_id)
+    except struct.error as exc:
+        raise ValueError(f"request_id must be an int64: {exc}") from None
+    return (
+        frame_id,
+        request.session.wire_blob(),
+        request.request_id,
+        syndrome_bytes(
+            syndrome.defects, syndrome.error_edges, syndrome.logical_flip, syndrome.erasures
+        ),
+    )
 
 
-def _encode_response(frame: dict) -> bytes:
-    out = bytearray(_SINGLE_HEAD.pack(_MAGIC, _KIND_RESPONSE, int(frame["id"])))
-    _put_response_body(out, frame["response"])
-    return bytes(out)
-
-
-def _encode_request_batch(frame: dict) -> bytes:
-    members = frame["requests"]
-    sessions: list[str] = []
+def _request_parts(members, batch: bool) -> list:
+    if not batch:
+        ((frame_id, blob, request_id, syndrome),) = members
+        head = _SINGLE_HEAD.pack(_MAGIC, _KIND_REQUEST, frame_id)
+        return [b"", head, _blob(blob), syndrome, _I64.pack(request_id)]
     index_of: dict[str, int] = {}
-    encoded_members = bytearray()
-    for member in members:
-        request = member["request"]
-        # A SessionWire brings its blob, so the per-member cost is a dict
-        # probe and struct packs, not a JSON encode.
-        blob = session_blob(request["session"])
+    body = []
+    for frame_id, blob, request_id, syndrome in members:
         index = index_of.get(blob)
         if index is None:
-            index = len(sessions)
+            index = index_of[blob] = len(index_of)
             if index > 0xFFFF:
                 raise ValueError("too many distinct sessions for one batch frame")
-            index_of[blob] = index
-            sessions.append(blob)
-        encoded_members += _I64.pack(int(member["id"]))
-        encoded_members += _U16.pack(index)
-        encoded_members += _I64.pack(int(request.get("request_id", 0)))
-        _put_syndrome(encoded_members, request["syndrome"])
-    out = bytearray((_MAGIC, _KIND_REQUEST_BATCH))
-    out += _U16.pack(len(sessions))
-    for blob in sessions:
-        _put_blob(out, blob)
-    out += _U32.pack(len(members))
-    out += encoded_members
-    return bytes(out)
+        body += (_MEMBER_HEAD.pack(frame_id, index, request_id), syndrome)
+    head = [b"", bytes((_MAGIC, _KIND_REQUEST_BATCH)), _U16.pack(len(index_of))]
+    head += map(_blob, index_of)
+    head.append(_U32.pack(len(members)))
+    return head + body
 
 
-def _encode_response_batch(frame: dict) -> bytes:
-    members = frame["responses"]
-    out = bytearray((_MAGIC, _KIND_RESPONSE_BATCH))
-    out += _U32.pack(len(members))
-    for member in members:
-        out += _I64.pack(int(member["id"]))
-        _put_response_body(out, member["response"])
-    return bytes(out)
-
-
-_BINARY_ENCODERS = {
-    "request": _encode_request,
-    "response": _encode_response,
-    "request-batch": _encode_request_batch,
-    "response-batch": _encode_response_batch,
-}
-
-
-def _encode_binary(frame: dict) -> bytes | None:
-    """Binary payload of ``frame``, or ``None`` for the JSON fallback.
-
-    Only the hot kinds have binary layouts; a frame a layout cannot
-    represent (out-of-range integers, a null id, non-numeric defects)
-    falls back to codec 1 rather than failing — both codecs carry the
-    same logical frame, so the receiver cannot tell the difference.
-    """
-    encoder = _BINARY_ENCODERS.get(frame.get("kind"))
-    if encoder is None:
-        return None
+def encode_requests(members: list) -> bytes:
+    """The frame carrying :func:`request_member` tuples: a ``request`` for
+    one member, a ``request-batch`` for several.  :class:`ProtocolError`
+    when it cannot be one frame (too large, or too many sessions)."""
     try:
-        return encoder(frame)
-    except (KeyError, TypeError, ValueError, OverflowError, struct.error):
-        return None
+        return _framed(_request_parts(members, len(members) > 1))
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from None
+
+
+def _outcome_parts(parts, result, correction, defect_count, counters, scale_retries) -> None:
+    flags = (0 if result is None else 1) | (0 if correction is None else 2)
+    parts.append(_OUTCOME_HEAD.pack(flags, defect_count, scale_retries))
+    if result is not None:
+        pairs, boundary, weight = result
+        parts += (_i32_pairs(pairs), _i32_pairs(boundary), _I64.pack(weight))
+    if correction is not None:
+        parts.append(_u32s(correction))
+    parts.append(_U32.pack(len(counters)))
+    for key, value in counters:
+        parts += (_blob(key), _I64.pack(value))
+
+
+def _body(status, cached, queue_delay, latency, batch_size, error, outcome) -> bytes:
+    """The body layout; ``outcome`` is ``None`` or the :func:`_outcome_parts`
+    fields with sorted boundary/counter items and flat ``(u, v)`` pairs."""
+    flags = (1 if cached else 0) | (0 if outcome is None else 2) | (0 if error is None else 4)
+    parts = [_blob(status), _BODY_HEAD.pack(flags, queue_delay, latency, batch_size)]
+    if error is not None:
+        parts.append(_blob(error))
+    if outcome is not None:
+        _outcome_parts(parts, *outcome)
+    return b"".join(parts)
+
+
+def response_body(response) -> bytes:
+    """The binary body of a :class:`~repro.service.DecodeResponse`, written
+    from the objects (the outcome flattens as
+    :meth:`~repro.api.DecodeOutcome.to_dict` does)."""
+    outcome = response.outcome
+    if outcome is not None:
+        result, correction = outcome.result, outcome.correction
+        if result is not None:
+            boundary = sorted(result.boundary_vertices.items())
+            result = (
+                [vertex for pair in result.pairs for vertex in pair],
+                [vertex for item in boundary for vertex in item],
+                int(result.weight),
+            )
+        outcome = (
+            result,
+            None if correction is None else sorted(correction),
+            int(outcome.defect_count),
+            [(key, int(value)) for key, value in sorted(outcome.counters.items())],
+            int(outcome.scale_retries),
+        )
+    return _body(
+        response.status,
+        response.cached,
+        response.queue_delay_seconds,
+        response.latency_seconds,
+        response.batch_size,
+        response.error,
+        outcome,
+    )
+
+
+def error_body(message: str) -> bytes:
+    """The body of a request that failed outside a decoder (in a worker or
+    the front end): :data:`~repro.service.request.STATUS_ERROR` with
+    ``message`` as its error (any character UTF-8 cannot carry escaped)."""
+    message = message.encode("utf-8", "backslashreplace").decode("utf-8")
+    return _body(STATUS_ERROR, False, 0.0, 0.0, 0, message, None)
+
+
+def _response_parts(members, batch: bool) -> list:
+    if not batch:
+        ((frame_id, body),) = members
+        return [b"", _SINGLE_HEAD.pack(_MAGIC, _KIND_RESPONSE, frame_id), body]
+    parts = [b"", _BATCH_HEAD.pack(_MAGIC, _KIND_RESPONSE_BATCH, len(members))]
+    for frame_id, body in members:
+        parts += (_I64.pack(frame_id), body)
+    return parts
+
+
+def encode_responses(members: list) -> bytes:
+    """The frame carrying ``(frame id, body)`` pairs: a ``response`` for
+    one, a ``response-batch`` for several (:class:`ProtocolError` past
+    :data:`MAX_FRAME_BYTES`)."""
+    return _framed(_response_parts(members, len(members) > 1))
 
 
 # ---------------------------------------------------------------------------
-# binary codec: decoders
+# binary codec: readers (one per layout; struct.error means truncation)
 # ---------------------------------------------------------------------------
-class _Reader:
-    """Bounds-checked cursor over one binary payload."""
-
-    __slots__ = ("payload", "offset")
-
-    def __init__(self, payload: bytes) -> None:
-        self.payload = payload
-        self.offset = 0
-
-    def unpack(self, spec: struct.Struct):
-        try:
-            values = spec.unpack_from(self.payload, self.offset)
-        except struct.error:
-            raise ProtocolError("truncated binary frame") from None
-        self.offset += spec.size
-        return values
-
-    def blob(self) -> str:
-        (length,) = self.unpack(_U32)
-        end = self.offset + length
-        if end > len(self.payload):
-            raise ProtocolError("truncated binary frame")
-        data = self.payload[self.offset : end]
-        self.offset = end
-        try:
-            return data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ProtocolError(f"undecodable blob: {exc}") from None
-
-    def u32_array(self) -> list[int]:
-        (count,) = self.unpack(_U32)
-        if count * 4 > len(self.payload) - self.offset:
-            raise ProtocolError("truncated binary frame")
-        values = list(struct.unpack_from(f"<{count}I", self.payload, self.offset))
-        self.offset += count * 4
-        return values
+def _read_blob(payload: bytes, offset: int) -> tuple[str, int]:
+    (length,) = _U32.unpack_from(payload, offset)
+    start = offset + 4
+    end = start + length
+    if end > len(payload):
+        raise ProtocolError("truncated binary frame")
+    try:
+        return payload[start:end].decode("utf-8"), end
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"undecodable blob: {exc}") from None
 
 
-def _read_syndrome(reader: _Reader) -> dict:
-    (tag,) = reader.unpack(_U8)
-    flip = tag & 3
-    if tag > 7 or flip == 3:
+def _read_array(payload: bytes, offset: int, code: str, per_count: int) -> tuple[tuple, int]:
+    (count,) = _U32.unpack_from(payload, offset)
+    values = count * per_count
+    offset += 4
+    if offset + 4 * values > len(payload):
+        raise ProtocolError("truncated binary frame")
+    return struct.unpack_from(f"<{values}{code}", payload, offset), offset + 4 * values
+
+
+def _syndrome_end(payload: bytes, offset: int) -> int:
+    """End of the syndrome at ``offset``, after checking its tag and bounds."""
+    tag, count = _TAG_COUNT.unpack_from(payload, offset)
+    if tag > 7 or tag & 3 == 3:
         raise ProtocolError(f"bad syndrome tag {tag}")
-    syndrome = {
-        "defects": reader.u32_array(),
-        "error_edges": reader.u32_array(),
-        "logical_flip": None if flip == 0 else flip == 2,
-    }
-    if tag & 4:
-        syndrome["erasures"] = reader.u32_array()
-    return syndrome
+    offset += 5 + 4 * count
+    for _ in range(2 if tag & 4 else 1):
+        (count,) = _U32.unpack_from(payload, offset)
+        offset += 4 + 4 * count
+    if offset > len(payload):
+        raise ProtocolError("truncated binary frame")
+    return offset
 
 
-def _read_outcome(reader: _Reader) -> dict:
-    (flags,) = reader.unpack(_U8)
-    (defect_count,) = reader.unpack(_U32)
-    (scale_retries,) = reader.unpack(_U32)
-    result = None
+def syndrome_object(data: bytes) -> Syndrome:
+    """The :class:`~repro.graphs.Syndrome` of a syndrome span that
+    :func:`scan_requests` checked or :func:`syndrome_bytes` wrote."""
+    tag, count = _TAG_COUNT.unpack_from(data)
+    defects = struct.unpack_from(f"<{count}I", data, 5)
+    error_edges, offset = _read_array(data, 5 + 4 * count, "I", 1)
+    erasures = _read_array(data, offset, "I", 1)[0] if tag & 4 else ()
+    return Syndrome(defects, error_edges, _FLIPS[tag & 3], erasures)
+
+
+def scan_requests(payload: bytes) -> list[tuple]:
+    """The :func:`request_member` tuples of a binary ``request`` or
+    ``request-batch`` payload, each syndrome as its raw byte span.
+
+    Every bound, syndrome tag and session index is checked, and blobs must
+    be UTF-8; anything else raises :class:`ProtocolError`.  Session blobs
+    are *not* parsed here: a member's blob is the shared text of its
+    session-table entry, for :func:`~repro.service.intern_session`.
+    """
+    if binary_kind(payload) not in ("request", "request-batch"):
+        raise ProtocolError("not a binary request frame")
+    try:
+        if payload[1] == _KIND_REQUEST:
+            _, _, frame_id = _SINGLE_HEAD.unpack_from(payload)
+            blob, start = _read_blob(payload, _SINGLE_HEAD.size)
+            end = _syndrome_end(payload, start)
+            (request_id,) = _I64.unpack_from(payload, end)
+            return [(frame_id, blob, request_id, payload[start:end])]
+        (n_sessions,) = _U16.unpack_from(payload, 2)
+        offset, blobs = 4, []
+        for _ in range(n_sessions):
+            blob, offset = _read_blob(payload, offset)
+            blobs.append(blob)
+        (n_members,) = _U32.unpack_from(payload, offset)
+        offset += 4
+        members = []
+        for _ in range(n_members):
+            frame_id, index, request_id = _MEMBER_HEAD.unpack_from(payload, offset)
+            if index >= n_sessions:
+                raise ProtocolError(f"session index {index} out of table")
+            start = offset + _MEMBER_HEAD.size
+            offset = _syndrome_end(payload, start)
+            members.append((frame_id, blobs[index], request_id, payload[start:offset]))
+        return members
+    except struct.error:
+        raise ProtocolError("truncated binary frame") from None
+
+
+def _read_outcome(payload: bytes, offset: int) -> tuple[tuple, int]:
+    flags, defect_count, scale_retries = _OUTCOME_HEAD.unpack_from(payload, offset)
+    offset += _OUTCOME_HEAD.size
+    result = correction = None
     if flags & 1:
-        (n_pairs,) = reader.unpack(_U32)
-        pairs = [list(reader.unpack(_I32_PAIR)) for _ in range(n_pairs)]
-        (n_boundary,) = reader.unpack(_U32)
-        boundary = {}
-        for _ in range(n_boundary):
-            defect, virtual = reader.unpack(_I32_PAIR)
-            boundary[str(defect)] = virtual
-        (weight,) = reader.unpack(_I64)
-        result = {"pairs": pairs, "boundary_vertices": boundary, "weight": weight}
-    correction = reader.u32_array() if flags & 2 else None
-    (n_counters,) = reader.unpack(_U32)
+        pairs, offset = _read_array(payload, offset, "i", 2)
+        boundary, offset = _read_array(payload, offset, "i", 2)
+        (weight,) = _I64.unpack_from(payload, offset)
+        offset += 8
+        result = (pairs, boundary, weight)
+    if flags & 2:
+        correction, offset = _read_array(payload, offset, "I", 1)
+    (n_counters,) = _U32.unpack_from(payload, offset)
+    offset += 4
     counters = {}
     for _ in range(n_counters):
-        key = reader.blob()
-        (value,) = reader.unpack(_I64)
-        counters[key] = value
+        key, offset = _read_blob(payload, offset)
+        (counters[key],) = _I64.unpack_from(payload, offset)
+        offset += 8
+    return (result, correction, defect_count, counters, scale_retries), offset
+
+
+def _outcome_object(result, correction, defect_count, counters, scale_retries) -> DecodeOutcome:
+    if result is not None:
+        pairs, boundary, weight = result
+        result = MatchingResult(
+            list(zip(pairs[::2], pairs[1::2])), dict(zip(boundary[::2], boundary[1::2])), weight
+        )
+    return DecodeOutcome(
+        result,
+        None if correction is None else set(correction),
+        defect_count,
+        Counter(counters),
+        scale_retries,
+    )
+
+
+def _outcome_dict(result, correction, defect_count, counters, scale_retries) -> dict:
+    if result is not None:
+        pairs, boundary, weight = result
+        result = {
+            "pairs": [[u, v] for u, v in zip(pairs[::2], pairs[1::2])],
+            "boundary_vertices": {str(u): v for u, v in zip(boundary[::2], boundary[1::2])},
+            "weight": weight,
+        }
     return {
         "result": result,
-        "correction": correction,
+        "correction": None if correction is None else list(correction),
         "defect_count": defect_count,
         "counters": counters,
         "scale_retries": scale_retries,
     }
 
 
-def _read_response_body(reader: _Reader) -> dict:
-    status = reader.blob()
-    (flags,) = reader.unpack(_U8)
-    (queue_delay,) = reader.unpack(_F64)
-    (latency,) = reader.unpack(_F64)
-    (batch_size,) = reader.unpack(_U32)
-    error = reader.blob() if flags & 4 else None
-    outcome = _read_outcome(reader) if flags & 2 else None
-    return {
-        "status": status,
-        "outcome": outcome,
-        "queue_delay_seconds": queue_delay,
-        "latency_seconds": latency,
-        "batch_size": batch_size,
-        "cached": bool(flags & 1),
-        "error": error,
-    }
+def _read_body(payload: bytes, offset: int, outcome_of) -> tuple[tuple, int]:
+    status, offset = _read_blob(payload, offset)
+    flags, queue_delay, latency, batch_size = _BODY_HEAD.unpack_from(payload, offset)
+    offset += _BODY_HEAD.size
+    error = outcome = None
+    if flags & 4:
+        error, offset = _read_blob(payload, offset)
+    if flags & 2:
+        fields, offset = _read_outcome(payload, offset)
+        outcome = outcome_of(*fields)
+    return (status, outcome, queue_delay, latency, batch_size, bool(flags & 1), error), offset
+
+
+def _read_responses(payload: bytes, outcome_of) -> list[tuple]:
+    try:
+        if payload[1] == _KIND_RESPONSE:
+            _, _, frame_id = _SINGLE_HEAD.unpack_from(payload)
+            return [(frame_id, _read_body(payload, _SINGLE_HEAD.size, outcome_of)[0])]
+        _, _, count = _BATCH_HEAD.unpack_from(payload)
+        offset, members = _BATCH_HEAD.size, []
+        for _ in range(count):
+            (frame_id,) = _I64.unpack_from(payload, offset)
+            fields, offset = _read_body(payload, offset + 8, outcome_of)
+            members.append((frame_id, fields))
+        return members
+    except struct.error:
+        raise ProtocolError("truncated binary frame") from None
+
+
+def read_responses(payload: bytes) -> list[tuple]:
+    """``(frame id, fields)`` per member of a binary ``response`` or
+    ``response-batch`` payload, where ``fields`` are the
+    :class:`~repro.service.DecodeResponse` arguments after ``request``
+    (the outcome a plain :class:`~repro.api.DecodeOutcome`)."""
+    return _read_responses(payload, _outcome_object)
+
+
+def body_dict(body: bytes) -> dict:
+    """The logical ``response`` dict of one binary body (no request echo)."""
+    try:
+        return dict(zip(_RESPONSE_FIELDS, _read_body(body, 0, _outcome_dict)[0]))
+    except struct.error:
+        raise ProtocolError("truncated binary frame") from None
+
+
+# ---------------------------------------------------------------------------
+# logical-dict adapters over the binary writers and readers
+# ---------------------------------------------------------------------------
+def _body_from_dict(payload: dict) -> bytes:
+    outcome, error = payload.get("outcome"), payload.get("error")
+    if outcome is not None:
+        result, correction = outcome.get("result"), outcome.get("correction")
+        if result is not None:
+            boundary = result.get("boundary_vertices", {})
+            result = (
+                [x for u, v in result.get("pairs", ()) for x in (int(u), int(v))],
+                [x for key in sorted(boundary, key=int) for x in (int(key), int(boundary[key]))],
+                int(result.get("weight", 0)),
+            )
+        counters = outcome.get("counters", {})
+        outcome = (
+            result,
+            correction,
+            int(outcome.get("defect_count", 0)),
+            [(key, int(counters[key])) for key in sorted(counters)],
+            int(outcome.get("scale_retries", 0)),
+        )
+    return _body(
+        str(payload.get("status", "ok")),
+        payload.get("cached"),
+        float(payload.get("queue_delay_seconds", 0.0)),
+        float(payload.get("latency_seconds", 0.0)),
+        int(payload.get("batch_size", 0)),
+        None if error is None else str(error),
+        outcome,
+    )
+
+
+def _member_from_dict(frame_id, request: dict) -> tuple:
+    return (
+        frame_id,
+        session_blob(request["session"]),
+        request.get("request_id", 0),
+        pack_syndrome(request["syndrome"]),
+    )
+
+
+def _encode_binary(frame: dict) -> list | None:
+    """Binary payload parts of ``frame``, or ``None`` for the JSON fallback.
+
+    Only the hot kinds have binary layouts; a frame a layout cannot
+    represent (out-of-range integers, a null id, non-numeric defects)
+    falls back to codec 1 rather than failing — both codecs carry the
+    same logical frame, so the receiver cannot tell the difference.
+    """
+    kind = frame.get("kind")
+    try:
+        if kind == "request":
+            return _request_parts([_member_from_dict(frame["id"], frame["request"])], False)
+        if kind == "request-batch":
+            members = [_member_from_dict(m["id"], m["request"]) for m in frame["requests"]]
+            return _request_parts(members, True)
+        if kind == "response":
+            return _response_parts([(frame["id"], _body_from_dict(frame["response"]))], False)
+        if kind == "response-batch":
+            members = [(m["id"], _body_from_dict(m["response"])) for m in frame["responses"]]
+            return _response_parts(members, True)
+    except (KeyError, TypeError, ValueError, OverflowError, struct.error):
+        return None
+    return None
 
 
 def _parse_session_blob(blob: str) -> SessionWire:
@@ -453,61 +669,30 @@ def _parse_session_blob(blob: str) -> SessionWire:
     return SessionWire(session, blob)
 
 
-def _decode_binary(payload: bytes) -> dict:
-    reader = _Reader(payload)
-    if len(payload) < 2:
-        raise ProtocolError("truncated binary frame")
-    kind = payload[1]
-    if kind in (_KIND_REQUEST, _KIND_RESPONSE):
-        _, _, frame_id = reader.unpack(_SINGLE_HEAD)
-        if kind == _KIND_REQUEST:
-            session = _parse_session_blob(reader.blob())
-            syndrome = _read_syndrome(reader)
-            (request_id,) = reader.unpack(_I64)
-            return {
-                "kind": "request",
-                "id": frame_id,
-                "request": {
-                    "session": session,
-                    "syndrome": syndrome,
-                    "request_id": request_id,
-                },
+def _decode_binary(payload: bytes, kind: str) -> dict:
+    if kind in ("request", "request-batch"):
+        sessions: dict[str, SessionWire] = {}  # one per table entry, shared
+        members = []
+        for frame_id, blob, request_id, syndrome in scan_requests(payload):
+            session = sessions.get(blob)
+            if session is None:
+                session = sessions[blob] = _parse_session_blob(blob)
+            request = {
+                "session": session,
+                "syndrome": syndrome_object(syndrome).to_dict(),
+                "request_id": request_id,
             }
-        return {"kind": "response", "id": frame_id, "response": _read_response_body(reader)}
-    if kind == _KIND_REQUEST_BATCH:
-        reader.offset = 2
-        (n_sessions,) = reader.unpack(_U16)
-        # One SessionWire per table entry, shared by the members citing it.
-        sessions = [_parse_session_blob(reader.blob()) for _ in range(n_sessions)]
-        (n_members,) = reader.unpack(_U32)
-        members = []
-        for _ in range(n_members):
-            (frame_id,) = reader.unpack(_I64)
-            (session_index,) = reader.unpack(_U16)
-            if session_index >= n_sessions:
-                raise ProtocolError(f"session index {session_index} out of table")
-            (request_id,) = reader.unpack(_I64)
-            syndrome = _read_syndrome(reader)
-            members.append(
-                {
-                    "id": frame_id,
-                    "request": {
-                        "session": sessions[session_index],
-                        "syndrome": syndrome,
-                        "request_id": request_id,
-                    },
-                }
-            )
-        return {"kind": "request-batch", "requests": members}
-    if kind == _KIND_RESPONSE_BATCH:
-        reader.offset = 2
-        (n_members,) = reader.unpack(_U32)
-        members = []
-        for _ in range(n_members):
-            (frame_id,) = reader.unpack(_I64)
-            members.append({"id": frame_id, "response": _read_response_body(reader)})
-        return {"kind": "response-batch", "responses": members}
-    raise ProtocolError(f"unknown binary frame kind 0x{kind:02x}")
+            members.append({"id": frame_id, "request": request})
+        if kind == "request":
+            return {"kind": kind, **members[0]}
+        return {"kind": kind, "requests": members}
+    members = [
+        {"id": frame_id, "response": dict(zip(_RESPONSE_FIELDS, fields))}
+        for frame_id, fields in _read_responses(payload, _outcome_dict)
+    ]
+    if kind == "response":
+        return {"kind": kind, **members[0]}
+    return {"kind": kind, "responses": members}
 
 
 # ---------------------------------------------------------------------------
@@ -520,18 +705,17 @@ def encode_frame(frame: dict, codec: int = CODEC_JSON) -> bytes:
     the binary layouts cannot represent) is emitted as canonical JSON —
     the receiver sniffs the payload codec per frame.
     """
-    payload = _encode_binary(frame) if codec >= CODEC_BINARY else None
-    if payload is None:
-        payload = canonical_json(frame).encode("utf-8")
-    if len(payload) > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame of {len(payload)} bytes exceeds {MAX_FRAME_BYTES}")
-    return _LENGTH.pack(len(payload)) + payload
+    parts = _encode_binary(frame) if codec >= CODEC_BINARY else None
+    if parts is None:
+        parts = [b"", canonical_json(frame).encode("utf-8")]
+    return _framed(parts)
 
 
 def decode_payload(payload: bytes) -> dict:
     """Parse one frame payload (either codec) into its logical frame dict."""
-    if payload[:1] == b"\xb2":
-        return _decode_binary(payload)
+    kind = binary_kind(payload)
+    if kind is not None:
+        return _decode_binary(payload, kind)
     try:
         frame = json.loads(payload.decode("utf-8"))
     except (UnicodeDecodeError, ValueError, RecursionError) as exc:
@@ -598,8 +782,8 @@ def read_frame_sync(sock: socket.socket) -> dict:
 # ---------------------------------------------------------------------------
 # asyncio framing (server)
 # ---------------------------------------------------------------------------
-async def read_frame(reader: asyncio.StreamReader) -> dict | None:
-    """Read one frame; ``None`` on clean EOF at a frame boundary."""
+async def read_payload(reader: asyncio.StreamReader) -> bytes | None:
+    """Read one frame's raw payload; ``None`` on clean EOF at a frame boundary."""
     try:
         header = await reader.readexactly(_LENGTH.size)
     except asyncio.IncompleteReadError as exc:
@@ -610,10 +794,15 @@ async def read_frame(reader: asyncio.StreamReader) -> dict | None:
     if length > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
     try:
-        payload = await reader.readexactly(length)
+        return await reader.readexactly(length)
     except asyncio.IncompleteReadError:
         raise ConnectionError("connection closed mid-frame") from None
-    return decode_payload(payload)
+
+
+async def read_frame(reader: asyncio.StreamReader) -> dict | None:
+    """Read one frame; ``None`` on clean EOF at a frame boundary."""
+    payload = await read_payload(reader)
+    return None if payload is None else decode_payload(payload)
 
 
 def write_frame(writer: asyncio.StreamWriter, frame: dict, codec: int = CODEC_JSON) -> None:

@@ -20,8 +20,10 @@ worker pool:
   interned by their wire blob (:func:`~repro.service.intern_session`), so
   the front end parses, checks and hashes each one once, not per request.
 * **Data plane.**  The ``prewarm`` decoding graphs are built once before
-  the fork and inherited by every worker; requests, defects inline, ride
-  the worker pipe as one ``request-batch`` message per worker.
+  the fork and inherited by every worker.  Binary request frames are
+  scanned, not parsed: syndrome bytes ride the worker pipe unchanged, one
+  ``request-batch`` message per worker, and the worker's response bodies
+  are spliced into the client's frames as is.
 * **Drain.**  :meth:`stop` (or SIGTERM under :meth:`run_forever`) closes the
   listener, tells clients via ``drain`` frames, waits for in-flight work,
   drains every worker's service, and joins the processes.  A worker that
@@ -35,7 +37,6 @@ from __future__ import annotations
 import asyncio
 import logging
 import multiprocessing
-import operator
 import os
 import signal
 import socket
@@ -49,17 +50,27 @@ from .protocol import (
     CODEC_BINARY,
     PROTOCOL_VERSION,
     ProtocolError,
+    binary_kind,
+    body_dict,
     check_version,
+    decode_payload,
+    encode_responses,
+    error_body,
     negotiate_codec,
+    pack_syndrome,
     read_frame,
+    read_payload,
+    scan_requests,
     session_blob,
     write_frame,
 )
 from .router import HashRing
-from .worker import error_payload, worker_main
+from .worker import worker_main
 
 #: Default bound on drain (stop/SIGTERM): in-flight wait + per-worker acks.
 DEFAULT_DRAIN_TIMEOUT_SECONDS = 60.0
+
+_REQUEST_KINDS = ("request", "request-batch")
 
 logger = logging.getLogger(__name__)
 
@@ -78,7 +89,12 @@ class _Worker:
 
 
 class _Pending:
-    """One request/stream-op in flight between front end and a worker."""
+    """One request/stream-op in flight between front end and a worker.
+
+    ``request_wire`` is the request dict of a JSON-framed member (a v1
+    response echoes it); ``None`` for a scanned binary member, whose answer
+    body is spliced into the client's frame as is.
+    """
 
     __slots__ = ("kind", "client", "frame_id", "request_wire", "worker_id")
 
@@ -383,11 +399,11 @@ class NetServer:
         if kind == "response-batch":
             _, entries = message
             answers = []
-            for seq, payload in entries:
+            for seq, body in entries:
                 pending = self._pending.pop(seq, None)
                 if pending is None:
                     continue
-                answers.append((pending, payload))
+                answers.append((pending, body))
             self._answer_batch(answers)
         elif kind == "stream-reply":
             _, seq, result = message
@@ -399,20 +415,23 @@ class NetServer:
             self._idle.set()
 
     def _answer(self, pending: _Pending, payload) -> None:
+        """Answer one request (``payload`` is its binary body) or stream op."""
         client = pending.client
         if not client.open:
             return
-        if pending.kind == "request":
-            if client.codec >= CODEC_BINARY:
-                # Binary-speaking clients hold their request object and
-                # never need the echo back — that is most of a v1
-                # response frame's bytes.
-                body = payload
-            else:
-                body = {**payload, "request": pending.request_wire}
-            frame = {"kind": "response", "id": pending.frame_id, "response": body}
-        else:
+        if pending.kind != "request":
             frame = {"kind": "stream-reply", "id": pending.frame_id, "result": payload}
+        elif client.codec >= CODEC_BINARY and pending.request_wire is None:
+            self._splice(client, [(pending.frame_id, payload)])
+            return
+        else:
+            # Read the body back: a v1 response embeds the request echo,
+            # and a binary client's JSON-framed member may carry an id the
+            # binary layout cannot (encode_frame then falls back to JSON).
+            body = body_dict(payload)
+            if client.codec < CODEC_BINARY:
+                body["request"] = pending.request_wire
+            frame = {"kind": "response", "id": pending.frame_id, "response": body}
         if not self._write(client, frame):
             self._refuse_too_large(client, pending.frame_id)
 
@@ -438,36 +457,39 @@ class NetServer:
     def _answer_batch(self, answers) -> None:
         """Answer a worker's response batch: one frame per binary client.
 
-        A lone answer rides a ``response`` frame, several a
-        ``response-batch``.  Codec-1 clients get one ``response`` frame per
-        answer, with the request echo.
+        Scanned members' bodies are spliced into one ``response`` (a lone
+        answer) or ``response-batch`` frame per client; every other answer
+        goes through :meth:`_answer`.
         """
         by_client: dict[int, tuple[_Client, list]] = {}
-        for pending, payload in answers:
+        for pending, body in answers:
             client = pending.client
-            if not client.open:
-                continue
-            if client.codec < CODEC_BINARY:
-                self._answer(pending, payload)
-                continue
-            entry = by_client.setdefault(id(client), (client, []))
-            entry[1].append({"id": pending.frame_id, "response": payload})
+            if client.codec < CODEC_BINARY or pending.request_wire is not None:
+                self._answer(pending, body)
+            elif client.open:
+                by_client.setdefault(id(client), (client, []))[1].append((pending.frame_id, body))
         for client, members in by_client.values():
-            chunks = [members]
-            while chunks and client.open:
-                chunk = chunks.pop(0)
+            self._splice(client, members)
+
+    def _splice(self, client: _Client, members: list) -> None:
+        """Write ``(frame id, body)`` pairs as binary response frames,
+        halving any frame that would exceed MAX_FRAME_BYTES."""
+        chunks = [members]
+        while chunks and client.open:
+            chunk = chunks.pop()
+            try:
+                data = encode_responses(chunk)
+            except ProtocolError:
                 if len(chunk) == 1:
-                    frame = {"kind": "response", **chunk[0]}
+                    self._refuse_too_large(client, chunk[0][0])
                 else:
-                    frame = {"kind": "response-batch", "responses": chunk}
-                if self._write(client, frame):
-                    continue
-                if len(chunk) == 1:
-                    self._refuse_too_large(client, chunk[0]["id"])
-                else:
-                    # The combined frame exceeds MAX_FRAME_BYTES: split it.
                     mid = len(chunk) // 2
-                    chunks[:0] = [chunk[:mid], chunk[mid:]]
+                    chunks += (chunk[mid:], chunk[:mid])
+                continue
+            try:
+                client.writer.write(data)
+            except (ConnectionError, OSError):  # pragma: no cover - racing close
+                client.open = False
 
     def _on_worker_death(self, worker: _Worker) -> None:
         """A worker died: isolate the blast radius, re-route its keys."""
@@ -492,7 +514,7 @@ class NetServer:
             if pending.kind == "request":
                 self._answer(
                     pending,
-                    error_payload(f"WorkerDied: worker {worker.worker_id} exited mid-request"),
+                    error_body(f"WorkerDied: worker {worker.worker_id} exited mid-request"),
                 )
             else:
                 self._answer(
@@ -563,10 +585,16 @@ class NetServer:
             )
             await writer.drain()
             while True:
-                frame = await read_frame(reader)
-                if frame is None or frame.get("kind") == "bye":
+                payload = await read_payload(reader)
+                if payload is None:
                     return
-                self._handle_frame(client_id, client, frame)
+                if client.codec >= CODEC_BINARY and binary_kind(payload) in _REQUEST_KINDS:
+                    self._admit(client, scan_requests(payload))
+                else:
+                    frame = decode_payload(payload)
+                    if frame.get("kind") == "bye":
+                        return
+                    self._handle_frame(client_id, client, frame)
                 await writer.drain()
         except ProtocolError as exc:
             try:
@@ -616,8 +644,8 @@ class NetServer:
             for member in members:
                 if isinstance(member, dict):
                     self._refuse(client, member.get("id"), "server is draining")
-        elif kind in ("request", "request-batch"):
-            self._admit(client, members)
+        elif kind in _REQUEST_KINDS:
+            self._admit(client, *self._pack_members(client, members))
         elif kind == "stream-open":
             self._handle_stream_open(client_id, client, frame)
         elif kind == "stream-op":
@@ -629,51 +657,65 @@ class NetServer:
         self._seq += 1
         return self._seq
 
-    def _admit(self, client: _Client, members: list) -> None:
-        """Admit decode requests: validate, group per worker arc, and
-        forward each group as a single pipe message.  Bad members are
-        refused individually; the rest proceed.
+    def _pack_members(self, client: _Client, members: list) -> tuple[list, list]:
+        """The :func:`~repro.service.net.protocol.request_member` tuples and
+        request dicts of JSON-framed members, each syndrome packed once.
+
+        A member whose syndrome cannot be packed (not an object, or an index
+        that is not an integer in ``[0, 2**32)``) is refused with a ``bad
+        request`` error here, so the worker pipe only carries decodable
+        syndromes, and a float defect is never truncated into another one.
+        """
+        packed, wires = [], []
+        for member in members:
+            if not isinstance(member, dict):
+                continue
+            wire = member.get("request")
+            try:
+                blob = session_blob(wire["session"])
+                syndrome = pack_syndrome(wire["syndrome"])
+            except Exception as exc:
+                self._refuse(client, member.get("id"), f"bad request: {type(exc).__name__}: {exc}")
+                continue
+            packed.append((member.get("id"), blob, wire.get("request_id", 0), syndrome))
+            wires.append(wire)
+        return packed, wires
+
+    def _admit(self, client: _Client, members: list, wires: list | None = None) -> None:
+        """Admit request members ``(frame id, session blob, request id,
+        syndrome bytes)``: route each, and forward each worker's group as a
+        single pipe message.  Bad members are refused individually; the
+        rest proceed.  ``wires`` holds the request dicts of JSON-framed
+        members (``None`` for a scanned binary frame).
 
         Sessions go through :func:`~repro.service.intern_session` by their
         blob, so each distinct session is parsed, checked and hashed once
         in this process, not once per request.
         """
+        if self._refusing:
+            # Refuse member by member: a connection-level (null-id)
+            # error would fail the client's unrelated in-flight work.
+            for member in members:
+                self._refuse(client, member[0], "server is draining")
+            return
         groups: dict[int, list] = {}
-        for member in members:
-            if not isinstance(member, dict):
-                continue
-            member_id = member.get("id")
-            wire = member.get("request")
+        for index, (frame_id, blob, request_id, syndrome) in enumerate(members):
+            wire = None if wires is None else wires[index]
             try:
-                blob = session_blob(wire["session"])
                 key_hash = intern_session(blob).key_hash()
-                # The worker builds a Syndrome from this object; refusing a
-                # null/absent one here keeps the worker pipe for decodable
-                # work.
-                syndrome_wire = wire["syndrome"]
-                if not isinstance(syndrome_wire, dict):
-                    raise TypeError(
-                        f"syndrome must be an object, got {type(syndrome_wire).__name__}"
-                    )
-                # Defects must be integers: the worker's Syndrome.from_dict
-                # would truncate a float (1.5 -> 1) into another syndrome.
-                for defect in syndrome_wire.get("defects") or ():
-                    operator.index(defect)
             except Exception as exc:
-                self._refuse(client, member_id, f"bad request: {type(exc).__name__}: {exc}")
+                self._refuse(client, frame_id, f"bad request: {type(exc).__name__}: {exc}")
                 continue
             worker = self._route(key_hash)
             if worker is None:
                 self._answer(
-                    _Pending("request", client, member_id, wire, -1),
-                    error_payload("NoWorkers: every worker process has exited"),
+                    _Pending("request", client, frame_id, wire, -1),
+                    error_body("NoWorkers: every worker process has exited"),
                 )
                 continue
             seq = self._next_seq()
-            self._pending[seq] = _Pending("request", client, member_id, wire, worker.worker_id)
-            groups.setdefault(worker.worker_id, []).append(
-                (seq, blob, syndrome_wire, wire.get("request_id", 0))
-            )
+            self._pending[seq] = _Pending("request", client, frame_id, wire, worker.worker_id)
+            groups.setdefault(worker.worker_id, []).append((seq, blob, syndrome, request_id))
         for worker_id, entries in groups.items():
             self._idle.clear()
             # On a dead pipe _on_worker_death answers these pendings.

@@ -6,15 +6,15 @@ in-process :class:`~repro.service.DecodeService` built from the server's
 server built before forking), and speaks a small tuple protocol over its
 :class:`multiprocessing.Pipe` with the front end:
 
-==================================================  ========================================
-server → worker                                     worker → server
-==================================================  ========================================
-``("request-batch", [(seq, blob, syndrome, id)])``  ``("response-batch", [(seq, payload)])``
-``("stream-open", seq, sid, blob, w, c)``           ``("stream-reply", seq, result)``
-``("stream-op", seq, sid, op, payload)``            ``("stream-reply", seq, result)``
-``("stream-close", sid)``                           *(no reply)*
-``("drain",)``                                      ``("drained",)``
-==================================================  ========================================
+==============================================  ========================================
+server → worker                                 worker → server
+==============================================  ========================================
+``("request-batch", [(seq, blob, syn, id)])``   ``("response-batch", [(seq, body)])``
+``("stream-open", seq, sid, blob, w, c)``       ``("stream-reply", seq, result)``
+``("stream-op", seq, sid, op, payload)``        ``("stream-reply", seq, result)``
+``("stream-close", sid)``                       *(no reply)*
+``("drain",)``                                  ``("drained",)``
+==============================================  ========================================
 
 Every decode request rides a ``request-batch`` message (a lone client
 request is a batch of one), and the batch is the unit end to end: the
@@ -27,15 +27,19 @@ not the service's admission queue, bounds a worker's backlog of requests;
 the queue, the overload policy, ``max_wait_seconds`` and the ``workers``
 pool serve stream operations only.
 
-A request travels as its session's JSON ``blob``, its
-:meth:`~repro.graphs.Syndrome.to_dict` form (defects inline) and its
+Decode requests cross the pipe in their wire encoding, bytes in and bytes
+out.  A request travels as its session's JSON ``blob``, its syndrome ``syn``
+in the binary codec's syndrome layout (the byte span the client sent, or
+the front end's one packing of a JSON client's syndrome) and its
 ``request_id``.  The worker turns the blob into a key through
 :func:`~repro.service.intern_session`, so a session is parsed and checked
-once per worker process, and every request of it shares one key object.
-``payload`` is :meth:`repro.service.DecodeResponse.to_dict` *minus* the
-request echo (the front end holds the request wire form and re-attaches it
-when it builds the client's ``response`` frame — same codec, fewer bytes on
-the pipe).
+once per worker process and every request of it shares one key object, and
+builds the :class:`~repro.graphs.Syndrome` straight from the bytes.  Each
+answer goes back as its binary response ``body``
+(:func:`~repro.service.net.protocol.response_body`, which carries no
+request echo): the front end splices it into a binary client's frame as
+is, and reads it back only for a JSON client, whose response embeds the
+request echo.
 
 Decode results are bit-identical to in-process serving by construction: the
 worker *is* an in-process service; the network layer around it only moves
@@ -49,37 +53,17 @@ import threading
 
 from ..config import ServiceConfig
 from ..cache import build_session
-from ..request import STATUS_ERROR, DecodeRequest, SessionKey, intern_session
+from ..request import DecodeRequest, SessionKey, intern_session
 from ..service import DecodeService
 from ...api.session import DecoderSession
-from ...graphs.syndrome import Syndrome
+from .protocol import error_body, response_body, syndrome_object
 
 
-def response_payload(response) -> dict:
-    """``DecodeResponse.to_dict()`` without the request echo."""
-    return {
-        "status": response.status,
-        "outcome": None if response.outcome is None else response.outcome.to_dict(),
-        "queue_delay_seconds": response.queue_delay_seconds,
-        "latency_seconds": response.latency_seconds,
-        "batch_size": response.batch_size,
-        "cached": response.cached,
-        "error": response.error,
-    }
-
-
-def error_payload(message: str) -> dict:
-    """The STATUS_ERROR payload of a request that failed outside a decoder
-    (worker or front end), with ``message`` as its error."""
-    return {
-        "status": STATUS_ERROR,
-        "outcome": None,
-        "queue_delay_seconds": 0.0,
-        "latency_seconds": 0.0,
-        "batch_size": 0,
-        "cached": False,
-        "error": message,
-    }
+def _body(response) -> bytes:
+    try:
+        return response_body(response)
+    except Exception as exc:  # a field the binary layout cannot carry
+        return error_body(f"{type(exc).__name__}: {exc}")
 
 
 def _prewarmed_session_factory(graphs: dict):
@@ -161,26 +145,26 @@ def worker_main(
         command = message[0]
         if command == "request-batch":
             _, entries = message
-            payloads: list = [None] * len(entries)
+            bodies: list = [None] * len(entries)
             indices, requests = [], []
             for index, (_seq, blob, syndrome, request_id) in enumerate(entries):
                 try:
                     requests.append(
                         DecodeRequest(
-                            intern_session(blob), Syndrome.from_dict(syndrome), int(request_id)
+                            intern_session(blob), syndrome_object(syndrome), int(request_id)
                         )
                     )
                 except Exception as exc:
-                    payloads[index] = error_payload(f"{type(exc).__name__}: {exc}")
+                    bodies[index] = error_body(f"{type(exc).__name__}: {exc}")
                     continue
                 indices.append(index)
             try:
-                answers = [response_payload(r) for r in service.decode_group(requests)]
+                answers = [_body(response) for response in service.decode_group(requests)]
             except Exception as exc:
-                answers = [error_payload(f"{type(exc).__name__}: {exc}")] * len(indices)
-            for index, payload in zip(indices, answers):
-                payloads[index] = payload
-            send(("response-batch", [(entry[0], p) for entry, p in zip(entries, payloads)]))
+                answers = [error_body(f"{type(exc).__name__}: {exc}")] * len(indices)
+            for index, body in zip(indices, answers):
+                bodies[index] = body
+            send(("response-batch", [(entry[0], b) for entry, b in zip(entries, bodies)]))
         elif command == "stream-open":
             _, seq, sid, blob, window, commit_depth = message
             try:

@@ -319,7 +319,12 @@ class DecodeResponse:
     :class:`repro.lut.OutcomeCache` — the outcome is a stored (and cloned)
     earlier decode of the same session key and defect set, which is exact
     because decoding is deterministic.  Cached responses never occupy a
-    micro-batch slot, so their ``batch_size`` is 0.
+    micro-batch slot, so their ``batch_size`` is 0.  A hit's outcome is a
+    plain :class:`~repro.api.DecodeOutcome`, not the backend's subclass a
+    fresh decode returns (e.g. ``UnionFindOutcome``), so ``cached.outcome
+    == fresh.outcome`` can be ``False`` for one syndrome: compare outcomes
+    with ``to_dict()`` or by correction.  (Over the network every outcome
+    arrives as a plain ``DecodeOutcome``.)
 
     ``error`` carries the failure summary of a :data:`STATUS_ERROR`
     response (``"<ExceptionType>: <message>"``); ``None`` otherwise.  A

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.api import decode_batch
@@ -207,6 +209,40 @@ class TestLatencyHistogram:
         assert histogram.counts[0] == 1
         assert histogram.counts[-1] == 1
         assert histogram.max_seconds == 1.0
+
+    @pytest.mark.parametrize(
+        "bounds", [(1e-9, 1e-2, 112), (1e-6, 1e-3, 10), (2.5e-7, 3.0, 97)]
+    )
+    def test_add_bins_match_the_reference_formula(self, bounds):
+        """``add`` caches the span's log and compares instead of calling
+        min/max; every bin index must equal the plain formula's."""
+        low, high, num_bins = bounds
+
+        def reference_bin(seconds: float) -> int:
+            if seconds <= low:
+                return 0
+            position = math.log(seconds / low) / math.log(high / low)
+            return min(num_bins - 1, int(position * num_bins))
+
+        # Log-uniform over two decades either side of [low, high], plus the
+        # bounds themselves, their float neighbours and every bin edge.
+        span = math.log(high / low)
+        values = [low * math.exp(span * (k / 4000.0 * 1.4 - 0.2)) for k in range(4001)]
+        values += [low, high, math.nextafter(low, 0.0), math.nextafter(low, 1.0)]
+        values += [math.nextafter(high, 0.0), math.nextafter(high, math.inf), 0.0, 1e3]
+        values += [low * (high / low) ** (k / num_bins) for k in range(num_bins + 1)]
+        histogram = LatencyHistogram(low=low, high=high, num_bins=num_bins)
+        expected = [0] * num_bins
+        for value in values:
+            histogram.add(value)
+            expected[reference_bin(value)] += 1
+            single = LatencyHistogram(low=low, high=high, num_bins=num_bins)
+            single.add(value)
+            assert single.counts.index(1) == reference_bin(value), value
+        assert histogram.counts == expected
+        assert histogram.min_seconds == min(values)
+        assert histogram.max_seconds == max(values)
+        assert histogram.count == len(values)
 
     def test_invalid_configuration(self):
         with pytest.raises(ValueError):

@@ -659,6 +659,50 @@ class TestConnectionRobustness:
         finally:
             server.stop()
 
+    @pytest.mark.parametrize(
+        "defects", [[-1], [2**32], 5, {"1": 2}], ids=["negative", "2**32", "int", "object"]
+    )
+    def test_unpackable_json_syndrome_is_refused_and_connection_serves(self, defects):
+        """The front end packs a JSON member's syndrome once; one it cannot
+        pack (an index outside ``[0, 2**32)``, or ``defects`` not a list)
+        is a ``bad request`` for that member alone, sent alone or in a
+        batch, and the connection keeps serving."""
+        trace = generate_trace(NET_TRACE)
+        server = NetServer(NET_CONFIG, processes=1, prewarm=prewarm_specs(NET_TRACE))
+        host, port = server.start()
+        try:
+            valid = trace.requests[0].request.to_dict()
+            bad = {**valid, "syndrome": {**valid["syndrome"], "defects": defects}}
+            sock = socket.create_connection((host, port), timeout=30.0)
+            try:
+                write_frame_sync(
+                    sock,
+                    {"kind": "hello", "version": PROTOCOL_VERSION, "client": "hostile"},
+                )
+                assert read_frame_sync(sock)["kind"] == "welcome"
+                write_frame_sync(sock, {"kind": "request", "id": 1, "request": bad})
+                members = [{"id": 2, "request": valid}, {"id": 3, "request": bad}]
+                write_frame_sync(sock, {"kind": "request-batch", "requests": members})
+                replies = {}
+                for _ in range(3):
+                    frame = read_frame_sync(sock)
+                    replies[frame["id"]] = frame
+                for frame_id in (1, 3):
+                    assert replies[frame_id]["kind"] == "error"
+                    assert "bad request" in replies[frame_id]["error"]
+                assert replies[2]["kind"] == "response"
+                assert replies[2]["response"]["status"] == "ok"
+                assert replies[2]["response"]["request"] == valid
+                write_frame_sync(sock, {"kind": "request", "id": 4, "request": valid})
+                frame = read_frame_sync(sock)
+                assert (frame["kind"], frame["id"]) == ("response", 4)
+                assert frame["response"]["status"] == "ok"
+                write_frame_sync(sock, {"kind": "bye"})
+            finally:
+                sock.close()
+        finally:
+            server.stop()
+
     def test_lossy_session_fields_are_refused_not_coerced(self):
         """A session with a non-integral ``distance`` or ``rounds`` or a
         string error rate gets a ``bad request`` error in either codec; it
@@ -1130,6 +1174,39 @@ class TestWireV2:
                 assert client.decode(normal, timeout=30.0).ok
         finally:
             server.stop()
+
+    def test_spliced_answers_split_to_fit_and_refuse_what_cannot(self, monkeypatch):
+        """The front end splices worker bodies into binary frames: a batch
+        over MAX_FRAME_BYTES is halved until it fits, and a lone answer
+        that cannot fit any frame gets its own ``error``, nothing else."""
+        from repro.service.net.server import _Client
+
+        class Writer:
+            def __init__(self):
+                self.frames = []
+
+            def write(self, data):
+                self.frames.append(protocol.decode_payload(data[4:]))
+
+        client = _Client(Writer())
+        client.codec = CODEC_BINARY
+        body = protocol.error_body("Boom: " + "x" * 40)
+        members = [(frame_id, body) for frame_id in range(6)]
+        members.append((99, protocol.error_body("Boom: " + "y" * 4000)))
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 3 * (8 + len(body)) + 6)
+        NetServer(NET_CONFIG, processes=1)._splice(client, members)
+        frames = client.writer.frames
+        answered = [
+            member["id"]
+            for frame in frames
+            for member in frame.get("responses", [frame] if frame["kind"] == "response" else [])
+        ]
+        assert answered == list(range(6))
+        # 7 members halve to 3 + 4, the 4 to 2 + 2, and the last 2 to 1 + 1.
+        kinds = ["response-batch", "response-batch", "response", "error"]
+        assert [frame["kind"] for frame in frames] == kinds
+        assert frames[-1]["id"] == 99 and "response too large" in frames[-1]["error"]
+        assert all(m["response"] == protocol.body_dict(body) for m in frames[0]["responses"])
 
     def test_reply_frame_kinds_on_a_binary_connection(self):
         """One answer rides a ``response`` frame, several from one worker a

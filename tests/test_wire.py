@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.api.config import UnionFindConfig
 from repro.api.hashing import canonical_json
+from repro.api.outcome import DecodeOutcome
 from repro.graphs.syndrome import Syndrome
 from repro.service import (
     INTERNED_SESSIONS,
@@ -595,6 +596,184 @@ def _mutated_encodings(draw) -> bytes:
 _NESTED = b"[" * 100_000
 #: A binary ``request`` whose session blob is deeply nested JSON.
 _NESTED_SESSION_REQUEST = struct.pack("<BBqI", 0xB2, 0x01, 1, len(_NESTED)) + _NESTED
+
+
+_MEMBER = st.tuples(
+    _I64,
+    _SESSION.map(canonical_json),
+    _I64,
+    _SYNDROME.map(protocol.pack_syndrome),
+)
+
+
+class TestRequestScanner:
+    """The front end's request scanner: the members it hands back agree
+    with the logical frame, and hostile bytes raise ``ProtocolError``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(members=st.lists(_MEMBER, min_size=1, max_size=5), batch=st.booleans())
+    def test_members_agree_with_decode_payload(self, members, batch):
+        members = members if batch else members[:1]
+        kind = "request-batch" if batch else "request"
+        payload = protocol._framed(protocol._request_parts(members, batch))[4:]
+        scanned = protocol.scan_requests(payload)
+        assert scanned == members
+        frame = decode_payload(payload)
+        assert frame["kind"] == kind
+        logical = frame["requests"] if batch else [frame]
+        assert len(logical) == len(scanned)
+        for (frame_id, blob, request_id, syndrome), member in zip(scanned, logical):
+            request = member["request"]
+            assert member["id"] == frame_id and request["request_id"] == request_id
+            assert request["session"].blob == blob
+            assert protocol.pack_syndrome(request["syndrome"]) == syndrome
+            rebuilt = protocol.syndrome_object(syndrome)
+            assert rebuilt == Syndrome.from_dict(request["syndrome"])
+
+    @settings(max_examples=60, deadline=None)
+    @given(members=st.lists(st.fixed_dictionaries({"id": _I64, "request": _REQUEST}), max_size=3))
+    def test_encoded_frames_scan_to_their_members(self, members):
+        for frame in (
+            {"kind": "request-batch", "requests": members},
+            *({"kind": "request", **member} for member in members),
+        ):
+            payload = encode_frame(frame, CODEC_BINARY)[4:]
+            scanned = protocol.scan_requests(payload)
+            logical = decode_payload(payload)
+            logical = logical.get("requests", [logical])
+            assert [(m[0], m[2]) for m in scanned] == [
+                (m["id"], m["request"]["request_id"]) for m in logical
+            ]
+            assert [protocol.syndrome_object(m[3]).to_dict() for m in scanned] == [
+                Syndrome.from_dict(m["request"]["syndrome"]).to_dict() for m in logical
+            ]
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        payload=st.one_of(
+            st.binary(max_size=200),
+            st.tuples(st.sampled_from((1, 3)), st.binary(max_size=200)).map(
+                lambda t: bytes((0xB2, t[0])) + t[1]
+            ),
+            _mutated_encodings(),
+        )
+    )
+    @example(payload=_NESTED_SESSION_REQUEST)
+    @example(payload=b"\xb2\x03\x01\x00\xff\xff\xff\xff")
+    def test_hostile_bytes_give_members_or_protocol_error(self, payload):
+        try:
+            members = protocol.scan_requests(payload)
+        except ProtocolError:
+            return
+        for frame_id, blob, request_id, syndrome in members:
+            assert isinstance(blob, str) and isinstance(syndrome, bytes)
+            protocol.syndrome_object(syndrome)  # a scanned span always reads
+
+
+def _served_responses(decoder: str, shots: int = 25):
+    """Seeded d=3 requests and their real responses on one backend."""
+    from repro.graphs import SyndromeSampler
+    from repro.service.cache import build_session
+
+    key = SessionKey(CodeSpec(3, physical_error_rate=0.03), decoder)
+    session = build_session(key)
+    sampler = SyndromeSampler(session.graph, seed=sum(map(ord, decoder)))
+    pairs = []
+    for index, syndrome in enumerate(sampler.sample_batch(shots)):
+        request = DecodeRequest(key, syndrome, request_id=index * 7919)
+        response = DecodeResponse(
+            request,
+            outcome=session.decode_detailed(syndrome),
+            queue_delay_seconds=index * 1.25e-6,
+            latency_seconds=3.5e-4 + index * 1e-7,
+            batch_size=index % 9,
+            cached=index % 3 == 0,
+        )
+        pairs.append((request, response))
+    request = pairs[0][0]
+    pairs.append((request, DecodeResponse(request, status="error", error="Boom: x")))
+    pairs.append((request, DecodeResponse(request, status="shed")))
+    return pairs
+
+
+def _echoless(response: DecodeResponse) -> dict:
+    payload = response.to_dict()
+    del payload["request"]
+    return payload
+
+
+class TestWireIdentity:
+    """The object writers and readers of the forwarding path produce
+    exactly the bytes and values the logical-dict codec does."""
+
+    @pytest.mark.parametrize(
+        "decoder", ["lut+union-find", "union-find", "micro-blossom", "reference"]
+    )
+    def test_object_writers_match_encode_frame(self, decoder):
+        pairs = _served_responses(decoder)
+        members = [protocol.request_member(i, request) for i, (request, _) in enumerate(pairs)]
+        bodies = [(i, protocol.response_body(response)) for i, (_, response) in enumerate(pairs)]
+        for (request, response), member, (frame_id, body) in zip(pairs, members, bodies):
+            frame = {"kind": "request", "id": frame_id, "request": request.to_dict()}
+            assert protocol.encode_requests([member]) == encode_frame(frame, CODEC_BINARY)
+            frame = {"kind": "response", "id": frame_id, "response": _echoless(response)}
+            assert protocol.encode_responses([(frame_id, body)]) == encode_frame(
+                frame, CODEC_BINARY
+            )
+            assert protocol.body_dict(body) == _echoless(response)
+        frame = {
+            "kind": "request-batch",
+            "requests": [
+                {"id": i, "request": request.to_dict()} for i, (request, _) in enumerate(pairs)
+            ],
+        }
+        assert protocol.encode_requests(members) == encode_frame(frame, CODEC_BINARY)
+        frame = {
+            "kind": "response-batch",
+            "responses": [
+                {"id": i, "response": _echoless(response)} for i, (_, response) in enumerate(pairs)
+            ],
+        }
+        spliced = protocol.encode_responses(bodies)
+        assert spliced == encode_frame(frame, CODEC_BINARY)
+        # The client's reader rebuilds every field the dict path would.
+        read = protocol.read_responses(spliced[4:])
+        assert [frame_id for frame_id, _ in read] == list(range(len(pairs)))
+        for (request, response), (_, fields) in zip(pairs, read):
+            rebuilt = DecodeResponse(request, *fields)
+            assert rebuilt.to_dict() == DecodeResponse.from_dict(response.to_dict()).to_dict()
+            if response.outcome is not None:
+                assert type(rebuilt.outcome).__name__ == "DecodeOutcome"
+                assert rebuilt.outcome.correction == DecodeOutcome.from_dict(
+                    response.outcome.to_dict()
+                ).correction
+
+    def test_worker_builds_the_syndrome_the_client_sent(self):
+        for request, _ in _served_responses("union-find") + [(_erased_request(), None)]:
+            _, blob, request_id, syndrome = protocol.request_member(1, request)
+            assert protocol.syndrome_object(syndrome) == request.syndrome
+            assert intern_session(blob) == request.session and request_id == request.request_id
+
+    @pytest.mark.parametrize(
+        "syndrome",
+        [
+            {"defects": [-1]},
+            {"defects": [2**32]},
+            {"defects": 5},
+            {"defects": "12"},
+            {"defects": [1.5]},
+            {"defects": [1], "error_edges": None},
+            {"error_edges": [1]},
+            None,
+        ],
+    )
+    def test_unpackable_syndromes_are_refused(self, syndrome):
+        with pytest.raises((TypeError, ValueError, KeyError)):
+            protocol.pack_syndrome(syndrome)
+
+    def test_error_body_escapes_what_utf8_cannot_carry(self):
+        body = protocol.error_body("Boom: \ud800")
+        assert protocol.body_dict(body)["error"] == "Boom: \\ud800"
 
 
 class TestHostileBytes:
