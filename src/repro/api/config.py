@@ -13,10 +13,10 @@ packages and the registry can both import it freely.
 from __future__ import annotations
 
 import dataclasses
-import operator
 from dataclasses import asdict, dataclass
 
 from .hashing import content_hash
+from .wireform import WireForm, dump_fields, load_fields
 
 #: Default internal dual scale (half-weight units).  Mirrors
 #: :data:`repro.core.dual.DEFAULT_DUAL_SCALE`, which cannot be imported here
@@ -24,44 +24,8 @@ from .hashing import content_hash
 DEFAULT_DUAL_SCALE = 2
 
 
-def strict_integer(value, name: str) -> int:
-    """``value`` as an ``int``, refusing floats, strings and bools (which
-    ``int()`` would truncate, parse or coerce into some other value).
-
-    >>> strict_integer(3, "scale")
-    3
-    >>> strict_integer(1.5, "max_defects")
-    Traceback (most recent call last):
-    ...
-    TypeError: max_defects must be an integer, got float
-    """
-    if isinstance(value, bool):
-        raise TypeError(f"{name} must be an integer, got bool")
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {type(value).__name__}") from None
-
-
-def _strict_bool(value, name: str) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError(f"{name} must be a bool, got {type(value).__name__}")
-    return value
-
-
-def _nested_config(value, name: str) -> "DecoderConfig | None":
-    if value is None:
-        return None
-    if not isinstance(value, dict) or "fields" not in value:
-        raise TypeError(
-            f"{name} must be a decoder config object (type and fields), "
-            f"got {type(value).__name__}"
-        )
-    return DecoderConfig.from_dict(value)
-
-
 @dataclass(frozen=True)
-class DecoderConfig:
+class DecoderConfig(WireForm):
     """Base class of all decoder configurations.
 
     >>> MicroBlossomConfig().to_kwargs()
@@ -105,46 +69,27 @@ class DecoderConfig:
         >>> MicroBlossomConfig(scale=4).to_dict()["type"]
         'MicroBlossomConfig'
         """
-        fields = {}
-        for spec in dataclasses.fields(self):
-            value = getattr(self, spec.name)
-            if isinstance(value, DecoderConfig):
-                value = value.to_dict()
-            fields[spec.name] = value
-        return {"type": type(self).__name__, "fields": fields}
+        # The wire form differs from the fields: it is tagged with the
+        # concrete class, which is what lets from_dict rebuild a subclass.
+        return {"type": type(self).__name__, "fields": dump_fields(self, type(self))}
 
     @classmethod
     def from_dict(cls, data: dict) -> "DecoderConfig":
         """Inverse of :meth:`to_dict`; returns the concrete subclass instance.
 
-        Each field value must already have its annotated type — nothing is
-        coerced, so a wire form names exactly one configuration: a ``bool``
-        field takes only a bool, an ``int`` field any integer but a bool,
-        and a nested config only a config object.
+        Each field takes only its annotated type (:mod:`repro.api.wireform`),
+        so a wire form names exactly one configuration.
 
         >>> config = LUTConfig(fallback_config=MicroBlossomConfig(scale=4))
         >>> DecoderConfig.from_dict(config.to_dict()) == config
         True
-        >>> DecoderConfig.from_dict({"type": "LUTConfig", "fields": {"max_defects": 1.5}})
-        Traceback (most recent call last):
-        ...
-        TypeError: LUTConfig.max_defects must be an integer, got float
         """
-        try:
-            concrete = _CONFIG_CLASSES[data["type"]]
-        except KeyError:
-            raise ValueError(f"unknown decoder config type {data.get('type')!r}") from None
-        fields = data["fields"]
-        if not isinstance(fields, dict):
-            raise TypeError(f"config fields must be an object, got {type(fields).__name__}")
-        known = {spec.name: spec.type for spec in dataclasses.fields(concrete)}
-        kwargs = {}
-        for name, value in fields.items():
-            if name not in known:
-                raise ValueError(f"{concrete.__name__} has no field {name!r}")
-            check = _FIELD_CHECKS[known[name]]
-            kwargs[name] = check(value, f"{concrete.__name__}.{name}")
-        return concrete(**kwargs)
+        if not isinstance(data, dict) or data.keys() != {"type", "fields"}:
+            raise TypeError("a DecoderConfig object holds exactly a type and fields")
+        concrete = _CONFIG_CLASSES.get(data["type"])
+        if concrete is None:
+            raise ValueError(f"unknown decoder config type {data['type']!r}")
+        return concrete(**load_fields(concrete, data["fields"]))
 
 
 @dataclass(frozen=True)
@@ -217,14 +162,6 @@ class LUTConfig(DecoderConfig):
             for field in dataclasses.fields(self)
         }
 
-
-#: The wire check of each field annotation a config class uses (the
-#: annotations are strings under ``from __future__ import annotations``).
-_FIELD_CHECKS = {
-    "bool": _strict_bool,
-    "int": strict_integer,
-    "DecoderConfig | None": _nested_config,
-}
 
 #: Concrete config classes by name — the lookup table of
 #: :meth:`DecoderConfig.from_dict` (wire deserialisation).

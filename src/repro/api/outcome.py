@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 from ..graphs.decoding_graph import DecodingGraph
 from ..graphs.syndrome import MatchingResult, correction_edges
+from .wireform import WireForm, dump_fields
 
 
 def counter_delta(before: Counter, *sources) -> Counter:
@@ -66,7 +67,7 @@ def latency_counters(outcome: "DecodeOutcome") -> Counter:
 
 
 @dataclass
-class DecodeOutcome:
+class DecodeOutcome(WireForm):
     """Common record of one decoding run, shared by all backends."""
 
     result: MatchingResult | None = None
@@ -101,35 +102,7 @@ class DecodeOutcome:
         everything the digest/identity contracts compare (``correction_edges``
         via the matching or the explicit correction set, ``weight``,
         ``is_exact``, ``counters``).
-
-        >>> DecodeOutcome(correction={3, 1}).to_dict()["correction"]
-        [1, 3]
         """
-        return {
-            "result": None if self.result is None else self.result.to_dict(),
-            "correction": (
-                None if self.correction is None else sorted(int(e) for e in self.correction)
-            ),
-            "defect_count": int(self.defect_count),
-            "counters": {key: int(value) for key, value in sorted(self.counters.items())},
-            "scale_retries": int(self.scale_retries),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DecodeOutcome":
-        """Inverse of :meth:`to_dict`.
-
-        >>> DecodeOutcome.from_dict(DecodeOutcome(correction={2}).to_dict()).correction
-        {2}
-        """
-        result = data.get("result")
-        correction = data.get("correction")
-        return cls(
-            result=None if result is None else MatchingResult.from_dict(result),
-            correction=None if correction is None else {int(e) for e in correction},
-            defect_count=int(data.get("defect_count", 0)),
-            counters=Counter(
-                {str(key): int(value) for key, value in data.get("counters", {}).items()}
-            ),
-            scale_retries=int(data.get("scale_retries", 0)),
-        )
+        # The wire form differs from a subclass's fields: it writes the base
+        # fields only, so every backend's outcome has the one wire form.
+        return dump_fields(self, DecodeOutcome)

@@ -47,6 +47,7 @@ from dataclasses import dataclass, field, replace
 
 from ..api.hashing import content_hash
 from ..api.registry import get_decoder
+from ..api.wireform import WireForm
 from ..service.config import ServiceConfig
 from ..service.service import DecodeService, service_histogram
 from ..service.trace import TraceSpec, generate_trace
@@ -140,7 +141,7 @@ class ServiceLoadResult:
 
 
 @dataclass(frozen=True)
-class SaturationPoint:
+class SaturationPoint(WireForm):
     """One rung of a closed-loop saturation ladder."""
 
     clients: int
@@ -151,18 +152,6 @@ class SaturationPoint:
     latency_p50_us: float
     latency_p99_us: float
     healthy_digest: str
-
-    def to_dict(self) -> dict:
-        return {
-            "clients": self.clients,
-            "requests": self.requests,
-            "completed": self.completed,
-            "elapsed_seconds": self.elapsed_seconds,
-            "throughput_rps": self.throughput_rps,
-            "latency_p50_us": self.latency_p50_us,
-            "latency_p99_us": self.latency_p99_us,
-            "healthy_digest": self.healthy_digest,
-        }
 
 
 @dataclass

@@ -39,13 +39,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..api.wireform import WireForm, omitted_at_default
+
 
 class NoiseModelError(ValueError):
     """Raised when a noise model is configured inconsistently."""
 
 
 @dataclass(frozen=True)
-class NoiseModel:
+class NoiseModel(WireForm):
     """Per-edge-kind error probabilities of a decoding graph.
 
     Attributes:
@@ -72,11 +74,11 @@ class NoiseModel:
     temporal: float
     diagonal: float
     boundary: float
-    burst_multiplier: float = 1.0
-    burst_entry: float = 0.0
-    burst_exit: float = 0.5
-    erasure: float = 0.0
-    schedule: tuple[float, ...] = ()
+    burst_multiplier: float = omitted_at_default(1.0)
+    burst_entry: float = omitted_at_default(0.0)
+    burst_exit: float = omitted_at_default(0.5)
+    erasure: float = omitted_at_default(0.0)
+    schedule: tuple[float, ...] = omitted_at_default(())
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "schedule", tuple(float(s) for s in self.schedule))
@@ -172,58 +174,12 @@ class NoiseModel:
         except KeyError as exc:  # pragma: no cover - defensive
             raise NoiseModelError(f"unknown edge kind {kind!r}") from exc
 
-    def to_dict(self) -> dict:
-        """JSON-shaped form, fed into graph metadata and content hashes.
-
-        Dynamic-noise fields appear only at non-default values, so the
-        serialized form (and every hash derived from it) of the original
-        three families is unchanged by their existence.
+    def model_hash(self) -> str:
+        """16-hex content hash of the serialized model (its ``to_dict``).
 
         >>> code_capacity_noise(0.01).to_dict()
         {'name': 'code_capacity', 'spatial': 0.01, 'temporal': 0.0, 'diagonal': 0.0, 'boundary': 0.01}
         """
-        data = {
-            "name": self.name,
-            "spatial": self.spatial,
-            "temporal": self.temporal,
-            "diagonal": self.diagonal,
-            "boundary": self.boundary,
-        }
-        if self.burst_multiplier != 1.0:
-            data["burst_multiplier"] = self.burst_multiplier
-        if self.burst_entry != 0.0:
-            data["burst_entry"] = self.burst_entry
-        if self.burst_exit != 0.5:
-            data["burst_exit"] = self.burst_exit
-        if self.erasure != 0.0:
-            data["erasure"] = self.erasure
-        if self.schedule:
-            data["schedule"] = list(self.schedule)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "NoiseModel":
-        """Inverse of :meth:`to_dict`.
-
-        >>> model = correlated_burst_noise(0.01)
-        >>> NoiseModel.from_dict(model.to_dict()) == model
-        True
-        """
-        return cls(
-            name=str(data["name"]),
-            spatial=float(data["spatial"]),
-            temporal=float(data["temporal"]),
-            diagonal=float(data["diagonal"]),
-            boundary=float(data["boundary"]),
-            burst_multiplier=float(data.get("burst_multiplier", 1.0)),
-            burst_entry=float(data.get("burst_entry", 0.0)),
-            burst_exit=float(data.get("burst_exit", 0.5)),
-            erasure=float(data.get("erasure", 0.0)),
-            schedule=tuple(float(s) for s in data.get("schedule", ())),
-        )
-
-    def model_hash(self) -> str:
-        """16-hex content hash of the serialized model (see :meth:`to_dict`)."""
         from ..api.hashing import content_hash
 
         return content_hash(self.to_dict())

@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ..api.wireform import WireForm, omitted_at_default
 from .decoding_graph import DecodingGraph
 
 #: Sentinel used in matchings to denote "matched to the boundary".
@@ -31,7 +32,7 @@ def _uint32_threshold(probability: float) -> np.uint32:
 
 
 @dataclass(frozen=True)
-class Syndrome:
+class Syndrome(WireForm):
     """A sampled decoding instance.
 
     Attributes:
@@ -43,53 +44,20 @@ class Syndrome:
         erasures: sorted tuple of *heralded* erased edge indices (empty for
             non-erasure noise).  Erasure-aware decoders treat these edges as
             zero-weight; an erased edge flipped with probability 1/2 and
-            appears in ``error_edges`` only when it actually did.
+            appears in ``error_edges`` only when it actually did.  The wire
+            form carries ``erasures`` only when non-empty, so erasure-free
+            syndromes keep the wire form (and content hashes) they had
+            before the field existed.
     """
 
     defects: tuple[int, ...]
     error_edges: tuple[int, ...] = ()
     logical_flip: bool | None = None
-    erasures: tuple[int, ...] = ()
+    erasures: tuple[int, ...] = omitted_at_default(())
 
     @property
     def defect_count(self) -> int:
         return len(self.defects)
-
-    def to_dict(self) -> dict:
-        """JSON-shaped wire form (the network decode service's codec).
-
-        ``erasures`` appears only when non-empty, so the wire form (and every
-        content hash over it) of erasure-free syndromes is byte-identical to
-        earlier releases.
-
-        >>> Syndrome((1, 4), logical_flip=True).to_dict()
-        {'defects': [1, 4], 'error_edges': [], 'logical_flip': True}
-        >>> Syndrome((1,), erasures=(0, 2)).to_dict()["erasures"]
-        [0, 2]
-        """
-        data = {
-            "defects": list(self.defects),
-            "error_edges": list(self.error_edges),
-            "logical_flip": self.logical_flip,
-        }
-        if self.erasures:
-            data["erasures"] = list(self.erasures)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Syndrome":
-        """Inverse of :meth:`to_dict`.
-
-        >>> Syndrome.from_dict({"defects": [2]}) == Syndrome((2,))
-        True
-        """
-        flip = data.get("logical_flip")
-        return cls(
-            defects=tuple(int(d) for d in data["defects"]),
-            error_edges=tuple(int(e) for e in data.get("error_edges", ())),
-            logical_flip=None if flip is None else bool(flip),
-            erasures=tuple(int(e) for e in data.get("erasures", ())),
-        )
 
     def defects_in_layers(
         self, graph: DecodingGraph, layers: Iterable[int]
@@ -119,7 +87,7 @@ class Syndrome:
 
 
 @dataclass
-class MatchingResult:
+class MatchingResult(WireForm):
     """Output of a decoder: a pairing of every defect vertex.
 
     ``pairs`` contains tuples ``(u, v)`` of defect vertices matched to each
@@ -131,37 +99,6 @@ class MatchingResult:
     pairs: list[tuple[int, int]] = field(default_factory=list)
     boundary_vertices: dict[int, int] = field(default_factory=dict)
     weight: int = 0
-
-    def to_dict(self) -> dict:
-        """JSON-shaped wire form (pairs as 2-lists, vertex keys as strings).
-
-        >>> MatchingResult(pairs=[(0, BOUNDARY)], weight=3).to_dict()
-        {'pairs': [[0, -1]], 'boundary_vertices': {}, 'weight': 3}
-        """
-        return {
-            "pairs": [[int(u), int(v)] for u, v in self.pairs],
-            "boundary_vertices": {
-                str(defect): int(virtual)
-                for defect, virtual in self.boundary_vertices.items()
-            },
-            "weight": int(self.weight),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MatchingResult":
-        """Inverse of :meth:`to_dict`.
-
-        >>> MatchingResult.from_dict({"pairs": [[0, -1]], "weight": 3}).weight
-        3
-        """
-        return cls(
-            pairs=[(int(u), int(v)) for u, v in data.get("pairs", [])],
-            boundary_vertices={
-                int(defect): int(virtual)
-                for defect, virtual in data.get("boundary_vertices", {}).items()
-            },
-            weight=int(data.get("weight", 0)),
-        )
 
     def matched_vertices(self) -> list[int]:
         vertices: list[int] = []

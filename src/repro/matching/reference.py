@@ -33,36 +33,33 @@ def _solve_dense(syndrome_graph: SyndromeGraph) -> MatchingResult:
     n = len(defects)
     if n == 0:
         return MatchingResult(pairs=[], weight=0)
+    # Node 2i is defect i and node 2i + 1 its boundary copy.  Integer labels
+    # hash the same in every process, so the matching networkx picks among
+    # equal-weight ones does not depend on PYTHONHASHSEED.
     graph = nx.Graph()
     for i, u in enumerate(defects):
-        graph.add_node(("d", u))
-        graph.add_node(("b", u))
-        graph.add_edge(("d", u), ("b", u), weight=syndrome_graph.boundary_distance[u])
-        for v in defects[i + 1 :]:
-            graph.add_edge(("d", u), ("d", v), weight=syndrome_graph.distance(u, v))
-    boundary_nodes = [("b", u) for u in defects]
-    for i in range(n):
+        graph.add_edge(2 * i, 2 * i + 1, weight=syndrome_graph.boundary_distance[u])
         for j in range(i + 1, n):
-            graph.add_edge(boundary_nodes[i], boundary_nodes[j], weight=0)
+            graph.add_edge(2 * i, 2 * j, weight=syndrome_graph.distance(u, defects[j]))
+            graph.add_edge(2 * i + 1, 2 * j + 1, weight=0)
 
     matching = nx.min_weight_matching(graph, weight="weight")
 
     pairs: list[tuple[int, int]] = []
     boundary_vertices: dict[int, int] = {}
     weight = 0
-    for a, b in matching:
-        kind_a, vertex_a = a
-        kind_b, vertex_b = b
-        if kind_a == "b" and kind_b == "b":
-            continue
-        if kind_a == "d" and kind_b == "d":
-            pairs.append((vertex_a, vertex_b))
-            weight += syndrome_graph.distance(vertex_a, vertex_b)
-        else:
-            defect = vertex_a if kind_a == "d" else vertex_b
+    # Pairs in defect order, so the result is canonical, not set order.
+    for a, b in sorted(tuple(sorted(edge)) for edge in matching):
+        if a % 2:
+            continue  # two boundary copies pair up for free
+        defect = defects[a // 2]
+        if b % 2:
             pairs.append((defect, BOUNDARY))
             boundary_vertices[defect] = syndrome_graph.boundary_vertex[defect]
             weight += syndrome_graph.boundary_distance[defect]
+        else:
+            pairs.append((defect, defects[b // 2]))
+            weight += syndrome_graph.distance(defect, defects[b // 2])
     result = MatchingResult(
         pairs=pairs, boundary_vertices=boundary_vertices, weight=weight
     )

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..api.session import DecoderSession
+from ..api.wireform import WireForm
 from .request import SessionKey
 
 #: Builds the session of a key; injectable so tests can count/fake builds.
@@ -44,15 +45,12 @@ def build_session(key: SessionKey) -> DecoderSession:
 
 
 @dataclass
-class SessionCacheStats:
+class SessionCacheStats(WireForm):
     """Hit/miss/eviction counters of a :class:`SessionCache`."""
 
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-
-    def to_dict(self) -> dict:
-        return {"hits": self.hits, "misses": self.misses, "evictions": self.evictions}
 
 
 class SessionEntry:

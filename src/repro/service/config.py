@@ -22,11 +22,10 @@ True
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 from ..api.hashing import content_hash
+from ..api.wireform import WireForm
 from .faults import FaultPlan
 
 #: Overload policies of the bounded admission queue.
@@ -34,7 +33,7 @@ OVERLOAD_POLICIES = ("block", "shed")
 
 
 @dataclass(frozen=True)
-class ServiceConfig:
+class ServiceConfig(WireForm):
     """Sizing and policy of one decode-service instance.
 
     The defaults reproduce ``DecodeService()``'s historical behaviour
@@ -116,36 +115,3 @@ class ServiceConfig:
         True
         """
         return content_hash({"service_config": self.to_dict()})
-
-    def to_dict(self) -> dict:
-        """JSON-shaped form; the nested fault plan serialises recursively."""
-        data = {}
-        for spec in dataclasses.fields(self):
-            value = getattr(self, spec.name)
-            if isinstance(value, FaultPlan):
-                value = value.to_dict()
-            data[spec.name] = value
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ServiceConfig":
-        """Inverse of :meth:`to_dict`; unknown keys fail loudly.
-
-        >>> ServiceConfig.from_dict({"workers": 3}).workers
-        3
-        """
-        known = {spec.name for spec in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown ServiceConfig fields: {sorted(unknown)}")
-        kwargs = dict(data)
-        plan = kwargs.get("fault_plan")
-        if plan is not None:
-            kwargs["fault_plan"] = FaultPlan.from_dict(plan)
-        return cls(**kwargs)
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "ServiceConfig":
-        """Load a config from a JSON file (the ``serve-net --config`` input)."""
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))

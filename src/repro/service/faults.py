@@ -38,12 +38,11 @@ False
 
 from __future__ import annotations
 
-import json
 import threading
-from dataclasses import asdict, dataclass
-from pathlib import Path
+from dataclasses import dataclass
 
 from ..api.hashing import content_hash, stable_seed
+from ..api.wireform import WireForm
 from ..graphs.syndrome import Syndrome
 
 
@@ -57,7 +56,7 @@ def _stable_fraction(seed: int, key: str) -> float:
 
 
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(WireForm):
     """Declarative, seed-stable description of the faults to inject.
 
     All selections derive from ``seed`` alone, so two replays of the same
@@ -130,27 +129,6 @@ class FaultPlan:
         payload = self.to_dict()
         payload.pop("name")  # renaming a plan keeps its identity
         return content_hash(payload)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultPlan":
-        return cls(
-            name=str(data.get("name", "faults")),
-            seed=int(data.get("seed", 0)),
-            straggler_workers=int(data.get("straggler_workers", 0)),
-            straggler_delay_seconds=float(data.get("straggler_delay_seconds", 0.0)),
-            session_crash_rate=float(data.get("session_crash_rate", 0.0)),
-            session_crash_attempts=int(data.get("session_crash_attempts", 1)),
-            poison_rate=float(data.get("poison_rate", 0.0)),
-        )
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "FaultPlan":
-        """Load a fault plan from a JSON file (the CLI's ``--fault-plan``)."""
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
 
 
 def poisoned_syndrome(num_vertices: int, request_index: int) -> Syndrome:

@@ -44,6 +44,7 @@ from collections import Counter
 from concurrent.futures import Future
 
 from ...api.outcome import DecodeOutcome
+from ...api.wireform import load
 from ..request import DecodeRequest, DecodeResponse, SessionKey
 from . import protocol
 from .protocol import (
@@ -214,30 +215,14 @@ class NetClient:
 
     def _resolve_response(self, frame_id, payload) -> None:
         """Resolve a codec-1 ``response`` member (binary ones are read
-        straight into ``DecodeResponse`` fields by the read loop)."""
+        straight into ``DecodeResponse`` fields by the read loop).  The local
+        request stands in for the echo: ``response.request is request``."""
         entry = self._take(frame_id)
         if entry is None:
             return
         _, future, request = entry
         try:
-            if not isinstance(payload, dict):
-                raise TypeError("response payload is not an object")
-            if request is None and payload.get("request") is not None:
-                request = DecodeRequest.from_dict(payload["request"])
-            outcome_wire = payload.get("outcome")
-            # Built field by field rather than via ``from_dict`` so the local
-            # request object stands in for the echo (and preserves
-            # identity: ``response.request is request``).
-            response = DecodeResponse(
-                request=request,
-                status=str(payload["status"]),
-                outcome=None if outcome_wire is None else DecodeOutcome.from_dict(outcome_wire),
-                queue_delay_seconds=float(payload.get("queue_delay_seconds", 0.0)),
-                latency_seconds=float(payload.get("latency_seconds", 0.0)),
-                batch_size=int(payload.get("batch_size", 0)),
-                cached=bool(payload.get("cached", False)),
-                error=payload.get("error"),
-            )
+            response = DecodeResponse.from_dict(payload, request=request)
         except Exception as exc:  # undecodable response
             future.set_exception(ProtocolError(f"bad response frame: {exc}"))
             return
@@ -627,7 +612,7 @@ class NetStream:
     def push_round(self, defects) -> Future:
         return _converted(
             self._client._stream_op(self._sid, "push", list(defects)),
-            lambda result: Counter(result["counters"]),
+            lambda result: load(Counter, result["counters"], "counters"),
         )
 
     def finalize(self) -> Future:

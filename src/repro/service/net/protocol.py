@@ -93,6 +93,7 @@ from collections import Counter
 
 from ...api.hashing import canonical_json
 from ...api.outcome import DecodeOutcome
+from ...api.wireform import load_fields
 from ...graphs.syndrome import MatchingResult, Syndrome
 from ..request import STATUS_ERROR
 
@@ -264,14 +265,15 @@ def syndrome_bytes(defects, error_edges, logical_flip, erasures) -> bytes:
 
 def pack_syndrome(syndrome) -> bytes:
     """:func:`syndrome_bytes` of a :meth:`~repro.graphs.Syndrome.to_dict`
-    form (``TypeError``/``KeyError``/``ValueError`` when it is not one)."""
-    if not isinstance(syndrome, dict):
-        raise TypeError(f"syndrome must be an object, got {type(syndrome).__name__}")
+    form, checked field by field as ``Syndrome.from_dict`` checks it
+    (``TypeError``/``ValueError`` when it is not one)."""
+    # The checked fields, without building the Syndrome this never needs.
+    fields = load_fields(Syndrome, syndrome)
     return syndrome_bytes(
-        syndrome["defects"],
-        syndrome.get("error_edges", ()),
-        syndrome.get("logical_flip"),
-        syndrome.get("erasures"),
+        fields["defects"],
+        fields.get("error_edges", ()),
+        fields.get("logical_flip"),
+        fields.get("erasures", ()),
     )
 
 

@@ -50,12 +50,14 @@ from __future__ import annotations
 
 import signal
 import threading
+from collections import Counter
 
 from ..config import ServiceConfig
 from ..cache import build_session
 from ..request import DecodeRequest, SessionKey, intern_session
 from ..service import DecodeService
 from ...api.session import DecoderSession
+from ...api.wireform import dump
 from .protocol import error_body, response_body, syndrome_object
 
 
@@ -89,7 +91,7 @@ def _stream_result_wire(result):
         return None
     if hasattr(result, "to_dict"):
         return {"outcome": result.to_dict()}
-    return {"counters": {str(key): int(value) for key, value in dict(result).items()}}
+    return {"counters": dump(Counter, result)}
 
 
 def worker_main(

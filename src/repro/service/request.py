@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import functools
 import json
-import numbers
 from dataclasses import dataclass
 
-from ..api.config import DecoderConfig, strict_integer
+from ..api.config import DecoderConfig
 from ..api.hashing import canonical_json, content_hash
 from ..api.outcome import DecodeOutcome
 from ..api.registry import resolve_config
+from ..api.wireform import WireForm
 from ..graphs.decoding_graph import DecodingGraph
 from ..graphs.noise import noise_model_by_name
 from ..graphs.surface_code import surface_code_decoding_graph
@@ -43,7 +43,7 @@ INTERNED_SESSIONS = 128
 
 
 @dataclass(frozen=True)
-class CodeSpec:
+class CodeSpec(WireForm):
     """The code-and-noise half of a session key.
 
     Identifies one decoding graph: a rotated surface-code memory experiment
@@ -84,46 +84,9 @@ class CodeSpec:
         model = noise_model_by_name(self.noise, self.physical_error_rate)
         return surface_code_decoding_graph(self.distance, model, rounds=self.rounds)
 
-    def to_dict(self) -> dict:
-        """JSON-shaped wire form (the network service's session codec).
-
-        >>> CodeSpec(3).to_dict()["distance"]
-        3
-        """
-        return {
-            "distance": self.distance,
-            "noise": self.noise,
-            "physical_error_rate": self.physical_error_rate,
-            "rounds": self.rounds,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CodeSpec":
-        """Inverse of :meth:`to_dict`.
-
-        ``distance`` and ``rounds`` must be integers and
-        ``physical_error_rate`` a real number: a ``5.7`` or a ``"0.002"`` is
-        refused rather than truncated or parsed into another code.
-
-        >>> CodeSpec.from_dict(CodeSpec(5, rounds=2).to_dict())
-        CodeSpec(distance=5, noise='circuit_level', physical_error_rate=0.001, rounds=2)
-        """
-        rounds = data.get("rounds")
-        rate = data.get("physical_error_rate", 0.001)
-        if isinstance(rate, bool) or not isinstance(rate, numbers.Real):
-            raise TypeError(
-                f"physical_error_rate must be a real number, got {type(rate).__name__}"
-            )
-        return cls(
-            distance=strict_integer(data["distance"], "distance"),
-            noise=str(data.get("noise", "circuit_level")),
-            physical_error_rate=float(rate),
-            rounds=None if rounds is None else strict_integer(rounds, "rounds"),
-        )
-
 
 @dataclass(frozen=True)
-class SessionKey:
+class SessionKey(WireForm):
     """What the service's session LRU is keyed by.
 
     ``(code, decoder, config)`` fully determines a
@@ -196,31 +159,6 @@ class SessionKey:
         except KeyError:
             return self._remember("_hash", content_hash({"session": self.key()}))
 
-    def to_dict(self) -> dict:
-        """JSON-shaped wire form.  ``config`` is always the normalised
-        (non-``None``) configuration, so the wire form round-trips to an
-        *equal* key even when the sender omitted the config.
-
-        >>> key = SessionKey(CodeSpec(3), "union-find")
-        >>> SessionKey.from_dict(key.to_dict()) == key
-        True
-        """
-        return {
-            "code": self.code.to_dict(),
-            "decoder": self.decoder,
-            "config": self.config.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SessionKey":
-        """Inverse of :meth:`to_dict` (``config: null`` means registry default)."""
-        config = data.get("config")
-        return cls(
-            code=CodeSpec.from_dict(data["code"]),
-            decoder=str(data.get("decoder", "micro-blossom")),
-            config=None if config is None else DecoderConfig.from_dict(config),
-        )
-
 
 def _parse_session(blob: str) -> SessionKey:
     try:
@@ -260,7 +198,7 @@ def intern_session(blob: str) -> SessionKey:
     >>> intern_session('{"code": {"distance": 5.7}, "decoder": "union-find"}')
     Traceback (most recent call last):
     ...
-    TypeError: distance must be an integer, got float
+    TypeError: CodeSpec.distance must be an integer, got float
     """
     if len(blob) > _MAX_INTERNED_BLOB:
         return _parse_session(blob)
@@ -268,7 +206,7 @@ def intern_session(blob: str) -> SessionKey:
 
 
 @dataclass(frozen=True)
-class DecodeRequest:
+class DecodeRequest(WireForm):
     """One single-shot decode request submitted to the service.
 
     ``request_id`` is a client-chosen correlator echoed back on the response;
@@ -279,32 +217,9 @@ class DecodeRequest:
     syndrome: Syndrome
     request_id: int = 0
 
-    def to_dict(self) -> dict:
-        """JSON-shaped wire form — exactly what one ``request`` TCP frame
-        carries (see :mod:`repro.service.net.protocol`).
-
-        >>> request = DecodeRequest(SessionKey(CodeSpec(3), "union-find"), Syndrome((1,)))
-        >>> DecodeRequest.from_dict(request.to_dict()) == request
-        True
-        """
-        return {
-            "session": self.session.to_dict(),
-            "syndrome": self.syndrome.to_dict(),
-            "request_id": self.request_id,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DecodeRequest":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            session=SessionKey.from_dict(data["session"]),
-            syndrome=Syndrome.from_dict(data["syndrome"]),
-            request_id=int(data.get("request_id", 0)),
-        )
-
 
 @dataclass
-class DecodeResponse:
+class DecodeResponse(WireForm):
     """The service's answer to one :class:`DecodeRequest`.
 
     ``outcome`` is bit-identical to calling ``decode_detailed`` on a decoder
@@ -345,41 +260,3 @@ class DecodeResponse:
     def ok(self) -> bool:
         """True when the request was decoded (not shed or failed)."""
         return self.status == STATUS_OK
-
-    def to_dict(self) -> dict:
-        """JSON-shaped wire form — the payload of one ``response`` TCP frame.
-
-        The outcome flattens to a plain :class:`~repro.api.DecodeOutcome`
-        (see :meth:`repro.api.DecodeOutcome.to_dict`), which preserves every
-        field the digest/identity contracts compare.
-
-        >>> request = DecodeRequest(SessionKey(CodeSpec(3), "union-find"), Syndrome(()))
-        >>> response = DecodeResponse(request, status=STATUS_SHED)
-        >>> DecodeResponse.from_dict(response.to_dict()) == response
-        True
-        """
-        return {
-            "request": self.request.to_dict(),
-            "status": self.status,
-            "outcome": None if self.outcome is None else self.outcome.to_dict(),
-            "queue_delay_seconds": self.queue_delay_seconds,
-            "latency_seconds": self.latency_seconds,
-            "batch_size": self.batch_size,
-            "cached": self.cached,
-            "error": self.error,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DecodeResponse":
-        """Inverse of :meth:`to_dict`."""
-        outcome = data.get("outcome")
-        return cls(
-            request=DecodeRequest.from_dict(data["request"]),
-            status=str(data.get("status", STATUS_OK)),
-            outcome=None if outcome is None else DecodeOutcome.from_dict(outcome),
-            queue_delay_seconds=float(data.get("queue_delay_seconds", 0.0)),
-            latency_seconds=float(data.get("latency_seconds", 0.0)),
-            batch_size=int(data.get("batch_size", 0)),
-            cached=bool(data.get("cached", False)),
-            error=data.get("error"),
-        )

@@ -38,14 +38,13 @@ Pareto gaps and stream shots come from ``stable_seed``-derived RNG streams.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from ..api.hashing import content_hash, stable_seed
+from ..api.wireform import WireForm
 from ..graphs.decoding_graph import DecodingGraph
 from ..graphs.syndrome import SyndromeSampler
 from .faults import FaultPlan, poisoned_syndrome
@@ -62,7 +61,7 @@ HOSTILE_FAMILIES = ("flash-crowd", "pareto", "zipf", "slow-consumer")
 
 
 @dataclass(frozen=True)
-class Scenario:
+class Scenario(WireForm):
     """One weighted cell of a trace's workload mix.
 
     >>> Scenario(distance=3, physical_error_rate=0.02).session_key().decoder
@@ -90,22 +89,9 @@ class Scenario:
         """The service session key every request of this scenario targets."""
         return SessionKey(self.code(), self.decoder)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Scenario":
-        return cls(
-            distance=int(data["distance"]),
-            noise=str(data.get("noise", "circuit_level")),
-            physical_error_rate=float(data.get("physical_error_rate", 0.001)),
-            decoder=str(data.get("decoder", "micro-blossom")),
-            weight=float(data.get("weight", 1.0)),
-        )
-
 
 @dataclass(frozen=True)
-class TraceSpec:
+class TraceSpec(WireForm):
     """Declarative description of one synthetic service workload.
 
     ``rate_rps=None`` in an open-loop trace means *back-to-back* submission
@@ -210,37 +196,6 @@ class TraceSpec:
             payload["slow_streams"] = self.slow_streams
             payload["stream_push_gap_seconds"] = self.stream_push_gap_seconds
         return content_hash(payload)
-
-    def to_dict(self) -> dict:
-        data = asdict(self)
-        # JSON-shaped: scenarios as a list (``asdict`` preserves the tuple).
-        data["scenarios"] = list(data["scenarios"])
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TraceSpec":
-        return cls(
-            name=str(data["name"]),
-            scenarios=tuple(Scenario.from_dict(s) for s in data["scenarios"]),
-            requests=int(data["requests"]),
-            seed=int(data.get("seed", 0)),
-            arrival=str(data.get("arrival", "open")),
-            rate_rps=None if data.get("rate_rps") is None else float(data["rate_rps"]),
-            clients=int(data.get("clients", 4)),
-            think_seconds=float(data.get("think_seconds", 0.0)),
-            interarrival=str(data.get("interarrival", "exponential")),
-            pareto_alpha=float(data.get("pareto_alpha", 1.5)),
-            burst_size=None if data.get("burst_size") is None else int(data["burst_size"]),
-            burst_gap_seconds=float(data.get("burst_gap_seconds", 0.0)),
-            slow_streams=int(data.get("slow_streams", 0)),
-            stream_push_gap_seconds=float(data.get("stream_push_gap_seconds", 0.0)),
-        )
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "TraceSpec":
-        """Load a trace spec from a JSON file (the CLI's ``--trace`` input)."""
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
 
 
 @dataclass(frozen=True)

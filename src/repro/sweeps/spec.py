@@ -20,12 +20,11 @@ not invalidate its cached results in a :class:`~repro.sweeps.store.ResultStore`.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..api.hashing import content_hash, stable_seed
+from ..api.wireform import WireForm
 
 #: Fields of :class:`SweepSpec` that determine Monte-Carlo results and hence
 #: participate in :meth:`SweepSpec.spec_hash`.  The ``streaming`` axis joins
@@ -61,7 +60,7 @@ def derive_point_seed(base_seed: int, key: str) -> int:
 
 
 @dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(WireForm):
     """One fully-specified cell of a sweep grid.
 
     Carries everything the runner needs to reproduce the point bit-for-bit:
@@ -106,31 +105,9 @@ class SweepPoint:
             + ("/stream=1" if self.streaming else "")
         )
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SweepPoint":
-        return cls(
-            distance=int(data["distance"]),
-            noise=str(data["noise"]),
-            physical_error_rate=float(data["physical_error_rate"]),
-            decoder=str(data["decoder"]),
-            shots=int(data["shots"]),
-            seed=int(data["seed"]),
-            shard_size=int(data["shard_size"]),
-            target_standard_error=(
-                None
-                if data.get("target_standard_error") is None
-                else float(data["target_standard_error"])
-            ),
-            collect_latency=bool(data.get("collect_latency", False)),
-            streaming=bool(data.get("streaming", False)),
-        )
-
 
 @dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(WireForm):
     """Declarative grid of (distance × noise × p × decoder × streaming) points."""
 
     name: str
@@ -250,35 +227,14 @@ class SweepSpec:
             payload["streaming"] = self.streaming
         return content_hash(payload)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, data: dict) -> "SweepSpec":
-        return cls(
-            name=str(data["name"]),
-            distances=tuple(data["distances"]),
-            physical_error_rates=tuple(data["physical_error_rates"]),
-            decoders=tuple(data["decoders"]),
-            shots=int(data["shots"]),
-            noise_models=tuple(data.get("noise_models", ("circuit_level",))),
-            seed=int(data.get("seed", 0)),
-            shard_size=int(data.get("shard_size", 256)),
-            target_standard_error=(
-                None
-                if data.get("target_standard_error") is None
-                else float(data["target_standard_error"])
-            ),
-            collect_latency=bool(data.get("collect_latency", False)),
-            # a bare bool is accepted and coerced to a one-value axis
-            streaming=data.get("streaming", (False,)),
-        )
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "SweepSpec":
-        """Load a spec from a JSON file (the CLI's ``--spec`` input)."""
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
+        """Inverse of ``to_dict``; ``streaming`` may also be a bare bool."""
+        # The one way the file form is looser than the fields: a bare bool
+        # is accepted as a one-value streaming axis, as the constructor is.
+        if isinstance(data, dict) and isinstance(data.get("streaming"), bool):
+            data = {**data, "streaming": [data["streaming"]]}
+        return super().from_dict(data)
 
 
 def make_spec(

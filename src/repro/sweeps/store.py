@@ -28,6 +28,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
+from ..api.wireform import WireForm
 from ..evaluation.engine import LatencyHistogram, RateEstimate
 from .spec import SweepPoint, SweepSpec
 
@@ -36,7 +37,7 @@ STORE_FORMAT = 1
 
 
 @dataclass(frozen=True)
-class LatencySummary:
+class LatencySummary(WireForm):
     """Deterministic summary of a point's latency histogram."""
 
     count: int
@@ -59,30 +60,9 @@ class LatencySummary:
             max_seconds=histogram.max_seconds,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "mean_seconds": self.mean_seconds,
-            "p50_seconds": self.p50_seconds,
-            "p99_seconds": self.p99_seconds,
-            "min_seconds": self.min_seconds,
-            "max_seconds": self.max_seconds,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LatencySummary":
-        return cls(
-            count=int(data["count"]),
-            mean_seconds=float(data["mean_seconds"]),
-            p50_seconds=float(data["p50_seconds"]),
-            p99_seconds=float(data["p99_seconds"]),
-            min_seconds=float(data["min_seconds"]),
-            max_seconds=float(data["max_seconds"]),
-        )
-
 
 @dataclass(frozen=True)
-class LUTStats:
+class LUTStats(WireForm):
     """Deterministic LUT hit/miss statistics of one ``lut+<fallback>`` point.
 
     ``hits``/``misses`` count decoded (defect-carrying) shots resolved by /
@@ -103,21 +83,6 @@ class LUTStats:
         if not total:
             return 0.0
         return (self.hits + self.zero_defect_hits) / total
-
-    def to_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "zero_defect_hits": self.zero_defect_hits,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LUTStats":
-        return cls(
-            hits=int(data["hits"]),
-            misses=int(data["misses"]),
-            zero_defect_hits=int(data["zero_defect_hits"]),
-        )
 
 
 @dataclass(frozen=True)

@@ -157,8 +157,8 @@ class TestConfigWireForm:
             ({"max_defects": 1.5}, "LUTConfig.max_defects must be an integer, got float"),
             ({"memory_budget_bytes": "9"}, "memory_budget_bytes must be an integer, got str"),
             ({"max_defects": True}, "LUTConfig.max_defects must be an integer, got bool"),
-            ({"fallback_config": {"scale": 4}}, "fallback_config must be a decoder config"),
-            ({"fallback_config": 3}, "fallback_config must be a decoder config"),
+            ({"fallback_config": {"scale": 4}}, "DecoderConfig object holds exactly a type and"),
+            ({"fallback_config": 3}, "LUTConfig.fallback_config must be a DecoderConfig object"),
         ],
     )
     def test_mistyped_lut_fields_are_refused(self, fields, message):

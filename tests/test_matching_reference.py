@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.graphs import BOUNDARY, SyndromeSampler, circuit_level_noise
@@ -134,6 +139,32 @@ class TestReferenceDecoder:
             syndrome = sampler.sample()
             result = reference.decode(syndrome)
             result.validate_perfect(syndrome.defects)
+
+    def test_wire_form_does_not_depend_on_the_hash_seed(self):
+        """Two processes with different ``PYTHONHASHSEED`` decode the same
+        seeded shots into byte-identical wire forms (pair order included)."""
+        script = (
+            "import json\n"
+            "from repro.api import DecoderSession\n"
+            "from repro.graphs import SyndromeSampler, circuit_level_noise\n"
+            "from repro.graphs import surface_code_decoding_graph\n"
+            "graph = surface_code_decoding_graph(5, circuit_level_noise(0.005))\n"
+            "session = DecoderSession(graph, 'reference')\n"
+            "shots = SyndromeSampler(graph, seed=2026).sample_batch(100)\n"
+            "print(json.dumps([session.decode_detailed(s).to_dict() for s in shots]))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True,
+                check=True,
+                timeout=300,
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            ).stdout
+            for seed in ("0", "1", "2")
+        ]
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_optimal_weight_helper(self, path_graph_builder):
         graph = path_graph_builder()

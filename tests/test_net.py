@@ -660,19 +660,28 @@ class TestConnectionRobustness:
             server.stop()
 
     @pytest.mark.parametrize(
-        "defects", [[-1], [2**32], 5, {"1": 2}], ids=["negative", "2**32", "int", "object"]
+        "patch",
+        [
+            {"defects": [-1]},
+            {"defects": [2**32]},
+            {"defects": 5},
+            {"defects": {"1": 2}},
+            {"logical_flip": "no"},
+        ],
+        ids=["negative", "2**32", "int", "object", "flip-string"],
     )
-    def test_unpackable_json_syndrome_is_refused_and_connection_serves(self, defects):
+    def test_unpackable_json_syndrome_is_refused_and_connection_serves(self, patch):
         """The front end packs a JSON member's syndrome once; one it cannot
-        pack (an index outside ``[0, 2**32)``, or ``defects`` not a list)
-        is a ``bad request`` for that member alone, sent alone or in a
-        batch, and the connection keeps serving."""
+        pack (an index outside ``[0, 2**32)``, ``defects`` not a list, or a
+        field of another type, which is never coerced) is a ``bad request``
+        for that member alone, sent alone or in a batch, and the connection
+        keeps serving."""
         trace = generate_trace(NET_TRACE)
         server = NetServer(NET_CONFIG, processes=1, prewarm=prewarm_specs(NET_TRACE))
         host, port = server.start()
         try:
             valid = trace.requests[0].request.to_dict()
-            bad = {**valid, "syndrome": {**valid["syndrome"], "defects": defects}}
+            bad = {**valid, "syndrome": {**valid["syndrome"], **patch}}
             sock = socket.create_connection((host, port), timeout=30.0)
             try:
                 write_frame_sync(

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import copy
+import functools
+import operator
+
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -305,3 +310,256 @@ def test_trace_spec_round_trips_for_every_noise_family(
     clone = TraceSpec.from_dict(spec.to_dict())
     assert clone == spec
     assert clone.trace_hash() == spec.trace_hash()
+
+
+# ---------------------------------------------------------------------------
+# wire forms (repro.api.wireform)
+# ---------------------------------------------------------------------------
+def _wire_classes() -> dict:
+    """Every wire-form class, with a strategy for its instances."""
+    from collections import Counter
+
+    from repro.api import (
+        DecodeOutcome,
+        DecoderConfig,
+        LUTConfig,
+        MicroBlossomConfig,
+        ParityBlossomConfig,
+        ReferenceConfig,
+        UnionFindConfig,
+    )
+    from repro.evaluation.service_load import SaturationPoint
+    from repro.graphs import NOISE_FAMILY_NAMES, MatchingResult
+    from repro.service import (
+        CodeSpec,
+        DecodeRequest,
+        DecodeResponse,
+        FaultPlan,
+        ServiceConfig,
+        SessionKey,
+    )
+    from repro.service.cache import SessionCacheStats
+    from repro.service.trace import Scenario, TraceSpec
+    from repro.sweeps import SweepPoint, SweepSpec
+    from repro.sweeps.store import LatencySummary, LUTStats
+
+    count = st.integers(min_value=0, max_value=2**40)
+    index = st.integers(min_value=0, max_value=2**32 - 1)
+    indices = st.lists(index, max_size=6).map(tuple)
+    seconds = st.floats(min_value=0.0, max_value=1e3)
+    rate = st.floats(min_value=1e-4, max_value=0.1)
+    name = st.text(min_size=1, max_size=6)
+    noise = st.sampled_from(NOISE_FAMILY_NAMES)
+    decoder = st.sampled_from(["micro-blossom", "union-find", "reference", "lut+union-find"])
+    micro = st.builds(MicroBlossomConfig, st.booleans(), st.booleans(), st.integers(1, 8))
+    configs = st.one_of(
+        micro,
+        st.builds(ParityBlossomConfig, st.integers(1, 8)),
+        st.just(UnionFindConfig()),
+        st.just(ReferenceConfig()),
+        st.builds(LUTConfig, st.integers(0, 3), st.integers(0, 3), count, st.none() | micro),
+    )
+    matchings = st.builds(
+        MatchingResult,
+        st.lists(st.tuples(index, st.integers(-1, 2**32 - 1)), max_size=4),
+        st.dictionaries(index, index, max_size=3),
+        count,
+    )
+    outcomes = st.builds(
+        DecodeOutcome,
+        st.none() | matchings,
+        st.none() | st.sets(index, max_size=6),
+        count,
+        st.dictionaries(name, count, max_size=4).map(Counter),
+        count,
+    )
+    syndromes = st.builds(Syndrome, indices, indices, st.none() | st.booleans(), indices)
+    codes = st.builds(
+        CodeSpec, st.sampled_from([3, 5, 7]), noise, rate, st.none() | st.integers(1, 9)
+    )
+    keys = st.builds(SessionKey, codes, decoder)
+    requests = st.builds(DecodeRequest, keys, syndromes, st.integers(-(2**63), 2**63 - 1))
+    plans = st.builds(
+        FaultPlan,
+        name,
+        count,
+        st.integers(0, 4),
+        seconds,
+        st.floats(0.0, 1.0),
+        st.integers(1, 4),
+        st.floats(0.0, 1.0),
+    )
+    scenarios = st.builds(
+        Scenario, st.sampled_from([3, 5]), noise, rate, decoder, st.floats(0.1, 9.0)
+    )
+    return {
+        Syndrome: syndromes,
+        MatchingResult: matchings,
+        NoiseModel: _noise_models,
+        DecoderConfig: configs,
+        DecodeOutcome: outcomes,
+        CodeSpec: codes,
+        SessionKey: keys,
+        DecodeRequest: requests,
+        DecodeResponse: st.builds(
+            DecodeResponse,
+            requests,
+            st.sampled_from(["ok", "shed", "error"]),
+            st.none() | outcomes,
+            seconds,
+            seconds,
+            count,
+            st.booleans(),
+            st.none() | st.text(max_size=8),
+        ),
+        Scenario: scenarios,
+        TraceSpec: st.builds(
+            TraceSpec,
+            name,
+            st.lists(scenarios, min_size=1, max_size=3).map(tuple),
+            st.integers(1, 64),
+            count,
+            st.sampled_from(["open", "closed"]),
+            st.none() | st.floats(1.0, 1e4),
+            st.integers(1, 8),
+            burst_size=st.none() | st.integers(1, 8),
+        ),
+        ServiceConfig: st.builds(
+            ServiceConfig,
+            st.integers(1, 64),
+            seconds,
+            st.integers(1, 4096),
+            st.integers(1, 8),
+            outcome_cache_bytes=st.none() | count,
+            fault_plan=st.none() | plans,
+        ),
+        FaultPlan: plans,
+        SweepPoint: st.builds(
+            SweepPoint,
+            st.sampled_from([3, 5]),
+            noise,
+            rate,
+            decoder,
+            st.integers(1, 10**6),
+            count,
+            st.integers(1, 512),
+            st.none() | st.floats(1e-4, 0.1),
+            st.booleans(),
+            st.booleans(),
+        ),
+        SweepSpec: st.builds(
+            SweepSpec,
+            name,
+            st.lists(st.sampled_from([3, 5, 7]), min_size=1, max_size=3).map(tuple),
+            st.lists(rate, min_size=1, max_size=3).map(tuple),
+            st.lists(decoder, min_size=1, max_size=2).map(tuple),
+            st.integers(1, 10**6),
+            streaming=st.sampled_from([(False,), (True,), (False, True)]),
+        ),
+        LatencySummary: st.builds(
+            LatencySummary, count, seconds, seconds, seconds, seconds, seconds
+        ),
+        LUTStats: st.builds(LUTStats, count, count, count),
+        SessionCacheStats: st.builds(SessionCacheStats, count, count, count),
+        SaturationPoint: st.builds(
+            SaturationPoint, count, count, count, seconds, seconds, seconds, seconds, name
+        ),
+    }
+
+
+_WIRE_CLASSES = _wire_classes()
+
+
+def _scalar_leaves(wire, path=()):
+    """Paths of every scalar value inside a wire form (dict values and list
+    items; object keys are not values)."""
+    if isinstance(wire, dict):
+        items = wire.items()
+    elif isinstance(wire, list):
+        items = enumerate(wire)
+    else:
+        return [path] if wire is not None else []
+    return [leaf for key, value in items for leaf in _scalar_leaves(value, (*path, key))]
+
+
+def _lossy_values(value) -> list:
+    """Values that a field of ``value``'s type must refuse, not coerce."""
+    if isinstance(value, bool):
+        return [int(value), "no", 1.0]
+    if isinstance(value, int):
+        return [value + 0.5, float(value), True, str(value)]
+    if isinstance(value, float):
+        return [str(value), False]
+    return [0, 1.5, True]
+
+
+@pytest.mark.parametrize("cls", list(_WIRE_CLASSES), ids=lambda cls: cls.__name__)
+@given(data=st.data())
+@_slow
+def test_wire_form_round_trips_and_refuses_lossy_values(cls, data):
+    """``from_dict(to_dict(x)) == x`` for every wire-form class, and a value
+    of another type anywhere in the wire form is refused, never coerced."""
+    value = data.draw(_WIRE_CLASSES[cls])
+    wire = value.to_dict()
+    assert cls.from_dict(wire) == value
+    assert cls.from_dict(copy.deepcopy(wire)).to_dict() == wire
+    leaves = _scalar_leaves(wire)
+    if not leaves:
+        return
+    *parents, last = data.draw(st.sampled_from(leaves))
+    lossy = copy.deepcopy(wire)
+    target = functools.reduce(operator.getitem, parents, lossy)
+    target[last] = data.draw(st.sampled_from(_lossy_values(target[last])))
+    with pytest.raises((TypeError, ValueError)):
+        cls.from_dict(lossy)
+
+
+@pytest.mark.parametrize(
+    "cls_name, wire",
+    [
+        ("ServiceConfig", {"workers": 2.5}),
+        ("ServiceConfig", {"max_batch_size": True}),
+        ("FaultPlan", {"seed": 1.9}),
+        ("FaultPlan", {"poison_rate": "0.5"}),
+        ("SweepSpec", {"name": "s", "distances": [5.7], "physical_error_rates": [0.01],
+                       "decoders": ["union-find"], "shots": 10}),
+        ("SweepSpec", {"name": "s", "distances": [5], "physical_error_rates": [0.01],
+                       "decoders": ["union-find"], "shots": "10"}),
+        ("TraceSpec", {"name": "t", "scenarios": [{"distance": 3}], "requests": 2.9}),
+        ("Syndrome", {"defects": [1.7, "4"]}),
+        ("Syndrome", {"defects": [1, 4], "logical_flip": "no"}),
+    ],
+)
+def test_lossy_values_once_coerced_are_refused(cls_name, wire):
+    cls = {cls.__name__: cls for cls in _WIRE_CLASSES}[cls_name]
+    with pytest.raises((TypeError, ValueError)):
+        cls.from_dict(wire)
+
+
+def test_sweep_spec_file_form_keeps_accepting_a_bare_streaming_bool():
+    from repro.sweeps import SweepSpec
+
+    wire = {"name": "s", "distances": [3], "physical_error_rates": [0.01],
+            "decoders": ["union-find"], "shots": 10, "streaming": True}
+    assert SweepSpec.from_dict(wire).streaming == (True,)
+
+
+@pytest.mark.parametrize(
+    "cls_name, wire, error",
+    [
+        ("MatchingResult", {"pairs": [[1, 2, 3]]}, ValueError),
+        ("MatchingResult", {"boundary_vertices": {"01": 2}}, TypeError),
+        ("MatchingResult", {"boundary_vertices": {"1": 2.5}}, TypeError),
+        ("DecodeOutcome", {"counters": {1: 2}}, TypeError),
+        ("DecodeOutcome", {"counters": {"grow": 2.0}}, TypeError),
+        ("DecodeOutcome", {"counters": [["grow", 2]]}, TypeError),
+        ("DecodeOutcome", {"correction": "12"}, TypeError),
+        ("DecodeOutcome", {"result": [[1, 2]]}, TypeError),
+        ("DecodeOutcome", [], TypeError),
+    ],
+)
+def test_malformed_wire_shapes_are_refused(cls_name, wire, error):
+    """Containers of the wrong shape are refused like lossy scalars."""
+    cls = {cls.__name__: cls for cls in _WIRE_CLASSES}[cls_name]
+    with pytest.raises(error):
+        cls.from_dict(wire)

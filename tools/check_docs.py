@@ -54,6 +54,7 @@ DOCTEST_MODULES = (
     "repro.graphs.noise",
     "repro.graphs.syndrome",
     "repro.api.hashing",
+    "repro.api.wireform",
     "repro.api.config",
     "repro.api.erasure",
     "repro.api.registry",
