@@ -75,7 +75,10 @@ class DecoderSession:
     def decode_detailed(self, syndrome: Syndrome) -> DecodeOutcome:
         outcome = self.decoder.decode_detailed(syndrome)
         self.shots += 1
-        self.total_counters.update(outcome.counters)
+        # Counter.update's own loop, without its per-call Mapping check.
+        total = self.total_counters
+        for key, value in outcome.counters.items():
+            total[key] = value + total.get(key, 0)
         return outcome
 
     # ------------------------------------------------------------------

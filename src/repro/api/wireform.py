@@ -164,11 +164,15 @@ def _compile(annotation, where: str) -> tuple:
 
         def load_counter(value):
             _expect(value, dict, where)
-            if not all(type(key) is str and type(n) is int for key, n in value.items()):
+            if not ({*map(type, value)} <= {str} and {*map(type, value.values())} <= {int}):
                 for key in value:
                     _expect(key, str, f"a key of {where}", "a string")
                 value = {key: count(n) for key, n in value.items()}
-            return Counter(value)
+            # A Counter holds no state beyond its dict: skip its pure-Python
+            # __init__/update.
+            counter = Counter.__new__(Counter)
+            dict.update(counter, value)
+            return counter
 
         return (lambda value: {key: value[key] for key in sorted(value)}), load_counter
     if origin is list or (origin is tuple and args[1:] == (Ellipsis,)):
@@ -206,6 +210,8 @@ def _compile(annotation, where: str) -> tuple:
 
         def load_set(value):
             _expect(value, (list, tuple), where, "a list")
+            if {*map(type, value)} <= {args[0]}:
+                return set(value)
             return {member(entry) for entry in value}
 
         return sorted, load_set

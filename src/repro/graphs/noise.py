@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..api.wireform import WireForm, omitted_at_default
+from ..api.wireform import WireForm, load, omitted_at_default
 
 
 class NoiseModelError(ValueError):
@@ -81,7 +81,10 @@ class NoiseModel(WireForm):
     schedule: tuple[float, ...] = omitted_at_default(())
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "schedule", tuple(float(s) for s in self.schedule))
+        # As its wire form takes it: each multiplier a real number but no bool.
+        object.__setattr__(
+            self, "schedule", load(tuple[float, ...], self.schedule, "NoiseModel.schedule")
+        )
         for field_name in ("spatial", "temporal", "diagonal", "boundary"):
             value = getattr(self, field_name)
             if value < 0.0 or value >= 0.5:

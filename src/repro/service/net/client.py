@@ -4,10 +4,10 @@
 surface — ``submit`` returning a future, ``decode``/``decode_many`` blocking
 wrappers, ``open_stream`` — over one TCP connection speaking the protocol of
 :mod:`repro.service.net.protocol`.  Requests are **pipelined**: ``submit``
-writes the frame and returns immediately; a background reader thread matches
-``response`` frames back to futures by frame id, so a closed-loop client with
-``depth`` outstanding futures keeps ``depth`` requests in flight without any
-extra threads.
+writes the frame and returns immediately; the connection's one background
+thread reads ``response`` frames and matches them back to futures by frame
+id, so a closed-loop client with ``depth`` outstanding futures keeps
+``depth`` requests in flight.
 
 On top of pipelining the client batches at two levels (binary codec only):
 
@@ -18,9 +18,11 @@ On top of pipelining the client batches at two levels (binary codec only):
 * :meth:`submit` runs a Nagle-style coalescer: a request is written
   immediately while the connection is otherwise idle, but once responses
   are outstanding further submissions buffer and flush as one
-  ``request-batch`` when the buffer reaches ``coalesce.max_bytes`` or its
-  oldest member has waited ``coalesce.max_delay_seconds`` (both advertised
-  by the server's ``welcome`` frame).
+  ``request-batch``: on the spot when the buffer reaches
+  ``coalesce.max_bytes``, and otherwise from the background thread, right
+  after it reads the next response frame or once the oldest member has
+  waited ``coalesce.max_delay_seconds`` (both knobs advertised by the
+  server's ``welcome`` frame).
 
 The codec is negotiated at the handshake (``codecs=(1,)`` forces canonical
 JSON — the legacy v1 wire format).  On a binary connection each request is
@@ -37,6 +39,7 @@ histogram.
 
 from __future__ import annotations
 
+import selectors
 import socket
 import threading
 import time
@@ -55,8 +58,8 @@ from .protocol import (
     binary_kind,
     check_version,
     decode_payload,
+    pop_frames,
     read_frame_sync,
-    read_payload_sync,
     read_responses,
     request_member,
     write_frame_sync,
@@ -105,9 +108,8 @@ class NetClient:
         codecs: tuple[int, ...] = SUPPORTED_CODECS,
     ) -> None:
         # ``timeout`` bounds connect + handshake only.  The steady-state
-        # socket is unbounded: the reader thread must tolerate arbitrarily
-        # long idle gaps (socket.timeout is an OSError, so a per-read
-        # timeout would tear the connection down under an idle pipeline);
+        # socket has none: an idle pipeline may wait arbitrarily long (the
+        # coalescer's deadline is the I/O thread's own select timeout), and
         # per-request deadlines belong to decode(timeout=...).
         self._sock = socket.create_connection((host, port), timeout=timeout)
         self._sock.settimeout(timeout)
@@ -156,58 +158,101 @@ class NetClient:
             0.0, float(coalesce.get("max_delay_seconds", 0.0005))
         )
         self._sock.settimeout(None)
-        # Nagle-style coalescer state: buffered (member, estimate) pairs and
-        # the monotonic time the oldest one arrived.
-        self._co_cond = threading.Condition()
+        # decode_many groups by the server's ring (a pure function of the
+        # worker ids; the server re-routes around a worker that died since).
+        self._ring = HashRing(range(self.server_workers)) if self.server_workers else None
+        # Nagle-style coalescer state (guarded by _co_lock): buffered
+        # (member, estimate) pairs, the monotonic time the oldest arrived,
+        # and whether the I/O thread is waiting without a deadline — the one
+        # case in which a newly buffered request must wake it.
+        self._co_lock = threading.Lock()
         self._co_buffer: list[tuple[tuple, int]] = []
         self._co_bytes = 0
         self._co_oldest = 0.0
-        self._reader = threading.Thread(
-            target=self._read_loop, name="repro-net-client-reader", daemon=True
+        self._io_idle = False
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._io = threading.Thread(
+            target=self._io_loop, name="repro-net-client-io", daemon=True
         )
-        self._reader.start()
-        self._flusher: threading.Thread | None = None
-        if self._batching:
-            self._flusher = threading.Thread(
-                target=self._coalesce_loop, name="repro-net-client-coalescer", daemon=True
-            )
-            self._flusher.start()
+        self._io.start()
 
     # ------------------------------------------------------------------
-    # reader thread
+    # I/O thread: reads every frame, flushes the coalescer
     # ------------------------------------------------------------------
-    def _read_loop(self) -> None:
+    def _io_loop(self) -> None:
+        """The connection's one background thread: resolve futures from
+        the response frames read, and flush the coalescing buffer after each
+        read and at its deadline.  It waits on the socket and a wake-up
+        socketpair, which :meth:`submit` writes to only when it buffers a
+        request while this thread waits without a deadline."""
+        selector = selectors.DefaultSelector()
+        selector.register(self._sock, selectors.EVENT_READ)
+        selector.register(self._wake_r, selectors.EVENT_READ)
+        data = bytearray()
         try:
             while True:
-                payload = read_payload_sync(self._sock)
-                with self._stats_lock:
-                    self._frames_received += 1
-                    self._bytes_received += len(payload) + 4
-                if binary_kind(payload) in ("response", "response-batch"):
-                    for frame_id, fields in read_responses(payload):
-                        entry = self._take(frame_id)
-                        if entry is not None:
-                            entry[1].set_result(DecodeResponse(entry[2], *fields))
+                with self._co_lock:
+                    timeout = None
+                    if self._co_buffer:
+                        timeout = self._co_oldest + self._coalesce_max_delay - time.monotonic()
+                    self._io_idle = timeout is None
+                if timeout is not None and timeout <= 0:
+                    self._flush_coalescer()
                     continue
-                frame = decode_payload(payload)
-                kind = frame.get("kind")
-                if kind == "response":
-                    self._resolve_response(frame.get("id"), frame.get("response"))
-                elif kind == "response-batch":
-                    for member in frame.get("responses") or ():
-                        if isinstance(member, dict):
-                            self._resolve_response(member.get("id"), member.get("response"))
-                elif kind == "stream-reply":
-                    self._resolve(frame.get("id"), frame.get("result"))
-                elif kind == "error":
-                    self._resolve_error(frame)
-                elif kind == "drain":
-                    self._draining = True
-                # anything else (future protocol additions) is ignored
+                ready = selector.select(timeout)
+                self._io_idle = False
+                for key, _events in ready:
+                    if key.fileobj is self._wake_r:
+                        self._wake_r.recv(4096)
+                        continue
+                    chunk = self._sock.recv(1 << 18)
+                    if not chunk:
+                        raise ConnectionError("connection closed")
+                    data += chunk
+                    while payloads := pop_frames(data):
+                        with self._stats_lock:
+                            self._frames_received += len(payloads)
+                            self._bytes_received += sum(map(len, payloads)) + 4 * len(payloads)
+                        for payload in payloads:
+                            self._handle_payload(payload)
+                    self._flush_coalescer()
         except ProtocolError as exc:
             self._fail_all(exc)
         except (ConnectionError, OSError) as exc:
             self._fail_all(exc if isinstance(exc, ConnectionError) else ConnectionError(str(exc)))
+        finally:
+            selector.close()
+
+    def _handle_payload(self, payload: bytes) -> None:
+        if binary_kind(payload) in ("response", "response-batch"):
+            members = read_responses(payload)
+            with self._pending_lock:
+                entries = [self._pending.pop(frame_id, None) for frame_id, _ in members]
+            for entry, (_, fields) in zip(entries, members):
+                if entry is not None:
+                    entry[1].set_result(DecodeResponse(entry[2], *fields))
+            return
+        frame = decode_payload(payload)
+        kind, frame_id = frame.get("kind"), frame.get("id")
+        if kind in ("response", "response-batch"):
+            members = (frame.get("responses") or ()) if kind == "response-batch" else (frame,)
+            for member in members:
+                if isinstance(member, dict):
+                    self._resolve_response(member.get("id"), member.get("response"))
+        elif kind == "error" and frame_id is None:
+            self._fail_all(ProtocolError(frame.get("error", "server error")))
+        elif kind in ("stream-reply", "error") and (entry := self._take(frame_id)):
+            result, message = frame.get("result"), frame.get("error", "server error")
+            if kind == "error":
+                error = ServerDrainingError if "draining" in message else RuntimeError
+                entry[1].set_exception(error(message))
+            elif isinstance(result, dict) and set(result) == {"error"}:
+                entry[1].set_exception(RuntimeError(result["error"]))
+            else:
+                entry[1].set_result(result)
+        elif kind == "drain":
+            self._draining = True
+        # anything else (future protocol additions) is ignored
 
     def _take(self, frame_id) -> tuple[str, Future, DecodeRequest | None] | None:
         with self._pending_lock:
@@ -228,31 +273,6 @@ class NetClient:
             return
         future.set_result(response)
 
-    def _resolve(self, frame_id, result) -> None:
-        entry = self._take(frame_id)
-        if entry is None:
-            return
-        _, future, _ = entry
-        if isinstance(result, dict) and "error" in result and set(result) == {"error"}:
-            future.set_exception(RuntimeError(result["error"]))
-        else:
-            future.set_result(result)
-
-    def _resolve_error(self, frame: dict) -> None:
-        frame_id = frame.get("id")
-        message = frame.get("error", "server error")
-        if frame_id is None:
-            self._fail_all(ProtocolError(message))
-            return
-        entry = self._take(frame_id)
-        if entry is None:
-            return
-        _, future, _ = entry
-        if "draining" in message:
-            future.set_exception(ServerDrainingError(message))
-        else:
-            future.set_exception(RuntimeError(message))
-
     def _fail_all(self, exc: Exception) -> None:
         with self._pending_lock:
             self._broken = exc
@@ -261,9 +281,6 @@ class NetClient:
         for _, future, _ in pending:
             if not future.done():
                 future.set_exception(exc)
-        # Unblock the coalescer thread; _check_sendable refuses new work.
-        with self._co_cond:
-            self._co_cond.notify_all()
 
     # ------------------------------------------------------------------
     # request path
@@ -278,7 +295,7 @@ class NetClient:
             raise ConnectionError("client is closed")
         if self._broken is not None:
             # The connection already died: a registered future would never
-            # resolve (the reader thread is gone), so fail fast instead.
+            # resolve (the I/O thread is gone), so fail fast instead.
             raise ConnectionError(f"connection lost: {self._broken}") from self._broken
         if self._draining:
             # The server announced a drain: already-pipelined work will still
@@ -324,8 +341,10 @@ class NetClient:
 
         On a binary connection submissions coalesce Nagle-style: the request
         goes out immediately while nothing else is outstanding; under a
-        pipeline it buffers and flushes as one ``request-batch`` at the
-        server-advertised byte/delay bounds.
+        pipeline it buffers, and the I/O thread flushes the buffer as one
+        ``request-batch`` after the next response frame it reads, or once
+        the oldest buffered request has waited ``max_delay_seconds``.
+        ``max_bytes`` of buffered requests flush on the spot.
         """
         if not self._batching:
             return self._send("request", "request", request, {"request": request.to_dict()})
@@ -333,8 +352,8 @@ class NetClient:
         frame_id, future = self._register("request", request)
         entry = _member_entry(frame_id, request)
         flush: list[tuple[tuple, int]] | None = None
-        send_now = False
-        with self._co_cond:
+        send_now = wake = False
+        with self._co_lock:
             if entry is None or (not self._co_buffer and len(self._pending) <= 1):
                 # Idle connection: latency wins, write it straight out (so
                 # does a request the binary layout cannot carry).
@@ -344,7 +363,7 @@ class NetClient:
                 self._co_bytes += entry[1]
                 if len(self._co_buffer) == 1:
                     self._co_oldest = time.monotonic()
-                    self._co_cond.notify()
+                    wake = self._io_idle
                 if self._co_bytes >= self._coalesce_max_bytes:
                     flush = self._co_buffer
                     self._co_buffer = []
@@ -357,6 +376,9 @@ class NetClient:
                 self._send_bytes(protocol.encode_requests([entry[0]]), batch_size=1)
             elif flush is not None:
                 self._send_batch(flush)
+            elif wake:
+                # The I/O thread waits without a deadline: give it this one.
+                self._wake_w.send(b"\0")
         except ProtocolError as exc:
             self._take(frame_id)
             raise ProtocolError(
@@ -369,32 +391,10 @@ class NetClient:
         return future
 
     def _flush_coalescer(self) -> None:
-        with self._co_cond:
+        with self._co_lock:
             members, self._co_buffer, self._co_bytes = self._co_buffer, [], 0
         if members:
             self._send_batch(members)
-
-    def _coalesce_loop(self) -> None:
-        """Flusher thread: age out the coalescing buffer at max_delay."""
-        while True:
-            with self._co_cond:
-                while not self._co_buffer and not self._closed and self._broken is None:
-                    self._co_cond.wait()
-                if self._closed or self._broken is not None:
-                    return
-                deadline = self._co_oldest + self._coalesce_max_delay
-                remaining = deadline - time.monotonic()
-                if remaining > 0:
-                    self._co_cond.wait(remaining)
-                    continue  # re-evaluate: an inline flush may have run
-                members, self._co_buffer, self._co_bytes = self._co_buffer, [], 0
-            try:
-                self._send_batch(members)
-            except (ConnectionError, OSError, ProtocolError):
-                # The member futures were already failed by _send_batch (or
-                # will be by the reader's _fail_all); keep the thread alive
-                # so close() can join it.
-                continue
 
     def _send_batch(self, entries: list[tuple[tuple, int]]) -> None:
         """Send buffered ``(member, estimate)`` entries as ``request-batch``
@@ -468,10 +468,7 @@ class NetClient:
         # Anything sitting in the coalescer goes first — frame order on the
         # socket then matches submission order.
         self._flush_coalescer()
-        # The ring is a pure function of the worker-id set; a worker that
-        # died since the handshake merely makes this grouping non-optimal —
-        # the server re-routes authoritatively.
-        ring = HashRing(range(self.server_workers)) if self.server_workers else None
+        ring = self._ring
         futures: list[Future] = []
         groups: dict[int, list[tuple[tuple, int]]] = {}
         for request in requests:
@@ -554,8 +551,6 @@ class NetClient:
         if self._closed:
             return
         self._closed = True
-        with self._co_cond:
-            self._co_cond.notify_all()
         try:
             with self._write_lock:
                 self._sock.sendall(protocol.encode_frame({"kind": "bye"}))
@@ -565,10 +560,9 @@ class NetClient:
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
-        self._sock.close()
-        self._reader.join(1.0)
-        if self._flusher is not None:
-            self._flusher.join(1.0)
+        self._io.join(1.0)
+        for sock in (self._sock, self._wake_r, self._wake_w):
+            sock.close()
         self._fail_all(ConnectionError("client closed"))
 
     def __enter__(self) -> "NetClient":

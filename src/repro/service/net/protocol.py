@@ -79,13 +79,13 @@ straight into :class:`~repro.service.DecodeResponse` fields
 :func:`encode_frame`/:func:`decode_payload` are thin adapters over the same
 writers and readers.
 
-The module offers both blocking-socket helpers (the synchronous client) and
-``asyncio`` stream helpers (the server) over the identical byte format.
+Readers of a byte stream — the server's event loop and the client's I/O
+thread — split it into frames with :func:`pop_frames`; blocking-socket
+helpers serve the client's handshake.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import socket
 import struct
@@ -93,7 +93,7 @@ from collections import Counter
 
 from ...api.hashing import canonical_json
 from ...api.outcome import DecodeOutcome
-from ...api.wireform import load_fields
+from ...api.wireform import load, load_fields
 from ...graphs.syndrome import MatchingResult, Syndrome
 from ..request import STATUS_ERROR
 
@@ -237,9 +237,21 @@ def _framed(parts: list) -> bytes:
 # ---------------------------------------------------------------------------
 # binary codec: writers (one per layout)
 # ---------------------------------------------------------------------------
+#: Short blobs (status strings, counter keys) are memoised both ways: each
+#: is encoded and decoded once per process, not once per response body.
+_MEMO_LENGTH, _MEMO_ENTRIES = 64, 1024
+_BLOBS: dict[str, bytes] = {}
+_TEXTS: dict[bytes, str] = {}
+
+
 def _blob(text: str) -> bytes:
-    data = text.encode("utf-8")
-    return _U32.pack(len(data)) + data
+    blob = _BLOBS.get(text)
+    if blob is None:
+        data = text.encode("utf-8")
+        blob = _U32.pack(len(data)) + data
+        if len(data) <= _MEMO_LENGTH and len(_BLOBS) < _MEMO_ENTRIES:
+            _BLOBS[text] = blob
+    return blob
 
 
 def _u32s(values) -> bytes:
@@ -255,10 +267,11 @@ def syndrome_bytes(defects, error_edges, logical_flip, erasures) -> bytes:
     fields.  Indices must be integers in ``[0, 2**32)``; anything else
     (a float, a negative or oversized index) raises ``ValueError``."""
     tag = 0 if logical_flip is None else (2 if logical_flip else 1)
+    n, m = len(defects), len(error_edges)
     try:
         if erasures:
             return bytes((tag | 4,)) + _u32s(defects) + _u32s(error_edges) + _u32s(erasures)
-        return bytes((tag,)) + _u32s(defects) + _u32s(error_edges)
+        return struct.pack(f"<BI{n}II{m}I", tag, n, *defects, m, *error_edges)
     except struct.error as exc:
         raise ValueError(f"syndrome indices must be integers in [0, 2**32): {exc}") from None
 
@@ -336,13 +349,14 @@ def _outcome_parts(parts, result, correction, defect_count, counters, scale_retr
     if correction is not None:
         parts.append(_u32s(correction))
     parts.append(_U32.pack(len(counters)))
-    for key, value in counters:
-        parts += (_blob(key), _I64.pack(value))
+    for key in sorted(counters):
+        parts += (_blob(key), _I64.pack(counters[key]))
 
 
 def _body(status, cached, queue_delay, latency, batch_size, error, outcome) -> bytes:
     """The body layout; ``outcome`` is ``None`` or the :func:`_outcome_parts`
-    fields with sorted boundary/counter items and flat ``(u, v)`` pairs."""
+    fields: flat ``(u, v)`` pairs, boundary items sorted by vertex, and the
+    counters as a mapping of integer counts (written sorted by key)."""
     flags = (1 if cached else 0) | (0 if outcome is None else 2) | (0 if error is None else 4)
     parts = [_blob(status), _BODY_HEAD.pack(flags, queue_delay, latency, batch_size)]
     if error is not None:
@@ -370,7 +384,7 @@ def response_body(response) -> bytes:
             result,
             None if correction is None else sorted(correction),
             int(outcome.defect_count),
-            [(key, int(value)) for key, value in sorted(outcome.counters.items())],
+            outcome.counters,
             int(outcome.scale_retries),
         )
     return _body(
@@ -418,10 +432,16 @@ def _read_blob(payload: bytes, offset: int) -> tuple[str, int]:
     end = start + length
     if end > len(payload):
         raise ProtocolError("truncated binary frame")
-    try:
-        return payload[start:end].decode("utf-8"), end
-    except UnicodeDecodeError as exc:
-        raise ProtocolError(f"undecodable blob: {exc}") from None
+    data = payload[start:end]
+    text = _TEXTS.get(data)
+    if text is None:
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ProtocolError(f"undecodable blob: {exc}") from None
+        if length <= _MEMO_LENGTH and len(_TEXTS) < _MEMO_ENTRIES:
+            _TEXTS[data] = text
+    return text, end
 
 
 def _read_array(payload: bytes, offset: int, code: str, per_count: int) -> tuple[tuple, int]:
@@ -439,7 +459,9 @@ def _syndrome_end(payload: bytes, offset: int) -> int:
     if tag > 7 or tag & 3 == 3:
         raise ProtocolError(f"bad syndrome tag {tag}")
     offset += 5 + 4 * count
-    for _ in range(2 if tag & 4 else 1):
+    (count,) = _U32.unpack_from(payload, offset)
+    offset += 4 + 4 * count
+    if tag & 4:
         (count,) = _U32.unpack_from(payload, offset)
         offset += 4 + 4 * count
     if offset > len(payload):
@@ -451,10 +473,18 @@ def syndrome_object(data: bytes) -> Syndrome:
     """The :class:`~repro.graphs.Syndrome` of a syndrome span that
     :func:`scan_requests` checked or :func:`syndrome_bytes` wrote."""
     tag, count = _TAG_COUNT.unpack_from(data)
-    defects = struct.unpack_from(f"<{count}I", data, 5)
-    error_edges, offset = _read_array(data, 5 + 4 * count, "I", 1)
-    erasures = _read_array(data, offset, "I", 1)[0] if tag & 4 else ()
-    return Syndrome(defects, error_edges, _FLIPS[tag & 3], erasures)
+    offset = 5 + 4 * count
+    (edges,) = _U32.unpack_from(data, offset)
+    # Built as the sampler builds syndromes, without the frozen __init__'s
+    # object.__setattr__ per field; a missing ``erasures`` reads the default.
+    syndrome = object.__new__(Syndrome)
+    fields = syndrome.__dict__
+    fields["defects"] = struct.unpack_from(f"<{count}I", data, 5)
+    fields["error_edges"] = struct.unpack_from(f"<{edges}I", data, offset + 4)
+    fields["logical_flip"] = _FLIPS[tag & 3]
+    if tag & 4:
+        fields["erasures"] = _read_array(data, offset + 4 + 4 * edges, "I", 1)[0]
+    return syndrome
 
 
 def scan_requests(payload: bytes) -> list[tuple]:
@@ -523,13 +553,12 @@ def _outcome_object(result, correction, defect_count, counters, scale_retries) -
         result = MatchingResult(
             list(zip(pairs[::2], pairs[1::2])), dict(zip(boundary[::2], boundary[1::2])), weight
         )
-    return DecodeOutcome(
-        result,
-        None if correction is None else set(correction),
-        defect_count,
-        Counter(counters),
-        scale_retries,
-    )
+    # A Counter holds no state beyond its dict: skip its pure-Python
+    # __init__/update, as repro.lut.clone_outcome does.
+    counter = Counter.__new__(Counter)
+    dict.update(counter, counters)
+    correction = None if correction is None else set(correction)
+    return DecodeOutcome(result, correction, defect_count, counter, scale_retries)
 
 
 def _outcome_dict(result, correction, defect_count, counters, scale_retries) -> dict:
@@ -597,32 +626,45 @@ def body_dict(body: bytes) -> dict:
 # ---------------------------------------------------------------------------
 # logical-dict adapters over the binary writers and readers
 # ---------------------------------------------------------------------------
+def _checked(data: dict, name: str, kind, default):
+    """``data[name]`` (``default`` when absent) under the
+    :mod:`repro.api.wireform` rule of ``kind``: ``TypeError`` for a value
+    that rule refuses."""
+    value = data.get(name, default)
+    if type(value) is kind or value is default is None:
+        return value
+    return load(kind, value, name)
+
+
 def _body_from_dict(payload: dict) -> bytes:
-    outcome, error = payload.get("outcome"), payload.get("error")
+    # Each field is checked by the wireform rule of its annotation, so a
+    # value the binary layout would change (a float count, an int flag)
+    # raises and encode_frame falls back to JSON, which carries it as is.
+    outcome = payload.get("outcome")
     if outcome is not None:
-        result, correction = outcome.get("result"), outcome.get("correction")
+        result = outcome.get("result")
         if result is not None:
-            boundary = result.get("boundary_vertices", {})
+            result = MatchingResult.from_dict(result)
+            boundary = sorted(result.boundary_vertices.items())
             result = (
-                [x for u, v in result.get("pairs", ()) for x in (int(u), int(v))],
-                [x for key in sorted(boundary, key=int) for x in (int(key), int(boundary[key]))],
-                int(result.get("weight", 0)),
+                [x for pair in result.pairs for x in pair],
+                [x for item in boundary for x in item],
+                result.weight,
             )
-        counters = outcome.get("counters", {})
         outcome = (
             result,
-            correction,
-            int(outcome.get("defect_count", 0)),
-            [(key, int(counters[key])) for key in sorted(counters)],
-            int(outcome.get("scale_retries", 0)),
+            _checked(outcome, "correction", list[int], None),
+            _checked(outcome, "defect_count", int, 0),
+            _checked(outcome, "counters", Counter, {}),
+            _checked(outcome, "scale_retries", int, 0),
         )
     return _body(
-        str(payload.get("status", "ok")),
-        payload.get("cached"),
-        float(payload.get("queue_delay_seconds", 0.0)),
-        float(payload.get("latency_seconds", 0.0)),
-        int(payload.get("batch_size", 0)),
-        None if error is None else str(error),
+        _checked(payload, "status", str, "ok"),
+        _checked(payload, "cached", bool, False),
+        _checked(payload, "queue_delay_seconds", float, 0.0),
+        _checked(payload, "latency_seconds", float, 0.0),
+        _checked(payload, "batch_size", int, 0),
+        _checked(payload, "error", str, None),
         outcome,
     )
 
@@ -745,68 +787,47 @@ def write_frame_sync(sock: socket.socket, frame: dict, codec: int = CODEC_JSON) 
     sock.sendall(encode_frame(frame, codec))
 
 
-def _recv_exact(sock: socket.socket, count: int, *, eof_ok: bool = False) -> bytes | None:
-    """Read exactly ``count`` bytes; ``None`` on clean EOF when ``eof_ok``.
-
-    EOF after a partial read is always a mid-frame connection loss.
-    """
-    chunks: list[bytes] = []
-    remaining = count
-    while remaining:
-        chunk = sock.recv(remaining)
+def _recv_exact(sock: socket.socket, count: int, at_eof: str) -> bytes:
+    """Read exactly ``count`` bytes; ``ConnectionError(at_eof)`` on EOF
+    before the first byte, a mid-frame one after it."""
+    data = bytearray()
+    while len(data) < count:
+        chunk = sock.recv(count - len(data))
         if not chunk:
-            if eof_ok and remaining == count:
-                return None
-            raise ConnectionError("connection closed mid-frame")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+            raise ConnectionError("connection closed mid-frame" if data else at_eof)
+        data += chunk
+    return bytes(data)
 
 
-def read_payload_sync(sock: socket.socket) -> bytes:
-    """Read one frame's raw payload bytes (raises ConnectionError on EOF)."""
-    header = _recv_exact(sock, _LENGTH.size, eof_ok=True)
-    if header is None:
-        raise ConnectionError("connection closed")
-    (length,) = _LENGTH.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
-    payload = _recv_exact(sock, length)
-    assert payload is not None  # eof_ok=False never returns None
-    return payload
+def pop_frames(buffer: bytearray, limit: int | None = MAX_FRAME_BYTES) -> list[bytes]:
+    """Remove every complete frame from the front of ``buffer`` and return
+    their payloads; a partial frame stays for the next read.  A length
+    prefix over ``limit`` raises :class:`ProtocolError` once the frames
+    before it have been returned.
+
+    >>> buffer = bytearray(encode_frame({"kind": "bye"}) + b"\\0\\0")
+    >>> pop_frames(buffer), buffer
+    ([b'{"kind":"bye"}'], bytearray(b'\\x00\\x00'))
+    """
+    frames, offset, size = [], 0, len(buffer)
+    while size - offset >= _LENGTH.size:
+        (length,) = _LENGTH.unpack_from(buffer, offset)
+        if limit is not None and length > limit:
+            if frames:
+                break
+            raise ProtocolError(f"frame of {length} bytes exceeds {limit}")
+        end = offset + _LENGTH.size + length
+        if end > size:
+            break
+        frames.append(bytes(buffer[offset + _LENGTH.size : end]))
+        offset = end
+    del buffer[:offset]
+    return frames
 
 
 def read_frame_sync(sock: socket.socket) -> dict:
     """Read one frame from a blocking socket (raises ConnectionError on EOF)."""
-    return decode_payload(read_payload_sync(sock))
-
-
-# ---------------------------------------------------------------------------
-# asyncio framing (server)
-# ---------------------------------------------------------------------------
-async def read_payload(reader: asyncio.StreamReader) -> bytes | None:
-    """Read one frame's raw payload; ``None`` on clean EOF at a frame boundary."""
-    try:
-        header = await reader.readexactly(_LENGTH.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise ConnectionError("connection closed mid-frame") from None
-    (length,) = _LENGTH.unpack(header)
+    (length,) = _LENGTH.unpack(_recv_exact(sock, _LENGTH.size, "connection closed"))
     if length > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
-    try:
-        return await reader.readexactly(length)
-    except asyncio.IncompleteReadError:
-        raise ConnectionError("connection closed mid-frame") from None
-
-
-async def read_frame(reader: asyncio.StreamReader) -> dict | None:
-    """Read one frame; ``None`` on clean EOF at a frame boundary."""
-    payload = await read_payload(reader)
-    return None if payload is None else decode_payload(payload)
-
-
-def write_frame(writer: asyncio.StreamWriter, frame: dict, codec: int = CODEC_JSON) -> None:
-    """Queue one frame on an asyncio writer (call from the loop thread)."""
-    writer.write(encode_frame(frame, codec))
+    return decode_payload(_recv_exact(sock, length, "connection closed mid-frame"))

@@ -52,11 +52,6 @@ class HashRing:
         if not self._workers:
             raise ValueError("ring needs at least one worker")
 
-    @property
-    def worker_ids(self) -> frozenset[int]:
-        """The live workers currently on the ring."""
-        return frozenset(self._workers)
-
     def __len__(self) -> int:
         return len(self._workers)
 

@@ -12,8 +12,10 @@ worker pool:
   :meth:`start` (before the loop thread exists — fork-safety), each hosting
   an in-process :class:`~repro.service.DecodeService` built from the same
   :class:`~repro.service.ServiceConfig`.  Requests travel over per-worker
-  pipes; one reader thread per worker posts replies back into the loop with
-  ``call_soon_threadsafe``.
+  socketpairs in :class:`multiprocessing.connection.Connection` framing; the
+  loop reads and writes the front end's ends as asyncio transports, so a
+  worker's reply costs no thread hop and a send to a busy worker waits in
+  the transport's buffer (past its high-water mark, no client is read).
 * **Routing.**  A consistent-hash :class:`~repro.service.net.router.HashRing`
   maps each request's :meth:`~repro.service.SessionKey.key_hash` to a
   worker, so a session's decoder stays cached in one process.  Sessions are
@@ -38,10 +40,13 @@ import asyncio
 import logging
 import multiprocessing
 import os
+import pickle
 import signal
 import socket
 import threading
 import time
+from multiprocessing.connection import Connection
+from typing import NamedTuple
 
 from ..config import ServiceConfig
 from ..request import intern_session
@@ -54,15 +59,14 @@ from .protocol import (
     body_dict,
     check_version,
     decode_payload,
+    encode_frame,
     encode_responses,
     error_body,
     negotiate_codec,
     pack_syndrome,
-    read_frame,
-    read_payload,
+    pop_frames,
     scan_requests,
     session_blob,
-    write_frame,
 )
 from .router import HashRing
 from .worker import worker_main
@@ -75,46 +79,141 @@ _REQUEST_KINDS = ("request", "request-batch")
 logger = logging.getLogger(__name__)
 
 
-class _Worker:
-    """Parent-side handle of one worker process."""
+class _Framed(asyncio.Protocol):
+    """A connection the loop reads: each complete frame of at most
+    ``limit`` bytes goes to :meth:`on_payload` as it arrives."""
 
-    __slots__ = ("worker_id", "process", "conn", "alive", "drained")
+    limit: int | None = None
 
-    def __init__(self, worker_id, process, conn):
+    def __init__(self, server):
+        self.server = server
+        self.transport: asyncio.Transport | None = None
+        self.buffer = bytearray()
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        self.buffer += data
+        while payloads := pop_frames(self.buffer, self.limit):
+            for payload in payloads:
+                self.on_payload(payload)
+
+
+class _Worker(_Framed):
+    """Parent-side handle of one worker process and its pipe, which speaks
+    :class:`~multiprocessing.connection.Connection`'s framing (a 4-byte
+    big-endian length, then a pickle), so the worker keeps its blocking
+    ``recv``/``send``.  End of file means the worker died."""
+
+    def __init__(self, server, worker_id, process, sock):
+        super().__init__(server)
         self.worker_id = worker_id
         self.process = process
-        self.conn = conn
+        self.sock = sock  # the loop wraps it in ``transport`` at start
         self.alive = True
         self.drained = threading.Event()
 
+    def send(self, message: tuple) -> bool:
+        """Queue ``message`` on the pipe; ``False`` once the pipe is gone."""
+        if self.transport.is_closing():
+            return False
+        data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+        self.transport.write(len(data).to_bytes(4, "big") + data)
+        return True
 
-class _Pending:
-    """One request/stream-op in flight between front end and a worker.
+    def on_payload(self, payload: bytes) -> None:
+        # Pipe messages are the front end's and its workers' own pickles.
+        self.server._on_worker_message(self, pickle.loads(payload))
 
-    ``request_wire`` is the request dict of a JSON-framed member (a v1
-    response echoes it); ``None`` for a scanned binary member, whose answer
-    body is spliced into the client's frame as is.
+    def pause_writing(self) -> None:
+        self.server._set_busy(self, True)
+
+    def resume_writing(self) -> None:
+        self.server._set_busy(self, False)
+
+    def connection_lost(self, exc) -> None:
+        if not self.server._stopped:
+            self.server._on_worker_death(self)
+
+
+class _Pending(NamedTuple):
+    """Work in flight on a worker: one stream op, or the request members of
+    one pipe message, all from one client frame.
+
+    ``wires`` holds the request dicts of JSON-framed members (a v1 response
+    echoes them); ``None`` for a scanned binary frame, whose answer bodies
+    are spliced into the client's frames as is.
     """
 
-    __slots__ = ("kind", "client", "frame_id", "request_wire", "worker_id")
-
-    def __init__(self, kind, client, frame_id, request_wire, worker_id):
-        self.kind = kind  # "request" | "stream"
-        self.client = client
-        self.frame_id = frame_id
-        self.request_wire = request_wire
-        self.worker_id = worker_id
+    kind: str  # "request" | "stream"
+    client: "_Client"
+    frame_ids: list
+    wires: list | None
+    worker_id: int
 
 
-class _Client:
-    """Per-connection state (owned by the loop thread)."""
+class _Client(_Framed):
+    """One client connection, owned by the loop thread: frames are parsed
+    as they arrive and handed to the server; replies go to the transport."""
 
-    __slots__ = ("writer", "open", "codec")
+    limit = protocol.MAX_FRAME_BYTES
 
-    def __init__(self, writer):
-        self.writer = writer
+    def __init__(self, server, client_id):
+        super().__init__(server)
+        self.client_id = client_id
         self.open = True
+        self.backlogged = False
+        self.greeted = False
         self.codec = 1  # negotiated at the handshake; JSON until then
+
+    def connection_made(self, transport) -> None:
+        # asyncio's TCP transport sets TCP_NODELAY: the coalescers decide
+        # when bytes wait, Nagle's algorithm must not add its own stalls.
+        super().connection_made(transport)
+        self.server._clients[self.client_id] = self
+        self.flow()
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            super().data_received(data)
+        except ProtocolError as exc:
+            self.write({"kind": "error", "id": None, "error": str(exc)})
+            self.close()
+
+    def on_payload(self, payload: bytes) -> None:
+        if self.open:
+            self.server._on_payload(self, payload)
+
+    def write(self, frame: dict) -> None:
+        """Queue ``frame``; :class:`ProtocolError` past MAX_FRAME_BYTES."""
+        if self.open:
+            self.transport.write(encode_frame(frame, self.codec))
+
+    def close(self) -> None:
+        self.open = False
+        self.transport.close()
+
+    # Flow control: read a client only while neither its own replies nor
+    # any worker pipe is backed up past the transport's high-water mark.
+    def pause_writing(self) -> None:
+        self.backlogged = True
+        self.flow()
+
+    def resume_writing(self) -> None:
+        self.backlogged = False
+        self.flow()
+
+    def flow(self) -> None:
+        if self.backlogged or self.server._busy:
+            self.transport.pause_reading()
+        else:
+            self.transport.resume_reading()
+
+    def connection_lost(self, exc) -> None:
+        self.open = False
+        del self.server._clients[self.client_id]
+        self.server._close_client_streams(self.client_id)
 
 
 class NetServer:
@@ -160,7 +259,7 @@ class NetServer:
         self._pending: dict[int, _Pending] = {}
         self._streams: dict[tuple[int, int], int] = {}  # (client id, sid) -> worker
         self._clients: dict[int, _Client] = {}
-        self._reader_threads: list[threading.Thread] = []
+        self._busy: set[int] = set()  # workers whose pipe is backed up
         self._seq = 0
         self._client_ids = 0
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -193,7 +292,8 @@ class NetServer:
             "fork" if "fork" in multiprocessing.get_all_start_methods() else None
         )
         for worker_id in range(self.processes):
-            parent_conn, child_conn = context.Pipe()
+            parent_sock, child_sock = socket.socketpair()
+            child_conn = Connection(child_sock.detach())
             process = context.Process(
                 target=worker_main,
                 name=f"repro-net-worker-{worker_id}",
@@ -208,7 +308,7 @@ class NetServer:
             )
             process.start()
             child_conn.close()
-            self._workers[worker_id] = _Worker(worker_id, process, parent_conn)
+            self._workers[worker_id] = _Worker(self, worker_id, process, parent_sock)
         self._ring = HashRing(self._workers)
         self._loop = asyncio.new_event_loop()
         self._loop_thread = threading.Thread(
@@ -216,15 +316,6 @@ class NetServer:
         )
         self._loop_thread.start()
         self._ready.wait()
-        for worker in self._workers.values():
-            thread = threading.Thread(
-                target=self._read_worker,
-                args=(worker,),
-                name=f"repro-net-reader-{worker.worker_id}",
-                daemon=True,
-            )
-            thread.start()
-            self._reader_threads.append(thread)
         return (self.host, self.port)
 
     def _run_loop(self) -> None:
@@ -233,15 +324,21 @@ class NetServer:
         self._idle.set()
 
         async def boot():
-            self._server = await asyncio.start_server(
-                self._handle_client, self.host, self.port
+            for worker in self._workers.values():
+                await self._loop.connect_accepted_socket(lambda w=worker: w, worker.sock)
+            self._server = await self._loop.create_server(
+                self._new_client, self.host, self.port
             )
             self.port = self._server.sockets[0].getsockname()[1]
             self._ready.set()
 
         self._loop.run_until_complete(boot())
         self._loop.run_forever()
-        # Cancel whatever outlived run_forever, then close the loop cleanly.
+        for connection in [*self._workers.values(), *self._clients.values()]:
+            connection.transport.abort()
+        # Cancel whatever outlived run_forever (a tick lets the transports
+        # close), then close the loop cleanly.
+        self._loop.run_until_complete(asyncio.sleep(0))
         tasks = asyncio.all_tasks(self._loop)
         for task in tasks:
             task.cancel()
@@ -268,32 +365,6 @@ class NetServer:
             self._drain_async(done), self._loop
         )
         done.wait(self.drain_timeout_seconds)
-        # From here on the workers are going away: late frames (a client
-        # submitting past the drain notice and the in-flight wait) must be
-        # refused rather than forwarded into drained workers.  The flag flip
-        # AND the drain commands both run on the loop thread: a
-        # multiprocessing Connection is not thread-safe, and the loop thread
-        # may still be forwarding request frames on these same pipes —
-        # routing the drain through the loop serialises the sends and also
-        # guarantees no request frame follows the drain command onto a pipe.
-        drain_sent = threading.Event()
-
-        def refuse_and_drain_workers() -> None:
-            self._refusing = True
-            try:
-                # Ask every live worker to drain; they answer ("drained",).
-                for worker in list(self._workers.values()):
-                    if not worker.alive:
-                        continue
-                    try:
-                        worker.conn.send(("drain",))
-                    except (BrokenPipeError, OSError):
-                        self._on_worker_death(worker)
-            finally:
-                drain_sent.set()
-
-        self._loop.call_soon_threadsafe(refuse_and_drain_workers)
-        drain_sent.wait(max(0.0, deadline - time.monotonic()))
         for worker in self._workers.values():
             if worker.alive:
                 worker.drained.wait(max(0.0, deadline - time.monotonic()))
@@ -301,18 +372,13 @@ class NetServer:
             if worker.process.is_alive():  # pragma: no cover - stuck worker
                 worker.process.terminate()
                 worker.process.join(5.0)
-            try:
-                worker.conn.close()
-            except OSError:  # pragma: no cover
-                pass
         self._loop.call_soon_threadsafe(self._loop.stop)
         self._loop_thread.join(5.0)
-        for thread in self._reader_threads:
-            thread.join(1.0)
         logger.info("drained in %.3f s", time.monotonic() - began)
 
     async def _drain_async(self, done: threading.Event) -> None:
-        """Loop-side half of stop(): notify clients, wait for in-flight.
+        """Loop-side half of stop(): notify clients, wait for in-flight,
+        then refuse late frames and ask every worker to drain.
 
         Frames a client sent before it saw the ``drain`` notice are already
         admitted — they keep being served; a well-behaved client
@@ -323,19 +389,8 @@ class NetServer:
             self._draining = True
             self._server.close()
             await self._server.wait_closed()
-            # Snapshot: _handle_client's finally block deletes entries from
-            # _clients whenever a connection drops, and the awaits below
-            # yield to exactly those tasks — iterating the live dict would
-            # die with "dictionary changed size during iteration".
-            for client in list(self._clients.values()):
-                if client.open:
-                    try:
-                        write_frame(
-                            client.writer, {"kind": "drain", "reason": "server stopping"}
-                        )
-                        await client.writer.drain()
-                    except (ConnectionError, OSError):
-                        client.open = False
+            for client in self._clients.values():
+                client.write({"kind": "drain", "reason": "server stopping"})
             deadline = self._loop.time() + self.drain_timeout_seconds
             while self._loop.time() < deadline:
                 if self._pending:
@@ -352,6 +407,13 @@ class NetServer:
                 if not self._pending:
                     break
         finally:
+            # The workers are going away: late frames are refused, not
+            # forwarded into drained workers, and since the loop thread owns
+            # the pipes no request frame follows a drain command onto one.
+            self._refusing = True
+            for worker in list(self._workers.values()):
+                if worker.alive:
+                    self._send_to_worker(worker, ("drain",))  # answered ("drained",)
             # stop() blocks on this event; an exception anywhere above must
             # not turn into a full drain_timeout_seconds stall.
             done.set()
@@ -379,97 +441,49 @@ class NetServer:
             signal.signal(signal.SIGINT, previous_int)
 
     # ------------------------------------------------------------------
-    # worker plumbing (reader threads -> loop thread)
+    # worker plumbing (loop thread)
     # ------------------------------------------------------------------
-    def _read_worker(self, worker: _Worker) -> None:
-        while True:
-            try:
-                message = worker.conn.recv()
-            except (EOFError, OSError):
-                if not self._stopped:
-                    self._loop.call_soon_threadsafe(self._on_worker_death, worker)
-                return
-            if message[0] == "drained":
-                worker.drained.set()
-                return
-            self._loop.call_soon_threadsafe(self._on_worker_message, worker, message)
-
     def _on_worker_message(self, worker: _Worker, message: tuple) -> None:
-        kind = message[0]
-        if kind == "response-batch":
-            _, entries = message
-            answers = []
-            for seq, body in entries:
-                pending = self._pending.pop(seq, None)
-                if pending is None:
-                    continue
-                answers.append((pending, body))
-            self._answer_batch(answers)
-        elif kind == "stream-reply":
-            _, seq, result = message
-            pending = self._pending.pop(seq, None)
-            if pending is None:
-                return
-            self._answer(pending, result)
+        # ("response-batch", seq, bodies), ("stream-reply", seq, result) or ("drained",)
+        if message[0] == "drained":
+            worker.drained.set()
+        elif (pending := self._pending.pop(message[1], None)) is not None:
+            self._answer(pending, message[2])
         if not self._pending:
             self._idle.set()
 
-    def _answer(self, pending: _Pending, payload) -> None:
-        """Answer one request (``payload`` is its binary body) or stream op."""
+    def _answer(self, pending: _Pending, result) -> None:
+        """Answer a stream op with its ``result``, or request members with
+        their binary bodies (``result``, in member order)."""
         client = pending.client
         if not client.open:
             return
-        if pending.kind != "request":
-            frame = {"kind": "stream-reply", "id": pending.frame_id, "result": payload}
-        elif client.codec >= CODEC_BINARY and pending.request_wire is None:
-            self._splice(client, [(pending.frame_id, payload)])
+        if pending.kind == "stream":
+            frames = [{"kind": "stream-reply", "id": pending.frame_ids[0], "result": result}]
+        elif pending.wires is None:
+            self._splice(client, list(zip(pending.frame_ids, result)))
             return
         else:
-            # Read the body back: a v1 response embeds the request echo,
+            # Read the bodies back: a v1 response embeds the request echo,
             # and a binary client's JSON-framed member may carry an id the
             # binary layout cannot (encode_frame then falls back to JSON).
-            body = body_dict(payload)
-            if client.codec < CODEC_BINARY:
-                body["request"] = pending.request_wire
-            frame = {"kind": "response", "id": pending.frame_id, "response": body}
-        if not self._write(client, frame):
-            self._refuse_too_large(client, pending.frame_id)
-
-    def _write(self, client: _Client, frame: dict) -> bool:
-        """Queue ``frame`` to ``client``; ``False`` if it exceeds MAX_FRAME_BYTES."""
-        try:
-            write_frame(client.writer, frame, client.codec)
-        except ProtocolError:
-            return False
-        except (ConnectionError, OSError):  # pragma: no cover - racing close
-            client.open = False
-        return True
+            frames = []
+            for frame_id, wire, body in zip(pending.frame_ids, pending.wires, result):
+                response = body_dict(body)
+                if client.codec < CODEC_BINARY:
+                    response["request"] = wire
+                frames.append({"kind": "response", "id": frame_id, "response": response})
+        for frame in frames:
+            try:
+                client.write(frame)
+            except ProtocolError:
+                self._refuse_too_large(client, frame["id"])
 
     def _refuse_too_large(self, client: _Client, frame_id) -> None:
         # A v1 response embeds its request echo, so it can outgrow a frame
         # its request fit in: fail that one id, keep the connection.
-        self._refuse(
-            client,
-            frame_id,
-            f"response too large for one frame (MAX_FRAME_BYTES={protocol.MAX_FRAME_BYTES})",
-        )
-
-    def _answer_batch(self, answers) -> None:
-        """Answer a worker's response batch: one frame per binary client.
-
-        Scanned members' bodies are spliced into one ``response`` (a lone
-        answer) or ``response-batch`` frame per client; every other answer
-        goes through :meth:`_answer`.
-        """
-        by_client: dict[int, tuple[_Client, list]] = {}
-        for pending, body in answers:
-            client = pending.client
-            if client.codec < CODEC_BINARY or pending.request_wire is not None:
-                self._answer(pending, body)
-            elif client.open:
-                by_client.setdefault(id(client), (client, []))[1].append((pending.frame_id, body))
-        for client, members in by_client.values():
-            self._splice(client, members)
+        reason = f"response too large for one frame (MAX_FRAME_BYTES={protocol.MAX_FRAME_BYTES})"
+        self._refuse(client, frame_id, reason)
 
     def _splice(self, client: _Client, members: list) -> None:
         """Write ``(frame id, body)`` pairs as binary response frames,
@@ -486,10 +500,12 @@ class NetServer:
                     mid = len(chunk) // 2
                     chunks += (chunk[mid:], chunk[:mid])
                 continue
-            try:
-                client.writer.write(data)
-            except (ConnectionError, OSError):  # pragma: no cover - racing close
-                client.open = False
+            client.transport.write(data)
+
+    def _set_busy(self, worker: _Worker, busy: bool) -> None:
+        (self._busy.add if busy else self._busy.discard)(worker.worker_id)
+        for client in self._clients.values():
+            client.flow()
 
     def _on_worker_death(self, worker: _Worker) -> None:
         """A worker died: isolate the blast radius, re-route its keys."""
@@ -497,6 +513,7 @@ class NetServer:
             return
         worker.alive = False
         worker.drained.set()
+        self._set_busy(worker, False)
         self._ring.remove(worker.worker_id)
         dead = [
             (seq, pending)
@@ -507,15 +524,13 @@ class NetServer:
             "worker %d (pid %s) died; failing its %d pending request(s)",
             worker.worker_id,
             worker.process.pid,
-            sum(pending.kind == "request" for _seq, pending in dead),
+            sum(len(pending.frame_ids) for _seq, pending in dead if pending.kind == "request"),
         )
         for seq, pending in dead:
             del self._pending[seq]
             if pending.kind == "request":
-                self._answer(
-                    pending,
-                    error_body(f"WorkerDied: worker {worker.worker_id} exited mid-request"),
-                )
+                body = error_body(f"WorkerDied: worker {worker.worker_id} exited mid-request")
+                self._answer(pending, [body] * len(pending.frame_ids))
             else:
                 self._answer(
                     pending,
@@ -536,41 +551,33 @@ class NetServer:
             worker = self._workers[worker_id]
             if worker.alive:
                 return worker
-            # The reader thread has not posted the death yet; drop the
-            # worker here and re-route.
+            # The pipe has not reported the death yet; drop the worker
+            # here and re-route.
             self._on_worker_death(worker)
 
     def _send_to_worker(self, worker: _Worker, message: tuple) -> bool:
-        try:
-            worker.conn.send(message)
+        if worker.send(message):
             return True
-        except (BrokenPipeError, OSError):
-            self._on_worker_death(worker)
-            return False
+        self._on_worker_death(worker)
+        return False
 
     # ------------------------------------------------------------------
     # client connections (loop thread)
     # ------------------------------------------------------------------
-    async def _handle_client(self, reader, writer) -> None:
+    def _new_client(self) -> _Client:
         self._client_ids += 1
-        client_id = self._client_ids
-        client = _Client(writer)
-        self._clients[client_id] = client
-        try:
-            # Explicit coalescing controls batching on this connection;
-            # Nagle's algorithm must not add its own 40 ms stalls on top.
-            raw_socket = writer.get_extra_info("socket")
-            if raw_socket is not None:
-                raw_socket.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            hello = await read_frame(reader)
-            if hello is None:
-                return
+        return _Client(self, self._client_ids)
+
+    def _on_payload(self, client: _Client, payload: bytes) -> None:
+        """Handle one frame of ``client`` (the first one must be ``hello``)."""
+        if not client.greeted:
+            hello = decode_payload(payload)
             if hello.get("kind") != "hello":
                 raise ProtocolError(f"expected hello, got {hello.get('kind')!r}")
             check_version(hello)
             client.codec = negotiate_codec(hello.get("codecs"))
-            write_frame(
-                writer,
+            client.greeted = True
+            client.write(
                 {
                     "kind": "welcome",
                     "version": PROTOCOL_VERSION,
@@ -581,37 +588,16 @@ class NetServer:
                         "max_bytes": self.config.coalesce_max_bytes,
                         "max_delay_seconds": self.config.coalesce_max_delay_seconds,
                     },
-                },
+                }
             )
-            await writer.drain()
-            while True:
-                payload = await read_payload(reader)
-                if payload is None:
-                    return
-                if client.codec >= CODEC_BINARY and binary_kind(payload) in _REQUEST_KINDS:
-                    self._admit(client, scan_requests(payload))
-                else:
-                    frame = decode_payload(payload)
-                    if frame.get("kind") == "bye":
-                        return
-                    self._handle_frame(client_id, client, frame)
-                await writer.drain()
-        except ProtocolError as exc:
-            try:
-                write_frame(writer, {"kind": "error", "id": None, "error": str(exc)})
-                await writer.drain()
-            except (ConnectionError, OSError):
-                pass
-        except (ConnectionError, OSError):
-            pass
-        finally:
-            client.open = False
-            del self._clients[client_id]
-            self._close_client_streams(client_id)
-            try:
-                writer.close()
-            except OSError:  # pragma: no cover
-                pass
+        elif client.codec >= CODEC_BINARY and binary_kind(payload) in _REQUEST_KINDS:
+            self._admit(client, scan_requests(payload))
+        else:
+            frame = decode_payload(payload)
+            if frame.get("kind") == "bye":
+                client.close()
+            else:
+                self._handle_frame(client.client_id, client, frame)
 
     def _close_client_streams(self, client_id: int) -> None:
         """Drop a disconnected client's stream state, here and in workers.
@@ -628,7 +614,7 @@ class NetServer:
                 self._send_to_worker(worker, ("stream-close", f"{key[0]}:{key[1]}"))
 
     def _refuse(self, client: _Client, frame_id, reason: str) -> None:
-        write_frame(client.writer, {"kind": "error", "id": frame_id, "error": reason})
+        client.write({"kind": "error", "id": frame_id, "error": reason})
 
     def _handle_frame(self, client_id: int, client: _Client, frame: dict) -> None:
         kind = frame.get("kind")
@@ -698,28 +684,38 @@ class NetServer:
             for member in members:
                 self._refuse(client, member[0], "server is draining")
             return
-        groups: dict[int, list] = {}
+        groups: dict[int, tuple[_Pending, list]] = {}  # worker id -> pending, entries
+        routes: dict[str, _Worker | None] = {}  # one routing per session blob
         for index, (frame_id, blob, request_id, syndrome) in enumerate(members):
-            wire = None if wires is None else wires[index]
+            wire = None if wires is None else [wires[index]]
             try:
-                key_hash = intern_session(blob).key_hash()
-            except Exception as exc:
-                self._refuse(client, frame_id, f"bad request: {type(exc).__name__}: {exc}")
-                continue
-            worker = self._route(key_hash)
+                worker = routes[blob]
+            except KeyError:
+                try:
+                    key_hash = intern_session(blob).key_hash()
+                except Exception as exc:
+                    self._refuse(client, frame_id, f"bad request: {type(exc).__name__}: {exc}")
+                    continue
+                worker = routes[blob] = self._route(key_hash)
             if worker is None:
-                self._answer(
-                    _Pending("request", client, frame_id, wire, -1),
-                    error_body("NoWorkers: every worker process has exited"),
-                )
+                pending = _Pending("request", client, [frame_id], wire, -1)
+                self._answer(pending, [error_body("NoWorkers: every worker process has exited")])
                 continue
+            group = groups.get(worker.worker_id)
+            if group is None:
+                ids, group_wires = [], None if wires is None else []
+                pending = _Pending("request", client, ids, group_wires, worker.worker_id)
+                group = groups[worker.worker_id] = (pending, [])
+            group[0].frame_ids.append(frame_id)
+            if wire is not None:
+                group[0].wires.extend(wire)
+            group[1].append((blob, syndrome, request_id))
+        for worker_id, (pending, entries) in groups.items():
             seq = self._next_seq()
-            self._pending[seq] = _Pending("request", client, frame_id, wire, worker.worker_id)
-            groups.setdefault(worker.worker_id, []).append((seq, blob, syndrome, request_id))
-        for worker_id, entries in groups.items():
+            self._pending[seq] = pending
             self._idle.clear()
-            # On a dead pipe _on_worker_death answers these pendings.
-            self._send_to_worker(self._workers[worker_id], ("request-batch", entries))
+            # On a dead pipe _on_worker_death answers these members.
+            self._send_to_worker(self._workers[worker_id], ("request-batch", seq, entries))
 
     def _handle_stream_open(self, client_id: int, client: _Client, frame: dict) -> None:
         frame_id = frame.get("id")
@@ -735,20 +731,8 @@ class NetServer:
             self._refuse(client, frame_id, "NoWorkers: every worker process has exited")
             return
         self._streams[(client_id, sid)] = worker.worker_id
-        seq = self._next_seq()
-        self._pending[seq] = _Pending("stream", client, frame_id, None, worker.worker_id)
-        self._idle.clear()
-        self._send_to_worker(
-            worker,
-            (
-                "stream-open",
-                seq,
-                f"{client_id}:{sid}",
-                blob,
-                frame.get("window"),
-                frame.get("commit_depth"),
-            ),
-        )
+        args = (blob, frame.get("window"), frame.get("commit_depth"))
+        self._forward_stream(client, frame_id, worker, "stream-open", sid, *args)
 
     def _handle_stream_op(self, client_id: int, client: _Client, frame: dict) -> None:
         frame_id = frame.get("id")
@@ -764,9 +748,12 @@ class NetServer:
         op = frame.get("op")
         if op == "finalize":
             self._streams.pop((client_id, sid), None)
+        self._forward_stream(client, frame_id, worker, "stream-op", sid, op, frame.get("payload"))
+
+    def _forward_stream(self, client: _Client, frame_id, worker: _Worker, command, sid, *args):
+        """Send ``(command, seq, "<client id>:<sid>", *args)`` to ``worker``;
+        its ``stream-reply`` answers ``frame_id``."""
         seq = self._next_seq()
-        self._pending[seq] = _Pending("stream", client, frame_id, None, worker.worker_id)
+        self._pending[seq] = _Pending("stream", client, [frame_id], None, worker.worker_id)
         self._idle.clear()
-        self._send_to_worker(
-            worker, ("stream-op", seq, f"{client_id}:{sid}", op, frame.get("payload"))
-        )
+        self._send_to_worker(worker, (command, seq, f"{client.client_id}:{sid}", *args))

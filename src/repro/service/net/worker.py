@@ -3,13 +3,14 @@
 Each worker process runs :func:`worker_main`: it hosts one ordinary
 in-process :class:`~repro.service.DecodeService` built from the server's
 :class:`~repro.service.ServiceConfig` (decoding on the prewarmed graphs the
-server built before forking), and speaks a small tuple protocol over its
-:class:`multiprocessing.Pipe` with the front end:
+server built before forking), and speaks a small tuple protocol with the
+front end through a blocking :class:`multiprocessing.connection.Connection`
+over a socketpair, whose other end the front end's event loop reads:
 
 ==============================================  ========================================
 server → worker                                 worker → server
 ==============================================  ========================================
-``("request-batch", [(seq, blob, syn, id)])``   ``("response-batch", [(seq, body)])``
+``("request-batch", seq, [(blob, syn, id)])``   ``("response-batch", seq, [body])``
 ``("stream-open", seq, sid, blob, w, c)``       ``("stream-reply", seq, result)``
 ``("stream-op", seq, sid, op, payload)``        ``("stream-reply", seq, result)``
 ``("stream-close", sid)``                       *(no reply)*
@@ -22,10 +23,10 @@ worker's main thread decodes it in one
 :meth:`~repro.service.DecodeService.decode_group` call — each session's
 members in batches of at most ``max_batch_size``, with no queue, dispatcher
 or pool thread in between — and sends the one ``response-batch`` reply
-itself.  It reads the next pipe message only after that reply, so the pipe,
-not the service's admission queue, bounds a worker's backlog of requests;
-the queue, the overload policy, ``max_wait_seconds`` and the ``workers``
-pool serve stream operations only.
+itself.  It reads the next pipe message only after that reply, so a busy
+worker's backlog waits in the front end's pipe transport, not in the
+service's admission queue; the queue, the overload policy,
+``max_wait_seconds`` and the ``workers`` pool serve stream operations only.
 
 Decode requests cross the pipe in their wire encoding, bytes in and bytes
 out.  A request travels as its session's JSON ``blob``, its syndrome ``syn``
@@ -146,10 +147,10 @@ def worker_main(
             break
         command = message[0]
         if command == "request-batch":
-            _, entries = message
+            _, seq, entries = message
             bodies: list = [None] * len(entries)
             indices, requests = [], []
-            for index, (_seq, blob, syndrome, request_id) in enumerate(entries):
+            for index, (blob, syndrome, request_id) in enumerate(entries):
                 try:
                     requests.append(
                         DecodeRequest(
@@ -166,7 +167,7 @@ def worker_main(
                 answers = [error_body(f"{type(exc).__name__}: {exc}")] * len(indices)
             for index, body in zip(indices, answers):
                 bodies[index] = body
-            send(("response-batch", [(entry[0], b) for entry, b in zip(entries, bodies)]))
+            send(("response-batch", seq, bodies))
         elif command == "stream-open":
             _, seq, sid, blob, window, commit_depth = message
             try:

@@ -123,7 +123,7 @@ class SessionKey(WireForm):
         """Stable content hash of the (normalised) decoder configuration."""
         return self.config.config_hash()
 
-    def _remember(self, name: str, value: str) -> str:
+    def _remember(self, name: str, value):
         object.__setattr__(self, name, value)
         return value
 
@@ -147,6 +147,15 @@ class SessionKey(WireForm):
             return self.__dict__["_blob"]
         except KeyError:
             return self._remember("_blob", canonical_json(self.to_dict()))
+
+    def __hash__(self) -> int:
+        # The hash of the frozen fields, as the dataclass would compute it,
+        # but kept: the generated one re-hashes the nested code and config
+        # on every dict lookup of a key.
+        try:
+            return self.__dict__["_hash_value"]
+        except KeyError:
+            return self._remember("_hash_value", hash((self.code, self.decoder, self.config)))
 
     def __getstate__(self) -> dict:
         # Pickle the fields only: memoised values are recomputed on demand.

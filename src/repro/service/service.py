@@ -54,6 +54,7 @@ from .config import OVERLOAD_POLICIES, ServiceConfig
 from .faults import FaultInjector
 from .request import (
     STATUS_ERROR,
+    STATUS_OK,
     STATUS_SHED,
     DecodeRequest,
     DecodeResponse,
@@ -644,12 +645,14 @@ class DecodeService:
                 if job.claim():
                     self._fail_job(job, entry, started, batch)
             return
+        # Loop invariants, read once per batch rather than once per job.
+        session, size, stats, clock = entry.session, batch.size, self.stats, self._clock
         with entry.lock:
             for job in batch.items:
                 if not job.claim():
                     continue
                 try:
-                    outcome = entry.session.decode_detailed(job.request.syndrome)
+                    outcome = session.decode_detailed(job.request.syndrome)
                 except BaseException as exc:
                     # Isolation: a poisoned request resolves ITS future with
                     # STATUS_ERROR; the rest of the batch decodes normally on
@@ -657,28 +660,22 @@ class DecodeService:
                     # decoder half-mutated, so restore the pristine state
                     # before the next request touches it.
                     try:
-                        entry.session.reset()
+                        session.reset()
                     except BaseException as reset_exc:  # pragma: no cover
                         exc = reset_exc
                     self._fail_job(job, exc, started, batch)
                     continue
                 if self.outcome_cache is not None and job.cache_key is not None:
                     self.outcome_cache.put(job.cache_key, outcome)
-                done = self._clock()
+                done = clock()
                 queue_delay = max(0.0, started - job.arrival_seconds)
                 latency = max(0.0, done - job.arrival_seconds)
                 with self._stats_lock:
-                    self.stats.completed += 1
-                    self.stats.queue_delay.add(queue_delay)
-                    self.stats.latency.add(latency)
+                    stats.completed += 1
+                    stats.queue_delay.add(queue_delay)
+                    stats.latency.add(latency)
                 job.finish(
-                    DecodeResponse(
-                        request=job.request,
-                        outcome=outcome,
-                        queue_delay_seconds=queue_delay,
-                        latency_seconds=latency,
-                        batch_size=batch.size,
-                    )
+                    DecodeResponse(job.request, STATUS_OK, outcome, queue_delay, latency, size)
                 )
 
     # ------------------------------------------------------------------

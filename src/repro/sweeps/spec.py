@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..api.hashing import content_hash, stable_seed
-from ..api.wireform import WireForm
+from ..api.wireform import WireForm, load
 
 #: Fields of :class:`SweepSpec` that determine Monte-Carlo results and hence
 #: participate in :meth:`SweepSpec.spec_hash`.  The ``streaming`` axis joins
@@ -127,20 +127,19 @@ class SweepSpec(WireForm):
     streaming: tuple[bool, ...] = (False,)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "distances", tuple(int(d) for d in self.distances))
-        object.__setattr__(
-            self,
-            "physical_error_rates",
-            tuple(float(p) for p in self.physical_error_rates),
-        )
-        object.__setattr__(self, "decoders", tuple(str(d) for d in self.decoders))
-        object.__setattr__(
-            self, "noise_models", tuple(str(n) for n in self.noise_models)
-        )
-        streaming = self.streaming
-        if isinstance(streaming, bool):
-            streaming = (streaming,)
-        object.__setattr__(self, "streaming", tuple(bool(s) for s in streaming))
+        if isinstance(self.streaming, bool):
+            object.__setattr__(self, "streaming", (self.streaming,))
+        # The axes take what their wire form takes, under the same rules:
+        # an integer through operator.index, a real but no bool as a float.
+        for axis, annotation in (
+            ("distances", tuple[int, ...]),
+            ("physical_error_rates", tuple[float, ...]),
+            ("decoders", tuple[str, ...]),
+            ("noise_models", tuple[str, ...]),
+            ("streaming", tuple[bool, ...]),
+        ):
+            value = load(annotation, getattr(self, axis), f"SweepSpec.{axis}")
+            object.__setattr__(self, axis, value)
         if not self.name:
             raise ValueError("sweep needs a non-empty name")
         for axis in (

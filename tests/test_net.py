@@ -8,18 +8,22 @@ never a hang — and SIGTERM drains in-flight work before exit.
 
 import logging
 import os
+import pickle
 import signal
 import socket
 import struct
 import subprocess
 import sys
+import threading
 import time
 from collections import Counter
+from multiprocessing.connection import Connection
 
 import pytest
 
 from repro.api.outcome import DecodeOutcome
 from repro.evaluation.service_load import ServiceLoadEngine
+from repro.graphs import Syndrome, SyndromeSampler
 from repro.service import (
     HOSTILE_SMOKE_PLAN,
     HOSTILE_SMOKE_TRACES,
@@ -37,6 +41,7 @@ from repro.service.net import (
     NetServer,
     protocol,
 )
+from repro.service.net import client as client_module
 from repro.service.net.protocol import (
     CODEC_BINARY,
     CODEC_JSON,
@@ -45,6 +50,7 @@ from repro.service.net.protocol import (
     read_frame_sync,
     write_frame_sync,
 )
+from repro.service.cache import build_session
 from repro.service.net.bench import prewarm_specs, scaling_bench
 from repro.service.trace import NOISE_FAMILY_SMOKE_TRACE, SMOKE_TRACE, generate_trace
 
@@ -1071,6 +1077,220 @@ class TestPipeBatchesClose:
         assert statuses == {"ok": 2000}, statuses
 
 
+def keys_per_worker(workers: int) -> list[SessionKey]:
+    """One d=3 union-find session key routed to each of ``workers`` workers."""
+    ring, keys = HashRing(range(workers)), {}
+    for step in range(1, 200):
+        key = SessionKey(CodeSpec(3, physical_error_rate=step / 1000), "union-find")
+        keys.setdefault(ring.route(key.key_hash()), key)
+        if len(keys) == workers:
+            return [keys[worker] for worker in range(workers)]
+    raise AssertionError("no key found for every worker")
+
+
+class TestIOThreads:
+    """The client's one I/O thread and the front end's loop-read pipes."""
+
+    def test_one_client_thread_and_no_pipe_reader_threads(self):
+        request = generate_trace(NET_TRACE).requests[0].request
+        before = set(threading.enumerate())
+        server = NetServer(NET_CONFIG, processes=2, prewarm=prewarm_specs(NET_TRACE))
+        host, port = server.start()
+        try:
+            assert [t.name for t in set(threading.enumerate()) - before] == ["repro-net-loop"]
+            serving = set(threading.enumerate())
+            with NetClient(host, port) as client:
+                assert client.decode(request, timeout=30.0).ok
+                started = set(threading.enumerate()) - serving
+                assert [t.name for t in started] == ["repro-net-client-io"]
+        finally:
+            server.stop()
+        assert not (set(threading.enumerate()) - before)
+
+    def test_buffered_request_flushes_at_the_deadline(self, monkeypatch):
+        """A request buffered behind a slow one on the other worker goes out
+        at ``coalesce_max_delay_seconds``, not when the slow answer arrives."""
+        slow_id = 424242
+        group = DecodeService.decode_group
+
+        def slow_group(self, requests):  # runs in the forked worker
+            requests = list(requests)
+            if any(request.request_id == slow_id for request in requests):
+                time.sleep(3.0)
+            return group(self, requests)
+
+        monkeypatch.setattr(DecodeService, "decode_group", slow_group)
+        slow_key, fast_key = keys_per_worker(2)
+        server = NetServer(NET_CONFIG, processes=2)
+        host, port = server.start()
+        try:
+            with NetClient(host, port) as client:
+                for key in (slow_key, fast_key):  # build both sessions first
+                    assert client.decode(DecodeRequest(key, Syndrome(())), timeout=30.0).ok
+                slow = client.submit(DecodeRequest(slow_key, Syndrome(()), slow_id))
+                started = time.monotonic()
+                fast = client.submit(DecodeRequest(fast_key, Syndrome(()), 1))
+                assert fast.result(timeout=2.0).ok
+                elapsed = time.monotonic() - started
+                assert not slow.done()
+                assert slow.result(timeout=30.0).ok
+                frames = client.wire_stats()["batch_histogram"]
+        finally:
+            server.stop()
+        assert elapsed < 1.0, elapsed
+        assert frames == {"1": 4}
+
+    def test_reply_larger_than_the_pipe_buffer_is_reassembled(self):
+        key = SessionKey(CodeSpec(3, physical_error_rate=0.03), "union-find")
+        graph = key.code.build_graph()
+        syndromes = SyndromeSampler(graph, seed=5).sample_batch(6000)
+        requests = [DecodeRequest(key, syndrome, index) for index, syndrome in enumerate(syndromes)]
+        server = NetServer(NET_CONFIG, processes=1)
+        host, port = server.start()
+        try:
+            with NetClient(host, port) as client:
+                responses = client.decode_many(requests, timeout=60.0)
+                frames = client.wire_stats()["batch_histogram"]
+        finally:
+            server.stop()
+        assert frames == {"6000": 1}  # one pipe message out, one reply back
+        assert sum(len(protocol.response_body(r)) for r in responses) > 256 * 1024
+        session = build_session(key)
+        for request, response in zip(requests, responses):
+            assert response.ok and response.request is request
+            direct = session.decode_detailed(request.syndrome)
+            assert response.outcome.to_dict() == direct.to_dict()
+
+    def test_worker_killed_mid_reply_answers_worker_died(self, monkeypatch):
+        """The front end holds half a reply when the worker is SIGKILLed:
+        the pending request is answered with an isolated WorkerDied error."""
+        send = Connection.send
+
+        def torn_send(self, message):  # runs in the forked worker
+            if message[0] != "response-batch":
+                return send(self, message)
+            data = pickle.dumps(message)
+            frame = struct.pack("!i", len(data)) + data
+            os.write(self.fileno(), frame[: len(frame) // 2])
+            time.sleep(60.0)
+
+        monkeypatch.setattr(Connection, "send", torn_send)
+        server = NetServer(NET_CONFIG, processes=1)
+        host, port = server.start()
+        try:
+            with NetClient(host, port) as client:
+                request = DecodeRequest(keys_per_worker(1)[0], Syndrome((0, 1)))
+                future = client.submit(request)
+                worker = server._workers[0]
+                deadline = time.monotonic() + 30.0
+                while not worker.buffer and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert worker.buffer, "the half reply never arrived"
+                os.kill(worker.process.pid, signal.SIGKILL)
+                response = future.result(timeout=30.0)
+                assert response.status == "error"
+                assert response.error.startswith("WorkerDied"), response.error
+                assert response.request is request
+        finally:
+            server.stop()
+
+    def test_concurrent_submitters_share_one_coalescer(self):
+        """Six threads submit on one client with a shortened switch
+        interval: every request is sent exactly once and answered with its
+        own response (a lost or doubled buffer entry would hang or miscount)."""
+        requests = [traced.request for traced in generate_trace(NET_TRACE).requests]
+        server = NetServer(NET_CONFIG, processes=2, prewarm=prewarm_specs(NET_TRACE))
+        host, port = server.start()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with NetClient(host, port) as client:
+                futures: dict[int, list] = {}
+
+                def submit_all(index: int) -> None:
+                    futures[index] = [(r, client.submit(r)) for r in requests * 4]
+
+                threads = [threading.Thread(target=submit_all, args=(i,)) for i in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60.0)
+                    assert not thread.is_alive()
+                for pairs in futures.values():
+                    for request, future in pairs:
+                        response = future.result(timeout=60.0)
+                        assert response.ok and response.request is request
+                sent = client.wire_stats()["batch_histogram"]
+        finally:
+            sys.setswitchinterval(interval)
+            server.stop()
+        assert sum(int(size) * count for size, count in sent.items()) == 6 * 4 * len(requests)
+
+    def test_backed_up_worker_pipe_pauses_client_reads(self, monkeypatch):
+        """A worker pipe backed up past its high-water mark stops the front
+        end reading clients, and its draining resumes them: the pipe buffer
+        stays bounded under an open-loop flood, and every request is served."""
+        group = DecodeService.decode_group
+
+        def slow_group(self, requests):  # runs in the forked worker
+            time.sleep(0.05)
+            return group(self, requests)
+
+        events = []
+        set_busy = NetServer._set_busy
+
+        def recording(self, worker, busy):  # runs on the loop thread
+            set_busy(self, worker, busy)
+            events.append((busy, [c.transport.is_reading() for c in self._clients.values()]))
+
+        monkeypatch.setattr(DecodeService, "decode_group", slow_group)
+        monkeypatch.setattr(NetServer, "_set_busy", recording)
+        key = keys_per_worker(1)[0]
+        syndromes = SyndromeSampler(key.code.build_graph(), seed=2).sample_batch(2000)
+        server = NetServer(NET_CONFIG, processes=1)
+        host, port = server.start()
+        try:
+            with NetClient(host, port) as client:
+                futures = [
+                    client.submit(DecodeRequest(key, syndrome, index))
+                    for _ in range(20)
+                    for index, syndrome in enumerate(syndromes)
+                ]
+                assert all(future.result(timeout=120.0).ok for future in futures)
+        finally:
+            server.stop()
+        assert (True, [False]) in events
+        assert events[-1] == (False, [True])
+
+    def test_decode_many_builds_the_ring_once(self, monkeypatch):
+        builds = []
+
+        def counted_ring(worker_ids):
+            builds.append(worker_ids)
+            return HashRing(worker_ids)
+
+        monkeypatch.setattr(client_module, "HashRing", counted_ring)
+        trace = generate_trace(NET_TRACE)
+        requests = [traced.request for traced in trace.requests]
+        server = NetServer(NET_CONFIG, processes=2, prewarm=prewarm_specs(NET_TRACE))
+        host, port = server.start()
+        try:
+            with NetClient(host, port) as client:
+                for _ in range(3):
+                    assert all(r.ok for r in client.decode_many(requests, timeout=30.0))
+                frames = client.wire_stats()["batch_histogram"]
+        finally:
+            server.stop()
+        assert len(builds) == 1
+        # One frame per worker the ring routes to, with its members.
+        ring = HashRing([0, 1])
+        per_worker = Counter(ring.route(request.session.key_hash()) for request in requests)
+        expected = Counter()
+        for size in per_worker.values():
+            expected[str(size)] += 3
+        assert frames == dict(expected)
+
+
 class TestWireV2:
     """Codec negotiation, batching, coalescing, and v1 interop end to end."""
 
@@ -1197,14 +1417,15 @@ class TestWireV2:
             def write(self, data):
                 self.frames.append(protocol.decode_payload(data[4:]))
 
-        client = _Client(Writer())
+        client = _Client(None, 1)
+        client.transport = Writer()
         client.codec = CODEC_BINARY
         body = protocol.error_body("Boom: " + "x" * 40)
         members = [(frame_id, body) for frame_id in range(6)]
         members.append((99, protocol.error_body("Boom: " + "y" * 4000)))
         monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 3 * (8 + len(body)) + 6)
         NetServer(NET_CONFIG, processes=1)._splice(client, members)
-        frames = client.writer.frames
+        frames = client.transport.frames
         answered = [
             member["id"]
             for frame in frames

@@ -129,6 +129,16 @@ class TestRicherFamilies:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("bad", [True, "2"], ids=["bool", "string"])
+    def test_schedule_refuses_what_the_wire_form_refuses(self, bad):
+        with pytest.raises(TypeError):
+            NoiseModel("custom", 0.01, 0.0, 0.0, 0.01, schedule=(bad,))
+
+    def test_schedule_keeps_reals_as_floats(self):
+        model = NoiseModel("custom", 0.01, 0.0, 0.0, 0.01, schedule=(1, 2))
+        assert model.schedule == (1.0, 2.0)
+        assert NoiseModel.from_dict(model.to_dict()) == model
+
     def test_zero_spatial_probability_rejected(self):
         with pytest.raises(NoiseModelError):
             NoiseModel("custom", spatial=0.0, temporal=0.0, diagonal=0.0, boundary=0.0)

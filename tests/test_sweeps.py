@@ -80,6 +80,30 @@ def fake_clock():
 
 
 class TestSweepSpec:
+    @pytest.mark.parametrize(
+        "axes",
+        [
+            {"distances": (5.7,)},
+            {"distances": (True,)},
+            {"physical_error_rates": (True,)},
+            {"physical_error_rates": ("0.01",)},
+            {"decoders": (7,)},
+            {"streaming": (0,)},
+        ],
+        ids=["float-distance", "bool-distance", "bool-rate", "str-rate", "int-decoder", "int-mode"],
+    )
+    def test_constructor_refuses_what_the_wire_form_refuses(self, axes):
+        with pytest.raises(TypeError):
+            small_spec(**axes)
+
+    def test_constructor_keeps_exact_axes(self):
+        import numpy as np
+
+        spec = small_spec(distances=(np.int64(5),), physical_error_rates=(1 / 64,))
+        assert spec.distances == (5,) and type(spec.distances[0]) is int
+        assert small_spec(streaming=True).streaming == (True,)
+        assert SweepSpec.from_dict(spec.to_dict()) == spec
+
     def test_expansion_order_and_size(self):
         spec = small_spec(distances=(3, 5), physical_error_rates=(0.01, 0.02))
         points = spec.expand()

@@ -10,7 +10,6 @@ plus hypothesis round-trip properties over both codecs, and hostile bytes
 :class:`~repro.service.net.ProtocolError`, nothing else.
 """
 
-import asyncio
 import pickle
 import struct
 
@@ -40,7 +39,7 @@ from repro.service.net.protocol import (
     decode_payload,
     encode_frame,
     negotiate_codec,
-    read_frame,
+    pop_frames,
 )
 from repro.service.request import _interned
 
@@ -397,6 +396,24 @@ class TestBinaryCodec:
         # A null frame id has no binary layout; the frame silently rides
         # codec 1 and decodes identically.
         frame = {"kind": "request", "id": None, "request": _request().to_dict()}
+        payload = encode_frame(frame, CODEC_BINARY)[4:]
+        assert payload[:1] == b"{"
+        assert decode_payload(payload) == frame
+
+    @pytest.mark.parametrize(
+        "response",
+        [
+            {"status": "ok", "batch_size": 2.5, "outcome": {"defect_count": 1.9, "counters": {}}},
+            {"status": "ok", "cached": 1},
+            {"outcome": {"result": {"pairs": [], "weight": 2.5}, "counters": {}}},
+        ],
+        ids=["float-counts", "int-flag", "float-weight"],
+    )
+    def test_lossy_response_fields_ride_json_not_rounded(self, response):
+        # The binary body would round a float count and read an int flag
+        # back as a bool; the wireform rules refuse both, so the frame
+        # falls back to JSON and decodes exactly as it was written.
+        frame = {"kind": "response", "id": 7, "response": response}
         payload = encode_frame(frame, CODEC_BINARY)[4:]
         assert payload[:1] == b"{"
         assert decode_payload(payload) == frame
@@ -804,25 +821,13 @@ class TestHostileBytes:
 def _read_stream(data: bytes) -> list:
     """Every outcome of reading ``data`` then EOF frame by frame: frames,
     then one of ``None`` (clean EOF), ``"protocol"`` or ``"mid-frame"``."""
-
-    async def read_all() -> list:
-        reader = asyncio.StreamReader()
-        reader.feed_data(data)
-        reader.feed_eof()
-        outcomes = []
-        while True:
-            try:
-                frame = await read_frame(reader)
-            except ProtocolError:
-                return outcomes + ["protocol"]
-            except ConnectionError as exc:
-                assert str(exc) == "connection closed mid-frame"
-                return outcomes + ["mid-frame"]
-            if frame is None:
-                return outcomes + [None]
-            outcomes.append(frame)
-
-    return asyncio.run(read_all())
+    buffer, outcomes = bytearray(data), []
+    try:
+        while payloads := pop_frames(buffer):
+            outcomes += map(decode_payload, payloads)
+    except ProtocolError:
+        return outcomes + ["protocol"]
+    return outcomes + ([None] if not buffer else ["mid-frame"])
 
 
 _STREAM_PIECES = st.one_of(
@@ -834,9 +839,9 @@ _STREAM_PIECES = st.one_of(
 
 
 class TestReadFrame:
-    """``read_frame`` over arbitrary byte streams ending in EOF yields
-    frames, then a clean ``None``, a ``ProtocolError`` or the mid-frame
-    ``ConnectionError`` — never another exception, never a hang."""
+    """``pop_frames`` over arbitrary byte streams ending in EOF yields
+    frames, then a clean end, a ``ProtocolError`` or a partial frame left
+    over — never another exception, never a hang."""
 
     @settings(max_examples=200, deadline=None)
     @given(pieces=st.lists(_STREAM_PIECES, max_size=5), cut=st.integers(0, 64))
@@ -860,14 +865,10 @@ class TestReadFrame:
         assert _read_stream(data[:2]) == ["mid-frame"]
 
     def test_oversized_length_prefix_is_refused_before_the_body(self):
-        async def read_oversized():
-            reader = asyncio.StreamReader()
-            # No body and no EOF: reading the body would wait forever.
-            reader.feed_data(struct.pack(">I", protocol.MAX_FRAME_BYTES + 1) + b"tail")
-            with pytest.raises(ProtocolError, match="exceeds"):
-                await asyncio.wait_for(read_frame(reader), timeout=5.0)
-            reader.feed_eof()
-            return await reader.read()
-
-        # Only the 4-byte header was consumed.
-        assert asyncio.run(read_oversized()) == b"tail"
+        # No body follows: waiting for it would wait forever.
+        oversized = struct.pack(">I", protocol.MAX_FRAME_BYTES + 1) + b"tail"
+        with pytest.raises(ProtocolError, match="exceeds"):
+            pop_frames(bytearray(oversized))
+        # The frames before the bad prefix are returned first.
+        buffer = bytearray(encode_frame({"kind": "bye"}) + oversized)
+        assert pop_frames(buffer) == [b'{"kind":"bye"}'] and buffer == oversized
