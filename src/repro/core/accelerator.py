@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
 from ..graphs.decoding_graph import DecodingGraph
 from .dual import DEFAULT_DUAL_SCALE, DualGraphState
 from .interface import GROW, HOLD, Obstacle
@@ -65,6 +63,11 @@ class MicroBlossomAccelerator(DualGraphState):
         self._prematched_floor: int = 0
         self._directed: set[int] = set()
         super().__init__(graph, scale=scale)
+        #: Zero-weight (erased) edges at each vertex: always tight.
+        self._always_tight = [
+            [(index, near) for index, near in edges if not graph.edges[index].weight]
+            for edges in graph.adjacency
+        ]
         #: Per layer: the vertices next to (or in) the layer's real vertices,
         #: the only ones whose pre-match a load of that layer can change.
         self._layer_neighbourhood: list[frozenset[int]] = [
@@ -88,9 +91,7 @@ class MicroBlossomAccelerator(DualGraphState):
         # ``prematched_defects`` is a per-shot high-water mark; remember the
         # cumulative value at reset so reused engines report per-shot deltas
         # identical to a freshly-built accelerator.
-        self._prematched_floor = self.counters.get(
-            "prematched_defects", getattr(self, "_prematched_floor", 0)
-        )
+        self._prematched_floor = self.counters.get("prematched_defects", self._prematched_floor)
         self.counters["bus_words"] = self.counters.get("bus_words", 0) + 1
 
     def load(self, defects: Iterable[int], layers: Iterable[int] | None = None) -> None:
@@ -157,7 +158,7 @@ class MicroBlossomAccelerator(DualGraphState):
 
     def _direction_for_growth(self, node: int) -> int:
         # The pre-matches the last query answered with.
-        return self._rates([node], self._prematches)[0]
+        return HOLD if node in self._prematches else self.node_direction.get(node, HOLD)
 
     def _rates(self, nodes: list[int], prematches: dict[int, PreMatch]) -> list[int]:
         """A pre-matched node holds without any CPU interaction (§5.2);
@@ -199,25 +200,41 @@ class MicroBlossomAccelerator(DualGraphState):
             and self.node_direction.get(vertex, HOLD) == GROW
         )
 
-    def _tightness(self) -> tuple[np.ndarray, np.ndarray]:
-        """Tight edges and the number of tight edges at each vertex.
+    def _tightness(self) -> dict[int, list[tuple[int, int]]]:
+        """Tight edges ``(index, neighbour)`` at every vertex that has one
+        besides its zero-weight edges (see :meth:`_tight_at`).
 
         The residue of a vertex is its largest Cover residual (0 when only a
         boundary or nothing covers it); an edge is tight when the residues
-        of its two ends span it.  Kept with the node rows until they change.
+        of its two ends span it.  A zero-weight edge always is; any other
+        tight edge has an end with a positive residue, and its other end is
+        covered too (the Cover spans the edge), so only the edges between
+        covered vertices are walked, once per change of the cells.
         """
-        rows = self._node_rows()
-        if rows.tightness is None:
-            residue = np.maximum(rows.top, 0)
-            edge_u, edge_v = self._edge_u, self._edge_v
-            tight = residue[edge_u] + residue[edge_v] >= self._edge_weight
-            tight_count = np.bincount(
-                np.concatenate([edge_u[tight], edge_v[tight]]), minlength=self._num_vertices
-            )
-            rows.tightness = tight, tight_count
-        return rows.tightness
+        covers = self._node_covers()
+        if covers.tight is None:
+            cells, weight, always = covers.cells, self._weight, self._always_tight
+            tight = covers.tight = {}
+            for here, column in cells.items():
+                residue = column[0][1]
+                if residue <= 0:
+                    continue
+                for index, there in self._adjacency[here]:
+                    other = cells.get(there)
+                    if other is None or (there < here and other[0][1] > 0):
+                        continue  # uncovered, or walked from ``there``
+                    if weight[index] and residue + other[0][1] >= weight[index]:
+                        for end, near in ((here, there), (there, here)):
+                            if end not in tight:
+                                tight[end] = list(always[end])
+                            tight[end].append((index, near))
+        return covers.tight
 
-    def _prematch_of(self, defect: int, tight: np.ndarray, tight_count: np.ndarray) -> PreMatch | None:
+    def _tight_at(self, tight: dict, vertex: int) -> list[tuple[int, int]]:
+        """Tight edges at ``vertex``, given :meth:`_tightness`."""
+        return tight.get(vertex) or self._always_tight[vertex]
+
+    def _prematch_of(self, defect: int, tight: dict) -> PreMatch | None:
         """The pre-match of one eligible defect (paper §5.2).
 
         Equation 1 pairs two defects joined by a tight edge that is the only
@@ -226,10 +243,10 @@ class MicroBlossomAccelerator(DualGraphState):
         lowest-index tight boundary edge, provided no other tight edge leads
         to a defect or to a vertex that a third Cover reaches.
         """
-        edges = [(index, near) for index, near in self.graph.adjacency[defect] if tight[index]]
+        edges = self._tight_at(tight, defect)
         if len(edges) == 1:
             index, peer = edges[0]
-            if tight_count[peer] == 1 and self._prematch_eligible(peer):
+            if len(self._tight_at(tight, peer)) == 1 and self._prematch_eligible(peer):
                 edge = self.graph.edges[index]
                 return PreMatch(defect=edge.u, peer=edge.v, edge=index, peer_is_boundary=False)
         boundary = None
@@ -237,14 +254,14 @@ class MicroBlossomAccelerator(DualGraphState):
             if self._boundary[near]:
                 if boundary is None or index < boundary[0]:
                     boundary = (index, near)
-            elif self.is_defect[near] or tight_count[near] > 1:
+            elif self.is_defect[near] or len(self._tight_at(tight, near)) > 1:
                 return None
         if boundary is None:
             return None
         return PreMatch(defect=defect, peer=boundary[1], edge=boundary[0], peer_is_boundary=True)
 
-    def _add_prematch(self, prematches: dict[int, PreMatch], defect: int, tightness) -> None:
-        prematch = self._prematch_of(defect, *tightness)
+    def _add_prematch(self, prematches: dict[int, PreMatch], defect: int, tight: dict) -> None:
+        prematch = self._prematch_of(defect, tight)
         if prematch is not None:
             prematches[prematch.defect] = prematch
             if not prematch.peer_is_boundary:
@@ -253,12 +270,10 @@ class MicroBlossomAccelerator(DualGraphState):
     def _compute_prematches(self) -> dict[int, PreMatch]:
         """Every eligible defect's pre-match, tightness recomputed if stale."""
         prematches: dict[int, PreMatch] = {}
-        eligible = [defect for defect in self.defect_root if self._prematch_eligible(defect)]
-        if eligible:
-            tightness = self._tightness()
-            for defect in eligible:
-                if defect not in prematches:
-                    self._add_prematch(prematches, defect, tightness)
+        tight = self._tightness()
+        for defect in self.defect_root:
+            if defect not in prematches and self._prematch_eligible(defect):
+                self._add_prematch(prematches, defect, tight)
         return prematches
 
     def _recheck_prematches(self) -> None:
@@ -278,10 +293,10 @@ class MicroBlossomAccelerator(DualGraphState):
                 todo.update((prematch.defect, prematch.peer))
         for vertex in todo:
             prematches.pop(vertex, None)
-        tightness = self._tightness()
+        tight = self._tightness()
         for vertex in todo:
             if vertex not in prematches and self._prematch_eligible(vertex):
-                self._add_prematch(prematches, vertex, tightness)
+                self._add_prematch(prematches, vertex, tight)
 
     def prematched_pairs(self) -> list[PreMatch]:
         """Pairs still handled in hardware when decoding finishes (§5.2)."""

@@ -9,30 +9,30 @@ which two nodes collided?*
 
 The paper distributes the Covers over per-vertex state (Residue ``r_v``,
 Touches ``T_v``, Nodes ``N_v``, Table 2) so that one processing unit per vertex
-and per edge can maintain them with local rules (Table 1).  This class keeps
-the same state and produces the same responses, computed the way the hardware
-computes them: as a fixed number of data-parallel phases over all vertices
-and edges at once, here numpy array operations.
+and per edge can maintain them with local rules (Table 1), and only the units
+next to a Cover ever change state.  This class keeps the same state and
+produces the same responses, and like the hardware it only touches the
+vertices a Cover reaches and the edges at those vertices.
 
-* **Covers.**  Every defect ``u`` keeps its shortest-distance row ``d(u, ·)``
-  (scaled, memoized per vertex).  The residual of a node at vertex ``v`` is
-  ``max(R(u) - d(u, v))`` over the node's defects; the vertex lies in the
-  Cover iff the residual is ``>= 0``.  All nodes together form one
-  ``nodes × vertices`` residual matrix.  Virtual and not-yet-loaded vertices
-  are boundary pseudo-nodes whose Cover is the ball of radius 0 around them:
-  their own vertex, plus any vertex a zero-weight (erased) edge joins to it.
-  One extra row (a mask of boundary sources) holds them all; a second one
-  marks vertices that two boundary nodes reach.  The Cover order at a vertex
-  is residual descending, then node id ascending, and a node's Touch there
-  is its lowest-index defect that reaches the residual.
+* **Covers.**  Every defect ``u`` keeps its shortest-distance row
+  ``d(u, ·)`` sorted once, ascending (scaled, memoized per vertex), so the
+  ball of radius ``R(u)`` is a prefix of it.  The residual of a node at
+  vertex ``v`` is ``max(R(u) - d(u, v))`` over the node's defects; the
+  vertex lies in the Cover iff the residual is ``>= 0``.  The defect-node
+  Covers form one map from each covered vertex to its cells ``(node,
+  residual, touch)`` in Cover order: residual descending, then node id
+  ascending, where a node's Touch is its lowest-index defect that reaches
+  the residual.  Virtual and not-yet-loaded vertices are boundary
+  pseudo-nodes whose Cover is the ball of radius 0 around them: their own
+  vertex, plus any vertex a zero-weight (erased) edge joins to it.  They are
+  never listed; a per-load mask says which vertices they cover.
 * **Queries.**  Conflict detection and the safe growth length (the
-  Theorems of §4.2) reduce to two per-vertex reductions, the top-two
-  residuals over growing nodes (with the row of the first, so that a node
-  is never paired with itself) and the top residual over holding nodes,
-  gathered at both ends of every edge next to a vertex covered by a defect
-  node.  The first conflict in edge order (then in vertex order) is found
-  with one ``nonzero``; only that one edge or vertex is then replayed pair
-  by pair in Cover order to name the two nodes and their Touches.
+  Theorems of §4.2) read, at each vertex a defect node covers, the top two
+  residuals over growing nodes and the top residual over holding ones
+  (boundary pseudo-nodes hold at residual 0), and combine them across every
+  edge at that vertex.  The first conflict in edge order (then in vertex
+  order) is then replayed pair by pair in Cover order to name the two nodes
+  and their Touches.
 
 Operation counters (the inputs of the accelerator and CPU cost models):
 
@@ -43,19 +43,16 @@ Operation counters (the inputs of the accelerator and CPU cost models):
 * ``edges_scanned`` grows, per conflict scan, by the number of edges whose
   two endpoints are both covered, counting up to and including the
   conflicting edge (all of them when there is no edge-level conflict), and
-  by ``num_edges`` per growth-length query.
+  by ``num_edges`` per growth-length query.  Edges with two boundary-covered
+  ends are counted from a mask derived once per load; every other such edge
+  lies next to a vertex a defect node covers.
 
-The host keeps the node rows of the Covers across changes instead of
-rebuilding them from the distance rows after every instruction.  A
-``grow l`` shifts each non-HOLD node's row by ``±l``, a load appends one row
-per new defect, and a load without new defects (an empty measurement round
-in stream mode) changes only the boundary, which the queries read from the
-boundary mask; the rows are rebuilt only after a reset or a blossom change.
-The arrays only a Conflict or growth-length answer reads are derived on
-first use, so a query that answers ``Finished`` (every idle stream round
-ends with one) needs none of them.  The counters are still charged as if
-the hardware rebuilt everything: every query after a change charges the
-full cell count, whatever the host reused to get it.
+The host keeps the defect-node cells across loads that bring no new defect
+(an empty measurement round in stream mode changes only the boundary, which
+the queries read from the boundary mask), and rebuilds them from the sorted
+rows after any other change.  The counters are still charged as if the
+hardware rebuilt everything: every query after a change charges the full
+cell count, whatever the host reused to get it.
 
 Dual variables are tracked per *defect vertex* as the accumulated cover radius
 ``R(u) = sum of y over the nodes containing u`` — precisely the quantity each
@@ -106,60 +103,33 @@ _FINISHED = Finished()
 
 
 @dataclass(slots=True)
-class _NodeRows:
-    """The defect-node part of the Covers, kept across grows and loads.
+class Covers:
+    """The defect-node Covers (paper §4.2, Table 2), by covered vertex.
 
-    ``reach[i, v]`` is ``max(R(u) - d(u, v))`` over the defects ``u`` of
-    node ``nodes[i]``, before any masking: a grow shifts it.
-    ``top`` is its column maximum (``ABSENT`` without nodes), ``by_defect``
-    marks where it is ``>= 0`` and ``cells`` counts the covered ``(node,
-    vertex)`` cells; all three are stale (``top`` is ``None``) after a
-    shift until :meth:`DualGraphState._node_rows` refreshes them.
+    ``cells[v]`` lists ``(node, residual, touch)`` for every node whose
+    Cover contains ``v``, in Cover order; ``nodes`` are the nodes that own
+    defects, ascending, and ``count`` is the number of cells.
     """
 
     nodes: list[int]
-    members: list[list[int]]
-    reach: np.ndarray
-    top: np.ndarray | None = None
-    by_defect: np.ndarray | None = None
-    cells: int = 0
-    #: Tight edges and tight-edge count per vertex, kept by subclasses that
-    #: need them (the accelerator's pre-matching) until the residues move.
-    tightness: tuple[np.ndarray, np.ndarray] | None = None
+    cells: dict[int, list[tuple[int, int, int]]]
+    count: int
+    #: Tight edges ``(index, neighbour)`` per vertex, derived on demand by
+    #: subclasses that need them (the accelerator's pre-matching).
+    tight: dict[int, list[tuple[int, int]]] | None = None
 
 
 @dataclass(slots=True)
-class Covers:
-    """Per-vertex Cover state of every node (paper §4.2, Table 2).
+class _BoundaryView:
+    """What the boundary pseudo-nodes cover, fixed between two loads."""
 
-    ``residual[i, v]`` is how far node ``nodes[i]``'s Cover extends beyond
-    vertex ``v`` (``ABSENT`` outside the Cover); the rows after the last node
-    hold the boundary pseudo-nodes at residual 0.  ``members[i]`` lists the
-    node's defects in ascending order.  ``residual`` and the ``near`` edge
-    arrays are only needed for a Conflict or growth-length answer, so they
-    stay ``None`` until :meth:`DualGraphState._query_arrays` derives them.
-    """
-
-    nodes: list[int]
-    members: list[list[int]]
-    reach: np.ndarray
-    #: Vertices covered by a defect node.
-    by_defect: np.ndarray
-    #: Edges whose two endpoints are both covered, and how many there are.
-    both_covered: np.ndarray
+    #: Per vertex: whether a boundary pseudo-node covers it.
+    covered: list[bool]
+    #: Their cell count.
+    cells: int
+    #: Edges whose two ends are boundary-covered, and how many there are.
+    both: np.ndarray
     both_count: int
-    residual: np.ndarray | None = None
-    #: Column maximum of the boundary rows.
-    boundary_top: np.ndarray | None = None
-    #: Edges next to a vertex covered by a defect node, ascending.
-    near: np.ndarray | None = None
-    #: Ends of the ``near`` edges seen from each side: entry ``i`` of the
-    #: first half reads edge ``near[i]`` from ``u`` to ``v``, the second
-    #: half from ``v`` to ``u``.
-    here: np.ndarray | None = None
-    there: np.ndarray | None = None
-    #: Weights of the ``near`` edges.
-    weight: np.ndarray | None = None
 
 
 class DualGraphState:
@@ -175,13 +145,12 @@ class DualGraphState:
             raise ValueError("dual scale must be >= 1")
         self.graph = graph
         self.scale = scale
+        self._adjacency = graph.adjacency
         self._edge_u = np.array([edge.u for edge in graph.edges], dtype=np.intp)
         self._edge_v = np.array([edge.v for edge in graph.edges], dtype=np.intp)
-        self._edge_weight = np.array([edge.weight * scale for edge in graph.edges], dtype=np.int64)
+        self._weight = [edge.weight * scale for edge in graph.edges]
         self._virtual = np.array([v.is_virtual for v in graph.vertices], dtype=bool)
         self._zero_groups = _zero_distance_groups(graph)
-        self._ends = np.concatenate((self._edge_u, self._edge_v))
-        self._other_ends = np.concatenate((self._edge_v, self._edge_u))
         self._num_vertices = graph.num_vertices
         layers = [graph.vertices_in_layer(layer) for layer in range(graph.num_layers)]
         self._layer_vertices = [np.array(group, dtype=np.intp) for group in layers]
@@ -190,7 +159,11 @@ class DualGraphState:
         self.real_by_layer: list[frozenset[int]] = [
             frozenset(v for v in group if not graph.is_virtual(v)) for group in layers
         ]
-        self._distance_rows: dict[int, np.ndarray] = {}
+        #: What the boundary covers while it is the virtual vertices alone
+        #: (batch decoding).
+        self._virtual_view = self._view_of(self._virtual)
+        #: Per defect vertex: its sorted row (see :meth:`_ball`).
+        self._sorted_rows: dict[int, tuple[np.ndarray, list[list[int]], int]] = {}
         self.counters: Counter = Counter()
         self.reset()
 
@@ -206,12 +179,12 @@ class DualGraphState:
         self.defect_radius: dict[int, int] = {}
         self.defect_root: dict[int, int] = {}
         self.node_direction: dict[int, int] = {}
-        #: ``None`` after every change: the next query charges a rebuild.
+        #: True after every change: the next query charges a rebuild.
+        self._charge_due = True
+        #: ``None`` when the defect-node cells must be rebuilt.
         self._covers: Covers | None = None
-        #: ``None`` when the node rows must be rebuilt from the distance rows.
-        self._rows: _NodeRows | None = None
-        #: Boundary pseudo-nodes covering each vertex, on erased-edge graphs.
-        self._boundary_counts: np.ndarray | None = None
+        #: ``None`` after a load: the boundary moved.
+        self._boundary_view: _BoundaryView | None = None
         self.counters["instr_reset"] += 1
 
     def load(self, defects: Iterable[int], layers: Iterable[int] | None = None) -> None:
@@ -228,6 +201,7 @@ class DualGraphState:
         if layers is None:
             loaded[:] = True
             self._boundary = self._virtual.copy()
+            self._boundary_view = self._virtual_view
         else:
             for layer in set(layers):
                 if 0 <= layer < len(self._layer_vertices):
@@ -235,30 +209,27 @@ class DualGraphState:
                     loaded[group] = True
                     # A loaded vertex stays a boundary vertex only if virtual.
                     self._boundary[group] = self._virtual[group]
-        self._boundary_counts = None
-        added = []
+            self._boundary_view = None
         for vertex in fresh_defects:
             if not loaded[vertex]:
                 continue
             if self._virtual[vertex]:
                 raise DualPhaseError(f"virtual vertex {vertex} cannot be a defect")
             self.is_defect[vertex] = True
-            added.append(vertex)
             self.defect_radius[vertex] = 0
             self.defect_root[vertex] = vertex
             # A freshly loaded defect is an unmatched singleton node and
             # starts growing without any CPU involvement.
             self.node_direction.setdefault(vertex, GROW)
+            self._covers = None
         uncovered = [d for d in defects if not loaded[d]]
         if uncovered:
             raise DualPhaseError(
                 f"defects {uncovered} lie outside the loaded measurement rounds"
             )
-        if added and self._rows is not None:
-            self._add_rows(self._rows, added)
         self.counters["instr_load"] += 1
         self.counters["defects_loaded"] += len(defects)
-        self._covers = None
+        self._charge_due = True
 
     def set_direction(self, node: int, direction: int) -> None:
         """Broadcast a node direction (the ``set direction`` instruction)."""
@@ -278,8 +249,7 @@ class DualGraphState:
                 self.defect_root[defect] = blossom_id
         self.node_direction[blossom_id] = GROW
         self.counters["instr_set_cover"] += len(children)
-        self._covers = None
-        self._rows = None
+        self._changed()
 
     def expand_blossom(self, blossom_id: int, new_roots: Mapping[int, int]) -> None:
         """Split a blossom Cover back into its children's Covers.
@@ -301,8 +271,7 @@ class DualGraphState:
             )
         self.node_direction.pop(blossom_id, None)
         self.counters["instr_set_cover"] += len(new_roots)
-        self._covers = None
-        self._rows = None
+        self._changed()
 
     def grow(self, length: int) -> None:
         """Grow/shrink every Cover according to its direction (``grow l``)."""
@@ -321,17 +290,9 @@ class DualGraphState:
                     f"cover radius of defect {defect} would become negative"
                 )
             self.defect_radius[defect] = radius
-        rows = self._rows
-        if rows is not None:
-            # Every defect of a node moves by the same step, so the node's
-            # row (a maximum over them) moves by it too.
-            shift = np.array([rates[node] for node in rows.nodes], dtype=np.int64)
-            if shift.any():
-                rows.reach = rows.reach + (length * shift)[:, None]
-                rows.top = None
         self.counters["instr_grow"] += 1
         self.counters["total_growth"] += length
-        self._covers = None
+        self._changed()
 
     def find_obstacle(self) -> Obstacle:
         """Report a Conflict, a safe growth length, or completion."""
@@ -340,28 +301,16 @@ class DualGraphState:
         rates = self._node_rates(covers.nodes)
         if max(rates, default=HOLD) <= 0:
             # Nothing grows: no conflict can exist, and nothing can move.
-            self.counters["edges_scanned"] += covers.both_count
+            self.counters["edges_scanned"] += self._edges_scanned(covers)
             return _FINISHED
-        self._query_arrays(covers)
-        residual = covers.residual
-        growing = residual[[row for row, rate in enumerate(rates) if rate > 0]]
-        held = [row for row, rate in enumerate(rates) if rate == 0]
-        hold = covers.boundary_top
-        if held:
-            hold = np.maximum(residual[held].max(axis=0), hold)
-        grow = _top_two(growing)
-        # Largest residual sums across every near edge: two distinct growing
-        # nodes, one on each end, close its slack at rate 2; a growing node
-        # and a holding one at rate 1.
-        here, there = covers.here, covers.there
-        count = len(covers.near)
-        both = _pair_sum(grow[:, here[:count]], grow[:, there[:count]])
-        mixed = (grow[0, here] + hold[there]).reshape(2, count).max(axis=0)
-        conflict = self._scan_conflicts(covers, both, mixed, grow, hold)
+        rate = dict(zip(covers.nodes, rates))
+        tops = self._tops(covers, rate)
+        edge, slack = self._edge_bounds(covers, rate, tops)
+        conflict = self._scan_conflicts(covers, tops, edge)
         if conflict is not None:
             self.counters["conflicts_reported"] += 1
             return conflict
-        length = self._max_grow_length(covers, rates, growing, both, mixed)
+        length = self._max_grow_length(covers, rate, slack)
         if length is None:
             raise DualPhaseError("growing nodes exist but growth is unbounded")
         if length <= 0:
@@ -413,186 +362,215 @@ class DualGraphState:
     def _direction_for_growth(self, node: int) -> int:
         return self.node_direction.get(node, HOLD)
 
+    def _changed(self) -> None:
+        """The residuals moved: the cells are rebuilt at the next query."""
+        self._covers = None
+        self._charge_due = True
+
     # ------------------------------------------------------------------
     # cover maintenance
     # ------------------------------------------------------------------
-    def _distance_row(self, vertex: int) -> np.ndarray:
-        """Scaled shortest distances from ``vertex`` (unreachable: far away)."""
-        row = self._distance_rows.get(vertex)
+    def _ball(self, defect: int, radius: int) -> list[list[int]]:
+        """The vertices within ``radius`` of ``defect``, nearest first, and
+        their scaled distances.
+
+        Read from the defect's sorted row, built on first use: the reachable
+        vertices by distance and those distances, plus, as lists, the ball of
+        radius 0 and the distance beyond which the ball grows (most Covers
+        never get that far).
+        """
+        row = self._sorted_rows.get(defect)
         if row is None:
-            distances = np.array(self.graph.shortest_distances(vertex)[0], dtype=np.int64)
-            row = np.where(distances < 0, -2 * ABSENT, distances * self.scale)
-            self._distance_rows[vertex] = row
-        return row
+            distances = np.array(self.graph.shortest_distances(defect)[0], dtype=np.int64)
+            order = np.argsort(distances, kind="stable")
+            order = order[distances[order] >= 0]
+            sorted_row = np.stack((order, distances[order] * self.scale))
+            if sorted_row[1, -1] < 2**31:
+                sorted_row = sorted_row.astype(np.int32)  # the size of one int64 row
+            zero = int(np.count_nonzero(sorted_row[1] == 0))
+            beyond = int(sorted_row[1, zero]) if zero < len(order) else _UNBOUNDED
+            row = self._sorted_rows[defect] = (sorted_row, sorted_row[:, :zero].tolist(), beyond)
+        sorted_row, core, beyond = row
+        if radius < beyond:
+            return core
+        return sorted_row[:, : sorted_row[1].searchsorted(radius, "right")].tolist()
 
     def _ensure_covers(self) -> Covers:
         """The Covers of the current state.  The first query after a change
         charges ``cover_cells_updated`` with every cell, as a full rebuild
-        would, even where the host reuses rows it already has."""
-        covers = self._covers
-        if covers is None:
-            rows = self._node_rows()
-            cells, covered = self._boundary_cover()
-            self.counters["cover_cells_updated"] += rows.cells + cells
-            covered = covered | rows.by_defect
-            both_covered = covered[self._edge_u] & covered[self._edge_v]
-            covers = self._covers = Covers(
-                rows.nodes,
-                rows.members,
-                rows.reach,
-                rows.by_defect,
-                both_covered,
-                int(np.count_nonzero(both_covered)),
-            )
+        would, even where the host reuses cells it already has."""
+        covers = self._node_covers()
+        if self._charge_due:
+            self._charge_due = False
+            self.counters["cover_cells_updated"] += covers.count + self._boundary_cover().cells
         return covers
 
-    def _node_rows(self) -> _NodeRows:
-        """The node rows, rebuilt only after a load of new defects or a
-        blossom change, with their cell count and column maxima current."""
-        rows = self._rows
-        if rows is None:
-            rows = self._rows = self._build_covers()
-        if rows.top is None:
-            reach = rows.reach
-            if len(reach):
-                rows.cells = int(np.count_nonzero(reach >= 0))
-                rows.top = reach.max(axis=0)
-            else:
-                rows.cells = 0
-                rows.top = np.full(self._num_vertices, ABSENT, dtype=np.int64)
-            rows.by_defect = rows.top >= 0
-            rows.tightness = None
-        return rows
+    def _node_covers(self) -> Covers:
+        """The defect-node cells, rebuilt only after a change that moved them."""
+        covers = self._covers
+        if covers is None:
+            covers = self._covers = self._build_covers()
+        return covers
 
-    def _add_rows(self, rows: _NodeRows, defects: list[int]) -> None:
-        """Append the rows of freshly loaded singleton defects (radius 0).
-
-        Row order carries no meaning (Cover order is residual, then node
-        id), so the new rows go last.  Their reach is at most 0, so the
-        column maxima clipped at 0 (the residues) stay as they are.
-        """
-        new = -np.array([self._distance_row(defect) for defect in defects])
-        rows.nodes = rows.nodes + defects
-        rows.members = rows.members + [[defect] for defect in defects]
-        rows.reach = np.concatenate((rows.reach, new))
-        if rows.top is not None:
-            inside = new >= 0
-            rows.cells += int(np.count_nonzero(inside))
-            rows.top = np.maximum(rows.top, new.max(axis=0))
-            rows.by_defect = rows.by_defect | inside.any(axis=0)
-
-    def _build_covers(self) -> _NodeRows:
-        """Node rows of every node's Cover, from the memoized distance rows."""
+    def _build_covers(self) -> Covers:
+        """Cells of every defect node's Cover, from the sorted rows."""
         members: dict[int, list[int]] = {}
         for defect in sorted(self.defect_radius):
-            if self.defect_radius[defect] < 0:
-                raise DualPhaseError("negative cover radius")
             members.setdefault(self.defect_root[defect], []).append(defect)
-        nodes = sorted(members)
-        groups = [members[node] for node in nodes]
-        if nodes:
-            order = [defect for group in groups for defect in group]
-            radii = np.array([self.defect_radius[d] for d in order], dtype=np.int64)
-            reach = radii[:, None] - np.array([self._distance_row(d) for d in order])
-            if len(order) > len(nodes):
-                starts = np.cumsum([0] + [len(group) for group in groups[:-1]])
-                reach = np.maximum.reduceat(reach, starts, axis=0)
-        else:
-            reach = np.empty((0, self._num_vertices), dtype=np.int64)
-        return _NodeRows(nodes=nodes, members=groups, reach=reach)
+        cells: dict[int, list[tuple[int, int, int]]] = {}
+        count = 0
+        for node in sorted(members):
+            # Best residual per vertex; the lowest-index defect wins ties.
+            best: dict[int, tuple[int, int]] = {}
+            for defect in members[node]:
+                radius = self.defect_radius[defect]
+                for vertex, reach in zip(*self._ball(defect, radius)):
+                    residual = radius - reach
+                    held = best.get(vertex)
+                    if held is None or residual > held[0]:
+                        best[vertex] = (residual, defect)
+            count += len(best)
+            for vertex, (residual, touch) in best.items():
+                cell = (node, residual, touch)
+                column = cells.get(vertex)
+                if column is None:
+                    cells[vertex] = [cell]
+                else:
+                    column.append(cell)
+        for column in cells.values():
+            if len(column) > 1:
+                # Nodes were added in ascending order, and the sort is stable.
+                column.sort(key=_residual, reverse=True)
+        return Covers(sorted(members), cells, count)
 
-    def _query_arrays(self, covers: Covers) -> None:
-        """Derive the residual matrix and the ``near`` edge arrays, which
-        only Conflict and growth-length answers read."""
-        if covers.residual is not None:
-            return
-        reach = covers.reach
-        boundary = self._boundary_rows()
-        covers.residual = np.concatenate((np.where(reach >= 0, reach, ABSENT), boundary))
-        covers.boundary_top = boundary[0]
-        by_defect = covers.by_defect
-        near = (by_defect[self._edge_u] | by_defect[self._edge_v]).nonzero()[0]
-        sides = np.concatenate((near, near + len(self._edge_u)))
-        covers.near = near
-        covers.here = self._ends[sides]
-        covers.there = self._other_ends[sides]
-        covers.weight = self._edge_weight[near]
+    def _boundary_cover(self) -> _BoundaryView:
+        """What the boundary pseudo-nodes cover, derived once per load."""
+        view = self._boundary_view
+        if view is None:
+            view = self._boundary_view = self._view_of(self._boundary)
+        return view
 
-    def _boundary_cover(self) -> tuple[int, np.ndarray]:
-        """The boundary cell count and the vertices a boundary pseudo-node
-        covers.
+    def _view_of(self, boundary: np.ndarray) -> _BoundaryView:
+        """What the boundary pseudo-nodes at the vertices ``boundary`` marks
+        cover.
 
         A boundary pseudo-node covers, at residual 0, every vertex at distance
         0 from it: its own vertex, plus those that zero-weight (erased) edges
         join to it.
         """
         if self._zero_groups is None:
-            return int(np.count_nonzero(self._boundary)), self._boundary
-        counts = self._zero_group_counts()
-        return int(counts.sum()), counts > 0
-
-    def _boundary_rows(self) -> np.ndarray:
-        """Boundary rows of the residual matrix.  Only the first two boundary
-        nodes at a vertex matter to the queries, so at most two rows hold
-        them."""
-        if self._zero_groups is None:
-            return np.where(self._boundary, 0, ABSENT)[None, :]
-        return np.where(self._zero_group_counts() >= np.array([[1], [2]]), 0, ABSENT)
-
-    def _zero_group_counts(self) -> np.ndarray:
-        """How many boundary pseudo-nodes cover each vertex of an erased-edge
-        graph: those of its zero-distance group."""
-        counts = self._boundary_counts
-        if counts is None:
+            covered = boundary
+            cells = int(np.count_nonzero(covered))
+        else:
             group = self._zero_groups[1]
-            counts = np.bincount(group[self._boundary], minlength=len(group))[group]
-            self._boundary_counts = counts
-        return counts
+            counts = np.bincount(group[boundary], minlength=len(group))[group]
+            covered = counts > 0
+            cells = int(counts.sum())
+        both = covered[self._edge_u] & covered[self._edge_v]
+        return _BoundaryView(covered.tolist(), cells, both, int(np.count_nonzero(both)))
 
     def _cover_at(self, covers: Covers, vertex: int) -> list[tuple[int, int, int]]:
         """``(node, residual, touch)`` of every Cover at ``vertex`` in Cover order."""
-        column = covers.residual[: len(covers.nodes), vertex].tolist()
-        cells = [
-            (value, node, row)
-            for row, (value, node) in enumerate(zip(column, covers.nodes))
-            if value > ABSENT
-        ]
+        cells = list(covers.cells.get(vertex, ()))
         same = [vertex] if self._zero_groups is None else self._zero_groups[0][vertex]
-        cells += [(0, node, -1) for node in same if self._boundary[node]]
-        cells.sort(key=lambda cell: (-cell[0], cell[1]))
-        return [(node, value, self._touch(covers, row, vertex, node)) for value, node, row in cells]
+        cells += [(node, 0, node) for node in same if self._boundary[node]]
+        cells.sort(key=lambda cell: (-cell[1], cell[0]))
+        return cells
 
-    def _touch(self, covers: Covers, row: int, vertex: int, node: int) -> int:
-        """Lowest-index defect of the node that realises its residual."""
-        if row < 0:
-            return node
-        target = covers.residual[row, vertex]
-        for defect in covers.members[row]:
-            if self.defect_radius[defect] - self._distance_row(defect)[vertex] == target:
-                return defect
-        raise DualPhaseError(f"no defect realises the cover at vertex {vertex}")
+    def _edges_scanned(self, covers: Covers, upto: int | None = None) -> int:
+        """Edges whose two ends are covered, counting up to edge ``upto``
+        (all of them when it is ``None``)."""
+        boundary = self._boundary_cover()
+        covered, cells = boundary.covered, covers.cells
+        count = 0
+        for here in cells:
+            by_boundary = covered[here]
+            for edge, there in self._adjacency[here]:
+                if upto is not None and edge > upto:
+                    continue
+                if there in cells:
+                    # Seen from both ends: count it from the lower one, unless
+                    # the boundary prefix already holds it.
+                    count += there > here and not (by_boundary and covered[there])
+                else:
+                    count += covered[there] and not by_boundary
+        if upto is None:
+            return count + boundary.both_count
+        return count + int(np.count_nonzero(boundary.both[: upto + 1]))
 
     # ------------------------------------------------------------------
     # conflict detection and growth length (Theorems of §4.2)
     # ------------------------------------------------------------------
-    def _scan_conflicts(
-        self,
-        covers: Covers,
-        both: np.ndarray,
-        mixed: np.ndarray,
-        grow: np.ndarray,
-        hold: np.ndarray,
-    ) -> Conflict | None:
-        """Theorem: Conflict Detection — evaluated on every ePU and vPU."""
-        # Edge-level detection (ePUs): a growing node on one end and another
-        # non-shrinking node on the other end whose residuals span the edge.
-        hits = (np.maximum(both, mixed) >= covers.weight).nonzero()[0]
-        if hits.size:
-            edge = int(covers.near[hits[0]])
-            self.counters["edges_scanned"] += int(np.count_nonzero(covers.both_covered[: edge + 1]))
+    def _tops(self, covers: Covers, rate: dict[int, int]) -> dict[int, tuple[int, int, int, int]]:
+        """Per vertex a defect node covers: the top residual over growing
+        nodes and its node, the second one, and the top residual over
+        holding nodes, boundary pseudo-nodes included (``ABSENT`` where
+        there is none)."""
+        covered = self._boundary_cover().covered
+        tops = {}
+        for vertex, cells in covers.cells.items():
+            first = second = hold = ABSENT
+            node_first = -1
+            for node, residual, _touch in cells:
+                direction = rate[node]
+                if direction > 0:
+                    if first == ABSENT:
+                        first, node_first = residual, node
+                    elif second == ABSENT:
+                        second = residual
+                elif direction == 0 and hold == ABSENT:
+                    hold = residual
+            if hold == ABSENT and covered[vertex]:
+                hold = 0
+            tops[vertex] = (first, node_first, second, hold)
+        return tops
+
+    def _edge_bounds(
+        self, covers: Covers, rate: dict[int, int], tops: dict
+    ) -> tuple[int | None, int]:
+        """The ePU side of both Theorems of §4.2, over the edges at every
+        vertex a growing Cover reaches: the first edge whose ends' residuals
+        span it (an edge-level conflict), and the least growth that makes
+        one do so or moves a Cover onto a vertex it has not reached yet."""
+        cells, weight = covers.cells, self._weight
+        first_edge = None
+        best = _UNBOUNDED
+        for here, (top, node, second, _hold) in tops.items():
+            if top == ABSENT:
+                continue
+            for edge, there in self._adjacency[here]:
+                limit = weight[edge]
+                other = tops.get(there)
+                if other is None:
+                    # No defect node covers the other end (so no Cover spans
+                    # the edge yet): the growing Cover must stop exactly when
+                    # it arrives there, so that the Update stage can
+                    # register the new vertex before continuing.
+                    slack = limit - top
+                else:
+                    # Two distinct growing nodes close the slack at rate 2, a
+                    # growing node and a holding one at rate 1.
+                    pair = _pair_sum(top, node, second, other)
+                    reach = top + other[3]
+                    if pair >= limit or reach >= limit:
+                        first_edge = edge if first_edge is None else min(first_edge, edge)
+                    if reach < top:
+                        reach = max(reach, _alone(cells[here], cells[there], rate))
+                    slack = min((limit - pair) // 2, limit - reach)
+                if slack < best:
+                    best = slack
+        return first_edge, best
+
+    def _scan_conflicts(self, covers: Covers, tops: dict, edge: int | None) -> Conflict | None:
+        """Theorem: Conflict Detection — the conflict on ``edge`` (the first
+        edge-level one, if any), else the first vertex-level one."""
+        if edge is not None:
+            # Edge-level (ePUs): a growing node on one end and another
+            # non-shrinking node on the other end whose residuals span it.
+            self.counters["edges_scanned"] += self._edges_scanned(covers, edge)
             directions = self._effective_directions()
             end_u, end_v = self.graph.edges[edge].u, self.graph.edges[edge].v
-            limit = int(self._edge_weight[edge])
+            limit = self._weight[edge]
             for node_u, residual_u, touch_u in self._cover_at(covers, end_u):
                 direction_u = directions.get(node_u, HOLD)
                 for node_v, residual_v, touch_v in self._cover_at(covers, end_v):
@@ -603,12 +581,16 @@ class DualGraphState:
                     if residual_u + residual_v >= limit:
                         return self._make_conflict(node_u, node_v, touch_u, touch_v, end_u, end_v)
             raise DualPhaseError(f"edge {edge} conflict vanished on replay")
-        self.counters["edges_scanned"] += covers.both_count
+        self.counters["edges_scanned"] += self._edges_scanned(covers)
         # Vertex-level detection (vPUs): two Covers overlapping on a vertex.
-        overlaps = ((grow[2] > ABSENT) | ((grow[0] > ABSENT) & (hold > ABSENT))).nonzero()[0]
-        if not overlaps.size:
+        overlaps = [
+            vertex
+            for vertex, (top, _node, second, hold) in tops.items()
+            if second > ABSENT or (top > ABSENT and hold > ABSENT)
+        ]
+        if not overlaps:
             return None
-        vertex = int(overlaps[0])
+        vertex = min(overlaps)
         directions = self._effective_directions()
         items = self._cover_at(covers, vertex)
         for i, (node_a, _residual_a, touch_a) in enumerate(items):
@@ -635,65 +617,41 @@ class DualGraphState:
             vertex_1, vertex_2 = vertex_2, vertex_1
         return Conflict(node_1, node_2, touch_1, touch_2, vertex_1, vertex_2)
 
-    def _max_grow_length(
-        self,
-        covers: Covers,
-        rates: list[int],
-        growing: np.ndarray,
-        both: np.ndarray,
-        mixed: np.ndarray,
-    ) -> int | None:
-        """Theorem: Local Length to Grow — evaluated on every vPU and ePU."""
+    def _max_grow_length(self, covers: Covers, rate: dict[int, int], best: int) -> int | None:
+        """Theorem: Local Length to Grow — ``best``, the ePU side, bounded
+        by the vPU side."""
         self.counters["edges_scanned"] += self.graph.num_edges
-        best = _UNBOUNDED
-        count = len(covers.near)
-        if count:
-            # A growing Cover must not overshoot a vertex it has not reached
-            # yet: stop exactly when the Cover boundary arrives there, so
-            # that the Update stage can register the new vertex before
-            # continuing.
-            here, there = covers.here, covers.there
-            alone = np.where(growing[:, there] > ABSENT, ABSENT, growing[:, here]).max(axis=0)
-            alone = alone.reshape(2, count).max(axis=0)
-            weight = covers.weight
-            best = min(
-                int((weight - both).min()) // 2,
-                int((weight - np.maximum(mixed, alone)).min()),
-            )
         # Shrinking Covers must not recede past a vertex in one step, so that
-        # Touches/Nodes can be updated consistently (vPU-side term of the
-        # theorem).
-        if min(rates) < 0:
-            shrinking = covers.residual[[row for row, rate in enumerate(rates) if rate < 0]]
-            shrinking = shrinking[shrinking > 0]
-            if shrinking.size:
-                best = min(best, int(shrinking.min()))
+        # Touches/Nodes can be updated consistently.
+        if min(rate.values()) < 0:
+            for column in covers.cells.values():
+                for node, residual, _touch in column:
+                    if 0 < residual < best and rate[node] < 0:
+                        best = residual
         return best if best < _UNBOUNDED else None
 
 
-def _top_two(values: np.ndarray) -> np.ndarray:
-    """Per column: the largest value, its row and the second largest value
-    (rows tell two distinct nodes apart from one node paired with itself)."""
-    values = values.copy()
-    columns = np.arange(values.shape[1])
-    top = np.empty((3, values.shape[1]), dtype=np.int64)
-    first_row = values.argmax(axis=0)
-    top[0] = values[first_row, columns]
-    top[1] = first_row
-    values[first_row, columns] = ABSENT
-    values.max(axis=0, out=top[2])
-    return top
+def _residual(cell: tuple[int, int, int]) -> int:
+    return cell[1]
 
 
-def _pair_sum(here: np.ndarray, there: np.ndarray) -> np.ndarray:
-    """Best sum of one value from each side, taken from distinct rows."""
-    first, row, second = here
-    other_first, other_row, other_second = there
-    return np.where(
-        row != other_row,
-        first + other_first,
-        np.maximum(first + other_second, second + other_first),
-    )
+def _pair_sum(top: int, node: int, second: int, other: tuple[int, int, int, int]) -> int:
+    """Best sum of two growing residuals, one from each end, taken from
+    distinct nodes."""
+    other_top, other_node, other_second, _hold = other
+    if node != other_node:
+        return top + other_top
+    return max(top + other_second, second + other_top)
+
+
+def _alone(here: list, there: list, rate: dict[int, int]) -> int:
+    """Top residual at ``here`` over growing nodes whose Cover misses the
+    other end of the edge."""
+    present = {node for node, _residual, _touch in there}
+    for node, residual, _touch in here:
+        if rate[node] > 0 and node not in present:
+            return residual
+    return ABSENT
 
 
 def _zero_distance_groups(graph: DecodingGraph) -> tuple[list[list[int]], np.ndarray] | None:

@@ -385,8 +385,8 @@ def _check_every_obstacle(monkeypatch, name, graph, syndromes):
     call against the loop reference; return one record per call.
 
     A call charges ``cover_cells_updated`` when it is the first after a
-    change (``_covers is None``); the host may still reuse the node rows
-    (``_rows`` kept) or the pre-matches (not marked dirty) to answer it.
+    change (``_charge_due``); the host may still reuse the defect-node cells
+    (``_covers`` kept) or the pre-matches (not marked dirty) to answer it.
     The accelerator's pre-matches, however kept, must equal a scan from
     scratch.
     """
@@ -396,8 +396,8 @@ def _check_every_obstacle(monkeypatch, name, graph, syndromes):
     records = []
 
     def checked_find_obstacle(dual):
-        rebuild = dual._covers is None
-        rows_kept = dual._rows is not None
+        rebuild = dual._charge_due
+        rows_kept = dual._covers is not None
         prematches_kept = not getattr(dual, "_prematches_dirty", True)
         before = dict(dual.counters)
         expected, scanned, cells = _reference_obstacle(dual, dual._effective_directions())
@@ -444,18 +444,51 @@ def test_every_obstacle_matches_the_loop_reference(monkeypatch, family, name):
     assert any(isinstance(obstacle, GrowLength) for obstacle in checked)
 
 
+@pytest.mark.parametrize("name", ["micro-blossom-batch", "parity-blossom"])
+def test_d5_obstacles_match_the_loop_reference(monkeypatch, name):
+    """The same check at d=5, where Covers grow across several vertices
+    and a query walks only part of the graph."""
+    from repro.graphs import SyndromeSampler, circuit_level_noise, surface_code_decoding_graph
+
+    graph = surface_code_decoding_graph(5, circuit_level_noise(0.005))
+    syndromes = SyndromeSampler(graph, seed=42).sample_batch(60)
+    checked = [record[0] for record in _check_every_obstacle(monkeypatch, name, graph, syndromes)]
+    assert any(isinstance(obstacle, Conflict) for obstacle in checked)
+    assert any(isinstance(obstacle, GrowLength) for obstacle in checked)
+
+
 def test_stream_queries_on_kept_covers_match_the_loop_reference(monkeypatch):
     """Stream rounds answered from kept Covers are checked too: the answer,
     ``edges_scanned`` and the full rebuild's ``cover_cells_updated`` of every
-    query whose node rows survived a grow, a load, or an empty round."""
+    query whose defect-node cells survived a load that brought no new
+    defect (an empty round), and every query answered on the cells of the
+    previous one (after a direction change only)."""
     from repro.graphs import SyndromeSampler, circuit_level_noise, surface_code_decoding_graph
 
     graph = surface_code_decoding_graph(5, circuit_level_noise(0.005))
     syndromes = SyndromeSampler(graph, seed=42).sample_batch(240)
     records = _check_every_obstacle(monkeypatch, "micro-blossom", graph, syndromes)
     kept = [record for record in records if record[1] and record[2]]
-    # Idle rounds: the charged query after an empty round, on kept rows and
+    # Idle rounds: the charged query after an empty round, on kept cells and
     # kept pre-matches, answers Finished.
     assert any(isinstance(obstacle, Finished) and prematches for obstacle, *_, prematches in kept)
     assert any(isinstance(record[0], GrowLength) for record in kept)
-    assert any(isinstance(record[0], Conflict) for record in kept)
+    reused = [record[0] for record in records if not record[1] and record[2]]
+    assert any(isinstance(obstacle, Conflict) for obstacle in reused)
+
+
+def test_sorted_rows_are_built_lazily_per_defect_vertex():
+    """A fresh engine holds no sorted distance rows; a decode adds rows only
+    for the defect vertices of its syndrome."""
+    from repro.core import MicroBlossomAccelerator, MicroBlossomDecoder
+    from repro.graphs import SyndromeSampler, circuit_level_noise, surface_code_decoding_graph
+
+    graph = surface_code_decoding_graph(5, circuit_level_noise(0.005))
+    decoder = MicroBlossomDecoder(graph)
+    syndrome = next(
+        s for s in SyndromeSampler(graph, seed=3).sample_batch(200) if s.defect_count >= 4
+    )
+    assert MicroBlossomAccelerator(graph)._sorted_rows == {}
+    decoder.decode_detailed(syndrome)
+    (dual, _primal) = decoder._engines[decoder.scale]
+    assert set(dual._sorted_rows) == set(syndrome.defects)
