@@ -63,11 +63,13 @@ class MicroBlossomAccelerator(DualGraphState):
         self._prematched_floor: int = 0
         self._directed: set[int] = set()
         super().__init__(graph, scale=scale)
-        #: Zero-weight (erased) edges at each vertex: always tight.
-        self._always_tight = [
-            [(index, near) for index, near in edges if not graph.edges[index].weight]
-            for edges in graph.adjacency
-        ]
+        #: Zero-weight (erased) edges at each vertex, in adjacency order:
+        #: always tight.
+        self._always_tight: list[list[tuple[int, int]]] = [[] for _ in graph.adjacency]
+        for edge in graph.edges:
+            if not edge.weight:
+                self._always_tight[edge.u].append((edge.index, edge.v))
+                self._always_tight[edge.v].append((edge.index, edge.u))
         #: Per layer: the vertices next to (or in) the layer's real vertices,
         #: the only ones whose pre-match a load of that layer can change.
         self._layer_neighbourhood: list[frozenset[int]] = [

@@ -385,8 +385,6 @@ class DualGraphState:
             order = np.argsort(distances, kind="stable")
             order = order[distances[order] >= 0]
             sorted_row = np.stack((order, distances[order] * self.scale))
-            if sorted_row[1, -1] < 2**31:
-                sorted_row = sorted_row.astype(np.int32)  # the size of one int64 row
             zero = int(np.count_nonzero(sorted_row[1] == 0))
             beyond = int(sorted_row[1, zero]) if zero < len(order) else _UNBOUNDED
             row = self._sorted_rows[defect] = (sorted_row, sorted_row[:, :zero].tolist(), beyond)
@@ -484,16 +482,14 @@ class DualGraphState:
         covered, cells = boundary.covered, covers.cells
         count = 0
         for here in cells:
-            by_boundary = covered[here]
+            if covered[here]:
+                continue  # its edges are counted from their other end or the prefix
             for edge, there in self._adjacency[here]:
                 if upto is not None and edge > upto:
                     continue
-                if there in cells:
-                    # Seen from both ends: count it from the lower one, unless
-                    # the boundary prefix already holds it.
-                    count += there > here and not (by_boundary and covered[there])
-                else:
-                    count += covered[there] and not by_boundary
+                # An end only the defect nodes cover sees the edge from both
+                # sides: count it from the lower one.
+                count += covered[there] or (there > here and there in cells)
         if upto is None:
             return count + boundary.both_count
         return count + int(np.count_nonzero(boundary.both[: upto + 1]))

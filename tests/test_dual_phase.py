@@ -423,35 +423,30 @@ def _check_every_obstacle(monkeypatch, name, graph, syndromes):
     return records
 
 
+_D3_RATES = {"circuit_level": 0.03, "code_capacity": 0.08, "erasure": 0.03}
+
+
 @pytest.mark.parametrize(
-    "family, name",
+    "family, name, distance, rate, seed",
     [
-        (family, name)
+        pytest.param(family, name, 3, _D3_RATES.get(family, 0.05), 5, id=f"{family}-{name}")
         for family in ("circuit_level", "code_capacity", "erasure", "phenomenological")
         for name in ("micro-blossom", "micro-blossom-batch", "parity-blossom")
+    ]
+    # At d=5 Covers grow across several vertices and a query walks only
+    # part of the graph (stream mode is checked at d=5 below).
+    + [
+        pytest.param("circuit_level", name, 5, 0.005, 42, id=f"circuit_level-{name}-d5")
+        for name in ("micro-blossom-batch", "parity-blossom")
     ],
 )
-def test_every_obstacle_matches_the_loop_reference(monkeypatch, family, name):
+def test_every_obstacle_matches_the_loop_reference(monkeypatch, family, name, distance, rate, seed):
     """Each answer and counter increment of ``find_obstacle`` equals what the
     per-pair loop definitions give, on every call of real decodes."""
     from repro.graphs import SyndromeSampler, noise_model_by_name, surface_code_decoding_graph
 
-    rates = {"circuit_level": 0.03, "code_capacity": 0.08, "erasure": 0.03}
-    graph = surface_code_decoding_graph(3, noise_model_by_name(family, rates.get(family, 0.05)))
-    syndromes = SyndromeSampler(graph, seed=5).sample_batch(60)
-    checked = [record[0] for record in _check_every_obstacle(monkeypatch, name, graph, syndromes)]
-    assert any(isinstance(obstacle, Conflict) for obstacle in checked)
-    assert any(isinstance(obstacle, GrowLength) for obstacle in checked)
-
-
-@pytest.mark.parametrize("name", ["micro-blossom-batch", "parity-blossom"])
-def test_d5_obstacles_match_the_loop_reference(monkeypatch, name):
-    """The same check at d=5, where Covers grow across several vertices
-    and a query walks only part of the graph."""
-    from repro.graphs import SyndromeSampler, circuit_level_noise, surface_code_decoding_graph
-
-    graph = surface_code_decoding_graph(5, circuit_level_noise(0.005))
-    syndromes = SyndromeSampler(graph, seed=42).sample_batch(60)
+    graph = surface_code_decoding_graph(distance, noise_model_by_name(family, rate))
+    syndromes = SyndromeSampler(graph, seed=seed).sample_batch(60)
     checked = [record[0] for record in _check_every_obstacle(monkeypatch, name, graph, syndromes)]
     assert any(isinstance(obstacle, Conflict) for obstacle in checked)
     assert any(isinstance(obstacle, GrowLength) for obstacle in checked)
@@ -463,16 +458,27 @@ def test_stream_queries_on_kept_covers_match_the_loop_reference(monkeypatch):
     query whose defect-node cells survived a load that brought no new
     defect (an empty round), and every query answered on the cells of the
     previous one (after a direction change only)."""
-    from repro.graphs import SyndromeSampler, circuit_level_noise, surface_code_decoding_graph
+    from repro.graphs import (
+        Syndrome,
+        SyndromeSampler,
+        circuit_level_noise,
+        surface_code_decoding_graph,
+    )
 
     graph = surface_code_decoding_graph(5, circuit_level_noise(0.005))
     syndromes = SyndromeSampler(graph, seed=42).sample_batch(240)
+    # Defect 18 (round 1) ends matched to a boundary vertex of round 2; the
+    # empty round 2 makes that vertex real, so node 18 grows again and the
+    # charged query on the kept cells answers a Conflict with node 1.  Such
+    # a query comes about once per 1,000 sampled shots.
+    syndromes.append(Syndrome(defects=(1, 2, 18)))
     records = _check_every_obstacle(monkeypatch, "micro-blossom", graph, syndromes)
     kept = [record for record in records if record[1] and record[2]]
     # Idle rounds: the charged query after an empty round, on kept cells and
     # kept pre-matches, answers Finished.
     assert any(isinstance(obstacle, Finished) and prematches for obstacle, *_, prematches in kept)
     assert any(isinstance(record[0], GrowLength) for record in kept)
+    assert any(isinstance(record[0], Conflict) for record in kept)
     reused = [record[0] for record in records if not record[1] and record[2]]
     assert any(isinstance(obstacle, Conflict) for obstacle in reused)
 
