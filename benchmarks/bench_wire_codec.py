@@ -6,13 +6,17 @@ frame per request, responses echo the request) and the struct-packed binary
 format (codec 2, batch frames with a deduplicated session table, echoless
 responses).  This benchmark measures the *codec* cost alone — encode plus
 decode of a realistic request/response mix built from sampled syndromes and
-real decoded outcomes — exactly as each wire version would carry it:
+real decoded outcomes — exactly as each wire version carries it:
 
 * **v1**: one ``request`` frame per request and one ``response`` frame per
   answer, with the v1 request echo embedded (that is what a v1 server
-  sends).
+  sends), each written by ``encode_frame`` and read by ``decode_payload``.
 * **v2**: ``request-batch`` / ``response-batch`` frames of ``--batch-size``
-  members, responses without the echo (the v2 client holds the request).
+  members through the functions the network path runs: the client's
+  ``request_member``/``encode_requests``, the front end's ``scan_requests``
+  and the worker's ``syndrome_object``; then the worker's
+  ``response_body``, the front end's ``encode_responses`` and the client's
+  ``read_responses`` into a ``DecodeResponse``.
 
 The two versions are timed in alternating passes, and the run fails unless
 the median over passes of the v1/v2 time ratio is at least 2 — the
@@ -33,11 +37,15 @@ from repro.graphs import SyndromeSampler
 from repro.service import CodeSpec, DecodeRequest, SessionKey
 from repro.service.cache import build_session
 from repro.service.net.protocol import (
-    CODEC_BINARY,
-    CODEC_JSON,
-    SessionWire,
     decode_payload,
     encode_frame,
+    encode_requests,
+    encode_responses,
+    read_responses,
+    request_member,
+    response_body,
+    scan_requests,
+    syndrome_object,
 )
 from repro.service.request import DecodeResponse
 
@@ -47,77 +55,77 @@ SPEEDUP_FLOOR = 2.0
 
 
 def build_mix(distance: int, error_rate: float, samples: int, seed: int):
-    """Requests with real syndromes plus their decoded response payloads."""
+    """Requests with real syndromes plus their decoded responses."""
     key = SessionKey(CodeSpec(distance, physical_error_rate=error_rate), "union-find")
     session = build_session(key)
     sampler = SyndromeSampler(session.graph, seed=seed)
     requests, responses = [], []
     for index, syndrome in enumerate(sampler.sample_batch(samples)):
         request = DecodeRequest(key, syndrome, request_id=index)
-        outcome = session.decode_detailed(syndrome)
-        response = DecodeResponse(
-            request,
-            outcome=outcome,
-            queue_delay_seconds=1.5e-5,
-            latency_seconds=2.5e-4,
-            batch_size=8,
+        requests.append(request)
+        responses.append(
+            DecodeResponse(
+                request,
+                outcome=session.decode_detailed(syndrome),
+                queue_delay_seconds=1.5e-5,
+                latency_seconds=2.5e-4,
+                batch_size=8,
+            )
         )
-        wire = request.to_dict()
-        # As the client sends it: a fresh session dict per request, carrying
-        # the key's memoised canonical blob for the binary encoder.
-        wire["session"] = SessionWire(key.to_dict(), key.wire_blob())
-        requests.append(wire)
-        payload = response.to_dict()
-        del payload["request"]  # the echo a v1 server adds back per frame
-        responses.append(payload)
     return requests, responses
 
 
 def v1_frames(requests, responses):
     """The per-request JSON-v1 frame sequence (responses echo the request)."""
     frames = []
-    for index, wire in enumerate(requests):
-        frames.append({"kind": "request", "id": index, "request": wire})
-    for index, (wire, payload) in enumerate(zip(requests, responses)):
-        frames.append(
-            {"kind": "response", "id": index, "response": {**payload, "request": wire}}
-        )
+    for index, request in enumerate(requests):
+        frames.append({"kind": "request", "id": index, "request": request.to_dict()})
+    for index, response in enumerate(responses):
+        frames.append({"kind": "response", "id": index, "response": response.to_dict()})
     return frames
 
 
-def v2_frames(requests, responses, batch_size: int):
-    """The batched binary-v2 frame sequence (echoless responses)."""
-    frames = []
+def v1_pass(frames) -> list:
+    """One JSON encode+decode pass over the v1 frames; the frames read."""
+    return [decode_payload(encode_frame(frame)[4:]) for frame in frames]
+
+
+def v2_pass(requests, responses, batch_size: int) -> tuple[list, list]:
+    """One pass of the binary-v2 path, batches of ``batch_size``: the
+    client's request writer, the front end's scanner and the worker's
+    syndrome reader, then the worker's body writer, the front end's
+    splicer and the client's response reader.  Returns the syndromes and
+    the responses read."""
+    syndromes, answers = [], []
     for start in range(0, len(requests), batch_size):
         chunk = requests[start : start + batch_size]
-        frames.append(
-            {
-                "kind": "request-batch",
-                "requests": [
-                    {"id": start + offset, "request": wire}
-                    for offset, wire in enumerate(chunk)
-                ],
-            }
-        )
+        members = [request_member(start + i, request) for i, request in enumerate(chunk)]
+        for member in scan_requests(encode_requests(members)[4:]):
+            syndromes.append(syndrome_object(member[3]))
     for start in range(0, len(responses), batch_size):
         chunk = responses[start : start + batch_size]
-        frames.append(
-            {
-                "kind": "response-batch",
-                "responses": [
-                    {"id": start + offset, "response": payload}
-                    for offset, payload in enumerate(chunk)
-                ],
-            }
-        )
-    return frames
+        bodies = [(start + i, response_body(response)) for i, response in enumerate(chunk)]
+        for (_, fields), response in zip(read_responses(encode_responses(bodies)[4:]), chunk):
+            answers.append(DecodeResponse(response.request, *fields))
+    return syndromes, answers
 
 
-def timed_pass(frames, codec: int) -> float:
-    """Seconds of one encode+decode pass over all frames."""
+def v2_bytes(requests, responses, batch_size: int) -> tuple[int, int]:
+    """(frames, bytes) of the binary-v2 frame sequence."""
+    frames = []
+    for start in range(0, len(requests), batch_size):
+        chunk = enumerate(requests[start : start + batch_size])
+        frames.append(encode_requests([request_member(start + i, r) for i, r in chunk]))
+    for start in range(0, len(responses), batch_size):
+        chunk = enumerate(responses[start : start + batch_size])
+        frames.append(encode_responses([(start + i, response_body(r)) for i, r in chunk]))
+    return len(frames), sum(map(len, frames))
+
+
+def timed(function, *args) -> float:
+    """Seconds of one call of ``function(*args)``."""
     started = time.perf_counter()
-    for frame in frames:
-        decode_payload(encode_frame(frame, codec)[4:])
+    function(*args)
     return time.perf_counter() - started
 
 
@@ -128,28 +136,34 @@ def run(distance: int, error_rate: float, samples: int, seed: int,
     host load that comes and goes hits both sides of each ratio alike."""
     requests, responses = build_mix(distance, error_rate, samples, seed)
     messages = len(requests) + len(responses)
+    frames = v1_frames(requests, responses)
+    # Round-trip identity first: speed means nothing if the codec lies.
+    assert v1_pass(frames) == frames, "JSON codec round-trip changed a frame"
+    syndromes, answers = v2_pass(requests, responses, batch_size)
+    assert syndromes == [request.syndrome for request in requests], "v2 changed a syndrome"
+    assert [answer.to_dict() for answer in answers] == [
+        DecodeResponse.from_dict(response.to_dict()).to_dict() for response in responses
+    ], "v2 changed a response"
     sides = {
-        "v1 json/per-request": (v1_frames(requests, responses), CODEC_JSON),
-        "v2 binary/batched": (v2_frames(requests, responses, batch_size), CODEC_BINARY),
+        "v1 json/per-request": (v1_pass, frames),
+        "v2 binary/batched": (v2_pass, requests, responses, batch_size),
     }
-    for frames, codec in sides.values():
-        # Round-trip identity first: speed means nothing if the codec lies.
-        for frame in frames:
-            decoded = decode_payload(encode_frame(frame, codec)[4:])
-            if codec == CODEC_JSON:
-                assert decoded == frame, "JSON codec round-trip changed a frame"
     seconds = {label: [] for label in sides}
     for _ in range(passes):
-        for label, (frames, codec) in sides.items():
-            seconds[label].append(timed_pass(frames, codec))
+        for label, (function, *args) in sides.items():
+            seconds[label].append(timed(function, *args))
+    sizes = {
+        "v1 json/per-request": (len(frames), sum(len(encode_frame(frame)) for frame in frames)),
+        "v2 binary/batched": v2_bytes(requests, responses, batch_size),
+    }
     rows = []
-    for label, (frames, codec) in sides.items():
+    for label in sides:
         best = min(seconds[label])
         rows.append(
             {
                 "wire": label,
-                "frames": len(frames),
-                "bytes": sum(len(encode_frame(frame, codec)) for frame in frames),
+                "frames": sizes[label][0],
+                "bytes": sizes[label][1],
                 "seconds": best,
                 "messages_per_s": messages / best,
             }

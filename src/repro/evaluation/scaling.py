@@ -72,6 +72,22 @@ def fit_logical_error_scaling(
     return LogicalErrorScaling(amplitude=amplitude, threshold=threshold)
 
 
+def fit_power_law_exponent(points: Sequence[tuple[float, float]]) -> float:
+    """Least-squares exponent ``k`` of ``y ∝ x**k`` through ``(x, y)``
+    points: the slope of ``log y`` against ``log x``.  Points with a
+    non-positive coordinate are ignored.
+
+    >>> round(fit_power_law_exponent([(0.001, 2e-6), (0.002, 8e-6), (0.004, 3.2e-5)]), 6)
+    2.0
+    """
+    usable = [(x, y) for x, y in points if x > 0.0 and y > 0.0]
+    if len(usable) < 2:
+        raise ValueError("need at least two positive points to fit a power law")
+    xs, ys = np.log(np.array(usable, dtype=float)).T
+    slope, _intercept = np.polyfit(xs, ys, 1)
+    return float(slope)
+
+
 @dataclass(frozen=True)
 class AccuracyRatioTrend:
     """Exponential-in-distance trend of an accuracy penalty ratio (>= 1)."""

@@ -8,7 +8,7 @@ decoded bit:
 * :mod:`~repro.service.net.protocol` — the length-prefixed wire protocol
   (version-tagged; sync and asyncio framings) with two negotiated payload
   codecs: canonical JSON (codec 1) and the struct-packed binary format
-  (codec 2) with batch frames and per-frame JSON fallback.
+  (codec 2) for the hot frame kinds, with batch frames.
 * :mod:`~repro.service.net.server` — :class:`NetServer`, the asyncio front
   end: consistent-hash routing of session keys to worker processes,
   whole-batch forwarding of ``request-batch`` frames down the worker pipes,

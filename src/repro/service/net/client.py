@@ -28,11 +28,12 @@ The codec is negotiated at the handshake (``codecs=(1,)`` forces canonical
 JSON — the legacy v1 wire format).  On a binary connection each request is
 encoded once, from the :class:`~repro.service.DecodeRequest` object (its
 key's memoised blob plus its packed syndrome), and each response body is
-read straight into a :class:`~repro.service.DecodeResponse`.  Binary
-``response`` frames carry no request echo; either way the client swaps in
-its *local* request object so identity comparisons
-(``response.request is request``) behave exactly as they do against an
-in-process service.  :meth:`wire_stats` reports the negotiated codec,
+read straight into a :class:`~repro.service.DecodeResponse`; a request the
+binary layout cannot carry (a ``request_id`` outside int64) rides a JSON
+frame, and its answer comes back in JSON.  Only codec-1 responses carry a
+request echo; either way the client swaps in its *local* request object so
+identity comparisons (``response.request is request``) behave exactly as
+they do against an in-process service.  :meth:`wire_stats` reports the negotiated codec,
 byte/frame counts in both directions, and the coalesced-batch-size
 histogram.
 """
@@ -259,9 +260,10 @@ class NetClient:
             return self._pending.pop(frame_id, None)
 
     def _resolve_response(self, frame_id, payload) -> None:
-        """Resolve a codec-1 ``response`` member (binary ones are read
+        """Resolve a JSON ``response`` member (binary ones are read
         straight into ``DecodeResponse`` fields by the read loop).  The local
-        request stands in for the echo: ``response.request is request``."""
+        request stands in for the echo, if any: ``response.request is
+        request``."""
         entry = self._take(frame_id)
         if entry is None:
             return
@@ -312,7 +314,7 @@ class NetClient:
 
     def _send_frame(self, frame: dict, batch_size: int | None = None) -> None:
         """Encode + send one frame dict (see :meth:`_send_bytes`)."""
-        self._send_bytes(protocol.encode_frame(frame, self.codec), batch_size)
+        self._send_bytes(protocol.encode_frame(frame), batch_size)
 
     def _send_bytes(self, data: bytes, batch_size: int | None = None) -> None:
         """Send one encoded frame under the write lock, recording stats."""

@@ -6,25 +6,26 @@ payload codecs share that framing:
 * **Codec 1 (JSON)** — canonical JSON (:func:`repro.api.hashing.canonical_json`:
   sorted keys, no whitespace), the same canonical form the content hashes
   use, so a frame's bytes are a pure function of its logical content.  Every
-  frame kind can ride this codec; control frames (handshake, errors, drain,
-  streams) always do.
+  frame kind rides this codec, and control frames (handshake, errors,
+  drain, streams) ride nothing else.  :func:`encode_frame` writes it and
+  :func:`decode_payload` reads it.
 * **Codec 2 (binary)** — a struct-packed little-endian format for the four
   hot kinds only (``request``/``response`` and their batch forms).  The
   first payload byte is the magic ``0xB2`` — an impossible first byte of a
-  JSON object (``{`` = ``0x7B``) — so the receiver sniffs the codec per
-  frame and one read path serves both.  Defect/edge indices travel as packed
-  ``uint32`` arrays instead of JSON int lists, batch frames deduplicate the
-  per-request session dict into a shared session table, and binary
-  ``response`` frames omit the request echo (the client holds the request).
+  JSON object (``{`` = ``0x7B``) — so a receiver tells the codecs apart per
+  frame.  Defect/edge indices travel as packed ``uint32`` arrays instead of
+  JSON int lists, batch frames deduplicate the per-request session into a
+  shared session table, and binary ``response`` frames omit the request
+  echo (the client holds the request).
 
 The codec is negotiated at the handshake: the client's ``hello`` carries the
 codec list it speaks (``"codecs": [2, 1]``; absent means a v1-only client),
-the server answers with the chosen ``"codec"`` in its ``welcome``.  Either
-side may still *send* codec-1 frames afterwards — a frame a binary encoder
-cannot represent (huge integers, exotic payloads) silently falls back to
-canonical JSON, which the sniffing receiver handles identically.
-:data:`PROTOCOL_VERSION` stays 1: codec 2 is a negotiated capability, not an
-incompatible envelope change.
+the server answers with the chosen ``"codec"`` in its ``welcome``.  Binary
+frames are only valid on a connection that negotiated codec 2; there a peer
+may still send a hot frame as JSON (:class:`~repro.service.net.NetClient`
+does for a ``request_id`` outside int64), and the server answers a JSON
+request in JSON, without the echo.  :data:`PROTOCOL_VERSION` stays 1:
+codec 2 is a negotiated capability, not an incompatible envelope change.
 
 Frame kinds (* = binary-capable; ← = server to client):
 
@@ -33,8 +34,8 @@ Frame kinds (* = binary-capable; ← = server to client):
   server's :class:`repro.service.ServiceConfig` hash, the negotiated codec
   and the suggested client-side coalescing knobs.
 * ``request`` * ``{id, request}`` (:meth:`repro.service.DecodeRequest.to_dict`);
-  ← ``response`` * ``{id, response}`` (codec-1 responses embed the request
-  echo, binary ones never do).  ``request-batch`` * ``{requests: [{id,
+  ← ``response`` * ``{id, response}`` (a response embeds the request echo
+  on a codec-1 connection only).  ``request-batch`` * ``{requests: [{id,
   request}, ...]}``; ← ``response-batch`` * ``{responses: [{id, response},
   ...]}``.
 * ``stream-open`` ``{id, stream, session, window, commit_depth}`` and
@@ -64,20 +65,18 @@ Binary layouts (all little-endian; ``blob`` = u32 length + UTF-8 bytes,
 * ``response-batch``: ``0xB2 0x04`` · u32 n_members · n×(i64 frame id ·
   body).
 
-Each layout has one field-level writer and one reader, and the decode path
-uses them without a dict in between.  A request member is the tuple
-``(frame id, session blob, request id, syndrome bytes)``:
-:func:`request_member` builds it from a
-:class:`~repro.service.DecodeRequest`, :func:`encode_requests` frames
+Each layout has one writer and one reader, both over objects, with no
+dict in between.  A request member is the tuple ``(frame id, session
+blob, request id, syndrome bytes)``: :func:`request_member` builds it from
+a :class:`~repro.service.DecodeRequest`, :func:`encode_requests` frames
 members, and :func:`scan_requests` checks a binary request frame and hands
 its members back with each syndrome as its raw byte span, which the front
-end forwards to a worker unparsed.  The worker writes each answer's body
-once (:func:`response_body`); the front end splices ``(frame id, body)``
-pairs into frames (:func:`encode_responses`), and the client reads them
-straight into :class:`~repro.service.DecodeResponse` fields
-(:func:`read_responses`).  The logical-dict forms of
-:func:`encode_frame`/:func:`decode_payload` are thin adapters over the same
-writers and readers.
+end forwards to a worker unparsed (:func:`syndrome_object` reads one).
+The worker writes each answer's body once (:func:`response_body`); the
+front end splices ``(frame id, body)`` pairs into frames
+(:func:`encode_responses`), and the client reads them straight into
+:class:`~repro.service.DecodeResponse` fields (:func:`read_responses`).
+:func:`body_dict` reads a body back for a JSON answer.
 
 Readers of a byte stream — the server's event loop and the client's I/O
 thread — split it into frames with :func:`pop_frames`; blocking-socket
@@ -93,13 +92,13 @@ from collections import Counter
 
 from ...api.hashing import canonical_json
 from ...api.outcome import DecodeOutcome
-from ...api.wireform import load, load_fields
+from ...api.wireform import load_fields
 from ...graphs.syndrome import MatchingResult, Syndrome
 from ..request import STATUS_ERROR
 
 #: Version tag of this wire protocol; bumped on any incompatible change.
 #: The binary codec is *not* a version bump — it is negotiated per
-#: connection and falls back to codec 1 frame by frame.
+#: connection.
 PROTOCOL_VERSION = 1
 
 #: The base canonical-JSON payload codec every peer speaks.
@@ -118,8 +117,8 @@ MAX_FRAME_BYTES = 16 << 20
 _LENGTH = struct.Struct(">I")
 
 #: First payload byte of every binary frame.  ``0xB2`` can never open a
-#: canonical-JSON payload (objects start with ``{``), so the receiver can
-#: sniff the codec without negotiation state.
+#: canonical-JSON payload (objects start with ``{``), so a receiver tells
+#: the codecs apart per frame.
 _MAGIC = 0xB2
 
 _KIND_REQUEST = 0x01
@@ -161,41 +160,12 @@ class ProtocolError(RuntimeError):
     """A malformed, oversized, or version-incompatible frame."""
 
 
-class SessionWire(dict):
-    """A request's session dict that also carries the JSON ``blob`` it
-    travels as in the binary codec.
-
-    The binary decoder hands out one per session-table entry (``blob`` is
-    the text the peer sent), and the binary encoder writes ``blob`` as is
-    instead of re-serialising the dict.  It compares, and JSON-encodes, as
-    the plain dict it is; ``blob`` must stay the JSON of that dict, so treat
-    it as read-only.
-
-    >>> session = SessionWire({"decoder": "union-find"}, '{"decoder":"union-find"}')
-    >>> session == {"decoder": "union-find"}, session.blob
-    (True, '{"decoder":"union-find"}')
-    """
-
-    __slots__ = ("blob",)
-
-    def __init__(self, data: dict, blob: str) -> None:
-        super().__init__(data)
-        self.blob = blob
-
-
-def session_blob(session) -> str:
-    """The JSON text of a request's session: its own ``blob`` when it is a
-    :class:`SessionWire`, else its canonical JSON."""
-    if isinstance(session, SessionWire):
-        return session.blob
-    return canonical_json(session)
-
-
 def negotiate_codec(offered) -> int:
     """The best codec of ``offered`` both sides speak.
 
     ``offered`` is the ``codecs`` list of a ``hello`` frame; ``None`` or
-    empty means a legacy JSON-only peer.  Codec 1 is the implicit floor —
+    empty means a legacy JSON-only peer, and anything else that is not a
+    list is a :class:`ProtocolError`.  Codec 1 is the implicit floor —
     every peer speaks it by construction.
 
     >>> negotiate_codec([2, 1])
@@ -203,9 +173,11 @@ def negotiate_codec(offered) -> int:
     >>> negotiate_codec(None)
     1
     """
+    if offered is None:
+        return CODEC_JSON
+    if not isinstance(offered, list):
+        raise ProtocolError(f"hello codecs must be a list, got {type(offered).__name__}")
     best = CODEC_JSON
-    if not offered:
-        return best
     for codec in offered:
         if isinstance(codec, int) and codec in SUPPORTED_CODECS:
             best = max(best, codec)
@@ -591,28 +563,24 @@ def _read_body(payload: bytes, offset: int, outcome_of) -> tuple[tuple, int]:
     return (status, outcome, queue_delay, latency, batch_size, bool(flags & 1), error), offset
 
 
-def _read_responses(payload: bytes, outcome_of) -> list[tuple]:
-    try:
-        if payload[1] == _KIND_RESPONSE:
-            _, _, frame_id = _SINGLE_HEAD.unpack_from(payload)
-            return [(frame_id, _read_body(payload, _SINGLE_HEAD.size, outcome_of)[0])]
-        _, _, count = _BATCH_HEAD.unpack_from(payload)
-        offset, members = _BATCH_HEAD.size, []
-        for _ in range(count):
-            (frame_id,) = _I64.unpack_from(payload, offset)
-            fields, offset = _read_body(payload, offset + 8, outcome_of)
-            members.append((frame_id, fields))
-        return members
-    except struct.error:
-        raise ProtocolError("truncated binary frame") from None
-
-
 def read_responses(payload: bytes) -> list[tuple]:
     """``(frame id, fields)`` per member of a binary ``response`` or
     ``response-batch`` payload, where ``fields`` are the
     :class:`~repro.service.DecodeResponse` arguments after ``request``
     (the outcome a plain :class:`~repro.api.DecodeOutcome`)."""
-    return _read_responses(payload, _outcome_object)
+    try:
+        if payload[1] == _KIND_RESPONSE:
+            _, _, frame_id = _SINGLE_HEAD.unpack_from(payload)
+            return [(frame_id, _read_body(payload, _SINGLE_HEAD.size, _outcome_object)[0])]
+        _, _, count = _BATCH_HEAD.unpack_from(payload)
+        offset, members = _BATCH_HEAD.size, []
+        for _ in range(count):
+            (frame_id,) = _I64.unpack_from(payload, offset)
+            fields, offset = _read_body(payload, offset + 8, _outcome_object)
+            members.append((frame_id, fields))
+        return members
+    except struct.error:
+        raise ProtocolError("truncated binary frame") from None
 
 
 def body_dict(body: bytes) -> dict:
@@ -624,142 +592,22 @@ def body_dict(body: bytes) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# logical-dict adapters over the binary writers and readers
+# codec 1: canonical JSON frames
 # ---------------------------------------------------------------------------
-def _checked(data: dict, name: str, kind, default):
-    """``data[name]`` (``default`` when absent) under the
-    :mod:`repro.api.wireform` rule of ``kind``: ``TypeError`` for a value
-    that rule refuses."""
-    value = data.get(name, default)
-    if type(value) is kind or value is default is None:
-        return value
-    return load(kind, value, name)
-
-
-def _body_from_dict(payload: dict) -> bytes:
-    # Each field is checked by the wireform rule of its annotation, so a
-    # value the binary layout would change (a float count, an int flag)
-    # raises and encode_frame falls back to JSON, which carries it as is.
-    outcome = payload.get("outcome")
-    if outcome is not None:
-        result = outcome.get("result")
-        if result is not None:
-            result = MatchingResult.from_dict(result)
-            boundary = sorted(result.boundary_vertices.items())
-            result = (
-                [x for pair in result.pairs for x in pair],
-                [x for item in boundary for x in item],
-                result.weight,
-            )
-        outcome = (
-            result,
-            _checked(outcome, "correction", list[int], None),
-            _checked(outcome, "defect_count", int, 0),
-            _checked(outcome, "counters", Counter, {}),
-            _checked(outcome, "scale_retries", int, 0),
-        )
-    return _body(
-        _checked(payload, "status", str, "ok"),
-        _checked(payload, "cached", bool, False),
-        _checked(payload, "queue_delay_seconds", float, 0.0),
-        _checked(payload, "latency_seconds", float, 0.0),
-        _checked(payload, "batch_size", int, 0),
-        _checked(payload, "error", str, None),
-        outcome,
-    )
-
-
-def _member_from_dict(frame_id, request: dict) -> tuple:
-    return (
-        frame_id,
-        session_blob(request["session"]),
-        request.get("request_id", 0),
-        pack_syndrome(request["syndrome"]),
-    )
-
-
-def _encode_binary(frame: dict) -> list | None:
-    """Binary payload parts of ``frame``, or ``None`` for the JSON fallback.
-
-    Only the hot kinds have binary layouts; a frame a layout cannot
-    represent (out-of-range integers, a null id, non-numeric defects)
-    falls back to codec 1 rather than failing — both codecs carry the
-    same logical frame, so the receiver cannot tell the difference.
-    """
-    kind = frame.get("kind")
-    try:
-        if kind == "request":
-            return _request_parts([_member_from_dict(frame["id"], frame["request"])], False)
-        if kind == "request-batch":
-            members = [_member_from_dict(m["id"], m["request"]) for m in frame["requests"]]
-            return _request_parts(members, True)
-        if kind == "response":
-            return _response_parts([(frame["id"], _body_from_dict(frame["response"]))], False)
-        if kind == "response-batch":
-            members = [(m["id"], _body_from_dict(m["response"])) for m in frame["responses"]]
-            return _response_parts(members, True)
-    except (KeyError, TypeError, ValueError, OverflowError, struct.error):
-        return None
-    return None
-
-
-def _parse_session_blob(blob: str) -> SessionWire:
-    try:
-        session = json.loads(blob)
-    except (ValueError, RecursionError) as exc:
-        raise ProtocolError(f"undecodable session blob: {exc}") from None
-    if not isinstance(session, dict):
-        raise ProtocolError("session blob is not an object")
-    return SessionWire(session, blob)
-
-
-def _decode_binary(payload: bytes, kind: str) -> dict:
-    if kind in ("request", "request-batch"):
-        sessions: dict[str, SessionWire] = {}  # one per table entry, shared
-        members = []
-        for frame_id, blob, request_id, syndrome in scan_requests(payload):
-            session = sessions.get(blob)
-            if session is None:
-                session = sessions[blob] = _parse_session_blob(blob)
-            request = {
-                "session": session,
-                "syndrome": syndrome_object(syndrome).to_dict(),
-                "request_id": request_id,
-            }
-            members.append({"id": frame_id, "request": request})
-        if kind == "request":
-            return {"kind": kind, **members[0]}
-        return {"kind": kind, "requests": members}
-    members = [
-        {"id": frame_id, "response": dict(zip(_RESPONSE_FIELDS, fields))}
-        for frame_id, fields in _read_responses(payload, _outcome_dict)
-    ]
-    if kind == "response":
-        return {"kind": kind, **members[0]}
-    return {"kind": kind, "responses": members}
-
-
-# ---------------------------------------------------------------------------
-# framing (codec-agnostic)
-# ---------------------------------------------------------------------------
-def encode_frame(frame: dict, codec: int = CODEC_JSON) -> bytes:
-    """Length-prefixed bytes of one frame in the given payload codec.
-
-    Codec 2 applies to the hot kinds only; everything else (and any frame
-    the binary layouts cannot represent) is emitted as canonical JSON —
-    the receiver sniffs the payload codec per frame.
-    """
-    parts = _encode_binary(frame) if codec >= CODEC_BINARY else None
-    if parts is None:
-        parts = [b"", canonical_json(frame).encode("utf-8")]
-    return _framed(parts)
+def encode_frame(frame: dict) -> bytes:
+    """Length-prefixed canonical-JSON bytes of one frame (codec 1)."""
+    return _framed([b"", canonical_json(frame).encode("utf-8")])
 
 
 def decode_payload(payload: bytes) -> dict:
-    """Parse one frame payload (either codec) into its logical frame dict."""
+    """Parse one canonical-JSON frame payload into its frame dict.
+
+    A binary payload is refused here: it has exactly one reader per
+    layout (:func:`scan_requests`, :func:`read_responses`).
+    """
     kind = binary_kind(payload)
     if kind is not None:
-        return _decode_binary(payload, kind)
+        raise ProtocolError(f"unexpected binary {kind} frame")
     try:
         frame = json.loads(payload.decode("utf-8"))
     except (UnicodeDecodeError, ValueError, RecursionError) as exc:
@@ -782,9 +630,9 @@ def check_version(frame: dict) -> None:
 # ---------------------------------------------------------------------------
 # blocking-socket framing (synchronous client)
 # ---------------------------------------------------------------------------
-def write_frame_sync(sock: socket.socket, frame: dict, codec: int = CODEC_JSON) -> None:
-    """Send one frame over a blocking socket."""
-    sock.sendall(encode_frame(frame, codec))
+def write_frame_sync(sock: socket.socket, frame: dict) -> None:
+    """Send one JSON frame over a blocking socket."""
+    sock.sendall(encode_frame(frame))
 
 
 def _recv_exact(sock: socket.socket, count: int, at_eof: str) -> bytes:

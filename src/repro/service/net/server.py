@@ -4,8 +4,9 @@
 worker pool:
 
 * **Accept path.**  An asyncio TCP server speaks the length-prefixed
-  protocol of :mod:`repro.service.net.protocol` (canonical JSON or the
-  negotiated binary codec).  All connection state lives on the event loop;
+  protocol of :mod:`repro.service.net.protocol` (canonical JSON, plus
+  binary request frames on a connection that negotiated codec 2).  All
+  connection state lives on the event loop;
   there is exactly one loop thread, so per-connection bookkeeping needs no
   locks.
 * **Worker pool.**  ``processes`` worker processes are forked at
@@ -48,6 +49,7 @@ import time
 from multiprocessing.connection import Connection
 from typing import NamedTuple
 
+from ...api.hashing import canonical_json
 from ..config import ServiceConfig
 from ..request import intern_session
 from . import protocol
@@ -66,7 +68,6 @@ from .protocol import (
     pack_syndrome,
     pop_frames,
     scan_requests,
-    session_blob,
 )
 from .router import HashRing
 from .worker import worker_main
@@ -141,9 +142,10 @@ class _Pending(NamedTuple):
     """Work in flight on a worker: one stream op, or the request members of
     one pipe message, all from one client frame.
 
-    ``wires`` holds the request dicts of JSON-framed members (a v1 response
-    echoes them); ``None`` for a scanned binary frame, whose answer bodies
-    are spliced into the client's frames as is.
+    ``wires`` holds the request dicts of JSON-framed members, which are
+    answered in JSON (with the echo on a codec-1 connection); ``None`` for
+    a scanned binary frame, whose answer bodies are spliced into the
+    client's frames as is.
     """
 
     kind: str  # "request" | "stream"
@@ -186,9 +188,9 @@ class _Client(_Framed):
             self.server._on_payload(self, payload)
 
     def write(self, frame: dict) -> None:
-        """Queue ``frame``; :class:`ProtocolError` past MAX_FRAME_BYTES."""
+        """Queue ``frame`` as JSON; :class:`ProtocolError` past MAX_FRAME_BYTES."""
         if self.open:
-            self.transport.write(encode_frame(frame, self.codec))
+            self.transport.write(encode_frame(frame))
 
     def close(self) -> None:
         self.open = False
@@ -464,9 +466,8 @@ class NetServer:
             self._splice(client, list(zip(pending.frame_ids, result)))
             return
         else:
-            # Read the bodies back: a v1 response embeds the request echo,
-            # and a binary client's JSON-framed member may carry an id the
-            # binary layout cannot (encode_frame then falls back to JSON).
+            # A JSON-framed member is answered in JSON: its body read back,
+            # plus the request echo on a codec-1 connection.
             frames = []
             for frame_id, wire, body in zip(pending.frame_ids, pending.wires, result):
                 response = body_dict(body)
@@ -593,6 +594,7 @@ class NetServer:
         elif client.codec >= CODEC_BINARY and binary_kind(payload) in _REQUEST_KINDS:
             self._admit(client, scan_requests(payload))
         else:
+            # Refuses any other binary payload with a connection-level error.
             frame = decode_payload(payload)
             if frame.get("kind") == "bye":
                 client.close()
@@ -632,6 +634,9 @@ class NetServer:
                     self._refuse(client, member.get("id"), "server is draining")
         elif kind in _REQUEST_KINDS:
             self._admit(client, *self._pack_members(client, members))
+        elif kind in ("stream-open", "stream-op") and isinstance(frame.get("stream"), (list, dict)):
+            # Stream ids key a dict: refuse one that cannot, this frame only.
+            self._refuse(client, frame.get("id"), "bad stream id: must be a JSON scalar")
         elif kind == "stream-open":
             self._handle_stream_open(client_id, client, frame)
         elif kind == "stream-op":
@@ -658,7 +663,7 @@ class NetServer:
                 continue
             wire = member.get("request")
             try:
-                blob = session_blob(wire["session"])
+                blob = canonical_json(wire["session"])
                 syndrome = pack_syndrome(wire["syndrome"])
             except Exception as exc:
                 self._refuse(client, member.get("id"), f"bad request: {type(exc).__name__}: {exc}")
@@ -721,7 +726,7 @@ class NetServer:
         frame_id = frame.get("id")
         sid = frame.get("stream")
         try:
-            blob = session_blob(frame["session"])
+            blob = canonical_json(frame["session"])
             key_hash = intern_session(blob).key_hash()
         except Exception as exc:
             self._refuse(client, frame_id, f"bad session: {type(exc).__name__}: {exc}")

@@ -28,7 +28,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..api.wireform import WireForm
+from ..api.wireform import WireForm, load_fields
 from ..evaluation.engine import LatencyHistogram, RateEstimate
 from .spec import SweepPoint, SweepSpec
 
@@ -275,23 +275,15 @@ class ResultStore:
     # ------------------------------------------------------------------
     @staticmethod
     def _result_from_record(record: dict, cached: bool) -> PointResult:
-        result = record["result"]
-        latency = result.get("latency")
-        lut = result.get("lut")
+        # Each field is read by its wireform rule, so a lossy value (a
+        # float shot count, a string flag) is refused, never truncated.
         timing = record.get("timing") or {}
-        return PointResult(
-            point=SweepPoint.from_dict(record["point"]),
-            shots=int(result["shots"]),
-            errors=int(result["errors"]),
-            decoded_shots=int(result["decoded_shots"]),
-            defects=int(result["defects"]),
-            stopped_early=bool(result["stopped_early"]),
-            latency=LatencySummary.from_dict(latency) if latency else None,
-            lut=LUTStats.from_dict(lut) if lut else None,
-            erased=int(result.get("erased", 0)),
-            elapsed_seconds=float(timing.get("elapsed_seconds", 0.0)),
-            cached=cached,
-        )
+        data = {**record["result"], "elapsed_seconds": timing.get("elapsed_seconds", 0.0)}
+        try:
+            point = SweepPoint.from_dict(record["point"])
+            return PointResult(**load_fields(PointResult, data, {"point": point, "cached": cached}))
+        except (TypeError, ValueError) as exc:
+            raise StoreError(f"malformed point record {record.get('key')!r}: {exc}") from None
 
     def get(self, spec_hash: str, point: SweepPoint) -> PointResult | None:
         """The cached result of ``point``, or ``None`` when absent."""

@@ -14,12 +14,12 @@ import pytest
 
 from repro.evaluation.service_load import DEFAULT_LOAD_CONFIG, ServiceLoadEngine
 from repro.service.net.protocol import (
-    _LENGTH,
-    CODEC_BINARY,
-    decode_payload,
-    encode_frame,
+    encode_requests,
+    request_member,
+    scan_requests,
+    syndrome_object,
 )
-from repro.service.request import DecodeRequest
+from repro.service.request import DecodeRequest, intern_session
 from repro.service.trace import (
     NOISE_FAMILY_SMOKE_TRACE,
     SMOKE_TRACE,
@@ -53,12 +53,14 @@ def test_trace_covers_every_new_family_and_replays_bit_identically(noise_trace):
     ]
 
 
-def _round_trip(request: DecodeRequest) -> tuple[bool, DecodeRequest]:
-    """(took the binary layout?, decoded request) of one codec-2 frame."""
-    frame = {"kind": "request", "id": int(request.request_id), "request": request.to_dict()}
-    payload = encode_frame(frame, codec=CODEC_BINARY)[_LENGTH.size :]
-    decoded = decode_payload(payload)
-    return payload[:1] == b"\xb2", DecodeRequest.from_dict(decoded["request"])
+def _round_trip(requests: list) -> tuple[bytes, list]:
+    """(payload, requests read back) of the codec-2 frame of ``requests``,
+    written and read as the client, front end and worker do."""
+    payload = encode_requests([request_member(i, r) for i, r in enumerate(requests)])[4:]
+    return payload, [
+        DecodeRequest(intern_session(blob), syndrome_object(syndrome), request_id)
+        for _, blob, request_id, syndrome in scan_requests(payload)
+    ]
 
 
 def test_erasure_requests_take_the_binary_layout(noise_trace):
@@ -69,23 +71,13 @@ def test_erasure_requests_take_the_binary_layout(noise_trace):
         tr.request for tr in noise_trace.requests if not tr.request.syndrome.erasures
     )
     for request in (erased, plain):
-        was_binary, round_tripped = _round_trip(request)
-        assert was_binary, "codec 2 carries heralded erasures in its own array"
-        assert round_tripped == request
-
+        payload, round_tripped = _round_trip([request])
+        assert payload[:2] == b"\xb2\x01", "codec 2 carries heralded erasures in its own array"
+        assert round_tripped == [request]
     # a mixed batch frame keeps the binary layout and round-trips member-wise
-    batch = {
-        "kind": "request-batch",
-        "requests": [
-            {"id": index, "request": request.to_dict()}
-            for index, request in enumerate((plain, erased))
-        ],
-    }
-    payload = encode_frame(batch, codec=CODEC_BINARY)[_LENGTH.size :]
-    assert payload[:1] == b"\xb2"
-    members = decode_payload(payload)["requests"]
-    assert [member["id"] for member in members] == [0, 1]
-    assert [DecodeRequest.from_dict(member["request"]) for member in members] == [plain, erased]
+    payload, round_tripped = _round_trip([plain, erased])
+    assert payload[:2] == b"\xb2\x03"
+    assert round_tripped == [plain, erased]
 
 
 def test_service_digest_is_worker_count_independent():

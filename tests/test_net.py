@@ -21,6 +21,7 @@ from multiprocessing.connection import Connection
 
 import pytest
 
+from repro.api.hashing import canonical_json
 from repro.api.outcome import DecodeOutcome
 from repro.evaluation.service_load import ServiceLoadEngine
 from repro.graphs import Syndrome, SyndromeSampler
@@ -74,6 +75,33 @@ def net_engine(spec, server, **kwargs) -> ServiceLoadEngine:
     return ServiceLoadEngine(
         spec, config=server.config, front=lambda: NetClient(host, port), **kwargs
     )
+
+
+def greet(sock, codecs=None) -> dict:
+    """Say ``hello`` on a raw socket, offering ``codecs`` if given; returns
+    the server's answer."""
+    hello = {"kind": "hello", "version": PROTOCOL_VERSION, "client": "hostile"}
+    if codecs is not None:
+        hello["codecs"] = codecs
+    write_frame_sync(sock, hello)
+    return read_frame_sync(sock)
+
+
+def send_request(sock, frame_id, request: dict, binary: bool = False) -> None:
+    """One ``request`` frame of a request dict: JSON, or its binary layout."""
+    if not binary:
+        write_frame_sync(sock, {"kind": "request", "id": frame_id, "request": request})
+        return
+    session = canonical_json(request["session"])
+    syndrome = protocol.pack_syndrome(request["syndrome"])
+    member = (frame_id, session, request.get("request_id", 0), syndrome)
+    sock.sendall(protocol.encode_requests([member]))
+
+
+def read_payload(sock) -> bytes:
+    """The payload of the next frame on a raw socket, in either codec."""
+    (length,) = struct.unpack(">I", protocol._recv_exact(sock, 4, "connection closed"))
+    return protocol._recv_exact(sock, length, "connection closed mid-frame")
 
 
 class TestHashRing:
@@ -735,25 +763,18 @@ class TestConnectionRobustness:
             ]
             sock = socket.create_connection((host, port), timeout=30.0)
             try:
-                write_frame_sync(
-                    sock,
-                    {"kind": "hello", "version": PROTOCOL_VERSION, "client": "hostile"},
-                )
-                assert read_frame_sync(sock)["kind"] == "welcome"
+                assert greet(sock, [CODEC_BINARY, CODEC_JSON])["codec"] == CODEC_BINARY
                 frame_id = 0
-                for codec in (CODEC_JSON, CODEC_BINARY):
+                for binary in (False, True):
                     for bad_code in lossy:
                         frame_id += 1
                         session = {**valid["session"], "code": bad_code}
-                        request = {**valid, "session": session}
-                        write_frame_sync(
-                            sock, {"kind": "request", "id": frame_id, "request": request}, codec
-                        )
+                        send_request(sock, frame_id, {**valid, "session": session}, binary)
                         frame = read_frame_sync(sock)
                         assert frame["kind"] == "error"
                         assert frame["id"] == frame_id
                         assert "bad request" in frame["error"]
-                write_frame_sync(sock, {"kind": "request", "id": 99, "request": valid})
+                send_request(sock, 99, valid)
                 frame = read_frame_sync(sock)
                 assert frame["kind"] == "response"
                 assert frame["response"]["status"] == "ok"
@@ -776,30 +797,26 @@ class TestConnectionRobustness:
             mistyped = [{"max_defects": 1.5}, {"memory_budget_bytes": "9"}, {"max_defects": True}]
             sock = socket.create_connection((host, port), timeout=30.0)
             try:
-                write_frame_sync(
-                    sock,
-                    {"kind": "hello", "version": PROTOCOL_VERSION, "client": "hostile"},
-                )
-                assert read_frame_sync(sock)["kind"] == "welcome"
+                assert greet(sock, [CODEC_BINARY, CODEC_JSON])["codec"] == CODEC_BINARY
                 frame_id = 0
-                for codec in (CODEC_JSON, CODEC_BINARY):
+                for binary in (False, True):
                     for fields in mistyped:
                         frame_id += 1
                         config = {"type": "LUTConfig", "fields": fields}
                         request = {**valid, "session": {**session, "config": config}}
-                        write_frame_sync(
-                            sock, {"kind": "request", "id": frame_id, "request": request}, codec
-                        )
+                        send_request(sock, frame_id, request, binary)
                         frame = read_frame_sync(sock)
                         assert frame["kind"] == "error"
                         assert frame["id"] == frame_id
                         assert "bad request" in frame["error"]
                         assert "must be an integer" in frame["error"]
-                for codec in (CODEC_JSON, CODEC_BINARY):
-                    write_frame_sync(sock, {"kind": "request", "id": 99, "request": valid}, codec)
-                    frame = read_frame_sync(sock)
-                    assert frame["kind"] == "response"
-                    assert frame["response"]["status"] == "ok"
+                send_request(sock, 98, valid)
+                frame = read_frame_sync(sock)
+                assert frame["kind"] == "response"
+                assert frame["response"]["status"] == "ok"
+                send_request(sock, 99, valid, binary=True)
+                [(frame_id, fields)] = protocol.read_responses(read_payload(sock))
+                assert (frame_id, fields[0]) == (99, "ok")
                 write_frame_sync(sock, {"kind": "bye"})
             finally:
                 sock.close()
@@ -830,37 +847,133 @@ class TestConnectionRobustness:
             server.stop()
 
     @pytest.mark.parametrize(
-        "payload",
+        "payload, codecs, error_id",
         [
-            b"[" * 100_000,
-            # A binary ``request`` whose session blob is deeply nested JSON.
-            struct.pack("<BBqI", 0xB2, 0x01, 1, 100_000) + b"[" * 100_000,
+            (b"[" * 100_000, None, None),
+            # A binary ``request`` whose session blob is deeply nested JSON:
+            # the session is refused, not the connection.
+            (
+                protocol.encode_requests(
+                    [(1, "[" * 100_000, 0, protocol.syndrome_bytes((), (), None, ()))]
+                )[4:],
+                [CODEC_BINARY, CODEC_JSON],
+                1,
+            ),
         ],
         ids=["json-frame", "binary-session-blob"],
     )
-    def test_deeply_nested_frame_is_refused_and_server_keeps_serving(self, payload):
-        """Nesting deep enough to overflow the JSON parser is a protocol
-        error: the connection gets an error frame (not a dead handler and a
-        silent close), and the server goes on serving new connections."""
+    def test_deeply_nested_frame_is_refused_and_server_keeps_serving(
+        self, payload, codecs, error_id
+    ):
+        """Nesting deep enough to overflow the JSON parser is refused with
+        an error frame (not a dead handler and a silent close): for the
+        connection when it is the frame, for that request when it is a
+        binary request's session.  The server goes on serving new
+        connections."""
         trace = generate_trace(NET_TRACE)
         server = NetServer(NET_CONFIG, processes=1, prewarm=prewarm_specs(NET_TRACE))
         host, port = server.start()
         try:
             sock = socket.create_connection((host, port), timeout=30.0)
             try:
-                write_frame_sync(
-                    sock,
-                    {"kind": "hello", "version": PROTOCOL_VERSION, "client": "hostile"},
-                )
-                assert read_frame_sync(sock)["kind"] == "welcome"
+                assert greet(sock, codecs)["kind"] == "welcome"
                 sock.sendall(struct.pack(">I", len(payload)) + payload)
                 frame = read_frame_sync(sock)
                 assert frame["kind"] == "error"
-                assert frame["id"] is None
+                assert frame["id"] == error_id
             finally:
                 sock.close()
             with NetClient(host, port) as client:
                 assert client.decode(trace.requests[0].request, timeout=30.0).ok
+        finally:
+            server.stop()
+
+    @pytest.mark.parametrize(
+        "codecs, kind",
+        [(None, "request"), ([CODEC_BINARY, CODEC_JSON], "response")],
+        ids=["request-on-codec-1", "response-on-codec-2"],
+    )
+    def test_binary_frame_a_connection_cannot_take_is_refused(self, codecs, kind):
+        """A binary frame is only valid as a request on a connection that
+        negotiated codec 2; any other binary frame gets a connection-level
+        ``error`` frame, and the server goes on serving new connections."""
+        trace = generate_trace(NET_TRACE)
+        request = trace.requests[0].request
+        if kind == "request":
+            data = protocol.encode_requests([protocol.request_member(1, request)])
+        else:
+            data = protocol.encode_responses([(1, protocol.error_body("Boom"))])
+        server = NetServer(NET_CONFIG, processes=1, prewarm=prewarm_specs(NET_TRACE))
+        host, port = server.start()
+        try:
+            sock = socket.create_connection((host, port), timeout=30.0)
+            try:
+                assert greet(sock, codecs)["kind"] == "welcome"
+                sock.sendall(data)
+                frame = read_frame_sync(sock)
+                assert (frame["kind"], frame["id"]) == ("error", None)
+                assert f"unexpected binary {kind} frame" in frame["error"]
+            finally:
+                sock.close()
+            with NetClient(host, port) as client:
+                assert client.decode(request, timeout=30.0).ok
+        finally:
+            server.stop()
+
+    @pytest.mark.parametrize("codecs", [5, 2.0], ids=["int", "float"])
+    def test_hello_whose_codecs_is_not_a_list_gets_an_error_frame(self, codecs):
+        """Such a hello is a protocol error: the connection gets an
+        ``error`` frame before it closes, and the server keeps serving."""
+        trace = generate_trace(NET_TRACE)
+        server = NetServer(NET_CONFIG, processes=1, prewarm=prewarm_specs(NET_TRACE))
+        host, port = server.start()
+        try:
+            sock = socket.create_connection((host, port), timeout=30.0)
+            try:
+                frame = greet(sock, codecs)
+                assert (frame["kind"], frame["id"]) == ("error", None)
+                assert "codecs must be a list" in frame["error"]
+            finally:
+                sock.close()
+            with NetClient(host, port) as client:
+                assert client.decode(trace.requests[0].request, timeout=30.0).ok
+        finally:
+            server.stop()
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            {
+                "kind": "stream-open",
+                "id": 1,
+                "stream": [1],
+                "session": NET_TRACE.scenarios[0].session_key().to_dict(),
+            },
+            {"kind": "stream-op", "id": 1, "stream": {"a": 1}, "op": "begin", "payload": None},
+        ],
+        ids=["open-list", "op-object"],
+    )
+    def test_unhashable_stream_id_is_refused_and_connection_serves(self, frame):
+        """A stream id that cannot key the server's stream table is a
+        refusal of that frame alone; the same connection keeps serving."""
+        trace = generate_trace(NET_TRACE)
+        server = NetServer(NET_CONFIG, processes=1, prewarm=prewarm_specs(NET_TRACE))
+        host, port = server.start()
+        try:
+            sock = socket.create_connection((host, port), timeout=30.0)
+            try:
+                assert greet(sock)["kind"] == "welcome"
+                write_frame_sync(sock, frame)
+                reply = read_frame_sync(sock)
+                assert (reply["kind"], reply["id"]) == ("error", 1)
+                assert "bad stream id" in reply["error"]
+                send_request(sock, 2, trace.requests[0].request.to_dict())
+                reply = read_frame_sync(sock)
+                assert (reply["kind"], reply["id"]) == ("response", 2)
+                assert reply["response"]["status"] == "ok"
+                write_frame_sync(sock, {"kind": "bye"})
+            finally:
+                sock.close()
         finally:
             server.stop()
 
@@ -936,26 +1049,19 @@ class TestSessionInterning:
         assert hits == {0, 1}  # both table hits and fallbacks were served
 
     def test_refused_session_blob_is_refused_every_time(self):
-        from repro.service.net.protocol import encode_frame
-
         trace = generate_trace(NET_TRACE)
         valid = trace.requests[0].request.to_dict()
         bad_session = {**valid["session"], "decoder": "no-such-decoder"}
-        bad = {"kind": "request", "id": 1, "request": {**valid, "session": bad_session}}
-        payload = encode_frame(bad, CODEC_BINARY)
+        bad = {**valid, "session": bad_session}
         server = NetServer(NET_CONFIG, processes=1, prewarm=prewarm_specs(NET_TRACE))
         host, port = server.start()
         try:
             sock = socket.create_connection((host, port), timeout=30.0)
             try:
-                write_frame_sync(
-                    sock,
-                    {"kind": "hello", "version": PROTOCOL_VERSION, "client": "hostile"},
-                )
-                assert read_frame_sync(sock)["kind"] == "welcome"
+                assert greet(sock, [CODEC_BINARY, CODEC_JSON])["codec"] == CODEC_BINARY
                 for _ in range(2):
                     # The very same bytes, so the same blob hits the memo.
-                    sock.sendall(payload)
+                    send_request(sock, 1, bad, binary=True)
                     frame = read_frame_sync(sock)
                     assert frame["kind"] == "error"
                     assert "bad request" in frame["error"]
@@ -1415,7 +1521,11 @@ class TestWireV2:
                 self.frames = []
 
             def write(self, data):
-                self.frames.append(protocol.decode_payload(data[4:]))
+                kind = protocol.binary_kind(data[4:])
+                if kind is None:
+                    self.frames.append(protocol.decode_payload(data[4:]))
+                else:
+                    self.frames.append({"kind": kind, "members": protocol.read_responses(data[4:])})
 
         client = _Client(None, 1)
         client.transport = Writer()
@@ -1426,51 +1536,74 @@ class TestWireV2:
         monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 3 * (8 + len(body)) + 6)
         NetServer(NET_CONFIG, processes=1)._splice(client, members)
         frames = client.transport.frames
-        answered = [
-            member["id"]
-            for frame in frames
-            for member in frame.get("responses", [frame] if frame["kind"] == "response" else [])
-        ]
+        answered = [frame_id for frame in frames for frame_id, _ in frame.get("members", ())]
         assert answered == list(range(6))
         # 7 members halve to 3 + 4, the 4 to 2 + 2, and the last 2 to 1 + 1.
         kinds = ["response-batch", "response-batch", "response", "error"]
         assert [frame["kind"] for frame in frames] == kinds
         assert frames[-1]["id"] == 99 and "response too large" in frames[-1]["error"]
-        assert all(m["response"] == protocol.body_dict(body) for m in frames[0]["responses"])
+        error = ("error", None, 0.0, 0.0, 0, False, "Boom: " + "x" * 40)
+        assert all(fields == error for _, fields in frames[0]["members"])
 
     def test_reply_frame_kinds_on_a_binary_connection(self):
         """One answer rides a ``response`` frame, several from one worker a
         ``response-batch`` — whatever frame kind carried the request."""
         trace = generate_trace(NET_TRACE)
-        wires = [traced.request.to_dict() for traced in trace.requests[:2]]
+        first, second = (traced.request for traced in trace.requests[:2])
+        members = [
+            protocol.request_member(frame_id, request)
+            for frame_id, request in ((1, first), (2, first), (3, second))
+        ]
         server = NetServer(NET_CONFIG, processes=1, prewarm=prewarm_specs(NET_TRACE))
         host, port = server.start()
         try:
             sock = socket.create_connection((host, port), timeout=30.0)
             try:
-                write_frame_sync(
-                    sock,
-                    {
-                        "kind": "hello",
-                        "version": PROTOCOL_VERSION,
-                        "client": "raw",
-                        "codecs": [CODEC_BINARY, CODEC_JSON],
-                    },
-                )
-                assert read_frame_sync(sock)["codec"] == CODEC_BINARY
+                assert greet(sock, [CODEC_BINARY, CODEC_JSON])["codec"] == CODEC_BINARY
 
-                def exchange(frame) -> dict:
-                    write_frame_sync(sock, frame, CODEC_BINARY)
-                    return read_frame_sync(sock)
+                def exchange(data) -> tuple[str, list]:
+                    sock.sendall(data)
+                    payload = read_payload(sock)
+                    ids = [frame_id for frame_id, _ in protocol.read_responses(payload)]
+                    return protocol.binary_kind(payload), ids
 
-                reply = exchange({"kind": "request", "id": 1, "request": wires[0]})
-                assert reply["kind"] == "response" and reply["id"] == 1
-                members = [{"id": 2, "request": wires[0]}, {"id": 3, "request": wires[1]}]
-                reply = exchange({"kind": "request-batch", "requests": members})
-                assert reply["kind"] == "response-batch"
-                assert [member["id"] for member in reply["responses"]] == [2, 3]
-                reply = exchange({"kind": "request-batch", "requests": members[:1]})
-                assert reply["kind"] == "response" and reply["id"] == 2
+                assert exchange(protocol.encode_requests(members[:1])) == ("response", [1])
+                batch = protocol.encode_requests(members[1:])
+                assert exchange(batch) == ("response-batch", [2, 3])
+                # A request-batch frame of one member (NetClient never sends one).
+                lone = protocol._framed(protocol._request_parts(members[1:2], True))
+                assert exchange(lone) == ("response", [2])
+                write_frame_sync(sock, {"kind": "bye"})
+            finally:
+                sock.close()
+        finally:
+            server.stop()
+
+    def test_request_id_outside_int64_is_answered_in_json_without_echo(self):
+        """A codec-2 client sends a request the binary layout cannot carry
+        as a JSON frame; the server answers that member in JSON, with no
+        request echo, and the client resolves it like any other."""
+        trace = generate_trace(NET_TRACE)
+        request = trace.requests[0].request
+        huge = DecodeRequest(request.session, request.syndrome, request_id=2**70)
+        server = NetServer(NET_CONFIG, processes=1, prewarm=prewarm_specs(NET_TRACE))
+        host, port = server.start()
+        try:
+            with NetClient(host, port) as client:
+                assert client.codec == CODEC_BINARY
+                response = client.decode(huge, timeout=30.0)
+                expected = client.decode(request, timeout=30.0)
+            assert response.ok and response.request is huge
+            assert response.outcome.to_dict() == expected.outcome.to_dict()
+            sock = socket.create_connection((host, port), timeout=30.0)
+            try:
+                assert greet(sock, [CODEC_BINARY, CODEC_JSON])["codec"] == CODEC_BINARY
+                send_request(sock, 1, huge.to_dict())
+                frame = read_frame_sync(sock)  # a JSON frame: this reader refuses binary
+                assert (frame["kind"], frame["id"]) == ("response", 1)
+                assert frame["response"]["status"] == "ok"
+                assert "request" not in frame["response"]
+                assert frame["response"]["outcome"] == expected.outcome.to_dict()
                 write_frame_sync(sock, {"kind": "bye"})
             finally:
                 sock.close()

@@ -256,6 +256,27 @@ class TestResultStore:
         with pytest.raises(StoreError, match="type"):
             ResultStore(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("shots", 64.9), ("errors", "3"), ("defects", True), ("stopped_early", "no")],
+    )
+    def test_lossy_result_field_is_refused_not_truncated(self, tmp_path, field, value):
+        """A stored result is read by the wireform rules of its fields: a
+        value that would change on the way in is a ``StoreError``."""
+        spec = small_spec()
+        path = tmp_path / "store.jsonl"
+        run = run_sweep(spec, ResultStore(path), clock=fake_clock())
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[-1])
+        record["result"][field] = value
+        path.write_text("\n".join([*lines[:-1], json.dumps(record)]) + "\n")
+        store = ResultStore(path)
+        point = next(r.point for r in run.results if r.point.key == record["key"])
+        with pytest.raises(StoreError, match=field):
+            store.get(run.spec_hash, point)
+        with pytest.raises(StoreError, match=field):
+            store.results()
+
 
 class TestStoreRoundTripProperty:
     def test_store_round_trip_preserves_every_field(self):

@@ -4,9 +4,10 @@ The network protocol's frames carry exactly what ``to_dict`` emits, hashed
 and framed as canonical JSON — so these dict forms ARE the wire format.  The
 golden pins below freeze them: any change to a pinned string is a protocol
 break that needs a :data:`repro.service.net.PROTOCOL_VERSION` bump, not a
-silent reshuffle.  The binary codec (codec 2) has its own byte-level pins
-plus hypothesis round-trip properties over both codecs, and hostile bytes
-(raw, mutated encodings, deep nesting) must decode to a frame or raise
+silent reshuffle.  The binary codec (codec 2) has its own byte-level pins,
+written and read by the same object writers and readers the network path
+runs, plus hypothesis round-trip properties over both codecs; hostile bytes
+(raw, mutated encodings, deep nesting) must read to a frame or raise
 :class:`~repro.service.net.ProtocolError`, nothing else.
 """
 
@@ -36,10 +37,18 @@ from repro.service.net.protocol import (
     PROTOCOL_VERSION,
     SUPPORTED_CODECS,
     ProtocolError,
+    binary_kind,
     decode_payload,
     encode_frame,
+    encode_requests,
+    encode_responses,
     negotiate_codec,
     pop_frames,
+    read_responses,
+    request_member,
+    response_body,
+    scan_requests,
+    syndrome_object,
 )
 from repro.service.request import _interned
 
@@ -289,6 +298,29 @@ def _response_payload() -> dict:
     }
 
 
+def _pinned_response() -> DecodeResponse:
+    return DecodeResponse.from_dict(_response_payload(), request=_request())
+
+
+def _batch_requests() -> list:
+    second = DecodeRequest(_key(), Syndrome(defects=(9,), logical_flip=None), request_id=8)
+    return [_request(), second]
+
+
+def _echoless(response: DecodeResponse) -> dict:
+    payload = response.to_dict()
+    del payload["request"]
+    return payload
+
+
+def _scanned_requests(payload: bytes) -> list:
+    """``(frame id, DecodeRequest)`` per member, as the worker rebuilds them."""
+    return [
+        (frame_id, DecodeRequest(intern_session(blob), syndrome_object(syndrome), request_id))
+        for frame_id, blob, request_id, syndrome in scan_requests(payload)
+    ]
+
+
 #: Frozen codec-2 payload bytes.  These pin the binary layout the same way
 #: the canonical-JSON strings above pin codec 1: a changed byte is a wire
 #: break for every deployed v2 peer, not a refactor.
@@ -326,103 +358,82 @@ _BINARY_ERASED_REQUEST_PIN = (
     "000004000000000000000200000000000000090000000700000000000000"
 )
 
+_BINARY_PINS = (
+    _BINARY_REQUEST_PIN,
+    _BINARY_ERASED_REQUEST_PIN,
+    _BINARY_RESPONSE_PIN,
+    _BINARY_BATCH_PIN,
+)
+
 
 class TestBinaryCodec:
-    """Codec-2 byte pins, codec sniffing, negotiation, and fallbacks."""
+    """Codec-2 byte pins through the object writers and readers of the
+    network path, codec sniffing, negotiation, and refusals."""
 
     def test_request_bytes_pin(self):
-        frame = {"kind": "request", "id": 3, "request": _request().to_dict()}
-        assert encode_frame(frame, CODEC_BINARY)[4:].hex() == _BINARY_REQUEST_PIN
+        assert encode_requests([request_member(3, _request())])[4:].hex() == _BINARY_REQUEST_PIN
 
     def test_response_bytes_pin(self):
-        frame = {"kind": "response", "id": 3, "response": _response_payload()}
-        assert encode_frame(frame, CODEC_BINARY)[4:].hex() == _BINARY_RESPONSE_PIN
+        body = response_body(_pinned_response())
+        assert encode_responses([(3, body)])[4:].hex() == _BINARY_RESPONSE_PIN
 
     def test_erased_request_bytes_pin(self):
-        frame = {"kind": "request", "id": 3, "request": _erased_request().to_dict()}
-        assert encode_frame(frame, CODEC_BINARY)[4:].hex() == _BINARY_ERASED_REQUEST_PIN
+        member = request_member(3, _erased_request())
+        assert encode_requests([member])[4:].hex() == _BINARY_ERASED_REQUEST_PIN
 
     def test_request_batch_bytes_pin(self):
-        session = _request().to_dict()["session"]
-        frame = {
-            "kind": "request-batch",
-            "requests": [
-                {"id": 1, "request": _request().to_dict()},
-                {
-                    "id": 2,
-                    "request": {
-                        "session": session,
-                        "syndrome": {
-                            "defects": [9],
-                            "error_edges": [],
-                            "logical_flip": None,
-                        },
-                        "request_id": 8,
-                    },
-                },
-            ],
-        }
-        assert encode_frame(frame, CODEC_BINARY)[4:].hex() == _BINARY_BATCH_PIN
+        members = [request_member(i, r) for i, r in enumerate(_batch_requests(), start=1)]
+        assert encode_requests(members)[4:].hex() == _BINARY_BATCH_PIN
 
-    def test_binary_payloads_decode_to_the_logical_frame(self):
-        for pin in (
-            _BINARY_REQUEST_PIN,
-            _BINARY_ERASED_REQUEST_PIN,
-            _BINARY_RESPONSE_PIN,
-            _BINARY_BATCH_PIN,
+    def test_pinned_payloads_read_back_to_their_objects(self):
+        # Reading is the exact inverse of writing, not a lossy projection.
+        for pin, expected in (
+            (_BINARY_REQUEST_PIN, [(3, _request())]),
+            (_BINARY_ERASED_REQUEST_PIN, [(3, _erased_request())]),
+            (_BINARY_BATCH_PIN, list(enumerate(_batch_requests(), start=1))),
         ):
             payload = bytes.fromhex(pin)
-            frame = decode_payload(payload)
-            # Re-encoding the decoded frame reproduces the pinned bytes:
-            # decode is the exact inverse of encode, not a lossy projection.
-            assert encode_frame(frame, CODEC_BINARY)[4:] == payload
+            assert _scanned_requests(payload) == expected
+            assert encode_requests(scan_requests(payload))[4:] == payload
+        [(frame_id, fields)] = read_responses(bytes.fromhex(_BINARY_RESPONSE_PIN))
+        response = _pinned_response()
+        assert frame_id == 3
+        assert DecodeResponse(response.request, *fields).to_dict() == response.to_dict()
+        assert protocol.body_dict(response_body(response)) == _response_payload()
 
-    def test_batch_decode_shares_session_objects(self):
-        frame = decode_payload(bytes.fromhex(_BINARY_BATCH_PIN))
-        members = frame["requests"]
-        assert members[0]["request"]["session"] is members[1]["request"]["session"]
+    def test_batch_scan_shares_session_blobs(self):
+        first, second = scan_requests(bytes.fromhex(_BINARY_BATCH_PIN))
+        assert first[1] is second[1]
 
     def test_magic_byte_sniffing(self):
-        # A binary payload starts 0xB2; a JSON one starts '{' — one reader.
+        # A binary payload starts 0xB2; a JSON one starts '{'.
         assert bytes.fromhex(_BINARY_REQUEST_PIN)[:1] == b"\xb2"
-        json_payload = encode_frame({"kind": "bye"}, CODEC_JSON)[4:]
-        assert json_payload[:1] == b"{"
+        assert binary_kind(bytes.fromhex(_BINARY_BATCH_PIN)) == "request-batch"
+        json_payload = encode_frame({"kind": "bye"})[4:]
+        assert json_payload[:1] == b"{" and binary_kind(json_payload) is None
 
-    def test_control_frames_stay_json_on_codec_2(self):
-        payload = encode_frame({"kind": "drain", "reason": "stopping"}, CODEC_BINARY)[4:]
-        assert payload[:1] == b"{"
+    def test_json_reader_refuses_binary_payloads(self):
+        # Each binary layout has one reader, and decode_payload is not it.
+        for pin in _BINARY_PINS:
+            with pytest.raises(ProtocolError, match="unexpected binary"):
+                decode_payload(bytes.fromhex(pin))
 
-    def test_unrepresentable_frame_falls_back_to_json(self):
-        # A null frame id has no binary layout; the frame silently rides
-        # codec 1 and decodes identically.
-        frame = {"kind": "request", "id": None, "request": _request().to_dict()}
-        payload = encode_frame(frame, CODEC_BINARY)[4:]
-        assert payload[:1] == b"{"
-        assert decode_payload(payload) == frame
-
-    @pytest.mark.parametrize(
-        "response",
-        [
-            {"status": "ok", "batch_size": 2.5, "outcome": {"defect_count": 1.9, "counters": {}}},
-            {"status": "ok", "cached": 1},
-            {"outcome": {"result": {"pairs": [], "weight": 2.5}, "counters": {}}},
-        ],
-        ids=["float-counts", "int-flag", "float-weight"],
-    )
-    def test_lossy_response_fields_ride_json_not_rounded(self, response):
-        # The binary body would round a float count and read an int flag
-        # back as a bool; the wireform rules refuse both, so the frame
-        # falls back to JSON and decodes exactly as it was written.
-        frame = {"kind": "response", "id": 7, "response": response}
-        payload = encode_frame(frame, CODEC_BINARY)[4:]
-        assert payload[:1] == b"{"
-        assert decode_payload(payload) == frame
+    def test_request_id_outside_int64_has_no_binary_member(self):
+        # NetClient sends such a request in a JSON frame instead.
+        request = DecodeRequest(_key(), Syndrome(defects=(1, 4)), request_id=2**63)
+        with pytest.raises(ValueError, match="int64"):
+            request_member(1, request)
 
     def test_truncated_binary_frame_raises(self):
         payload = bytes.fromhex(_BINARY_REQUEST_PIN)
         for cut in (1, 2, 11, len(payload) - 3):
             with pytest.raises(ProtocolError):
-                decode_payload(payload[:cut])
+                scan_requests(payload[:cut])
+        # The client reads a response only after binary_kind saw its kind.
+        payload = bytes.fromhex(_BINARY_RESPONSE_PIN)
+        for cut in (2, 11, len(payload) - 3):
+            with pytest.raises(ProtocolError):
+                read_responses(payload[:cut])
 
     def test_bad_syndrome_tag_raises(self):
         # Tag 3 is a flip value outside null/false/true; tag 8 sets a bit
@@ -434,11 +445,12 @@ class TestBinaryCodec:
         for tag in (3, 8):
             payload[tag_offset] = tag
             with pytest.raises(ProtocolError, match=f"bad syndrome tag {tag}"):
-                decode_payload(bytes(payload))
+                scan_requests(bytes(payload))
 
     def test_unknown_binary_kind_raises(self):
-        with pytest.raises(ProtocolError, match="unknown binary frame kind"):
-            decode_payload(b"\xb2\x7f" + b"\x00" * 16)
+        for read in (scan_requests, decode_payload):
+            with pytest.raises(ProtocolError, match="unknown binary frame kind"):
+                read(b"\xb2\x7f" + b"\x00" * 16)
 
     def test_negotiation(self):
         assert negotiate_codec([2, 1]) == CODEC_BINARY
@@ -448,6 +460,9 @@ class TestBinaryCodec:
         assert negotiate_codec([99, "2", 2]) == CODEC_BINARY  # junk ignored
         assert negotiate_codec([99, None]) == CODEC_JSON
         assert SUPPORTED_CODECS == (CODEC_BINARY, CODEC_JSON)
+        for offered in (5, 2.0, "21", {"2": 1}):
+            with pytest.raises(ProtocolError, match="codecs must be a list"):
+                negotiate_codec(offered)
 
 
 _JSON_SCALARS = st.one_of(
@@ -516,66 +531,9 @@ _RESPONSE = st.fixed_dictionaries(
         "error": st.one_of(st.none(), st.text(max_size=30)),
     }
 )
-
-
-class TestCodecProperties:
-    """Hypothesis round-trips: decode(encode(frame)) == frame on both codecs.
-
-    The generated frames stay inside each binary layout's value ranges, so
-    on codec 2 these exercise the struct-packed path (not the fallback);
-    codec 1 covers the same frames through canonical JSON.
-    """
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        frame_id=st.integers(-(2**63), 2**63 - 1),
-        request=_REQUEST,
-        codec=st.sampled_from(SUPPORTED_CODECS),
-    )
-    def test_request_roundtrip(self, frame_id, request, codec):
-        frame = {"kind": "request", "id": frame_id, "request": request}
-        assert decode_payload(encode_frame(frame, codec)[4:]) == frame
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        frame_id=st.integers(-(2**63), 2**63 - 1),
-        response=_RESPONSE,
-        codec=st.sampled_from(SUPPORTED_CODECS),
-    )
-    def test_response_roundtrip(self, frame_id, response, codec):
-        frame = {"kind": "response", "id": frame_id, "response": response}
-        assert decode_payload(encode_frame(frame, codec)[4:]) == frame
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        members=st.lists(
-            st.fixed_dictionaries(
-                {"id": st.integers(-(2**63), 2**63 - 1), "request": _REQUEST}
-            ),
-            min_size=1,
-            max_size=5,
-        ),
-        codec=st.sampled_from(SUPPORTED_CODECS),
-    )
-    def test_request_batch_roundtrip(self, members, codec):
-        frame = {"kind": "request-batch", "requests": members}
-        assert decode_payload(encode_frame(frame, codec)[4:]) == frame
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        members=st.lists(
-            st.fixed_dictionaries(
-                {"id": st.integers(-(2**63), 2**63 - 1), "response": _RESPONSE}
-            ),
-            min_size=1,
-            max_size=5,
-        ),
-        codec=st.sampled_from(SUPPORTED_CODECS),
-    )
-    def test_response_batch_roundtrip(self, members, codec):
-        frame = {"kind": "response-batch", "responses": members}
-        assert decode_payload(encode_frame(frame, codec)[4:]) == frame
-
+_RESPONSE_OBJECT = _RESPONSE.map(
+    lambda payload: DecodeResponse.from_dict(payload, request=_request())
+)
 
 _I64 = st.integers(-(2**63), 2**63 - 1)
 _HOT_FRAMES = st.one_of(
@@ -591,13 +549,69 @@ _HOT_FRAMES = st.one_of(
     ),
 )
 
+#: A request member with its syndrome still in dict form:
+#: ``(frame id, session blob, request id, syndrome dict)``.
+_MEMBER = st.tuples(_I64, _SESSION.map(canonical_json), _I64, _SYNDROME)
+
+
+def _packed(member: tuple) -> tuple:
+    frame_id, blob, request_id, syndrome = member
+    return frame_id, blob, request_id, protocol.pack_syndrome(syndrome)
+
+
+def _requests_payload(members: list) -> bytes:
+    return encode_requests([_packed(member) for member in members])[4:]
+
+
+def _responses_payload(members: list) -> bytes:
+    return encode_responses([(i, response_body(response)) for i, response in members])[4:]
+
+
+#: Payloads of every hot frame in either codec, as their writers write them.
+_ENCODINGS = st.one_of(
+    _HOT_FRAMES.map(lambda frame: encode_frame(frame)[4:]),
+    st.lists(_MEMBER, min_size=1, max_size=3).map(_requests_payload),
+    st.lists(st.tuples(_I64, _RESPONSE_OBJECT), min_size=1, max_size=3).map(_responses_payload),
+)
+
+
+class TestCodecProperties:
+    """Hypothesis round-trips through each codec's one writer and reader.
+
+    The generated values stay inside each binary layout's value ranges.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(frame=_HOT_FRAMES)
+    def test_json_frames_roundtrip(self, frame):
+        assert decode_payload(encode_frame(frame)[4:]) == frame
+
+    @settings(max_examples=80, deadline=None)
+    @given(members=st.lists(_MEMBER, min_size=1, max_size=5))
+    def test_request_members_roundtrip(self, members):
+        payload = _requests_payload(members)
+        assert binary_kind(payload) == ("request" if len(members) == 1 else "request-batch")
+        scanned = scan_requests(payload)
+        assert scanned == [_packed(member) for member in members]
+        for (*_, syndrome), member in zip(scanned, members):
+            assert syndrome_object(syndrome) == Syndrome.from_dict(member[3])
+
+    @settings(max_examples=80, deadline=None)
+    @given(members=st.lists(st.tuples(_I64, _RESPONSE_OBJECT), min_size=1, max_size=5))
+    def test_response_bodies_roundtrip(self, members):
+        payload = _responses_payload(members)
+        assert binary_kind(payload) == ("response" if len(members) == 1 else "response-batch")
+        read = read_responses(payload)
+        assert [frame_id for frame_id, _ in read] == [frame_id for frame_id, _ in members]
+        for (_, fields), (_, response) in zip(read, members):
+            assert DecodeResponse(response.request, *fields).to_dict() == response.to_dict()
+            assert protocol.body_dict(response_body(response)) == _echoless(response)
+
 
 @st.composite
 def _mutated_encodings(draw) -> bytes:
     """A hot frame in either codec, then 1-4 byte flips, cuts or inserts."""
-    payload = bytearray(
-        encode_frame(draw(_HOT_FRAMES), draw(st.sampled_from(SUPPORTED_CODECS)))[4:]
-    )
+    payload = bytearray(draw(_ENCODINGS))
     for _ in range(draw(st.integers(1, 4))):
         position = draw(st.integers(0, len(payload)))
         mutation = draw(st.sampled_from(("flip", "cut", "insert")))
@@ -615,55 +629,8 @@ _NESTED = b"[" * 100_000
 _NESTED_SESSION_REQUEST = struct.pack("<BBqI", 0xB2, 0x01, 1, len(_NESTED)) + _NESTED
 
 
-_MEMBER = st.tuples(
-    _I64,
-    _SESSION.map(canonical_json),
-    _I64,
-    _SYNDROME.map(protocol.pack_syndrome),
-)
-
-
 class TestRequestScanner:
-    """The front end's request scanner: the members it hands back agree
-    with the logical frame, and hostile bytes raise ``ProtocolError``."""
-
-    @settings(max_examples=80, deadline=None)
-    @given(members=st.lists(_MEMBER, min_size=1, max_size=5), batch=st.booleans())
-    def test_members_agree_with_decode_payload(self, members, batch):
-        members = members if batch else members[:1]
-        kind = "request-batch" if batch else "request"
-        payload = protocol._framed(protocol._request_parts(members, batch))[4:]
-        scanned = protocol.scan_requests(payload)
-        assert scanned == members
-        frame = decode_payload(payload)
-        assert frame["kind"] == kind
-        logical = frame["requests"] if batch else [frame]
-        assert len(logical) == len(scanned)
-        for (frame_id, blob, request_id, syndrome), member in zip(scanned, logical):
-            request = member["request"]
-            assert member["id"] == frame_id and request["request_id"] == request_id
-            assert request["session"].blob == blob
-            assert protocol.pack_syndrome(request["syndrome"]) == syndrome
-            rebuilt = protocol.syndrome_object(syndrome)
-            assert rebuilt == Syndrome.from_dict(request["syndrome"])
-
-    @settings(max_examples=60, deadline=None)
-    @given(members=st.lists(st.fixed_dictionaries({"id": _I64, "request": _REQUEST}), max_size=3))
-    def test_encoded_frames_scan_to_their_members(self, members):
-        for frame in (
-            {"kind": "request-batch", "requests": members},
-            *({"kind": "request", **member} for member in members),
-        ):
-            payload = encode_frame(frame, CODEC_BINARY)[4:]
-            scanned = protocol.scan_requests(payload)
-            logical = decode_payload(payload)
-            logical = logical.get("requests", [logical])
-            assert [(m[0], m[2]) for m in scanned] == [
-                (m["id"], m["request"]["request_id"]) for m in logical
-            ]
-            assert [protocol.syndrome_object(m[3]).to_dict() for m in scanned] == [
-                Syndrome.from_dict(m["request"]["syndrome"]).to_dict() for m in logical
-            ]
+    """The front end's request scanner: hostile bytes raise ``ProtocolError``."""
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -679,12 +646,37 @@ class TestRequestScanner:
     @example(payload=b"\xb2\x03\x01\x00\xff\xff\xff\xff")
     def test_hostile_bytes_give_members_or_protocol_error(self, payload):
         try:
-            members = protocol.scan_requests(payload)
+            members = scan_requests(payload)
         except ProtocolError:
             return
         for frame_id, blob, request_id, syndrome in members:
             assert isinstance(blob, str) and isinstance(syndrome, bytes)
-            protocol.syndrome_object(syndrome)  # a scanned span always reads
+            syndrome_object(syndrome)  # a scanned span always reads
+
+
+class TestResponseReader:
+    """The client's response reader: whatever bytes carry a binary response
+    kind read to members or raise ``ProtocolError``, which the client
+    turns into a failed connection rather than a dead reader thread."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        payload=st.one_of(
+            st.tuples(st.sampled_from((2, 4)), st.binary(max_size=200)).map(
+                lambda t: bytes((0xB2, t[0])) + t[1]
+            ),
+            _mutated_encodings(),
+        )
+    )
+    def test_hostile_bytes_give_members_or_protocol_error(self, payload):
+        try:
+            if binary_kind(payload) not in ("response", "response-batch"):
+                return
+            members = read_responses(payload)
+        except ProtocolError:
+            return
+        for _frame_id, fields in members:
+            DecodeResponse(_request(), *fields)
 
 
 def _served_responses(decoder: str, shots: int = 25):
@@ -713,48 +705,26 @@ def _served_responses(decoder: str, shots: int = 25):
     return pairs
 
 
-def _echoless(response: DecodeResponse) -> dict:
-    payload = response.to_dict()
-    del payload["request"]
-    return payload
-
-
 class TestWireIdentity:
-    """The object writers and readers of the forwarding path produce
-    exactly the bytes and values the logical-dict codec does."""
+    """Real traffic of every backend crosses the binary path unchanged:
+    what the worker and the client rebuild equals what was sent."""
 
     @pytest.mark.parametrize(
         "decoder", ["lut+union-find", "union-find", "micro-blossom", "reference"]
     )
-    def test_object_writers_match_encode_frame(self, decoder):
+    def test_served_traffic_round_trips(self, decoder):
         pairs = _served_responses(decoder)
-        members = [protocol.request_member(i, request) for i, (request, _) in enumerate(pairs)]
-        bodies = [(i, protocol.response_body(response)) for i, (_, response) in enumerate(pairs)]
-        for (request, response), member, (frame_id, body) in zip(pairs, members, bodies):
-            frame = {"kind": "request", "id": frame_id, "request": request.to_dict()}
-            assert protocol.encode_requests([member]) == encode_frame(frame, CODEC_BINARY)
-            frame = {"kind": "response", "id": frame_id, "response": _echoless(response)}
-            assert protocol.encode_responses([(frame_id, body)]) == encode_frame(
-                frame, CODEC_BINARY
-            )
+        members = [request_member(i, request) for i, (request, _) in enumerate(pairs)]
+        bodies = [(i, response_body(response)) for i, (_, response) in enumerate(pairs)]
+        expected = [(i, request) for i, (request, _) in enumerate(pairs)]
+        for member, single in zip(members, expected):
+            assert _scanned_requests(encode_requests([member])[4:]) == [single]
+        assert _scanned_requests(encode_requests(members)[4:]) == expected
+        for (_, response), (_, body) in zip(pairs, bodies):
             assert protocol.body_dict(body) == _echoless(response)
-        frame = {
-            "kind": "request-batch",
-            "requests": [
-                {"id": i, "request": request.to_dict()} for i, (request, _) in enumerate(pairs)
-            ],
-        }
-        assert protocol.encode_requests(members) == encode_frame(frame, CODEC_BINARY)
-        frame = {
-            "kind": "response-batch",
-            "responses": [
-                {"id": i, "response": _echoless(response)} for i, (_, response) in enumerate(pairs)
-            ],
-        }
-        spliced = protocol.encode_responses(bodies)
-        assert spliced == encode_frame(frame, CODEC_BINARY)
-        # The client's reader rebuilds every field the dict path would.
-        read = protocol.read_responses(spliced[4:])
+        spliced = encode_responses(bodies)
+        # The client's reader rebuilds every field the JSON path would.
+        read = read_responses(spliced[4:])
         assert [frame_id for frame_id, _ in read] == list(range(len(pairs)))
         for (request, response), (_, fields) in zip(pairs, read):
             rebuilt = DecodeResponse(request, *fields)
@@ -767,8 +737,8 @@ class TestWireIdentity:
 
     def test_worker_builds_the_syndrome_the_client_sent(self):
         for request, _ in _served_responses("union-find") + [(_erased_request(), None)]:
-            _, blob, request_id, syndrome = protocol.request_member(1, request)
-            assert protocol.syndrome_object(syndrome) == request.syndrome
+            _, blob, request_id, syndrome = request_member(1, request)
+            assert syndrome_object(syndrome) == request.syndrome
             assert intern_session(blob) == request.session and request_id == request.request_id
 
     @pytest.mark.parametrize(
@@ -818,21 +788,32 @@ class TestHostileBytes:
         assert isinstance(frame, dict) and "kind" in frame
 
 
+def _read_payload(payload: bytes):
+    """A payload read as the network path reads it: a binary request by
+    the front end's scanner, a binary response by the client's reader, and
+    anything else as JSON."""
+    kind = binary_kind(payload)
+    if kind in ("request", "request-batch"):
+        return scan_requests(payload)
+    if kind in ("response", "response-batch"):
+        return read_responses(payload)
+    return decode_payload(payload)
+
+
 def _read_stream(data: bytes) -> list:
     """Every outcome of reading ``data`` then EOF frame by frame: frames,
     then one of ``None`` (clean EOF), ``"protocol"`` or ``"mid-frame"``."""
     buffer, outcomes = bytearray(data), []
     try:
         while payloads := pop_frames(buffer):
-            outcomes += map(decode_payload, payloads)
+            outcomes += map(_read_payload, payloads)
     except ProtocolError:
         return outcomes + ["protocol"]
     return outcomes + ([None] if not buffer else ["mid-frame"])
 
 
 _STREAM_PIECES = st.one_of(
-    st.builds(lambda frame, codec: encode_frame(frame, codec), _HOT_FRAMES,
-              st.sampled_from(SUPPORTED_CODECS)),
+    _ENCODINGS.map(lambda payload: struct.pack(">I", len(payload)) + payload),
     st.binary(max_size=40),
     st.integers(0, 2**32 - 1).map(lambda n: struct.pack(">I", n)),
 )
@@ -855,13 +836,14 @@ class TestReadFrame:
         *frames, ending = outcomes
         assert ending in (None, "protocol", "mid-frame")
         for frame in frames:
-            assert isinstance(frame, dict) and "kind" in frame
+            # A JSON frame, or the members of a binary one.
+            assert isinstance(frame, list) or "kind" in frame
 
     def test_whole_frames_then_eof_end_cleanly(self):
-        frames = [{"kind": "bye"}, {"kind": "request", "id": 3, "request": _request().to_dict()}]
-        data = b"".join(encode_frame(frame, CODEC_BINARY) for frame in frames)
-        assert _read_stream(data) == frames + [None]
-        assert _read_stream(data[:-1]) == frames[:1] + ["mid-frame"]
+        member = request_member(3, _request())
+        data = encode_frame({"kind": "bye"}) + encode_requests([member])
+        assert _read_stream(data) == [{"kind": "bye"}, [member], None]
+        assert _read_stream(data[:-1]) == [{"kind": "bye"}, "mid-frame"]
         assert _read_stream(data[:2]) == ["mid-frame"]
 
     def test_oversized_length_prefix_is_refused_before_the_body(self):
