@@ -27,30 +27,6 @@ from ..graphs.syndrome import MatchingResult, correction_edges
 from .wireform import WireForm, dump_fields
 
 
-def counter_delta(before: Counter, *sources) -> Counter:
-    """Per-shot counter delta: the sum of ``sources`` minus ``before``.
-
-    Zero entries are dropped so the delta of a reused engine is identical to
-    the counters of a freshly-built one.
-
-    >>> counter_delta(Counter(a=1), Counter(a=3, b=2))
-    Counter({'a': 2, 'b': 2})
-    >>> counter_delta(Counter(a=1), Counter(a=1))
-    Counter()
-    """
-    if len(sources) == 1:
-        after = sources[0]
-    else:
-        after = dict(sources[0])
-        for source in sources[1:]:
-            for key, value in source.items():
-                after[key] = after.get(key, 0) + value
-    get = before.get
-    return Counter(
-        {key: difference for key, value in after.items() if (difference := value - get(key, 0))}
-    )
-
-
 def latency_counters(outcome: "DecodeOutcome") -> Counter:
     """The counters a timing model prices for one decoded shot.
 

@@ -11,7 +11,6 @@ which is where the hot-path win of the unified API comes from (see
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Sequence
 
 from ..graphs.decoding_graph import DecodingGraph
@@ -27,10 +26,10 @@ class DecoderSession:
 
     The session exposes the full :class:`~repro.api.protocol.Decoder` surface
     (``decode`` / ``decode_to_correction`` / ``decode_detailed``) plus batch
-    decoding and aggregate statistics (``total_counters`` aggregates over the
-    ``decode_detailed``/``decode_to_correction``/``decode_batch`` paths).
-    ``reset()`` returns the session to its freshly-built state; decoding
-    after a reset yields matchings identical to a brand-new decoder.
+    decoding, and counts the shots it decoded.  Each outcome carries its own
+    shot's counters.  ``reset()`` returns the session to its freshly-built
+    state; decoding after a reset yields matchings identical to a brand-new
+    decoder.
 
     >>> from repro.graphs import SyndromeSampler, circuit_level_noise, surface_code_decoding_graph
     >>> graph = surface_code_decoding_graph(3, circuit_level_noise(0.01))
@@ -54,7 +53,6 @@ class DecoderSession:
         self.name = name
         self.decoder = spec.factory(graph, self.config)
         self.shots = 0
-        self.total_counters: Counter = Counter()
 
     # ------------------------------------------------------------------
     # Decoder protocol
@@ -75,22 +73,17 @@ class DecoderSession:
     def decode_detailed(self, syndrome: Syndrome) -> DecodeOutcome:
         outcome = self.decoder.decode_detailed(syndrome)
         self.shots += 1
-        # Counter.update's own loop, without its per-call Mapping check.
-        total = self.total_counters
-        for key, value in outcome.counters.items():
-            total[key] = value + total.get(key, 0)
         return outcome
 
     # ------------------------------------------------------------------
     # session management
     # ------------------------------------------------------------------
     def reset(self) -> None:
-        """Discard all cached per-shot state and aggregate statistics."""
+        """Discard all cached per-shot state and the shot count."""
         reset = getattr(self.decoder, "reset", None)
         if callable(reset):
             reset()
         self.shots = 0
-        self.total_counters = Counter()
 
     def decode_batch(
         self, syndromes: Sequence[Syndrome], workers: int = 1
@@ -109,7 +102,6 @@ class DecoderSession:
             self.graph, self.name, syndromes, config=self.config, workers=workers
         )
         self.shots += batch.num_shots
-        self.total_counters.update(batch.counters)
         return batch
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -60,7 +60,6 @@ class MicroBlossomAccelerator(DualGraphState):
         #: Vertices whose pre-match may have changed while tightness did not
         #: (see :meth:`_recheck_prematches`).
         self._recheck: set[int] = set()
-        self._prematched_floor: int = 0
         self._directed: set[int] = set()
         super().__init__(graph, scale=scale)
         #: Zero-weight (erased) edges at each vertex, in adjacency order:
@@ -90,11 +89,7 @@ class MicroBlossomAccelerator(DualGraphState):
         self._prematches_dirty = True
         self._recheck.clear()
         self._directed.clear()
-        # ``prematched_defects`` is a per-shot high-water mark; remember the
-        # cumulative value at reset so reused engines report per-shot deltas
-        # identical to a freshly-built accelerator.
-        self._prematched_floor = self.counters.get("prematched_defects", self._prematched_floor)
-        self.counters["bus_words"] = self.counters.get("bus_words", 0) + 1
+        self.counters["bus_words"] = 1  # the reset instruction word
 
     def load(self, defects: Iterable[int], layers: Iterable[int] | None = None) -> None:
         known = len(self.defect_root)
@@ -185,8 +180,7 @@ class MicroBlossomAccelerator(DualGraphState):
             self._recheck.clear()
             if self._prematches:
                 self.counters["prematched_defects"] = max(
-                    self.counters.get("prematched_defects", 0),
-                    self._prematched_floor + len(self._prematches),
+                    self.counters.get("prematched_defects", 0), len(self._prematches)
                 )
         return self._prematches
 
@@ -311,16 +305,13 @@ class MicroBlossomAccelerator(DualGraphState):
     # hardware report for the latency/resource models
     # ------------------------------------------------------------------
     def hardware_report(self) -> dict[str, int]:
-        """Bus and instruction statistics accumulated since construction."""
+        """Bus and instruction statistics of the shot since the last reset."""
         return self.hardware_report_from(self.counters)
 
     @staticmethod
     def hardware_report_from(counters) -> dict[str, int]:
-        """Bus and instruction statistics from a counter snapshot.
-
-        Used with per-shot counter deltas when the accelerator model is
-        reused across decodes (engine reuse / decoder sessions).
-        """
+        """Bus and instruction statistics from a shot's counters (a decode
+        outcome's, or the accelerator's own)."""
         return {
             "bus_words": int(counters.get("bus_words", 0)),
             "response_reads": int(counters.get("response_reads", 0)),

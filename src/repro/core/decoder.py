@@ -15,9 +15,11 @@ CPU, and — for stream decoding — the share of the work that happens after th
 final measurement round arrived (which is what determines the decoding
 latency).
 
-In stream mode each round is fused by one internal push step that records no
-counter delta of its own: :meth:`MicroBlossomDecoder.push_round` computes the
-round's delta at the public boundary, from the snapshot the step took, while
+The engines count one shot: every decode ``reset()``s them, which zeroes
+their counters, so an outcome reports their counts as they are.  In stream
+mode each round is fused by one internal push step that records no counter
+delta of its own: :meth:`MicroBlossomDecoder.push_round` computes the round's
+delta at the public boundary, from the snapshot the step took, while
 ``decode_detailed`` drives the same step, snapshots only the final round (the
 one its ``post_final_round_counters`` are measured from) and reads the
 outcome's totals.  A round costs the host only what it adds: an empty round
@@ -36,7 +38,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from ..api.outcome import DecodeOutcome, counter_delta
+from ..api.outcome import DecodeOutcome
 from ..api.protocol import check_stream_begin, check_stream_round
 from ..graphs.decoding_graph import DecodingGraph
 from ..graphs.syndrome import (
@@ -60,10 +62,14 @@ class MicroBlossomOutcome(DecodeOutcome):
     """Full record of one Micro Blossom decoding run."""
 
     post_final_round_counters: Counter = field(default_factory=Counter)
-    hardware_report: dict = field(default_factory=dict)
     prematched_pairs: int = 0
     stream: bool = False
     prematching: bool = True
+
+    @property
+    def hardware_report(self) -> dict[str, int]:
+        """Bus and instruction statistics of the shot, from ``counters``."""
+        return MicroBlossomAccelerator.hardware_report_from(self.counters)
 
 
 @dataclass
@@ -72,14 +78,13 @@ class _StreamState:
 
     accelerator: MicroBlossomAccelerator
     primal: PrimalModule
-    baseline: dict
     scale: int
     #: Defects of every round pushed so far (replayed on a scale retry).
     rounds: list[tuple[int, ...]] = field(default_factory=list)
-    #: Absolute counter snapshot taken at the start of the latest round —
-    #: the work recorded after it is what remains once the final round
-    #: arrived (paper §8.2).
-    last_snapshot: dict = field(default_factory=dict)
+    #: Counter snapshot taken at the start of the latest round — the work
+    #: recorded after it is what remains once the final round arrived
+    #: (paper §8.2).
+    last_snapshot: Counter = field(default_factory=Counter)
     #: Snapshot every round's start (``push_round`` reports each round's
     #: delta); otherwise only the final round's, the one ``finalize`` reads.
     every_round: bool = True
@@ -87,9 +92,11 @@ class _StreamState:
     any_defects: bool = False
 
 
-def _snapshot(dual: DualGraphState, primal: PrimalModule) -> dict:
-    """Absolute counters of both engines as one dict (their keys are disjoint)."""
-    return {**dual.counters, **primal.counters}
+def _snapshot(dual: DualGraphState, primal: PrimalModule) -> Counter:
+    """Both engines' counts of the shot so far (their keys are disjoint), as
+    one new Counter without zero entries."""
+    counts = {**dual.counters, **primal.counters}
+    return Counter({key: value for key, value in counts.items() if value})
 
 
 class BlossomDriver:
@@ -102,9 +109,8 @@ class BlossomDriver:
     Subclasses supply ``_build_engines(scale)`` and
     ``_decode_once(syndrome, scale)``.
 
-    Each decode snapshots the cached engines' counters and ``reset()``s
-    them, and reports per-shot counter deltas, so its results and statistics
-    equal those of a freshly built decoder:
+    Each decode ``reset()``s the cached engines, which zeroes their counters,
+    so its results and statistics equal those of a freshly built decoder:
 
     >>> from repro.graphs import SyndromeSampler, circuit_level_noise, surface_code_decoding_graph
     >>> graph = surface_code_decoding_graph(3, circuit_level_noise(0.02))
@@ -148,23 +154,16 @@ class BlossomDriver:
         """Drop all cached engines; the next decode rebuilds them."""
         self._engines = {}
 
-    def _acquire(self, scale: int) -> tuple[DualGraphState, PrimalModule, dict]:
-        """Return a dual/primal pair ready for one decode.
-
-        For a reused pair the returned baseline holds the counters
-        accumulated by previous shots (snapshotted *before* the reset, so the
-        reset instruction is accounted to the new shot exactly as
-        construction-time reset is for a fresh pair).
-        """
+    def _acquire(self, scale: int) -> tuple[DualGraphState, PrimalModule]:
+        """Return a dual/primal pair ready for one decode: freshly built,
+        or the cached pair ``reset()`` (counters included)."""
         cached = self._engines.get(scale)
         if cached is None:
-            dual, primal = self._engines[scale] = self._build_engines(scale)
-            return dual, primal, {}
-        dual, primal = cached
-        baseline = _snapshot(dual, primal)
-        dual.reset()
-        primal.reset()
-        return dual, primal, baseline
+            cached = self._engines[scale] = self._build_engines(scale)
+        else:
+            for engine in cached:
+                engine.reset()
+        return cached
 
     @staticmethod
     def _with_scale_retries(attempt, scale: int, retries: int = 0):
@@ -253,11 +252,10 @@ class MicroBlossomDecoder(BlossomDriver):
                 "erasures need the erasure-aware registry wrapper "
                 "(repro.api.erasure)"
             )
-        accelerator, primal, baseline = self._acquire(self.scale)
+        accelerator, primal = self._acquire(self.scale)
         self._stream_state = _StreamState(
             accelerator=accelerator,
             primal=primal,
-            baseline=baseline,
             scale=self.scale,
             last_snapshot=_snapshot(accelerator, primal),
         )
@@ -278,9 +276,9 @@ class MicroBlossomDecoder(BlossomDriver):
         """
         since = self._push(defects)
         state = self._stream_state
-        return counter_delta(since, _snapshot(state.accelerator, state.primal))
+        return _snapshot(state.accelerator, state.primal) - since
 
-    def _push(self, defects: Iterable[int]) -> dict:
+    def _push(self, defects: Iterable[int]) -> Counter:
         """Fuse the next round, retrying at doubled scales on
         :class:`IntegralityError`; return the counter snapshot the round's
         work is measured from (the replay's start after a retry)."""
@@ -291,7 +289,7 @@ class MicroBlossomDecoder(BlossomDriver):
         defects = check_stream_round(self.graph, layer, defects)
         state.rounds.append(defects)
 
-        def attempt(scale: int) -> dict:
+        def attempt(scale: int) -> Counter:
             # The first attempt fuses the round into the running engines; a
             # doubled scale replays every round on fresh ones.
             if scale == state.scale:
@@ -312,8 +310,9 @@ class MicroBlossomDecoder(BlossomDriver):
         final pushed round arrived — the quantity that determines decoding
         latency (paper §8.2).
 
-        Otherwise ``counters`` is exactly ``begin``'s reset plus the pushes'
-        deltas (``prematched_defects``, a high-water mark, aside).  The one
+        Otherwise ``counters``, the engines' counts since ``begin`` reset
+        them, is exactly that reset plus the pushes' deltas
+        (``prematched_defects``, a high-water mark, aside).  The one
         exception is a stream that never loaded a defect: collecting its
         result scans for pre-matches, which builds the Covers once here,
         outside every push, so ``cover_cells_updated`` gains the boundary
@@ -323,17 +322,15 @@ class MicroBlossomDecoder(BlossomDriver):
         if state is None:
             raise RuntimeError("finalize before begin(); open a stream first")
         accelerator, primal = state.accelerator, state.primal
-        post_final = counter_delta(state.last_snapshot, _snapshot(accelerator, primal))
+        post_final = _snapshot(accelerator, primal) - state.last_snapshot
         defects = tuple(sorted(d for round_defects in state.rounds for d in round_defects))
         prematched = accelerator.prematched_pairs()
         result = self._collect_result(defects, prematched, primal)
-        counters = counter_delta(state.baseline, _snapshot(accelerator, primal))
         outcome = MicroBlossomOutcome(
             result=result,
             defect_count=len(defects),
-            counters=counters,
+            counters=_snapshot(accelerator, primal),
             post_final_round_counters=post_final,
-            hardware_report=MicroBlossomAccelerator.hardware_report_from(counters),
             prematched_pairs=len(prematched),
             stream=True,
             prematching=self.enable_prematching,
@@ -362,7 +359,7 @@ class MicroBlossomDecoder(BlossomDriver):
             primal.break_boundary_matches(accelerator.real_by_layer[layer])
             primal.run()
 
-    def _stream_replay(self, state: _StreamState) -> dict:
+    def _stream_replay(self, state: _StreamState) -> Counter:
         """Re-run every pushed round at ``state.scale`` on fresh engines.
 
         Returns the counter snapshot taken before the first replayed round:
@@ -370,10 +367,9 @@ class MicroBlossomDecoder(BlossomDriver):
         work, since the deltas earlier pushes reported belong to the
         abandoned engine.
         """
-        accelerator, primal, baseline = self._acquire(state.scale)
+        accelerator, primal = self._acquire(state.scale)
         state.accelerator = accelerator
         state.primal = primal
-        state.baseline = baseline
         state.any_defects = False
         since = _snapshot(accelerator, primal)
         for layer, defects in enumerate(state.rounds):
@@ -390,19 +386,17 @@ class MicroBlossomDecoder(BlossomDriver):
         return accelerator, PrimalModule(self.graph, accelerator)
 
     def _decode_once(self, syndrome: Syndrome, scale: int) -> MicroBlossomOutcome:
-        accelerator, primal, baseline = self._acquire(scale)
+        accelerator, primal = self._acquire(scale)
         accelerator.load(syndrome.defects)
         primal.run()
-        post_final = counter_delta(baseline, _snapshot(accelerator, primal))
+        post_final = _snapshot(accelerator, primal)
         prematched = accelerator.prematched_pairs()
         result = self._collect_result(syndrome.defects, prematched, primal)
-        counters = counter_delta(baseline, _snapshot(accelerator, primal))
         return MicroBlossomOutcome(
             result=result,
             defect_count=syndrome.defect_count,
-            counters=counters,
+            counters=_snapshot(accelerator, primal),
             post_final_round_counters=post_final,
-            hardware_report=MicroBlossomAccelerator.hardware_report_from(counters),
             prematched_pairs=len(prematched),
             stream=False,
             prematching=self.enable_prematching,

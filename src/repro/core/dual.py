@@ -34,7 +34,8 @@ vertices a Cover reaches and the edges at those vertices.
   order) is then replayed pair by pair in Cover order to name the two nodes
   and their Touches.
 
-Operation counters (the inputs of the accelerator and CPU cost models):
+Operation counters (the inputs of the accelerator and CPU cost models) count
+one shot, since ``reset()`` starts them afresh:
 
 * ``cover_cells_updated`` grows, each time the Covers are rebuilt after a
   change, by the number of covered ``(node, vertex)`` cells plus the number
@@ -171,7 +172,8 @@ class DualGraphState:
     # instruction set
     # ------------------------------------------------------------------
     def reset(self) -> None:
-        """Clear all PU state (the ``reset`` instruction)."""
+        """Clear all PU state (the ``reset`` instruction) and start the
+        counters of a new shot."""
         graph = self.graph
         self.loaded = np.zeros(graph.num_vertices, dtype=bool)
         self.is_defect = np.zeros(graph.num_vertices, dtype=bool)
@@ -185,7 +187,8 @@ class DualGraphState:
         self._covers: Covers | None = None
         #: ``None`` after a load: the boundary moved.
         self._boundary_view: _BoundaryView | None = None
-        self.counters["instr_reset"] += 1
+        self.counters.clear()
+        self.counters["instr_reset"] = 1
 
     def load(self, defects: Iterable[int], layers: Iterable[int] | None = None) -> None:
         """Load syndrome data into the vPUs (the ``load defects`` instruction).

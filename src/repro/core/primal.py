@@ -84,19 +84,16 @@ class PrimalModule:
     def __init__(self, graph: DecodingGraph, dual) -> None:
         self.graph = graph
         self.dual = dual
-        self.nodes: dict[int, PrimalNode] = {}
-        self._next_blossom_id = graph.num_vertices
         self._max_iterations = MAX_ITERATION_FACTOR * (graph.num_vertices + 10)
         self.counters: Counter = Counter()
+        self.reset()
 
     def reset(self) -> None:
-        """Forget every node so the module can decode a fresh syndrome.
-
-        Counters are deliberately kept cumulative (like the dual engine's);
-        callers that reuse the module across shots report per-shot deltas.
-        """
-        self.nodes = {}
+        """Forget every node and every count so the module can decode a
+        fresh syndrome."""
+        self.nodes: dict[int, PrimalNode] = {}
         self._next_blossom_id = self.graph.num_vertices
+        self.counters.clear()
 
     # ------------------------------------------------------------------
     # node bookkeeping

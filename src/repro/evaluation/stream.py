@@ -89,22 +89,6 @@ class StreamEngineResult(RateEstimate):
         return len(self.shards)
 
 
-def reaction_counters(earlier: Counter, total: Counter) -> Counter:
-    """Post-final-round work: the outcome total minus the earlier pushes.
-
-    Clamped at zero per key: after a mid-stream scale retry the push that
-    triggered it re-reports work of rounds whose original deltas belong to an
-    abandoned engine, so the earlier-push sum can exceed the outcome total —
-    the residue must never price negative seconds of work.
-    """
-    residue: Counter = Counter()
-    for key, value in total.items():
-        difference = value - earlier.get(key, 0)
-        if difference > 0:
-            residue[key] = difference
-    return residue
-
-
 # ---------------------------------------------------------------------------
 # the per-stream decode loop (run by the worker pool, inline or per process)
 # ---------------------------------------------------------------------------
@@ -135,11 +119,15 @@ def _run_stream_shard(
         defects += syndrome.defect_count
         rounds_total += len(rounds)
         # Everything not spent on rounds before the last one is reaction work:
-        # the final push plus finalize.
+        # the final push plus finalize.  Counter subtraction keeps positive
+        # counts only: after a mid-stream scale retry the push that
+        # triggered it re-reports work of rounds whose original deltas
+        # belong to an abandoned engine, so the earlier pushes can exceed
+        # the outcome total, and the residue must never price negative work.
         earlier: Counter = Counter()
         for push in pushes[:-1]:
             earlier.update(push)
-        residue = reaction_counters(earlier, outcome.counters)
+        residue = outcome.counters - earlier
         # Schedule the earlier pushes against the measurement cadence.
         finish = 0.0
         for index_r, push in enumerate(pushes[:-1]):

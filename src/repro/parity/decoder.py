@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..api.outcome import DecodeOutcome, counter_delta
-from ..core.decoder import BlossomDriver
+from ..api.outcome import DecodeOutcome
+from ..core.decoder import BlossomDriver, _snapshot
 from ..core.dual import DualGraphState
 from ..core.primal import PrimalModule
 from ..graphs.syndrome import Syndrome, matching_weight
@@ -65,7 +65,7 @@ class ParityBlossomDecoder(BlossomDriver):
         return dual, PrimalModule(self.graph, dual)
 
     def _decode_once(self, syndrome: Syndrome, scale: int) -> ParityDecodeOutcome:
-        dual, primal, baseline = self._acquire(scale)
+        dual, primal = self._acquire(scale)
         dual.load(syndrome.defects)
         for defect in syndrome.defects:
             primal.register_defect(defect)
@@ -73,7 +73,7 @@ class ParityBlossomDecoder(BlossomDriver):
         result = primal.collect_matching()
         result.weight = matching_weight(self.graph, result)
         result.validate_perfect(syndrome.defects)
-        counters = counter_delta(baseline, dual.counters, primal.counters)
+        counters = _snapshot(dual, primal)
         dual_work = int(counters.get("serial_dual_work", 0))
         primal_work = int(
             counters.get("conflicts_resolved", 0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import partial
 
 import pytest
@@ -28,6 +29,7 @@ from repro.api import (
 from repro.core import MicroBlossomDecoder
 from repro.core.dual import DEFAULT_DUAL_SCALE
 from repro.core.interface import IntegralityError
+from repro.core.primal import PrimalModule
 from repro.evaluation import estimate_logical_error_rate
 from repro.graphs import SyndromeSampler
 from repro.matching import ReferenceDecoder
@@ -217,20 +219,9 @@ class TestDecoderSession:
         first_pass = [session.decode_detailed(s) for s in syndromes]
         session.reset()
         assert session.shots == 0
-        assert not session.total_counters
         second_pass = [session.decode_detailed(s) for s in syndromes]
         for first, second in zip(first_pass, second_pass):
             _assert_same_outcome(graph, first, second)
-
-    def test_session_aggregates_counters(self, surface_d3_circuit):
-        graph = surface_d3_circuit
-        syndromes = _sample_syndromes(graph, 4, seed=8)
-        session = DecoderSession(graph, "parity-blossom")
-        outcomes = [session.decode_detailed(s) for s in syndromes]
-        for key in ("instr_reset", "obstacle_queries"):
-            assert session.total_counters[key] == sum(
-                outcome.counters[key] for outcome in outcomes
-            )
 
     def test_session_rejects_unknown_name(self, surface_d3_circuit):
         with pytest.raises(UnknownDecoderError):
@@ -279,6 +270,44 @@ class TestScaleRetries:
         assert again.scale_retries == 0
         assert seen_scales[-1] == base_scale
         assert decoder.scale == base_scale
+
+    @pytest.mark.parametrize(
+        "make",
+        [MicroBlossomDecoder, ParityBlossomDecoder, partial(MicroBlossomDecoder, stream=True)],
+        ids=["micro-blossom-batch", "parity-blossom", "micro-blossom-stream"],
+    )
+    def test_abandoned_engines_leak_no_counts_into_the_next_shot(
+        self, surface_d3_circuit, monkeypatch, make
+    ):
+        """The primal module does its real work at the base scale, then
+        raises once: the next decode reuses that half-used engine pair and
+        must report its own shot only, as a fresh decoder does."""
+        graph = surface_d3_circuit
+        first, second = [s for s in _sample_syndromes(graph, 40, seed=4) if s.defects][:2]
+        decoder = make(graph)
+        original = PrimalModule.run
+        pending = {"failures": 1}
+
+        def run_then_fail(self):
+            original(self)
+            if pending["failures"] and self.dual.scale == decoder.scale:
+                pending["failures"] -= 1
+                raise IntegralityError("forced after real work")
+
+        monkeypatch.setattr(PrimalModule, "run", run_then_fail)
+        assert decoder.decode_detailed(first).scale_retries == 1
+        again = decoder.decode_detailed(second)
+        fresh = make(graph).decode_detailed(second)
+        assert again.scale_retries == fresh.scale_retries == 0
+        assert again.result.pairs == fresh.result.pairs
+        assert again.weight == fresh.weight
+        assert again.counters == fresh.counters
+        assert getattr(again, "post_final_round_counters", None) == getattr(
+            fresh, "post_final_round_counters", None
+        )
+        dual, primal = decoder._engines[decoder.scale]
+        engines = Counter({**dual.counters, **primal.counters})
+        assert +engines == again.counters
 
     @pytest.mark.parametrize(
         "make, seam, scale_of",

@@ -25,6 +25,17 @@ def test_phases_add_up_to_each_decode(decoder):
         assert all(record[phase] >= 0 for phase in core_phases.PHASES if phase != "primal")
     finds = sum(record[phase] for record in measured["shots"] for phase in core_phases.FIND_PHASES)
     assert finds > 0
+    assert sum(record["bookkeeping"] for record in measured["shots"]) > 0
+
+
+def test_a_missing_bookkeeping_target_fails_loudly(monkeypatch):
+    import repro.parity.decoder as parity_decoder
+
+    monkeypatch.delattr(parity_decoder, "_snapshot")
+    before = dict(vars(MicroBlossomAccelerator))
+    with pytest.raises(AttributeError, match="_snapshot"):
+        core_phases.PhaseClock().install()
+    assert dict(vars(MicroBlossomAccelerator)) == before
 
 
 def test_shims_are_removed_after_a_run():

@@ -459,11 +459,11 @@ class TestStreamEngine:
         assert result.reaction.count == 32
 
     def test_reaction_counters_never_go_negative(self):
-        from repro.evaluation.stream import reaction_counters
-
+        """The shard loop's residue, ``outcome.counters - earlier``, after a
+        mid-stream retry made the earlier pushes exceed the total."""
         total = Counter({"instr_grow": 5, "instr_load": 2})
         earlier = Counter({"instr_grow": 9, "instr_find_obstacle": 3})
-        residue = reaction_counters(earlier, total)
+        residue = total - earlier
         assert residue == Counter({"instr_load": 2})
         assert all(value > 0 for value in residue.values())
 

@@ -12,7 +12,8 @@ defect-count class:
   obstacle`` calls, by the kind of answer;
 * ``other_dual``: ``set direction``, blossom changes and the final
   pre-match read;
-* ``bookkeeping``: the decoder's counter snapshots and deltas;
+* ``bookkeeping``: the decoder's counter snapshots (the engines count one
+  shot, so a decode reads them as they are);
 * ``primal``: the rest of the decode (the primal module and decoder glue).
 
 The shims cost about a microsecond per timed call, charged to the phase they
@@ -30,6 +31,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import statistics
 import sys
@@ -48,6 +50,12 @@ DUAL_PHASES = {
     "create_blossom": "other_dual",
     "expand_blossom": "other_dual",
     "prematched_pairs": "other_dual",
+}
+#: Counter bookkeeping timed as ``bookkeeping``, per decoder module.  Every
+#: name must exist: a renamed one would read 0 instead of failing.
+BOOKKEEPING = {
+    "repro.core.decoder": ("_snapshot",),
+    "repro.parity.decoder": ("_snapshot",),
 }
 FIND_PHASES = ("find:Conflict", "find:GrowLength", "find:Finished")
 PHASES = ("reset", "load", *FIND_PHASES, "grow", "other_dual", "bookkeeping", "primal")
@@ -88,20 +96,22 @@ class PhaseClock:
         setattr(owner, name, self._shim(original, phase))
 
     def install(self) -> None:
-        import repro.core.decoder as core_decoder
-        import repro.parity.decoder as parity_decoder
         from repro.core.accelerator import MicroBlossomAccelerator
         from repro.parity.decoder import SerialDualPhase
 
+        modules = {name: importlib.import_module(name) for name in BOOKKEEPING}
+        for name, targets in BOOKKEEPING.items():
+            missing = [target for target in targets if target not in vars(modules[name])]
+            if missing:
+                raise AttributeError(f"{name} has no {', '.join(missing)} to time")
         for engine in (MicroBlossomAccelerator, SerialDualPhase):
             for name, phase in DUAL_PHASES.items():
                 if hasattr(engine, name):
                     self._patch(engine, name, phase)
             self._patch(engine, "find_obstacle", "find")
-        for module in (core_decoder, parity_decoder):
-            for name in ("_snapshot", "counter_delta"):
-                if name in module.__dict__:
-                    self._patch(module, name, "bookkeeping")
+        for name, targets in BOOKKEEPING.items():
+            for target in targets:
+                self._patch(modules[name], target, "bookkeeping")
 
     def uninstall(self) -> None:
         for owner, name, original in reversed(self._saved):
