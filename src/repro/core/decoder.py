@@ -224,8 +224,8 @@ class MicroBlossomDecoder(BlossomDriver):
         """
         if not self.stream:
             return super().decode_detailed(syndrome)
-        self.begin(rounds_hint=self.graph.num_layers)
-        self._stream_state.every_round = False
+        # Every round is pushed, so no snapshot at the start is ever read.
+        self._stream_state = _StreamState(*self._acquire(self.scale), self.scale, every_round=False)
         for round_defects in syndrome.defects_by_layer(self.graph):
             self._push(round_defects)
         return self.finalize()

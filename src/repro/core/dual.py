@@ -14,9 +14,9 @@ next to a Cover ever change state.  This class keeps the same state and
 produces the same responses, and like the hardware it only touches the
 vertices a Cover reaches and the edges at those vertices.
 
-* **Covers.**  Every defect ``u`` keeps its shortest-distance row
-  ``d(u, ·)`` sorted once, ascending (scaled, memoized per vertex), so the
-  ball of radius ``R(u)`` is a prefix of it.  The residual of a node at
+* **Covers.**  The ball of radius ``R(u)`` around a defect ``u`` comes
+  from the graph's search from ``u`` (:meth:`DecodingGraph.search`), run
+  only as far as the Cover reaches.  The residual of a node at
   vertex ``v`` is ``max(R(u) - d(u, v))`` over the node's defects; the
   vertex lies in the Cover iff the residual is ``>= 0``.  The defect-node
   Covers form one map from each covered vertex to its cells ``(node,
@@ -50,8 +50,8 @@ one shot, since ``reset()`` starts them afresh:
 
 The host keeps the defect-node cells across loads that bring no new defect
 (an empty measurement round in stream mode changes only the boundary, which
-the queries read from the boundary mask), and rebuilds them from the sorted
-rows after any other change.  The counters are still charged as if the
+the queries read from the boundary mask), and rebuilds them from the balls
+after any other change.  The counters are still charged as if the
 hardware rebuilt everything: every query after a change charges the full
 cell count, whatever the host reused to get it.
 
@@ -163,8 +163,6 @@ class DualGraphState:
         #: What the boundary covers while it is the virtual vertices alone
         #: (batch decoding).
         self._virtual_view = self._view_of(self._virtual)
-        #: Per defect vertex: its sorted row (see :meth:`_ball`).
-        self._sorted_rows: dict[int, tuple[np.ndarray, list[list[int]], int]] = {}
         self.counters: Counter = Counter()
         self.reset()
 
@@ -373,29 +371,6 @@ class DualGraphState:
     # ------------------------------------------------------------------
     # cover maintenance
     # ------------------------------------------------------------------
-    def _ball(self, defect: int, radius: int) -> list[list[int]]:
-        """The vertices within ``radius`` of ``defect``, nearest first, and
-        their scaled distances.
-
-        Read from the defect's sorted row, built on first use: the reachable
-        vertices by distance and those distances, plus, as lists, the ball of
-        radius 0 and the distance beyond which the ball grows (most Covers
-        never get that far).
-        """
-        row = self._sorted_rows.get(defect)
-        if row is None:
-            distances = np.array(self.graph.shortest_distances(defect)[0], dtype=np.int64)
-            order = np.argsort(distances, kind="stable")
-            order = order[distances[order] >= 0]
-            sorted_row = np.stack((order, distances[order] * self.scale))
-            zero = int(np.count_nonzero(sorted_row[1] == 0))
-            beyond = int(sorted_row[1, zero]) if zero < len(order) else _UNBOUNDED
-            row = self._sorted_rows[defect] = (sorted_row, sorted_row[:, :zero].tolist(), beyond)
-        sorted_row, core, beyond = row
-        if radius < beyond:
-            return core
-        return sorted_row[:, : sorted_row[1].searchsorted(radius, "right")].tolist()
-
     def _ensure_covers(self) -> Covers:
         """The Covers of the current state.  The first query after a change
         charges ``cover_cells_updated`` with every cell, as a full rebuild
@@ -414,7 +389,8 @@ class DualGraphState:
         return covers
 
     def _build_covers(self) -> Covers:
-        """Cells of every defect node's Cover, from the sorted rows."""
+        """Cells of every defect node's Cover, from its defects' balls."""
+        search, scale = self.graph.search, self.scale
         members: dict[int, list[int]] = {}
         for defect in sorted(self.defect_radius):
             members.setdefault(self.defect_root[defect], []).append(defect)
@@ -425,8 +401,8 @@ class DualGraphState:
             best: dict[int, tuple[int, int]] = {}
             for defect in members[node]:
                 radius = self.defect_radius[defect]
-                for vertex, reach in zip(*self._ball(defect, radius)):
-                    residual = radius - reach
+                for vertex, reach in zip(*search(defect).ball(radius // scale)):
+                    residual = radius - reach * scale
                     held = best.get(vertex)
                     if held is None or residual > held[0]:
                         best[vertex] = (residual, defect)

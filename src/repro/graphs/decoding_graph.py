@@ -13,10 +13,11 @@ covers meet in the middle of an edge.
 
 from __future__ import annotations
 
-import heapq
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from heapq import heappop, heappush
+from typing import Container, Iterable, Sequence
 
 #: Internal multiplier applied to every quantised weight so that half-integral
 #: dual updates of the blossom algorithm become integral.
@@ -95,9 +96,9 @@ def quantized_weight(
 class DecodingGraph:
     """A weighted decoding graph with virtual (boundary) vertices.
 
-    The graph is immutable after construction.  It offers the adjacency and
-    shortest-path queries needed both by decoders (path reconstruction for the
-    final correction) and by the reference syndrome-graph MWPM decoder.
+    Vertices and edges are fixed at construction.  The shortest-path searches
+    it keeps for decoders and the reference MWPM decoder grow as queries
+    reach further, so threads sharing a graph must take turns.
     """
 
     def __init__(
@@ -126,7 +127,9 @@ class DecodingGraph:
             while len(self._layers) <= vertex.layer:
                 self._layers.append([])
             self._layers[vertex.layer].append(vertex.index)
-        self._distance_cache: dict[int, tuple[list[int], list[int | None]]] = {}
+        self._virtual_set = frozenset(self.virtual_vertices)
+        self._weights = [edge.weight for edge in self.edges]
+        self._searches: dict[int, DistanceSearch] = {}
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -190,77 +193,40 @@ class DecodingGraph:
     # ------------------------------------------------------------------
     # shortest paths
     # ------------------------------------------------------------------
-    def shortest_distances(self, source: int) -> tuple[list[int], list[int | None]]:
-        """Dijkstra from ``source``.
-
-        Returns ``(distances, predecessor_edges)`` where ``predecessor_edges[v]``
-        is the edge index used to reach ``v`` (``None`` for the source or
-        unreachable vertices).  Results are cached per source.
-        """
-        cached = self._distance_cache.get(source)
-        if cached is not None:
-            return cached
-        infinity = math.inf
-        distances: list[float] = [infinity] * self.num_vertices
-        predecessors: list[int | None] = [None] * self.num_vertices
-        distances[source] = 0
-        heap: list[tuple[int, int]] = [(0, source)]
-        while heap:
-            dist, vertex = heapq.heappop(heap)
-            if dist > distances[vertex]:
-                continue
-            for edge_index, neighbor in self.adjacency[vertex]:
-                weight = self.edges[edge_index].weight
-                candidate = dist + weight
-                if candidate < distances[neighbor]:
-                    distances[neighbor] = candidate
-                    predecessors[neighbor] = edge_index
-                    heapq.heappush(heap, (candidate, neighbor))
-        result = (
-            [int(d) if d is not infinity else -1 for d in distances],
-            predecessors,
-        )
-        self._distance_cache[source] = result
-        return result
+    def search(self, source: int) -> "DistanceSearch":
+        """The search from ``source``, kept, and run only as far as asked."""
+        search = self._searches.get(source)
+        if search is None:
+            search = self._searches[source] = DistanceSearch(self, source)
+        return search
 
     def distance(self, u: int, v: int) -> int:
         """Shortest-path distance between two vertices (-1 if disconnected)."""
-        distances, _ = self.shortest_distances(u)
-        return distances[v]
+        return self.search(u).distance_to(v)
 
     def shortest_path_edges(self, u: int, v: int) -> list[int]:
         """Edge indices along one shortest path from ``u`` to ``v``."""
-        distances, predecessors = self.shortest_distances(u)
-        if distances[v] < 0:
+        search = self.search(u)
+        if search.distance_to(v) < 0:
             raise ValueError(f"vertices {u} and {v} are disconnected")
-        path: list[int] = []
-        current = v
+        path, current = [], v
         while current != u:
-            edge_index = predecessors[current]
-            if edge_index is None:
-                raise ValueError(f"vertices {u} and {v} are disconnected")
-            path.append(edge_index)
-            current = self.edges[edge_index].other(current)
-        path.reverse()
-        return path
+            path.append(search.predecessors[current])
+            current = self.edges[path[-1]].other(current)
+        return path[::-1]
 
     def nearest_virtual(self, vertex: int) -> tuple[int, int]:
         """Return ``(distance, virtual_vertex)`` of the closest boundary vertex.
 
-        Returns ``(-1, -1)`` when the graph has no virtual vertices reachable
-        from ``vertex``.
+        The lowest-index one wins a tie.  Returns ``(-1, -1)`` when the
+        graph has no virtual vertices reachable from ``vertex``.
+
+        >>> from repro.graphs import code_capacity_noise, surface_code_decoding_graph
+        >>> graph = surface_code_decoding_graph(3, code_capacity_noise(0.01))
+        >>> graph.virtual_vertices, graph.nearest_virtual(0), graph.nearest_virtual(3)
+        ([4, 5], (28, 4), (28, 5))
         """
-        distances, _ = self.shortest_distances(vertex)
-        best_distance = -1
-        best_vertex = -1
-        for virtual in self.virtual_vertices:
-            dist = distances[virtual]
-            if dist < 0:
-                continue
-            if best_distance < 0 or dist < best_distance:
-                best_distance = dist
-                best_vertex = virtual
-        return best_distance, best_vertex
+        return self.search(vertex).nearest(self._virtual_set)
 
     # ------------------------------------------------------------------
     # evaluation helpers
@@ -320,7 +286,8 @@ class DecodingGraph:
         probability 1/2, so its log-likelihood weight is 0 and any decoder
         may use it for free.  Returns ``self`` when ``erasures`` is empty;
         otherwise a new graph sharing vertices, observable set, and metadata,
-        with fresh distance caches (erasures change shortest paths).
+        whose shortest-path searches start afresh (erasures change shortest
+        paths).
         """
         from dataclasses import replace
 
@@ -345,6 +312,89 @@ class DecodingGraph:
             f"DecodingGraph(|V|={self.num_vertices}, |E|={self.num_edges}, "
             f"layers={self.num_layers}, virtual={len(self.virtual_vertices)})"
         )
+
+
+class DistanceSearch:
+    """A Dijkstra from one source that runs only as far as it is asked to.
+
+    Paused, it pops the same heap sequence as a full run, so distances and
+    predecessor edges are the full run's.  Each :meth:`extend` finishes its
+    last distance level and sorts what it settled (zero-weight edges can
+    settle a lower vertex later at equal distance), so ``order`` holds
+    every vertex within some distance by ``(distance, vertex)``, ``reach``
+    their distances.  Its dicts and lists hold one entry per vertex at most.
+
+    >>> from repro.graphs import code_capacity_noise, surface_code_decoding_graph
+    >>> graph = surface_code_decoding_graph(3, code_capacity_noise(0.01))
+    >>> search = graph.search(0)
+    >>> search.ball(27), search.ball(28), len(search.order), graph.num_vertices
+    ([[0], [0]], [[0, 1, 2, 4], [0, 28, 28, 28]], 4, 6)
+    >>> search.distance_to(3), search.nearest({5}), len(search.order)
+    (56, (56, 5), 6)
+    """
+
+    def __init__(self, graph: DecodingGraph, source: int) -> None:
+        self.distances: dict[int, int] = {source: 0}
+        self.predecessors: dict[int, int] = {}
+        self.order: list[int] = []  # settled vertices, nearest first
+        self.reach: list[int] = []  # their distances
+        self._heap: list[tuple[int, int]] = [(0, source)]
+        self._graph = graph
+        self.extend(0)
+        # Every radius below ``_beyond`` reads this one ball.
+        self._core = [self.order[:], self.reach[:]]
+        self._beyond = self._heap[0][0] if self._heap else math.inf
+
+    def extend(self, radius: float = math.inf, goal: Container[int] = ()) -> None:
+        """Settle every vertex within ``radius``, or stop after the
+        distance level at which a vertex of ``goal`` settles."""
+        heap, distances, predecessors = self._heap, self.distances, self.predecessors
+        adjacency, weights = self._graph.adjacency, self._graph._weights
+        settled = []
+        while heap and heap[0][0] <= radius:
+            dist, vertex = heappop(heap)
+            if dist > distances[vertex]:
+                continue
+            settled.append((dist, vertex))
+            if vertex in goal:
+                radius = dist
+            for edge_index, neighbor in adjacency[vertex]:
+                candidate = dist + weights[edge_index]
+                known = distances.get(neighbor)
+                if known is None or candidate < known:
+                    distances[neighbor] = candidate
+                    predecessors[neighbor] = edge_index
+                    heappush(heap, (candidate, neighbor))
+        settled.sort()
+        self.order += [vertex for _dist, vertex in settled]
+        self.reach += [dist for dist, _vertex in settled]
+
+    def ball(self, radius: int) -> list[list[int]]:
+        """``[vertices, distances]`` within ``radius``, as in ``order``."""
+        if radius < self._beyond:
+            return self._core
+        if self._heap and self._heap[0][0] <= radius:
+            self.extend(radius)
+        end = bisect_right(self.reach, radius)
+        return [self.order[:end], self.reach[:end]]
+
+    def distance_to(self, vertex: int) -> int:
+        """The distance to ``vertex``, -1 if it is unreachable."""
+        # A tentative distance no larger than any heap entry is final.
+        if self._heap and self.distances.get(vertex, math.inf) > self._heap[0][0]:
+            self.extend(goal=(vertex,))
+        return self.distances.get(vertex, -1)
+
+    def nearest(self, goal: Container[int]) -> tuple[int, int]:
+        """``(distance, vertex)`` of the nearest vertex of ``goal``, the
+        lowest-index one on ties; ``(-1, -1)`` if none is reachable."""
+        while True:
+            for index, vertex in enumerate(self.order):
+                if vertex in goal:
+                    return self.reach[index], vertex
+            if not self._heap:
+                return -1, -1
+            self.extend(goal=goal)
 
 
 @dataclass

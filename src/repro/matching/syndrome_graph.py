@@ -64,20 +64,12 @@ def build_syndrome_graph(
             raise ValueError(f"defect {defect} is a virtual vertex")
     syndrome_graph = SyndromeGraph(graph=graph, defects=defects)
     for i, u in enumerate(defects):
-        distances, _ = graph.shortest_distances(u)
         for v in defects[i + 1 :]:
-            if distances[v] < 0:
+            distance = graph.distance(u, v)
+            if distance < 0:
                 raise ValueError(f"defects {u} and {v} are disconnected")
-            syndrome_graph.pair_distance[(u, v)] = distances[v]
-        best_distance = -1
-        best_vertex = -1
-        for virtual in graph.virtual_vertices:
-            dist = distances[virtual]
-            if dist < 0:
-                continue
-            if best_distance < 0 or dist < best_distance:
-                best_distance = dist
-                best_vertex = virtual
+            syndrome_graph.pair_distance[(u, v)] = distance
+        best_distance, best_vertex = graph.nearest_virtual(u)
         if best_distance < 0:
             raise ValueError(f"defect {u} cannot reach the boundary")
         syndrome_graph.boundary_distance[u] = best_distance

@@ -133,11 +133,23 @@ class TestShortestPaths:
         distance, vertex = graph.nearest_virtual(3)
         assert vertex == 4
 
-    def test_distance_caching_returns_same_object(self, path_graph_builder):
+    def test_search_is_kept_per_source_and_runs_only_as_far_as_asked(self, path_graph_builder):
         graph = path_graph_builder()
-        first = graph.shortest_distances(1)
-        second = graph.shortest_distances(1)
-        assert first is second
+        weight = graph.edges[0].weight
+        search = graph.search(1)
+        assert graph.search(1) is search
+        assert list(graph._searches) == [1]
+        # A new search settles only the distance-0 level.
+        assert (search.order, search.reach) == ([1], [0])
+        # The neighbours' distances are final once no heap entry is smaller,
+        # before anything pops.
+        assert graph.distance(1, 2) == weight
+        assert search.order == [1]
+        assert search.ball(weight) == [[1, 0, 2], [0, weight, weight]]
+        # Settling vertex 4 finishes its level; nothing lies beyond it.
+        assert graph.distance(1, 4) == 3 * weight
+        assert search.order == [1, 0, 2, 3, 4]
+        assert len(search.distances) == graph.num_vertices
 
     def test_shortest_path_to_self_is_empty(self, path_graph_builder):
         graph = path_graph_builder()

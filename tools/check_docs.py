@@ -52,6 +52,7 @@ DOC_FILES = (
 #: Modules whose doctests form the documented public API surface.
 DOCTEST_MODULES = (
     "repro.graphs.noise",
+    "repro.graphs.decoding_graph",
     "repro.graphs.syndrome",
     "repro.api.hashing",
     "repro.api.wireform",

@@ -1,11 +1,11 @@
 """Wall-clock time per non-trivial shot of a blossom decoder, by phase.
 
 Samples shots of one surface-code configuration, decodes every non-trivial
-one once untimed (so that the lazily built distance rows and graph caches
-are in place), then decodes them again ``--passes`` times with timing shims
-around the dual engine's instructions.  Each shot's decode time is split
-into phases, and the table reports microseconds per shot for every
-defect-count class:
+one once untimed (so that the shortest-path searches the Covers and
+matching weights extend are as far out as they get), then decodes them
+again ``--passes`` times with timing shims around the dual engine's
+instructions.  Each shot's decode time is split into phases, and the table
+reports microseconds per shot for every defect-count class:
 
 * ``reset``, ``load``, ``grow``: those dual instructions;
 * ``find:Conflict``, ``find:GrowLength``, ``find:Finished``: ``find
