@@ -20,8 +20,8 @@ real decoded outcomes — exactly as each wire version carries it:
 
 The two versions are timed in alternating passes, and the run fails unless
 the median over passes of the v1/v2 time ratio is at least 2 — the
-codec-level floor backing the end-to-end >= 1.5x gate of the serve-net
-smoke (``python -m repro serve-net --smoke``).
+codec-level floor backing the end-to-end ``WIRE_SPEEDUP_FLOOR`` gate of the
+serve-net smoke (``python -m repro serve-net --smoke``).
 
     python benchmarks/bench_wire_codec.py --smoke   # CI-sized run
 """
@@ -50,7 +50,8 @@ from repro.service.net.protocol import (
 from repro.service.request import DecodeResponse
 
 #: Codec-level speedup floor: the binary codec must halve the cost of the
-#: request/response mix for the end-to-end 1.5x network gate to be safe.
+#: request/response mix for the end-to-end network gate
+#: (``repro.service.WIRE_SPEEDUP_FLOOR``) to be safe.
 SPEEDUP_FLOOR = 2.0
 
 

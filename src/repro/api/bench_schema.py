@@ -8,6 +8,9 @@ document against a schema and raises the caller's error class at the first
 violation.  Objects may hold undeclared keys.  An object checks that its
 declared keys are present, in declared order, then walks their values, and
 only then runs its rules, so a rule may read any declared key as declared.
+Pass/fail verdicts about a valid document are rows of the same
+``(message, predicate)`` form; :func:`failed_gates` returns the messages of
+all the rows a document fails.
 
 >>> schema = Obj(
 ...     {"shots": Num(1), "errors": Num(0)},
@@ -88,6 +91,19 @@ def validate_document(document, schema, error: type[Exception]) -> None:
         _walk(schema, document, "")
     except _Violation as violation:
         raise error(str(violation)) from None
+
+
+def failed_gates(document, gates) -> list[str]:
+    """The message of every ``(message, predicate)`` gate ``document`` fails.
+
+    Gates are verdicts about a document that already passed its schema, so
+    every row may read any declared key.
+
+    >>> gates = (("no shots", lambda d: d["shots"] > 0), ("errors", lambda d: not d["errors"]))
+    >>> failed_gates({"shots": 0, "errors": 2}, gates)
+    ['no shots', 'errors']
+    """
+    return [message for message, holds in gates if not holds(document)]
 
 
 def _require(condition, message: str) -> None:

@@ -17,7 +17,14 @@ The CLI exposes the most common workflows without writing any Python:
 * ``serve-bench`` — replay a seed-stable synthetic request trace through the
   micro-batching :class:`repro.service.DecodeService` and emit the
   schema-validated ``BENCH_service.json`` (throughput, queue-delay and
-  end-to-end latency percentiles, batch-size histogram; ``docs/service.md``).
+  end-to-end latency percentiles, batch-size histogram; ``docs/service.md``);
+* ``serve-net``  — run a :class:`repro.service.net.NetServer` (``--serve``),
+  or replay the pinned trace over loopback TCP and emit a
+  ``BENCH_service.json`` with the saturation, process-scaling and wire
+  blocks filled.
+
+``serve-bench`` and ``serve-net`` exit non-zero on any row of
+:data:`repro.service.SERVICE_BENCH_GATES` their written document fails.
 
 ``accuracy`` and ``latency`` run on the sharded
 :class:`repro.evaluation.MonteCarloEngine`, ``stream`` on the
@@ -38,6 +45,7 @@ import sys
 from typing import Sequence
 
 from .api import available_decoders, decoder_spec, get_decoder
+from .api.bench_schema import failed_gates
 from .evaluation import (
     DECODERS_WITH_TIMING_MODELS,
     DEFAULT_LOAD_CONFIG,
@@ -59,7 +67,9 @@ from .matching import ReferenceDecoder
 from .service import (
     HOSTILE_SMOKE_PLAN,
     HOSTILE_SMOKE_TRACES,
+    SERVICE_BENCH_GATES,
     SMOKE_TRACE,
+    WIRE_SPEEDUP_FLOOR,
     CodeSpec,
     FaultPlan,
     ServiceBenchSchemaError,
@@ -434,11 +444,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--smoke",
         action="store_true",
         help="CI smoke: replay the pinned trace over loopback at each "
-        "--processes count, gate healthy_digest identity against in-process "
-        "serving, sweep the closed-loop saturation ladder, compare the "
-        "binary-v2 wire against per-request JSON-v1 framing (gating >= 1.5x "
-        "throughput and digest identity), and emit a schema-v5 BENCH "
-        "document with the saturation and wire blocks",
+        "--processes count, sweep the closed-loop saturation ladder, compare "
+        "the binary-v2 wire against per-request JSON-v1 framing, and emit a "
+        "BENCH_service document with the saturation and wire blocks; fails "
+        "on any SERVICE_BENCH_GATES row (digest identity against in-process "
+        "serving, the wire speedup floor)",
     )
     serve_net.add_argument(
         "--config",
@@ -813,12 +823,6 @@ _DEFAULT_COMPARE_CACHE_BYTES = 4 << 20
 _SERVE_DRAIN_TIMEOUT_SECONDS = 60.0
 
 
-#: Minimum end-to-end throughput ratio of the binary-batched v2 wire over
-#: per-request JSON-v1 framing the serve-net smoke accepts (acceptance gate
-#: of the codec: the bytes saved must show up as wall-clock time).
-_WIRE_SPEEDUP_FLOOR = 1.5
-
-
 def _serve_config(
     args: argparse.Namespace,
     outcome_cache_bytes: int | None,
@@ -854,15 +858,10 @@ def _serve_engine(
     )
 
 
-def _run_hostile_mix(args: argparse.Namespace) -> tuple[list, list]:
-    """Replay every pinned hostile family under the pinned fault plan.
-
-    Returns the ``hostile_mix`` entries plus the names of families whose
-    faults were NOT isolated (any poisoned request not resolved as an error,
-    any identity or stream mismatch) — the caller fails on a non-empty list.
-    """
+def _run_hostile_mix(args: argparse.Namespace) -> list:
+    """Replay every pinned hostile family under the pinned fault plan and
+    return the ``hostile_mix`` entries."""
     entries = []
-    failed = []
     # No shedding (digests stay comparable) and a retry budget the pinned
     # plan's build crashes fit in.
     config = _serve_config(args, None, HOSTILE_SMOKE_PLAN).replace(
@@ -887,9 +886,23 @@ def _run_hostile_mix(args: argparse.Namespace) -> tuple[list, list]:
             f"streams, fairness min={result.min_completion_ratio:.2f} "
             f"-> {verdict}"
         )
-        if not entry["isolated"]:
-            failed.append(family)
-    return entries, failed
+    return entries
+
+
+def _write_gated_service_bench(document: dict, output: str) -> int:
+    """Validate and write a BENCH_service document, then evaluate
+    :data:`SERVICE_BENCH_GATES` on it: 1 on a schema violation or any
+    failing row (each named on stderr), else 0."""
+    try:
+        path = write_service_bench(document, output)
+    except ServiceBenchSchemaError as error:
+        print(f"BENCH_service schema violation: {error}", file=sys.stderr)
+        return 1
+    print(f"wrote {path}")
+    failures = failed_gates(document, SERVICE_BENCH_GATES)
+    for message in failures:
+        print(f"BENCH_service gate failed: {message}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def _command_serve_bench(args: argparse.Namespace) -> int:
@@ -966,46 +979,14 @@ def _command_serve_bench(args: argparse.Namespace) -> int:
             f"identity: {result.identity_checked} checked, "
             f"{result.identity_mismatches} mismatches"
         )
-    hostile_mix = None
-    hostile_failures: list = []
-    if args.hostile_smoke:
-        hostile_mix, hostile_failures = _run_hostile_mix(args)
-    try:
-        path = write_service_bench(
-            service_bench_document(
-                trace,
-                result,
-                cache_comparison=comparison,
-                fault_plan=fault_plan,
-                hostile_mix=hostile_mix,
-            ),
-            args.output,
-        )
-    except ServiceBenchSchemaError as error:
-        print(f"BENCH_service schema violation: {error}", file=sys.stderr)
-        return 1
-    print(f"wrote {path}")
-    if result.identity_mismatches:
-        print(
-            f"service outcomes diverged from direct decodes "
-            f"({result.identity_mismatches} mismatches)",
-            file=sys.stderr,
-        )
-        return 1
-    if fault_plan is not None and result.poisoned_errored != result.poisoned:
-        print(
-            f"fault isolation failed: {result.poisoned - result.poisoned_errored} "
-            f"poisoned request(s) did not resolve as errors",
-            file=sys.stderr,
-        )
-        return 1
-    if hostile_failures:
-        print(
-            f"hostile smoke: faults not isolated in {', '.join(hostile_failures)}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    document = service_bench_document(
+        trace,
+        result,
+        cache_comparison=comparison,
+        fault_plan=fault_plan,
+        hostile_mix=_run_hostile_mix(args) if args.hostile_smoke else None,
+    )
+    return _write_gated_service_bench(document, args.output)
 
 
 def _command_serve_net(args: argparse.Namespace) -> int:
@@ -1055,20 +1036,16 @@ def _command_serve_net(args: argparse.Namespace) -> int:
             f"p99={point.latency_p99_us:.0f}us{marker}"
         )
     scaling, net_results = scaling_bench(trace, process_counts=counts, config=config)
-    digest_failures = []
     for row in scaling["series"]:
-        match = row["healthy_digest"] == inproc.healthy_digest
-        if not match:
-            digest_failures.append(row["processes"])
         net = net_results[row["processes"]]
         print(
             f"net processes={row['processes']}: {row['throughput_rps']:.0f} req/s "
             f"efficiency={row['efficiency']:.2f} "
             f"queue_delay_us p50={net.queue_delay.percentile(50) * 1e6:.1f} "
             f"mean_batch_size={net.mean_batch_size:.2f} "
-            f"digest {'==' if match else '!='} in-process, "
+            f"healthy_digest={row['healthy_digest']}, "
             f"identity {net.identity_checked} checked / "
-            f"{net.identity_mismatches} mismatches"
+            f"{row['identity_mismatches']} mismatches"
         )
     print(
         f"scaling measured on {scaling['cpu_count']} CPU core(s); "
@@ -1085,69 +1062,16 @@ def _command_serve_net(args: argparse.Namespace) -> int:
         )
     print(
         f"wire v2 speedup over v1: {comparison['speedup']:.2f}x "
-        f"(floor {_WIRE_SPEEDUP_FLOOR}x), digest "
+        f"(floor {WIRE_SPEEDUP_FLOOR}x), digest "
         f"{'==' if comparison['digest_match'] else '!='} across codecs"
     )
-    try:
-        path = write_service_bench(
-            service_bench_document(
-                trace,
-                inproc,
-                saturation=saturation_entry(saturation, scaling=scaling),
-                wire=wire_entry(net_results[counts[-1]].wire, comparison),
-            ),
-            args.output,
-        )
-    except ServiceBenchSchemaError as error:
-        print(f"BENCH_service schema violation: {error}", file=sys.stderr)
-        return 1
-    print(f"wrote {path}")
-    failed = False
-    if inproc.identity_mismatches:
-        print(
-            f"in-process outcomes diverged from direct decodes "
-            f"({inproc.identity_mismatches} mismatches)",
-            file=sys.stderr,
-        )
-        failed = True
-    if digest_failures:
-        print(
-            f"network digest mismatch vs in-process at process count(s) "
-            f"{digest_failures}",
-            file=sys.stderr,
-        )
-        failed = True
-    if not saturation.digest_match:
-        print("saturation rungs disagree on healthy_digest", file=sys.stderr)
-        failed = True
-    mismatches = sum(
-        r.identity_mismatches + r.stream_mismatches for r in net_results.values()
+    document = service_bench_document(
+        trace,
+        inproc,
+        saturation=saturation_entry(saturation, scaling=scaling),
+        wire=wire_entry(net_results[counts[-1]].wire, comparison),
     )
-    if mismatches:
-        print(
-            f"network outcomes diverged from direct decodes "
-            f"({mismatches} identity/stream mismatches)",
-            file=sys.stderr,
-        )
-        failed = True
-    error_responses = sum(r.error_responses for r in net_results.values())
-    if error_responses:
-        print(
-            f"network replay produced {error_responses} error response(s)",
-            file=sys.stderr,
-        )
-        failed = True
-    if comparison["speedup"] < _WIRE_SPEEDUP_FLOOR:
-        print(
-            f"binary wire speedup {comparison['speedup']:.2f}x below the "
-            f"{_WIRE_SPEEDUP_FLOOR}x floor",
-            file=sys.stderr,
-        )
-        failed = True
-    if not comparison["digest_match"]:
-        print("v2 and v1 wire replays disagree on healthy_digest", file=sys.stderr)
-        failed = True
-    return 1 if failed else 0
+    return _write_gated_service_bench(document, args.output)
 
 
 def _command_sweep(args: argparse.Namespace) -> int:

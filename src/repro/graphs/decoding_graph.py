@@ -184,12 +184,6 @@ class DecodingGraph:
                 return self.edges[edge_index]
         return None
 
-    def total_weight(self) -> int:
-        return sum(edge.weight for edge in self.edges)
-
-    def max_weight(self) -> int:
-        return max((edge.weight for edge in self.edges), default=0)
-
     # ------------------------------------------------------------------
     # shortest paths
     # ------------------------------------------------------------------
@@ -231,20 +225,6 @@ class DecodingGraph:
     # ------------------------------------------------------------------
     # evaluation helpers
     # ------------------------------------------------------------------
-    def correction_from_pairs(
-        self, pairs: Iterable[tuple[int, int]]
-    ) -> set[int]:
-        """Turn matched defect pairs into a correction (a set of edge indices).
-
-        Each pair contributes one shortest path between its endpoints; edges
-        appearing an even number of times cancel out (XOR semantics).
-        """
-        correction: set[int] = set()
-        for u, v in pairs:
-            for edge_index in self.shortest_path_edges(u, v):
-                correction.symmetric_difference_update({edge_index})
-        return correction
-
     def crosses_observable(self, edge_indices: Iterable[int]) -> bool:
         """Parity of the given edge set restricted to the logical observable."""
         crossings = sum(1 for index in edge_indices if index in self.observable_edges)

@@ -180,8 +180,9 @@ class NoiseModel(WireForm):
     def model_hash(self) -> str:
         """16-hex content hash of the serialized model (its ``to_dict``).
 
-        >>> code_capacity_noise(0.01).to_dict()
-        {'name': 'code_capacity', 'spatial': 0.01, 'temporal': 0.0, 'diagonal': 0.0, 'boundary': 0.01}
+        >>> code_capacity_noise(0.01).to_dict()  # doctest: +NORMALIZE_WHITESPACE
+        {'name': 'code_capacity', 'spatial': 0.01, 'temporal': 0.0, 'diagonal': 0.0,
+         'boundary': 0.01}
         """
         from ..api.hashing import content_hash
 
@@ -307,10 +308,12 @@ def noise_model_by_name(name: str, p: float) -> NoiseModel:
 
     >>> noise_model_by_name("erasure", 0.01).erasure
     0.02
-    >>> noise_model_by_name("bogus", 0.01)
+    >>> noise_model_by_name("bogus", 0.01)  # doctest: +NORMALIZE_WHITESPACE
     Traceback (most recent call last):
         ...
-    repro.graphs.noise.NoiseModelError: unknown noise model 'bogus'; expected one of ['circuit_level', 'code_capacity', 'correlated_burst', 'erasure', 'phenomenological', 'time_varying']
+    repro.graphs.noise.NoiseModelError: unknown noise model 'bogus'; expected one of
+    ['circuit_level', 'code_capacity', 'correlated_burst', 'erasure', 'phenomenological',
+     'time_varying']
     """
     factories = {
         "code_capacity": code_capacity_noise,

@@ -1,7 +1,6 @@
 """FPGA resource model (Table 4, §8.4)."""
 
 from .estimate import (
-    CLOCK_TABLE_MHZ,
     EPU_WEIGHT_BITS,
     PAPER_TABLE_4,
     VMK180_LUTS,
@@ -18,7 +17,6 @@ from .estimate import (
 )
 
 __all__ = [
-    "CLOCK_TABLE_MHZ",
     "EPU_WEIGHT_BITS",
     "PAPER_TABLE_4",
     "VMK180_LUTS",

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..latency.model import PAPER_CLOCK_FREQUENCY_MHZ, accelerator_clock_frequency_hz
+from ..latency.model import accelerator_clock_frequency_hz
 
 #: Published Table 4, keyed by code distance.
 PAPER_TABLE_4: dict[int, dict[str, float]] = {
@@ -199,7 +199,3 @@ def minimum_frequency_for_sub_microsecond(distance: int) -> float:
     anchor_distance = 15
     anchor_mhz = 68.0
     return anchor_mhz * (distance / anchor_distance) ** 2
-
-
-# Re-export the measured clock table for convenience of the benchmarks.
-CLOCK_TABLE_MHZ = dict(PAPER_CLOCK_FREQUENCY_MHZ)

@@ -35,8 +35,9 @@ per-request cost (the pLUTo argument from PAPERS.md, applied to decoding):
 * :func:`service_bench_document` / :func:`validate_service_bench` — the
   schema-validated ``BENCH_service.json`` CI publishes per commit
   (``python -m repro serve-bench``), with the pinned hostile-mix series of
-  ``--hostile-smoke`` and the v4 ``saturation`` block (offered-load knee +
-  process-scaling series) of ``serve-net --smoke``.
+  ``--hostile-smoke`` and the ``saturation`` block (offered-load knee +
+  process-scaling series) of ``serve-net --smoke``;
+  :data:`SERVICE_BENCH_GATES` holds every pass/fail verdict about it.
 * :mod:`repro.service.net` — the network tier (imported on demand, not
   re-exported here): an asyncio TCP front end
   (:class:`~repro.service.net.NetServer`) speaking a length-prefixed
@@ -60,7 +61,9 @@ Quickstart (see ``docs/service.md`` for the full tour)::
 from ..lut.outcome_cache import OutcomeCache, OutcomeCacheStats, outcome_cache_key
 from .batcher import Batch, MicroBatcher
 from .bench import (
+    SERVICE_BENCH_GATES,
     SERVICE_BENCH_SCHEMA_VERSION,
+    WIRE_SPEEDUP_FLOOR,
     ServiceBenchSchemaError,
     cache_comparison_entry,
     fairness_entry,
@@ -119,7 +122,9 @@ from .trace import (
 __all__ = [
     "Batch",
     "MicroBatcher",
+    "SERVICE_BENCH_GATES",
     "SERVICE_BENCH_SCHEMA_VERSION",
+    "WIRE_SPEEDUP_FLOOR",
     "ServiceBenchSchemaError",
     "cache_comparison_entry",
     "fairness_entry",

@@ -14,9 +14,10 @@ regression shows up as a latency/throughput shift at identical, seed-pinned
 work.
 
 :data:`SERVICE_BENCH_SCHEMA` is the schema gate, walked by
-:func:`validate_service_bench`; the CLI's ``serve-bench`` validates before
-writing and CI fails on any violation (or on a non-zero identity mismatch
-count).
+:func:`validate_service_bench`; :data:`SERVICE_BENCH_GATES` holds every
+pass/fail verdict about a valid document (identity, fault isolation, digest
+agreement, the wire floor).  ``serve-bench`` and ``serve-net`` validate and
+write the document, then fail on any gate row it breaks.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from ..evaluation.engine import LatencyHistogram
 
 #: Version of the BENCH_service document layout; bump on breaking changes
 #: (history in ``docs/service.md``).
-SERVICE_BENCH_SCHEMA_VERSION = 5
+SERVICE_BENCH_SCHEMA_VERSION = 6
 
 
 class ServiceBenchSchemaError(ValueError):
@@ -231,6 +232,8 @@ def service_bench_document(
         "cache_comparison": cache_comparison,
         "error_responses": result.error_responses,
         "retries": result.retries,
+        "poisoned": result.poisoned,
+        "poisoned_errored": result.poisoned_errored,
         "shed_rate": result.shed_rate,
         "fairness": fairness_entry(result),
         "fault_plan": None if fault_plan is None else fault_plan.to_dict(),
@@ -303,6 +306,7 @@ _HOSTILE_RUN = Obj(
 )
 _SCALING_ROW = {
     **fields("processes completed throughput_rps latency_p99_us efficiency", NON_NEGATIVE),
+    **fields("identity_mismatches stream_mismatches error_responses", NON_NEGATIVE),
     "healthy_digest": TEXT,
 }
 _SCALING = Obj(
@@ -372,6 +376,7 @@ SERVICE_BENCH_SCHEMA = Obj(
         "trace": _TRACE,
         "requests": Num(1),
         **fields("completed shed error_responses retries evaluated errors", NON_NEGATIVE),
+        **fields("poisoned poisoned_errored", NON_NEGATIVE),
         **fields("elapsed_seconds throughput_rps batches mean_batch_size cache_hits", NON_NEGATIVE),
         **fields("logical_error_rate shed_rate", RATIO),
         **fields("queue_delay latency", LATENCY_SUMMARY),
@@ -401,6 +406,81 @@ SERVICE_BENCH_SCHEMA = Obj(
     ("errors exceed evaluated", lambda d: d["errors"] <= d["evaluated"]),
     ("cache_hits exceed completed", lambda d: d["cache_hits"] <= d["completed"]),
     ("batched requests + cache_hits must equal completed + error_responses", _batch_ledger),
+)
+
+
+#: Minimum end-to-end throughput ratio of the binary-batched v2 wire over
+#: per-request JSON-v1 framing (``wire.comparison.speedup``): the bytes the
+#: codec saves must show up as wall-clock time.
+WIRE_SPEEDUP_FLOOR = 1.5
+
+
+def _present(document: dict, *keys: str) -> list:
+    """The block at ``keys`` below the root as a list: empty when it, or a
+    block on the way to it, is ``null``."""
+    block = document
+    for key in keys:
+        if block is None:
+            return []
+        block = block[key]
+    return [] if block is None else [block]
+
+
+def _series(document: dict) -> list:
+    scalings = _present(document, "saturation", "scaling")
+    return [row for scaling in scalings for row in scaling["series"]]
+
+
+#: Every pass/fail verdict about a valid BENCH_service document, as
+#: ``(message, predicate)`` rows evaluated by :func:`~repro.api.bench_schema.failed_gates`.
+#: A row whose block is ``null`` (not run) passes.
+SERVICE_BENCH_GATES = (
+    (
+        "service outcomes diverged from direct decodes (identity.mismatches > 0)",
+        lambda d: d["identity"]["mismatches"] == 0,
+    ),
+    (
+        "fault isolation failed: a poisoned request did not resolve as an error",
+        lambda d: d["fault_plan"] is None or d["poisoned_errored"] == d["poisoned"],
+    ),
+    (
+        "hostile smoke: a hostile_mix family's faults were not isolated",
+        lambda d: all(entry["isolated"] for entry in d["hostile_mix"] or ()),
+    ),
+    (
+        "saturation rungs disagree on healthy_digest",
+        lambda d: all(block["digest_match"] for block in _present(d, "saturation")),
+    ),
+    (
+        "network healthy_digest differs from in-process at some process count",
+        lambda d: all(row["healthy_digest"] == d["healthy_digest"] for row in _series(d)),
+    ),
+    (
+        "network outcomes diverged from direct decodes (scaling identity_mismatches > 0)",
+        lambda d: all(row["identity_mismatches"] == 0 for row in _series(d)),
+    ),
+    (
+        "network streams diverged from direct decodes (scaling stream_mismatches > 0)",
+        lambda d: all(row["stream_mismatches"] == 0 for row in _series(d)),
+    ),
+    (
+        "network replay produced error responses (scaling error_responses > 0)",
+        lambda d: all(row["error_responses"] == 0 for row in _series(d)),
+    ),
+    (
+        "network replay did not run the binary codec (wire.stats.codec != 2)",
+        lambda d: all(stats["codec"] == 2 for stats in _present(d, "wire", "stats")),
+    ),
+    (
+        "v2 and v1 wire replays disagree on healthy_digest",
+        lambda d: all(block["digest_match"] for block in _present(d, "wire", "comparison")),
+    ),
+    (
+        f"binary wire speedup below the {WIRE_SPEEDUP_FLOOR}x floor",
+        lambda d: all(
+            block["speedup"] >= WIRE_SPEEDUP_FLOOR for block in _present(d, "wire", "comparison")
+        ),
+    ),
 )
 
 

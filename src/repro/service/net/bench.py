@@ -71,8 +71,8 @@ def wire_comparison(
     their time on the wire and the front end — the thing this comparison is
     about — instead of re-decoding; decode cost is identical on both sides
     either way.  Then :data:`WIRE_PAIRS` v2/v1 pairs run back to back, and
-    the pair with the median v2/v1 ratio is reported.  Returns the schema-v5
-    ``wire.comparison`` block::
+    the pair with the median v2/v1 ratio is reported.  Returns the
+    ``wire.comparison`` block of the BENCH_service document::
 
         {"processes", "requests",
          "v2": {codec, bytes/frames, throughput_rps, healthy_digest, ...},
@@ -133,6 +133,9 @@ def scaling_entry(process_counts, results: dict[int, ServiceLoadResult]) -> dict
                 "throughput_rps": results[count].throughput_rps,
                 "latency_p99_us": results[count].latency.percentile(99) * 1e6,
                 "healthy_digest": results[count].healthy_digest,
+                "identity_mismatches": results[count].identity_mismatches,
+                "stream_mismatches": results[count].stream_mismatches,
+                "error_responses": results[count].error_responses,
                 "efficiency": (
                     results[count].throughput_rps / (count / counts[0] * base)
                     if base > 0
@@ -158,9 +161,9 @@ def scaling_bench(
     through a :class:`NetClient` (verification re-decodes after the timed
     replay, so it never moves the throughput).  ``entry`` is the JSON-shaped
     ``saturation.scaling`` block (:func:`scaling_entry`); ``results`` maps
-    process count to its full :class:`~repro.evaluation.ServiceLoadResult`
-    for further gating (the CI smoke asserts every ``healthy_digest`` equals
-    the in-process one and every identity check passed).
+    process count to its full :class:`~repro.evaluation.ServiceLoadResult`.
+    The entry carries what :data:`repro.service.SERVICE_BENCH_GATES` reads:
+    each count's ``healthy_digest`` and its identity, stream and error counts.
     """
     counts = [int(count) for count in process_counts]
     if not counts or any(count < 1 for count in counts):

@@ -50,7 +50,7 @@ from ..lut.outcome_cache import OutcomeCache, outcome_cache_key
 from ..stream import get_streaming_decoder
 from .batcher import Batch, MicroBatcher
 from .cache import SessionCache, SessionFactory, build_session
-from .config import OVERLOAD_POLICIES, ServiceConfig
+from .config import ServiceConfig
 from .faults import FaultInjector
 from .request import (
     STATUS_ERROR,
@@ -62,7 +62,6 @@ from .request import (
 )
 
 __all__ = [
-    "OVERLOAD_POLICIES",  # re-exported; lives in repro.service.config now
     "DecodeService",
     "ServiceClosedError",
     "ServiceDrainError",

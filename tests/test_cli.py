@@ -534,3 +534,74 @@ class TestServeBenchCommand:
         assert all(entry["isolated"] for entry in mix)
         assert all(entry["poisoned"] > 0 for entry in mix)
         assert "NOT ISOLATED" not in capsys.readouterr().out
+
+
+class TestServiceGateExit:
+    """A failing SERVICE_BENCH_GATES row on the written document exits 1."""
+
+    def test_serve_bench_identity_mismatch_fails_its_row(self, tmp_path, capsys, monkeypatch):
+        import dataclasses
+
+        from repro.evaluation import ServiceLoadEngine
+
+        real_run = ServiceLoadEngine.run
+
+        def run_with_mismatch(self, verify_identity=False):
+            result = real_run(self, verify_identity=verify_identity)
+            return dataclasses.replace(result, identity_mismatches=1)
+
+        monkeypatch.setattr(ServiceLoadEngine, "run", run_with_mismatch)
+        output_path = tmp_path / "BENCH_service.json"
+        exit_code = main(
+            [
+                "serve-bench",
+                "--requests",
+                "8",
+                "--distances",
+                "3",
+                "--error-rates",
+                "0.02",
+                "--decoders",
+                "union-find",
+                "--output",
+                str(output_path),
+            ]
+        )
+        assert exit_code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "identity.mismatches" in err[0], err
+        # The gate ran on the validated, written document.
+        assert json.loads(output_path.read_text())["identity"]["mismatches"] == 1
+
+    def test_serve_net_smoke_below_the_wire_floor_fails_its_row(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.service.net import bench
+
+        real_comparison = bench.wire_comparison
+
+        def slow_comparison(*args, **kwargs):
+            return {**real_comparison(*args, **kwargs), "speedup": 1.4}
+
+        monkeypatch.setattr(bench, "wire_comparison", slow_comparison)
+        output_path = tmp_path / "BENCH_service_net.json"
+        exit_code = main(
+            [
+                "serve-net",
+                "--smoke",
+                "--processes",
+                "1",
+                "--client-ladder",
+                "1,2",
+                "--output",
+                str(output_path),
+            ]
+        )
+        assert exit_code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "speedup below the 1.5x floor" in err[0], err
+        # serve-net --smoke fills every block the network rows read.
+        document = json.loads(output_path.read_text())
+        assert document["saturation"]["scaling"]["series"]
+        assert document["wire"]["stats"]["codec"] == 2
+        assert document["wire"]["comparison"]["speedup"] == 1.4

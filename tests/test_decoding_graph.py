@@ -5,12 +5,15 @@ from __future__ import annotations
 import pytest
 
 from repro.graphs import (
+    BOUNDARY,
     DEFAULT_MAX_WEIGHT,
     WEIGHT_DOUBLING,
     DecodingGraph,
     Edge,
     GraphBuilder,
+    MatchingResult,
     Vertex,
+    correction_edges,
     quantized_weight,
 )
 
@@ -164,10 +167,12 @@ class TestObservableAndLayers:
         assert graph.crosses_observable({0, 1, 2})
         assert not graph.crosses_observable([1, 2])
 
-    def test_correction_from_pairs_cancels_shared_edges(self, path_graph_builder):
+    def test_correction_cancels_shared_edges(self, path_graph_builder):
         graph = path_graph_builder()
-        correction = graph.correction_from_pairs([(1, 3), (1, 3)])
-        assert correction == set()
+        # a-c runs over edges 1 and 2, b to the right boundary over 2 and 3:
+        # the shared edge 2 appears twice and cancels.
+        result = MatchingResult(pairs=[(1, 3), (2, BOUNDARY)], boundary_vertices={2: 4})
+        assert correction_edges(graph, result) == {1, 3}
 
     def test_vertices_in_layer(self, surface_d3_circuit):
         layer0 = surface_d3_circuit.vertices_in_layer(0)
@@ -186,5 +191,3 @@ class TestObservableAndLayers:
         graph = path_graph_builder()
         assert graph.num_real_vertices == 3
         assert len(graph.virtual_vertices) == 2
-        assert graph.total_weight() == 4 * graph.edges[0].weight
-        assert graph.max_weight() == graph.edges[0].weight

@@ -350,7 +350,10 @@ def _reference_prematches(dual):
     and a boundary vertex, no other tight edge to a defect or to a vertex
     with another tight edge)."""
     graph = dual.graph
-    residue = [max([0] + [residual for _node, residual, _touch in cover]) for cover in _reference_covers(dual)]
+    residue = [
+        max([0] + [residual for _node, residual, _touch in cover])
+        for cover in _reference_covers(dual)
+    ]
     tight = [residue[edge.u] + residue[edge.v] >= edge.weight * dual.scale for edge in graph.edges]
     count = [0] * graph.num_vertices
     for edge in graph.edges:

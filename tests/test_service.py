@@ -32,13 +32,16 @@ from repro.api import (
     get_decoder,
     stable_seed,
 )
+from repro.api.bench_schema import failed_gates
 from repro.evaluation import DEFAULT_LOAD_CONFIG, ServiceLoadEngine
 from repro.graphs import Syndrome, SyndromeSampler
 from repro.lut import outcome_cache_key
 from repro.service import (
+    SERVICE_BENCH_GATES,
     SMOKE_TRACE,
     STATUS_ERROR,
     STATUS_SHED,
+    WIRE_SPEEDUP_FLOOR,
     CodeSpec,
     DecodeRequest,
     DecodeService,
@@ -885,3 +888,84 @@ class TestServiceBench:
         assert SMOKE_TRACE.seed == 2026
         assert len(SMOKE_TRACE.scenarios) == 4
         assert SMOKE_TRACE.trace_hash() == "dc69d9b30cc305ea"
+
+
+def _series(document, index):
+    return document["saturation"]["scaling"]["series"][index]
+
+
+# Each case breaks exactly one gate row of a passing, schema-valid document;
+# the second item is a fragment of that row's message.
+GATE_CASES = {
+    "identity": (
+        lambda d: d["identity"].update(checked=d["completed"], mismatches=1),
+        "identity.mismatches",
+    ),
+    "poisoned": (lambda d: d.update(poisoned=3, poisoned_errored=2), "fault isolation"),
+    "hostile": (lambda d: d["hostile_mix"][0].update(isolated=False), "hostile_mix"),
+    "saturation": (lambda d: d["saturation"].update(digest_match=False), "saturation rungs"),
+    "series-digest": (
+        lambda d: _series(d, 1).update(healthy_digest="0" * 16),
+        "differs from in-process",
+    ),
+    "series-identity": (
+        lambda d: _series(d, 0).update(identity_mismatches=1),
+        "scaling identity_mismatches",
+    ),
+    "series-stream": (
+        lambda d: _series(d, 1).update(stream_mismatches=1),
+        "scaling stream_mismatches",
+    ),
+    "series-errors": (
+        lambda d: _series(d, 1).update(error_responses=1),
+        "scaling error_responses",
+    ),
+    "codec": (lambda d: d["wire"]["stats"].update(codec=1), "wire.stats.codec"),
+    "wire-digest": (
+        lambda d: d["wire"]["comparison"].update(digest_match=False),
+        "v2 and v1 wire replays",
+    ),
+    "speedup": (lambda d: d["wire"]["comparison"].update(speedup=1.49), "speedup below"),
+}
+
+
+class TestServiceBenchGates:
+    def test_filled_document_passes_every_gate(self, filled_service_document):
+        assert failed_gates(filled_service_document, SERVICE_BENCH_GATES) == []
+
+    @pytest.mark.parametrize("case", sorted(GATE_CASES))
+    def test_each_broken_row_fails_alone(self, filled_service_document, case):
+        mutate, fragment = GATE_CASES[case]
+        document = copy.deepcopy(filled_service_document)
+        mutate(document)
+        validate_service_bench(document)  # the gate fails, not the schema
+        failures = failed_gates(document, SERVICE_BENCH_GATES)
+        assert len(failures) == 1 and fragment in failures[0], failures
+
+    def test_every_row_has_a_tripping_case(self, filled_service_document):
+        tripped = set()
+        for mutate, _ in GATE_CASES.values():
+            document = copy.deepcopy(filled_service_document)
+            mutate(document)
+            tripped.update(failed_gates(document, SERVICE_BENCH_GATES))
+        assert tripped == {message for message, _ in SERVICE_BENCH_GATES}
+
+    def test_all_failing_rows_are_reported(self, filled_service_document):
+        document = copy.deepcopy(filled_service_document)
+        for mutate, _ in GATE_CASES.values():
+            mutate(document)
+        assert len(failed_gates(document, SERVICE_BENCH_GATES)) == len(SERVICE_BENCH_GATES)
+
+    def test_speedup_at_the_floor_passes(self, filled_service_document):
+        document = copy.deepcopy(filled_service_document)
+        document["wire"]["comparison"]["speedup"] = WIRE_SPEEDUP_FLOOR
+        assert failed_gates(document, SERVICE_BENCH_GATES) == []
+
+    def test_null_blocks_pass(self, filled_service_document):
+        document = copy.deepcopy(filled_service_document)
+        document.update(fault_plan=None, hostile_mix=None, saturation=None, wire=None, poisoned=1)
+        assert failed_gates(document, SERVICE_BENCH_GATES) == []
+        document = copy.deepcopy(filled_service_document)
+        document["saturation"]["scaling"] = None
+        document["wire"].update(stats=None, comparison=None)
+        assert failed_gates(document, SERVICE_BENCH_GATES) == []

@@ -312,7 +312,7 @@ class TestFaultIsolation:
         real_dispatcher.join(timeout=10)  # the real one drains on _STOP
         assert not real_dispatcher.is_alive()
 
-    def test_hostile_mix_entry_validates_inside_a_v5_document(self):
+    def test_hostile_mix_entry_validates_inside_a_service_document(self):
         from repro.service import service_bench_document
 
         family, spec = HOSTILE_SMOKE_TRACES[0]
@@ -331,5 +331,5 @@ class TestFaultIsolation:
             hostile_mix=[entry],
         )
         assert validate_service_bench(document) is None
-        assert document["schema_version"] == 5
+        assert document["schema_version"] == 6
         assert document["fault_plan"]["name"] == "hostile-smoke"
