@@ -27,12 +27,6 @@ from typing import Iterable
 from ..graphs.decoding_graph import DecodingGraph
 from .dual import DEFAULT_DUAL_SCALE, DualGraphState
 from .interface import GROW, HOLD, Obstacle
-from .instructions import (
-    grow_word,
-    load_defects_word,
-    set_cover_word,
-    set_direction_word,
-)
 
 
 @dataclass(frozen=True)
@@ -99,10 +93,7 @@ class MicroBlossomAccelerator(DualGraphState):
         # One load instruction per layer loaded; syndrome bits stream in
         # directly from the quantum control stack (paper Figure 5), so they do
         # not cross the CPU bus.
-        layer_count = 1 if layers is None else len(layers)
-        for layer in range(layer_count):
-            _ = load_defects_word(layer)
-        self.counters["bus_words"] += layer_count
+        self.counters["bus_words"] += 1 if layers is None else len(layers)
         if layers is None or len(self.defect_root) != known:
             # New defects (or the whole graph at once): rescan everything.
             self._prematches_dirty = True
@@ -116,7 +107,6 @@ class MicroBlossomAccelerator(DualGraphState):
     def set_direction(self, node: int, direction: int) -> None:
         super().set_direction(node, direction)
         self._directed.add(node)
-        _ = set_direction_word(min(node, 2**15 - 1), direction)
         self.counters["bus_words"] += 1
         if node < self._num_vertices:
             self._recheck.add(node)
@@ -124,21 +114,16 @@ class MicroBlossomAccelerator(DualGraphState):
     def create_blossom(self, children: Iterable[int], blossom_id: int) -> None:
         children = list(children)
         super().create_blossom(children, blossom_id)
-        for child in children:
-            _ = set_cover_word(min(child, 2**15 - 1), min(blossom_id, 2**15 - 1))
         self.counters["bus_words"] += len(children)
         self._prematches_dirty = True
 
     def expand_blossom(self, blossom_id: int, new_roots) -> None:
         super().expand_blossom(blossom_id, new_roots)
-        for defect, root in new_roots.items():
-            _ = set_cover_word(min(defect, 2**15 - 1), min(root, 2**15 - 1))
         self.counters["bus_words"] += len(new_roots)
         self._prematches_dirty = True
 
     def grow(self, length: int) -> None:
         super().grow(length)
-        _ = grow_word(length)
         self.counters["bus_words"] += 1
         self._prematches_dirty = True
 

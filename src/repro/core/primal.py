@@ -73,10 +73,6 @@ class PrimalNode:
     def is_matched(self) -> bool:
         return self.matched_to_boundary or self.match_node is not None
 
-    @property
-    def in_tree(self) -> bool:
-        return self.direction != HOLD
-
 
 class PrimalModule:
     """Alternating trees, matched pairs and blossoms on top of a dual driver."""

@@ -31,6 +31,17 @@ def _uint32_threshold(probability: float) -> np.uint32:
     return np.uint32(min(int(round(probability * float(1 << 32))), (1 << 32) - 1))
 
 
+def _lanes_by_shot(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(shot, lane)`` index pairs of the set entries of a 2-D lane mask.
+
+    ``flatnonzero`` scans row-major, so the pairs come out grouped by shot
+    and sorted by lane within each shot.
+    """
+    flat = np.flatnonzero(np.ravel(mask))
+    shot = flat // mask.shape[1]
+    return shot, flat - shot * mask.shape[1]
+
+
 @dataclass(frozen=True)
 class Syndrome(WireForm):
     """A sampled decoding instance.
@@ -58,19 +69,6 @@ class Syndrome(WireForm):
     @property
     def defect_count(self) -> int:
         return len(self.defects)
-
-    def defects_in_layers(
-        self, graph: DecodingGraph, layers: Iterable[int]
-    ) -> tuple[int, ...]:
-        """Subset of the defects lying in the given measurement rounds.
-
-        ``layers`` may be any iterable of layer indices (a set, list, range or
-        generator); it is materialised once so one-shot iterables work too.
-        """
-        layer_set = frozenset(layers)
-        return tuple(
-            d for d in self.defects if graph.vertices[d].layer in layer_set
-        )
 
     def defects_by_layer(self, graph: DecodingGraph) -> tuple[tuple[int, ...], ...]:
         """The defects split per measurement round, in arrival order.
@@ -138,19 +136,18 @@ class SyndromeSampler:
     evaluation engines can hand each sampler its own spawn-keyed sequence), an
     existing :class:`numpy.random.Generator`, or ``None`` for OS entropy.
 
-    :meth:`sample_batch` consumes the exact same word stream as the
-    equivalent number of :meth:`sample` calls, so the two are bit-identical
-    per shot and can be mixed freely on one sampler.
-
-    *Dynamic* noise models (correlated bursts, erasures — flagged by
-    :attr:`repro.graphs.NoiseModel.is_dynamic` on the graph's recorded noise
-    model) consume extra random words per shot, in a fixed per-shot layout:
-    first the burst-chain words (one 32-bit lane per measurement round), then
-    the erasure words (one lane per edge), then the usual flip words.  Both
-    the scalar and the batch path draw whole shots from that identical
-    layout, so the scalar==batch bit-identity contract extends to every
-    family — and static models consume the exact word stream they always
-    did.
+    Every shot is read from the word stream in one fixed layout: first the
+    burst-chain words (one 32-bit lane per measurement round), then the
+    erasure words (one lane per edge), then the flip words.  The first two
+    groups are empty unless the graph's noise model has bursts or erasures
+    (:attr:`repro.graphs.NoiseModel.is_dynamic`), so static models read flip
+    words only.  :meth:`sample` and :meth:`sample_batch` both draw through
+    one method, so a batch is bit-identical per shot to the same number of
+    :meth:`sample` calls and the two can be mixed freely on one sampler.
+    They differ only in how defects follow from the flipped edges:
+    :meth:`sample` takes their parity edge by edge in
+    :meth:`syndrome_from_errors`, :meth:`sample_batch` through the
+    incidence matrix in array operations.
     """
 
     #: Cap on raw 64-bit words drawn per internal chunk of
@@ -178,15 +175,13 @@ class SyndromeSampler:
         self._thresholds[: graph.num_edges] = np.round(
             self._probabilities * float(1 << 32)
         ).astype(np.uint32)
-        # Dynamic-noise machinery (bursts/erasures): extra word groups per
-        # shot, laid out [chain words][erasure words][flip words].  Static
-        # models keep `_shot_words == _words_per_shot` and the original
-        # single-group stream, so their RNG consumption is unchanged.
+        # Per-shot word layout: [chain words][erasure words][flip words].
+        # The first two groups exist only for models with bursts or
+        # erasures, so static models read one flip group per shot.
         model = graph.noise_model
-        self._dynamic = model is not None and model.is_dynamic
         self._chain_words = 0
         self._erasure_words = 0
-        if self._dynamic and model.burst_entry > 0.0:
+        if model is not None and model.burst_entry > 0.0:
             self._chain_words = (graph.num_layers + 1) // 2
             self._entry_threshold = _uint32_threshold(model.burst_entry)
             self._exit_threshold = _uint32_threshold(model.burst_exit)
@@ -206,7 +201,7 @@ class SyndromeSampler:
                 for e in graph.edges
             ]
             self._edge_lane_layers = layers
-        if self._dynamic and model.erasure > 0.0:
+        if model is not None and model.erasure > 0.0:
             self._erasure_words = self._words_per_shot
             self._erasure_thresholds = np.zeros(
                 2 * self._words_per_shot, dtype=np.uint32
@@ -219,7 +214,6 @@ class SyndromeSampler:
         )
         self._chunk_shots = max(1, self._CHUNK_WORDS // max(1, self._shot_words))
         self._incidence: tuple[np.ndarray, ...] | None = None
-        self._flip_buffer: np.ndarray | None = None
 
     def _burst_rounds(self, chain_lanes: np.ndarray) -> np.ndarray:
         """Advance the burst Markov chain over the rounds of each shot.
@@ -228,8 +222,7 @@ class SyndromeSampler:
         ``(shots, num_layers)`` boolean burst state per round.  Each shot's
         chain starts quiet; a quiet round bursts when its lane falls below
         the entry threshold, a bursting round recovers when its lane falls
-        below the exit threshold.  Scalar and batch sampling share this
-        exact comparison sequence, preserving bit-identity.
+        below the exit threshold.
         """
         shots, layers = chain_lanes.shape
         burst = np.empty((shots, layers), dtype=bool)
@@ -240,61 +233,42 @@ class SyndromeSampler:
             burst[:, r] = state
         return burst
 
-    def _shot_thresholds(
-        self, burst: np.ndarray | None, erased: np.ndarray | None
-    ) -> np.ndarray:
-        """Effective per-lane flip thresholds of one or more shots.
+    def _draw(self, count: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """Draw ``count`` whole shots from the word stream.
 
-        ``burst`` is ``(shots, num_layers)`` bool (or None without a chain);
-        ``erased`` is ``(shots, 2 * words_per_shot)`` bool (or None without
-        erasures).  Bursting rounds use the boosted thresholds; erased lanes
-        flip with probability 1/2 regardless of bursts.
+        Returns ``(flips, erased)``: the ``(count, 2 * words_per_shot)``
+        boolean flip lanes, and the erased lanes of the same shape (None
+        for models without erasures).  Bursting rounds use the boosted
+        thresholds; erased lanes flip with probability 1/2 regardless of
+        bursts.  Padding lanes have zero thresholds, so they never flip and
+        are never erased.
         """
-        thresholds: np.ndarray = self._thresholds
-        if burst is not None:
+        words = (
+            self.rng.bit_generator.random_raw(count * self._shot_words)
+            .view(np.uint32)
+            .reshape(count, 2 * self._shot_words)
+        )
+        thresholds = self._thresholds
+        col = 0
+        if self._chain_words:
+            burst = self._burst_rounds(words[:, : self.graph.num_layers])
             thresholds = np.where(
                 burst[:, self._edge_lane_layers], self._burst_thresholds, thresholds
             )
-        if erased is not None:
+            col = 2 * self._chain_words
+        erased = None
+        if self._erasure_words:
+            stop = col + 2 * self._erasure_words
+            erased = words[:, col:stop] < self._erasure_thresholds
             thresholds = np.where(erased, np.uint32(1 << 31), thresholds)
-        return thresholds
+            col = stop
+        return words[:, col:] < thresholds, erased
 
     def sample(self) -> Syndrome:
         """Sample one syndrome by flipping each edge independently."""
-        if not self._dynamic:
-            lanes = self.rng.bit_generator.random_raw(self._words_per_shot).view(
-                np.uint32
-            )
-            flips = lanes < self._thresholds
-            error_edges = tuple(
-                int(i) for i in np.flatnonzero(flips[: self.graph.num_edges])
-            )
-            return self.syndrome_from_errors(error_edges)
-        lanes = self.rng.bit_generator.random_raw(self._shot_words).view(np.uint32)
-        offset = 0
-        burst = None
-        if self._chain_words:
-            burst = self._burst_rounds(
-                lanes[np.newaxis, : self.graph.num_layers]
-            )
-            offset = 2 * self._chain_words
-        erased = None
-        erasures: tuple[int, ...] = ()
-        if self._erasure_words:
-            erasure_lanes = lanes[offset : offset + 2 * self._erasure_words]
-            erased = (erasure_lanes < self._erasure_thresholds)[np.newaxis, :]
-            erasures = tuple(
-                int(i) for i in np.flatnonzero(erased[0, : self.graph.num_edges])
-            )
-            offset += 2 * self._erasure_words
-        # A dynamic model has a chain, erasures, or both, so the effective
-        # thresholds always come back with a leading shot axis here.
-        thresholds = self._shot_thresholds(burst, erased)
-        flips = lanes[offset:] < thresholds[0]
-        error_edges = tuple(
-            int(i) for i in np.flatnonzero(flips[: self.graph.num_edges])
-        )
-        return self.syndrome_from_errors(error_edges, erasures=erasures)
+        flips, erased = self._draw(1)
+        erasures = () if erased is None else np.flatnonzero(erased[0]).tolist()
+        return self.syndrome_from_errors(np.flatnonzero(flips[0]).tolist(), erasures)
 
     def sample_rounds(self) -> tuple[Syndrome, tuple[tuple[int, ...], ...]]:
         """Sample one syndrome and emit its defects round by round.
@@ -357,26 +331,8 @@ class SyndromeSampler:
     def _sample_chunk(self, count: int, out: list[Syndrome]) -> None:
         real_vertices, u_rows, v_rows, observable = self._incidence_arrays()
         num_real = len(real_vertices)
-        num_lanes = 2 * self._words_per_shot
-        if self._flip_buffer is None:
-            self._flip_buffer = np.empty((self._chunk_shots, num_lanes), dtype=bool)
-        if self._dynamic:
-            flips, erasure_data = self._dynamic_chunk_flips(count)
-        else:
-            erasure_data = None
-            lanes = (
-                self.rng.bit_generator.random_raw(count * self._words_per_shot)
-                .view(np.uint32)
-                .reshape(count, num_lanes)
-            )
-            flips = self._flip_buffer[:count]
-            np.less(lanes, self._thresholds, out=flips)
-        # ``flatnonzero`` scans row-major, so per-shot edge indices come out
-        # sorted exactly like the scalar path's.  Padding lanes carry a zero
-        # threshold and can never flip, so every index maps to a real edge.
-        flat = np.flatnonzero(np.ravel(flips))
-        shot_index = flat // num_lanes
-        edge_index = flat - shot_index * num_lanes
+        flips, erased = self._draw(count)
+        shot_index, edge_index = _lanes_by_shot(flips)
 
         # Defect parity through the incidence matrix: each flipped edge
         # toggles its real endpoints, and a vertex is a defect when it is
@@ -400,82 +356,36 @@ class SyndromeSampler:
             np.bincount(shot_index[observable[edge_index]], minlength=count) & 1
         ).astype(bool).tolist()
 
+        if erased is None:
+            erased_edges: tuple[int, ...] = ()
+            erasure_offsets = [0] * count
+        else:
+            erased_shot, erased_lane = _lanes_by_shot(erased)
+            erased_edges = tuple(erased_lane.tolist())
+            erasure_offsets = np.bincount(erased_shot, minlength=count).cumsum().tolist()
+
         # Hot path: ``Syndrome`` instances are assembled via ``__new__`` plus a
         # direct ``__dict__`` assignment, skipping the frozen-dataclass
         # ``__init__`` (which routes every field through
         # ``object.__setattr__``).  The instances are indistinguishable from
-        # normally-constructed ones; ``erasures`` left out of the ``__dict__``
-        # falls back to the class-level default ``()``.
+        # normally-constructed ones.
         make = object.__new__
         cls = Syndrome
         defect_start = 0
         edge_start = 0
-        if erasure_data is None:
-            for defect_stop, edge_stop, flip in zip(
-                defect_offsets, edge_offsets, logical_flips
-            ):
-                syndrome = make(cls)
-                syndrome.__dict__["defects"] = defect_vertices[defect_start:defect_stop]
-                syndrome.__dict__["error_edges"] = error_edges[edge_start:edge_stop]
-                syndrome.__dict__["logical_flip"] = flip
-                out.append(syndrome)
-                defect_start = defect_stop
-                edge_start = edge_stop
-        else:
-            erased_edges, erasure_offsets = erasure_data
-            erasure_start = 0
-            for defect_stop, edge_stop, erasure_stop, flip in zip(
-                defect_offsets, edge_offsets, erasure_offsets, logical_flips
-            ):
-                syndrome = make(cls)
-                syndrome.__dict__["defects"] = defect_vertices[defect_start:defect_stop]
-                syndrome.__dict__["error_edges"] = error_edges[edge_start:edge_stop]
-                syndrome.__dict__["logical_flip"] = flip
-                syndrome.__dict__["erasures"] = erased_edges[erasure_start:erasure_stop]
-                out.append(syndrome)
-                defect_start = defect_stop
-                edge_start = edge_stop
-                erasure_start = erasure_stop
-
-    def _dynamic_chunk_flips(
-        self, count: int
-    ) -> tuple[np.ndarray, tuple[tuple[int, ...], list[int]] | None]:
-        """Draw and threshold one chunk of dynamic-noise shots.
-
-        Returns ``(flips, erasure_data)``: the ``(count, num_lanes)`` flip
-        matrix, plus — for erasure models — the flattened per-shot erased
-        edge indices and their cumulative offsets (None otherwise).  The
-        word stream is consumed in whole shots of the same
-        chain/erasure/flip layout as :meth:`sample`, so chunked batches stay
-        bit-identical to scalar draws.
-        """
-        num_lanes = 2 * self._words_per_shot
-        words = (
-            self.rng.bit_generator.random_raw(count * self._shot_words)
-            .view(np.uint32)
-            .reshape(count, 2 * self._shot_words)
-        )
-        col = 0
-        burst = None
-        if self._chain_words:
-            burst = self._burst_rounds(words[:, : self.graph.num_layers])
-            col = 2 * self._chain_words
-        erased = None
-        erasure_data = None
-        if self._erasure_words:
-            erased = words[:, col : col + num_lanes] < self._erasure_thresholds
-            col += num_lanes
-            flat = np.flatnonzero(np.ravel(erased))
-            shot_index = flat // num_lanes
-            edge_index = flat - shot_index * num_lanes
-            erasure_data = (
-                tuple(edge_index.tolist()),
-                np.bincount(shot_index, minlength=count).cumsum().tolist(),
-            )
-        thresholds = self._shot_thresholds(burst, erased)
-        flips = self._flip_buffer[:count]
-        np.less(words[:, col:], thresholds, out=flips)
-        return flips, erasure_data
+        erasure_start = 0
+        for defect_stop, edge_stop, erasure_stop, flip in zip(
+            defect_offsets, edge_offsets, erasure_offsets, logical_flips
+        ):
+            syndrome = make(cls)
+            syndrome.__dict__["defects"] = defect_vertices[defect_start:defect_stop]
+            syndrome.__dict__["error_edges"] = error_edges[edge_start:edge_stop]
+            syndrome.__dict__["logical_flip"] = flip
+            syndrome.__dict__["erasures"] = erased_edges[erasure_start:erasure_stop]
+            out.append(syndrome)
+            defect_start = defect_stop
+            edge_start = edge_stop
+            erasure_start = erasure_stop
 
     def syndrome_from_errors(
         self, error_edges: Iterable[int], erasures: Iterable[int] = ()

@@ -47,7 +47,7 @@ from ..evaluation.engine import LatencyHistogram
 
 #: Version of the BENCH_service document layout; bump on breaking changes
 #: (history in ``docs/service.md``).
-SERVICE_BENCH_SCHEMA_VERSION = 6
+SERVICE_BENCH_SCHEMA_VERSION = 7
 
 
 class ServiceBenchSchemaError(ValueError):
@@ -315,7 +315,6 @@ _SCALING = Obj(
         # Items are held to the numeric series processes by the rule below.
         "process_counts": Arr(ANY, nonempty=True),
         "series": Arr(_SCALING_ROW),
-        "digest_match": BOOL,
     },
     (
         "series processes must match process_counts",

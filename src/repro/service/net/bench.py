@@ -122,7 +122,6 @@ def scaling_entry(process_counts, results: dict[int, ServiceLoadResult]) -> dict
     """The ``saturation.scaling`` block from per-process-count replays."""
     counts = list(process_counts)
     base = results[counts[0]].throughput_rps
-    digests = {results[count].healthy_digest for count in counts}
     return {
         "cpu_count": os.cpu_count() or 1,
         "process_counts": counts,
@@ -144,7 +143,6 @@ def scaling_entry(process_counts, results: dict[int, ServiceLoadResult]) -> dict
             }
             for count in counts
         ],
-        "digest_match": len(digests) == 1,
     }
 
 

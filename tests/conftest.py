@@ -124,7 +124,6 @@ def filled_service_document():
             }
             for processes in (1, 2)
         ],
-        "digest_match": True,
     }
     stats = {
         "codec": 2,

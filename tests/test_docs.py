@@ -38,8 +38,8 @@ class TestDocumentation:
 
     def test_checker_covers_service_modules(self):
         """The doctest surface must include the whole service package (the
-        network tier included), the LUT pre-decoder, union-find and the
-        evaluation package."""
+        network tier included), the LUT pre-decoder, union-find, the
+        evaluation package and every module with a ``>>> `` example."""
         covered = set(check_docs.DOCTEST_MODULES)
         src = REPO_ROOT / "src"
         package = src / "repro"
@@ -54,3 +54,11 @@ class TestDocumentation:
                 continue
             name = ".".join(module.relative_to(src).with_suffix("").parts)
             assert name in covered, name
+        # ... and so must every other module whose source holds an example.
+        for module in package.rglob("*.py"):
+            if ">>> " not in module.read_text(encoding="utf-8"):
+                continue
+            parts = module.relative_to(src).with_suffix("").parts
+            if parts[-1] == "__init__":
+                parts = parts[:-1]
+            assert ".".join(parts) in covered, module

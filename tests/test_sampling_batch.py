@@ -1,9 +1,12 @@
 """Property tests: vectorized ``sample_batch`` is bit-identical to ``sample``.
 
-The sharded Monte-Carlo engine leans on ``SyndromeSampler.sample_batch``
-consuming the exact same RNG stream as sequential ``sample()`` calls, across
-every noise family and measurement-round count, so the equality is pinned
-here property-style over a grid of graphs.
+``SyndromeSampler.sample`` and ``sample_batch`` read whole shots through one
+draw and differ only in how defects follow from the flipped edges: ``sample``
+takes their parity edge by edge (the pure-Python reference), ``sample_batch``
+through the incidence matrix.  The equality of the two is checked
+property-style over a grid of graphs covering every noise family and
+measurement-round count, and the draw itself is pinned per family by a
+content hash of its shots.
 """
 
 from __future__ import annotations

@@ -871,7 +871,6 @@ class TestServiceBench:
             (lambda d: d["wire"]["comparison"]["v1"].update(codec=2), r"v1.*codec"),
             (lambda d: d["wire"]["stats"]["batch_histogram"].update({"0": 1}), "batch_histogram"),
             (lambda d: d["saturation"].update(digest_match=1), "digest_match"),
-            (lambda d: d["saturation"]["scaling"].update(digest_match="yes"), "digest_match"),
             (lambda d: d["wire"]["comparison"].update(digest_match=None), "digest_match"),
             (lambda d: d["cache_comparison"]["off"].update(cache_hits=1), "cache_hits"),
         ],

@@ -331,5 +331,5 @@ class TestFaultIsolation:
             hostile_mix=[entry],
         )
         assert validate_service_bench(document) is None
-        assert document["schema_version"] == 6
+        assert document["schema_version"] == 7
         assert document["fault_plan"]["name"] == "hostile-smoke"

@@ -66,31 +66,6 @@ class TestSampler:
         syndrome = sampler_d3.syndrome_from_errors([observable_edge])
         assert syndrome.logical_flip is True
 
-    def test_defects_in_layers(self, surface_d3_circuit, sampler_d3):
-        syndrome = sampler_d3.syndrome_from_errors(
-            [e.index for e in surface_d3_circuit.edges[:4]]
-        )
-        subset = syndrome.defects_in_layers(surface_d3_circuit, {0})
-        assert all(surface_d3_circuit.vertices[d].layer == 0 for d in subset)
-
-    def test_defects_in_layers_accepts_any_iterable(self, surface_d3_circuit):
-        graph = surface_d3_circuit
-        sampler = SyndromeSampler(graph, seed=17)
-        syndrome = next(
-            s for s in sampler.sample_batch(100) if s.defect_count >= 2
-        )
-        layers = sorted({graph.vertices[d].layer for d in syndrome.defects})
-        expected = syndrome.defects_in_layers(graph, set(layers))
-        assert expected == syndrome.defects
-        # list, range and one-shot generator must behave exactly like a set
-        assert syndrome.defects_in_layers(graph, list(layers)) == expected
-        assert (
-            syndrome.defects_in_layers(graph, range(graph.num_layers)) == expected
-        )
-        generator = (layer for layer in layers)
-        assert syndrome.defects_in_layers(graph, generator) == expected
-        assert syndrome.defects_in_layers(graph, iter([])) == ()
-
 
 class TestMatchingResult:
     def test_validate_perfect_accepts_complete_matching(self):
